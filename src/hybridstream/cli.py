@@ -3,8 +3,7 @@ stream generation dumps, and distillation runs.
 
 Exit codes: 0 success, 1 verification/assertion failure, 2 usage error,
 3 I/O error. Config files are plain `key = value` lines ('#' starts a
-comment); command-line flags override file values. HFT_THREADS caps the
-worker threads used when benchmarking several modes in one invocation.
+comment); command-line flags override file values.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
 import numpy as np
@@ -230,12 +228,7 @@ BENCH_CSV_HEADER = [
 def cmd_bench(args) -> int:
     base, chunks = _build_stream_config(args)
     modes = list(BENCH_MODES) if args.mode == "all" else [args.mode]
-    workers = max(1, int(os.environ.get("HFT_THREADS", "1")))
-    if workers > 1 and len(modes) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda m: _bench_one(m, base, chunks), modes))
-    else:
-        rows = [_bench_one(m, base, chunks) for m in modes]
+    rows = [_bench_one(m, base, chunks) for m in modes]
 
     for row in rows:
         print(f"{row['mode']}: {row['ms_mean']:.2f} ms/chunk mean, "

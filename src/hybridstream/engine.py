@@ -150,6 +150,33 @@ def _chunk_spatial_indices(cfg: StreamConfig) -> np.ndarray:
     return np.arange(cfg.chunk_tokens, dtype=np.float64)
 
 
+def _rotated_window(cache: RollingCache, cfg: StreamConfig,
+                    query_chunk_index: int) -> tuple:
+    """The visible entries, their keys rotated at their relative temporal
+    indices for every layer and head ([layers, heads, visible tokens,
+    head_dim]), and the BlockConfig forcing the sink blocks and the chunk's
+    own blocks. Those indices are fixed for the whole query chunk, so this is
+    built once per chunk and held on the cache until its next append."""
+    def build():
+        visible = cache.visible_kv(query_chunk_index)
+        bpc = cfg.blocks_per_chunk
+        forced = set(range(len(visible) * bpc, (len(visible) + 1) * bpc))
+        for pos, (entry, _) in enumerate(visible):
+            if entry.is_sink:
+                forced.update(range(pos * bpc, (pos + 1) * bpc))
+        bcfg = BlockConfig(cfg.block_tokens, cfg.block_tokens, cfg.keep_ratio,
+                           frozenset(forced))
+        keys = np.empty((cfg.layers, cfg.heads, 0, cfg.head_dim))
+        if visible:
+            stacked = np.stack([e.keys for e, _ in visible], axis=2)  # [L, H, n, T, d]
+            rel = np.array([r for _, r in visible])
+            keys = apply_rope(stacked, rel, _chunk_spatial_indices(cfg), cfg.rope_config())
+            keys = keys.reshape(*stacked.shape[:2], -1, cfg.head_dim)
+        return [e for e, _ in visible], keys, bcfg
+
+    return cache.memo((query_chunk_index, cfg), build)
+
+
 def hybrid_attention(
     q: np.ndarray,
     k_self: np.ndarray,
@@ -164,42 +191,28 @@ def hybrid_attention(
 
     q, k_self, v_self: unrotated per-head tensors [heads, chunk_tokens,
     head_dim] for the chunk being generated. Keys from the cache and from
-    the chunk itself are rotated at their relative temporal indices; sink
-    blocks and the chunk's own blocks are always kept active in the mask.
+    the chunk itself are rotated at their relative temporal indices (the
+    cached ones once per query chunk, see _rotated_window); sink blocks and
+    the chunk's own blocks are always kept active in the mask.
     Returns [chunk_tokens, model_dim]: sparse local output plus the
     history readout, summed elementwise.
     """
     rope_cfg = cfg.rope_config()
     s_idx = _chunk_spatial_indices(cfg)
     q_index = temporal_index(query_chunk_index, rope_cfg)
-    visible = cache.visible_kv(query_chunk_index)
-    bpc = cfg.blocks_per_chunk
-
-    forced = set()
-    for pos, (entry, _) in enumerate(visible):
-        if entry.is_sink:
-            forced.update(range(pos * bpc, (pos + 1) * bpc))
-    self_pos = len(visible)
-    forced.update(range(self_pos * bpc, (self_pos + 1) * bpc))
-    bcfg = BlockConfig(cfg.block_tokens, cfg.block_tokens, cfg.keep_ratio,
-                       frozenset(forced))
+    entries, window_keys, bcfg = _rotated_window(cache, cfg, query_chunk_index)
+    q_rot, k_self_rot = apply_rope(np.stack((q, k_self)), q_index, s_idx, rope_cfg)
 
     head_outputs = []
     for h in range(cfg.heads):
-        k_parts = [apply_rope(e.keys[layer, h], rel, s_idx, rope_cfg) for e, rel in visible]
-        k_parts.append(apply_rope(k_self[h], q_index, s_idx, rope_cfg))
-        v_parts = [e.values[layer, h] for e, _ in visible]
-        v_parts.append(v_self[h])
-        k_full = np.concatenate(k_parts, axis=0)
-        v_full = np.concatenate(v_parts, axis=0)
-        q_rot = apply_rope(q[h], q_index, s_idx, rope_cfg)
-
-        scores = block_scores(q_rot, k_full, bcfg)
+        k_full = np.concatenate((window_keys[layer, h], k_self_rot[h]))
+        v_full = np.concatenate([e.values[layer, h] for e in entries] + [v_self[h]])
+        scores = block_scores(q_rot[h], k_full, bcfg)
         if counters is not None:
             counters.pooled_scores += scores.size
         mask = build_mask(scores, bcfg)
         head_outputs.append(
-            sparse_attention(q_rot, k_full, v_full, mask,
+            sparse_attention(q_rot[h], k_full, v_full, mask,
                              scale=1.0 / math.sqrt(cfg.head_dim), counters=counters)
         )
     local = np.concatenate(head_outputs, axis=1)

@@ -126,7 +126,8 @@ def absorb_evicted(
     keys/values: [heads, chunk_tokens, head_dim]. Rotation is applied once
     here, anchoring evicted content at temporal index 0 by default so that
     query-side capped indices keep a monotone relative offset to everything
-    already absorbed.
+    already absorbed. Raises ValueError, leaving the state unchanged, when
+    the updated L or H would be non-finite.
     """
     keys = np.asarray(keys, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
@@ -137,14 +138,13 @@ def absorb_evicted(
             f"expected [{state.heads}, tokens, {state.head_dim}], got {keys.shape}"
         )
     fk = state.feature_map(keys)
-    rotated = np.stack(
-        [apply_rope(fk[h], t_index, s_indices, rope_cfg) for h in range(state.heads)]
-    )
-    state.L += np.einsum("htd,hte->hde", rotated, values)
-    state.H += fk.mean(axis=1)
+    rotated = apply_rope(fk, t_index, s_indices, rope_cfg)
+    L = state.L + np.einsum("htd,hte->hde", rotated, values)
+    H = state.H + fk.mean(axis=1)
+    if not (np.all(np.isfinite(L)) and np.all(np.isfinite(H))):
+        raise ValueError("linear state would become non-finite; absorb rejected")
+    state.L, state.H = L, H
     state.evicted_tokens += keys.shape[1]
-    if not (np.all(np.isfinite(state.L)) and np.all(np.isfinite(state.H))):
-        raise ValueError("linear state became non-finite")
     return state
 
 
@@ -171,10 +171,8 @@ def history_output(
     if state.evicted_tokens == 0:
         return np.zeros((tokens, state.model_dim))
     fq = state.feature_map(queries)
-    per_head = []
-    for h in range(state.heads):
-        num = apply_rope(fq[h], t_index, s_indices, rope_cfg) @ state.L[h]
-        den = fq[h] @ state.H[h] + eps_div
-        per_head.append(num / den[:, None])
-    concat = np.concatenate(per_head, axis=1)  # [tokens, model_dim]
+    num = apply_rope(fq, t_index, s_indices, rope_cfg) @ state.L  # [heads, tokens, head_dim]
+    # a matrix-vector product per head, rounded as fq[h] @ H[h] would be
+    den = fq @ state.H[:, :, None] + eps_div  # [heads, tokens, 1]
+    concat = (num / den).transpose(1, 0, 2).reshape(tokens, state.model_dim)
     return concat @ state.projection

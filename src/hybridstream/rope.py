@@ -10,6 +10,7 @@ range; spatial indices are never capped.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -60,44 +61,79 @@ def _axis_freqs(pairs: int, base_theta: float) -> np.ndarray:
     return base_theta ** (-2.0 * k / (2.0 * pairs))
 
 
-def apply_rope(x: np.ndarray, t_index: int, s_indices, config: RoPEConfig) -> np.ndarray:
-    """Rotate each token's pairs: temporal pairs by the shared capped index,
-    spatial pairs by that token's own (uncapped) spatial index.
+@lru_cache(maxsize=32)
+def _tables(config: RoPEConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Precomputed per config: cos and sin of the temporal pairs' angles at
+    every index 0..cap ([max_temporal_index + 1, temporal_dims] each), and
+    the spatial pairs' frequencies."""
+    index = np.arange(config.max_temporal_index + 1, dtype=np.float64)
+    ang = index[:, None] * _axis_freqs(config.temporal_dims, config.base_theta)
+    tables = (np.cos(ang), np.sin(ang), _axis_freqs(config.spatial_dims, config.base_theta))
+    for table in tables:
+        table.flags.writeable = False  # shared by every call with this config
+    return tables
 
-    x: [tokens, head_dim]; channels [0 : 2*temporal_dims] hold the temporal
-    pairs as (even, odd) lanes, the remainder the spatial pairs. Rotations
-    preserve per-token norms exactly (up to rounding).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != config.head_dim:
-        raise ShapeError(f"expected [tokens, {config.head_dim}], got {x.shape}")
-    if t_index > config.max_temporal_index:
+
+def _check_index(t: np.ndarray, lead: tuple, cap: int) -> None:
+    if t.dtype.kind not in "iu":
+        raise ContractViolationError(f"temporal index must be an integer, got dtype {t.dtype}")
+    if t.ndim > len(lead) or any(a not in (1, b) for a, b in zip(t.shape[::-1], lead[::-1])):
+        raise ShapeError(f"temporal index shape {t.shape} does not broadcast over {lead}")
+    if t.size == 0:
+        return
+    low, high = (int(t), int(t)) if t.ndim == 0 else (int(t.min()), int(t.max()))
+    if high > cap or low < 0:
         raise ContractViolationError(
-            f"temporal index {t_index} exceeds cap {config.max_temporal_index}; "
+            f"temporal index {high if high > cap else low} outside [0, {cap}]; "
             "callers must saturate with temporal_index() first"
         )
-    tokens = x.shape[0]
+
+
+def apply_rope(x: np.ndarray, t_index, s_indices, config: RoPEConfig) -> np.ndarray:
+    """Rotate each token's pairs: temporal pairs by the capped temporal
+    index of its slice, spatial pairs by that token's own (uncapped)
+    spatial index.
+
+    x: [..., tokens, head_dim]; channels [0 : 2*temporal_dims] hold the
+    temporal pairs as (even, odd) lanes, the remainder the spatial pairs.
+    t_index: an int, or an int array broadcasting over x's leading dims
+    (x.shape[:-2]), so one call rotates many slices, each at its own index.
+    s_indices: [tokens], shared by every slice. Temporal angles come from
+    the config's precomputed table, spatial ones are computed once per
+    call. Rotations preserve per-token norms exactly (up to rounding).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim < 2 or x.shape[-1] != config.head_dim:
+        raise ShapeError(f"expected [..., tokens, {config.head_dim}], got {x.shape}")
+    t = np.asarray(t_index)
+    tokens = x.shape[-2]
+    _check_index(t, x.shape[:-2], config.max_temporal_index)
     s = np.zeros(tokens, dtype=np.float64) if s_indices is None else np.asarray(
         s_indices, dtype=np.float64
     )
     if s.shape != (tokens,):
         raise ShapeError(f"s_indices must have shape ({tokens},), got {s.shape}")
 
-    out = x.copy()
-    if config.temporal_dims > 0:
-        freqs = _axis_freqs(config.temporal_dims, config.base_theta)
-        ang = float(t_index) * freqs  # [pairs], shared by all tokens
-        cos, sin = np.cos(ang), np.sin(ang)
-        seg = out[:, : 2 * config.temporal_dims]
-        even, odd = seg[:, 0::2].copy(), seg[:, 1::2].copy()
-        seg[:, 0::2] = even * cos - odd * sin
-        seg[:, 1::2] = even * sin + odd * cos
+    # cos/sin per slice, token and pair: [*t.shape, tokens, pairs]
+    t_cos, t_sin, s_freqs = _tables(config)
+    pt = config.temporal_dims
+    cos = np.empty(t.shape + (tokens, config.head_dim // 2))
+    sin = np.empty_like(cos)
+    if pt > 0:
+        cos[..., :pt] = t_cos[t][..., None, :]
+        sin[..., :pt] = t_sin[t][..., None, :]
     if config.spatial_dims > 0:
-        freqs = _axis_freqs(config.spatial_dims, config.base_theta)
-        ang = s[:, None] * freqs[None, :]  # [tokens, pairs]
-        cos, sin = np.cos(ang), np.sin(ang)
-        seg = out[:, 2 * config.temporal_dims:]
-        even, odd = seg[:, 0::2].copy(), seg[:, 1::2].copy()
-        seg[:, 0::2] = even * cos - odd * sin
-        seg[:, 1::2] = even * sin + odd * cos
+        ang = s[:, None] * s_freqs
+        cos[..., pt:] = np.cos(ang)
+        sin[..., pt:] = np.sin(ang)
+    # even' = even cos - odd sin, odd' = odd cos + even sin, accumulated in
+    # place to hold one temporary at a time (addition order does not change
+    # the rounding of a two-term sum)
+    even, odd = x[..., 0::2], x[..., 1::2]
+    out = np.empty(x.shape)
+    out_even, out_odd = out[..., 0::2], out[..., 1::2]
+    np.multiply(even, cos, out=out_even)
+    out_even -= odd * sin
+    np.multiply(odd, cos, out=out_odd)
+    out_odd += even * sin
     return out

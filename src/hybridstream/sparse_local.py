@@ -101,20 +101,15 @@ def build_mask(scores: np.ndarray, cfg: BlockConfig) -> BlockMask:
     quota = max(len(forced), math.ceil(cfg.keep_ratio * t_n))
     active = np.zeros((t_m, t_n), dtype=bool)
     active[:, forced] = True
-    for i in range(t_m):
-        need = quota - len(forced)
-        if need <= 0:
-            continue
-        # stable sort on (-score, index): descending score, index tie-break
-        order = np.lexsort((np.arange(t_n), -scores[i]))
-        taken = 0
-        for j in order:
-            if active[i, j]:
-                continue
-            active[i, j] = True
-            taken += 1
-            if taken == need:
-                break
+    need = quota - len(forced)
+    if need > 0:
+        # a stable sort of the negated scores of the free blocks is descending
+        # by score with ties kept in ascending (lower-index-first) order
+        is_free = np.ones(t_n, dtype=bool)
+        is_free[forced] = False
+        free = np.flatnonzero(is_free)
+        order = np.argsort(-scores[:, free], axis=1, kind="stable")[:, :need]
+        active[np.arange(t_m)[:, None], free[order]] = True
     return BlockMask(active)
 
 

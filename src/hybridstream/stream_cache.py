@@ -6,6 +6,9 @@ capacity. Evicted entries are returned to the caller, which routes them
 into the attached linear states. Entries store unrotated keys; rotation
 happens at attention time from each entry's current relative temporal
 index, so cached content never needs re-rotation as the window slides.
+That index is fixed for a whole query chunk, so the engine rotates the
+visible keys once per query chunk, for every layer and head, and keeps the
+result in the cache's memo until the next append; snapshots never carry it.
 """
 
 from __future__ import annotations
@@ -81,6 +84,7 @@ class RollingCache:
         self.window_entries: list[ChunkKV] = []
         self.linear_states: list[LinearState] = linear_states or []
         self._next_index = 0
+        self._memo: tuple | None = None  # (key, value) of memo(); dropped on append
 
     @property
     def next_index(self) -> int:
@@ -110,6 +114,7 @@ class RollingCache:
                 f"sink_chunks={self.sink_chunks}"
             )
         self._next_index += 1
+        self._memo = None
         if expected_sink:
             self.sink_entries.append(kv)
             return None
@@ -118,6 +123,15 @@ class RollingCache:
             evicted = self.window_entries.pop(0)
         self.window_entries.append(kv)
         return evicted
+
+    def memo(self, key, build):
+        """What `build()` returns for `key` over the current entries: built on
+        the first call, then reused until the key changes or the next append.
+        It lives in memory only."""
+        key = (self._next_index, key)
+        if self._memo is None or self._memo[0] != key:
+            self._memo = (key, build())
+        return self._memo[1]
 
     def entries(self) -> list[ChunkKV]:
         return list(self.sink_entries) + list(self.window_entries)

@@ -126,6 +126,15 @@ def _suite_rope() -> list[CheckResult]:
     drift = abs(float(d1[0, 0] - d2[0, 0]))
     out.append(_check("rope.relative_offsets", drift < 1e-9,
                       f"dot drift under shift {drift:.2e}"))
+
+    xs = SeededRng(4).normal((2, 3, 8, 16))
+    ts = np.array([[0, 13, 21], [7, 7, 2]])
+    s = np.arange(8.0)
+    batched = apply_rope(xs, ts, s, cfg)
+    equal = all(np.array_equal(batched[i, j], apply_rope(xs[i, j], int(ts[i, j]), s, cfg))
+                for i, j in np.ndindex(ts.shape))
+    out.append(_check("rope.batched_matches_per_slice", equal,
+                      "one call over [2, 3] slices bit-equal to per-slice calls"))
     return out
 
 

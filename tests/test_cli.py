@@ -16,6 +16,7 @@ from hybridstream.cli import (
     main,
 )
 from hybridstream.distill import TRACE_HEADER
+from hybridstream.engine import BENCH_MODES
 from hybridstream.numerics import read_tensor
 from hybridstream.sparse_local import BlockConfig
 from hybridstream.verify import mask_invariant_check
@@ -139,13 +140,12 @@ class TestBenchCommand:
     def test_invalid_mode_is_usage_error(self):
         assert main(["bench", "--mode", "bogus"]) == EXIT_USAGE
 
-    def test_threads_env_honored(self, tmp_path, stream_cfg, monkeypatch):
-        monkeypatch.setenv("HFT_THREADS", "2")
+    def test_all_modes_one_row_each_in_order(self, tmp_path, stream_cfg):
         out = tmp_path / "bench"
         assert main(["bench", "--mode", "all", "--config", stream_cfg,
                      "--chunks", "3", "--out", str(out)]) == EXIT_OK
         with open(out / "bench.csv") as f:
-            assert len(list(csv.DictReader(f))) == 4
+            assert [r["mode"] for r in csv.DictReader(f)] == list(BENCH_MODES)
 
 
 class TestGenerateCommand:

@@ -21,7 +21,8 @@ from hybridstream.errors import ShapeError
 from hybridstream.linear_history import absorb_evicted
 from hybridstream.numerics import SeededRng
 from hybridstream.rope import apply_rope, temporal_index
-from hybridstream.stream_cache import ChunkKV, relative_temporal_index
+from hybridstream.sparse_local import BlockConfig, block_scores, build_mask, sparse_attention
+from hybridstream.stream_cache import ChunkKV, RollingCache, relative_temporal_index
 
 TOY = StreamConfig(tokens_per_frame=4, model_dim=16, heads=2, head_dim=8)
 
@@ -52,6 +53,99 @@ def random_qkv(cfg, seed):
     rng = SeededRng(seed)
     shape = (cfg.heads, cfg.chunk_tokens, cfg.head_dim)
     return rng.normal(shape), rng.normal(shape), rng.normal(shape)
+
+
+def per_head_hybrid(q, k_self, v_self, cache, layer, cfg, qci):
+    """Unbatched hybrid attention: every visible key rotated per entry and
+    head, the history read out head by head."""
+    rope_cfg = cfg.rope_config()
+    s_idx = np.arange(float(cfg.chunk_tokens))
+    q_index = temporal_index(qci, rope_cfg)
+    visible = cache.visible_kv(qci)
+    bpc = cfg.blocks_per_chunk
+    forced = set(range(len(visible) * bpc, (len(visible) + 1) * bpc))
+    for pos, (entry, _) in enumerate(visible):
+        if entry.is_sink:
+            forced.update(range(pos * bpc, (pos + 1) * bpc))
+    bcfg = BlockConfig(cfg.block_tokens, cfg.block_tokens, cfg.keep_ratio, frozenset(forced))
+    heads = []
+    for h in range(cfg.heads):
+        k_parts = [apply_rope(e.keys[layer, h], rel, s_idx, rope_cfg) for e, rel in visible]
+        k_full = np.concatenate(k_parts + [apply_rope(k_self[h], q_index, s_idx, rope_cfg)])
+        v_full = np.concatenate([e.values[layer, h] for e, _ in visible] + [v_self[h]])
+        q_rot = apply_rope(q[h], q_index, s_idx, rope_cfg)
+        mask = build_mask(block_scores(q_rot, k_full, bcfg), bcfg)
+        heads.append(sparse_attention(q_rot, k_full, v_full, mask,
+                                      scale=1.0 / math.sqrt(cfg.head_dim)))
+    out = np.concatenate(heads, axis=1)
+    state = cache.linear_states[layer]
+    if state.evicted_tokens:
+        fq = state.feature_map(q)
+        hist = []
+        for h in range(cfg.heads):
+            num = apply_rope(fq[h], q_index, s_idx, rope_cfg) @ state.L[h]
+            den = fq[h] @ state.H[h] + 1e-6
+            hist.append(num / den[:, None])
+        out = out + np.concatenate(hist, axis=1) @ state.projection
+    return out
+
+
+class TestRotatedWindowMemo:
+    """The visible keys are rotated once per query chunk and held on the
+    cache; every reuse must give what a fresh computation gives."""
+
+    CFG = replace(TOY, keep_ratio=0.5, window_frames=12)  # real top-k selection
+
+    def test_bit_equal_to_per_head_reference(self):
+        cfg = self.CFG
+        for chunks in (0, 1, 3, 9):
+            cache, _ = build_random_cache(cfg, chunks, seed=20 + chunks)
+            q, k_self, v_self = random_qkv(cfg, 30 + chunks)
+            for layer in range(cfg.layers):
+                got = hybrid_attention(q, k_self, v_self, cache, layer, cfg, chunks)
+                want = per_head_hybrid(q, k_self, v_self, cache, layer, cfg, chunks)
+                assert np.array_equal(got, want)
+
+    def test_second_call_bit_equal_to_cold_call(self):
+        cfg = self.CFG
+        cache, _ = build_random_cache(cfg, 8, seed=40)
+        cold_cache = RollingCache.restore(cache.snapshot())
+        q, k_self, v_self = random_qkv(cfg, 41)
+        first = hybrid_attention(q, k_self, v_self, cache, 1, cfg, 8)
+        second = hybrid_attention(q, k_self, v_self, cache, 1, cfg, 8)
+        cold = hybrid_attention(q, k_self, v_self, cold_cache, 1, cfg, 8)
+        assert np.array_equal(first, second)
+        assert np.array_equal(second, cold)
+
+    def test_reuse_after_change_matches_fresh(self):
+        cfg = self.CFG
+        cache, _ = build_random_cache(cfg, 8, seed=50)
+        q, k_self, v_self = random_qkv(cfg, 51)
+        hybrid_attention(q, k_self, v_self, cache, 0, cfg, 9)  # fills the memo
+        # a different query index past the cap moves every relative index
+        got = hybrid_attention(q, k_self, v_self, cache, 0, cfg, 30)
+        assert np.array_equal(got, per_head_hybrid(q, k_self, v_self, cache, 0, cfg, 30))
+        # a restored snapshot carries no memo
+        restored = RollingCache.restore(cache.snapshot())
+        got = hybrid_attention(q, k_self, v_self, restored, 0, cfg, 9)
+        assert np.array_equal(got, per_head_hybrid(q, k_self, v_self, restored, 0, cfg, 9))
+        # the same query index after an append (which evicts here)
+        hybrid_attention(q, k_self, v_self, cache, 0, cfg, 9)
+        evicted = cache.append(random_chunk_kv(cfg, 8, seed=52))
+        for l, state in enumerate(cache.linear_states):
+            absorb_evicted(state, evicted.keys[l], evicted.values[l], cfg.rope_config(),
+                           s_indices=np.arange(float(cfg.chunk_tokens)))
+        for layer in range(cfg.layers):
+            got = hybrid_attention(q, k_self, v_self, cache, layer, cfg, 9)
+            assert np.array_equal(got, per_head_hybrid(q, k_self, v_self, cache, layer, cfg, 9))
+
+    def test_snapshot_bytes_unchanged_by_memo(self):
+        cfg = self.CFG
+        cache, _ = build_random_cache(cfg, 8, seed=60)
+        before = cache.snapshot()
+        q, k_self, v_self = random_qkv(cfg, 61)
+        hybrid_attention(q, k_self, v_self, cache, 0, cfg, 8)
+        assert cache.snapshot() == before
 
 
 class TestHybridAttention:

@@ -46,6 +46,22 @@ def batch_state_oracle(chunks, feature_map, rope_cfg, t_index=0):
 
 
 class TestAbsorb:
+    def test_non_finite_absorb_raises_and_leaves_state_unchanged(self):
+        state = fresh_state()
+        for seed in range(3):
+            absorb_evicted(state, *random_chunk(seed), ROPE, s_indices=np.arange(6.0))
+        L, H, tokens = state.L.copy(), state.H.copy(), state.evicted_tokens
+        keys, values = random_chunk(9)
+        values[1, 2, 3] = np.inf
+        with pytest.raises(ValueError):
+            absorb_evicted(state, keys, values, ROPE, s_indices=np.arange(6.0))
+        keys[0, 0, 0] = np.nan  # poisons H as well
+        with pytest.raises(ValueError):
+            absorb_evicted(state, keys, np.zeros_like(keys), ROPE, s_indices=np.arange(6.0))
+        assert np.array_equal(state.L, L)
+        assert np.array_equal(state.H, H)
+        assert state.evicted_tokens == tokens
+
     def test_zero_values_leave_L_unchanged(self):
         state = fresh_state()
         keys, _ = random_chunk(1)
@@ -113,6 +129,23 @@ class TestAbsorb:
 
 
 class TestHistoryOutput:
+    def test_bit_equal_to_per_head_readout(self):
+        state = fresh_state()
+        for seed in range(4):
+            absorb_evicted(state, *random_chunk(seed), ROPE, s_indices=np.arange(6.0))
+        # a transposed view, as the engine passes its split heads
+        q = SeededRng(32).normal((5, HEADS, HEAD_DIM)).transpose(1, 0, 2)
+        s_idx = np.arange(5.0)
+        out = history_output(state, q, ROPE, t_index=7, s_indices=s_idx)
+        fq = state.feature_map(q)
+        per_head = []
+        for h in range(HEADS):
+            num = apply_rope(fq[h], 7, s_idx, ROPE) @ state.L[h]
+            den = fq[h] @ state.H[h] + EPS_DIV
+            per_head.append(num / den[:, None])
+        want = np.concatenate(per_head, axis=1) @ state.projection
+        assert np.array_equal(out, want)
+
     def test_empty_state_outputs_zeros(self):
         state = fresh_state()
         q = SeededRng(30).normal((HEADS, 4, HEAD_DIM))

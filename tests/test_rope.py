@@ -94,6 +94,38 @@ class TestApplyRope:
             apply_rope(np.zeros((3, 16)), 0, np.zeros(4), CFG)
 
 
+class TestBatchedRope:
+    def test_batched_bit_equal_to_per_slice_calls(self):
+        x = SeededRng(11).normal((2, 3, 4, 6, 16))
+        t = np.array([[0, 5, 21, 7], [3, 3, 1, 20], [21, 0, 0, 9]])  # over dims 1, 2
+        s = np.arange(6.0)
+        out = apply_rope(x, t, s, CFG)
+        shared = apply_rope(x, 13, s, CFG)  # one scalar index for every slice
+        for a, b, c in np.ndindex(2, 3, 4):
+            assert np.array_equal(out[a, b, c], apply_rope(x[a, b, c], int(t[b, c]), s, CFG))
+            assert np.array_equal(shared[a, b, c], apply_rope(x[a, b, c], 13, s, CFG))
+
+    def test_over_cap_element_anywhere_rejected(self):
+        x = np.zeros((2, 4, 6, 16))
+        for pos in np.ndindex(2, 4):
+            t = np.full((2, 4), 21)
+            t[pos] = 22
+            with pytest.raises(ContractViolationError):
+                apply_rope(x, t, np.zeros(6), CFG)
+            t[pos] = -1
+            with pytest.raises(ContractViolationError):
+                apply_rope(x, t, np.zeros(6), CFG)
+
+    def test_index_must_broadcast_and_be_integer(self):
+        x = np.zeros((2, 4, 6, 16))
+        with pytest.raises(ShapeError):
+            apply_rope(x, np.zeros(3, dtype=int), np.zeros(6), CFG)
+        with pytest.raises(ShapeError):
+            apply_rope(x[0, 0], np.zeros(1, dtype=int), np.zeros(6), CFG)
+        with pytest.raises(ContractViolationError):
+            apply_rope(x, 1.5, np.zeros(6), CFG)
+
+
 class TestConfig:
     def test_pair_accounting(self):
         with pytest.raises(ShapeError):

@@ -28,6 +28,25 @@ def masked_dense_oracle(q, k, v, mask, scale):
     return softmax_rows(s) @ v
 
 
+def reference_mask(scores, cfg):
+    """Row-by-row top-K selection: walk each row in (-score, index) order and
+    take the first free blocks until the quota is met."""
+    t_m, t_n = scores.shape
+    forced = sorted(cfg.forced_blocks)
+    quota = max(len(forced), int(np.ceil(cfg.keep_ratio * t_n)))
+    active = np.zeros((t_m, t_n), dtype=bool)
+    active[:, forced] = True
+    for i in range(t_m):
+        taken = 0
+        for j in np.lexsort((np.arange(t_n), -scores[i])):
+            if taken >= quota - len(forced):
+                break
+            if not active[i, j]:
+                active[i, j] = True
+                taken += 1
+    return active
+
+
 def random_qkv(seed, n_q=16, n_kv=32, d=8):
     rng = SeededRng(seed)
     return rng.normal((n_q, d)), rng.normal((n_kv, d)), rng.normal((n_kv, d))
@@ -102,6 +121,26 @@ class TestBuildMask:
         a = build_mask(scores, cfg)
         b = build_mask(scores, cfg)
         assert np.array_equal(a.active, b.active)
+
+    def test_matches_reference_loop_with_ties(self):
+        rng = np.random.default_rng(11)
+        for trial in range(200):
+            t_m, t_n = rng.integers(1, 7), rng.integers(1, 25)
+            # few distinct values, so rows are full of ties
+            scores = rng.integers(-3, 4, size=(t_m, t_n)).astype(np.float64)
+            forced = frozenset(rng.choice(t_n, size=rng.integers(0, t_n + 1),
+                                          replace=False).tolist())
+            ratios = [0.01, float(rng.uniform(0.01, 1.0)), 1.0]
+            if forced:
+                ratios.append(len(forced) / t_n)  # quota equal to the forced count
+            for ratio in ratios:
+                cfg = BlockConfig(1, 1, ratio, forced)
+                got = build_mask(scores, cfg).active
+                assert np.array_equal(got, reference_mask(scores, cfg)), (trial, ratio)
+                quota = max(len(forced), int(np.ceil(ratio * t_n)))
+                assert (got.sum(axis=1) == quota).all()
+                if ratio == 1.0:
+                    assert got.all()  # quota equal to t_n
 
     def test_every_row_nonempty(self):
         scores = SeededRng(5).normal((8, 3))
