@@ -63,8 +63,6 @@ _DISTILL_FIELDS = {
     "phase_switch_step": int,
     "steps": int,
     "generator_lr": float,
-    "critic_lr": float,
-    "generator_update_every": int,
     "batch_size": int,
     "fixture_chunks": int,
     "timesteps": tuple,
@@ -76,11 +74,8 @@ _RUN_FIELDS = {"chunks": int}
 
 
 def parse_config_file(path: str) -> dict:
-    try:
-        with open(path, "r") as f:
-            lines = f.readlines()
-    except OSError:
-        raise
+    with open(path, "r") as f:
+        lines = f.readlines()
     out = {}
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
@@ -281,6 +276,8 @@ def cmd_distill(args) -> int:
     typed = _typed_config(file_cfg, _DISTILL_FIELDS, "distill")
     seed = typed.pop("seed", 0)
     world_dim = typed.pop("world_dim", 2)
+    if world_dim < 1:
+        raise UsageError(f"config field 'world_dim' must be >= 1, got {world_dim}")
     if args.seed is not None:
         seed = args.seed
     if args.lam is not None:

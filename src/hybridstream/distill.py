@@ -6,10 +6,11 @@ matching gradient, the flow-matching loss, the teacher rollout, and the
 KL being descended all have checkable closed forms. The training loop
 keeps the full structural skeleton of streaming distillation: per step it
 uniformly samples which timestep carries the update, rolls a small
-streaming fixture through the chunk loop (dense attention in phase one,
-hybrid attention in phase two), refreshes the analytic critic several
-times per generator update, and adds the teacher-anchored regularizer
-only on steps whose sampled timestep is the first (noisiest) one.
+streaming fixture through the engine's chunk step down the distillation
+timesteps (dense attention in phase one, hybrid attention in phase two),
+reads the analytic critic off the current generator, and adds the
+teacher-anchored regularizer only on steps whose sampled timestep is the
+first (noisiest) one.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .engine import NoiseSchedule, StreamConfig, ToyDenoiser
+from .engine import NoiseSchedule, StreamConfig, ToyDenoiser, chunk_step
 from .errors import ShapeError
 from .numerics import SeededRng
 
@@ -251,10 +252,8 @@ class DistillConfig:
     phase_switch_step: int = 1000
     steps: int = 2000                 # generator updates
     generator_lr: float = 0.05
-    critic_lr: float = 0.01           # cadence bookkeeping; the analytic critic has no parameters
-    generator_update_every: int = 5   # critic refreshes per generator update
     batch_size: int = 256
-    fixture: StreamConfig = _DEFAULT_FIXTURE
+    fixture: StreamConfig = _DEFAULT_FIXTURE  # its denoise_timesteps are replaced by `timesteps`
     fixture_chunks: int = 4
 
     def __post_init__(self):
@@ -265,8 +264,8 @@ class DistillConfig:
             raise ValueError("timesteps must lie in (0, 1]")
         if any(ts[i] <= ts[i + 1] for i in range(len(ts) - 1)):
             raise ValueError("timesteps must be strictly descending")
-        if self.steps < 1 or self.batch_size < 1 or self.generator_update_every < 1:
-            raise ValueError("steps, batch_size, generator_update_every must be >= 1")
+        if self.steps < 1 or self.batch_size < 1:
+            raise ValueError("steps and batch_size must be >= 1")
 
 
 @dataclass
@@ -308,42 +307,13 @@ def write_trace_csv(path, rows: Sequence[TraceRow]) -> None:
             ])
 
 
-def _run_fixture(models: dict, cfg: DistillConfig, phase: Phase, s_index: int,
+def _run_fixture(model: ToyDenoiser, cfg: DistillConfig, s_index: int,
                  rng: SeededRng) -> None:
-    """One pass of the streaming chunk loop, forward-only.
-
-    Mirrors the training control flow: fresh cache every step, the inner
-    timestep loop runs from the noisiest step down to the sampled one,
-    chunks are cached from their prediction at the sampled step, and the
-    window evicts into the linear state only in the hybrid phase.
-    """
-    model: ToyDenoiser = models[phase]
-    fixture_cfg = model.cfg
+    """One forward-only pass of the chunk loop on a fresh cache, each chunk
+    denoised from the noisiest timestep down to the sampled one."""
     cache = model.new_cache()
-    schedule = NoiseSchedule.rectified_flow()
-    ts = cfg.timesteps
-    from .linear_history import absorb_evicted
-    from .engine import _chunk_spatial_indices
-
-    rope_cfg = fixture_cfg.rope_config()
-    s_idx_tokens = _chunk_spatial_indices(fixture_cfg)
     for i in range(cfg.fixture_chunks):
-        x = rng.normal((fixture_cfg.chunk_tokens, fixture_cfg.model_dim))
-        for j in range(s_index + 1):
-            t = ts[j]
-            x0 = model.denoise_chunk(x, t, cache, i)
-            if j == s_index:
-                kv = model.compute_chunk_kv(x0, cache, i)
-                evicted = cache.append(kv)
-                if evicted is not None and phase is Phase.HYBRID:
-                    for layer_idx, state in enumerate(cache.linear_states):
-                        absorb_evicted(state, evicted.keys[layer_idx],
-                                       evicted.values[layer_idx], rope_cfg,
-                                       t_index=0, s_indices=s_idx_tokens)
-            else:
-                eps = rng.normal((fixture_cfg.chunk_tokens, fixture_cfg.model_dim))
-                t_next = ts[j + 1]
-                x = float(schedule.alpha(t_next)) * x0 + float(schedule.beta(t_next)) * eps
+        chunk_step(model, cache, i, cfg.timesteps[:s_index + 1], rng)
 
 
 def train(
@@ -358,8 +328,8 @@ def train(
 
     Per generator update: sample the carrying timestep slot uniformly, roll
     the streaming fixture (dense or hybrid attention per the phase
-    schedule), refresh the analytic critic `generator_update_every` times,
-    take the distribution-matching gradient at the sampled timestep, and,
+    schedule) down `config.timesteps` to that slot, take the
+    distribution-matching gradient at the sampled timestep, and,
     only when the sampled slot is the noisiest one, add lambda times the
     teacher-anchored regularizer. Everything downstream of the rng is
     deterministic; lambda never influences the rng stream, so runs that
@@ -378,11 +348,10 @@ def train(
 
     fixture_models = None
     if run_fixture:
-        dense_cfg = replace(config.fixture, keep_ratio=1.0, linear_history=False)
-        hybrid_cfg = replace(config.fixture, linear_history=True)
+        fixture = replace(config.fixture, denoise_timesteps=config.timesteps)
         fixture_models = {
-            Phase.DENSE: ToyDenoiser(dense_cfg),
-            Phase.HYBRID: ToyDenoiser(hybrid_cfg),
+            Phase.DENSE: ToyDenoiser(replace(fixture, keep_ratio=1.0, linear_history=False)),
+            Phase.HYBRID: ToyDenoiser(replace(fixture, linear_history=True)),
         }
 
     rows = []
@@ -392,13 +361,11 @@ def train(
         s_index = int(rng.uniform(1)[0] * t_count)
         s_index = min(s_index, t_count - 1)
         if run_fixture:
-            _run_fixture(fixture_models, config, phase, s_index, rng)
+            _run_fixture(fixture_models[phase], config, s_index, rng)
 
-        # analytic critic refresh cadence: the fake score is re-derived from
-        # the current generator parameters before each generator update
-        fake_mean = fake_cov = None
-        for _ in range(config.generator_update_every):
-            fake_mean, fake_cov = gen.induced()
+        # the analytic critic: the fake score comes straight from the
+        # current generator parameters
+        fake_mean, fake_cov = gen.induced()
 
         t_s = config.timesteps[s_index]
         grad = dmd_gradient(gen, world, t_s, rng, config.batch_size, schedule)

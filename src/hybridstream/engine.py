@@ -7,7 +7,8 @@ transformer ("toy denoiser") drives the few-step autoregressive loop:
 initialize a chunk from noise, denoise through a descending timestep
 schedule with re-noising between steps, emit the final clean prediction,
 cache its keys/values through a dedicated pass at t=0, and absorb whatever
-the rolling window evicts into the linear state.
+the rolling window evicts into the linear state. That chunk step
+(chunk_step) is shared by run_stream and the distillation fixture.
 
 A dense full-history oracle with the same rotation policy is provided for
 equivalence testing.
@@ -25,10 +26,10 @@ from scipy.special import erf
 
 from .errors import ShapeError
 from .linear_history import LinearState, absorb_evicted, history_output
-from .numerics import SeededRng
+from .numerics import SeededRng, softmax_rows
 from .rope import RoPEConfig, apply_rope, temporal_index
 from .sparse_local import BlockConfig, block_scores, build_mask, sparse_attention
-from .stream_cache import ChunkKV, RollingCache
+from .stream_cache import ChunkKV, RollingCache, relative_temporal_index
 
 _WEIGHT_STREAM = 1
 _NOISE_STREAM = 2
@@ -235,9 +236,6 @@ def dense_oracle_attention(
 ) -> np.ndarray:
     """Exact softmax attention over an arbitrary retained history (plus the
     chunk itself) under the same rotation policy. Test-scale only."""
-    from .numerics import softmax_rows
-    from .stream_cache import relative_temporal_index
-
     rope_cfg = cfg.rope_config()
     s_idx = _chunk_spatial_indices(cfg)
     q_index = temporal_index(query_chunk_index, rope_cfg)
@@ -367,24 +365,54 @@ class StreamResult:
     final_cache: RollingCache
 
 
+def append_and_absorb(cache: RollingCache, kv: ChunkKV,
+                      cfg: StreamConfig) -> ChunkKV | None:
+    """Append a chunk to the window and, when cfg.linear_history is set,
+    fold the chunk it evicts into every layer's linear state at temporal
+    index 0. Returns the evicted entry, if any."""
+    evicted = cache.append(kv)
+    if evicted is not None and cfg.linear_history:
+        rope_cfg = cfg.rope_config()
+        s_idx = _chunk_spatial_indices(cfg)
+        for layer_idx, state in enumerate(cache.linear_states):
+            absorb_evicted(state, evicted.keys[layer_idx],
+                           evicted.values[layer_idx], rope_cfg,
+                           t_index=0, s_indices=s_idx)
+    return evicted
+
+
+def chunk_step(model: ToyDenoiser, cache: RollingCache, chunk_index: int,
+               timesteps: Sequence[float], rng: SeededRng,
+               counters: OpCounters | None = None) -> np.ndarray:
+    """Generate and cache one chunk; returns its emitted prediction.
+
+    Start from fresh noise at the first timestep, denoise down `timesteps`
+    re-noising between steps, run the t=0 cache pass on the last
+    prediction, then append it (absorbing any eviction).
+    """
+    cfg = model.cfg
+    schedule = NoiseSchedule.rectified_flow()
+    shape = (cfg.chunk_tokens, cfg.model_dim)
+    x = rng.normal(shape)
+    for j, t in enumerate(timesteps):
+        x0 = model.denoise_chunk(x, t, cache, chunk_index, counters)
+        if j + 1 < len(timesteps):
+            eps = rng.normal(shape)
+            t_next = timesteps[j + 1]
+            x = float(schedule.alpha(t_next)) * x0 + float(schedule.beta(t_next)) * eps
+    append_and_absorb(cache, model.compute_chunk_kv(x0, cache, chunk_index, counters), cfg)
+    return x0
+
+
 def run_stream(cfg: StreamConfig, num_chunks: int,
                model: ToyDenoiser | None = None) -> StreamResult:
-    """Full autoregressive loop with per-chunk instrumentation.
-
-    Per chunk: start from fresh noise at the first (largest) timestep,
-    denoise down the schedule re-noising between steps, emit the final
-    prediction, run the t=0 cache pass, then append to the window and
-    absorb any eviction into the linear states (when enabled).
-    """
+    """Full autoregressive loop (see chunk_step) with per-chunk
+    instrumentation."""
     if num_chunks < 1:
         raise ValueError("num_chunks must be >= 1")
     model = model or ToyDenoiser(cfg)
     cache = model.new_cache()
-    schedule = NoiseSchedule.rectified_flow()
     noise_rng = SeededRng(cfg.seed).derive(_NOISE_STREAM)
-    rope_cfg = cfg.rope_config()
-    s_idx = _chunk_spatial_indices(cfg)
-    ts = cfg.denoise_timesteps
 
     latents = []
     chunk_ms = np.zeros(num_chunks)
@@ -396,21 +424,7 @@ def run_stream(cfg: StreamConfig, num_chunks: int,
     for i in range(num_chunks):
         counters = OpCounters()
         start = time.perf_counter()
-        x = noise_rng.normal((cfg.chunk_tokens, cfg.model_dim))
-        x0 = x
-        for j, t in enumerate(ts):
-            x0 = model.denoise_chunk(x, t, cache, i, counters)
-            if j + 1 < len(ts):
-                eps = noise_rng.normal((cfg.chunk_tokens, cfg.model_dim))
-                t_next = ts[j + 1]
-                x = float(schedule.alpha(t_next)) * x0 + float(schedule.beta(t_next)) * eps
-        kv = model.compute_chunk_kv(x0, cache, i, counters)
-        evicted = cache.append(kv)
-        if evicted is not None and cfg.linear_history:
-            for layer_idx, state in enumerate(cache.linear_states):
-                absorb_evicted(state, evicted.keys[layer_idx],
-                               evicted.values[layer_idx], rope_cfg,
-                               t_index=0, s_indices=s_idx)
+        x0 = chunk_step(model, cache, i, cfg.denoise_timesteps, noise_rng, counters)
         chunk_ms[i] = (time.perf_counter() - start) * 1e3
         chunk_scores[i], chunk_pooled[i] = counters.snapshot()
         peak_tokens = max(peak_tokens, cache.total_cached_tokens)

@@ -8,7 +8,6 @@ bit-split helpers `f64_to_f32_pairs` / `f32_pairs_to_f64`.
 
 from __future__ import annotations
 
-import io
 import struct
 from typing import BinaryIO, Sequence
 
@@ -248,9 +247,3 @@ def read_f64_tensor(f: BinaryIO) -> np.ndarray:
     if len(shape) < 1 or shape[0] != 2:
         raise FormatError(f"not a split-f64 tensor: shape {shape}")
     return f32_pairs_to_f64(pairs)
-
-
-def tensor_bytes(shape: Sequence[int], data) -> bytes:
-    buf = io.BytesIO()
-    write_tensor(buf, shape, data)
-    return buf.getvalue()

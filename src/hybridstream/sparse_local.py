@@ -61,16 +61,6 @@ def _split_blocks(x: np.ndarray, block: int, what: str) -> np.ndarray:
     return x.reshape(n // block, block, d)
 
 
-def pad_to_block(x: np.ndarray, block: int) -> tuple[np.ndarray, int]:
-    """Pad token rows with zeros up to a block multiple; returns (padded, n_valid)."""
-    n = x.shape[0]
-    rem = n % block
-    if rem == 0:
-        return x, n
-    pad = np.zeros((block - rem, x.shape[1]), dtype=x.dtype)
-    return np.concatenate([x, pad], axis=0), n
-
-
 def block_scores(q: np.ndarray, k: np.ndarray, cfg: BlockConfig) -> np.ndarray:
     """Pooled importance scores: mean of each query block dotted with the
     mean of each key block. Raw scores are returned; any row-monotone
@@ -120,16 +110,14 @@ def sparse_attention(
     mask: BlockMask,
     scale: float | None = None,
     visit_order=None,
-    valid_kv: int | None = None,
     counters=None,
 ) -> np.ndarray:
     """Masked attention over active blocks via online softmax.
 
     visit_order optionally permutes the key-block iteration; the result is
-    unchanged up to rounding. valid_kv masks trailing padded key tokens out
-    of the softmax; a forced block that is entirely padding is skipped.
-    counters, when given, gets `score_evals` bumped by b_q * b_kv per
-    visited block (the exact number of S entries computed).
+    unchanged up to rounding. counters, when given, gets `score_evals`
+    bumped by b_q * b_kv per visited block (the exact number of S entries
+    computed).
     """
     q = np.asarray(q, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
@@ -149,7 +137,6 @@ def sparse_attention(
     b_kv = k.shape[0] // t_n
     if scale is None:
         scale = 1.0 / math.sqrt(q.shape[1])
-    n_valid = k.shape[0] if valid_kv is None else int(valid_kv)
     order = list(range(t_n)) if visit_order is None else [int(j) for j in visit_order]
     if sorted(order) != list(range(t_n)):
         raise ShapeError("visit_order must be a permutation of the key blocks")
@@ -167,23 +154,14 @@ def sparse_attention(
             if not mask.active[i, j]:
                 continue
             lo = j * b_kv
-            hi = min((j + 1) * b_kv, n_valid)
-            if hi <= lo:
-                continue  # fully padded block
             s = (qi @ k[lo:lo + b_kv].T) * scale
             if counters is not None:
                 counters.score_evals += b_q * b_kv
-            if hi - lo < b_kv:
-                s[:, hi - lo:] = -np.inf
             m_new = np.maximum(m, s.max(axis=1))
             alpha = np.exp(m - m_new)
             p = np.exp(s - m_new[:, None])
             l = alpha * l + p.sum(axis=1)
             acc = alpha[:, None] * acc + p @ v[lo:lo + b_kv]
             m = m_new
-        if not np.all(l > 0):
-            raise ContractViolationError(
-                f"query block {i} saw no valid keys (all active blocks padded out)"
-            )
         out[i * b_q:(i + 1) * b_q] = acc / l[:, None]
     return out

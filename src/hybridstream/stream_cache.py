@@ -195,26 +195,30 @@ class RollingCache:
         if manifest.get("version") != _SNAPSHOT_VERSION:
             raise FormatError(f"unsupported snapshot version {manifest.get('version')!r}")
 
-        cache = cls(
-            capacity_chunks=manifest["capacity_chunks"],
-            sink_chunks=manifest["sink_chunks"],
-            max_temporal_index=manifest["max_temporal_index"],
-        )
-        for meta in manifest["entries"]:
-            keys = numerics.read_f64_tensor(f)
-            values = numerics.read_f64_tensor(f)
-            kv = ChunkKV(meta["chunk_index"], keys, values, meta["is_sink"])
-            if kv.is_sink:
-                cache.sink_entries.append(kv)
-            else:
-                cache.window_entries.append(kv)
-        for meta in manifest["linear_states"]:
-            cache.linear_states.append(
-                LinearState.from_stream(
-                    f, meta["evicted_tokens"], FeatureMap(meta["feature_map"])
-                )
+        try:
+            cache = cls(
+                capacity_chunks=manifest["capacity_chunks"],
+                sink_chunks=manifest["sink_chunks"],
+                max_temporal_index=manifest["max_temporal_index"],
             )
+            cache._next_index = manifest["next_index"]
+            for meta in manifest["entries"]:
+                keys = numerics.read_f64_tensor(f)
+                values = numerics.read_f64_tensor(f)
+                kv = ChunkKV(meta["chunk_index"], keys, values, meta["is_sink"])
+                if kv.is_sink:
+                    cache.sink_entries.append(kv)
+                else:
+                    cache.window_entries.append(kv)
+            for meta in manifest["linear_states"]:
+                try:
+                    feature_map = FeatureMap(meta["feature_map"])
+                except ValueError as exc:
+                    raise FormatError(f"unknown feature map {meta['feature_map']!r}") from exc
+                cache.linear_states.append(
+                    LinearState.from_stream(f, meta["evicted_tokens"], feature_map))
+        except KeyError as exc:
+            raise FormatError(f"snapshot manifest lacks field {exc.args[0]!r}") from exc
         if f.read(1):
             raise FormatError("trailing bytes after snapshot payload")
-        cache._next_index = manifest["next_index"]
         return cache

@@ -8,33 +8,15 @@ lines as they complete.
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hybridstream.distill import (
-    AffineGenerator,
-    DistillConfig,
-    GaussianWorld,
-    dmd_gradient,
-    train,
-)
-from hybridstream.engine import (
-    StreamConfig,
-    ToyDenoiser,
-    config_for_mode,
-    dense_oracle_attention,
-    hybrid_attention,
-    run_stream,
-)
-from hybridstream.linear_history import LinearState, absorb_evicted
-from hybridstream.numerics import SeededRng, softmax_rows
-from hybridstream.rope import apply_rope
-from hybridstream.sparse_local import BlockMask, sparse_attention
-from hybridstream.stream_cache import ChunkKV
+from hybridstream import verify
+from hybridstream.distill import AffineGenerator, DistillConfig, GaussianWorld, train
+from hybridstream.engine import StreamConfig, config_for_mode, run_stream
+from hybridstream.numerics import SeededRng
 from hybridstream.cli import main as cli_main
-from hybridstream.verify import exact_dmd_gradient
 
 TOY = StreamConfig()  # the reference toy configuration
 
@@ -53,99 +35,28 @@ def criterion(name: str, budget_s: float | None = None):
     print(f"[ACCEPTANCE] PASS {name} ({elapsed:.1f}s)")
 
 
-def random_cache(cfg, chunks, seed, model):
-    cache = model.new_cache()
-    rng = SeededRng(seed)
-    shape = (cfg.layers, cfg.heads, cfg.chunk_tokens, cfg.head_dim)
-    for i in range(chunks):
-        kv = ChunkKV(i, rng.normal(shape), rng.normal(shape), i < cfg.sink_chunks)
-        cache.append(kv)  # evictions dropped: the history state stays empty
-    return cache
+def assert_passed(results):
+    for r in results:
+        assert r.passed, f"{r.name}: {r.detail}"
 
 
 def test_dense_limit_equivalence():
     with criterion("dense-limit equivalence (keep=1.0, empty state)", 10.0):
-        cfg = replace(TOY, keep_ratio=1.0, linear_history=False)
-        model = ToyDenoiser(cfg)
-        rng = SeededRng(77)
-        worst = 0.0
-        for trial in range(50):
-            chunks = 1 + trial % 8
-            cache = random_cache(cfg, chunks, 9000 + trial, model)
-            shape = (cfg.heads, cfg.chunk_tokens, cfg.head_dim)
-            q, ks, vs = rng.normal(shape), rng.normal(shape), rng.normal(shape)
-            layer = trial % cfg.layers
-            got = hybrid_attention(q, ks, vs, cache, layer, cfg, chunks)
-            want = dense_oracle_attention(q, ks, vs, cache.entries(), layer, cfg, chunks)
-            worst = max(worst, np.abs(got - want).max())
-        assert worst <= 1e-6, f"max abs error {worst:.2e}"
+        assert_passed([verify.dense_limit_check(TOY, 50, 8, seed=77, cache_seed=9000,
+                                                tol=1e-6)])
 
 
 def test_linear_state_brute_force():
     with criterion("linear-state brute force vs direct sums", 10.0):
-        heads, head_dim = TOY.heads, TOY.head_dim
-        rope_cfg = TOY.rope_config()
-        proj = SeededRng(1).normal((TOY.model_dim, TOY.model_dim))
-        draw = SeededRng(123)
-        sizes = [3, 7, 17, 50]
-        for evictions in sizes:
-            state = LinearState.zeros(heads, head_dim, proj)
-            L = np.zeros_like(state.L)
-            H = np.zeros_like(state.H)
-            for _ in range(evictions):
-                k = draw.normal((heads, TOY.chunk_tokens, head_dim))
-                v = draw.normal((heads, TOY.chunk_tokens, head_dim))
-                s_idx = np.arange(float(TOY.chunk_tokens))
-                absorb_evicted(state, k, v, rope_cfg, s_indices=s_idx)
-                fk = state.feature_map(k)
-                for h in range(heads):
-                    rot = apply_rope(fk[h], 0, s_idx, rope_cfg)
-                    L[h] += rot.T @ v[h]
-                    H[h] += fk[h].mean(axis=0)
-            rel_l = np.abs(state.L - L).max() / np.abs(L).max()
-            rel_h = np.abs(state.H - H).max() / np.abs(H).max()
-            assert rel_l <= 1e-9 and rel_h <= 1e-9, (evictions, rel_l, rel_h)
-
-        def bytes_after(n):
-            state = LinearState.zeros(heads, head_dim, proj)
-            for _ in range(n):
-                k = draw.normal((heads, TOY.chunk_tokens, head_dim))
-                v = draw.normal((heads, TOY.chunk_tokens, head_dim))
-                absorb_evicted(state, k, v, rope_cfg,
-                               s_indices=np.arange(float(TOY.chunk_tokens)))
-            return state.nbytes
-
-        assert bytes_after(4) == bytes_after(400)
+        assert_passed(verify.linear_state_checks(
+            TOY.heads, TOY.head_dim, TOY.chunk_tokens, evictions=(3, 7, 17, 50),
+            memory_after=(4, 400), seed=123, tol=1e-9))
 
 
 def test_online_softmax_equivalence():
     with criterion("online-softmax vs masked-dense attention", 10.0):
-        gen = np.random.default_rng(7)
-        worst = 0.0
-        for trial in range(100):
-            b = int(gen.integers(2, 6))
-            t_m = int(gen.integers(1, 8))
-            t_n = int(gen.integers(1, 8))
-            r = SeededRng(3000 + trial)
-            q = r.normal((t_m * b, 8))
-            k = r.normal((t_n * b, 8))
-            v = r.normal((t_n * b, 8))
-            active = gen.random((t_m, t_n)) < 0.5
-            for i in range(t_m):
-                if not active[i].any():
-                    active[i, gen.integers(t_n)] = True
-            mask = BlockMask(active)
-            scale = 1.0 / math.sqrt(8)
-            got = sparse_attention(q, k, v, mask, scale,
-                                   visit_order=gen.permutation(t_n))
-            s = (q @ k.T) * scale
-            for i in range(t_m):
-                for j in range(t_n):
-                    if not active[i, j]:
-                        s[i * b:(i + 1) * b, j * b:(j + 1) * b] = -np.inf
-            want = softmax_rows(s) @ v
-            worst = max(worst, np.abs(got - want).max())
-        assert worst <= 1e-6, f"max abs error {worst:.2e}"
+        assert_passed(verify.masked_dense_checks(100, 7, (2, 6), seed=7, data_seed=3000,
+                                                 tol=1e-6))
 
 
 def test_rope_cap_and_long_horizon_stability():
@@ -190,41 +101,12 @@ def test_cost_model_hybrid_vs_dense21():
 
 def test_dmd_fixed_point_and_batch_scaling():
     with criterion("DMD fixed point + sqrt(batch) noise scaling", 30.0):
-        world = GaussianWorld.random(SeededRng(8), 2)
-        matched = AffineGenerator(world.sqrt_cov.copy(), world.mean.copy())
-        g = dmd_gradient(matched, world, 0.5, SeededRng(9), 100_000)
-        floor = 3.0 / math.sqrt(100_000)  # documented noise floor
-        assert g.norm() <= floor, f"matched norm {g.norm():.2e}"
-
-        # the Monte Carlo residual (estimate minus closed-form expectation)
-        # at a mean-offset probe scales as 1/sqrt(batch)
-        probe = AffineGenerator(world.sqrt_cov.copy(),
-                                world.mean + np.array([0.5, -0.3]))
-        ga, gb = exact_dmd_gradient(probe, world, 0.5)
-
-        def mean_residual_norm(batch, seed0, reps=30):
-            total = 0.0
-            for r in range(reps):
-                est = dmd_gradient(probe, world, 0.5, SeededRng(seed0 + r), batch)
-                total += math.sqrt(np.sum((est.A - ga) ** 2) + np.sum((est.b - gb) ** 2))
-            return total / reps
-
-        full = mean_residual_norm(100_000, 100)
-        half = mean_residual_norm(50_000, 900)
-        ratio = half / full
-        assert abs(ratio - math.sqrt(2)) <= 0.3 * math.sqrt(2), f"ratio {ratio:.3f}"
+        assert_passed(verify.dmd_noise_checks(residual_batch=100_000, reps=30))
 
 
 def test_dmd_convergence():
     with criterion("DMD convergence: 2000 updates to the 2-D world", 120.0):
-        rng = SeededRng(123)
-        world = GaussianWorld.random(rng.derive(0), 2)
-        gen = AffineGenerator(0.5 * np.eye(2), np.zeros(2))
-        cfg = DistillConfig(lam=0.0, steps=2000)
-        res = train(cfg, world, gen, rng.derive(1))
-        last = res.rows[-1]
-        assert last.mean_err <= 0.05, f"|b - mean| = {last.mean_err:.4f}"
-        assert last.cov_err <= 0.05, f"|AA^T - cov|_F = {last.cov_err:.4f}"
+        assert_passed([verify.convergence_check(steps=2000, tol=0.05)])
 
 
 def test_objective_gating():

@@ -262,6 +262,21 @@ class TestDistillCommand:
         assert main(["distill", "--config", str(p), "--out", str(tmp_path / "o")]) == EXIT_USAGE
         assert "steps" in capsys.readouterr().err
 
+    def test_custom_timesteps_drive_the_fixture(self, tmp_path):
+        p = tmp_path / "ts.cfg"
+        p.write_text("timesteps = 0.9, 0.3\nsteps = 20\n")
+        out = tmp_path / "dis"
+        assert main(["distill", "--config", str(p), "--out", str(out)]) == EXIT_OK
+        with open(out / "trace.csv") as f:
+            assert len(list(csv.DictReader(f))) == 20
+
+    @pytest.mark.parametrize("dim", ["0", "-1"])
+    def test_nonpositive_world_dim_is_usage_error(self, tmp_path, capsys, dim):
+        p = tmp_path / "bad.cfg"
+        p.write_text(f"world_dim = {dim}\n")
+        assert main(["distill", "--config", str(p), "--out", str(tmp_path / "o")]) == EXIT_USAGE
+        assert "world_dim" in capsys.readouterr().err
+
     def test_default_config_converges(self, tmp_path):
         # the full documented budget: 2000 updates, lambda 0.05
         out = tmp_path / "dis"

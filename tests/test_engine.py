@@ -11,6 +11,7 @@ from hybridstream.engine import (
     NoiseSchedule,
     StreamConfig,
     ToyDenoiser,
+    append_and_absorb,
     config_for_mode,
     dense_oracle_attention,
     generate_stream,
@@ -18,11 +19,11 @@ from hybridstream.engine import (
     run_stream,
 )
 from hybridstream.errors import ShapeError
-from hybridstream.linear_history import absorb_evicted
 from hybridstream.numerics import SeededRng
 from hybridstream.rope import apply_rope, temporal_index
 from hybridstream.sparse_local import BlockConfig, block_scores, build_mask, sparse_attention
 from hybridstream.stream_cache import ChunkKV, RollingCache, relative_temporal_index
+from hybridstream.verify import random_cache
 
 TOY = StreamConfig(tokens_per_frame=4, model_dim=16, heads=2, head_dim=8)
 
@@ -31,22 +32,6 @@ def random_chunk_kv(cfg, idx, seed, sink=False):
     rng = SeededRng(seed)
     shape = (cfg.layers, cfg.heads, cfg.chunk_tokens, cfg.head_dim)
     return ChunkKV(idx, rng.normal(shape), rng.normal(shape), sink)
-
-
-def build_random_cache(cfg, chunks, seed, model=None):
-    model = model or ToyDenoiser(cfg)
-    cache = model.new_cache()
-    history = []
-    for i in range(chunks):
-        kv = random_chunk_kv(cfg, i, seed * 1000 + i, sink=i < cfg.sink_chunks)
-        history.append(kv)
-        evicted = cache.append(kv)
-        if evicted is not None and cfg.linear_history:
-            for l, state in enumerate(cache.linear_states):
-                absorb_evicted(state, evicted.keys[l], evicted.values[l],
-                               cfg.rope_config(), t_index=0,
-                               s_indices=np.arange(float(cfg.chunk_tokens)))
-    return cache, history
 
 
 def random_qkv(cfg, seed):
@@ -99,7 +84,7 @@ class TestRotatedWindowMemo:
     def test_bit_equal_to_per_head_reference(self):
         cfg = self.CFG
         for chunks in (0, 1, 3, 9):
-            cache, _ = build_random_cache(cfg, chunks, seed=20 + chunks)
+            cache = random_cache(cfg, chunks, seed=20 + chunks)
             q, k_self, v_self = random_qkv(cfg, 30 + chunks)
             for layer in range(cfg.layers):
                 got = hybrid_attention(q, k_self, v_self, cache, layer, cfg, chunks)
@@ -108,7 +93,7 @@ class TestRotatedWindowMemo:
 
     def test_second_call_bit_equal_to_cold_call(self):
         cfg = self.CFG
-        cache, _ = build_random_cache(cfg, 8, seed=40)
+        cache = random_cache(cfg, 8, seed=40)
         cold_cache = RollingCache.restore(cache.snapshot())
         q, k_self, v_self = random_qkv(cfg, 41)
         first = hybrid_attention(q, k_self, v_self, cache, 1, cfg, 8)
@@ -119,7 +104,7 @@ class TestRotatedWindowMemo:
 
     def test_reuse_after_change_matches_fresh(self):
         cfg = self.CFG
-        cache, _ = build_random_cache(cfg, 8, seed=50)
+        cache = random_cache(cfg, 8, seed=50)
         q, k_self, v_self = random_qkv(cfg, 51)
         hybrid_attention(q, k_self, v_self, cache, 0, cfg, 9)  # fills the memo
         # a different query index past the cap moves every relative index
@@ -131,17 +116,14 @@ class TestRotatedWindowMemo:
         assert np.array_equal(got, per_head_hybrid(q, k_self, v_self, restored, 0, cfg, 9))
         # the same query index after an append (which evicts here)
         hybrid_attention(q, k_self, v_self, cache, 0, cfg, 9)
-        evicted = cache.append(random_chunk_kv(cfg, 8, seed=52))
-        for l, state in enumerate(cache.linear_states):
-            absorb_evicted(state, evicted.keys[l], evicted.values[l], cfg.rope_config(),
-                           s_indices=np.arange(float(cfg.chunk_tokens)))
+        assert append_and_absorb(cache, random_chunk_kv(cfg, 8, seed=52), cfg) is not None
         for layer in range(cfg.layers):
             got = hybrid_attention(q, k_self, v_self, cache, layer, cfg, 9)
             assert np.array_equal(got, per_head_hybrid(q, k_self, v_self, cache, layer, cfg, 9))
 
     def test_snapshot_bytes_unchanged_by_memo(self):
         cfg = self.CFG
-        cache, _ = build_random_cache(cfg, 8, seed=60)
+        cache = random_cache(cfg, 8, seed=60)
         before = cache.snapshot()
         q, k_self, v_self = random_qkv(cfg, 61)
         hybrid_attention(q, k_self, v_self, cache, 0, cfg, 8)
@@ -154,7 +136,7 @@ class TestHybridAttention:
         cfg = replace(TOY, keep_ratio=1.0, linear_history=False)
         for trial in range(10):
             chunks = 1 + trial % 5
-            cache, _ = build_random_cache(cfg, chunks, seed=trial + 1)
+            cache = random_cache(cfg, chunks, seed=trial + 1)
             q, k_self, v_self = random_qkv(cfg, 7000 + trial)
             for layer in range(cfg.layers):
                 got = hybrid_attention(q, k_self, v_self, cache, layer, cfg, chunks)
@@ -164,7 +146,7 @@ class TestHybridAttention:
 
     def test_additivity_local_plus_history(self):
         cfg = TOY
-        cache, _ = build_random_cache(cfg, 8, seed=42)  # evictions happened
+        cache = random_cache(cfg, 8, seed=42)  # evictions happened
         assert cache.linear_states[0].evicted_tokens > 0
         q, k_self, v_self = random_qkv(cfg, 99)
         for layer in range(cfg.layers):
@@ -186,7 +168,7 @@ class TestHybridAttention:
         # zero every visible value: the local term is exactly zero and the
         # hybrid output equals the history readout alone
         cfg = TOY
-        cache, _ = build_random_cache(cfg, 8, seed=5)
+        cache = random_cache(cfg, 8, seed=5)
         for e in cache.entries():
             e.values[:] = 0.0
         q, k_self, _ = random_qkv(cfg, 77)
@@ -204,7 +186,7 @@ class TestHybridAttention:
         # blocks; the history term is the feature map at zero read out of
         # (L, H). Both are evaluated directly.
         cfg = TOY
-        cache, _ = build_random_cache(cfg, 8, seed=6)
+        cache = random_cache(cfg, 8, seed=6)
         q = np.zeros((cfg.heads, cfg.chunk_tokens, cfg.head_dim))
         _, k_self, v_self = random_qkv(cfg, 88)
         layer = 0
@@ -307,7 +289,7 @@ class TestDenseOracle:
 class TestToyDenoiser:
     def test_deterministic(self):
         model = ToyDenoiser(TOY)
-        cache, _ = build_random_cache(TOY, 3, seed=9, model=model)
+        cache = random_cache(TOY, 3, seed=9, model=model)
         x = SeededRng(1).normal((TOY.chunk_tokens, TOY.model_dim))
         a = model.denoise_chunk(x, 0.5, cache, 3)
         b = model.denoise_chunk(x, 0.5, cache, 3)
@@ -315,7 +297,7 @@ class TestToyDenoiser:
 
     def test_finite_under_large_inputs(self):
         model = ToyDenoiser(TOY)
-        cache, _ = build_random_cache(TOY, 3, seed=10, model=model)
+        cache = random_cache(TOY, 3, seed=10, model=model)
         rng = SeededRng(11)
         for scale in (1.0, 10.0, 1e2, 1e3):
             x = rng.normal((TOY.chunk_tokens, TOY.model_dim)) * scale
@@ -325,8 +307,8 @@ class TestToyDenoiser:
     def test_seed_changes_weights(self):
         a = ToyDenoiser(TOY)
         b = ToyDenoiser(replace(TOY, seed=123))
-        cache_a, _ = build_random_cache(TOY, 1, seed=12, model=a)
-        cache_b, _ = build_random_cache(replace(TOY, seed=123), 1, seed=12, model=b)
+        cache_a = random_cache(TOY, 1, seed=12, model=a)
+        cache_b = random_cache(replace(TOY, seed=123), 1, seed=12, model=b)
         x = SeededRng(13).normal((TOY.chunk_tokens, TOY.model_dim))
         assert not np.array_equal(a.denoise_chunk(x, 0.5, cache_a, 1),
                                   b.denoise_chunk(x, 0.5, cache_b, 1))

@@ -1,13 +1,16 @@
 """Rolling cache tests: FIFO eviction, sink pinning, capped relative
 indices, snapshot round trips."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
+from hybridstream.engine import StreamConfig, append_and_absorb
 from hybridstream.errors import FormatError, SequenceError
-from hybridstream.linear_history import LinearState, absorb_evicted
+from hybridstream.linear_history import LinearState
 from hybridstream.numerics import SeededRng
-from hybridstream.rope import RoPEConfig
 from hybridstream.stream_cache import ChunkKV, RollingCache, relative_temporal_index
 
 LAYERS, HEADS, TOKENS, HEAD_DIM = 2, 2, 6, 8
@@ -121,7 +124,7 @@ class TestRelativeIndices:
             relative_temporal_index(3, 4, CAP)
 
 
-def make_states(rope_cfg, seed=5):
+def make_states(seed=5):
     rng = SeededRng(seed)
     model_dim = HEADS * HEAD_DIM
     states = []
@@ -132,16 +135,40 @@ def make_states(rope_cfg, seed=5):
 
 
 class TestSnapshot:
+    # the stream geometry matching the module constants: 6 tokens per chunk
+    STREAM = StreamConfig(tokens_per_frame=2, model_dim=HEADS * HEAD_DIM, heads=HEADS,
+                          head_dim=HEAD_DIM, layers=LAYERS, max_temporal_index=CAP)
+
     def build_cache(self, chunks):
-        rope_cfg = RoPEConfig.half_split(HEAD_DIM, max_temporal_index=CAP)
-        cache = RollingCache(3, 1, CAP, make_states(rope_cfg))
+        cache = RollingCache(3, 1, CAP, make_states())
         for i in range(chunks):
-            evicted = cache.append(make_kv(i, sink=i == 0))
-            if evicted is not None:
-                for l, state in enumerate(cache.linear_states):
-                    absorb_evicted(state, evicted.keys[l], evicted.values[l],
-                                   rope_cfg, s_indices=np.arange(float(TOKENS)))
+            append_and_absorb(cache, make_kv(i, sink=i == 0), self.STREAM)
         return cache
+
+    @staticmethod
+    def with_manifest(blob, edit):
+        """The snapshot with its JSON manifest passed through `edit`."""
+        (mlen,) = struct.unpack("<I", blob[:4])
+        manifest = json.loads(blob[4:4 + mlen])
+        edit(manifest)
+        new = json.dumps(manifest, sort_keys=True).encode("utf-8")
+        return struct.pack("<I", len(new)) + new + blob[4 + mlen:]
+
+    @pytest.mark.parametrize("field", ["capacity_chunks", "next_index", "entries",
+                                       "linear_states"])
+    def test_missing_manifest_field_is_format_error(self, field):
+        blob = self.with_manifest(self.build_cache(5).snapshot(),
+                                  lambda m: m.pop(field))
+        with pytest.raises(FormatError, match=field):
+            RollingCache.restore(blob)
+
+    def test_unknown_feature_map_is_format_error(self):
+        def edit(manifest):
+            manifest["linear_states"][0]["feature_map"] = "relu"
+
+        blob = self.with_manifest(self.build_cache(5).snapshot(), edit)
+        with pytest.raises(FormatError, match="relu"):
+            RollingCache.restore(blob)
 
     def test_round_trip_preserves_visible_kv(self):
         cache = self.build_cache(7)
@@ -183,8 +210,6 @@ class TestSnapshot:
             RollingCache.restore(bytes(blob))
 
     def test_snapshot_size_constant_in_stream_length(self):
-        import struct
-
         short = self.build_cache(10).snapshot()
         long = self.build_cache(100).snapshot()
         # the tensor payload is byte-for-byte the same size; only the JSON
