@@ -293,7 +293,8 @@ class TrainResult:
         return np.asarray(self._trajectory)
 
 
-TRACE_HEADER = ["step", "phase", "loss_dmd", "loss_reg", "grad_norm", "mean_err", "cov_err"]
+TRACE_HEADER = ["step", "phase", "loss_dmd", "loss_reg", "grad_norm", "mean_err", "cov_err",
+                "s_index", "lambda_effective", "loss_total"]
 
 
 def write_trace_csv(path, rows: Sequence[TraceRow]) -> None:
@@ -304,6 +305,7 @@ def write_trace_csv(path, rows: Sequence[TraceRow]) -> None:
             writer.writerow([
                 r.step, r.phase, repr(r.loss_dmd), repr(r.loss_reg),
                 repr(r.grad_norm), repr(r.mean_err), repr(r.cov_err),
+                r.s_index, repr(float(r.lambda_effective)), repr(r.loss_total),
             ])
 
 

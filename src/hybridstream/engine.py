@@ -151,13 +151,12 @@ def _chunk_spatial_indices(cfg: StreamConfig) -> np.ndarray:
     return np.arange(cfg.chunk_tokens, dtype=np.float64)
 
 
-def _rotated_window(cache: RollingCache, cfg: StreamConfig,
-                    query_chunk_index: int) -> tuple:
-    """The visible entries, their keys rotated at their relative temporal
-    indices for every layer and head ([layers, heads, visible tokens,
-    head_dim]), and the BlockConfig forcing the sink blocks and the chunk's
-    own blocks. Those indices are fixed for the whole query chunk, so this is
-    built once per chunk and held on the cache until its next append."""
+def _window(cache: RollingCache, cfg: StreamConfig, query_chunk_index: int) -> tuple:
+    """The visible keys rotated at their relative temporal indices and the
+    visible values, both [layers, heads, visible tokens, head_dim], and the
+    BlockConfig forcing the sink blocks and the chunk's own blocks. Those
+    indices are fixed for the whole query chunk, so this is built once per
+    chunk and held on the cache until its next append."""
     def build():
         visible = cache.visible_kv(query_chunk_index)
         bpc = cfg.blocks_per_chunk
@@ -167,13 +166,14 @@ def _rotated_window(cache: RollingCache, cfg: StreamConfig,
                 forced.update(range(pos * bpc, (pos + 1) * bpc))
         bcfg = BlockConfig(cfg.block_tokens, cfg.block_tokens, cfg.keep_ratio,
                            frozenset(forced))
-        keys = np.empty((cfg.layers, cfg.heads, 0, cfg.head_dim))
+        keys = values = np.empty((cfg.layers, cfg.heads, 0, cfg.head_dim))
         if visible:
             stacked = np.stack([e.keys for e, _ in visible], axis=2)  # [L, H, n, T, d]
             rel = np.array([r for _, r in visible])
             keys = apply_rope(stacked, rel, _chunk_spatial_indices(cfg), cfg.rope_config())
             keys = keys.reshape(*stacked.shape[:2], -1, cfg.head_dim)
-        return [e for e, _ in visible], keys, bcfg
+            values = np.concatenate([e.values for e, _ in visible], axis=2)
+        return keys, values, bcfg
 
     return cache.memo((query_chunk_index, cfg), build)
 
@@ -193,7 +193,7 @@ def hybrid_attention(
     q, k_self, v_self: unrotated per-head tensors [heads, chunk_tokens,
     head_dim] for the chunk being generated. Keys from the cache and from
     the chunk itself are rotated at their relative temporal indices (the
-    cached ones once per query chunk, see _rotated_window); sink blocks and
+    cached ones once per query chunk, see _window); sink blocks and
     the chunk's own blocks are always kept active in the mask.
     Returns [chunk_tokens, model_dim]: sparse local output plus the
     history readout, summed elementwise.
@@ -201,19 +201,19 @@ def hybrid_attention(
     rope_cfg = cfg.rope_config()
     s_idx = _chunk_spatial_indices(cfg)
     q_index = temporal_index(query_chunk_index, rope_cfg)
-    entries, window_keys, bcfg = _rotated_window(cache, cfg, query_chunk_index)
+    window_keys, window_values, bcfg = _window(cache, cfg, query_chunk_index)
     q_rot, k_self_rot = apply_rope(np.stack((q, k_self)), q_index, s_idx, rope_cfg)
+    k_full = np.concatenate((window_keys[layer], k_self_rot), axis=1)  # [heads, tokens, d]
+    v_full = np.concatenate((window_values[layer], v_self), axis=1)
 
     head_outputs = []
     for h in range(cfg.heads):
-        k_full = np.concatenate((window_keys[layer, h], k_self_rot[h]))
-        v_full = np.concatenate([e.values[layer, h] for e in entries] + [v_self[h]])
-        scores = block_scores(q_rot[h], k_full, bcfg)
+        scores = block_scores(q_rot[h], k_full[h], bcfg)
         if counters is not None:
             counters.pooled_scores += scores.size
         mask = build_mask(scores, bcfg)
         head_outputs.append(
-            sparse_attention(q_rot[h], k_full, v_full, mask,
+            sparse_attention(q_rot[h], k_full[h], v_full[h], mask,
                              scale=1.0 / math.sqrt(cfg.head_dim), counters=counters)
         )
     local = np.concatenate(head_outputs, axis=1)
@@ -407,10 +407,12 @@ def chunk_step(model: ToyDenoiser, cache: RollingCache, chunk_index: int,
 def run_stream(cfg: StreamConfig, num_chunks: int,
                model: ToyDenoiser | None = None) -> StreamResult:
     """Full autoregressive loop (see chunk_step) with per-chunk
-    instrumentation."""
+    instrumentation. A given model must have been built from `cfg`."""
     if num_chunks < 1:
         raise ValueError("num_chunks must be >= 1")
     model = model or ToyDenoiser(cfg)
+    if model.cfg != cfg:
+        raise ValueError(f"model config {model.cfg} differs from stream config {cfg}")
     cache = model.new_cache()
     noise_rng = SeededRng(cfg.seed).derive(_NOISE_STREAM)
 

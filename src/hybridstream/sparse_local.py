@@ -5,6 +5,15 @@ The online accumulation (running row max, running normalizer, rescaled
 partial output) visits only active blocks, so inactive blocks contribute
 exactly nothing and the result equals dense attention with -inf scores on
 the inactive blocks, independent of visit order.
+
+Visit rule: the loop is key-block-major. Each key block that some query-block
+row keeps is visited once per call, in visit order; a block every row keeps
+is one step over all query rows at once, any other block one step per row
+that keeps it. So each row folds in its blocks in visit order with the same
+arithmetic as a row-by-row loop, and the output and score count are bit-equal
+to that loop (verify.row_loop_attention), while the Python-level steps per
+call fall from (rows x kept blocks) to about the number of distinct kept
+blocks.
 """
 
 from __future__ import annotations
@@ -112,12 +121,13 @@ def sparse_attention(
     visit_order=None,
     counters=None,
 ) -> np.ndarray:
-    """Masked attention over active blocks via online softmax.
+    """Masked attention over active blocks via online softmax, visiting key
+    blocks as the module docstring describes.
 
     visit_order optionally permutes the key-block iteration; the result is
     unchanged up to rounding. counters, when given, gets `score_evals`
-    bumped by b_q * b_kv per visited block (the exact number of S entries
-    computed).
+    bumped by b_q * b_kv per active (query block, key block) pair (the exact
+    number of S entries computed).
     """
     q = np.asarray(q, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
@@ -143,25 +153,35 @@ def sparse_attention(
     if not mask.active.any(axis=1).all():
         raise ContractViolationError("a query row has no active blocks")
 
-    d_v = v.shape[1]
-    out = np.empty((q.shape[0], d_v), dtype=np.float64)
-    for i in range(t_m):
-        qi = q[i * b_q:(i + 1) * b_q]
-        m = np.full(b_q, -np.inf)
-        l = np.zeros(b_q)
-        acc = np.zeros((b_q, d_v))
-        for j in order:
-            if not mask.active[i, j]:
-                continue
-            lo = j * b_kv
-            s = (qi @ k[lo:lo + b_kv].T) * scale
-            if counters is not None:
-                counters.score_evals += b_q * b_kv
-            m_new = np.maximum(m, s.max(axis=1))
-            alpha = np.exp(m - m_new)
-            p = np.exp(s - m_new[:, None])
-            l = alpha * l + p.sum(axis=1)
-            acc = alpha[:, None] * acc + p @ v[lo:lo + b_kv]
-            m = m_new
-        out[i * b_q:(i + 1) * b_q] = acc / l[:, None]
-    return out
+    # running max, normalizer and accumulator per query row, grouped by
+    # query block; a matmul over a stack of query blocks computes each block
+    # exactly as a matmul over that block alone
+    q_blocks = q.reshape(t_m, b_q, q.shape[1])
+    m = np.full((t_m, b_q), -np.inf)
+    l = np.zeros((t_m, b_q))
+    acc = np.zeros((t_m, b_q, v.shape[1]))
+    kept = mask.active.T.tolist()  # kept[j][i]: query block i keeps key block j
+    for j in [j for j in order if any(kept[j])]:
+        lo = j * b_kv
+        k_j, v_j = k[lo:lo + b_kv], v[lo:lo + b_kv]
+        if all(kept[j]):
+            m, l, acc = _online_step(q_blocks, k_j, v_j, scale, m, l, acc, counters)
+            continue
+        for i, keeps in enumerate(kept[j]):
+            if keeps:
+                r = slice(i, i + 1)
+                m[r], l[r], acc[r] = _online_step(q_blocks[r], k_j, v_j, scale,
+                                                  m[r], l[r], acc[r], counters)
+    return (acc / l[..., None]).reshape(q.shape[0], v.shape[1])
+
+
+def _online_step(q, k, v, scale, m, l, acc, counters):
+    """Fold key block (k, v) into the running max m, normalizer l and
+    accumulator acc of the query blocks q; returns the new (m, l, acc)."""
+    s = (q @ k.T) * scale
+    if counters is not None:
+        counters.score_evals += s.size
+    m_new = np.maximum(m, s.max(axis=2))
+    alpha = np.exp(m - m_new)
+    p = np.exp(s - m_new[..., None])
+    return m_new, alpha * l + p.sum(axis=2), alpha[..., None] * acc + p @ v

@@ -7,8 +7,9 @@ into the attached linear states. Entries store unrotated keys; rotation
 happens at attention time from each entry's current relative temporal
 index, so cached content never needs re-rotation as the window slides.
 That index is fixed for a whole query chunk, so the engine rotates the
-visible keys once per query chunk, for every layer and head, and keeps the
-result in the cache's memo until the next append; snapshots never carry it.
+visible keys and concatenates the visible values once per query chunk, for
+every layer and head, and keeps them in the cache's memo until the next
+append; snapshots never carry it.
 """
 
 from __future__ import annotations
@@ -205,7 +206,10 @@ class RollingCache:
             for meta in manifest["entries"]:
                 keys = numerics.read_f64_tensor(f)
                 values = numerics.read_f64_tensor(f)
-                kv = ChunkKV(meta["chunk_index"], keys, values, meta["is_sink"])
+                try:
+                    kv = ChunkKV(meta["chunk_index"], keys, values, meta["is_sink"])
+                except ShapeError as exc:
+                    raise FormatError(f"snapshot entry {meta['chunk_index']!r}: {exc}") from exc
                 if kv.is_sink:
                     cache.sink_entries.append(kv)
                 else:
@@ -221,4 +225,35 @@ class RollingCache:
             raise FormatError(f"snapshot manifest lacks field {exc.args[0]!r}") from exc
         if f.read(1):
             raise FormatError("trailing bytes after snapshot payload")
+        cache._check_restored()
         return cache
+
+    def _check_restored(self) -> None:
+        """Raise FormatError unless the entries are exactly what appending
+        chunks 0 .. next_index - 1 leaves behind, all with one key/value shape
+        that agrees with the linear states' heads and head_dim."""
+        n, sinks = self._next_index, self.sink_chunks
+        if type(n) is not int or n < 0:
+            raise FormatError(f"next_index {n!r} is not a chunk count")
+        for e in self.entries():
+            if type(e.chunk_index) is not int or type(e.is_sink) is not bool:
+                raise FormatError(f"entry {e.chunk_index!r} has a malformed index or sink flag")
+            if e.is_sink != (e.chunk_index < sinks):
+                raise FormatError(f"chunk {e.chunk_index} sink flag {e.is_sink} conflicts "
+                                  f"with sink_chunks={sinks}")
+        if len(self.window_entries) > self.capacity_chunks:
+            raise FormatError(f"window holds {len(self.window_entries)} entries, over its "
+                              f"capacity of {self.capacity_chunks}")
+        got = [e.chunk_index for e in self.entries()]
+        want = list(range(min(n, sinks))) + list(range(max(sinks, n - self.capacity_chunks), n))
+        if got != want:
+            raise FormatError(f"entry chunks {got} are not those a stream at next_index {n} "
+                              f"keeps ({want})")
+        shapes = {a.shape for e in self.entries() for a in (e.keys, e.values)}
+        if len(shapes) > 1:
+            raise FormatError(f"entries disagree on key/value shape: {sorted(shapes)}")
+        for shape in shapes:
+            for s in self.linear_states:
+                if (shape[1], shape[3]) != (s.heads, s.head_dim):
+                    raise FormatError(f"entry keys {shape} do not match a linear state of "
+                                      f"{s.heads} heads x head_dim {s.head_dim}")

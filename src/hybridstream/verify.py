@@ -24,8 +24,8 @@ from .distill import (
     gaussian_score,
     train,
 )
-from .engine import NoiseSchedule, StreamConfig, ToyDenoiser, append_and_absorb, \
-    config_for_mode, dense_oracle_attention, hybrid_attention, run_stream
+from .engine import NoiseSchedule, OpCounters, StreamConfig, ToyDenoiser, \
+    append_and_absorb, config_for_mode, dense_oracle_attention, hybrid_attention, run_stream
 from .linear_history import LinearState, absorb_evicted, history_output
 from .numerics import SeededRng, read_tensor_from, softmax_rows, write_tensor
 from .rope import RoPEConfig, apply_rope, temporal_index
@@ -233,6 +233,71 @@ def masked_dense_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     return softmax_rows(s) @ v
 
 
+def row_loop_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: BlockMask,
+                       scale: float, visit_order, counters=None) -> np.ndarray:
+    """Reference online softmax, one query-block row at a time: each row
+    folds in its active key blocks in visit_order."""
+    t_m, t_n = mask.shape
+    b_q = q.shape[0] // t_m
+    b_kv = k.shape[0] // t_n
+    out = np.empty((q.shape[0], v.shape[1]))
+    for i in range(t_m):
+        qi = q[i * b_q:(i + 1) * b_q]
+        m = np.full(b_q, -np.inf)
+        l = np.zeros(b_q)
+        acc = np.zeros((b_q, v.shape[1]))
+        for j in visit_order:
+            if not mask.active[i, j]:
+                continue
+            lo = j * b_kv
+            s = (qi @ k[lo:lo + b_kv].T) * scale
+            if counters is not None:
+                counters.score_evals += b_q * b_kv
+            m_new = np.maximum(m, s.max(axis=1))
+            alpha = np.exp(m - m_new)
+            p = np.exp(s - m_new[:, None])
+            l = alpha * l + p.sum(axis=1)
+            acc = alpha[:, None] * acc + p @ v[lo:lo + b_kv]
+            m = m_new
+        out[i * b_q:(i + 1) * b_q] = acc / l[:, None]
+    return out
+
+
+def key_major_check(trials: int, max_blocks: int, seed: int) -> CheckResult:
+    """sparse_attention against row_loop_attention, bit for bit and in
+    score_evals, over random masks where some key blocks are kept by every
+    query-block row and others by only some, in a random visit order, with
+    query and key block sizes drawn independently from 1..16."""
+    gen = np.random.default_rng(seed)
+    mismatches = []
+    kept_by_all = kept_by_some = 0
+    for trial in range(trials):
+        b_q, b_kv = (int(b) for b in gen.integers(1, 17, size=2))
+        t_m = int(gen.integers(1, max_blocks + 1))
+        t_n = int(gen.integers(1, max_blocks + 1))
+        d, d_v = (int(x) for x in gen.choice([1, 8, 16], size=2))
+        q = gen.standard_normal((t_m * b_q, d))
+        k = gen.standard_normal((t_n * b_kv, d))
+        v = gen.standard_normal((t_n * b_kv, d_v))
+        active = gen.random((t_m, t_n)) < 0.3
+        active[:, gen.random(t_n) < 0.3] = True
+        active[np.arange(t_m), gen.integers(t_n, size=t_m)] = True
+        mask = BlockMask(active)
+        kept_by_all += int(active.all(axis=0).sum())
+        kept_by_some += int((active.any(axis=0) & ~active.all(axis=0)).sum())
+        order = gen.permutation(t_n)
+        got_counts, want_counts = OpCounters(), OpCounters()
+        got = sparse_attention(q, k, v, mask, 0.3, visit_order=order, counters=got_counts)
+        want = row_loop_attention(q, k, v, mask, 0.3, order, counters=want_counts)
+        if not np.array_equal(got, want) or got_counts.score_evals != want_counts.score_evals:
+            mismatches.append(trial)
+    return _check("sparse.key_major_matches_row_loop",
+                  not mismatches and kept_by_all > 0 and kept_by_some > 0,
+                  f"{trials - len(mismatches)}/{trials} random masks bit-equal in output and "
+                  f"score_evals ({kept_by_all} key blocks kept by every row, {kept_by_some} "
+                  f"by only some)" + (f"; differing trials {mismatches}" if mismatches else ""))
+
+
 def masked_dense_checks(trials: int, max_blocks: int, block_range: tuple[int, int],
                         seed: int, data_seed: int,
                         tol: float = 1e-6) -> list[CheckResult]:
@@ -268,7 +333,8 @@ def masked_dense_checks(trials: int, max_blocks: int, block_range: tuple[int, in
 
 
 def _suite_sparse() -> list[CheckResult]:
-    return [mask_invariant_check(BlockConfig(1, 1, 0.2, frozenset({0})))] + \
+    return [mask_invariant_check(BlockConfig(1, 1, 0.2, frozenset({0}))),
+            key_major_check(60, 6, seed=12)] + \
         masked_dense_checks(20, 6, (4, 5), seed=3, data_seed=500)
 
 

@@ -221,7 +221,12 @@ class TestDistillCommand:
             header = next(reader)
             rows = list(reader)
         assert header == TRACE_HEADER
+        assert header[-3:] == ["s_index", "lambda_effective", "loss_total"]
         assert len(rows) == 40
+        for r in (dict(zip(header, row)) for row in rows):
+            assert 0 <= int(r["s_index"]) < 4
+            applied = float(r["loss_dmd"]) + float(r["lambda_effective"]) * float(r["loss_reg"])
+            assert float(r["loss_total"]) == applied
         shape, _ = read_tensor(out / "generator_A.hft")
         assert shape == (2, 2)
 

@@ -170,6 +170,58 @@ class TestSnapshot:
         with pytest.raises(FormatError, match="relu"):
             RollingCache.restore(blob)
 
+    @pytest.mark.parametrize("chunks", range(7))
+    def test_every_appended_state_restores(self, chunks):
+        cache = self.build_cache(chunks)
+        restored = RollingCache.restore(cache.snapshot())
+        assert [e.chunk_index for e in restored.entries()] == \
+            [e.chunk_index for e in cache.entries()]
+
+    def edited_snapshot_error(self, edit):
+        blob = self.with_manifest(self.build_cache(8).snapshot(), edit)  # sink 0, window 5-7
+        with pytest.raises(FormatError) as info:
+            RollingCache.restore(blob)
+        return str(info.value)
+
+    def test_window_over_capacity_is_format_error(self):
+        assert "capacity" in self.edited_snapshot_error(
+            lambda m: m.update(capacity_chunks=1))
+
+    def test_sink_flag_conflict_is_format_error(self):
+        def edit(manifest):
+            manifest["entries"][1]["is_sink"] = True
+
+        assert "sink flag" in self.edited_snapshot_error(edit)
+
+    def test_non_consecutive_window_is_format_error(self):
+        def edit(manifest):
+            manifest["entries"][1]["chunk_index"] = 4
+
+        assert "[0, 4, 6, 7]" in self.edited_snapshot_error(edit)
+
+    def test_next_index_disagreeing_with_entries_is_format_error(self):
+        assert "next_index 99" in self.edited_snapshot_error(
+            lambda m: m.update(next_index=99))
+
+    def test_entry_shapes_that_differ_are_format_error(self):
+        cache = self.build_cache(8)
+        kv = cache.window_entries[1]
+        cache.window_entries[1] = ChunkKV(kv.chunk_index, kv.keys[:, :, :4], kv.values[:, :, :4])
+        with pytest.raises(FormatError, match="disagree"):
+            RollingCache.restore(cache.snapshot())
+        cache.window_entries[1] = kv
+        kv.values = kv.values[:, :, :4]  # keys and values of one entry differ
+        with pytest.raises(FormatError, match="snapshot entry 6"):
+            RollingCache.restore(cache.snapshot())
+
+    def test_entry_shape_unlike_linear_states_is_format_error(self):
+        cache = RollingCache(3, 1, CAP, make_states())
+        for i in range(3):
+            kv = make_kv(i, sink=i == 0)
+            cache.append(ChunkKV(i, kv.keys[..., :4], kv.values[..., :4], kv.is_sink))
+        with pytest.raises(FormatError, match="head_dim 8"):
+            RollingCache.restore(cache.snapshot())
+
     def test_round_trip_preserves_visible_kv(self):
         cache = self.build_cache(7)
         restored = RollingCache.restore(cache.snapshot())
