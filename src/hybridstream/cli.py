@@ -74,8 +74,11 @@ _RUN_FIELDS = {"chunks": int}
 
 
 def parse_config_file(path: str) -> dict:
-    with open(path, "r") as f:
-        lines = f.readlines()
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            lines = f.readlines()
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"{path}: config file is not UTF-8 text ({exc.reason})")
     out = {}
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()

@@ -29,21 +29,18 @@ EPS_DIV = 1e-6  # denominator guard for adversarial queries
 class FeatureMap(Enum):
     """Elementwise activation applied to queries/keys in the linear pathway.
 
-    ELU_PLUS_ONE and EXP are strictly positive everywhere, which keeps the
-    normalizer meaningful. IDENTITY exists for closed-form tests on positive
-    inputs only.
+    ELU_PLUS_ONE is positive everywhere and grows only linearly, which keeps
+    the normalizer meaningful and finite. IDENTITY exists for closed-form
+    tests on positive inputs only.
     """
 
     ELU_PLUS_ONE = "elu1"
-    EXP = "exp"
     IDENTITY = "identity"
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if self is FeatureMap.ELU_PLUS_ONE:
             return np.where(x > 0, x + 1.0, np.exp(np.minimum(x, 0.0)))
-        if self is FeatureMap.EXP:
-            return np.exp(x)
         return x.copy()
 
 
@@ -108,8 +105,11 @@ class LinearState:
         L = numerics.read_f64_tensor(f)
         H = numerics.read_f64_tensor(f)
         projection = numerics.read_f64_tensor(f)
-        if L.ndim != 3 or H.ndim != 2 or projection.ndim != 2:
-            raise FormatError("linear state tensors have unexpected ranks")
+        heads, head_dim = L.shape[:2] if L.ndim == 3 else (-1, -1)
+        if (L.shape != (heads, head_dim, head_dim) or H.shape != (heads, head_dim)
+                or projection.shape != (heads * head_dim,) * 2):
+            raise FormatError(f"linear state shapes L {L.shape}, H {H.shape} and projection "
+                              f"{projection.shape} do not fit one heads x head_dim")
         return cls(L, H, int(evicted_tokens), projection, feature_map)
 
 

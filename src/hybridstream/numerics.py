@@ -8,6 +8,7 @@ bit-split helpers `f64_to_f32_pairs` / `f32_pairs_to_f64`.
 
 from __future__ import annotations
 
+import io
 import struct
 from typing import BinaryIO, Sequence
 
@@ -181,7 +182,8 @@ def _read_exact(f: BinaryIO, n: int, what: str) -> bytes:
 
 
 def read_tensor_from(f: BinaryIO, allow_trailing: bool = True):
-    """Read one tensor from an open binary stream. Returns (shape, float32 array)."""
+    """Read one tensor from an open, seekable binary stream. Returns (shape,
+    float32 array); a payload longer than the stream's rest is a LengthError."""
     magic = f.read(4)
     if magic != TENSOR_MAGIC:
         raise FormatError(f"bad magic {magic!r}, expected {TENSOR_MAGIC!r}")
@@ -192,11 +194,14 @@ def read_tensor_from(f: BinaryIO, allow_trailing: bool = True):
     count = 1
     for d in dims:
         count *= d
-    payload = f.read(4 * count)
-    if len(payload) != 4 * count:
+    here = f.tell()
+    left = f.seek(0, io.SEEK_END) - here
+    f.seek(here)
+    if 4 * count > left:
         raise LengthError(
-            f"payload for shape {dims} needs {count} f32 values, got {len(payload) // 4}"
+            f"payload for shape {dims} needs {count} f32 values, got {left // 4}"
         )
+    payload = f.read(4 * count)
     if not allow_trailing:
         extra = f.read(1)
         if extra:

@@ -1,19 +1,13 @@
 """Block-sparse local attention: pooled block scoring, per-row top-K mask
-construction, and masked attention through an online softmax.
+construction, and masked attention through one gathered softmax.
 
-The online accumulation (running row max, running normalizer, rescaled
-partial output) visits only active blocks, so inactive blocks contribute
-exactly nothing and the result equals dense attention with -inf scores on
-the inactive blocks, independent of visit order.
-
-Visit rule: the loop is key-block-major. Each key block that some query-block
-row keeps is visited once per call, in visit order; a block every row keeps
-is one step over all query rows at once, any other block one step per row
-that keeps it. So each row folds in its blocks in visit order with the same
-arithmetic as a row-by-row loop, and the output and score count are bit-equal
-to that loop (verify.row_loop_attention), while the Python-level steps per
-call fall from (rows x kept blocks) to about the number of distinct kept
-blocks.
+Gather rule: each query-block row's kept key blocks, in ascending order and
+padded to the largest per-row count c, are gathered as [rows, c * b_kv, d];
+one batched product, one max-subtracted exp and one product with the values
+over the row sums give the output. A padding slot holds a block the row does
+not keep and scores -inf, so the result is dense attention with -inf scores
+on the inactive blocks. build_mask gives every row the same count, so its
+masks never pad. verify.row_loop_attention is the online-softmax reference.
 """
 
 from __future__ import annotations
@@ -118,17 +112,12 @@ def sparse_attention(
     v: np.ndarray,
     mask: BlockMask,
     scale: float | None = None,
-    visit_order=None,
     counters=None,
 ) -> np.ndarray:
-    """Masked attention over active blocks via online softmax, visiting key
-    blocks as the module docstring describes.
-
-    visit_order optionally permutes the key-block iteration; the result is
-    unchanged up to rounding. counters, when given, gets `score_evals`
+    """Masked attention over active blocks as one gathered softmax, as the
+    module docstring describes. counters, when given, gets `score_evals`
     bumped by b_q * b_kv per active (query block, key block) pair (the exact
-    number of S entries computed).
-    """
+    number of S entries computed; padding is not counted)."""
     q = np.asarray(q, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
@@ -147,41 +136,21 @@ def sparse_attention(
     b_kv = k.shape[0] // t_n
     if scale is None:
         scale = 1.0 / math.sqrt(q.shape[1])
-    order = list(range(t_n)) if visit_order is None else [int(j) for j in visit_order]
-    if sorted(order) != list(range(t_n)):
-        raise ShapeError("visit_order must be a permutation of the key blocks")
-    if not mask.active.any(axis=1).all():
+    counts = mask.active.sum(axis=1)
+    if not counts.all():
         raise ContractViolationError("a query row has no active blocks")
-
-    # running max, normalizer and accumulator per query row, grouped by
-    # query block; a matmul over a stack of query blocks computes each block
-    # exactly as a matmul over that block alone
-    q_blocks = q.reshape(t_m, b_q, q.shape[1])
-    m = np.full((t_m, b_q), -np.inf)
-    l = np.zeros((t_m, b_q))
-    acc = np.zeros((t_m, b_q, v.shape[1]))
-    kept = mask.active.T.tolist()  # kept[j][i]: query block i keeps key block j
-    for j in [j for j in order if any(kept[j])]:
-        lo = j * b_kv
-        k_j, v_j = k[lo:lo + b_kv], v[lo:lo + b_kv]
-        if all(kept[j]):
-            m, l, acc = _online_step(q_blocks, k_j, v_j, scale, m, l, acc, counters)
-            continue
-        for i, keeps in enumerate(kept[j]):
-            if keeps:
-                r = slice(i, i + 1)
-                m[r], l[r], acc[r] = _online_step(q_blocks[r], k_j, v_j, scale,
-                                                  m[r], l[r], acc[r], counters)
-    return (acc / l[..., None]).reshape(q.shape[0], v.shape[1])
-
-
-def _online_step(q, k, v, scale, m, l, acc, counters):
-    """Fold key block (k, v) into the running max m, normalizer l and
-    accumulator acc of the query blocks q; returns the new (m, l, acc)."""
-    s = (q @ k.T) * scale
     if counters is not None:
-        counters.score_evals += s.size
-    m_new = np.maximum(m, s.max(axis=2))
-    alpha = np.exp(m - m_new)
-    p = np.exp(s - m_new[..., None])
-    return m_new, alpha * l + p.sum(axis=2), alpha[..., None] * acc + p @ v
+        counters.score_evals += int(counts.sum()) * b_q * b_kv
+
+    # a stable sort puts each row's kept blocks first, in ascending order
+    c = int(counts.max())
+    idx = np.argsort(~mask.active, axis=1, kind="stable")[:, :c]  # [t_m, c]
+    k_rows = k.reshape(t_n, b_kv, -1)[idx].reshape(t_m, c * b_kv, -1)
+    v_rows = v.reshape(t_n, b_kv, -1)[idx].reshape(t_m, c * b_kv, -1)
+    s = (q.reshape(t_m, b_q, -1) @ k_rows.transpose(0, 2, 1)) * scale  # [t_m, b_q, c*b_kv]
+    if (counts < c).any():
+        padded = np.repeat(np.arange(c) >= counts[:, None], b_kv, axis=1)  # [t_m, c*b_kv]
+        s = np.where(padded[:, None, :], -np.inf, s)
+    p = np.exp(s - s.max(axis=2, keepdims=True))
+    out = (p @ v_rows) / p.sum(axis=2, keepdims=True)
+    return out.reshape(q.shape[0], v.shape[1])

@@ -26,6 +26,20 @@ from .errors import FormatError, SequenceError, ShapeError
 from .linear_history import FeatureMap, LinearState
 
 _SNAPSHOT_VERSION = 1
+_ENCODING = "f64-bit-split-pairs"
+
+
+def _field(meta, name: str, kind: type, low: int | None = None):
+    """meta[name] from a snapshot manifest, raising FormatError unless meta is
+    a JSON object whose field has exactly type `kind` (so a bool is not an
+    int) and, when `low` is given, a value of at least `low`."""
+    if not isinstance(meta, dict) or name not in meta:
+        raise FormatError(f"snapshot manifest lacks field {name!r}")
+    value = meta[name]
+    if type(value) is not kind or (low is not None and value < low):
+        want = kind.__name__ + ("" if low is None else f" >= {low}")
+        raise FormatError(f"snapshot field {name!r} is {value!r}; want {want}")
+    return value
 
 
 @dataclass
@@ -166,7 +180,7 @@ class RollingCache:
                 }
                 for s in self.linear_states
             ],
-            "encoding": "f64-bit-split-pairs",
+            "encoding": _ENCODING,
         }
         blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
         out = io.BytesIO()
@@ -193,36 +207,40 @@ class RollingCache:
             manifest = json.loads(blob.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FormatError(f"snapshot manifest is not valid JSON: {exc}") from exc
+        if not isinstance(manifest, dict):
+            raise FormatError("snapshot manifest is not a JSON object")
         if manifest.get("version") != _SNAPSHOT_VERSION:
             raise FormatError(f"unsupported snapshot version {manifest.get('version')!r}")
+        if manifest.get("encoding") != _ENCODING:
+            raise FormatError(f"unsupported snapshot encoding {manifest.get('encoding')!r}")
 
-        try:
-            cache = cls(
-                capacity_chunks=manifest["capacity_chunks"],
-                sink_chunks=manifest["sink_chunks"],
-                max_temporal_index=manifest["max_temporal_index"],
-            )
-            cache._next_index = manifest["next_index"]
-            for meta in manifest["entries"]:
-                keys = numerics.read_f64_tensor(f)
-                values = numerics.read_f64_tensor(f)
-                try:
-                    kv = ChunkKV(meta["chunk_index"], keys, values, meta["is_sink"])
-                except ShapeError as exc:
-                    raise FormatError(f"snapshot entry {meta['chunk_index']!r}: {exc}") from exc
-                if kv.is_sink:
-                    cache.sink_entries.append(kv)
-                else:
-                    cache.window_entries.append(kv)
-            for meta in manifest["linear_states"]:
-                try:
-                    feature_map = FeatureMap(meta["feature_map"])
-                except ValueError as exc:
-                    raise FormatError(f"unknown feature map {meta['feature_map']!r}") from exc
-                cache.linear_states.append(
-                    LinearState.from_stream(f, meta["evicted_tokens"], feature_map))
-        except KeyError as exc:
-            raise FormatError(f"snapshot manifest lacks field {exc.args[0]!r}") from exc
+        cache = cls(
+            capacity_chunks=_field(manifest, "capacity_chunks", int, 1),
+            sink_chunks=_field(manifest, "sink_chunks", int, 0),
+            max_temporal_index=_field(manifest, "max_temporal_index", int, 1),
+        )
+        cache._next_index = _field(manifest, "next_index", int, 0)
+        for meta in _field(manifest, "entries", list):
+            chunk_index = _field(meta, "chunk_index", int, 0)
+            is_sink = _field(meta, "is_sink", bool)
+            keys = numerics.read_f64_tensor(f)
+            values = numerics.read_f64_tensor(f)
+            try:
+                kv = ChunkKV(chunk_index, keys, values, is_sink)
+            except ShapeError as exc:
+                raise FormatError(f"snapshot entry {chunk_index}: {exc}") from exc
+            if kv.is_sink:
+                cache.sink_entries.append(kv)
+            else:
+                cache.window_entries.append(kv)
+        for meta in _field(manifest, "linear_states", list):
+            evicted_tokens = _field(meta, "evicted_tokens", int, 0)
+            name = _field(meta, "feature_map", str)
+            try:
+                feature_map = FeatureMap(name)
+            except ValueError as exc:
+                raise FormatError(f"unknown feature map {name!r}") from exc
+            cache.linear_states.append(LinearState.from_stream(f, evicted_tokens, feature_map))
         if f.read(1):
             raise FormatError("trailing bytes after snapshot payload")
         cache._check_restored()
@@ -233,11 +251,7 @@ class RollingCache:
         chunks 0 .. next_index - 1 leaves behind, all with one key/value shape
         that agrees with the linear states' heads and head_dim."""
         n, sinks = self._next_index, self.sink_chunks
-        if type(n) is not int or n < 0:
-            raise FormatError(f"next_index {n!r} is not a chunk count")
         for e in self.entries():
-            if type(e.chunk_index) is not int or type(e.is_sink) is not bool:
-                raise FormatError(f"entry {e.chunk_index!r} has a malformed index or sink flag")
             if e.is_sink != (e.chunk_index < sinks):
                 raise FormatError(f"chunk {e.chunk_index} sink flag {e.is_sink} conflicts "
                                   f"with sink_chunks={sinks}")

@@ -263,14 +263,15 @@ def row_loop_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: BlockM
     return out
 
 
-def key_major_check(trials: int, max_blocks: int, seed: int) -> CheckResult:
-    """sparse_attention against row_loop_attention, bit for bit and in
-    score_evals, over random masks where some key blocks are kept by every
-    query-block row and others by only some, in a random visit order, with
-    query and key block sizes drawn independently from 1..16."""
+def gather_check(trials: int, max_blocks: int, seed: int,
+                 tol: float = 1e-12) -> CheckResult:
+    """sparse_attention against row_loop_attention in a random visit order,
+    to `tol` in output and exactly in score_evals, over random masks whose
+    rows keep unequal numbers of key blocks (so the gather pads), with query
+    and key block sizes drawn independently from 1..16."""
     gen = np.random.default_rng(seed)
-    mismatches = []
-    kept_by_all = kept_by_some = 0
+    worst = 0.0
+    counts_equal = padded_rows = 0
     for trial in range(trials):
         b_q, b_kv = (int(b) for b in gen.integers(1, 17, size=2))
         t_m = int(gen.integers(1, max_blocks + 1))
@@ -283,26 +284,25 @@ def key_major_check(trials: int, max_blocks: int, seed: int) -> CheckResult:
         active[:, gen.random(t_n) < 0.3] = True
         active[np.arange(t_m), gen.integers(t_n, size=t_m)] = True
         mask = BlockMask(active)
-        kept_by_all += int(active.all(axis=0).sum())
-        kept_by_some += int((active.any(axis=0) & ~active.all(axis=0)).sum())
-        order = gen.permutation(t_n)
+        per_row = active.sum(axis=1)
+        padded_rows += int((per_row < per_row.max()).sum())
         got_counts, want_counts = OpCounters(), OpCounters()
-        got = sparse_attention(q, k, v, mask, 0.3, visit_order=order, counters=got_counts)
-        want = row_loop_attention(q, k, v, mask, 0.3, order, counters=want_counts)
-        if not np.array_equal(got, want) or got_counts.score_evals != want_counts.score_evals:
-            mismatches.append(trial)
-    return _check("sparse.key_major_matches_row_loop",
-                  not mismatches and kept_by_all > 0 and kept_by_some > 0,
-                  f"{trials - len(mismatches)}/{trials} random masks bit-equal in output and "
-                  f"score_evals ({kept_by_all} key blocks kept by every row, {kept_by_some} "
-                  f"by only some)" + (f"; differing trials {mismatches}" if mismatches else ""))
+        got = sparse_attention(q, k, v, mask, 0.3, counters=got_counts)
+        want = row_loop_attention(q, k, v, mask, 0.3, gen.permutation(t_n), want_counts)
+        worst = max(worst, np.abs(got - want).max())
+        counts_equal += got_counts.score_evals == want_counts.score_evals
+    return _check("sparse.gather_matches_row_loop",
+                  worst <= tol and counts_equal == trials and padded_rows > 0,
+                  f"max |gather - row loop| = {worst:.2e} and score_evals equal in "
+                  f"{counts_equal}/{trials} random masks ({padded_rows} padded rows)")
 
 
 def masked_dense_checks(trials: int, max_blocks: int, block_range: tuple[int, int],
                         seed: int, data_seed: int,
                         tol: float = 1e-6) -> list[CheckResult]:
-    """Online softmax in a random block order against masked_dense_attention,
-    and its drift from the in-order visit, over random masks of 1..max_blocks
+    """sparse_attention against masked_dense_attention, and the drift of the
+    online-softmax reference row_loop_attention between a random block
+    visit order and the ascending one, over random masks of 1..max_blocks
     query and key blocks of [lo, hi) = block_range tokens."""
     gen = np.random.default_rng(seed)
     worst = worst_perm = 0.0
@@ -320,21 +320,22 @@ def masked_dense_checks(trials: int, max_blocks: int, block_range: tuple[int, in
                 active[i, gen.integers(t_n)] = True
         mask = BlockMask(active)
         scale = 1.0 / math.sqrt(8)
-        got = sparse_attention(q, k, v, mask, scale, visit_order=gen.permutation(t_n))
+        permuted = row_loop_attention(q, k, v, mask, scale, gen.permutation(t_n))
+        got = sparse_attention(q, k, v, mask, scale)
         worst = max(worst, np.abs(got - masked_dense_attention(q, k, v, mask, scale)).max())
-        worst_perm = max(worst_perm,
-                         np.abs(sparse_attention(q, k, v, mask, scale) - got).max())
+        worst_perm = max(worst_perm, np.abs(
+            row_loop_attention(q, k, v, mask, scale, range(t_n)) - permuted).max())
     return [
         _check("sparse.masked_dense_equivalence", worst <= tol,
                f"max |sparse - masked dense| = {worst:.2e} over {trials} masks"),
         _check("sparse.visit_order_invariance", worst_perm < 1e-9,
-               f"max drift under permuted visit order {worst_perm:.2e}"),
+               f"max drift of the row loop under permuted visit order {worst_perm:.2e}"),
     ]
 
 
 def _suite_sparse() -> list[CheckResult]:
     return [mask_invariant_check(BlockConfig(1, 1, 0.2, frozenset({0}))),
-            key_major_check(60, 6, seed=12)] + \
+            gather_check(60, 6, seed=12)] + \
         masked_dense_checks(20, 6, (4, 5), seed=3, data_seed=500)
 
 

@@ -211,8 +211,7 @@ class TestHistoryOutput:
 class TestFeatureMap:
     def test_positive_everywhere(self):
         x = np.linspace(-50, 50, 1001)
-        for fm in (FeatureMap.ELU_PLUS_ONE, FeatureMap.EXP):
-            assert (fm(x) > 0).all()
+        assert (FeatureMap.ELU_PLUS_ONE(x) > 0).all()
 
     def test_elu1_values(self):
         fm = FeatureMap.ELU_PLUS_ONE

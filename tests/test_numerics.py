@@ -1,12 +1,14 @@
 """Foundation tests: matmul, softmax, seeded RNG, tensor container."""
 
 import io
+import struct
 
 import numpy as np
 import pytest
 
 from hybridstream.errors import FormatError, LengthError, ShapeError
 from hybridstream.numerics import (
+    TENSOR_MAGIC,
     SeededRng,
     f32_pairs_to_f64,
     f64_to_f32_pairs,
@@ -143,6 +145,17 @@ class TestTensorFormat:
         blob = p.read_bytes()
         p.write_bytes(blob[:-4])  # drop one f32: header claims 2x2, payload has 3
         with pytest.raises(LengthError):
+            read_tensor(p)
+
+    def test_huge_header_in_stream_is_length_error(self):
+        header = TENSOR_MAGIC + struct.pack("<9I", 8, *[0xFFFFFFFF] * 8)
+        with pytest.raises(LengthError, match="f32 values, got 1$"):
+            read_tensor_from(io.BytesIO(header + b"\x00" * 4))
+
+    def test_header_claiming_more_than_the_file_is_length_error(self, tmp_path):
+        p = tmp_path / "huge.hft"
+        p.write_bytes(TENSOR_MAGIC + struct.pack("<3I", 2, 60000, 60000) + b"\x00" * 64)
+        with pytest.raises(LengthError, match="3600000000 f32 values, got 16"):
             read_tensor(p)
 
     def test_trailing_bytes_rejected(self, tmp_path):

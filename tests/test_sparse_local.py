@@ -157,16 +157,6 @@ class TestSparseAttention:
         want = softmax_rows((q @ k[8:12].T) * scale) @ v[8:12]
         assert np.abs(got - want).max() < 1e-9
 
-    def test_visit_order_invariance(self):
-        q, k, v = random_qkv(9, n_q=8, n_kv=24, d=8)
-        cfg = BlockConfig(4, 4, 0.67)
-        mask = build_mask(block_scores(q, k, cfg), cfg)
-        base = sparse_attention(q, k, v, mask)
-        rng = np.random.default_rng(10)
-        for _ in range(5):
-            order = rng.permutation(mask.shape[1])
-            assert np.abs(sparse_attention(q, k, v, mask, visit_order=order) - base).max() < 1e-9
-
     def test_outputs_in_convex_hull_of_active_values(self):
         # 1-D values: every output must lie between the min and max of the
         # values in that query row's active blocks

@@ -170,6 +170,32 @@ class TestSnapshot:
         with pytest.raises(FormatError, match="relu"):
             RollingCache.restore(blob)
 
+    def test_removed_exp_feature_map_is_format_error(self):
+        def edit(manifest):
+            manifest["linear_states"][0]["feature_map"] = "exp"
+
+        blob = self.with_manifest(self.build_cache(5).snapshot(), edit)
+        with pytest.raises(FormatError, match="unknown feature map 'exp'"):
+            RollingCache.restore(blob)
+
+    @pytest.mark.parametrize("field, value", [
+        ("capacity_chunks", "3"),
+        ("capacity_chunks", 0),
+        ("sink_chunks", -1),
+        ("max_temporal_index", "x"),
+        ("evicted_tokens", "x"),
+    ])
+    def test_malformed_scalar_field_is_format_error(self, field, value):
+        def edit(manifest):
+            if field == "evicted_tokens":
+                manifest["linear_states"][0][field] = value
+            else:
+                manifest[field] = value
+
+        blob = self.with_manifest(self.build_cache(5).snapshot(), edit)
+        with pytest.raises(FormatError, match=f"'{field}' is {value!r}"):
+            RollingCache.restore(blob)
+
     @pytest.mark.parametrize("chunks", range(7))
     def test_every_appended_state_restores(self, chunks):
         cache = self.build_cache(chunks)
@@ -220,6 +246,13 @@ class TestSnapshot:
             kv = make_kv(i, sink=i == 0)
             cache.append(ChunkKV(i, kv.keys[..., :4], kv.values[..., :4], kv.is_sink))
         with pytest.raises(FormatError, match="head_dim 8"):
+            RollingCache.restore(cache.snapshot())
+
+    def test_linear_state_shapes_that_disagree_are_format_error(self):
+        cache = self.build_cache(5)
+        state = cache.linear_states[1]
+        state.H = state.H[:, :4]  # head_dim 4 against L's 8
+        with pytest.raises(FormatError, match="linear state shapes"):
             RollingCache.restore(cache.snapshot())
 
     def test_round_trip_preserves_visible_kv(self):
