@@ -12,6 +12,7 @@ from hybridstream import (
     absorb_evicted,
     apply_rope,
     history_output,
+    rotation_tables,
 )
 
 HEADS, HEAD_DIM, TOKENS = 2, 8, 6
@@ -23,9 +24,14 @@ projection = rng.normal((MODEL_DIM, MODEL_DIM)) / np.sqrt(MODEL_DIM)
 state = LinearState.zeros(HEADS, HEAD_DIM, projection)
 print(f"fresh state: {state.evicted_tokens} tokens absorbed, {state.nbytes} bytes")
 
-# Queries against an empty state are exactly zero: no history, no signal.
+# Queries are rotated at their chunk's temporal index and their own spatial
+# indices; those tables are built once and reused for every readout.
 q = rng.normal((HEADS, 4, HEAD_DIM))
-out = history_output(state, q, rope_cfg, t_index=5, s_indices=np.arange(4.0))
+tables_5 = rotation_tables(5, np.arange(4.0), rope_cfg)
+tables_21 = rotation_tables(21, np.arange(4.0), rope_cfg)
+
+# Queries against an empty state are exactly zero: no history, no signal.
+out = history_output(state, q, *tables_5)
 print("empty-state output is all zeros:", bool((out == 0).all()))
 
 # Absorb a stream of evicted chunks and track direct sums alongside.
@@ -49,7 +55,7 @@ print(f"  |L - direct sums| = {np.abs(state.L - L_direct).max():.2e}")
 print(f"  |H - direct sums| = {np.abs(state.H - H_direct).max():.2e}")
 print(f"  state is still {state.nbytes} bytes; it never grows")
 
-out = history_output(state, q, rope_cfg, t_index=21, s_indices=np.arange(4.0))
+out = history_output(state, q, *tables_21)
 print(f"  query output shape {out.shape}, finite: {bool(np.isfinite(out).all())}")
 
 # The feature map keeps the normalizer strictly positive even for
@@ -65,5 +71,5 @@ scaled = LinearState.zeros(HEADS, HEAD_DIM, projection)
 for k, v in chunks:
     absorb_evicted(scaled, k, 2.0 * v, rope_cfg, t_index=0,
                    s_indices=np.arange(float(TOKENS)))
-out2 = history_output(scaled, q, rope_cfg, t_index=21, s_indices=np.arange(4.0))
+out2 = history_output(scaled, q, *tables_21)
 print(f"  linearity in V: |out(2v) - 2 out(v)| = {np.abs(out2 - 2 * out).max():.2e}")

@@ -27,8 +27,8 @@ from scipy.special import erf
 from .errors import ShapeError
 from .linear_history import LinearState, absorb_evicted, history_output
 from .numerics import SeededRng, softmax_rows
-from .rope import RoPEConfig, apply_rope, temporal_index
-from .sparse_local import BlockConfig, block_scores, build_mask, sparse_attention
+from .rope import RoPEConfig, apply_rope, rotate, rotation_tables, temporal_index
+from .sparse_local import BlockConfig, BlockMask, block_scores, build_mask, sparse_attention
 from .stream_cache import ChunkKV, RollingCache, relative_temporal_index
 
 _WEIGHT_STREAM = 1
@@ -137,9 +137,10 @@ def config_for_mode(mode: str, base: StreamConfig) -> StreamConfig:
 
 
 def _layer_norm(x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mu) / np.sqrt(var + eps)
+    # one centring pass; the mean and variance round as x.mean and x.var do
+    n = x.shape[-1]
+    xc = x - x.sum(axis=-1, keepdims=True) / n
+    return xc / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / n + eps)
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
@@ -152,11 +153,12 @@ def _chunk_spatial_indices(cfg: StreamConfig) -> np.ndarray:
 
 
 def _window(cache: RollingCache, cfg: StreamConfig, query_chunk_index: int) -> tuple:
-    """The visible keys rotated at their relative temporal indices and the
-    visible values, both [layers, heads, visible tokens, head_dim], and the
-    BlockConfig forcing the sink blocks and the chunk's own blocks. Those
-    indices are fixed for the whole query chunk, so this is built once per
-    chunk and held on the cache until its next append."""
+    """What every layer pass of a query chunk shares, built once per chunk
+    and held on the cache until its next append: the visible keys rotated at
+    their relative temporal indices and the visible values, both [layers,
+    heads, visible tokens, head_dim]; the BlockConfig forcing the sink
+    blocks and the chunk's own blocks; and the cos and sin rotation tables
+    of the chunk's queries (and own keys) at its capped temporal index."""
     def build():
         visible = cache.visible_kv(query_chunk_index)
         bpc = cfg.blocks_per_chunk
@@ -166,14 +168,18 @@ def _window(cache: RollingCache, cfg: StreamConfig, query_chunk_index: int) -> t
                 forced.update(range(pos * bpc, (pos + 1) * bpc))
         bcfg = BlockConfig(cfg.block_tokens, cfg.block_tokens, cfg.keep_ratio,
                            frozenset(forced))
+        rope_cfg = cfg.rope_config()
+        s_idx = _chunk_spatial_indices(cfg)
         keys = values = np.empty((cfg.layers, cfg.heads, 0, cfg.head_dim))
         if visible:
             stacked = np.stack([e.keys for e, _ in visible], axis=2)  # [L, H, n, T, d]
             rel = np.array([r for _, r in visible])
-            keys = apply_rope(stacked, rel, _chunk_spatial_indices(cfg), cfg.rope_config())
+            keys = apply_rope(stacked, rel, s_idx, rope_cfg)
             keys = keys.reshape(*stacked.shape[:2], -1, cfg.head_dim)
             values = np.concatenate([e.values for e, _ in visible], axis=2)
-        return keys, values, bcfg
+        q_cos, q_sin = rotation_tables(temporal_index(query_chunk_index, rope_cfg),
+                                       s_idx, rope_cfg)
+        return keys, values, bcfg, q_cos, q_sin
 
     return cache.memo((query_chunk_index, cfg), build)
 
@@ -193,33 +199,34 @@ def hybrid_attention(
     q, k_self, v_self: unrotated per-head tensors [heads, chunk_tokens,
     head_dim] for the chunk being generated. Keys from the cache and from
     the chunk itself are rotated at their relative temporal indices (the
-    cached ones once per query chunk, see _window); sink blocks and
-    the chunk's own blocks are always kept active in the mask.
+    cached ones and the query tables once per query chunk, see _window);
+    sink blocks and the chunk's own blocks are always kept active in the
+    mask. All heads go through one block_scores, one build_mask and one
+    sparse_attention call, packed as the sparse_local module describes.
     Returns [chunk_tokens, model_dim]: sparse local output plus the
     history readout, summed elementwise.
     """
-    rope_cfg = cfg.rope_config()
-    s_idx = _chunk_spatial_indices(cfg)
-    q_index = temporal_index(query_chunk_index, rope_cfg)
-    window_keys, window_values, bcfg = _window(cache, cfg, query_chunk_index)
-    q_rot, k_self_rot = apply_rope(np.stack((q, k_self)), q_index, s_idx, rope_cfg)
-    k_full = np.concatenate((window_keys[layer], k_self_rot), axis=1)  # [heads, tokens, d]
+    window_keys, window_values, bcfg, q_cos, q_sin = _window(cache, cfg, query_chunk_index)
+    q_rot, k_self_rot = rotate(np.stack((q, k_self)), q_cos, q_sin)
+    k_full = np.concatenate((window_keys[layer], k_self_rot), axis=1)  # [heads, keys, d]
     v_full = np.concatenate((window_values[layer], v_self), axis=1)
 
-    head_outputs = []
-    for h in range(cfg.heads):
-        scores = block_scores(q_rot[h], k_full[h], bcfg)
-        if counters is not None:
-            counters.pooled_scores += scores.size
-        mask = build_mask(scores, bcfg)
-        head_outputs.append(
-            sparse_attention(q_rot[h], k_full[h], v_full[h], mask,
-                             scale=1.0 / math.sqrt(cfg.head_dim), counters=counters)
-        )
-    local = np.concatenate(head_outputs, axis=1)
+    scores = block_scores(q_rot, k_full, bcfg)  # [heads, t_m, t_n]
+    if counters is not None:
+        counters.pooled_scores += scores.size
+    heads, t_m, t_n = scores.shape
+    rows = build_mask(scores.reshape(heads * t_m, t_n), bcfg).active
+    # head h's rows keep only head h's key blocks: [heads, t_m, heads, t_n]
+    packed = np.eye(heads, dtype=bool)[:, None, :, None] & rows.reshape(heads, t_m, 1, t_n)
+    tokens, d = q.shape[1:]
+    local = sparse_attention(q_rot.reshape(-1, d), k_full.reshape(-1, d),
+                             v_full.reshape(-1, d),
+                             BlockMask(packed.reshape(heads * t_m, heads * t_n)),
+                             scale=1.0 / math.sqrt(d), counters=counters)
+    local = local.reshape(heads, tokens, d).transpose(1, 0, 2).reshape(tokens, heads * d)
 
     if layer < len(cache.linear_states):
-        hist = history_output(cache.linear_states[layer], q, rope_cfg, q_index, s_idx)
+        hist = history_output(cache.linear_states[layer], q, q_cos, q_sin)
     else:
         hist = np.zeros_like(local)
     return local + hist

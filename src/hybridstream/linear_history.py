@@ -21,7 +21,7 @@ import numpy as np
 
 from . import numerics
 from .errors import FormatError, ShapeError
-from .rope import RoPEConfig, apply_rope
+from .rope import RoPEConfig, apply_rope, check_tables, rotate
 
 EPS_DIV = 1e-6  # denominator guard for adversarial queries
 
@@ -151,27 +151,30 @@ def absorb_evicted(
 def history_output(
     state: LinearState,
     queries: np.ndarray,
-    rope_cfg: RoPEConfig,
-    t_index: int,
-    s_indices=None,
+    cos: np.ndarray,
+    sin: np.ndarray,
     eps_div: float = EPS_DIV,
 ) -> np.ndarray:
     """Read the history pathway for a batch of per-head queries.
 
-    queries: [heads, tokens, head_dim], unrotated. Returns [tokens,
-    model_dim]. An empty state returns exact zeros: the pathway is inactive
-    until the first eviction.
+    queries: [heads, tokens, head_dim], unrotated. cos, sin: the queries'
+    rotation tables, [tokens, head_dim // 2] or broadcasting over the heads
+    (rope.rotation_tables at the query chunk's temporal index and the
+    tokens' spatial indices); a caller builds them once per query chunk.
+    Returns [tokens, model_dim]. An empty state returns exact zeros: the
+    pathway is inactive until the first eviction.
     """
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 3 or queries.shape[0] != state.heads or queries.shape[2] != state.head_dim:
         raise ShapeError(
             f"expected [{state.heads}, tokens, {state.head_dim}], got {queries.shape}"
         )
+    check_tables(queries.shape, cos, sin)
     tokens = queries.shape[1]
     if state.evicted_tokens == 0:
         return np.zeros((tokens, state.model_dim))
     fq = state.feature_map(queries)
-    num = apply_rope(fq, t_index, s_indices, rope_cfg) @ state.L  # [heads, tokens, head_dim]
+    num = rotate(fq, cos, sin) @ state.L  # [heads, tokens, head_dim]
     # a matrix-vector product per head, rounded as fq[h] @ H[h] would be
     den = fq @ state.H[:, :, None] + eps_div  # [heads, tokens, 1]
     concat = (num / den).transpose(1, 0, 2).reshape(tokens, state.model_dim)

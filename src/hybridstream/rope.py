@@ -5,6 +5,10 @@ axes: a temporal axis shared by every token of a chunk, and a spatial axis
 carrying each token's position inside the chunk. Temporal indices saturate
 at `max_temporal_index` so arbitrarily long streams keep a bounded index
 range; spatial indices are never capped.
+
+rotation_tables builds the cos and sin of every pair's angle for given
+indices, and rotate applies such tables to a tensor; apply_rope is the two
+composed. Tables fixed over many rotations are built once and reused.
 """
 
 from __future__ import annotations
@@ -74,50 +78,35 @@ def _tables(config: RoPEConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tables
 
 
-def _check_index(t: np.ndarray, lead: tuple, cap: int) -> None:
+def rotation_tables(t_index, s_indices, config: RoPEConfig) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of every rotation pair's angle, each [*t.shape, tokens,
+    head_dim // 2]: the temporal pairs at the capped temporal index of each
+    slice, the spatial pairs at each token's own (uncapped) spatial index.
+
+    t_index: an int or an int array, each in [0, max_temporal_index].
+    s_indices: [tokens], shared by every slice. Temporal angles come from
+    the config's precomputed table, spatial ones are computed per call.
+    Tables that stay fixed over many rotations (a query chunk's, say) can
+    be built once and passed to rotate() each time.
+    """
+    t = np.asarray(t_index)
     if t.dtype.kind not in "iu":
         raise ContractViolationError(f"temporal index must be an integer, got dtype {t.dtype}")
-    if t.ndim > len(lead) or any(a not in (1, b) for a, b in zip(t.shape[::-1], lead[::-1])):
-        raise ShapeError(f"temporal index shape {t.shape} does not broadcast over {lead}")
-    if t.size == 0:
-        return
-    low, high = (int(t), int(t)) if t.ndim == 0 else (int(t.min()), int(t.max()))
-    if high > cap or low < 0:
-        raise ContractViolationError(
-            f"temporal index {high if high > cap else low} outside [0, {cap}]; "
-            "callers must saturate with temporal_index() first"
-        )
+    if t.size:
+        cap = config.max_temporal_index
+        low, high = (int(t), int(t)) if t.ndim == 0 else (int(t.min()), int(t.max()))
+        if high > cap or low < 0:
+            raise ContractViolationError(
+                f"temporal index {high if high > cap else low} outside [0, {cap}]; "
+                "callers must saturate with temporal_index() first"
+            )
+    s = np.asarray(s_indices, dtype=np.float64)
+    if s.ndim != 1:
+        raise ShapeError(f"s_indices must be 1-D, got shape {s.shape}")
 
-
-def apply_rope(x: np.ndarray, t_index, s_indices, config: RoPEConfig) -> np.ndarray:
-    """Rotate each token's pairs: temporal pairs by the capped temporal
-    index of its slice, spatial pairs by that token's own (uncapped)
-    spatial index.
-
-    x: [..., tokens, head_dim]; channels [0 : 2*temporal_dims] hold the
-    temporal pairs as (even, odd) lanes, the remainder the spatial pairs.
-    t_index: an int, or an int array broadcasting over x's leading dims
-    (x.shape[:-2]), so one call rotates many slices, each at its own index.
-    s_indices: [tokens], shared by every slice. Temporal angles come from
-    the config's precomputed table, spatial ones are computed once per
-    call. Rotations preserve per-token norms exactly (up to rounding).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim < 2 or x.shape[-1] != config.head_dim:
-        raise ShapeError(f"expected [..., tokens, {config.head_dim}], got {x.shape}")
-    t = np.asarray(t_index)
-    tokens = x.shape[-2]
-    _check_index(t, x.shape[:-2], config.max_temporal_index)
-    s = np.zeros(tokens, dtype=np.float64) if s_indices is None else np.asarray(
-        s_indices, dtype=np.float64
-    )
-    if s.shape != (tokens,):
-        raise ShapeError(f"s_indices must have shape ({tokens},), got {s.shape}")
-
-    # cos/sin per slice, token and pair: [*t.shape, tokens, pairs]
     t_cos, t_sin, s_freqs = _tables(config)
     pt = config.temporal_dims
-    cos = np.empty(t.shape + (tokens, config.head_dim // 2))
+    cos = np.empty(t.shape + (s.shape[0], config.head_dim // 2))
     sin = np.empty_like(cos)
     if pt > 0:
         cos[..., :pt] = t_cos[t][..., None, :]
@@ -126,6 +115,26 @@ def apply_rope(x: np.ndarray, t_index, s_indices, config: RoPEConfig) -> np.ndar
         ang = s[:, None] * s_freqs
         cos[..., pt:] = np.cos(ang)
         sin[..., pt:] = np.sin(ang)
+    return cos, sin
+
+
+def check_tables(shape: tuple, cos: np.ndarray, sin: np.ndarray) -> None:
+    """Raise ShapeError unless cos and sin are rotation tables for an x of
+    `shape` ([..., tokens, head_dim]): both [..., tokens, head_dim // 2],
+    their leading dims broadcasting over x's."""
+    pairs = shape[:-1] + (shape[-1] // 2,) if len(shape) >= 2 else ()
+    if (not pairs or shape[-1] % 2 or cos.shape != sin.shape or cos.ndim > len(pairs)
+            or cos.shape[-2:] != pairs[-2:]
+            or any(a not in (1, b) for a, b in zip(cos.shape[:-2], pairs[-cos.ndim:-2]))):
+        raise ShapeError(f"rotation tables {cos.shape} do not fit x {shape}")
+
+
+def rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """Rotate x's (even, odd) channel pairs by the angles whose cos and sin
+    are given (see rotation_tables and check_tables). Rotations preserve
+    per-token norms exactly (up to rounding)."""
+    x = np.asarray(x, dtype=np.float64)
+    check_tables(x.shape, cos, sin)
     # even' = even cos - odd sin, odd' = odd cos + even sin, accumulated in
     # place to hold one temporary at a time (addition order does not change
     # the rounding of a two-term sum)
@@ -137,3 +146,27 @@ def apply_rope(x: np.ndarray, t_index, s_indices, config: RoPEConfig) -> np.ndar
     np.multiply(odd, cos, out=out_odd)
     out_odd += even * sin
     return out
+
+
+def apply_rope(x: np.ndarray, t_index, s_indices, config: RoPEConfig) -> np.ndarray:
+    """Rotate each token's pairs: temporal pairs by the capped temporal
+    index of its slice, spatial pairs by that token's own (uncapped)
+    spatial index. The same as rotate(x, *rotation_tables(...)).
+
+    x: [..., tokens, head_dim]; channels [0 : 2*temporal_dims] hold the
+    temporal pairs as (even, odd) lanes, the remainder the spatial pairs.
+    t_index: an int, or an int array broadcasting over x's leading dims
+    (x.shape[:-2]), so one call rotates many slices, each at its own index.
+    s_indices: [tokens], shared by every slice; None means all zeros.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim < 2 or x.shape[-1] != config.head_dim:
+        raise ShapeError(f"expected [..., tokens, {config.head_dim}], got {x.shape}")
+    tokens = x.shape[-2]
+    s = np.zeros(tokens, dtype=np.float64) if s_indices is None else np.asarray(
+        s_indices, dtype=np.float64
+    )
+    if s.shape != (tokens,):
+        raise ShapeError(f"s_indices must have shape ({tokens},), got {s.shape}")
+    # rotate() raises ShapeError unless t's shape broadcasts over x.shape[:-2]
+    return rotate(x, *rotation_tables(t_index, s, config))

@@ -1,6 +1,13 @@
 """Block-sparse local attention: pooled block scoring, per-row top-K mask
 construction, and masked attention through one gathered softmax.
 
+A mask row is one query block's row of key blocks. The engine packs all
+heads into one call: block_scores batches over leading [heads] dims,
+build_mask takes the scores as [heads * t_m, t_n] rows (one per (head,
+query block) pair), and sparse_attention takes q, k and v as [heads *
+tokens, d] with a [heads * t_m, heads * t_n] block-diagonal mask whose
+head-h rows are active only in head h's key blocks.
+
 Gather rule: each query-block row's kept key blocks, in ascending order and
 padded to the largest per-row count c, are gathered as [rows, c * b_kv, d];
 one batched product, one max-subtracted exp and one product with the values
@@ -36,7 +43,9 @@ class BlockConfig:
 
 @dataclass
 class BlockMask:
-    """Boolean [query blocks x key blocks] activity matrix for one head."""
+    """Boolean [query blocks x key blocks] activity matrix. A row is one
+    query block of one head; heads packed into one call stack their rows,
+    and their key blocks too when the mask is block diagonal."""
 
     active: np.ndarray
 
@@ -56,25 +65,26 @@ class BlockMask:
 
 
 def _split_blocks(x: np.ndarray, block: int, what: str) -> np.ndarray:
-    if x.ndim != 2:
-        raise ShapeError(f"{what} must be 2-D, got shape {x.shape}")
-    n, d = x.shape
+    n = x.shape[-2]
     if n % block != 0:
         raise ShapeError(f"{what} length {n} not divisible by block size {block}")
-    return x.reshape(n // block, block, d)
+    return x.reshape(*x.shape[:-2], n // block, block, x.shape[-1])
 
 
 def block_scores(q: np.ndarray, k: np.ndarray, cfg: BlockConfig) -> np.ndarray:
     """Pooled importance scores: mean of each query block dotted with the
-    mean of each key block. Raw scores are returned; any row-monotone
-    transform (e.g. a softmax) selects the same top-K set."""
+    mean of each key block. q: [..., tokens, d] and k: [..., keys, d] with
+    equal leading dims, scored slice by slice into [..., T_m, T_n]. Raw
+    scores are returned; any row-monotone transform (e.g. a softmax)
+    selects the same top-K set."""
     q = np.asarray(q, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
-    if q.shape[1] != k.shape[1]:
-        raise ShapeError(f"head dims differ: {q.shape} vs {k.shape}")
-    qb = _split_blocks(q, cfg.block_q, "q").mean(axis=1)  # [T_m, d]
-    kb = _split_blocks(k, cfg.block_kv, "k").mean(axis=1)  # [T_n, d]
-    return qb @ kb.T
+    if q.ndim < 2 or k.ndim != q.ndim or q.shape[:-2] != k.shape[:-2] \
+            or q.shape[-1] != k.shape[-1]:
+        raise ShapeError(f"q {q.shape} and k {k.shape} differ outside their token axis")
+    qb = _split_blocks(q, cfg.block_q, "q").mean(axis=-2)  # [..., T_m, d]
+    kb = _split_blocks(k, cfg.block_kv, "k").mean(axis=-2)  # [..., T_n, d]
+    return qb @ kb.swapaxes(-1, -2)
 
 
 def build_mask(scores: np.ndarray, cfg: BlockConfig) -> BlockMask:
@@ -147,10 +157,15 @@ def sparse_attention(
     idx = np.argsort(~mask.active, axis=1, kind="stable")[:, :c]  # [t_m, c]
     k_rows = k.reshape(t_n, b_kv, -1)[idx].reshape(t_m, c * b_kv, -1)
     v_rows = v.reshape(t_n, b_kv, -1)[idx].reshape(t_m, c * b_kv, -1)
-    s = (q.reshape(t_m, b_q, -1) @ k_rows.transpose(0, 2, 1)) * scale  # [t_m, b_q, c*b_kv]
+    # the softmax works in place on s, so the scores are the one temporary as
+    # large as the gathered keys
+    s = q.reshape(t_m, b_q, -1) @ k_rows.transpose(0, 2, 1)  # [t_m, b_q, c*b_kv]
+    s *= scale
     if (counts < c).any():
         padded = np.repeat(np.arange(c) >= counts[:, None], b_kv, axis=1)  # [t_m, c*b_kv]
-        s = np.where(padded[:, None, :], -np.inf, s)
-    p = np.exp(s - s.max(axis=2, keepdims=True))
-    out = (p @ v_rows) / p.sum(axis=2, keepdims=True)
+        s[np.broadcast_to(padded[:, None, :], s.shape)] = -np.inf
+    s -= s.max(axis=2, keepdims=True)
+    np.exp(s, out=s)
+    out = s @ v_rows
+    out /= s.sum(axis=2, keepdims=True)
     return out.reshape(q.shape[0], v.shape[1])

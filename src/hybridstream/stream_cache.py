@@ -10,6 +10,10 @@ That index is fixed for a whole query chunk, so the engine rotates the
 visible keys and concatenates the visible values once per query chunk, for
 every layer and head, and keeps them in the cache's memo until the next
 append; snapshots never carry it.
+
+A snapshot is a length-prefixed JSON manifest, the entries' keys and values
+and the linear states as exact f64 tensors, then a CRC-32 of every byte
+before it, so a flipped byte anywhere fails to restore.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import io
 import json
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +30,7 @@ from . import numerics
 from .errors import FormatError, SequenceError, ShapeError
 from .linear_history import FeatureMap, LinearState
 
-_SNAPSHOT_VERSION = 1
+_SNAPSHOT_VERSION = 2
 _ENCODING = "f64-bit-split-pairs"
 
 
@@ -191,11 +196,17 @@ class RollingCache:
             numerics.write_f64_tensor(out, e.values)
         for s in self.linear_states:
             s.to_stream(out)
+        out.write(struct.pack("<I", zlib.crc32(out.getbuffer())))
         return out.getvalue()
 
     @classmethod
     def restore(cls, data: bytes) -> "RollingCache":
-        f = io.BytesIO(data)
+        """Rebuild a cache from snapshot() bytes. The manifest's version is
+        read first, so a blob of another format version is named as such;
+        the CRC-32 trailer is then checked before any other field or payload
+        byte is decoded. Every failure is a FormatError."""
+        body, trailer = data[:-4], data[-4:]
+        f = io.BytesIO(body)
         head = f.read(4)
         if len(head) != 4:
             raise FormatError("snapshot shorter than its length prefix")
@@ -211,6 +222,8 @@ class RollingCache:
             raise FormatError("snapshot manifest is not a JSON object")
         if manifest.get("version") != _SNAPSHOT_VERSION:
             raise FormatError(f"unsupported snapshot version {manifest.get('version')!r}")
+        if struct.unpack("<I", trailer)[0] != zlib.crc32(body):
+            raise FormatError("snapshot checksum mismatch")
         if manifest.get("encoding") != _ENCODING:
             raise FormatError(f"unsupported snapshot encoding {manifest.get('encoding')!r}")
 

@@ -28,7 +28,7 @@ from .engine import NoiseSchedule, OpCounters, StreamConfig, ToyDenoiser, \
     append_and_absorb, config_for_mode, dense_oracle_attention, hybrid_attention, run_stream
 from .linear_history import LinearState, absorb_evicted, history_output
 from .numerics import SeededRng, read_tensor_from, softmax_rows, write_tensor
-from .rope import RoPEConfig, apply_rope, temporal_index
+from .rope import RoPEConfig, apply_rope, rotation_tables, temporal_index
 from .sparse_local import BlockConfig, BlockMask, build_mask, sparse_attention
 from .stream_cache import ChunkKV, RollingCache
 
@@ -431,9 +431,10 @@ def _suite_hybrid() -> list[CheckResult]:
     local = hybrid_attention(q, ks, vs, cache, 0, _TOY, 8)
     for s, n in zip(cache.linear_states, saved):
         s.evicted_tokens = n
-    hist = history_output(cache.linear_states[0], q, _TOY.rope_config(),
-                          temporal_index(8, _TOY.rope_config()),
-                          np.arange(float(_TOY.chunk_tokens)))
+    rope_cfg = _TOY.rope_config()
+    hist = history_output(cache.linear_states[0], q,
+                          *rotation_tables(temporal_index(8, rope_cfg),
+                                           np.arange(float(_TOY.chunk_tokens)), rope_cfg))
     err = np.abs(full - (local + hist)).max()
     out.append(_check("hybrid.additive_decomposition", err < 1e-9,
                       f"|hybrid - (local + history)| = {err:.2e}"))

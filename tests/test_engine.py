@@ -1,6 +1,7 @@
 """Engine tests: hybrid attention equivalences, toy denoiser behaviour,
 streaming loop invariants, and exact cost accounting."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -21,7 +22,7 @@ from hybridstream.engine import (
 )
 from hybridstream.errors import ShapeError
 from hybridstream.numerics import SeededRng
-from hybridstream.rope import apply_rope, temporal_index
+from hybridstream.rope import apply_rope, rotation_tables, temporal_index
 from hybridstream.sparse_local import BlockConfig, block_scores, build_mask, sparse_attention
 from hybridstream.stream_cache import ChunkKV, RollingCache, relative_temporal_index
 from hybridstream.verify import random_cache
@@ -83,14 +84,18 @@ class TestRotatedWindowMemo:
     CFG = replace(TOY, keep_ratio=0.5, window_frames=12)  # real top-k selection
 
     def test_bit_equal_to_per_head_reference(self):
-        cfg = self.CFG
-        for chunks in (0, 1, 3, 9):
+        configs = [
+            self.CFG,
+            replace(self.CFG, heads=3, model_dim=24),
+            TOY,  # quota == forced blocks, as in the default config: no selection
+        ]
+        for cfg, chunks in itertools.product(configs, (0, 1, 3, 9)):
             cache = random_cache(cfg, chunks, seed=20 + chunks)
             q, k_self, v_self = random_qkv(cfg, 30 + chunks)
             for layer in range(cfg.layers):
                 got = hybrid_attention(q, k_self, v_self, cache, layer, cfg, chunks)
                 want = per_head_hybrid(q, k_self, v_self, cache, layer, cfg, chunks)
-                assert np.array_equal(got, want)
+                assert np.array_equal(got, want), (cfg.heads, cfg.keep_ratio, chunks, layer)
 
     def test_second_call_bit_equal_to_cold_call(self):
         cfg = self.CFG
@@ -163,11 +168,12 @@ class TestHybridAttention:
         q, k_self, _ = random_qkv(cfg, 77)
         v_self = np.zeros_like(k_self)
         from hybridstream.linear_history import history_output
+        rope_cfg = cfg.rope_config()
+        tables = rotation_tables(temporal_index(8, rope_cfg), np.arange(float(cfg.chunk_tokens)),
+                                 rope_cfg)
         for layer in range(cfg.layers):
             got = hybrid_attention(q, k_self, v_self, cache, layer, cfg, 8)
-            hist = history_output(cache.linear_states[layer], q, cfg.rope_config(),
-                                  temporal_index(8, cfg.rope_config()),
-                                  np.arange(float(cfg.chunk_tokens)))
+            hist = history_output(cache.linear_states[layer], q, *tables)
             assert np.abs(got - hist).max() < 1e-9
 
     def test_zero_query_closed_form(self):

@@ -5,14 +5,18 @@ Each case flips a byte, truncates, or edits a header of a real blob. The
 blob must then either be rejected with FormatError or decode to exactly the
 state its bytes spell out: encoding the decoded value again gives the same
 manifest and the same payload bytes, so nothing was dropped, defaulted or
-reinterpreted on the way in. (A flipped payload byte carries no checksum,
-so such a blob decodes to the flipped value.) Passed to the CLI as a config
-file, a mutated blob must end in exit code 2 or 3, never in a traceback.
+reinterpreted on the way in. A snapshot ends in a CRC-32 of every byte
+before it, so every flipped or truncated snapshot is rejected; the
+structured edits seal the trailer again, so they reach the manifest's field
+checks. An HFT1 file carries no checksum, so a flipped payload byte there
+decodes to the flipped value. Passed to the CLI as a config file, a mutated
+blob must end in exit code 2 or 3, never in a traceback.
 """
 
 import io
 import json
 import struct
+import zlib
 from collections import Counter
 
 import numpy as np
@@ -35,10 +39,16 @@ def snapshot_parts(blob):
     return json.loads(blob[4:4 + mlen]), blob[4 + mlen:]
 
 
+def sealed(body):
+    """A snapshot body followed by its CRC-32 trailer."""
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
 def with_manifest_bytes(blob, text):
-    """The snapshot with its manifest bytes replaced and the prefix fixed."""
+    """The snapshot with its manifest bytes replaced, the prefix fixed and the
+    trailer sealed again."""
     (mlen,) = struct.unpack("<I", blob[:4])
-    return struct.pack("<I", len(text)) + text + blob[4 + mlen:]
+    return sealed(struct.pack("<I", len(text)) + text + blob[4 + mlen:-4])
 
 
 def header_spans(blob, start):
@@ -61,11 +71,12 @@ def flip(blob, gen, lo=0, hi=None):
 
 def snapshot_edit(blob, gen):
     """A structured manifest edit: a field set to junk or dropped, the
-    manifest replaced by a non-object, or the length prefix changed."""
+    manifest replaced by a non-object, or the length prefix changed. The
+    trailer is sealed again over the edited bytes."""
     manifest, _ = snapshot_parts(blob)
     kind = int(gen.integers(4))
     if kind == 0:
-        return struct.pack("<I", int(gen.integers(2**32))) + blob[4:]
+        return sealed(struct.pack("<I", int(gen.integers(2**32))) + blob[4:-4])
     if kind == 1:
         text = json.dumps(JUNK[int(gen.integers(len(JUNK)))]).encode()
         return with_manifest_bytes(blob, text)
@@ -139,9 +150,10 @@ def test_snapshot_fuzz(snapshot):
             continue
         assert snapshot_parts(got.snapshot()) == snapshot_parts(mutated), kind
         outcomes[kind, "accepted"] += 1
-    assert outcomes["truncate", "accepted"] == 0
-    assert outcomes["flip", "accepted"] > 0  # payload flips decode
-    assert outcomes["header flip", "rejected"] > 0 and outcomes["edit", "rejected"] > 0
+    # the trailer catches every unsealed change
+    for kind in ("flip", "header flip", "truncate"):
+        assert outcomes[kind, "accepted"] == 0, kind
+    assert outcomes["edit", "rejected"] > 0
 
 
 def test_tensor_fuzz(tensor_file):

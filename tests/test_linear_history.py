@@ -12,7 +12,7 @@ from hybridstream.linear_history import (
     history_output,
 )
 from hybridstream.numerics import SeededRng
-from hybridstream.rope import RoPEConfig, apply_rope
+from hybridstream.rope import RoPEConfig, apply_rope, rotation_tables
 
 HEADS, HEAD_DIM = 2, 8
 MODEL_DIM = HEADS * HEAD_DIM
@@ -22,6 +22,10 @@ ROPE = RoPEConfig.half_split(HEAD_DIM, max_temporal_index=21)
 def fresh_state(feature_map=FeatureMap.ELU_PLUS_ONE, seed=0):
     proj = SeededRng(seed).normal((MODEL_DIM, MODEL_DIM)) / np.sqrt(MODEL_DIM)
     return LinearState.zeros(HEADS, HEAD_DIM, proj, feature_map)
+
+
+def tables(t_index, s_indices):
+    return rotation_tables(t_index, s_indices, ROPE)
 
 
 def random_chunk(seed, tokens=6):
@@ -136,7 +140,7 @@ class TestHistoryOutput:
         # a transposed view, as the engine passes its split heads
         q = SeededRng(32).normal((5, HEADS, HEAD_DIM)).transpose(1, 0, 2)
         s_idx = np.arange(5.0)
-        out = history_output(state, q, ROPE, t_index=7, s_indices=s_idx)
+        out = history_output(state, q, *tables(7, s_idx))
         fq = state.feature_map(q)
         per_head = []
         for h in range(HEADS):
@@ -149,9 +153,31 @@ class TestHistoryOutput:
     def test_empty_state_outputs_zeros(self):
         state = fresh_state()
         q = SeededRng(30).normal((HEADS, 4, HEAD_DIM))
-        out = history_output(state, q, ROPE, t_index=5, s_indices=np.arange(4.0))
+        out = history_output(state, q, *tables(5, np.arange(4.0)))
         assert out.shape == (4, MODEL_DIM)
         assert np.array_equal(out, np.zeros_like(out))
+
+    def test_tables_that_do_not_fit_the_queries_rejected(self):
+        empty, full = fresh_state(), fresh_state()
+        absorb_evicted(full, *random_chunk(3), ROPE, s_indices=np.arange(6.0))
+        q = SeededRng(34).normal((HEADS, 4, HEAD_DIM))
+        cos, sin = tables(5, np.arange(4.0))
+        wide = RoPEConfig.half_split(2 * HEAD_DIM)
+        bad = [
+            tables(5, np.arange(3.0)),                     # too few tokens
+            tables(np.array([5, 5, 5]), np.arange(4.0)),   # 3 slices over 2 heads
+            rotation_tables(5, np.arange(4.0), wide),      # pairs of another head_dim
+            (cos, sin[:, :-1]),                            # cos and sin disagree
+            (cos[0], sin[0]),                              # no token axis
+        ]
+        for state in (empty, full):
+            for bad_cos, bad_sin in bad:
+                with pytest.raises(ShapeError):
+                    history_output(state, q, bad_cos, bad_sin)
+            # one table per head broadcasts, and reads as the shared table does
+            per_head = tables(np.array([5, 5]), np.arange(4.0))  # [2, 4, pairs]
+            assert np.array_equal(history_output(state, q, *per_head),
+                                  history_output(state, q, cos, sin))
 
     def test_single_token_brute_force(self):
         # one absorbed token, zero angles, identity map on positive data:
@@ -162,7 +188,7 @@ class TestHistoryOutput:
         v = rng.normal((HEADS, 1, HEAD_DIM))
         absorb_evicted(state, k, v, ROPE, t_index=0, s_indices=np.zeros(1))
         q = np.abs(rng.normal((HEADS, 3, HEAD_DIM))) + 0.1
-        out = history_output(state, q, ROPE, t_index=0, s_indices=np.zeros(3))
+        out = history_output(state, q, *tables(0, np.zeros(3)))
         per_head = []
         for h in range(HEADS):
             num = (q[h] @ k[h, 0])[:, None] * v[h, 0][None, :]
@@ -178,8 +204,8 @@ class TestHistoryOutput:
         absorb_evicted(base, k, v, ROPE, s_indices=np.arange(5.0))
         absorb_evicted(scaled, k, 3.0 * v, ROPE, s_indices=np.arange(5.0))
         q = SeededRng(33).normal((HEADS, 4, HEAD_DIM))
-        out1 = history_output(base, q, ROPE, t_index=7, s_indices=np.arange(4.0))
-        out3 = history_output(scaled, q, ROPE, t_index=7, s_indices=np.arange(4.0))
+        out1 = history_output(base, q, *tables(7, np.arange(4.0)))
+        out3 = history_output(scaled, q, *tables(7, np.arange(4.0)))
         assert np.abs(out3 - 3.0 * out1).max() < 1e-9
 
     def test_denominator_positive_for_adversarial_queries(self):

@@ -5,7 +5,7 @@ import pytest
 
 from hybridstream.errors import ContractViolationError, ShapeError
 from hybridstream.numerics import SeededRng
-from hybridstream.rope import RoPEConfig, apply_rope, temporal_index
+from hybridstream.rope import RoPEConfig, apply_rope, rotate, rotation_tables, temporal_index
 
 CFG = RoPEConfig.half_split(16, max_temporal_index=21)
 
@@ -124,6 +124,42 @@ class TestBatchedRope:
             apply_rope(x[0, 0], np.zeros(1, dtype=int), np.zeros(6), CFG)
         with pytest.raises(ContractViolationError):
             apply_rope(x, 1.5, np.zeros(6), CFG)
+
+
+class TestTablesAndRotate:
+    def test_rotate_with_tables_bit_equal_to_apply_rope(self):
+        x = SeededRng(12).normal((2, 3, 6, 16))
+        s = np.arange(6.0) + 3.0
+        for t in (0, 13, 21, np.array([4, 21, 0]), np.array([[1, 2, 3], [21, 20, 0]])):
+            assert np.array_equal(rotate(x, *rotation_tables(t, s, CFG)), apply_rope(x, t, s, CFG))
+        # one table set rotates many tensors, here stacked queries and keys
+        cos, sin = rotation_tables(9, s, CFG)
+        both = rotate(np.stack((x, 2 * x)), cos, sin)
+        assert np.array_equal(both[1], apply_rope(2 * x, 9, s, CFG))
+
+    def test_tables_checks_match_apply_rope(self):
+        with pytest.raises(ContractViolationError):
+            rotation_tables(22, np.zeros(6), CFG)
+        with pytest.raises(ContractViolationError):
+            rotation_tables(np.array([3, -1]), np.zeros(6), CFG)
+        with pytest.raises(ContractViolationError):
+            rotation_tables(1.5, np.zeros(6), CFG)
+        with pytest.raises(ShapeError):
+            rotation_tables(3, np.zeros((2, 6)), CFG)
+
+    def test_tables_must_fit_x(self):
+        x = np.zeros((2, 4, 6, 16))
+        cos, sin = rotation_tables(3, np.zeros(6), CFG)
+        for bad_cos, bad_sin in [
+            rotation_tables(3, np.zeros(5), CFG),                   # token count
+            rotation_tables(np.zeros(3, dtype=int), np.zeros(6), CFG),  # slices
+            (cos, sin[..., :-1]),                                    # cos vs sin
+            (cos[None, None, None], sin[None, None, None]),          # too many dims
+        ]:
+            with pytest.raises(ShapeError):
+                rotate(x, bad_cos, bad_sin)
+        with pytest.raises(ShapeError):
+            rotate(np.zeros((6, 15)), cos, sin)
 
 
 class TestConfig:

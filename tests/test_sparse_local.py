@@ -1,4 +1,7 @@
-"""Block-sparse attention tests: pooled scores, masks, online softmax."""
+"""Block-sparse attention tests: pooled scores, masks, the gathered softmax
+and heads packed into one call."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,6 +74,22 @@ class TestBlockScores:
         with pytest.raises(ShapeError):
             block_scores(np.zeros((5, 4)), np.zeros((8, 4)), BlockConfig(4, 4, 1.0))
 
+    def test_batched_bit_equal_to_per_slice_calls(self):
+        rng = SeededRng(16)
+        q, k = rng.normal((2, 3, 16, 8)), rng.normal((2, 3, 40, 8))
+        cfg = BlockConfig(4, 8, 0.5)
+        got = block_scores(q, k, cfg)
+        assert got.shape == (2, 3, 4, 5)
+        for i, j in np.ndindex(2, 3):
+            assert np.array_equal(got[i, j], block_scores(q[i, j], k[i, j], cfg))
+
+    def test_leading_dims_must_agree(self):
+        cfg = BlockConfig(4, 4, 1.0)
+        for q, k in [((2, 8, 4), (3, 8, 4)), ((2, 8, 4), (8, 4)), ((8, 4), (8,)),
+                     ((2, 8, 4), (2, 8, 5))]:
+            with pytest.raises(ShapeError):
+                block_scores(np.zeros(q), np.zeros(k), cfg)
+
 
 class TestBuildMask:
     def test_dense_limit(self):
@@ -128,6 +147,19 @@ class TestBuildMask:
                 assert (got.sum(axis=1) == quota).all()
                 if ratio == 1.0:
                     assert got.all()  # quota equal to t_n
+
+    def test_stacked_head_rows_equal_per_head_masks(self):
+        # the engine builds one mask over [heads * t_m, t_n]: each row is one
+        # (head, query block) pair with the same forced set and quota
+        rng = np.random.default_rng(17)
+        for trial in range(50):
+            heads, t_m, t_n = rng.integers(1, 4), rng.integers(1, 5), rng.integers(2, 20)
+            scores = rng.integers(-2, 3, size=(heads, t_m, t_n)).astype(np.float64)
+            forced = frozenset(rng.choice(t_n, size=rng.integers(0, t_n), replace=False).tolist())
+            cfg = BlockConfig(1, 1, float(rng.uniform(0.05, 1.0)), forced)
+            stacked = build_mask(scores.reshape(heads * t_m, t_n), cfg).active
+            per_head = np.concatenate([build_mask(scores[h], cfg).active for h in range(heads)])
+            assert np.array_equal(stacked, per_head)
 
     def test_every_row_nonempty(self):
         scores = SeededRng(5).normal((8, 3))
@@ -192,3 +224,51 @@ class TestSparseAttention:
         bad.active[0, 0] = False  # smuggle past the constructor
         with pytest.raises(ContractViolationError):
             sparse_attention(q, k, v, bad)
+
+    def test_packed_heads_bit_equal_to_per_head_calls(self):
+        # q, k, v of every head stacked on the token axis with a block-diagonal
+        # mask: head h's rows keep only head h's key blocks
+        rng = SeededRng(18)
+        heads, b, t_m, t_n, d = 3, 4, 2, 6, 8
+        cfg = BlockConfig(b, b, 0.5, frozenset({0, 5}))
+        q = rng.normal((heads, t_m * b, d))
+        k, v = rng.normal((heads, t_n * b, d)), rng.normal((heads, t_n * b, d))
+        rows = build_mask(block_scores(q, k, cfg).reshape(heads * t_m, t_n), cfg).active
+        packed = np.zeros((heads, t_m, heads, t_n), dtype=bool)
+        for h in range(heads):
+            packed[h, :, h] = rows.reshape(heads, t_m, t_n)[h]
+        got = sparse_attention(q.reshape(-1, d), k.reshape(-1, d), v.reshape(-1, d),
+                               BlockMask(packed.reshape(heads * t_m, heads * t_n)))
+        for h in range(heads):
+            want = sparse_attention(q[h], k[h], v[h], BlockMask(rows[h * t_m:(h + 1) * t_m]))
+            assert np.array_equal(got[h * t_m * b:(h + 1) * t_m * b], want)
+
+    def test_softmax_temporaries_fit_one_score_array(self):
+        # the batched window-45 layer pass: 2 heads x 3 query blocks over
+        # 2 x 51 key blocks, quota 11 (sink + self forced). The softmax works
+        # in place, so the call's peak allocation is the gathered keys and
+        # values, one score array and the output, plus a ufunc's iteration
+        # buffer and the small index arrays.
+        rng = SeededRng(19)
+        heads, t_m, t_n, b, d = 2, 3, 51, 16, 16
+        q = rng.normal((heads * t_m * b, d))
+        k, v = rng.normal((heads * t_n * b, d)), rng.normal((heads * t_n * b, d))
+        cfg = BlockConfig(b, b, 0.2, frozenset({0, 1, 2, 48, 49, 50}))
+        rows = build_mask(rng.normal((heads * t_m, t_n)), cfg).active
+        quota = 11
+        assert (rows.sum(axis=1) == quota).all()
+        packed = np.eye(heads, dtype=bool)[:, None, :, None] & rows.reshape(heads, t_m, 1, t_n)
+        mask = BlockMask(packed.reshape(heads * t_m, heads * t_n))
+        sparse_attention(q, k, v, mask)  # warm up
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = sparse_attention(q, k, v, mask)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        gathered = heads * t_m * quota * b * d * 8  # keys, and values alike
+        scores = heads * t_m * b * quota * b * 8
+        slack = np.getbufsize() * 8 + 16 * 1024
+        assert peak <= 2 * gathered + scores + out.nbytes + slack, (peak, gathered)

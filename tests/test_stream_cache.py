@@ -3,6 +3,7 @@ indices, snapshot round trips."""
 
 import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -147,12 +148,14 @@ class TestSnapshot:
 
     @staticmethod
     def with_manifest(blob, edit):
-        """The snapshot with its JSON manifest passed through `edit`."""
+        """The snapshot with its JSON manifest passed through `edit`, and its
+        CRC-32 trailer sealed again over the edited bytes."""
         (mlen,) = struct.unpack("<I", blob[:4])
         manifest = json.loads(blob[4:4 + mlen])
         edit(manifest)
         new = json.dumps(manifest, sort_keys=True).encode("utf-8")
-        return struct.pack("<I", len(new)) + new + blob[4 + mlen:]
+        body = struct.pack("<I", len(new)) + new + blob[4 + mlen:-4]
+        return body + struct.pack("<I", zlib.crc32(body))
 
     @pytest.mark.parametrize("field", ["capacity_chunks", "next_index", "entries",
                                        "linear_states"])
@@ -287,6 +290,24 @@ class TestSnapshot:
             RollingCache.restore(blob[: len(blob) // 2])
         with pytest.raises(FormatError):
             RollingCache.restore(blob[:3])
+
+    def test_checksum_covers_every_byte(self):
+        blob = self.build_cache(5).snapshot()
+        (mlen,) = struct.unpack("<I", blob[:4])
+        assert blob[-4:] == struct.pack("<I", zlib.crc32(blob[:-4]))
+        # payload bytes (a key, a linear state) and the trailer itself
+        for pos in (4 + mlen + 40, len(blob) - 100, len(blob) - 4, len(blob) - 1):
+            flipped = bytearray(blob)
+            flipped[pos] ^= 0x01
+            with pytest.raises(FormatError, match="checksum"):
+                RollingCache.restore(bytes(flipped))
+
+    def test_version_one_snapshot_is_unsupported(self):
+        # version 1 was this layout without the trailer
+        blob = self.with_manifest(self.build_cache(5).snapshot(),
+                                  lambda m: m.update(version=1))[:-4]
+        with pytest.raises(FormatError, match="unsupported snapshot version 1"):
+            RollingCache.restore(blob)
 
     def test_corrupt_manifest_rejected(self):
         blob = bytearray(self.build_cache(5).snapshot())
