@@ -10,6 +10,7 @@ import numpy as np
 from hybridstream import (
     BlockConfig,
     SeededRng,
+    block_means,
     block_scores,
     build_mask,
     softmax_rows,
@@ -26,7 +27,7 @@ v = rng.normal((6 * BLOCK, d))
 
 # Pooled importance: mean of each query block dotted with each key block mean.
 cfg = BlockConfig(BLOCK, BLOCK, keep_ratio=0.34, forced_blocks=frozenset({0}))
-scores = block_scores(q, k, cfg)
+scores = block_scores(block_means(q, BLOCK), block_means(k, BLOCK))
 print("pooled block scores (2 query blocks x 6 key blocks):")
 print(np.array_str(scores, precision=3))
 
@@ -59,7 +60,7 @@ print(f"max |online softmax - gathered softmax| = {np.abs(in_order - sparse_out)
 
 # keep_ratio = 1.0 is plain dense attention.
 dense_cfg = BlockConfig(BLOCK, BLOCK, keep_ratio=1.0)
-full_mask = build_mask(block_scores(q, k, dense_cfg), dense_cfg)
+full_mask = build_mask(scores, dense_cfg)
 full = sparse_attention(q, k, v, full_mask, scale)
 plain = softmax_rows((q @ k.T) * scale) @ v
 print(f"dense limit check: {np.abs(full - plain).max():.2e}")

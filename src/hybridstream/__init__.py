@@ -58,6 +58,7 @@ from .rope import RoPEConfig, apply_rope, rotate, rotation_tables, temporal_inde
 from .sparse_local import (
     BlockConfig,
     BlockMask,
+    block_means,
     block_scores,
     build_mask,
     sparse_attention,

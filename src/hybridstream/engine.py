@@ -28,7 +28,8 @@ from .errors import ShapeError
 from .linear_history import LinearState, absorb_evicted, history_output
 from .numerics import SeededRng, softmax_rows
 from .rope import RoPEConfig, apply_rope, rotate, rotation_tables, temporal_index
-from .sparse_local import BlockConfig, BlockMask, block_scores, build_mask, sparse_attention
+from .sparse_local import (BlockConfig, BlockMask, block_means, block_scores, build_mask,
+                           sparse_attention)
 from .stream_cache import ChunkKV, RollingCache, relative_temporal_index
 
 _WEIGHT_STREAM = 1
@@ -154,32 +155,53 @@ def _chunk_spatial_indices(cfg: StreamConfig) -> np.ndarray:
 
 def _window(cache: RollingCache, cfg: StreamConfig, query_chunk_index: int) -> tuple:
     """What every layer pass of a query chunk shares, built once per chunk
-    and held on the cache until its next append: the visible keys rotated at
-    their relative temporal indices and the visible values, both [layers,
-    heads, visible tokens, head_dim]; the BlockConfig forcing the sink
-    blocks and the chunk's own blocks; and the cos and sin rotation tables
-    of the chunk's queries (and own keys) at its capped temporal index."""
-    def build():
+    into a workspace held on the cache (RollingCache.memo):
+
+    - keys and values, [layers, heads, entries + 1, chunk_tokens, head_dim]:
+      the visible keys rotated at their relative temporal indices and the
+      visible values, then a last slot for the chunk itself;
+    - the keys' block means, [layers, heads, (entries + 1) *
+      blocks_per_chunk, head_dim], the chunk's own blocks last;
+    - the BlockConfig forcing the sink blocks and the chunk's own blocks;
+    - the [heads, 1, heads, 1] selector of the block-diagonal head mask;
+    - the cos and sin rotation tables of the chunk's queries (and own keys)
+      at its capped temporal index.
+
+    Each layer pass writes its rotated keys, values and key block means into
+    its layer's last slots (hybrid_attention). The next query chunk rewrites
+    these arrays in place, so they are valid only until then. New arrays are
+    made only when a shape changes: while the window grows, for a new
+    (restored) cache, or for a config of other sizes."""
+    def build(stale: tuple | None) -> tuple:
         visible = cache.visible_kv(query_chunk_index)
-        bpc = cfg.blocks_per_chunk
-        forced = set(range(len(visible) * bpc, (len(visible) + 1) * bpc))
+        n, bpc, bt = len(visible), cfg.blocks_per_chunk, cfg.block_tokens
+        forced = set(range(n * bpc, (n + 1) * bpc))
         for pos, (entry, _) in enumerate(visible):
             if entry.is_sink:
                 forced.update(range(pos * bpc, (pos + 1) * bpc))
-        bcfg = BlockConfig(cfg.block_tokens, cfg.block_tokens, cfg.keep_ratio,
-                           frozenset(forced))
+        bcfg = BlockConfig(bt, bt, cfg.keep_ratio, frozenset(forced))
         rope_cfg = cfg.rope_config()
         s_idx = _chunk_spatial_indices(cfg)
-        keys = values = np.empty((cfg.layers, cfg.heads, 0, cfg.head_dim))
+        layers, heads, d = cfg.layers, cfg.heads, cfg.head_dim
+        shape = (layers, heads, n + 1, cfg.chunk_tokens, d)
+        means_shape = (layers, heads, (n + 1) * bpc, d)
+        if stale is not None and (stale[0].shape, stale[2].shape) == (shape, means_shape):
+            keys, values, key_means, _, selector = stale[:5]
+        else:
+            keys, values, key_means = np.empty(shape), np.empty(shape), np.empty(means_shape)
+            selector = np.eye(heads, dtype=bool)[:, None, :, None]
         if visible:
-            stacked = np.stack([e.keys for e, _ in visible], axis=2)  # [L, H, n, T, d]
+            # the unrotated keys are staged where the values go next
+            staged = values[:, :, :n]
+            np.stack([e.keys for e, _ in visible], axis=2, out=staged)
             rel = np.array([r for _, r in visible])
-            keys = apply_rope(stacked, rel, s_idx, rope_cfg)
-            keys = keys.reshape(*stacked.shape[:2], -1, cfg.head_dim)
-            values = np.concatenate([e.values for e, _ in visible], axis=2)
+            apply_rope(staged, rel, s_idx, rope_cfg, out=keys[:, :, :n])
+            np.stack([e.values for e, _ in visible], axis=2, out=staged)
+            window_keys = keys[:, :, :n].reshape(layers, heads, -1, d)  # a view
+            key_means[:, :, :n * bpc] = block_means(window_keys, bt)
         q_cos, q_sin = rotation_tables(temporal_index(query_chunk_index, rope_cfg),
                                        s_idx, rope_cfg)
-        return keys, values, bcfg, q_cos, q_sin
+        return keys, values, key_means, bcfg, selector, q_cos, q_sin
 
     return cache.memo((query_chunk_index, cfg), build)
 
@@ -206,21 +228,29 @@ def hybrid_attention(
     Returns [chunk_tokens, model_dim]: sparse local output plus the
     history readout, summed elementwise.
     """
-    window_keys, window_values, bcfg, q_cos, q_sin = _window(cache, cfg, query_chunk_index)
-    q_rot, k_self_rot = rotate(np.stack((q, k_self)), q_cos, q_sin)
-    k_full = np.concatenate((window_keys[layer], k_self_rot), axis=1)  # [heads, keys, d]
-    v_full = np.concatenate((window_values[layer], v_self), axis=1)
+    shape = (cfg.heads, cfg.chunk_tokens, cfg.head_dim)
+    if q.shape != shape or k_self.shape != shape or v_self.shape != shape:
+        raise ShapeError(f"q {q.shape}, k {k_self.shape}, v {v_self.shape}; want {shape}")
+    window_keys, window_values, window_means, bcfg, selector, q_cos, q_sin = \
+        _window(cache, cfg, query_chunk_index)
+    rotated = rotate(np.stack((q, k_self)), q_cos, q_sin)
+    q_means, k_self_means = block_means(rotated, cfg.block_tokens)  # [heads, t_m, d] each
+    # the chunk's own slots; the keys and values attended are views
+    keys, values, key_means = window_keys[layer], window_values[layer], window_means[layer]
+    keys[:, -1] = rotated[1]
+    values[:, -1] = v_self
+    key_means[:, -k_self_means.shape[1]:] = k_self_means
 
-    scores = block_scores(q_rot, k_full, bcfg)  # [heads, t_m, t_n]
+    scores = block_scores(q_means, key_means)  # [heads, t_m, t_n]
     if counters is not None:
         counters.pooled_scores += scores.size
     heads, t_m, t_n = scores.shape
     rows = build_mask(scores.reshape(heads * t_m, t_n), bcfg).active
     # head h's rows keep only head h's key blocks: [heads, t_m, heads, t_n]
-    packed = np.eye(heads, dtype=bool)[:, None, :, None] & rows.reshape(heads, t_m, 1, t_n)
-    tokens, d = q.shape[1:]
-    local = sparse_attention(q_rot.reshape(-1, d), k_full.reshape(-1, d),
-                             v_full.reshape(-1, d),
+    packed = selector & rows.reshape(heads, t_m, 1, t_n)
+    tokens, d = shape[1:]
+    local = sparse_attention(rotated[0].reshape(-1, d), keys.reshape(-1, d),
+                             values.reshape(-1, d),
                              BlockMask(packed.reshape(heads * t_m, heads * t_n)),
                              scale=1.0 / math.sqrt(d), counters=counters)
     local = local.reshape(heads, tokens, d).transpose(1, 0, 2).reshape(tokens, heads * d)

@@ -129,17 +129,33 @@ def check_tables(shape: tuple, cos: np.ndarray, sin: np.ndarray) -> None:
         raise ShapeError(f"rotation tables {cos.shape} do not fit x {shape}")
 
 
-def rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+def rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray,
+           out: np.ndarray | None = None) -> np.ndarray:
     """Rotate x's (even, odd) channel pairs by the angles whose cos and sin
     are given (see rotation_tables and check_tables). Rotations preserve
-    per-token norms exactly (up to rounding)."""
+    per-token norms exactly (up to rounding).
+
+    out, when given, is an array of x's shape that does not overlap x; the
+    rotation is written into it and it is returned. x is then rotated one
+    slab of the tables' shape at a time, so no temporary outgrows a slab.
+    """
     x = np.asarray(x, dtype=np.float64)
     check_tables(x.shape, cos, sin)
+    if out is None:
+        return _rotate_into(x, cos, sin, np.empty(x.shape))
+    if out.shape != x.shape:
+        raise ShapeError(f"out {out.shape} does not fit x {x.shape}")
+    for i in np.ndindex(x.shape[:x.ndim - cos.ndim]):
+        _rotate_into(x[i], cos, sin, out[i])
+    return out
+
+
+def _rotate_into(x: np.ndarray, cos: np.ndarray, sin: np.ndarray,
+                 out: np.ndarray) -> np.ndarray:
     # even' = even cos - odd sin, odd' = odd cos + even sin, accumulated in
     # place to hold one temporary at a time (addition order does not change
     # the rounding of a two-term sum)
     even, odd = x[..., 0::2], x[..., 1::2]
-    out = np.empty(x.shape)
     out_even, out_odd = out[..., 0::2], out[..., 1::2]
     np.multiply(even, cos, out=out_even)
     out_even -= odd * sin
@@ -148,7 +164,8 @@ def rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply_rope(x: np.ndarray, t_index, s_indices, config: RoPEConfig) -> np.ndarray:
+def apply_rope(x: np.ndarray, t_index, s_indices, config: RoPEConfig,
+               out: np.ndarray | None = None) -> np.ndarray:
     """Rotate each token's pairs: temporal pairs by the capped temporal
     index of its slice, spatial pairs by that token's own (uncapped)
     spatial index. The same as rotate(x, *rotation_tables(...)).
@@ -158,6 +175,7 @@ def apply_rope(x: np.ndarray, t_index, s_indices, config: RoPEConfig) -> np.ndar
     t_index: an int, or an int array broadcasting over x's leading dims
     (x.shape[:-2]), so one call rotates many slices, each at its own index.
     s_indices: [tokens], shared by every slice; None means all zeros.
+    out: as in rotate().
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim < 2 or x.shape[-1] != config.head_dim:
@@ -169,4 +187,4 @@ def apply_rope(x: np.ndarray, t_index, s_indices, config: RoPEConfig) -> np.ndar
     if s.shape != (tokens,):
         raise ShapeError(f"s_indices must have shape ({tokens},), got {s.shape}")
     # rotate() raises ShapeError unless t's shape broadcasts over x.shape[:-2]
-    return rotate(x, *rotation_tables(t_index, s, config))
+    return rotate(x, *rotation_tables(t_index, s, config), out=out)

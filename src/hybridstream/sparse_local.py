@@ -1,12 +1,14 @@
 """Block-sparse local attention: pooled block scoring, per-row top-K mask
 construction, and masked attention through one gathered softmax.
 
-A mask row is one query block's row of key blocks. The engine packs all
-heads into one call: block_scores batches over leading [heads] dims,
-build_mask takes the scores as [heads * t_m, t_n] rows (one per (head,
-query block) pair), and sparse_attention takes q, k and v as [heads *
-tokens, d] with a [heads * t_m, heads * t_n] block-diagonal mask whose
-head-h rows are active only in head h's key blocks.
+A mask row is one query block's row of key blocks. block_scores takes
+block means (block_means), so a caller can keep the means of keys it
+scores many times. The engine packs all heads into one call: block_scores
+batches over leading [heads] dims, build_mask takes the scores as [heads *
+t_m, t_n] rows (one per (head, query block) pair), and sparse_attention
+takes q, k and v as [heads * tokens, d] with a [heads * t_m, heads * t_n]
+block-diagonal mask whose head-h rows are active only in head h's key
+blocks.
 
 Gather rule: each query-block row's kept key blocks, in ascending order and
 padded to the largest per-row count c, are gathered as [rows, c * b_kv, d];
@@ -64,27 +66,28 @@ class BlockMask:
         return int(self.active.sum())
 
 
-def _split_blocks(x: np.ndarray, block: int, what: str) -> np.ndarray:
-    n = x.shape[-2]
-    if n % block != 0:
-        raise ShapeError(f"{what} length {n} not divisible by block size {block}")
-    return x.reshape(*x.shape[:-2], n // block, block, x.shape[-1])
+def block_means(x: np.ndarray, block: int) -> np.ndarray:
+    """Mean of each run of `block` consecutive tokens: [..., tokens, d] to
+    [..., tokens // block, d]. Raises ShapeError unless block divides the
+    token count."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim < 2 or x.shape[-2] % block != 0:
+        raise ShapeError(f"token count of {x.shape} not divisible by block size {block}")
+    return x.reshape(*x.shape[:-2], -1, block, x.shape[-1]).mean(axis=-2)
 
 
-def block_scores(q: np.ndarray, k: np.ndarray, cfg: BlockConfig) -> np.ndarray:
-    """Pooled importance scores: mean of each query block dotted with the
-    mean of each key block. q: [..., tokens, d] and k: [..., keys, d] with
-    equal leading dims, scored slice by slice into [..., T_m, T_n]. Raw
-    scores are returned; any row-monotone transform (e.g. a softmax)
-    selects the same top-K set."""
-    q = np.asarray(q, dtype=np.float64)
-    k = np.asarray(k, dtype=np.float64)
+def block_scores(q_means: np.ndarray, k_means: np.ndarray) -> np.ndarray:
+    """Pooled importance scores: each query block mean dotted with each key
+    block mean (see block_means). q_means: [..., T_m, d] and k_means:
+    [..., T_n, d] with equal leading dims, scored slice by slice into
+    [..., T_m, T_n]. Raw scores are returned; any row-monotone transform
+    (e.g. a softmax) selects the same top-K set."""
+    q = np.asarray(q_means, dtype=np.float64)
+    k = np.asarray(k_means, dtype=np.float64)
     if q.ndim < 2 or k.ndim != q.ndim or q.shape[:-2] != k.shape[:-2] \
             or q.shape[-1] != k.shape[-1]:
-        raise ShapeError(f"q {q.shape} and k {k.shape} differ outside their token axis")
-    qb = _split_blocks(q, cfg.block_q, "q").mean(axis=-2)  # [..., T_m, d]
-    kb = _split_blocks(k, cfg.block_kv, "k").mean(axis=-2)  # [..., T_n, d]
-    return qb @ kb.swapaxes(-1, -2)
+        raise ShapeError(f"q {q.shape} and k {k.shape} differ outside their block axis")
+    return q @ k.swapaxes(-1, -2)
 
 
 def build_mask(scores: np.ndarray, cfg: BlockConfig) -> BlockMask:

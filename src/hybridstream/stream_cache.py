@@ -6,10 +6,11 @@ capacity. Evicted entries are returned to the caller, which routes them
 into the attached linear states. Entries store unrotated keys; rotation
 happens at attention time from each entry's current relative temporal
 index, so cached content never needs re-rotation as the window slides.
-That index is fixed for a whole query chunk, so the engine rotates the
-visible keys and concatenates the visible values once per query chunk, for
-every layer and head, and keeps them in the cache's memo until the next
-append; snapshots never carry it.
+That index is fixed for a whole query chunk, so the engine lays out the
+rotated visible keys and the visible values once per query chunk, for
+every layer and head, in a workspace held by the cache's memo. The next
+query chunk rewrites the same arrays in place when their shape still fits;
+snapshots never carry them.
 
 A snapshot is a length-prefixed JSON manifest, the entries' keys and values
 and the linear states as exact f64 tensors, then a CRC-32 of every byte
@@ -104,7 +105,7 @@ class RollingCache:
         self.window_entries: list[ChunkKV] = []
         self.linear_states: list[LinearState] = linear_states or []
         self._next_index = 0
-        self._memo: tuple | None = None  # (key, value) of memo(); dropped on append
+        self._memo: tuple | None = None  # (key, value) of memo()
 
     @property
     def next_index(self) -> int:
@@ -134,7 +135,6 @@ class RollingCache:
                 f"sink_chunks={self.sink_chunks}"
             )
         self._next_index += 1
-        self._memo = None
         if expected_sink:
             self.sink_entries.append(kv)
             return None
@@ -145,12 +145,15 @@ class RollingCache:
         return evicted
 
     def memo(self, key, build):
-        """What `build()` returns for `key` over the current entries: built on
-        the first call, then reused until the key changes or the next append.
-        It lives in memory only."""
+        """What `build(stale)` returns for `key` over the current entries:
+        built on the first call, then reused until the key changes or the
+        next append. `stale` is the value it replaces (None at first), which
+        build may overwrite to reuse its arrays. It lives in memory only."""
         key = (self._next_index, key)
         if self._memo is None or self._memo[0] != key:
-            self._memo = (key, build())
+            stale = None if self._memo is None else self._memo[1]
+            self._memo = None  # a build that raises leaves no half-written value
+            self._memo = (key, build(stale))
         return self._memo[1]
 
     def entries(self) -> list[ChunkKV]:

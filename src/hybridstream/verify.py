@@ -25,7 +25,8 @@ from .distill import (
     train,
 )
 from .engine import NoiseSchedule, OpCounters, StreamConfig, ToyDenoiser, \
-    append_and_absorb, config_for_mode, dense_oracle_attention, hybrid_attention, run_stream
+    append_and_absorb, chunk_step, config_for_mode, dense_oracle_attention, hybrid_attention, \
+    run_stream
 from .linear_history import LinearState, absorb_evicted, history_output
 from .numerics import SeededRng, read_tensor_from, softmax_rows, write_tensor
 from .rope import RoPEConfig, apply_rope, rotation_tables, temporal_index
@@ -446,6 +447,26 @@ def _suite_hybrid() -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
+def workspace_reuse_check(cfg: StreamConfig, chunks: int) -> CheckResult:
+    """A stream whose cache rewrites one window workspace chunk after chunk
+    against the same stream with the cache restored from its snapshot before
+    every chunk, so each chunk lays its window out in fresh arrays. The
+    latents must be equal bit for bit."""
+    model = ToyDenoiser(cfg)
+    kept, fresh = model.new_cache(), model.new_cache()
+    kept_rng, fresh_rng = SeededRng(7), SeededRng(7)
+    differ = []
+    for i in range(chunks):
+        fresh = RollingCache.restore(fresh.snapshot())
+        a = chunk_step(model, kept, i, cfg.denoise_timesteps, kept_rng)
+        b = chunk_step(model, fresh, i, cfg.denoise_timesteps, fresh_rng)
+        if not np.array_equal(a, b):
+            differ.append(i)
+    return _check("engine.workspace_reuse_bit_identical", not differ,
+                  f"{chunks} chunks (RoPE cap {cfg.max_temporal_index}); "
+                  f"chunks that differ: {differ or 'none'}")
+
+
 def _suite_stream() -> list[CheckResult]:
     out = []
     res = run_stream(_TOY, 60)
@@ -457,6 +478,10 @@ def _suite_stream() -> list[CheckResult]:
     steady = res.chunk_score_evals[10:]
     out.append(_check("stream.flat_cost_counts", len(set(steady.tolist())) == 1,
                       f"steady-state score evals {steady[0]} per chunk"))
+
+    # keep_ratio 0.5 over a 12-frame window: top-k selection reads the key block means
+    out.append(workspace_reuse_check(replace(_TOY, keep_ratio=0.5, window_frames=12),
+                                     _TOY.max_temporal_index + 4))
 
     hybrid = run_stream(config_for_mode("hybrid", _TOY), 10)
     dense = run_stream(config_for_mode("dense21", _TOY), 10)

@@ -3,16 +3,19 @@ streaming loop invariants, and exact cost accounting."""
 
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from hybridstream import engine
 from hybridstream.engine import (
     NoiseSchedule,
     StreamConfig,
     ToyDenoiser,
     append_and_absorb,
+    chunk_step,
     config_for_mode,
     _window,
     dense_oracle_attention,
@@ -23,7 +26,8 @@ from hybridstream.engine import (
 from hybridstream.errors import ShapeError
 from hybridstream.numerics import SeededRng
 from hybridstream.rope import apply_rope, rotation_tables, temporal_index
-from hybridstream.sparse_local import BlockConfig, block_scores, build_mask, sparse_attention
+from hybridstream.sparse_local import (BlockConfig, block_means, block_scores, build_mask,
+                                      sparse_attention)
 from hybridstream.stream_cache import ChunkKV, RollingCache, relative_temporal_index
 from hybridstream.verify import random_cache
 
@@ -61,7 +65,8 @@ def per_head_hybrid(q, k_self, v_self, cache, layer, cfg, qci):
         k_full = np.concatenate(k_parts + [apply_rope(k_self[h], q_index, s_idx, rope_cfg)])
         v_full = np.concatenate([e.values[layer, h] for e, _ in visible] + [v_self[h]])
         q_rot = apply_rope(q[h], q_index, s_idx, rope_cfg)
-        mask = build_mask(block_scores(q_rot, k_full, bcfg), bcfg)
+        mask = build_mask(block_scores(block_means(q_rot, cfg.block_tokens),
+                                       block_means(k_full, cfg.block_tokens)), bcfg)
         heads.append(sparse_attention(q_rot, k_full, v_full, mask,
                                       scale=1.0 / math.sqrt(cfg.head_dim)))
     out = np.concatenate(heads, axis=1)
@@ -134,16 +139,19 @@ class TestRotatedWindowMemo:
             values = _window(cache, cfg, qci)[1]
             for layer, h in np.ndindex(cfg.layers, cfg.heads):
                 want = np.concatenate([e.values[layer, h] for e, _ in cache.visible_kv(qci)])
-                assert np.array_equal(values[layer, h], want)
+                # the last slot is the query chunk's own, written by each pass
+                assert np.array_equal(values[layer, h, :-1].reshape(want.shape), want)
             return values
 
         cache = random_cache(cfg, 8, seed=70)
         before = check(cache, 9)
         assert _window(cache, cfg, 9)[1] is before  # reused within the query chunk
+        before = before.copy()  # the next build rewrites the workspace in place
         # an append (which evicts here) drops the memo for the same query index
         assert append_and_absorb(cache, random_chunk_kv(cfg, 8, seed=71), cfg) is not None
         after = check(cache, 9)
-        assert after.shape == before.shape and not np.array_equal(after, before)
+        assert after.shape == before.shape
+        assert not np.array_equal(after[:, :, :-1], before[:, :, :-1])
         # a restored snapshot builds its own
         restored = RollingCache.restore(cache.snapshot())
         assert check(restored, 9) is not after
@@ -155,6 +163,119 @@ class TestRotatedWindowMemo:
         q, k_self, v_self = random_qkv(cfg, 61)
         hybrid_attention(q, k_self, v_self, cache, 0, cfg, 8)
         assert cache.snapshot() == before
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes fn() allocates on top of what is live when it starts."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestWindowWorkspace:
+    """One workspace per cache, rewritten in place for each query chunk."""
+
+    CFG = TestRotatedWindowMemo.CFG  # sink 1, capacity 4: 5 visible entries from chunk 5
+
+    @staticmethod
+    def arrays(w):
+        keys, values, key_means, _, selector = w[:5]
+        return keys, values, key_means, selector
+
+    def test_reused_across_steady_chunks_reallocated_in_warm_up(self):
+        cfg = self.CFG
+        model = ToyDenoiser(cfg)
+        cache = model.new_cache()
+        rng = SeededRng(80)
+        seen = []
+        for i in range(10):
+            seen.append(self.arrays(_window(cache, cfg, i)))
+            chunk_step(model, cache, i, cfg.denoise_timesteps, rng)
+        for i in range(1, 10):
+            # the window grows through chunk 5, then keeps its size
+            reused = [a is b for a, b in zip(seen[i], seen[i - 1])]
+            assert reused == [i > 5] * 4, (i, reused)
+
+    def test_reallocated_after_restore_and_for_other_sizes(self):
+        cfg = self.CFG
+        cache = random_cache(cfg, 8, seed=81)
+        q, k_self, v_self = random_qkv(cfg, 82)
+        first = self.arrays(_window(cache, cfg, 8))
+        restored = RollingCache.restore(cache.snapshot())
+        assert not any(a is b for a, b in zip(first, self.arrays(_window(restored, cfg, 8))))
+        # two-frame chunks of 6 tokens: the same keys, other block means
+        other = replace(cfg, frames_per_chunk=2, tokens_per_frame=6)
+        got = hybrid_attention(q, k_self, v_self, cache, 1, other, 8)
+        assert np.array_equal(got, per_head_hybrid(q, k_self, v_self, cache, 1, other, 8))
+        assert _window(cache, other, 8)[2] is not first[2]
+        # a config of the same sizes rewrites the arrays it finds
+        same_sizes = replace(cfg, keep_ratio=0.25)
+        kept = self.arrays(_window(cache, same_sizes, 8))
+        for c in (cfg, same_sizes, cfg):
+            got = hybrid_attention(q, k_self, v_self, cache, 0, c, 8)
+            assert np.array_equal(got, per_head_hybrid(q, k_self, v_self, cache, 0, c, 8))
+            assert all(a is b for a, b in zip(kept, self.arrays(_window(cache, c, 8))))
+
+    def test_output_unchanged_by_later_passes(self):
+        cfg = self.CFG
+        cache = random_cache(cfg, 8, seed=83)
+        q, k_self, v_self = random_qkv(cfg, 84)
+        out = hybrid_attention(q, k_self, v_self, cache, 0, cfg, 8)
+        kept = out.copy()
+        for seed in (85, 86):
+            q2, k2, v2 = random_qkv(cfg, seed)
+            for layer in range(cfg.layers):
+                hybrid_attention(q2, k2, v2, cache, layer, cfg, 8)
+            append_and_absorb(cache, random_chunk_kv(cfg, cache.next_index, seed), cfg)
+            hybrid_attention(q2, k2, v2, cache, 0, cfg, cache.next_index)
+        assert np.array_equal(out, kept)
+
+    def test_one_cache_bit_equal_to_per_head_reference_past_the_cap(self):
+        # the same cache from its first chunk until relative indices saturate
+        cfg = self.CFG
+        cache = ToyDenoiser(cfg).new_cache()
+        for i in range(cfg.max_temporal_index + 5):
+            for seed in (1000 + i, 2000 + i):  # two passes per query chunk
+                q, k_self, v_self = random_qkv(cfg, seed)
+                for layer in range(cfg.layers):
+                    got = hybrid_attention(q, k_self, v_self, cache, layer, cfg, i)
+                    want = per_head_hybrid(q, k_self, v_self, cache, layer, cfg, i)
+                    assert np.array_equal(got, want), (i, seed, layer)
+            append_and_absorb(cache, random_chunk_kv(cfg, i, seed=3000 + i, sink=i < 1), cfg)
+
+    def test_steady_chunk_allocates_less_than_a_layer_of_window_keys(self, monkeypatch):
+        # window 45 in steady state: 16 visible entries of 48 tokens
+        cfg = replace(StreamConfig(), window_frames=45)
+        cache = random_cache(cfg, 17, seed=87)
+        q, k_self, v_self = random_qkv(cfg, 88)
+        hybrid_attention(q, k_self, v_self, cache, 0, cfg, 17)
+        append_and_absorb(cache, random_chunk_kv(cfg, 17, seed=89), cfg)
+        visible = len(cache.visible_kv(18))
+        assert visible == 16
+        layer_keys = cfg.heads * visible * cfg.chunk_tokens * cfg.head_dim * 8
+
+        # the chunk's rebuild rewrites the last chunk's arrays
+        assert traced_peak(lambda: _window(cache, cfg, 18)) < layer_keys
+
+        # a pass holds nothing that large beside its gathered softmax, whose
+        # own temporaries test_sparse_local bounds
+        calls = []
+
+        def kernel(*args, **kwargs):
+            calls.append((args, kwargs))
+            return sparse_attention(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "sparse_attention", kernel)
+        hybrid_attention(q, k_self, v_self, cache, 1, cfg, 18)
+        attention = traced_peak(lambda: hybrid_attention(q, k_self, v_self, cache, 1, cfg, 18))
+        args, kwargs = calls[-1]
+        softmax = traced_peak(lambda: sparse_attention(*args, **kwargs))
+        assert attention - softmax < layer_keys, (attention, softmax, layer_keys)
 
 
 class TestHybridAttention:
@@ -191,8 +312,6 @@ class TestHybridAttention:
         s_idx = np.arange(float(cfg.chunk_tokens))
         q_index = temporal_index(8, rope_cfg)
         visible = cache.visible_kv(8)
-        from hybridstream.sparse_local import BlockConfig, block_scores, build_mask
-
         bpc = cfg.blocks_per_chunk
         forced = set()
         for pos, (entry, _) in enumerate(visible):
@@ -210,8 +329,8 @@ class TestHybridAttention:
             k_full = np.concatenate(k_parts)
             v_full = np.concatenate(v_parts)
             q_rot = apply_rope(q[h], q_index, s_idx, rope_cfg)
-            mask = build_mask(block_scores(q_rot, k_full, bcfg), bcfg)
             b = cfg.block_tokens
+            mask = build_mask(block_scores(block_means(q_rot, b), block_means(k_full, b)), bcfg)
             rows = []
             for i in range(mask.shape[0]):
                 vals = np.concatenate(

@@ -161,6 +161,27 @@ class TestTablesAndRotate:
         with pytest.raises(ShapeError):
             rotate(np.zeros((6, 15)), cos, sin)
 
+    def test_out_bit_equal_to_fresh_result(self):
+        # slab-wise into out, including a strided view such as the engine's
+        # window slots, and with tables that broadcast over leading dims
+        x = SeededRng(13).normal((2, 3, 4, 6, 16))
+        s = np.arange(6.0)
+        for t in (7, np.array([0, 21, 5, 9]), np.array([[1, 2, 3, 4]] * 3)):
+            want = apply_rope(x, t, s, CFG)
+            slots = np.full((2, 3, 5, 6, 16), np.nan)
+            got = apply_rope(x, t, s, CFG, out=slots[:, :, :4])
+            assert got.base is slots and np.array_equal(got, want)
+            assert np.isnan(slots[:, :, 4]).all()  # nothing outside out is written
+            cos, sin = rotation_tables(t, s, CFG)
+            assert np.array_equal(rotate(x, cos, sin, out=np.empty(x.shape)), want)
+
+    def test_out_must_fit_x(self):
+        x = np.zeros((2, 4, 6, 16))
+        cos, sin = rotation_tables(3, np.zeros(6), CFG)
+        for shape in ((2, 4, 6, 15), (1, 4, 6, 16), (4, 6, 16)):
+            with pytest.raises(ShapeError):
+                rotate(x, cos, sin, out=np.empty(shape))
+
 
 class TestConfig:
     def test_pair_accounting(self):

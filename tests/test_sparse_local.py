@@ -11,6 +11,7 @@ from hybridstream.numerics import SeededRng, softmax_rows
 from hybridstream.sparse_local import (
     BlockConfig,
     BlockMask,
+    block_means,
     block_scores,
     build_mask,
     sparse_attention,
@@ -37,6 +38,10 @@ def reference_mask(scores, cfg):
     return active
 
 
+def pooled_scores(q, k, cfg):
+    return block_scores(block_means(q, cfg.block_q), block_means(k, cfg.block_kv))
+
+
 def random_qkv(seed, n_q=16, n_kv=32, d=8):
     rng = SeededRng(seed)
     return rng.normal((n_q, d)), rng.normal((n_kv, d)), rng.normal((n_kv, d))
@@ -48,21 +53,21 @@ class TestBlockScores:
         q = rng.normal((8, 4))
         kb = rng.normal((4, 4))
         k = np.concatenate([kb, kb, kb], axis=0)
-        scores = block_scores(q, k, BlockConfig(4, 4, 0.5))
+        scores = pooled_scores(q, k, BlockConfig(4, 4, 0.5))
         assert np.abs(scores - scores[:, :1]).max() < 1e-12
 
     def test_all_ones_blocks_score_is_dim(self):
         d = 6
         q = np.ones((4, d))
         k = np.ones((4, d))
-        scores = block_scores(q, k, BlockConfig(4, 4, 1.0))
+        scores = pooled_scores(q, k, BlockConfig(4, 4, 1.0))
         assert scores.shape == (1, 1)
         assert abs(scores[0, 0] - d) < 1e-12
 
     def test_matches_per_token_mean_oracle(self):
         q, k, _ = random_qkv(1)
         cfg = BlockConfig(4, 8, 0.5)
-        scores = block_scores(q, k, cfg)
+        scores = pooled_scores(q, k, cfg)
         t_m, t_n = scores.shape
         for i in range(t_m):
             qi = q[i * 4:(i + 1) * 4].mean(axis=0)
@@ -71,24 +76,25 @@ class TestBlockScores:
                 assert abs(scores[i, j] - qi @ kj) < 1e-12
 
     def test_indivisible_tokens_rejected(self):
-        with pytest.raises(ShapeError):
-            block_scores(np.zeros((5, 4)), np.zeros((8, 4)), BlockConfig(4, 4, 1.0))
+        for shape in ((5, 4), (2, 7, 4), (4,)):
+            with pytest.raises(ShapeError):
+                block_means(np.zeros(shape), 4)
 
     def test_batched_bit_equal_to_per_slice_calls(self):
         rng = SeededRng(16)
         q, k = rng.normal((2, 3, 16, 8)), rng.normal((2, 3, 40, 8))
         cfg = BlockConfig(4, 8, 0.5)
-        got = block_scores(q, k, cfg)
+        got = pooled_scores(q, k, cfg)
         assert got.shape == (2, 3, 4, 5)
         for i, j in np.ndindex(2, 3):
-            assert np.array_equal(got[i, j], block_scores(q[i, j], k[i, j], cfg))
+            assert np.array_equal(got[i, j], pooled_scores(q[i, j], k[i, j], cfg))
+            assert np.array_equal(block_means(k, 8)[i, j], block_means(k[i, j], 8))
 
     def test_leading_dims_must_agree(self):
-        cfg = BlockConfig(4, 4, 1.0)
-        for q, k in [((2, 8, 4), (3, 8, 4)), ((2, 8, 4), (8, 4)), ((8, 4), (8,)),
-                     ((2, 8, 4), (2, 8, 5))]:
+        for q, k in [((2, 2, 4), (3, 2, 4)), ((2, 2, 4), (2, 4)), ((2, 4), (2,)),
+                     ((2, 2, 4), (2, 2, 5))]:
             with pytest.raises(ShapeError):
-                block_scores(np.zeros(q), np.zeros(k), cfg)
+                block_scores(np.zeros(q), np.zeros(k))
 
 
 class TestBuildMask:
@@ -174,7 +180,7 @@ class TestBuildMask:
 class TestSparseAttention:
     def test_dense_limit_equals_plain_softmax(self):
         q, k, v = random_qkv(6)
-        mask = build_mask(block_scores(q, k, BlockConfig(4, 4, 1.0)), BlockConfig(4, 4, 1.0))
+        mask = build_mask(pooled_scores(q, k, BlockConfig(4, 4, 1.0)), BlockConfig(4, 4, 1.0))
         scale = 1.0 / np.sqrt(q.shape[1])
         got = sparse_attention(q, k, v, mask, scale)
         want = softmax_rows((q @ k.T) * scale) @ v
@@ -213,7 +219,7 @@ class TestSparseAttention:
 
         q, k, v = random_qkv(13, n_q=8, n_kv=24, d=8)
         cfg = BlockConfig(4, 4, 0.34)
-        mask = build_mask(block_scores(q, k, cfg), cfg)
+        mask = build_mask(pooled_scores(q, k, cfg), cfg)
         c = Counter()
         sparse_attention(q, k, v, mask, counters=c)
         assert c.score_evals == mask.active_count() * 4 * 4
@@ -233,7 +239,7 @@ class TestSparseAttention:
         cfg = BlockConfig(b, b, 0.5, frozenset({0, 5}))
         q = rng.normal((heads, t_m * b, d))
         k, v = rng.normal((heads, t_n * b, d)), rng.normal((heads, t_n * b, d))
-        rows = build_mask(block_scores(q, k, cfg).reshape(heads * t_m, t_n), cfg).active
+        rows = build_mask(pooled_scores(q, k, cfg).reshape(heads * t_m, t_n), cfg).active
         packed = np.zeros((heads, t_m, heads, t_n), dtype=bool)
         for h in range(heads):
             packed[h, :, h] = rows.reshape(heads, t_m, t_n)[h]
