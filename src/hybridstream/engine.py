@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,7 +28,7 @@ from scipy.special import erf
 from .errors import ShapeError
 from .linear_history import LinearState, absorb_evicted, history_output
 from .numerics import SeededRng, softmax_rows
-from .rope import RoPEConfig, apply_rope, rotate, rotation_tables, temporal_index
+from .rope import RoPEConfig, apply_rope, position_tables, rotate, temporal_index
 from .sparse_local import (BlockConfig, BlockMask, block_means, block_scores, build_mask,
                            sparse_attention)
 from .stream_cache import ChunkKV, RollingCache, relative_temporal_index
@@ -66,6 +67,9 @@ class NoiseSchedule:
     def rectified_flow(cls) -> "NoiseSchedule":
         return cls(alpha=lambda t: 1.0 - np.asarray(t, dtype=np.float64),
                    beta=lambda t: np.asarray(t, dtype=np.float64) + 0.0)
+
+
+_RECTIFIED_FLOW = NoiseSchedule.rectified_flow()  # the chunk step's, built once
 
 
 @dataclass(frozen=True)
@@ -116,6 +120,11 @@ class StreamConfig:
         return self.tokens_per_frame
 
     def rope_config(self) -> RoPEConfig:
+        return self._rope_config
+
+    @cached_property
+    def _rope_config(self) -> RoPEConfig:
+        # built on first use; a frozen config's rotation never changes
         return RoPEConfig.half_split(self.head_dim, self.base_theta,
                                      self.max_temporal_index)
 
@@ -153,6 +162,22 @@ def _chunk_spatial_indices(cfg: StreamConfig) -> np.ndarray:
     return np.arange(cfg.chunk_tokens, dtype=np.float64)
 
 
+@lru_cache(maxsize=64)
+def _block_layout(sinks: tuple, block: int, blocks_per_chunk: int, keep_ratio: float,
+                  heads: int) -> tuple:
+    """The BlockConfig and the read-only [heads, 1, heads, 1] selector of the
+    block-diagonal head mask, for a window whose entries have the given sink
+    flags. Shared by every cache and config with that layout."""
+    n, bpc = len(sinks), blocks_per_chunk
+    forced = set(range(n * bpc, (n + 1) * bpc))
+    for pos, is_sink in enumerate(sinks):
+        if is_sink:
+            forced.update(range(pos * bpc, (pos + 1) * bpc))
+    selector = np.eye(heads, dtype=bool)[:, None, :, None]
+    selector.flags.writeable = False
+    return BlockConfig(block, block, keep_ratio, frozenset(forced)), selector
+
+
 def _window(cache: RollingCache, cfg: StreamConfig, query_chunk_index: int) -> tuple:
     """What every layer pass of a query chunk shares, built once per chunk
     into a workspace held on the cache (RollingCache.memo):
@@ -171,37 +196,38 @@ def _window(cache: RollingCache, cfg: StreamConfig, query_chunk_index: int) -> t
     its layer's last slots (hybrid_attention). The next query chunk rewrites
     these arrays in place, so they are valid only until then. New arrays are
     made only when a shape changes: while the window grows, for a new
-    (restored) cache, or for a config of other sizes."""
+    (restored) cache, or for a config of other sizes.
+
+    Nothing else is built per chunk. The rotation tables come from
+    rope.position_tables: the window keys' are gathered at the entries'
+    relative indices and the queries' are a read-only view of it. The
+    BlockConfig and the selector are shared per window layout
+    (_block_layout)."""
     def build(stale: tuple | None) -> tuple:
         visible = cache.visible_kv(query_chunk_index)
         n, bpc, bt = len(visible), cfg.blocks_per_chunk, cfg.block_tokens
-        forced = set(range(n * bpc, (n + 1) * bpc))
-        for pos, (entry, _) in enumerate(visible):
-            if entry.is_sink:
-                forced.update(range(pos * bpc, (pos + 1) * bpc))
-        bcfg = BlockConfig(bt, bt, cfg.keep_ratio, frozenset(forced))
-        rope_cfg = cfg.rope_config()
-        s_idx = _chunk_spatial_indices(cfg)
         layers, heads, d = cfg.layers, cfg.heads, cfg.head_dim
+        bcfg, selector = _block_layout(tuple(e.is_sink for e, _ in visible), bt, bpc,
+                                       cfg.keep_ratio, heads)
+        rope_cfg = cfg.rope_config()
+        cos, sin = position_tables(rope_cfg, cfg.chunk_tokens)
         shape = (layers, heads, n + 1, cfg.chunk_tokens, d)
         means_shape = (layers, heads, (n + 1) * bpc, d)
         if stale is not None and (stale[0].shape, stale[2].shape) == (shape, means_shape):
-            keys, values, key_means, _, selector = stale[:5]
+            keys, values, key_means = stale[:3]
         else:
             keys, values, key_means = np.empty(shape), np.empty(shape), np.empty(means_shape)
-            selector = np.eye(heads, dtype=bool)[:, None, :, None]
         if visible:
             # the unrotated keys are staged where the values go next
             staged = values[:, :, :n]
             np.stack([e.keys for e, _ in visible], axis=2, out=staged)
             rel = np.array([r for _, r in visible])
-            apply_rope(staged, rel, s_idx, rope_cfg, out=keys[:, :, :n])
+            rotate(staged, cos[rel], sin[rel], out=keys[:, :, :n])
             np.stack([e.values for e, _ in visible], axis=2, out=staged)
             window_keys = keys[:, :, :n].reshape(layers, heads, -1, d)  # a view
             key_means[:, :, :n * bpc] = block_means(window_keys, bt)
-        q_cos, q_sin = rotation_tables(temporal_index(query_chunk_index, rope_cfg),
-                                       s_idx, rope_cfg)
-        return keys, values, key_means, bcfg, selector, q_cos, q_sin
+        q_t = temporal_index(query_chunk_index, rope_cfg)
+        return keys, values, key_means, bcfg, selector, cos[q_t], sin[q_t]
 
     return cache.memo((query_chunk_index, cfg), build)
 
@@ -226,7 +252,8 @@ def hybrid_attention(
     mask. All heads go through one block_scores, one build_mask and one
     sparse_attention call, packed as the sparse_local module describes.
     Returns [chunk_tokens, model_dim]: sparse local output plus the
-    history readout, summed elementwise.
+    history readout, summed elementwise. Until the layer's state absorbs
+    a chunk the readout is exact zeros, so it is not computed.
     """
     shape = (cfg.heads, cfg.chunk_tokens, cfg.head_dim)
     if q.shape != shape or k_self.shape != shape or v_self.shape != shape:
@@ -255,11 +282,9 @@ def hybrid_attention(
                              scale=1.0 / math.sqrt(d), counters=counters)
     local = local.reshape(heads, tokens, d).transpose(1, 0, 2).reshape(tokens, heads * d)
 
-    if layer < len(cache.linear_states):
-        hist = history_output(cache.linear_states[layer], q, q_cos, q_sin)
-    else:
-        hist = np.zeros_like(local)
-    return local + hist
+    if layer < len(cache.linear_states) and cache.linear_states[layer].evicted_tokens:
+        local += history_output(cache.linear_states[layer], q, q_cos, q_sin)
+    return local
 
 
 def dense_oracle_attention(
@@ -428,7 +453,7 @@ def chunk_step(model: ToyDenoiser, cache: RollingCache, chunk_index: int,
     prediction, then append it (absorbing any eviction).
     """
     cfg = model.cfg
-    schedule = NoiseSchedule.rectified_flow()
+    schedule = _RECTIFIED_FLOW
     shape = (cfg.chunk_tokens, cfg.model_dim)
     x = rng.normal(shape)
     for j, t in enumerate(timesteps):

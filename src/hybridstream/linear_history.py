@@ -160,7 +160,8 @@ def history_output(
     queries: [heads, tokens, head_dim], unrotated. cos, sin: the queries'
     rotation tables, [tokens, head_dim // 2] or broadcasting over the heads
     (rope.rotation_tables at the query chunk's temporal index and the
-    tokens' spatial indices); a caller builds them once per query chunk.
+    tokens' spatial indices, or that index's view of rope.position_tables);
+    a caller takes them once per query chunk.
     Returns [tokens, model_dim]. An empty state returns exact zeros: the
     pathway is inactive until the first eviction.
     """

@@ -38,12 +38,6 @@ def _mix64_int(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
-    return z ^ (z >> np.uint64(31))
-
-
 class SeededRng:
     """Counter-based deterministic generator.
 
@@ -62,10 +56,19 @@ class SeededRng:
         self._counter = 0
 
     def _raw(self, n: int) -> np.ndarray:
-        idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
+        # splitmix64 of seed + i * GOLDEN, mixed in place in one array (unsigned
+        # array arithmetic wraps modulo 2**64 without a warning)
+        z = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
         self._counter += n
-        with np.errstate(over="ignore"):
-            return _mix64(np.uint64(self.seed) + idx * np.uint64(_GOLDEN))
+        z *= np.uint64(_GOLDEN)
+        z += np.uint64(self.seed)
+        shifted = np.empty_like(z)
+        z ^= np.right_shift(z, np.uint64(30), out=shifted)
+        z *= np.uint64(_MIX_A)
+        z ^= np.right_shift(z, np.uint64(27), out=shifted)
+        z *= np.uint64(_MIX_B)
+        z ^= np.right_shift(z, np.uint64(31), out=shifted)
+        return z
 
     def derive(self, stream: int) -> "SeededRng":
         """Independent child generator for a numbered stream."""
@@ -76,8 +79,9 @@ class SeededRng:
         """n doubles in [0, 1), 53-bit resolution."""
         if n < 0:
             raise ValueError("n must be >= 0")
-        raw = self._raw(n)
-        return (raw >> np.uint64(11)).astype(np.float64) * _INV_2_53
+        u = (self._raw(n) >> np.uint64(11)).astype(np.float64)
+        u *= _INV_2_53
+        return u
 
     def integers(self, n: int) -> np.ndarray:
         """n raw uint64 draws."""
@@ -97,14 +101,19 @@ class SeededRng:
         if n == 0:
             return np.zeros(out_shape, dtype=np.float64)
         m = (n + 1) // 2
-        raw = self._raw(2 * m)
-        u1 = ((raw[:m] >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * _INV_2_53
-        u2 = (raw[m:] >> np.uint64(11)).astype(np.float64) * _INV_2_53
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = (2.0 * np.pi) * u2
+        # every 53-bit draw is exact in float64, so adding 1 after the
+        # conversion rounds as adding it before would
+        u = (self._raw(2 * m) >> np.uint64(11)).astype(np.float64)
+        u1, u2 = u[:m], u[m:]
+        u1 += 1.0
+        u *= _INV_2_53
+        r = np.log(u1)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        u2 *= 2.0 * np.pi  # theta
         z = np.empty(2 * m, dtype=np.float64)
-        z[0::2] = r * np.cos(theta)
-        z[1::2] = r * np.sin(theta)
+        np.multiply(r, np.cos(u2), out=z[0::2])
+        np.multiply(r, np.sin(u2), out=z[1::2])
         return z[:n].reshape(out_shape)
 
 

@@ -8,7 +8,11 @@ range; spatial indices are never capped.
 
 rotation_tables builds the cos and sin of every pair's angle for given
 indices, and rotate applies such tables to a tensor; apply_rope is the two
-composed. Tables fixed over many rotations are built once and reused.
+composed. Tables fixed over many rotations are built once and reused:
+position_tables holds, per config and token count, the tables of every
+capped temporal index at the spatial indices 0..tokens - 1, so a caller
+that rotates whole chunks takes a chunk's tables as a view (one index) or
+gathers one per slice (an index array) instead of building them.
 """
 
 from __future__ import annotations
@@ -116,6 +120,19 @@ def rotation_tables(t_index, s_indices, config: RoPEConfig) -> tuple[np.ndarray,
         cos[..., pt:] = np.cos(ang)
         sin[..., pt:] = np.sin(ang)
     return cos, sin
+
+
+@lru_cache(maxsize=32)
+def position_tables(config: RoPEConfig, tokens: int) -> tuple[np.ndarray, np.ndarray]:
+    """rotation_tables(t, arange(tokens), config) for every t in 0..cap at
+    once: cos and sin, each [max_temporal_index + 1, tokens, head_dim // 2].
+    Built once per (config, tokens) and read-only, since every caller with
+    that config and token count shares them."""
+    tables = rotation_tables(np.arange(config.max_temporal_index + 1),
+                             np.arange(tokens, dtype=np.float64), config)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def check_tables(shape: tuple, cos: np.ndarray, sin: np.ndarray) -> None:

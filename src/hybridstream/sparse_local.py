@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +42,14 @@ class BlockConfig:
             raise ShapeError("block sizes must be >= 1")
         if not (0.0 < self.keep_ratio <= 1.0):
             raise ValueError(f"keep_ratio must be in (0, 1], got {self.keep_ratio}")
+
+    @cached_property
+    def forced_index(self) -> np.ndarray:
+        """forced_blocks in ascending order, as a read-only index array built
+        on first use."""
+        index = np.array(sorted(self.forced_blocks), dtype=np.intp)
+        index.flags.writeable = False
+        return index
 
 
 @dataclass
@@ -73,7 +82,8 @@ def block_means(x: np.ndarray, block: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim < 2 or x.shape[-2] % block != 0:
         raise ShapeError(f"token count of {x.shape} not divisible by block size {block}")
-    return x.reshape(*x.shape[:-2], -1, block, x.shape[-1]).mean(axis=-2)
+    # the sum over the block axis divided by the count, as x.mean rounds it
+    return x.reshape(*x.shape[:-2], -1, block, x.shape[-1]).sum(axis=-2) / block
 
 
 def block_scores(q_means: np.ndarray, k_means: np.ndarray) -> np.ndarray:
@@ -101,13 +111,13 @@ def build_mask(scores: np.ndarray, cfg: BlockConfig) -> BlockMask:
     if scores.ndim != 2:
         raise ShapeError(f"scores must be 2-D, got shape {scores.shape}")
     t_m, t_n = scores.shape
-    forced = sorted(cfg.forced_blocks)
-    if forced and (forced[0] < 0 or forced[-1] >= t_n):
-        raise ShapeError(f"forced block {forced} out of range for {t_n} key blocks")
-    quota = max(len(forced), math.ceil(cfg.keep_ratio * t_n))
+    forced = cfg.forced_index
+    if forced.size and (forced[0] < 0 or forced[-1] >= t_n):
+        raise ShapeError(f"forced block {forced.tolist()} out of range for {t_n} key blocks")
+    quota = max(forced.size, math.ceil(cfg.keep_ratio * t_n))
     active = np.zeros((t_m, t_n), dtype=bool)
     active[:, forced] = True
-    need = quota - len(forced)
+    need = quota - forced.size
     if need > 0:
         # a stable sort of the negated scores of the free blocks is descending
         # by score with ties kept in ascending (lower-index-first) order

@@ -14,7 +14,8 @@ import pytest
 
 from hybridstream import verify
 from hybridstream.distill import AffineGenerator, DistillConfig, GaussianWorld, train
-from hybridstream.engine import StreamConfig, config_for_mode, run_stream
+from hybridstream.engine import (_NOISE_STREAM, OpCounters, StreamConfig, ToyDenoiser,
+                                 chunk_step, config_for_mode, run_stream)
 from hybridstream.numerics import SeededRng
 from hybridstream.cli import main as cli_main
 
@@ -80,22 +81,42 @@ def expected_score_evals(cfg: StreamConfig, chunk_index: int) -> int:
     return bpc * quota * cfg.block_tokens * cfg.block_tokens * cfg.heads * cfg.layers * passes
 
 
+def alternated_streams(cfgs, chunks: int):
+    """Stream every config's chunks in turn, chunk i of each before chunk
+    i + 1 of any, and the order flipped every chunk, so a change of host
+    speed reaches every stream alike. Per config: (score_evals, chunk_ms),
+    each [chunks], with the noise run_stream would draw."""
+    models = [ToyDenoiser(cfg) for cfg in cfgs]
+    caches = [m.new_cache() for m in models]
+    rngs = [SeededRng(cfg.seed).derive(_NOISE_STREAM) for cfg in cfgs]
+    evals = np.zeros((len(cfgs), chunks), dtype=np.int64)
+    ms = np.zeros((len(cfgs), chunks))
+    for i in range(chunks):
+        order = range(len(cfgs)) if i % 2 == 0 else reversed(range(len(cfgs)))
+        for j in order:
+            counters = OpCounters()
+            start = time.perf_counter()
+            chunk_step(models[j], caches[j], i, cfgs[j].denoise_timesteps, rngs[j], counters)
+            ms[j, i] = (time.perf_counter() - start) * 1e3
+            evals[j, i] = counters.score_evals
+    return list(zip(evals, ms))
+
+
 def test_cost_model_hybrid_vs_dense21():
     with criterion("cost model: hybrid cheaper than dense SWA(21)", 60.0):
         hybrid_cfg = config_for_mode("hybrid", TOY)
         dense_cfg = config_for_mode("dense21", TOY)
-        h = run_stream(hybrid_cfg, 40)
-        d = run_stream(dense_cfg, 40)
+        (h_evals, h_ms), (d_evals, d_ms) = alternated_streams([hybrid_cfg, dense_cfg], 40)
         # exact integer agreement with the analytic operation count
         for i in range(40):
-            assert h.chunk_score_evals[i] == expected_score_evals(hybrid_cfg, i)
-            assert d.chunk_score_evals[i] == expected_score_evals(dense_cfg, i)
-        assert (h.chunk_score_evals < d.chunk_score_evals)[8:].all()
-        ratio = d.chunk_score_evals[-1] / h.chunk_score_evals[-1]
+            assert h_evals[i] == expected_score_evals(hybrid_cfg, i)
+            assert d_evals[i] == expected_score_evals(dense_cfg, i)
+        assert (h_evals < d_evals)[8:].all()
+        ratio = d_evals[-1] / h_evals[-1]
         want = expected_score_evals(dense_cfg, 39) / expected_score_evals(hybrid_cfg, 39)
         assert ratio == want
         # desk-scale wall clock: at least 1.2x faster per chunk
-        speedup = float(np.median(d.chunk_ms[10:]) / np.median(h.chunk_ms[10:]))
+        speedup = float(np.median(d_ms[10:]) / np.median(h_ms[10:]))
         assert speedup >= 1.2, f"wall-clock speedup {speedup:.2f}"
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from hybridstream import engine
 from hybridstream.engine import (
+    BENCH_MODES,
     NoiseSchedule,
     StreamConfig,
     ToyDenoiser,
@@ -25,7 +26,8 @@ from hybridstream.engine import (
 )
 from hybridstream.errors import ShapeError
 from hybridstream.numerics import SeededRng
-from hybridstream.rope import apply_rope, rotation_tables, temporal_index
+from hybridstream.linear_history import history_output
+from hybridstream.rope import apply_rope, position_tables, rotation_tables, temporal_index
 from hybridstream.sparse_local import (BlockConfig, block_means, block_scores, build_mask,
                                       sparse_attention)
 from hybridstream.stream_cache import ChunkKV, RollingCache, relative_temporal_index
@@ -184,8 +186,8 @@ class TestWindowWorkspace:
 
     @staticmethod
     def arrays(w):
-        keys, values, key_means, _, selector = w[:5]
-        return keys, values, key_means, selector
+        # the selector is shared per window layout, not owned by the cache
+        return w[:3]
 
     def test_reused_across_steady_chunks_reallocated_in_warm_up(self):
         cfg = self.CFG
@@ -199,7 +201,7 @@ class TestWindowWorkspace:
         for i in range(1, 10):
             # the window grows through chunk 5, then keeps its size
             reused = [a is b for a, b in zip(seen[i], seen[i - 1])]
-            assert reused == [i > 5] * 4, (i, reused)
+            assert reused == [i > 5] * 3, (i, reused)
 
     def test_reallocated_after_restore_and_for_other_sizes(self):
         cfg = self.CFG
@@ -276,6 +278,104 @@ class TestWindowWorkspace:
         args, kwargs = calls[-1]
         softmax = traced_peak(lambda: sparse_attention(*args, **kwargs))
         assert attention - softmax < layer_keys, (attention, softmax, layer_keys)
+
+
+class TestSharedTables:
+    """The rotation tables and the block layouts are built once per sizes and
+    shared by every cache, config and seed that has them."""
+
+    @staticmethod
+    def stream_every_mode(seed):
+        for window in (9, 45):
+            for mode in BENCH_MODES:
+                cfg = config_for_mode(mode, replace(TOY, window_frames=window, seed=seed))
+                run_stream(cfg, 18)  # window 45 is full from chunk 16
+
+    def test_bounded_and_independent_of_the_seed(self):
+        caches = (position_tables, engine._block_layout)
+        for c in caches:
+            c.cache_clear()
+        self.stream_every_mode(seed=1)
+        first = [c.cache_info() for c in caches]
+        assert all(0 < info.currsize < info.maxsize for info in first), first
+        for seed in (2, 3):
+            self.stream_every_mode(seed)
+        # no entry was added or rebuilt: every later lookup hit
+        for info, c in zip(first, caches):
+            now = c.cache_info()
+            assert (now.currsize, now.misses) == (info.currsize, info.misses), (info, now)
+
+    def test_shared_arrays_are_read_only(self):
+        cache = random_cache(TOY, 8, seed=95)
+        bcfg, selector, q_cos, q_sin = _window(cache, TOY, 8)[3:]
+        cos, sin = position_tables(TOY.rope_config(), TOY.chunk_tokens)
+        for a in (cos, sin, q_cos, q_sin, selector, bcfg.forced_index):
+            with pytest.raises(ValueError):
+                a[...] = 0
+
+    def test_query_tables_are_the_capped_index_views(self):
+        cache = random_cache(TOY, 8, seed=96)
+        cos, sin = position_tables(TOY.rope_config(), TOY.chunk_tokens)
+        for qci in (8, TOY.max_temporal_index + 9):
+            q_cos, q_sin = _window(cache, TOY, qci)[5:]
+            t = temporal_index(qci, TOY.rope_config())
+            assert q_cos.base is cos and q_sin.base is sin
+            want = rotation_tables(t, np.arange(float(TOY.chunk_tokens)), TOY.rope_config())
+            assert np.array_equal(q_cos, want[0]) and np.array_equal(q_sin, want[1])
+
+
+class TestHistorySkip:
+    """An empty linear state is not read out; its readout was exact zeros."""
+
+    @staticmethod
+    def refuse(*args, **kwargs):
+        raise AssertionError("history_output called on an empty history")
+
+    @staticmethod
+    def with_empty_readout(q, k_self, v_self, cache, layer, cfg, qci):
+        # the per-head reference plus the empty state's (all-zero) readout
+        tables = rotation_tables(temporal_index(qci, cfg.rope_config()),
+                                 np.arange(float(cfg.chunk_tokens)), cfg.rope_config())
+        state = cache.linear_states[layer]
+        assert state.evicted_tokens == 0
+        return (per_head_hybrid(q, k_self, v_self, cache, layer, cfg, qci)
+                + history_output(state, q, *tables))
+
+    @pytest.mark.parametrize("cfg, chunks", [
+        (TOY, 4),  # sink 1, capacity 3: the next append is the first eviction
+        (replace(TOY, linear_history=False), 9),  # five chunks dropped, none absorbed
+    ])
+    def test_empty_history_not_read(self, monkeypatch, cfg, chunks):
+        cache = random_cache(cfg, chunks, seed=97)
+        q, k_self, v_self = random_qkv(cfg, 98)
+        want = [self.with_empty_readout(q, k_self, v_self, cache, layer, cfg, chunks)
+                for layer in range(cfg.layers)]
+        monkeypatch.setattr(engine, "history_output", self.refuse)
+        for layer in range(cfg.layers):
+            got = hybrid_attention(q, k_self, v_self, cache, layer, cfg, chunks)
+            assert np.array_equal(got, want[layer]), layer
+        # whole chunk steps: before the first eviction, and with no history
+        model = ToyDenoiser(cfg)
+        stream = model.new_cache()
+        for i in range(chunks + 1):
+            chunk_step(model, stream, i, cfg.denoise_timesteps, SeededRng(99))
+
+    def test_read_once_per_pass_after_an_eviction(self, monkeypatch):
+        cfg = TOY
+        model = ToyDenoiser(cfg)
+        cache = random_cache(cfg, 5, seed=100, model=model)
+        assert all(s.evicted_tokens for s in cache.linear_states)
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return history_output(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "history_output", spy)
+        chunk_step(model, cache, 5, cfg.denoise_timesteps, SeededRng(101))
+        passes = len(cfg.denoise_timesteps) + 1
+        assert len(calls) == passes * cfg.layers
+        assert all(a is b for a, b in zip(calls, cache.linear_states * passes))
 
 
 class TestHybridAttention:

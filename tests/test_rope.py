@@ -5,7 +5,8 @@ import pytest
 
 from hybridstream.errors import ContractViolationError, ShapeError
 from hybridstream.numerics import SeededRng
-from hybridstream.rope import RoPEConfig, apply_rope, rotate, rotation_tables, temporal_index
+from hybridstream.rope import (RoPEConfig, apply_rope, position_tables, rotate,
+                               rotation_tables, temporal_index)
 
 CFG = RoPEConfig.half_split(16, max_temporal_index=21)
 
@@ -174,6 +175,22 @@ class TestTablesAndRotate:
             assert np.isnan(slots[:, :, 4]).all()  # nothing outside out is written
             cos, sin = rotation_tables(t, s, CFG)
             assert np.array_equal(rotate(x, cos, sin, out=np.empty(x.shape)), want)
+
+    def test_position_tables_bit_equal_to_rotation_tables(self):
+        cos, sin = position_tables(CFG, 6)
+        assert cos.shape == sin.shape == (CFG.max_temporal_index + 1, 6, 8)
+        s = np.arange(6.0)
+        for t in range(CFG.max_temporal_index + 1):  # a view per index
+            want_cos, want_sin = rotation_tables(t, s, CFG)
+            assert np.array_equal(cos[t], want_cos) and np.array_equal(sin[t], want_sin)
+        rel = np.array([0, 21, 5, 5])  # gathered, one table per slice
+        want_cos, want_sin = rotation_tables(rel, s, CFG)
+        assert np.array_equal(cos[rel], want_cos) and np.array_equal(sin[rel], want_sin)
+        # built once per (config, tokens), and nobody can write into them
+        assert position_tables(RoPEConfig.half_split(16, max_temporal_index=21), 6)[0] is cos
+        assert position_tables(CFG, 5)[0].shape == (22, 5, 8)
+        with pytest.raises(ValueError):
+            cos[3] = 0.0
 
     def test_out_must_fit_x(self):
         x = np.zeros((2, 4, 6, 16))

@@ -75,6 +75,14 @@ class TestBlockScores:
                 kj = k[j * 8:(j + 1) * 8].mean(axis=0)
                 assert abs(scores[i, j] - qi @ kj) < 1e-12
 
+    def test_block_means_round_as_numpy_mean(self):
+        rng = SeededRng(15)
+        for shape, block in (((48, 16), 16), ((2, 2, 6, 48, 16), 16), ((3, 40, 8), 8),
+                             ((12, 4), 3)):
+            x = rng.normal(shape) * 1e3
+            want = x.reshape(*shape[:-2], -1, block, shape[-1]).mean(axis=-2)
+            assert np.array_equal(block_means(x, block), want), shape
+
     def test_indivisible_tokens_rejected(self):
         for shape in ((5, 4), (2, 7, 4), (4,)):
             with pytest.raises(ShapeError):
@@ -166,6 +174,17 @@ class TestBuildMask:
             stacked = build_mask(scores.reshape(heads * t_m, t_n), cfg).active
             per_head = np.concatenate([build_mask(scores[h], cfg).active for h in range(heads)])
             assert np.array_equal(stacked, per_head)
+
+    def test_forced_index_sorted_read_only_and_built_once(self):
+        cfg = BlockConfig(1, 1, 0.5, frozenset({7, 0, 3}))
+        index = cfg.forced_index
+        assert index.tolist() == [0, 3, 7] and cfg.forced_index is index
+        with pytest.raises(ValueError):
+            index[0] = 1
+        assert BlockConfig(1, 1, 0.5).forced_index.size == 0
+        # a forced block past the key blocks is named in the error
+        with pytest.raises(ShapeError, match=r"\[0, 3, 7\] out of range for 5"):
+            build_mask(np.zeros((2, 5)), cfg)
 
     def test_every_row_nonempty(self):
         scores = SeededRng(5).normal((8, 3))
