@@ -26,7 +26,7 @@ k = rng.normal((6 * BLOCK, d))   # 6 key blocks
 v = rng.normal((6 * BLOCK, d))
 
 # Pooled importance: mean of each query block dotted with each key block mean.
-cfg = BlockConfig(BLOCK, BLOCK, keep_ratio=0.34, forced_blocks=frozenset({0}))
+cfg = BlockConfig(keep_ratio=0.34, forced_blocks=frozenset({0}))
 scores = block_scores(block_means(q, BLOCK), block_means(k, BLOCK))
 print("pooled block scores (2 query blocks x 6 key blocks):")
 print(np.array_str(scores, precision=3))
@@ -59,7 +59,7 @@ print(f"max drift of the online softmax when visiting blocks in order {perm}: "
 print(f"max |online softmax - gathered softmax| = {np.abs(in_order - sparse_out).max():.2e}")
 
 # keep_ratio = 1.0 is plain dense attention.
-dense_cfg = BlockConfig(BLOCK, BLOCK, keep_ratio=1.0)
+dense_cfg = BlockConfig(keep_ratio=1.0)
 full_mask = build_mask(scores, dense_cfg)
 full = sparse_attention(q, k, v, full_mask, scale)
 plain = softmax_rows((q @ k.T) * scale) @ v

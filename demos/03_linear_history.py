@@ -42,8 +42,7 @@ for c in range(30):
     k = rng.normal((HEADS, TOKENS, HEAD_DIM))
     v = rng.normal((HEADS, TOKENS, HEAD_DIM))
     chunks.append((k, v))
-    absorb_evicted(state, k, v, rope_cfg, t_index=0,
-                   s_indices=np.arange(float(TOKENS)))
+    absorb_evicted(state, k, v, rope_cfg, s_indices=np.arange(float(TOKENS)))
     fk = state.feature_map(k)
     for h in range(HEADS):
         rot = apply_rope(fk[h], 0, np.arange(float(TOKENS)), rope_cfg)
@@ -69,7 +68,6 @@ print(f"  worst-case denominator for a 50-sigma query: {min(dens):.3e} (> 0)")
 # linear in what it stores.
 scaled = LinearState.zeros(HEADS, HEAD_DIM, projection)
 for k, v in chunks:
-    absorb_evicted(scaled, k, 2.0 * v, rope_cfg, t_index=0,
-                   s_indices=np.arange(float(TOKENS)))
+    absorb_evicted(scaled, k, 2.0 * v, rope_cfg, s_indices=np.arange(float(TOKENS)))
 out2 = history_output(scaled, q, *tables_21)
 print(f"  linearity in V: |out(2v) - 2 out(v)| = {np.abs(out2 - 2 * out).max():.2e}")

@@ -4,15 +4,14 @@ relative rotary positions, and a closed-form Gaussian distillation lab."""
 
 from .engine import (
     BENCH_MODES,
-    NoiseSchedule,
     OpCounters,
     StreamConfig,
     StreamResult,
     ToyDenoiser,
     config_for_mode,
     dense_oracle_attention,
-    generate_stream,
     hybrid_attention,
+    rectified_flow,
     run_stream,
 )
 from .distill import (
@@ -21,7 +20,6 @@ from .distill import (
     DmdGradient,
     GaussianWorld,
     Phase,
-    PhaseSchedule,
     TrainResult,
     diffuse_gaussian,
     dmd_gradient,
@@ -48,8 +46,6 @@ from .linear_history import (
 )
 from .numerics import (
     SeededRng,
-    gaussian_sample,
-    matmul,
     read_tensor,
     softmax_rows,
     write_tensor,

@@ -3,14 +3,16 @@
 The data distribution is an explicit Gaussian, the student is an affine
 map of noise, and both score functions are analytic, so the distribution
 matching gradient, the flow-matching loss, the teacher rollout, and the
-KL being descended all have checkable closed forms. The training loop
-keeps the full structural skeleton of streaming distillation: per step it
-uniformly samples which timestep carries the update, rolls a small
-streaming fixture through the engine's chunk step down the distillation
-timesteps (dense attention in phase one, hybrid attention in phase two),
-reads the analytic critic off the current generator, and adds the
-teacher-anchored regularizer only on steps whose sampled timestep is the
-first (noisiest) one.
+KL being descended all have checkable closed forms. Every diffusion here
+follows the engine's one noise schedule, rectified flow (rectified_flow).
+The training loop keeps the full structural skeleton of streaming
+distillation: per step it uniformly samples which timestep carries the
+update, rolls a small streaming fixture through the engine's chunk step
+down the distillation timesteps (dense attention before
+`phase_switch_step`, hybrid attention from it on), reads the analytic
+critic off the current generator, and adds the teacher-anchored
+regularizer only on steps whose sampled timestep is the first (noisiest)
+one.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .engine import NoiseSchedule, StreamConfig, ToyDenoiser, chunk_step
+from .engine import StreamConfig, ToyDenoiser, chunk_step, rectified_flow
 from .errors import ShapeError
 from .numerics import SeededRng
 
@@ -113,12 +115,11 @@ class AffineGenerator:
         return AffineGenerator(self.A.copy(), self.b.copy())
 
 
-def diffuse_gaussian(mean: np.ndarray, cov: np.ndarray, t: float,
-                     schedule: NoiseSchedule) -> tuple[np.ndarray, np.ndarray]:
-    """Distribution of alpha x + beta eps for x ~ N(mean, cov):
-    N(alpha mean, alpha^2 cov + beta^2 I)."""
-    a = float(schedule.alpha(t))
-    bt = float(schedule.beta(t))
+def diffuse_gaussian(mean: np.ndarray, cov: np.ndarray,
+                     t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Distribution of alpha x + beta eps for x ~ N(mean, cov), (alpha, beta)
+    = rectified_flow(t): N(alpha mean, alpha^2 cov + beta^2 I)."""
+    a, bt = rectified_flow(t)
     n = np.asarray(mean).size
     return a * np.asarray(mean), (a * a) * np.asarray(cov) + (bt * bt) * np.eye(n)
 
@@ -153,8 +154,9 @@ def gaussian_kl(mean0, cov0, mean1, cov1) -> float:
 
 
 def flow_matching_loss(velocity_fn, x0: np.ndarray, eps: np.ndarray,
-                       t: np.ndarray, schedule: NoiseSchedule) -> float:
-    """Mean squared velocity error: E || v(x_t, t) - (eps - x0) ||^2.
+                       t: np.ndarray) -> float:
+    """Mean squared velocity error: E || v(x_t, t) - (eps - x0) ||^2, x_t on
+    the rectified-flow path.
 
     The expectation is over the batch of per-sample squared L2 norms.
     """
@@ -163,9 +165,8 @@ def flow_matching_loss(velocity_fn, x0: np.ndarray, eps: np.ndarray,
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
     if x0.shape != eps.shape or x0.shape[0] != t.shape[0]:
         raise ShapeError(f"batch shapes differ: x0 {x0.shape}, eps {eps.shape}, t {t.shape}")
-    a = np.asarray(schedule.alpha(t), dtype=np.float64)[:, None]
-    bt = np.asarray(schedule.beta(t), dtype=np.float64)[:, None]
-    xt = a * x0 + bt * eps
+    a, bt = rectified_flow(t)
+    xt = a[:, None] * x0 + bt[:, None] * eps
     v = velocity_fn(xt, t)
     resid = v - (eps - x0)
     return float(np.mean(np.sum(resid * resid, axis=1)))
@@ -199,8 +200,7 @@ class DmdGradient:
 
 
 def dmd_gradient(gen: AffineGenerator, world: GaussianWorld, t: float,
-                 rng: SeededRng, batch: int,
-                 schedule: NoiseSchedule | None = None) -> DmdGradient:
+                 rng: SeededRng, batch: int) -> DmdGradient:
     """Monte Carlo distribution-matching gradient over (A, b).
 
     Draw eps, push it through the student, diffuse with independent noise
@@ -212,17 +212,15 @@ def dmd_gradient(gen: AffineGenerator, world: GaussianWorld, t: float,
     """
     if not (0.0 < t <= 1.0):
         raise ValueError(f"t must be in (0, 1], got {t}")
-    schedule = schedule or NoiseSchedule.rectified_flow()
-    a = float(schedule.alpha(t))
-    bt = float(schedule.beta(t))
+    a, bt = rectified_flow(t)
     eps = rng.normal((batch, world.n))
     eps_diff = rng.normal((batch, world.n))
     x0 = gen.transform(eps)
     xt = a * x0 + bt * eps_diff
 
-    real_mean, real_cov = diffuse_gaussian(world.mean, world.cov, t, schedule)
+    real_mean, real_cov = diffuse_gaussian(world.mean, world.cov, t)
     fake_b, fake_cov_0 = gen.induced()
-    fake_mean, fake_cov = diffuse_gaussian(fake_b, fake_cov_0, t, schedule)
+    fake_mean, fake_cov = diffuse_gaussian(fake_b, fake_cov_0, t)
 
     d = gaussian_score(xt, real_mean, real_cov) - gaussian_score(xt, fake_mean, fake_cov)
     grad_a = -a * (d.T @ eps) / batch
@@ -233,16 +231,6 @@ def dmd_gradient(gen: AffineGenerator, world: GaussianWorld, t: float,
 class Phase(Enum):
     DENSE = "dense"
     HYBRID = "hybrid"
-
-
-@dataclass(frozen=True)
-class PhaseSchedule:
-    """Dense attention first, hybrid attention afterwards; switches once."""
-
-    phase_switch_step: int
-
-    def mode(self, step: int) -> Phase:
-        return Phase.DENSE if step < self.phase_switch_step else Phase.HYBRID
 
 
 @dataclass(frozen=True)
@@ -257,8 +245,10 @@ class DistillConfig:
     fixture_chunks: int = 4
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
+        if not (0.0 <= self.lam < math.inf):
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
+        if not (0.0 < self.generator_lr < math.inf):
+            raise ValueError(f"generator_lr must be finite and > 0, got {self.generator_lr}")
         ts = self.timesteps
         if not ts or any(not (0.0 < t <= 1.0) for t in ts):
             raise ValueError("timesteps must lie in (0, 1]")
@@ -288,9 +278,10 @@ class TrainResult:
     generator: AffineGenerator
     world: GaussianWorld
     config: DistillConfig
+    trajectory: np.ndarray  # [steps, n * n + n]: A then b after each update
 
     def parameter_trajectory(self) -> np.ndarray:
-        return np.asarray(self._trajectory)
+        return np.asarray(self.trajectory)
 
 
 TRACE_HEADER = ["step", "phase", "loss_dmd", "loss_reg", "grad_norm", "mean_err", "cov_err",
@@ -338,8 +329,6 @@ def train(
     differ only in lambda are step-for-step comparable.
     """
     gen = gen.copy()
-    schedule = NoiseSchedule.rectified_flow()
-    phases = PhaseSchedule(config.phase_switch_step)
     n = world.n
     t_count = len(config.timesteps)
 
@@ -359,7 +348,7 @@ def train(
     rows = []
     trajectory = []
     for step in range(config.steps):
-        phase = phases.mode(step)
+        phase = Phase.DENSE if step < config.phase_switch_step else Phase.HYBRID
         s_index = int(rng.uniform(1)[0] * t_count)
         s_index = min(s_index, t_count - 1)
         if run_fixture:
@@ -370,9 +359,9 @@ def train(
         fake_mean, fake_cov = gen.induced()
 
         t_s = config.timesteps[s_index]
-        grad = dmd_gradient(gen, world, t_s, rng, config.batch_size, schedule)
-        real_mean_t, real_cov_t = diffuse_gaussian(world.mean, world.cov, t_s, schedule)
-        fake_mean_t, fake_cov_t = diffuse_gaussian(fake_mean, fake_cov, t_s, schedule)
+        grad = dmd_gradient(gen, world, t_s, rng, config.batch_size)
+        real_mean_t, real_cov_t = diffuse_gaussian(world.mean, world.cov, t_s)
+        fake_mean_t, fake_cov_t = diffuse_gaussian(fake_mean, fake_cov, t_s)
         loss_dmd = gaussian_kl(fake_mean_t, fake_cov_t, real_mean_t, real_cov_t)
 
         lam = config.lam if lambda_override is None else float(lambda_override(step, s_index))
@@ -398,6 +387,4 @@ def train(
                              loss_total))
         trajectory.append(np.concatenate([gen.A.reshape(-1), gen.b]))
 
-    result = TrainResult(rows, gen, world, config)
-    result._trajectory = np.asarray(trajectory)
-    return result
+    return TrainResult(rows, gen, world, config, np.asarray(trajectory))

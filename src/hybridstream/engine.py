@@ -5,7 +5,8 @@ block-sparse attention over the visible cache window (plus the chunk's own
 keys) and the compressed linear-history readout. A small seeded-random
 transformer ("toy denoiser") drives the few-step autoregressive loop:
 initialize a chunk from noise, denoise through a descending timestep
-schedule with re-noising between steps, emit the final clean prediction,
+schedule, re-noising between steps along the rectified-flow path
+(rectified_flow, the one noise schedule), emit the final clean prediction,
 cache its keys/values through a dedicated pass at t=0, and absorb whatever
 the rolling window evicts into the linear state. That chunk step
 (chunk_step) is shared by run_stream and the distillation fixture.
@@ -20,7 +21,7 @@ import math
 import time
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -48,28 +49,10 @@ class OpCounters:
         return self.score_evals, self.pooled_scores
 
 
-@dataclass(frozen=True)
-class NoiseSchedule:
-    """Interpolation coefficients x_t = alpha(t) x0 + beta(t) eps, t in [0, 1]."""
-
-    alpha: Callable[[np.ndarray], np.ndarray]
-    beta: Callable[[np.ndarray], np.ndarray]
-
-    def __post_init__(self):
-        for t, a_want, b_want in ((0.0, 1.0, 0.0), (1.0, 0.0, 1.0)):
-            a, b = float(self.alpha(t)), float(self.beta(t))
-            if abs(a - a_want) > 1e-12 or abs(b - b_want) > 1e-12:
-                raise ValueError(
-                    f"schedule endpoints wrong at t={t}: alpha={a}, beta={b}"
-                )
-
-    @classmethod
-    def rectified_flow(cls) -> "NoiseSchedule":
-        return cls(alpha=lambda t: 1.0 - np.asarray(t, dtype=np.float64),
-                   beta=lambda t: np.asarray(t, dtype=np.float64) + 0.0)
-
-
-_RECTIFIED_FLOW = NoiseSchedule.rectified_flow()  # the chunk step's, built once
+def rectified_flow(t):
+    """Rectified-flow interpolation (Liu et al., 2022): the coefficients
+    (alpha, beta) = (1 - t, t) of x_t = alpha x0 + beta eps, t in [0, 1]."""
+    return 1.0 - t, t
 
 
 @dataclass(frozen=True)
@@ -90,6 +73,14 @@ class StreamConfig:
     linear_history: bool = True  # absorb evicted chunks; off = plain drop
 
     def __post_init__(self):
+        for name in ("frames_per_chunk", "window_frames", "tokens_per_frame", "heads",
+                     "head_dim", "layers"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.sink_chunks < 0:
+            raise ValueError(f"sink_chunks must be >= 0, got {self.sink_chunks}")
+        if not (0.0 < self.keep_ratio <= 1.0):
+            raise ValueError(f"keep_ratio must be in (0, 1], got {self.keep_ratio}")
         if self.model_dim != self.heads * self.head_dim:
             raise ShapeError(
                 f"model_dim {self.model_dim} != heads {self.heads} x head_dim {self.head_dim}"
@@ -101,6 +92,7 @@ class StreamConfig:
             raise ValueError("timesteps must lie in (0, 1]")
         if any(ts[i] <= ts[i + 1] for i in range(len(ts) - 1)):
             raise ValueError("timesteps must be strictly descending")
+        self.rope_config()  # RoPEConfig checks head_dim, base_theta and max_temporal_index
 
     @property
     def chunk_tokens(self) -> int:
@@ -124,7 +116,7 @@ class StreamConfig:
 
     @cached_property
     def _rope_config(self) -> RoPEConfig:
-        # built on first use; a frozen config's rotation never changes
+        # built once, by __post_init__; a frozen config's rotation never changes
         return RoPEConfig.half_split(self.head_dim, self.base_theta,
                                      self.max_temporal_index)
 
@@ -163,7 +155,7 @@ def _chunk_spatial_indices(cfg: StreamConfig) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _block_layout(sinks: tuple, block: int, blocks_per_chunk: int, keep_ratio: float,
+def _block_layout(sinks: tuple, blocks_per_chunk: int, keep_ratio: float,
                   heads: int) -> tuple:
     """The BlockConfig and the read-only [heads, 1, heads, 1] selector of the
     block-diagonal head mask, for a window whose entries have the given sink
@@ -175,7 +167,7 @@ def _block_layout(sinks: tuple, block: int, blocks_per_chunk: int, keep_ratio: f
             forced.update(range(pos * bpc, (pos + 1) * bpc))
     selector = np.eye(heads, dtype=bool)[:, None, :, None]
     selector.flags.writeable = False
-    return BlockConfig(block, block, keep_ratio, frozenset(forced)), selector
+    return BlockConfig(keep_ratio, frozenset(forced)), selector
 
 
 def _window(cache: RollingCache, cfg: StreamConfig, query_chunk_index: int) -> tuple:
@@ -207,7 +199,7 @@ def _window(cache: RollingCache, cfg: StreamConfig, query_chunk_index: int) -> t
         visible = cache.visible_kv(query_chunk_index)
         n, bpc, bt = len(visible), cfg.blocks_per_chunk, cfg.block_tokens
         layers, heads, d = cfg.layers, cfg.heads, cfg.head_dim
-        bcfg, selector = _block_layout(tuple(e.is_sink for e, _ in visible), bt, bpc,
+        bcfg, selector = _block_layout(tuple(e.is_sink for e, _ in visible), bpc,
                                        cfg.keep_ratio, heads)
         rope_cfg = cfg.rope_config()
         cos, sin = position_tables(rope_cfg, cfg.chunk_tokens)
@@ -438,8 +430,7 @@ def append_and_absorb(cache: RollingCache, kv: ChunkKV,
         s_idx = _chunk_spatial_indices(cfg)
         for layer_idx, state in enumerate(cache.linear_states):
             absorb_evicted(state, evicted.keys[layer_idx],
-                           evicted.values[layer_idx], rope_cfg,
-                           t_index=0, s_indices=s_idx)
+                           evicted.values[layer_idx], rope_cfg, s_indices=s_idx)
     return evicted
 
 
@@ -453,15 +444,14 @@ def chunk_step(model: ToyDenoiser, cache: RollingCache, chunk_index: int,
     prediction, then append it (absorbing any eviction).
     """
     cfg = model.cfg
-    schedule = _RECTIFIED_FLOW
     shape = (cfg.chunk_tokens, cfg.model_dim)
     x = rng.normal(shape)
     for j, t in enumerate(timesteps):
         x0 = model.denoise_chunk(x, t, cache, chunk_index, counters)
         if j + 1 < len(timesteps):
             eps = rng.normal(shape)
-            t_next = timesteps[j + 1]
-            x = float(schedule.alpha(t_next)) * x0 + float(schedule.beta(t_next)) * eps
+            alpha, beta = rectified_flow(timesteps[j + 1])
+            x = alpha * x0 + beta * eps
     append_and_absorb(cache, model.compute_chunk_kv(x0, cache, chunk_index, counters), cfg)
     return x0
 
@@ -499,7 +489,3 @@ def run_stream(cfg: StreamConfig, num_chunks: int,
     return StreamResult(latents, chunk_ms, chunk_scores, chunk_pooled,
                         peak_tokens, max_rel_seen, cfg, cache)
 
-
-def generate_stream(cfg: StreamConfig, num_chunks: int) -> list:
-    """Latent sequence only; see run_stream for instrumentation."""
-    return run_stream(cfg, num_chunks).latents

@@ -89,10 +89,6 @@ class LinearState:
         """State footprint; independent of how many tokens were absorbed."""
         return self.L.nbytes + self.H.nbytes + self.projection.nbytes + 8
 
-    def copy(self) -> "LinearState":
-        return LinearState(self.L.copy(), self.H.copy(), self.evicted_tokens,
-                           self.projection.copy(), self.feature_map)
-
     # -- serialization (exact f64, used by cache snapshots) -----------------
 
     def to_stream(self, f) -> None:
@@ -118,15 +114,14 @@ def absorb_evicted(
     keys: np.ndarray,
     values: np.ndarray,
     rope_cfg: RoPEConfig,
-    t_index: int = 0,
     s_indices=None,
 ) -> LinearState:
     """Fold one evicted chunk into the state (in place; also returned).
 
     keys/values: [heads, chunk_tokens, head_dim]. Rotation is applied once
-    here, anchoring evicted content at temporal index 0 by default so that
-    query-side capped indices keep a monotone relative offset to everything
-    already absorbed. Raises ValueError, leaving the state unchanged, when
+    here, anchoring evicted content at temporal index 0 so that query-side
+    capped indices keep a monotone relative offset to everything already
+    absorbed. Raises ValueError, leaving the state unchanged, when
     the updated L or H would be non-finite.
     """
     keys = np.asarray(keys, dtype=np.float64)
@@ -138,7 +133,7 @@ def absorb_evicted(
             f"expected [{state.heads}, tokens, {state.head_dim}], got {keys.shape}"
         )
     fk = state.feature_map(keys)
-    rotated = apply_rope(fk, t_index, s_indices, rope_cfg)
+    rotated = apply_rope(fk, 0, s_indices, rope_cfg)
     L = state.L + np.einsum("htd,hte->hde", rotated, values)
     H = state.H + fk.mean(axis=1)
     if not (np.all(np.isfinite(L)) and np.all(np.isfinite(H))):
@@ -153,7 +148,6 @@ def history_output(
     queries: np.ndarray,
     cos: np.ndarray,
     sin: np.ndarray,
-    eps_div: float = EPS_DIV,
 ) -> np.ndarray:
     """Read the history pathway for a batch of per-head queries.
 
@@ -177,6 +171,6 @@ def history_output(
     fq = state.feature_map(queries)
     num = rotate(fq, cos, sin) @ state.L  # [heads, tokens, head_dim]
     # a matrix-vector product per head, rounded as fq[h] @ H[h] would be
-    den = fq @ state.H[:, :, None] + eps_div  # [heads, tokens, 1]
+    den = fq @ state.H[:, :, None] + EPS_DIV  # [heads, tokens, 1]
     concat = (num / den).transpose(1, 0, 2).reshape(tokens, state.model_dim)
     return concat @ state.projection

@@ -1,5 +1,5 @@
-"""Deterministic numeric foundation: seeded RNG, stable softmax, dense matmul,
-and the binary tensor container used for all on-disk artifacts.
+"""Deterministic numeric foundation: seeded RNG, stable softmax, and the
+binary tensor container used for all on-disk artifacts.
 
 All reference-path math is float64. Tensor files store float32 payloads
 (see `write_tensor`); exact float64 persistence is available through the
@@ -115,24 +115,6 @@ class SeededRng:
         np.multiply(r, np.cos(u2), out=z[0::2])
         np.multiply(r, np.sin(u2), out=z[1::2])
         return z[:n].reshape(out_shape)
-
-
-def gaussian_sample(rng: SeededRng, n: int) -> np.ndarray:
-    """n values from N(0, 1) on the rng's documented uniform stream."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return rng.normal(n)
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dense float64 product with explicit shape checking."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions differ: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def softmax_rows(m: np.ndarray) -> np.ndarray:

@@ -42,7 +42,7 @@ class RoPEConfig:
             raise ShapeError("rotation pair counts must be >= 0")
         if self.max_temporal_index < 1:
             raise ValueError("max_temporal_index must be >= 1")
-        if self.base_theta <= 1.0:
+        if not self.base_theta > 1.0:  # also rejects nan
             raise ValueError("base_theta must exceed 1")
 
     @classmethod

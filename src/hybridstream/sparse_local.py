@@ -32,14 +32,13 @@ from .errors import ContractViolationError, ShapeError
 
 @dataclass(frozen=True)
 class BlockConfig:
-    block_q: int
-    block_kv: int
+    """What build_mask needs of a layout; the block sizes come from the
+    shapes of the arrays passed to block_means and sparse_attention."""
+
     keep_ratio: float
     forced_blocks: frozenset = field(default_factory=frozenset)  # key-block indices
 
     def __post_init__(self):
-        if self.block_q < 1 or self.block_kv < 1:
-            raise ShapeError("block sizes must be >= 1")
         if not (0.0 < self.keep_ratio <= 1.0):
             raise ValueError(f"keep_ratio must be in (0, 1], got {self.keep_ratio}")
 

@@ -24,9 +24,8 @@ from .distill import (
     gaussian_score,
     train,
 )
-from .engine import NoiseSchedule, OpCounters, StreamConfig, ToyDenoiser, \
-    append_and_absorb, chunk_step, config_for_mode, dense_oracle_attention, hybrid_attention, \
-    run_stream
+from .engine import OpCounters, StreamConfig, ToyDenoiser, append_and_absorb, chunk_step, \
+    config_for_mode, dense_oracle_attention, hybrid_attention, rectified_flow, run_stream
 from .linear_history import LinearState, absorb_evicted, history_output
 from .numerics import SeededRng, read_tensor_from, softmax_rows, write_tensor
 from .rope import RoPEConfig, apply_rope, rotation_tables, temporal_index
@@ -48,15 +47,13 @@ def _check(name: str, condition: bool, detail: str) -> CheckResult:
     return CheckResult(name, bool(condition), detail)
 
 
-def exact_dmd_gradient(gen: AffineGenerator, world: GaussianWorld, t: float,
-                       schedule: NoiseSchedule | None = None):
+def exact_dmd_gradient(gen: AffineGenerator, world: GaussianWorld, t: float):
     """Closed-form gradient of KL(fake_t || real_t) over (A, b); the
     population value the Monte Carlo estimator targets."""
-    schedule = schedule or NoiseSchedule.rectified_flow()
-    a = float(schedule.alpha(t))
-    _, real_cov = diffuse_gaussian(world.mean, world.cov, t, schedule)
+    a, _ = rectified_flow(t)
+    _, real_cov = diffuse_gaussian(world.mean, world.cov, t)
     fake_b, fake_cov0 = gen.induced()
-    _, fake_cov = diffuse_gaussian(fake_b, fake_cov0, t, schedule)
+    _, fake_cov = diffuse_gaussian(fake_b, fake_cov0, t)
     inv_real = np.linalg.inv(real_cov)
     inv_fake = np.linalg.inv(fake_cov)
     grad_a = (a * a) * (inv_real - inv_fake) @ gen.A
@@ -81,7 +78,7 @@ def _suite_numerics() -> list[CheckResult]:
             for j in range(n):
                 want[i, j] = sum(a[i, p] * b[p, j] for p in range(k))
         worst = max(worst, np.abs(a @ b - want).max() / (np.abs(want).max() + 1.0))
-    out.append(_check("numerics.matmul_oracle", worst < 1e-12, f"rel err {worst:.2e}"))
+    out.append(_check("numerics.matrix_product_oracle", worst < 1e-12, f"rel err {worst:.2e}"))
 
     s = softmax_rows(rng.standard_normal((20, 9)) * 30)
     err = np.abs(s.sum(axis=1) - 1.0).max()
@@ -335,7 +332,7 @@ def masked_dense_checks(trials: int, max_blocks: int, block_range: tuple[int, in
 
 
 def _suite_sparse() -> list[CheckResult]:
-    return [mask_invariant_check(BlockConfig(1, 1, 0.2, frozenset({0}))),
+    return [mask_invariant_check(BlockConfig(0.2, frozenset({0}))),
             gather_check(60, 6, seed=12)] + \
         masked_dense_checks(20, 6, (4, 5), seed=3, data_seed=500)
 
@@ -445,6 +442,21 @@ def _suite_hybrid() -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 # suite: stream
 # ---------------------------------------------------------------------------
+
+
+def expected_score_evals(cfg: StreamConfig, chunk_index: int) -> int:
+    """Closed-form count of the S = q k^T entries that streaming one chunk
+    computes: per query block the quota of key blocks (forced sink and self
+    blocks, then the top of the rest), over every head, layer and pass (the
+    denoise steps and the t=0 cache pass)."""
+    bpc = cfg.blocks_per_chunk
+    sinks = min(chunk_index, cfg.sink_chunks)
+    window = min(max(chunk_index - cfg.sink_chunks, 0), cfg.capacity_chunks)
+    t_n = (sinks + window + 1) * bpc
+    forced = (sinks + 1) * bpc
+    quota = min(max(forced, math.ceil(cfg.keep_ratio * t_n)), t_n)
+    passes = len(cfg.denoise_timesteps) + 1
+    return bpc * quota * cfg.block_tokens * cfg.block_tokens * cfg.heads * cfg.layers * passes
 
 
 def workspace_reuse_check(cfg: StreamConfig, chunks: int) -> CheckResult:

@@ -5,7 +5,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete.
 """
 
-import math
 import time
 from contextlib import contextmanager
 
@@ -18,6 +17,7 @@ from hybridstream.engine import (_NOISE_STREAM, OpCounters, StreamConfig, ToyDen
                                  chunk_step, config_for_mode, run_stream)
 from hybridstream.numerics import SeededRng
 from hybridstream.cli import main as cli_main
+from hybridstream.verify import expected_score_evals
 
 TOY = StreamConfig()  # the reference toy configuration
 
@@ -68,17 +68,6 @@ def test_rope_cap_and_long_horizon_stability():
         early = float(np.median(res.chunk_ms[10:60]))
         late = float(np.median(res.chunk_ms[150:200]))
         assert abs(late / early - 1.0) <= 0.20, f"late/early = {late / early:.3f}"
-
-
-def expected_score_evals(cfg: StreamConfig, chunk_index: int) -> int:
-    bpc = cfg.blocks_per_chunk
-    sinks = min(chunk_index, cfg.sink_chunks)
-    window = min(max(chunk_index - cfg.sink_chunks, 0), cfg.capacity_chunks)
-    t_n = (sinks + window + 1) * bpc
-    forced = (sinks + 1) * bpc
-    quota = min(max(forced, math.ceil(cfg.keep_ratio * t_n)), t_n)
-    passes = len(cfg.denoise_timesteps) + 1
-    return bpc * quota * cfg.block_tokens * cfg.block_tokens * cfg.heads * cfg.layers * passes
 
 
 def alternated_streams(cfgs, chunks: int):

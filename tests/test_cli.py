@@ -72,7 +72,7 @@ class TestVerifyCommand:
     def test_injected_fault_gives_named_failure(self):
         # a keep ratio of zero smuggled past validation must surface as the
         # named mask-invariant failure, which is what drives exit code 1
-        cfg = BlockConfig(1, 1, 0.5)
+        cfg = BlockConfig(0.5)
         object.__setattr__(cfg, "keep_ratio", 0.0)
         result = mask_invariant_check(cfg)
         assert not result.passed
@@ -82,7 +82,7 @@ class TestVerifyCommand:
         import hybridstream.verify as verify_mod
 
         def broken_suite():
-            cfg = BlockConfig(1, 1, 0.5)
+            cfg = BlockConfig(0.5)
             object.__setattr__(cfg, "keep_ratio", 0.0)
             return [mask_invariant_check(cfg)]
 
@@ -205,6 +205,27 @@ class TestGenerateCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 99 and manifest["chunks"] == 2
 
+    @pytest.mark.parametrize("args, field", [
+        (["--sparsity", "1.5"], "keep_ratio"),
+        (["--sparsity", "nan"], "keep_ratio"),
+        (["--window", "0"], "window_frames"),
+        ("frames_per_chunk = 0", "frames_per_chunk"),
+        ("tokens_per_frame = 0", "tokens_per_frame"),
+        ("layers = 0", "layers"),
+        ("max_temporal_index = 0", "max_temporal_index"),
+        ("base_theta = 1", "base_theta"),
+        ("base_theta = nan", "base_theta"),
+    ])
+    def test_out_of_range_field_is_usage_error(self, tmp_path, capsys, args, field):
+        if isinstance(args, str):
+            p = tmp_path / "bad.cfg"
+            p.write_text(args + "\n")
+            args = ["--config", str(p)]
+        out = tmp_path / "gen"
+        assert main(["generate", "--chunks", "2", *args, "--out", str(out)]) == EXIT_USAGE
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unwritable_out_is_io_error(self, tmp_path, stream_cfg):
         blocker = tmp_path / "file"
         blocker.write_text("x")
@@ -281,6 +302,17 @@ class TestDistillCommand:
         p.write_text(f"world_dim = {dim}\n")
         assert main(["distill", "--config", str(p), "--out", str(tmp_path / "o")]) == EXIT_USAGE
         assert "world_dim" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["lam = nan", "lam = inf", "generator_lr = nan",
+                                      "generator_lr = inf", "generator_lr = 0",
+                                      "generator_lr = -0.1", "batch_size = 0"])
+    def test_out_of_range_value_is_usage_error(self, tmp_path, capsys, line):
+        p = tmp_path / "bad.cfg"
+        p.write_text(line + "\n")
+        out = tmp_path / "o"
+        assert main(["distill", "--config", str(p), "--out", str(out)]) == EXIT_USAGE
+        assert line.split(" = ")[0] in capsys.readouterr().err
+        assert not out.exists()
 
     def test_default_config_converges(self, tmp_path):
         # the full documented budget: 2000 updates, lambda 0.05

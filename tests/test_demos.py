@@ -1,0 +1,29 @@
+"""Every demo runs to completion.
+
+Demo 06 is left out: it runs the distillation loop with its streaming
+fixture and takes about 19 s, almost all of it in the fixture. Add it here
+once the fixture is gone (ROADMAP item 2)."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted(p.name for p in (ROOT / "demos").glob("0[1-5]_*.py"))
+
+
+def test_demos_found():
+    assert len(DEMOS) == 5, DEMOS
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_exits_zero(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]

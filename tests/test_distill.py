@@ -11,8 +11,7 @@ from hybridstream.distill import (
     AffineGenerator,
     DistillConfig,
     GaussianWorld,
-    Phase,
-    PhaseSchedule,
+    TrainResult,
     diffuse_gaussian,
     dmd_gradient,
     flow_matching_loss,
@@ -22,12 +21,10 @@ from hybridstream.distill import (
     teacher_rollout,
     train,
 )
-from hybridstream.engine import NoiseSchedule
+from hybridstream.engine import rectified_flow
 from hybridstream.errors import ShapeError
 from hybridstream.numerics import SeededRng
 from hybridstream.verify import exact_dmd_gradient
-
-SCHEDULE = NoiseSchedule.rectified_flow()
 
 
 def world2(seed=8):
@@ -89,7 +86,7 @@ class TestGaussianScore:
 
     def test_diffused_distribution(self):
         w = world2()
-        mean_t, cov_t = diffuse_gaussian(w.mean, w.cov, 0.25, SCHEDULE)
+        mean_t, cov_t = diffuse_gaussian(w.mean, w.cov, 0.25)
         assert np.allclose(mean_t, 0.75 * w.mean)
         assert np.allclose(cov_t, 0.75**2 * w.cov + 0.25**2 * np.eye(2))
 
@@ -100,7 +97,7 @@ class TestFlowMatchingLoss:
         x0 = rng.normal((64, 3))
         eps = rng.normal((64, 3))
         t = rng.uniform(64)
-        loss = flow_matching_loss(lambda xt, tt: eps - x0, x0, eps, t, SCHEDULE)
+        loss = flow_matching_loss(lambda xt, tt: eps - x0, x0, eps, t)
         assert loss == 0.0
 
     def test_zero_predictor_moment_identity(self):
@@ -112,7 +109,7 @@ class TestFlowMatchingLoss:
         x0 = w.sample(rng, batch)
         eps = rng.normal((batch, n))
         t = rng.uniform(batch)
-        loss = flow_matching_loss(lambda xt, tt: np.zeros_like(xt), x0, eps, t, SCHEDULE)
+        loss = flow_matching_loss(lambda xt, tt: np.zeros_like(xt), x0, eps, t)
         want = n + float(w.mean @ w.mean) + float(np.trace(w.cov))
         # per-sample variance of ||eps - x0||^2 is a few times its mean
         sigma = 3.0 * want / math.sqrt(batch)
@@ -130,8 +127,7 @@ class TestFlowMatchingLoss:
         x0 = w.sample(rng, batch)
         eps = rng.normal((batch, n))
         t = np.full(batch, t_fix)
-        a = float(SCHEDULE.alpha(t_fix))
-        bt = float(SCHEDULE.beta(t_fix))
+        a, bt = rectified_flow(t_fix)
         xt = a * x0 + bt * eps
         target = eps - x0
         design = np.column_stack([xt, np.ones(batch)])
@@ -140,7 +136,7 @@ class TestFlowMatchingLoss:
 
         def loss_at(w_mat, c_vec):
             fn = lambda x, tt: x @ w_mat.T + c_vec
-            return flow_matching_loss(fn, x0, eps, t, SCHEDULE)
+            return flow_matching_loss(fn, x0, eps, t)
 
         h = 1e-6
         for i in range(n):
@@ -164,7 +160,7 @@ class TestFlowMatchingLoss:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             flow_matching_loss(lambda x, t: x, np.zeros((4, 2)), np.zeros((3, 2)),
-                               np.zeros(4), SCHEDULE)
+                               np.zeros(4))
 
 
 class TestTeacherRollout:
@@ -224,8 +220,7 @@ class TestDmdGradient:
         g = dmd_gradient(gen, w, t, SeededRng(13), 100_000)
         assert g.b[0] > 0  # descent reduces b toward 0
 
-        a = float(SCHEDULE.alpha(t))
-        bt = float(SCHEDULE.beta(t))
+        a, bt = rectified_flow(t)
         var = a * a + bt * bt
         xs = np.linspace(-30, 30, 400_001)
 
@@ -339,6 +334,17 @@ class TestTrainLoop:
         assert np.array_equal(a.parameter_trajectory(), b.parameter_trajectory())
         assert [r.loss_dmd for r in a.rows] == [r.loss_dmd for r in b.rows]
 
+    def test_trajectory_is_a_declared_field(self):
+        w = world2()
+        res = train(self.cfg(steps=5), w, AffineGenerator(0.5 * np.eye(2), np.zeros(2)),
+                    SeededRng(28), run_fixture=False)
+        assert res.trajectory.shape == (5, 6)
+        assert np.array_equal(res.trajectory[-1],
+                              np.concatenate([res.generator.A.reshape(-1), res.generator.b]))
+        rebuilt = TrainResult(res.rows, res.generator, w, res.config, res.trajectory)
+        assert np.array_equal(rebuilt.parameter_trajectory(), res.parameter_trajectory())
+        assert "trajectory=" in repr(res)
+
     def test_input_generator_not_mutated(self):
         w = world2()
         gen = AffineGenerator(0.5 * np.eye(2), np.zeros(2))
@@ -349,7 +355,7 @@ class TestTrainLoop:
 
 class TestPhaseSchedule:
     def test_monotone_single_switch(self):
-        sched = PhaseSchedule(7)
-        modes = [sched.mode(s) for s in range(20)]
-        assert modes[:7] == [Phase.DENSE] * 7
-        assert modes[7:] == [Phase.HYBRID] * 13
+        # train's rows switch from dense to hybrid at exactly phase_switch_step
+        res = train(DistillConfig(steps=20, phase_switch_step=7), world2(),
+                    AffineGenerator(0.5 * np.eye(2), np.zeros(2)), SeededRng(27))
+        assert [r.phase for r in res.rows] == ["dense"] * 7 + ["hybrid"] * 13

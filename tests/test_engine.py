@@ -12,7 +12,6 @@ import pytest
 from hybridstream import engine
 from hybridstream.engine import (
     BENCH_MODES,
-    NoiseSchedule,
     StreamConfig,
     ToyDenoiser,
     append_and_absorb,
@@ -20,8 +19,8 @@ from hybridstream.engine import (
     config_for_mode,
     _window,
     dense_oracle_attention,
-    generate_stream,
     hybrid_attention,
+    rectified_flow,
     run_stream,
 )
 from hybridstream.errors import ShapeError
@@ -31,7 +30,7 @@ from hybridstream.rope import apply_rope, position_tables, rotation_tables, temp
 from hybridstream.sparse_local import (BlockConfig, block_means, block_scores, build_mask,
                                       sparse_attention)
 from hybridstream.stream_cache import ChunkKV, RollingCache, relative_temporal_index
-from hybridstream.verify import random_cache
+from hybridstream.verify import expected_score_evals, random_cache
 
 TOY = StreamConfig(tokens_per_frame=4, model_dim=16, heads=2, head_dim=8)
 
@@ -60,7 +59,7 @@ def per_head_hybrid(q, k_self, v_self, cache, layer, cfg, qci):
     for pos, (entry, _) in enumerate(visible):
         if entry.is_sink:
             forced.update(range(pos * bpc, (pos + 1) * bpc))
-    bcfg = BlockConfig(cfg.block_tokens, cfg.block_tokens, cfg.keep_ratio, frozenset(forced))
+    bcfg = BlockConfig(cfg.keep_ratio, frozenset(forced))
     heads = []
     for h in range(cfg.heads):
         k_parts = [apply_rope(e.keys[layer, h], rel, s_idx, rope_cfg) for e, rel in visible]
@@ -418,8 +417,7 @@ class TestHybridAttention:
             if entry.is_sink:
                 forced.update(range(pos * bpc, (pos + 1) * bpc))
         forced.update(range(len(visible) * bpc, (len(visible) + 1) * bpc))
-        bcfg = BlockConfig(cfg.block_tokens, cfg.block_tokens, cfg.keep_ratio,
-                           frozenset(forced))
+        bcfg = BlockConfig(cfg.keep_ratio, frozenset(forced))
         local_heads = []
         for h in range(cfg.heads):
             k_parts = [apply_rope(e.keys[layer, h], rel, s_idx, rope_cfg)
@@ -562,8 +560,8 @@ class TestGenerateStream:
                    for s in res.final_cache.linear_states)
 
     def test_deterministic_across_runs(self):
-        a = generate_stream(TOY, 6)
-        b = generate_stream(TOY, 6)
+        a = run_stream(TOY, 6).latents
+        b = run_stream(TOY, 6).latents
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_long_horizon_finite_and_capped(self):
@@ -590,20 +588,6 @@ class TestGenerateStream:
         res = run_stream(TOY, 30)
         expected = (TOY.sink_chunks + TOY.capacity_chunks) * TOY.chunk_tokens
         assert res.peak_cached_tokens == expected
-
-
-def expected_score_evals(cfg: StreamConfig, chunk_index: int) -> int:
-    """Analytic count of S entries for one generated chunk."""
-    bpc = cfg.blocks_per_chunk
-    sinks = min(chunk_index, cfg.sink_chunks)
-    window = min(max(chunk_index - cfg.sink_chunks, 0), cfg.capacity_chunks)
-    t_n = (sinks + window + 1) * bpc
-    forced = (sinks + 1) * bpc
-    quota = max(forced, math.ceil(cfg.keep_ratio * t_n))
-    quota = min(quota, t_n)
-    active_rows = bpc * quota
-    passes = len(cfg.denoise_timesteps) + 1  # denoise steps + the t=0 cache pass
-    return active_rows * cfg.block_tokens * cfg.block_tokens * cfg.heads * cfg.layers * passes
 
 
 class TestCostModel:
@@ -636,14 +620,8 @@ class TestCostModel:
 
 class TestNoiseSchedule:
     def test_rectified_flow_endpoints(self):
-        s = NoiseSchedule.rectified_flow()
-        assert float(s.alpha(0.0)) == 1.0 and float(s.beta(0.0)) == 0.0
-        assert float(s.alpha(1.0)) == 0.0 and float(s.beta(1.0)) == 1.0
-
-    def test_bad_schedule_rejected(self):
-        with pytest.raises(ValueError):
-            NoiseSchedule(alpha=lambda t: 1.0 + 0 * np.asarray(t),
-                          beta=lambda t: np.asarray(t))
+        assert rectified_flow(0.0) == (1.0, 0.0)
+        assert rectified_flow(1.0) == (0.0, 1.0)
 
 
 class TestConfigValidation:

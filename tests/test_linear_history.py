@@ -33,7 +33,7 @@ def random_chunk(seed, tokens=6):
     return rng.normal((HEADS, tokens, HEAD_DIM)), rng.normal((HEADS, tokens, HEAD_DIM))
 
 
-def batch_state_oracle(chunks, feature_map, rope_cfg, t_index=0):
+def batch_state_oracle(chunks, feature_map, rope_cfg):
     """Direct batch sums over all evicted tokens: L = sum rotate(phi(k))^T v,
     H = sum over chunks of mean_tokens phi(k)."""
     L = np.zeros((HEADS, HEAD_DIM, HEAD_DIM))
@@ -42,7 +42,7 @@ def batch_state_oracle(chunks, feature_map, rope_cfg, t_index=0):
         s_idx = np.arange(keys.shape[1], dtype=float)
         fk = feature_map(keys)
         for h in range(HEADS):
-            rot = apply_rope(fk[h], t_index, s_idx, rope_cfg)
+            rot = apply_rope(fk[h], 0, s_idx, rope_cfg)
             for tok in range(keys.shape[1]):
                 L[h] += np.outer(rot[tok], values[h, tok])
             H[h] += fk[h].mean(axis=0)
@@ -81,7 +81,7 @@ class TestAbsorb:
         rng = SeededRng(2)
         k = np.abs(rng.normal((HEADS, 1, HEAD_DIM))) + 0.1
         v = rng.normal((HEADS, 1, HEAD_DIM))
-        absorb_evicted(state, k, v, ROPE, t_index=0, s_indices=np.zeros(1))
+        absorb_evicted(state, k, v, ROPE, s_indices=np.zeros(1))
         for h in range(HEADS):
             assert np.abs(state.L[h] - np.outer(k[h, 0], v[h, 0])).max() < 1e-12
             assert np.abs(state.H[h] - k[h, 0]).max() < 1e-12
@@ -186,7 +186,7 @@ class TestHistoryOutput:
         rng = SeededRng(31)
         k = np.abs(rng.normal((HEADS, 1, HEAD_DIM))) + 0.1
         v = rng.normal((HEADS, 1, HEAD_DIM))
-        absorb_evicted(state, k, v, ROPE, t_index=0, s_indices=np.zeros(1))
+        absorb_evicted(state, k, v, ROPE, s_indices=np.zeros(1))
         q = np.abs(rng.normal((HEADS, 3, HEAD_DIM))) + 0.1
         out = history_output(state, q, *tables(0, np.zeros(3)))
         per_head = []

@@ -1,4 +1,4 @@
-"""Foundation tests: matmul, softmax, seeded RNG, tensor container."""
+"""Foundation tests: softmax, seeded RNG, tensor container."""
 
 import hashlib
 import io
@@ -14,46 +14,11 @@ from hybridstream.numerics import (
     SeededRng,
     f32_pairs_to_f64,
     f64_to_f32_pairs,
-    gaussian_sample,
-    matmul,
     read_tensor,
     read_tensor_from,
     softmax_rows,
     write_tensor,
 )
-
-
-class TestMatmul:
-    def test_identity(self):
-        m = np.arange(9, dtype=float).reshape(3, 3)
-        assert np.array_equal(matmul(np.eye(3), m), m)
-
-    def test_hand_computed(self):
-        out = matmul([[1, 2], [3, 4]], [[1], [1]])
-        assert np.array_equal(out, [[3], [7]])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-    def test_agrees_with_triple_loop_oracle(self):
-        rng = np.random.default_rng(0)
-        for _ in range(5):
-            m = rng.integers(1, 65)
-            k = rng.integers(1, 65)
-            n = rng.integers(1, 65)
-            a = rng.standard_normal((m, k))
-            b = rng.standard_normal((k, n))
-            want = np.zeros((m, n))
-            for i in range(m):
-                for j in range(n):
-                    acc = 0.0
-                    for p in range(k):
-                        acc += a[i, p] * b[p, j]
-                    want[i, j] = acc
-            got = matmul(a, b)
-            scale = np.abs(want).max() + 1.0
-            assert np.abs(got - want).max() / scale < 1e-12
 
 
 class TestSoftmaxRows:
@@ -90,12 +55,12 @@ class TestSeededRng:
         assert np.array_equal(whole, pieces)
 
     def test_gaussian_moments(self):
-        z = gaussian_sample(SeededRng(42), 100_000)
+        z = SeededRng(42).normal(100_000)
         assert abs(z.mean()) < 0.02
         assert abs(z.var() - 1.0) < 0.05
 
     def test_empty_gaussian(self):
-        assert gaussian_sample(SeededRng(0), 0).shape == (0,)
+        assert SeededRng(0).normal(0).shape == (0,)
 
     def test_known_raw_values(self):
         # splitmix64 outputs for seed 0 are pinned by the documented constants

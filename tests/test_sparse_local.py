@@ -38,8 +38,8 @@ def reference_mask(scores, cfg):
     return active
 
 
-def pooled_scores(q, k, cfg):
-    return block_scores(block_means(q, cfg.block_q), block_means(k, cfg.block_kv))
+def pooled_scores(q, k, b_q, b_kv):
+    return block_scores(block_means(q, b_q), block_means(k, b_kv))
 
 
 def random_qkv(seed, n_q=16, n_kv=32, d=8):
@@ -53,21 +53,20 @@ class TestBlockScores:
         q = rng.normal((8, 4))
         kb = rng.normal((4, 4))
         k = np.concatenate([kb, kb, kb], axis=0)
-        scores = pooled_scores(q, k, BlockConfig(4, 4, 0.5))
+        scores = pooled_scores(q, k, 4, 4)
         assert np.abs(scores - scores[:, :1]).max() < 1e-12
 
     def test_all_ones_blocks_score_is_dim(self):
         d = 6
         q = np.ones((4, d))
         k = np.ones((4, d))
-        scores = pooled_scores(q, k, BlockConfig(4, 4, 1.0))
+        scores = pooled_scores(q, k, 4, 4)
         assert scores.shape == (1, 1)
         assert abs(scores[0, 0] - d) < 1e-12
 
     def test_matches_per_token_mean_oracle(self):
         q, k, _ = random_qkv(1)
-        cfg = BlockConfig(4, 8, 0.5)
-        scores = pooled_scores(q, k, cfg)
+        scores = pooled_scores(q, k, 4, 8)
         t_m, t_n = scores.shape
         for i in range(t_m):
             qi = q[i * 4:(i + 1) * 4].mean(axis=0)
@@ -91,11 +90,10 @@ class TestBlockScores:
     def test_batched_bit_equal_to_per_slice_calls(self):
         rng = SeededRng(16)
         q, k = rng.normal((2, 3, 16, 8)), rng.normal((2, 3, 40, 8))
-        cfg = BlockConfig(4, 8, 0.5)
-        got = pooled_scores(q, k, cfg)
+        got = pooled_scores(q, k, 4, 8)
         assert got.shape == (2, 3, 4, 5)
         for i, j in np.ndindex(2, 3):
-            assert np.array_equal(got[i, j], pooled_scores(q[i, j], k[i, j], cfg))
+            assert np.array_equal(got[i, j], pooled_scores(q[i, j], k[i, j], 4, 8))
             assert np.array_equal(block_means(k, 8)[i, j], block_means(k[i, j], 8))
 
     def test_leading_dims_must_agree(self):
@@ -108,36 +106,36 @@ class TestBlockScores:
 class TestBuildMask:
     def test_dense_limit(self):
         scores = SeededRng(2).normal((3, 5))
-        mask = build_mask(scores, BlockConfig(1, 1, 1.0))
+        mask = build_mask(scores, BlockConfig(1.0))
         assert mask.active.all()
 
     def test_argsort_oracle(self):
         scores = np.array([[3.0, 1.0, 2.0, 0.0]])
-        mask = build_mask(scores, BlockConfig(1, 1, 0.5))  # quota ceil(0.5*4)=2
+        mask = build_mask(scores, BlockConfig(0.5))  # quota ceil(0.5*4)=2
         assert set(np.flatnonzero(mask.active[0])) == {0, 2}
 
     def test_tie_break_by_lower_index(self):
         scores = np.zeros((2, 4))
-        mask = build_mask(scores, BlockConfig(1, 1, 0.5))
+        mask = build_mask(scores, BlockConfig(0.5))
         for row in mask.active:
             assert set(np.flatnonzero(row)) == {0, 1}
 
     def test_forced_blocks_always_active(self):
         scores = np.array([[10.0, 9.0, 8.0, -5.0]])
-        mask = build_mask(scores, BlockConfig(1, 1, 0.25, frozenset({3})))
+        mask = build_mask(scores, BlockConfig(0.25, frozenset({3})))
         assert mask.active[0, 3]
 
     def test_quota_is_max_of_forced_and_ratio(self):
         scores = SeededRng(3).normal((4, 10))
         forced = frozenset({0, 1, 2, 3})
-        mask = build_mask(scores, BlockConfig(1, 1, 0.2, forced))  # ceil(2) < 4 forced
+        mask = build_mask(scores, BlockConfig(0.2, forced))  # ceil(2) < 4 forced
         assert (mask.active.sum(axis=1) == 4).all()
-        mask2 = build_mask(scores, BlockConfig(1, 1, 0.8, forced))  # ceil(8) > forced
+        mask2 = build_mask(scores, BlockConfig(0.8, forced))  # ceil(8) > forced
         assert (mask2.active.sum(axis=1) == 8).all()
 
     def test_deterministic(self):
         scores = SeededRng(4).normal((6, 12))
-        cfg = BlockConfig(1, 1, 0.3, frozenset({5}))
+        cfg = BlockConfig(0.3, frozenset({5}))
         a = build_mask(scores, cfg)
         b = build_mask(scores, cfg)
         assert np.array_equal(a.active, b.active)
@@ -154,7 +152,7 @@ class TestBuildMask:
             if forced:
                 ratios.append(len(forced) / t_n)  # quota equal to the forced count
             for ratio in ratios:
-                cfg = BlockConfig(1, 1, ratio, forced)
+                cfg = BlockConfig(ratio, forced)
                 got = build_mask(scores, cfg).active
                 assert np.array_equal(got, reference_mask(scores, cfg)), (trial, ratio)
                 quota = max(len(forced), int(np.ceil(ratio * t_n)))
@@ -170,25 +168,25 @@ class TestBuildMask:
             heads, t_m, t_n = rng.integers(1, 4), rng.integers(1, 5), rng.integers(2, 20)
             scores = rng.integers(-2, 3, size=(heads, t_m, t_n)).astype(np.float64)
             forced = frozenset(rng.choice(t_n, size=rng.integers(0, t_n), replace=False).tolist())
-            cfg = BlockConfig(1, 1, float(rng.uniform(0.05, 1.0)), forced)
+            cfg = BlockConfig(float(rng.uniform(0.05, 1.0)), forced)
             stacked = build_mask(scores.reshape(heads * t_m, t_n), cfg).active
             per_head = np.concatenate([build_mask(scores[h], cfg).active for h in range(heads)])
             assert np.array_equal(stacked, per_head)
 
     def test_forced_index_sorted_read_only_and_built_once(self):
-        cfg = BlockConfig(1, 1, 0.5, frozenset({7, 0, 3}))
+        cfg = BlockConfig(0.5, frozenset({7, 0, 3}))
         index = cfg.forced_index
         assert index.tolist() == [0, 3, 7] and cfg.forced_index is index
         with pytest.raises(ValueError):
             index[0] = 1
-        assert BlockConfig(1, 1, 0.5).forced_index.size == 0
+        assert BlockConfig(0.5).forced_index.size == 0
         # a forced block past the key blocks is named in the error
         with pytest.raises(ShapeError, match=r"\[0, 3, 7\] out of range for 5"):
             build_mask(np.zeros((2, 5)), cfg)
 
     def test_every_row_nonempty(self):
         scores = SeededRng(5).normal((8, 3))
-        mask = build_mask(scores, BlockConfig(1, 1, 0.01))
+        mask = build_mask(scores, BlockConfig(0.01))
         assert mask.active.any(axis=1).all()
 
     def test_empty_row_mask_rejected(self):
@@ -199,7 +197,7 @@ class TestBuildMask:
 class TestSparseAttention:
     def test_dense_limit_equals_plain_softmax(self):
         q, k, v = random_qkv(6)
-        mask = build_mask(pooled_scores(q, k, BlockConfig(4, 4, 1.0)), BlockConfig(4, 4, 1.0))
+        mask = build_mask(pooled_scores(q, k, 4, 4), BlockConfig(1.0))
         scale = 1.0 / np.sqrt(q.shape[1])
         got = sparse_attention(q, k, v, mask, scale)
         want = softmax_rows((q @ k.T) * scale) @ v
@@ -237,8 +235,7 @@ class TestSparseAttention:
             score_evals = 0
 
         q, k, v = random_qkv(13, n_q=8, n_kv=24, d=8)
-        cfg = BlockConfig(4, 4, 0.34)
-        mask = build_mask(pooled_scores(q, k, cfg), cfg)
+        mask = build_mask(pooled_scores(q, k, 4, 4), BlockConfig(0.34))
         c = Counter()
         sparse_attention(q, k, v, mask, counters=c)
         assert c.score_evals == mask.active_count() * 4 * 4
@@ -255,10 +252,10 @@ class TestSparseAttention:
         # mask: head h's rows keep only head h's key blocks
         rng = SeededRng(18)
         heads, b, t_m, t_n, d = 3, 4, 2, 6, 8
-        cfg = BlockConfig(b, b, 0.5, frozenset({0, 5}))
+        cfg = BlockConfig(0.5, frozenset({0, 5}))
         q = rng.normal((heads, t_m * b, d))
         k, v = rng.normal((heads, t_n * b, d)), rng.normal((heads, t_n * b, d))
-        rows = build_mask(pooled_scores(q, k, cfg).reshape(heads * t_m, t_n), cfg).active
+        rows = build_mask(pooled_scores(q, k, b, b).reshape(heads * t_m, t_n), cfg).active
         packed = np.zeros((heads, t_m, heads, t_n), dtype=bool)
         for h in range(heads):
             packed[h, :, h] = rows.reshape(heads, t_m, t_n)[h]
@@ -278,7 +275,7 @@ class TestSparseAttention:
         heads, t_m, t_n, b, d = 2, 3, 51, 16, 16
         q = rng.normal((heads * t_m * b, d))
         k, v = rng.normal((heads * t_n * b, d)), rng.normal((heads * t_n * b, d))
-        cfg = BlockConfig(b, b, 0.2, frozenset({0, 1, 2, 48, 49, 50}))
+        cfg = BlockConfig(0.2, frozenset({0, 1, 2, 48, 49, 50}))
         rows = build_mask(rng.normal((heads * t_m, t_n)), cfg).active
         quota = 11
         assert (rows.sum(axis=1) == quota).all()
