@@ -11,13 +11,14 @@ from hybridstream import (
     SeededRng,
     absorb_evicted,
     apply_rope,
+    elu_plus_one,
     history_output,
     rotation_tables,
 )
 
 HEADS, HEAD_DIM, TOKENS = 2, 8, 6
 MODEL_DIM = HEADS * HEAD_DIM
-rope_cfg = RoPEConfig.half_split(HEAD_DIM, max_temporal_index=21)
+rope_cfg = RoPEConfig(HEAD_DIM, max_temporal_index=21)
 rng = SeededRng(3)
 
 projection = rng.normal((MODEL_DIM, MODEL_DIM)) / np.sqrt(MODEL_DIM)
@@ -42,8 +43,8 @@ for c in range(30):
     k = rng.normal((HEADS, TOKENS, HEAD_DIM))
     v = rng.normal((HEADS, TOKENS, HEAD_DIM))
     chunks.append((k, v))
-    absorb_evicted(state, k, v, rope_cfg, s_indices=np.arange(float(TOKENS)))
-    fk = state.feature_map(k)
+    absorb_evicted(state, k, v, rope_cfg)
+    fk = elu_plus_one(k)
     for h in range(HEADS):
         rot = apply_rope(fk[h], 0, np.arange(float(TOKENS)), rope_cfg)
         L_direct[h] += rot.T @ v[h]
@@ -57,17 +58,16 @@ print(f"  state is still {state.nbytes} bytes; it never grows")
 out = history_output(state, q, *tables_21)
 print(f"  query output shape {out.shape}, finite: {bool(np.isfinite(out).all())}")
 
-# The feature map keeps the normalizer strictly positive even for
+# The feature map (elu + 1) keeps the normalizer strictly positive even for
 # adversarial queries.
-fm = state.feature_map
 hostile = rng.normal((HEAD_DIM,)) * 50
-dens = [fm(hostile) @ state.H[h] + 1e-6 for h in range(HEADS)]
+dens = [elu_plus_one(hostile) @ state.H[h] + 1e-6 for h in range(HEADS)]
 print(f"  worst-case denominator for a 50-sigma query: {min(dens):.3e} (> 0)")
 
 # Scaling every absorbed value by c scales the output by c: the state is
 # linear in what it stores.
 scaled = LinearState.zeros(HEADS, HEAD_DIM, projection)
 for k, v in chunks:
-    absorb_evicted(scaled, k, 2.0 * v, rope_cfg, s_indices=np.arange(float(TOKENS)))
+    absorb_evicted(scaled, k, 2.0 * v, rope_cfg)
 out2 = history_output(scaled, q, *tables_21)
 print(f"  linearity in V: |out(2v) - 2 out(v)| = {np.abs(out2 - 2 * out).max():.2e}")

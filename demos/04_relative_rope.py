@@ -8,7 +8,7 @@ import numpy as np
 
 from hybridstream import RoPEConfig, SeededRng, apply_rope, temporal_index
 
-cfg = RoPEConfig.half_split(16, max_temporal_index=21)
+cfg = RoPEConfig(16, max_temporal_index=21)
 rng = SeededRng(4)
 
 print("temporal_index saturates at the cap:")

@@ -9,7 +9,6 @@ from .engine import (
     StreamResult,
     ToyDenoiser,
     config_for_mode,
-    dense_oracle_attention,
     hybrid_attention,
     rectified_flow,
     run_stream,
@@ -39,9 +38,9 @@ from .errors import (
 )
 from .linear_history import (
     EPS_DIV,
-    FeatureMap,
     LinearState,
     absorb_evicted,
+    elu_plus_one,
     history_output,
 )
 from .numerics import (

@@ -79,7 +79,7 @@ def parse_config_file(path: str) -> dict:
             lines = f.readlines()
         except UnicodeDecodeError as exc:
             raise UsageError(f"{path}: config file is not UTF-8 text ({exc.reason})")
-    out = {}
+    out, seen = {}, {}
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -89,7 +89,9 @@ def parse_config_file(path: str) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if not key:
             raise UsageError(f"{path}:{lineno}: empty key")
-        out[key] = value
+        if key in seen:
+            raise UsageError(f"{path}:{lineno}: key '{key}' already set on line {seen[key]}")
+        out[key], seen[key] = value, lineno
     return out
 
 

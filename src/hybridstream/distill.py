@@ -256,6 +256,8 @@ class DistillConfig:
             raise ValueError("timesteps must be strictly descending")
         if self.steps < 1 or self.batch_size < 1:
             raise ValueError("steps and batch_size must be >= 1")
+        if self.phase_switch_step < 0:
+            raise ValueError(f"phase_switch_step must be >= 0, got {self.phase_switch_step}")
 
 
 @dataclass

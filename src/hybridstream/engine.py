@@ -11,8 +11,8 @@ cache its keys/values through a dedicated pass at t=0, and absorb whatever
 the rolling window evicts into the linear state. That chunk step
 (chunk_step) is shared by run_stream and the distillation fixture.
 
-A dense full-history oracle with the same rotation policy is provided for
-equivalence testing.
+The dense full-history oracle these pathways are checked against lives in
+verify, with every other oracle.
 """
 
 from __future__ import annotations
@@ -28,11 +28,12 @@ from scipy.special import erf
 
 from .errors import ShapeError
 from .linear_history import LinearState, absorb_evicted, history_output
-from .numerics import SeededRng, softmax_rows
+from .numerics import SeededRng
+# apply_rope has no caller here: perfbench's tracer wraps engine.apply_rope (ROADMAP item 1)
 from .rope import RoPEConfig, apply_rope, position_tables, rotate, temporal_index
 from .sparse_local import (BlockConfig, BlockMask, block_means, block_scores, build_mask,
                            sparse_attention)
-from .stream_cache import ChunkKV, RollingCache, relative_temporal_index
+from .stream_cache import ChunkKV, RollingCache
 
 _WEIGHT_STREAM = 1
 _NOISE_STREAM = 2
@@ -117,8 +118,7 @@ class StreamConfig:
     @cached_property
     def _rope_config(self) -> RoPEConfig:
         # built once, by __post_init__; a frozen config's rotation never changes
-        return RoPEConfig.half_split(self.head_dim, self.base_theta,
-                                     self.max_temporal_index)
+        return RoPEConfig(self.head_dim, self.base_theta, self.max_temporal_index)
 
 
 # Baseline configurations for relative-cost comparisons. "dense21" is plain
@@ -147,11 +147,6 @@ def _layer_norm(x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
 
 def _gelu(x: np.ndarray) -> np.ndarray:
     return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
-
-
-def _chunk_spatial_indices(cfg: StreamConfig) -> np.ndarray:
-    # every chunk reuses the same within-chunk positions on the uncapped axis
-    return np.arange(cfg.chunk_tokens, dtype=np.float64)
 
 
 @lru_cache(maxsize=64)
@@ -279,39 +274,6 @@ def hybrid_attention(
     return local
 
 
-def dense_oracle_attention(
-    q: np.ndarray,
-    k_self: np.ndarray,
-    v_self: np.ndarray,
-    history: Sequence[ChunkKV],
-    layer: int,
-    cfg: StreamConfig,
-    query_chunk_index: int,
-) -> np.ndarray:
-    """Exact softmax attention over an arbitrary retained history (plus the
-    chunk itself) under the same rotation policy. Test-scale only."""
-    rope_cfg = cfg.rope_config()
-    s_idx = _chunk_spatial_indices(cfg)
-    q_index = temporal_index(query_chunk_index, rope_cfg)
-    outs = []
-    for h in range(cfg.heads):
-        k_parts = [
-            apply_rope(e.keys[layer, h],
-                       relative_temporal_index(query_chunk_index, e.chunk_index,
-                                               cfg.max_temporal_index),
-                       s_idx, rope_cfg)
-            for e in history
-        ]
-        k_parts.append(apply_rope(k_self[h], q_index, s_idx, rope_cfg))
-        v_parts = [e.values[layer, h] for e in history] + [v_self[h]]
-        k_full = np.concatenate(k_parts, axis=0)
-        v_full = np.concatenate(v_parts, axis=0)
-        q_rot = apply_rope(q[h], q_index, s_idx, rope_cfg)
-        probs = softmax_rows((q_rot @ k_full.T) / math.sqrt(cfg.head_dim))
-        outs.append(probs @ v_full)
-    return np.concatenate(outs, axis=1)
-
-
 class ToyDenoiser:
     """Fixed-weight residual transformer used as the streaming fixture.
 
@@ -390,11 +352,6 @@ class ToyDenoiser:
             h = h + _gelu(m @ w["w1"]) @ w["w2"]
         return h, layer_kvs
 
-    def denoise_chunk(self, x_t: np.ndarray, t: float, cache: RollingCache,
-                      query_chunk_index: int,
-                      counters: OpCounters | None = None) -> np.ndarray:
-        return self.forward(x_t, t, cache, query_chunk_index, counters)[0]
-
     def compute_chunk_kv(self, x0: np.ndarray, cache: RollingCache,
                          chunk_index: int,
                          counters: OpCounters | None = None) -> ChunkKV:
@@ -427,10 +384,9 @@ def append_and_absorb(cache: RollingCache, kv: ChunkKV,
     evicted = cache.append(kv)
     if evicted is not None and cfg.linear_history:
         rope_cfg = cfg.rope_config()
-        s_idx = _chunk_spatial_indices(cfg)
         for layer_idx, state in enumerate(cache.linear_states):
             absorb_evicted(state, evicted.keys[layer_idx],
-                           evicted.values[layer_idx], rope_cfg, s_indices=s_idx)
+                           evicted.values[layer_idx], rope_cfg)
     return evicted
 
 
@@ -447,7 +403,7 @@ def chunk_step(model: ToyDenoiser, cache: RollingCache, chunk_index: int,
     shape = (cfg.chunk_tokens, cfg.model_dim)
     x = rng.normal(shape)
     for j, t in enumerate(timesteps):
-        x0 = model.denoise_chunk(x, t, cache, chunk_index, counters)
+        x0 = model.forward(x, t, cache, chunk_index, counters)[0]
         if j + 1 < len(timesteps):
             eps = rng.normal(shape)
             alpha, beta = rectified_flow(timesteps[j + 1])

@@ -5,7 +5,9 @@ Per head the state is a feature-space accumulator L (sum over evicted
 tokens of rotate(phi(k))^T v) and a normalizer vector H (sum over evicted
 chunks of the per-chunk mean of phi(k), kept unrotated). Queries read the
 state as projection(rotate(phi(q)) L / (phi(q) . H + eps)), so memory and
-query cost never grow with how much has been evicted.
+query cost never grow with how much has been evicted. The feature map phi
+is elu(x) + 1 (Katharopoulos et al., 2020): positive everywhere and only
+linear in growth, which keeps the normalizer meaningful and finite.
 
 Note the deliberate asymmetry: the rotation enters L and the query
 numerator but not H or the denominator, and H averages within each evicted
@@ -15,7 +17,6 @@ chunk before summing across chunks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -26,22 +27,10 @@ from .rope import RoPEConfig, apply_rope, check_tables, rotate
 EPS_DIV = 1e-6  # denominator guard for adversarial queries
 
 
-class FeatureMap(Enum):
-    """Elementwise activation applied to queries/keys in the linear pathway.
-
-    ELU_PLUS_ONE is positive everywhere and grows only linearly, which keeps
-    the normalizer meaningful and finite. IDENTITY exists for closed-form
-    tests on positive inputs only.
-    """
-
-    ELU_PLUS_ONE = "elu1"
-    IDENTITY = "identity"
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if self is FeatureMap.ELU_PLUS_ONE:
-            return np.where(x > 0, x + 1.0, np.exp(np.minimum(x, 0.0)))
-        return x.copy()
+def elu_plus_one(x: np.ndarray) -> np.ndarray:
+    """The feature map phi(x) = elu(x) + 1, elementwise."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.where(x > 0, x + 1.0, np.exp(np.minimum(x, 0.0)))
 
 
 @dataclass
@@ -53,11 +42,9 @@ class LinearState:
     H: np.ndarray        # [heads, head_dim]
     evicted_tokens: int
     projection: np.ndarray  # [model_dim, model_dim]
-    feature_map: FeatureMap = FeatureMap.ELU_PLUS_ONE
 
     @classmethod
-    def zeros(cls, heads: int, head_dim: int, projection: np.ndarray,
-              feature_map: FeatureMap = FeatureMap.ELU_PLUS_ONE) -> "LinearState":
+    def zeros(cls, heads: int, head_dim: int, projection: np.ndarray) -> "LinearState":
         projection = np.asarray(projection, dtype=np.float64)
         model_dim = heads * head_dim
         if projection.shape != (model_dim, model_dim):
@@ -69,7 +56,6 @@ class LinearState:
             H=np.zeros((heads, head_dim)),
             evicted_tokens=0,
             projection=projection,
-            feature_map=feature_map,
         )
 
     @property
@@ -97,7 +83,7 @@ class LinearState:
         numerics.write_f64_tensor(f, self.projection)
 
     @classmethod
-    def from_stream(cls, f, evicted_tokens: int, feature_map: FeatureMap) -> "LinearState":
+    def from_stream(cls, f, evicted_tokens: int) -> "LinearState":
         L = numerics.read_f64_tensor(f)
         H = numerics.read_f64_tensor(f)
         projection = numerics.read_f64_tensor(f)
@@ -106,7 +92,7 @@ class LinearState:
                 or projection.shape != (heads * head_dim,) * 2):
             raise FormatError(f"linear state shapes L {L.shape}, H {H.shape} and projection "
                               f"{projection.shape} do not fit one heads x head_dim")
-        return cls(L, H, int(evicted_tokens), projection, feature_map)
+        return cls(L, H, int(evicted_tokens), projection)
 
 
 def absorb_evicted(
@@ -114,14 +100,14 @@ def absorb_evicted(
     keys: np.ndarray,
     values: np.ndarray,
     rope_cfg: RoPEConfig,
-    s_indices=None,
 ) -> LinearState:
     """Fold one evicted chunk into the state (in place; also returned).
 
     keys/values: [heads, chunk_tokens, head_dim]. Rotation is applied once
-    here, anchoring evicted content at temporal index 0 so that query-side
-    capped indices keep a monotone relative offset to everything already
-    absorbed. Raises ValueError, leaving the state unchanged, when
+    here, anchoring evicted content at temporal index 0 (and each token at
+    its spatial position 0..chunk_tokens - 1 in the chunk) so that
+    query-side capped indices keep a monotone relative offset to everything
+    already absorbed. Raises ValueError, leaving the state unchanged, when
     the updated L or H would be non-finite.
     """
     keys = np.asarray(keys, dtype=np.float64)
@@ -132,8 +118,8 @@ def absorb_evicted(
         raise ShapeError(
             f"expected [{state.heads}, tokens, {state.head_dim}], got {keys.shape}"
         )
-    fk = state.feature_map(keys)
-    rotated = apply_rope(fk, 0, s_indices, rope_cfg)
+    fk = elu_plus_one(keys)
+    rotated = apply_rope(fk, 0, np.arange(keys.shape[1], dtype=np.float64), rope_cfg)
     L = state.L + np.einsum("htd,hte->hde", rotated, values)
     H = state.H + fk.mean(axis=1)
     if not (np.all(np.isfinite(L)) and np.all(np.isfinite(H))):
@@ -168,7 +154,7 @@ def history_output(
     tokens = queries.shape[1]
     if state.evicted_tokens == 0:
         return np.zeros((tokens, state.model_dim))
-    fq = state.feature_map(queries)
+    fq = elu_plus_one(queries)
     num = rotate(fq, cos, sin) @ state.L  # [heads, tokens, head_dim]
     # a matrix-vector product per head, rounded as fq[h] @ H[h] would be
     den = fq @ state.H[:, :, None] + EPS_DIV  # [heads, tokens, 1]

@@ -1,10 +1,10 @@
 """Rotary position embedding with a capped temporal axis.
 
-Head channels are split into 2-D rotation pairs assigned to two factorized
-axes: a temporal axis shared by every token of a chunk, and a spatial axis
-carrying each token's position inside the chunk. Temporal indices saturate
-at `max_temporal_index` so arbitrarily long streams keep a bounded index
-range; spatial indices are never capped.
+Head channels are split into 2-D rotation pairs, half of them on each of
+two factorized axes: a temporal axis shared by every token of a chunk, and
+a spatial axis carrying each token's position inside the chunk. Temporal
+indices saturate at `max_temporal_index` so arbitrarily long streams keep a
+bounded index range; spatial indices are never capped.
 
 rotation_tables builds the cos and sin of every pair's angle for given
 indices, and rotate applies such tables to a tensor; apply_rope is the two
@@ -28,31 +28,21 @@ from .errors import ContractViolationError, ShapeError
 @dataclass(frozen=True)
 class RoPEConfig:
     head_dim: int
-    temporal_dims: int  # rotation pairs on the temporal axis
-    spatial_dims: int   # rotation pairs on the spatial axis
     base_theta: float = 10000.0
     max_temporal_index: int = 21
 
     def __post_init__(self):
-        if 2 * (self.temporal_dims + self.spatial_dims) != self.head_dim:
-            raise ShapeError(
-                f"head_dim {self.head_dim} != 2 * ({self.temporal_dims} + {self.spatial_dims})"
-            )
-        if self.temporal_dims < 0 or self.spatial_dims < 0:
-            raise ShapeError("rotation pair counts must be >= 0")
+        if self.head_dim < 4 or self.head_dim % 4:
+            raise ShapeError(f"head_dim must be a positive multiple of 4, got {self.head_dim}")
         if self.max_temporal_index < 1:
             raise ValueError("max_temporal_index must be >= 1")
         if not self.base_theta > 1.0:  # also rejects nan
             raise ValueError("base_theta must exceed 1")
 
-    @classmethod
-    def half_split(cls, head_dim: int, base_theta: float = 10000.0,
-                   max_temporal_index: int = 21) -> "RoPEConfig":
-        """Even temporal/spatial split of the rotation pairs."""
-        if head_dim % 4 != 0:
-            raise ShapeError(f"half_split needs head_dim divisible by 4, got {head_dim}")
-        pairs = head_dim // 4
-        return cls(head_dim, pairs, pairs, base_theta, max_temporal_index)
+    @property
+    def pairs(self) -> int:
+        # rotation pairs per axis: channels [0 : 2 * pairs] are temporal, the rest spatial
+        return self.head_dim // 4
 
 
 def temporal_index(chunk_pos: int, config: RoPEConfig) -> int:
@@ -62,21 +52,17 @@ def temporal_index(chunk_pos: int, config: RoPEConfig) -> int:
     return min(int(chunk_pos), config.max_temporal_index)
 
 
-def _axis_freqs(pairs: int, base_theta: float) -> np.ndarray:
-    # Pair k rotates at angle index / base_theta ** (2k / axis_dim),
-    # axis_dim being the channel count (2 * pairs) assigned to the axis.
-    k = np.arange(pairs, dtype=np.float64)
-    return base_theta ** (-2.0 * k / (2.0 * pairs))
-
-
 @lru_cache(maxsize=32)
 def _tables(config: RoPEConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Precomputed per config: cos and sin of the temporal pairs' angles at
-    every index 0..cap ([max_temporal_index + 1, temporal_dims] each), and
-    the spatial pairs' frequencies."""
-    index = np.arange(config.max_temporal_index + 1, dtype=np.float64)
-    ang = index[:, None] * _axis_freqs(config.temporal_dims, config.base_theta)
-    tables = (np.cos(ang), np.sin(ang), _axis_freqs(config.spatial_dims, config.base_theta))
+    every index 0..cap ([max_temporal_index + 1, pairs] each), and the
+    pairs' frequencies, which both axes share."""
+    # pair k of an axis rotates at angle index / base_theta ** (2k / axis_dim),
+    # axis_dim being the axis's channel count, 2 * pairs
+    freqs = config.base_theta ** (-2.0 * np.arange(config.pairs, dtype=np.float64)
+                                  / (2.0 * config.pairs))
+    ang = np.arange(config.max_temporal_index + 1, dtype=np.float64)[:, None] * freqs
+    tables = (np.cos(ang), np.sin(ang), freqs)
     for table in tables:
         table.flags.writeable = False  # shared by every call with this config
     return tables
@@ -108,17 +94,15 @@ def rotation_tables(t_index, s_indices, config: RoPEConfig) -> tuple[np.ndarray,
     if s.ndim != 1:
         raise ShapeError(f"s_indices must be 1-D, got shape {s.shape}")
 
-    t_cos, t_sin, s_freqs = _tables(config)
-    pt = config.temporal_dims
-    cos = np.empty(t.shape + (s.shape[0], config.head_dim // 2))
+    t_cos, t_sin, freqs = _tables(config)
+    p = config.pairs
+    cos = np.empty(t.shape + (s.shape[0], 2 * p))
     sin = np.empty_like(cos)
-    if pt > 0:
-        cos[..., :pt] = t_cos[t][..., None, :]
-        sin[..., :pt] = t_sin[t][..., None, :]
-    if config.spatial_dims > 0:
-        ang = s[:, None] * s_freqs
-        cos[..., pt:] = np.cos(ang)
-        sin[..., pt:] = np.sin(ang)
+    cos[..., :p] = t_cos[t][..., None, :]
+    sin[..., :p] = t_sin[t][..., None, :]
+    ang = s[:, None] * freqs
+    cos[..., p:] = np.cos(ang)
+    sin[..., p:] = np.sin(ang)
     return cos, sin
 
 
@@ -181,27 +165,22 @@ def _rotate_into(x: np.ndarray, cos: np.ndarray, sin: np.ndarray,
     return out
 
 
-def apply_rope(x: np.ndarray, t_index, s_indices, config: RoPEConfig,
-               out: np.ndarray | None = None) -> np.ndarray:
+def apply_rope(x: np.ndarray, t_index, s_indices, config: RoPEConfig) -> np.ndarray:
     """Rotate each token's pairs: temporal pairs by the capped temporal
     index of its slice, spatial pairs by that token's own (uncapped)
     spatial index. The same as rotate(x, *rotation_tables(...)).
 
-    x: [..., tokens, head_dim]; channels [0 : 2*temporal_dims] hold the
-    temporal pairs as (even, odd) lanes, the remainder the spatial pairs.
+    x: [..., tokens, head_dim]; channels [0 : 2 * pairs] hold the temporal
+    pairs as (even, odd) lanes, the remainder the spatial pairs.
     t_index: an int, or an int array broadcasting over x's leading dims
     (x.shape[:-2]), so one call rotates many slices, each at its own index.
-    s_indices: [tokens], shared by every slice; None means all zeros.
-    out: as in rotate().
+    s_indices: [tokens], shared by every slice.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim < 2 or x.shape[-1] != config.head_dim:
         raise ShapeError(f"expected [..., tokens, {config.head_dim}], got {x.shape}")
-    tokens = x.shape[-2]
-    s = np.zeros(tokens, dtype=np.float64) if s_indices is None else np.asarray(
-        s_indices, dtype=np.float64
-    )
-    if s.shape != (tokens,):
-        raise ShapeError(f"s_indices must have shape ({tokens},), got {s.shape}")
+    s = np.asarray(s_indices, dtype=np.float64)
+    if s.shape != x.shape[-2:-1]:
+        raise ShapeError(f"s_indices must have shape ({x.shape[-2]},), got {s.shape}")
     # rotate() raises ShapeError unless t's shape broadcasts over x.shape[:-2]
-    return rotate(x, *rotation_tables(t_index, s, config), out=out)
+    return rotate(x, *rotation_tables(t_index, s, config))

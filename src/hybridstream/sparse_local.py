@@ -133,7 +133,7 @@ def sparse_attention(
     k: np.ndarray,
     v: np.ndarray,
     mask: BlockMask,
-    scale: float | None = None,
+    scale: float,
     counters=None,
 ) -> np.ndarray:
     """Masked attention over active blocks as one gathered softmax, as the
@@ -156,8 +156,6 @@ def sparse_attention(
         )
     b_q = q.shape[0] // t_m
     b_kv = k.shape[0] // t_n
-    if scale is None:
-        scale = 1.0 / math.sqrt(q.shape[1])
     counts = mask.active.sum(axis=1)
     if not counts.all():
         raise ContractViolationError("a query row has no active blocks")

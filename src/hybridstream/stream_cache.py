@@ -29,9 +29,9 @@ import numpy as np
 
 from . import numerics
 from .errors import FormatError, SequenceError, ShapeError
-from .linear_history import FeatureMap, LinearState
+from .linear_history import LinearState
 
-_SNAPSHOT_VERSION = 2
+_SNAPSHOT_VERSION = 3
 _ENCODING = "f64-bit-split-pairs"
 
 
@@ -182,11 +182,7 @@ class RollingCache:
                 {"chunk_index": e.chunk_index, "is_sink": e.is_sink} for e in entries
             ],
             "linear_states": [
-                {
-                    "evicted_tokens": s.evicted_tokens,
-                    "feature_map": s.feature_map.value,
-                }
-                for s in self.linear_states
+                {"evicted_tokens": s.evicted_tokens} for s in self.linear_states
             ],
             "encoding": _ENCODING,
         }
@@ -251,12 +247,7 @@ class RollingCache:
                 cache.window_entries.append(kv)
         for meta in _field(manifest, "linear_states", list):
             evicted_tokens = _field(meta, "evicted_tokens", int, 0)
-            name = _field(meta, "feature_map", str)
-            try:
-                feature_map = FeatureMap(name)
-            except ValueError as exc:
-                raise FormatError(f"unknown feature map {name!r}") from exc
-            cache.linear_states.append(LinearState.from_stream(f, evicted_tokens, feature_map))
+            cache.linear_states.append(LinearState.from_stream(f, evicted_tokens))
         if f.read(1):
             raise FormatError("trailing bytes after snapshot payload")
         cache._check_restored()
@@ -265,7 +256,8 @@ class RollingCache:
     def _check_restored(self) -> None:
         """Raise FormatError unless the entries are exactly what appending
         chunks 0 .. next_index - 1 leaves behind, all with one key/value shape
-        that agrees with the linear states' heads and head_dim."""
+        that agrees with the linear states' heads and head_dim. There must be
+        either no linear states or one per layer of those entries."""
         n, sinks = self._next_index, self.sink_chunks
         for e in self.entries():
             if e.is_sink != (e.chunk_index < sinks):
@@ -283,6 +275,9 @@ class RollingCache:
         if len(shapes) > 1:
             raise FormatError(f"entries disagree on key/value shape: {sorted(shapes)}")
         for shape in shapes:
+            if len(self.linear_states) not in (0, shape[0]):
+                raise FormatError(f"{len(self.linear_states)} linear states for entries of "
+                                  f"{shape[0]} layers; want 0 or {shape[0]}")
             for s in self.linear_states:
                 if (shape[1], shape[3]) != (s.heads, s.head_dim):
                     raise FormatError(f"entry keys {shape} do not match a linear state of "

@@ -1,5 +1,8 @@
 """Named verification suites: oracle equivalences and property sweeps,
-runnable from the command line and reusable from tests.
+runnable from the command line and reusable from tests. The oracles live
+here too: the dense full-history attention (dense_oracle_attention), the
+masked dense and online-softmax references of sparse attention, and the
+closed-form DMD gradient.
 
 Every check returns a CheckResult instead of raising, so a verification
 run reports all failures by name. The oracle checks take their sizes as
@@ -12,6 +15,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -25,12 +29,12 @@ from .distill import (
     train,
 )
 from .engine import OpCounters, StreamConfig, ToyDenoiser, append_and_absorb, chunk_step, \
-    config_for_mode, dense_oracle_attention, hybrid_attention, rectified_flow, run_stream
-from .linear_history import LinearState, absorb_evicted, history_output
+    config_for_mode, hybrid_attention, rectified_flow, run_stream
+from .linear_history import LinearState, absorb_evicted, elu_plus_one, history_output
 from .numerics import SeededRng, read_tensor_from, softmax_rows, write_tensor
 from .rope import RoPEConfig, apply_rope, rotation_tables, temporal_index
 from .sparse_local import BlockConfig, BlockMask, build_mask, sparse_attention
-from .stream_cache import ChunkKV, RollingCache
+from .stream_cache import ChunkKV, RollingCache, relative_temporal_index
 
 
 @dataclass
@@ -108,7 +112,7 @@ def _suite_numerics() -> list[CheckResult]:
 
 def _suite_rope() -> list[CheckResult]:
     out = []
-    cfg = RoPEConfig.half_split(16, max_temporal_index=21)
+    cfg = RoPEConfig(16, max_temporal_index=21)
     capped = all(temporal_index(p, cfg) <= 21 for p in (0, 5, 21, 22, 10**6))
     out.append(_check("rope.cap", capped and temporal_index(300, cfg) == 21,
                       "min(pos, 21) for all positions"))
@@ -149,14 +153,14 @@ def linear_state_checks(heads: int, head_dim: int, tokens: int, evictions,
     """Absorbed (L, H) against direct sums, one fresh state per count in
     `evictions`; equal footprints after the two counts in `memory_after`;
     positive readout denominators for large queries."""
-    rope_cfg = RoPEConfig.half_split(head_dim)
+    rope_cfg = RoPEConfig(head_dim)
     proj = np.eye(heads * head_dim)  # only the readout uses it
     s_idx = np.arange(float(tokens))
     rng = SeededRng(seed)
 
     def absorb_random(state):
         k, v = rng.normal((heads, tokens, head_dim)), rng.normal((heads, tokens, head_dim))
-        absorb_evicted(state, k, v, rope_cfg, s_indices=s_idx)
+        absorb_evicted(state, k, v, rope_cfg)
         return k, v
 
     rel = 0.0
@@ -166,7 +170,7 @@ def linear_state_checks(heads: int, head_dim: int, tokens: int, evictions,
         H = np.zeros_like(state.H)
         for _ in range(n):
             k, v = absorb_random(state)
-            fk = state.feature_map(k)
+            fk = elu_plus_one(k)
             for h in range(heads):
                 L[h] += apply_rope(fk[h], 0, s_idx, rope_cfg).T @ v[h]
                 H[h] += fk[h].mean(axis=0)
@@ -188,7 +192,7 @@ def linear_state_checks(heads: int, head_dim: int, tokens: int, evictions,
     for _ in range(200):
         q = rng.normal((head_dim,)) * 25
         for h in range(heads):
-            worst = min(worst, state.feature_map(q) @ state.H[h] + 1e-6)
+            worst = min(worst, elu_plus_one(q) @ state.H[h] + 1e-6)
     out.append(_check("linear_state.denominator_positive", worst >= 1e-6,
                       f"min denominator {worst:.3e}"))
     return out
@@ -391,6 +395,39 @@ def random_cache(cfg: StreamConfig, chunks: int, seed: int,
         kv = ChunkKV(i, rng.normal(shape), rng.normal(shape), i < cfg.sink_chunks)
         append_and_absorb(cache, kv, cfg)
     return cache
+
+
+def dense_oracle_attention(
+    q: np.ndarray,
+    k_self: np.ndarray,
+    v_self: np.ndarray,
+    history: Sequence[ChunkKV],
+    layer: int,
+    cfg: StreamConfig,
+    query_chunk_index: int,
+) -> np.ndarray:
+    """Exact softmax attention over an arbitrary retained history (plus the
+    chunk itself) under the same rotation policy. Test-scale only."""
+    rope_cfg = cfg.rope_config()
+    s_idx = np.arange(cfg.chunk_tokens, dtype=np.float64)
+    q_index = temporal_index(query_chunk_index, rope_cfg)
+    outs = []
+    for h in range(cfg.heads):
+        k_parts = [
+            apply_rope(e.keys[layer, h],
+                       relative_temporal_index(query_chunk_index, e.chunk_index,
+                                               cfg.max_temporal_index),
+                       s_idx, rope_cfg)
+            for e in history
+        ]
+        k_parts.append(apply_rope(k_self[h], q_index, s_idx, rope_cfg))
+        v_parts = [e.values[layer, h] for e in history] + [v_self[h]]
+        k_full = np.concatenate(k_parts, axis=0)
+        v_full = np.concatenate(v_parts, axis=0)
+        q_rot = apply_rope(q[h], q_index, s_idx, rope_cfg)
+        probs = softmax_rows((q_rot @ k_full.T) / math.sqrt(cfg.head_dim))
+        outs.append(probs @ v_full)
+    return np.concatenate(outs, axis=1)
 
 
 def dense_limit_check(cfg: StreamConfig, trials: int, max_chunks: int, seed: int,

@@ -305,7 +305,8 @@ class TestDistillCommand:
 
     @pytest.mark.parametrize("line", ["lam = nan", "lam = inf", "generator_lr = nan",
                                       "generator_lr = inf", "generator_lr = 0",
-                                      "generator_lr = -0.1", "batch_size = 0"])
+                                      "generator_lr = -0.1", "batch_size = 0",
+                                      "phase_switch_step = -5"])
     def test_out_of_range_value_is_usage_error(self, tmp_path, capsys, line):
         p = tmp_path / "bad.cfg"
         p.write_text(line + "\n")
@@ -402,6 +403,16 @@ class TestConfigParsing:
         p.write_text("this is not a key value line\n")
         assert main(["generate", "--config", str(p),
                      "--out", str(tmp_path / "o")]) == EXIT_USAGE
+
+    def test_repeated_key_is_usage_error(self, tmp_path, capsys):
+        p = tmp_path / "twice.cfg"
+        p.write_text("keep_ratio = 0.5\n# comment\n\nkeep_ratio = 0.9\n")
+        out = tmp_path / "o"
+        assert main(["generate", "--config", str(p), "--chunks", "1",
+                     "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{p}:4" in err and "keep_ratio" in err and "line 1" in err
+        assert not out.exists()
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         p = tmp_path / "ok.cfg"

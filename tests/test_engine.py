@@ -18,19 +18,18 @@ from hybridstream.engine import (
     chunk_step,
     config_for_mode,
     _window,
-    dense_oracle_attention,
     hybrid_attention,
     rectified_flow,
     run_stream,
 )
 from hybridstream.errors import ShapeError
 from hybridstream.numerics import SeededRng
-from hybridstream.linear_history import history_output
+from hybridstream.linear_history import elu_plus_one, history_output
 from hybridstream.rope import apply_rope, position_tables, rotation_tables, temporal_index
 from hybridstream.sparse_local import (BlockConfig, block_means, block_scores, build_mask,
                                       sparse_attention)
 from hybridstream.stream_cache import ChunkKV, RollingCache, relative_temporal_index
-from hybridstream.verify import expected_score_evals, random_cache
+from hybridstream.verify import dense_oracle_attention, expected_score_evals, random_cache
 
 TOY = StreamConfig(tokens_per_frame=4, model_dim=16, heads=2, head_dim=8)
 
@@ -73,7 +72,7 @@ def per_head_hybrid(q, k_self, v_self, cache, layer, cfg, qci):
     out = np.concatenate(heads, axis=1)
     state = cache.linear_states[layer]
     if state.evicted_tokens:
-        fq = state.feature_map(q)
+        fq = elu_plus_one(q)
         hist = []
         for h in range(cfg.heads):
             num = apply_rope(fq[h], q_index, s_idx, rope_cfg) @ state.L[h]
@@ -387,7 +386,6 @@ class TestHybridAttention:
             e.values[:] = 0.0
         q, k_self, _ = random_qkv(cfg, 77)
         v_self = np.zeros_like(k_self)
-        from hybridstream.linear_history import history_output
         rope_cfg = cfg.rope_config()
         tables = rotation_tables(temporal_index(8, rope_cfg), np.arange(float(cfg.chunk_tokens)),
                                  rope_cfg)
@@ -438,7 +436,7 @@ class TestHybridAttention:
         local = np.concatenate(local_heads, axis=1)
 
         state = cache.linear_states[layer]
-        fq = state.feature_map(q)  # elu1(0) = 1 everywhere
+        fq = elu_plus_one(q)  # elu1(0) = 1 everywhere
         per_head = []
         for h in range(cfg.heads):
             num = apply_rope(fq[h], q_index, s_idx, rope_cfg) @ state.L[h]
@@ -503,8 +501,8 @@ class TestToyDenoiser:
         model = ToyDenoiser(TOY)
         cache = random_cache(TOY, 3, seed=9, model=model)
         x = SeededRng(1).normal((TOY.chunk_tokens, TOY.model_dim))
-        a = model.denoise_chunk(x, 0.5, cache, 3)
-        b = model.denoise_chunk(x, 0.5, cache, 3)
+        a = model.forward(x, 0.5, cache, 3)[0]
+        b = model.forward(x, 0.5, cache, 3)[0]
         assert np.array_equal(a, b)
 
     def test_finite_under_large_inputs(self):
@@ -513,7 +511,7 @@ class TestToyDenoiser:
         rng = SeededRng(11)
         for scale in (1.0, 10.0, 1e2, 1e3):
             x = rng.normal((TOY.chunk_tokens, TOY.model_dim)) * scale
-            out = model.denoise_chunk(x, 0.25, cache, 3)
+            out = model.forward(x, 0.25, cache, 3)[0]
             assert np.isfinite(out).all()
 
     def test_seed_changes_weights(self):
@@ -522,14 +520,14 @@ class TestToyDenoiser:
         cache_a = random_cache(TOY, 1, seed=12, model=a)
         cache_b = random_cache(replace(TOY, seed=123), 1, seed=12, model=b)
         x = SeededRng(13).normal((TOY.chunk_tokens, TOY.model_dim))
-        assert not np.array_equal(a.denoise_chunk(x, 0.5, cache_a, 1),
-                                  b.denoise_chunk(x, 0.5, cache_b, 1))
+        assert not np.array_equal(a.forward(x, 0.5, cache_a, 1)[0],
+                                  b.forward(x, 0.5, cache_b, 1)[0])
 
     def test_output_shape_matches_input(self):
         model = ToyDenoiser(TOY)
         cache = model.new_cache()
         x = SeededRng(14).normal((TOY.chunk_tokens, TOY.model_dim))
-        out = model.denoise_chunk(x, 1.0, cache, 0)
+        out = model.forward(x, 1.0, cache, 0)[0]
         assert out.shape == x.shape
 
     def test_unknown_timestep_rejected(self):
@@ -537,12 +535,12 @@ class TestToyDenoiser:
         cache = model.new_cache()
         x = np.zeros((TOY.chunk_tokens, TOY.model_dim))
         with pytest.raises(ValueError):
-            model.denoise_chunk(x, 0.33, cache, 0)
+            model.forward(x, 0.33, cache, 0)
 
     def test_bad_shape_rejected(self):
         model = ToyDenoiser(TOY)
         with pytest.raises(ShapeError):
-            model.denoise_chunk(np.zeros((3, 3)), 1.0, model.new_cache(), 0)
+            model.forward(np.zeros((3, 3)), 1.0, model.new_cache(), 0)
 
 
 class TestGenerateStream:

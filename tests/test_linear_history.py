@@ -6,9 +6,9 @@ import pytest
 from hybridstream.errors import ShapeError
 from hybridstream.linear_history import (
     EPS_DIV,
-    FeatureMap,
     LinearState,
     absorb_evicted,
+    elu_plus_one,
     history_output,
 )
 from hybridstream.numerics import SeededRng
@@ -16,12 +16,12 @@ from hybridstream.rope import RoPEConfig, apply_rope, rotation_tables
 
 HEADS, HEAD_DIM = 2, 8
 MODEL_DIM = HEADS * HEAD_DIM
-ROPE = RoPEConfig.half_split(HEAD_DIM, max_temporal_index=21)
+ROPE = RoPEConfig(HEAD_DIM, max_temporal_index=21)
 
 
-def fresh_state(feature_map=FeatureMap.ELU_PLUS_ONE, seed=0):
+def fresh_state(seed=0):
     proj = SeededRng(seed).normal((MODEL_DIM, MODEL_DIM)) / np.sqrt(MODEL_DIM)
-    return LinearState.zeros(HEADS, HEAD_DIM, proj, feature_map)
+    return LinearState.zeros(HEADS, HEAD_DIM, proj)
 
 
 def tables(t_index, s_indices):
@@ -33,14 +33,14 @@ def random_chunk(seed, tokens=6):
     return rng.normal((HEADS, tokens, HEAD_DIM)), rng.normal((HEADS, tokens, HEAD_DIM))
 
 
-def batch_state_oracle(chunks, feature_map, rope_cfg):
+def batch_state_oracle(chunks, rope_cfg):
     """Direct batch sums over all evicted tokens: L = sum rotate(phi(k))^T v,
     H = sum over chunks of mean_tokens phi(k)."""
     L = np.zeros((HEADS, HEAD_DIM, HEAD_DIM))
     H = np.zeros((HEADS, HEAD_DIM))
     for keys, values in chunks:
         s_idx = np.arange(keys.shape[1], dtype=float)
-        fk = feature_map(keys)
+        fk = elu_plus_one(keys)
         for h in range(HEADS):
             rot = apply_rope(fk[h], 0, s_idx, rope_cfg)
             for tok in range(keys.shape[1]):
@@ -53,15 +53,15 @@ class TestAbsorb:
     def test_non_finite_absorb_raises_and_leaves_state_unchanged(self):
         state = fresh_state()
         for seed in range(3):
-            absorb_evicted(state, *random_chunk(seed), ROPE, s_indices=np.arange(6.0))
+            absorb_evicted(state, *random_chunk(seed), ROPE)
         L, H, tokens = state.L.copy(), state.H.copy(), state.evicted_tokens
         keys, values = random_chunk(9)
         values[1, 2, 3] = np.inf
         with pytest.raises(ValueError):
-            absorb_evicted(state, keys, values, ROPE, s_indices=np.arange(6.0))
+            absorb_evicted(state, keys, values, ROPE)
         keys[0, 0, 0] = np.nan  # poisons H as well
         with pytest.raises(ValueError):
-            absorb_evicted(state, keys, np.zeros_like(keys), ROPE, s_indices=np.arange(6.0))
+            absorb_evicted(state, keys, np.zeros_like(keys), ROPE)
         assert np.array_equal(state.L, L)
         assert np.array_equal(state.H, H)
         assert state.evicted_tokens == tokens
@@ -69,40 +69,41 @@ class TestAbsorb:
     def test_zero_values_leave_L_unchanged(self):
         state = fresh_state()
         keys, _ = random_chunk(1)
-        absorb_evicted(state, keys, np.zeros_like(keys), ROPE,
-                       s_indices=np.arange(6.0))
+        absorb_evicted(state, keys, np.zeros_like(keys), ROPE)
         assert np.array_equal(state.L, np.zeros_like(state.L))
         assert not np.array_equal(state.H, np.zeros_like(state.H))
         assert state.evicted_tokens == 6
 
     def test_single_token_closed_form(self):
-        # identity feature map, zero rotation angles: L = k^T v, H = k
-        state = fresh_state(FeatureMap.IDENTITY)
+        # positive keys, so phi(k) = k + 1; one token has zero rotation
+        # angles: L = phi(k)^T v, H = phi(k)
+        state = fresh_state()
         rng = SeededRng(2)
         k = np.abs(rng.normal((HEADS, 1, HEAD_DIM))) + 0.1
         v = rng.normal((HEADS, 1, HEAD_DIM))
-        absorb_evicted(state, k, v, ROPE, s_indices=np.zeros(1))
+        absorb_evicted(state, k, v, ROPE)
         for h in range(HEADS):
-            assert np.abs(state.L[h] - np.outer(k[h, 0], v[h, 0])).max() < 1e-12
-            assert np.abs(state.H[h] - k[h, 0]).max() < 1e-12
+            assert np.abs(state.L[h] - np.outer(k[h, 0] + 1.0, v[h, 0])).max() < 1e-12
+            assert np.abs(state.H[h] - (k[h, 0] + 1.0)).max() < 1e-12
 
     def test_chunkwise_equals_concatenated(self):
         # same per-chunk mean convention: compare two chunks of equal size
         # against one chunk holding both halves, scaling H appropriately
         k1, v1 = random_chunk(3, tokens=4)
         k2, v2 = random_chunk(4, tokens=4)
-        sep = fresh_state()
+        sep, first, second = fresh_state(), fresh_state(), fresh_state()
         for k, v in [(k1, v1), (k2, v2)]:
-            absorb_evicted(sep, k, v, ROPE, s_indices=np.arange(4.0))
-        # L is a plain token sum, so it must match a concatenated absorb
-        # whose spatial indices repeat per chunk
-        cat = fresh_state()
-        absorb_evicted(cat, np.concatenate([k1, k2], axis=1),
-                       np.concatenate([v1, v2], axis=1), ROPE,
-                       s_indices=np.concatenate([np.arange(4.0), np.arange(4.0)]))
-        assert np.abs(sep.L - cat.L).max() < 1e-12
+            absorb_evicted(sep, k, v, ROPE)
+        absorb_evicted(first, k1, v1, ROPE)
+        absorb_evicted(second, k2, v2, ROPE)
+        # L is a plain token sum over chunks, each rotated at its own
+        # positions 0..tokens - 1
+        assert np.abs(sep.L - (first.L + second.L)).max() < 1e-12
         # H averages per absorbed chunk: two 4-token chunks sum to twice the
         # 8-token mean of the same tokens
+        cat = fresh_state()
+        absorb_evicted(cat, np.concatenate([k1, k2], axis=1),
+                       np.concatenate([v1, v2], axis=1), ROPE)
         assert np.abs(sep.H - 2.0 * cat.H).max() < 1e-12
 
     def test_order_invariance(self):
@@ -110,9 +111,9 @@ class TestAbsorb:
         fwd = fresh_state()
         rev = fresh_state()
         for k, v in chunks:
-            absorb_evicted(fwd, k, v, ROPE, s_indices=np.arange(5.0))
+            absorb_evicted(fwd, k, v, ROPE)
         for k, v in reversed(chunks):
-            absorb_evicted(rev, k, v, ROPE, s_indices=np.arange(5.0))
+            absorb_evicted(rev, k, v, ROPE)
         assert np.abs(fwd.L - rev.L).max() < 1e-12
         assert np.abs(fwd.H - rev.H).max() < 1e-12
 
@@ -120,8 +121,8 @@ class TestAbsorb:
         chunks = [random_chunk(s, tokens=6) for s in range(20, 28)]
         state = fresh_state()
         for k, v in chunks:
-            absorb_evicted(state, k, v, ROPE, s_indices=np.arange(6.0))
-        L, H = batch_state_oracle(chunks, state.feature_map, ROPE)
+            absorb_evicted(state, k, v, ROPE)
+        L, H = batch_state_oracle(chunks, ROPE)
         assert np.abs(state.L - L).max() / (np.abs(L).max() + 1e-30) < 1e-9
         assert np.abs(state.H - H).max() / (np.abs(H).max() + 1e-30) < 1e-9
 
@@ -136,12 +137,12 @@ class TestHistoryOutput:
     def test_bit_equal_to_per_head_readout(self):
         state = fresh_state()
         for seed in range(4):
-            absorb_evicted(state, *random_chunk(seed), ROPE, s_indices=np.arange(6.0))
+            absorb_evicted(state, *random_chunk(seed), ROPE)
         # a transposed view, as the engine passes its split heads
         q = SeededRng(32).normal((5, HEADS, HEAD_DIM)).transpose(1, 0, 2)
         s_idx = np.arange(5.0)
         out = history_output(state, q, *tables(7, s_idx))
-        fq = state.feature_map(q)
+        fq = elu_plus_one(q)
         per_head = []
         for h in range(HEADS):
             num = apply_rope(fq[h], 7, s_idx, ROPE) @ state.L[h]
@@ -159,10 +160,10 @@ class TestHistoryOutput:
 
     def test_tables_that_do_not_fit_the_queries_rejected(self):
         empty, full = fresh_state(), fresh_state()
-        absorb_evicted(full, *random_chunk(3), ROPE, s_indices=np.arange(6.0))
+        absorb_evicted(full, *random_chunk(3), ROPE)
         q = SeededRng(34).normal((HEADS, 4, HEAD_DIM))
         cos, sin = tables(5, np.arange(4.0))
-        wide = RoPEConfig.half_split(2 * HEAD_DIM)
+        wide = RoPEConfig(2 * HEAD_DIM)
         bad = [
             tables(5, np.arange(3.0)),                     # too few tokens
             tables(np.array([5, 5, 5]), np.arange(4.0)),   # 3 slices over 2 heads
@@ -180,19 +181,20 @@ class TestHistoryOutput:
                                   history_output(state, q, cos, sin))
 
     def test_single_token_brute_force(self):
-        # one absorbed token, zero angles, identity map on positive data:
-        # output = projection( (phi(q) . phi(k)) / (phi(q) . k + eps) * v )
-        state = fresh_state(FeatureMap.IDENTITY)
+        # one absorbed token, zero angles, positive data so phi(x) = x + 1:
+        # output = projection( (phi(q) . phi(k)) / (phi(q) . phi(k) + eps) * v )
+        state = fresh_state()
         rng = SeededRng(31)
         k = np.abs(rng.normal((HEADS, 1, HEAD_DIM))) + 0.1
         v = rng.normal((HEADS, 1, HEAD_DIM))
-        absorb_evicted(state, k, v, ROPE, s_indices=np.zeros(1))
+        absorb_evicted(state, k, v, ROPE)
         q = np.abs(rng.normal((HEADS, 3, HEAD_DIM))) + 0.1
         out = history_output(state, q, *tables(0, np.zeros(3)))
         per_head = []
         for h in range(HEADS):
-            num = (q[h] @ k[h, 0])[:, None] * v[h, 0][None, :]
-            den = q[h] @ k[h, 0] + EPS_DIV
+            dot = (q[h] + 1.0) @ (k[h, 0] + 1.0)
+            num = dot[:, None] * v[h, 0][None, :]
+            den = dot + EPS_DIV
             per_head.append(num / den[:, None])
         want = np.concatenate(per_head, axis=1) @ state.projection
         assert np.abs(out - want).max() < 1e-12
@@ -201,8 +203,8 @@ class TestHistoryOutput:
         k, v = random_chunk(32, tokens=5)
         base = fresh_state()
         scaled = fresh_state()
-        absorb_evicted(base, k, v, ROPE, s_indices=np.arange(5.0))
-        absorb_evicted(scaled, k, 3.0 * v, ROPE, s_indices=np.arange(5.0))
+        absorb_evicted(base, k, v, ROPE)
+        absorb_evicted(scaled, k, 3.0 * v, ROPE)
         q = SeededRng(33).normal((HEADS, 4, HEAD_DIM))
         out1 = history_output(base, q, *tables(7, np.arange(4.0)))
         out3 = history_output(scaled, q, *tables(7, np.arange(4.0)))
@@ -212,12 +214,11 @@ class TestHistoryOutput:
         state = fresh_state()
         for s in range(40, 44):
             k, v = random_chunk(s, tokens=6)
-            absorb_evicted(state, k, v, ROPE, s_indices=np.arange(6.0))
+            absorb_evicted(state, k, v, ROPE)
         rng = SeededRng(50)
-        fm = state.feature_map
         for _ in range(50):
             q = rng.normal((HEADS, 2, HEAD_DIM)) * 20.0
-            fq = fm(q)
+            fq = elu_plus_one(q)
             for h in range(HEADS):
                 den = fq[h] @ state.H[h] + EPS_DIV
                 assert (den >= EPS_DIV).all()
@@ -227,24 +228,24 @@ class TestHistoryOutput:
         many = fresh_state()
         for s in range(4):
             k, v = random_chunk(s, tokens=6)
-            absorb_evicted(few, k, v, ROPE, s_indices=np.arange(6.0))
+            absorb_evicted(few, k, v, ROPE)
         for s in range(400):
             k, v = random_chunk(s, tokens=6)
-            absorb_evicted(many, k, v, ROPE, s_indices=np.arange(6.0))
+            absorb_evicted(many, k, v, ROPE)
         assert few.nbytes == many.nbytes
 
 
 class TestFeatureMap:
     def test_positive_everywhere(self):
         x = np.linspace(-50, 50, 1001)
-        assert (FeatureMap.ELU_PLUS_ONE(x) > 0).all()
+        assert (elu_plus_one(x) > 0).all()
 
     def test_elu1_values(self):
-        fm = FeatureMap.ELU_PLUS_ONE
+        fm = elu_plus_one
         assert fm(np.array([0.0]))[0] == 1.0
         assert fm(np.array([2.5]))[0] == 3.5
         assert abs(fm(np.array([-1.0]))[0] - np.exp(-1.0)) < 1e-15
 
     def test_no_overflow_for_large_inputs(self):
-        out = FeatureMap.ELU_PLUS_ONE(np.array([1e4, -1e4]))
+        out = elu_plus_one(np.array([1e4, -1e4]))
         assert np.isfinite(out).all()

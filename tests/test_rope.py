@@ -8,7 +8,7 @@ from hybridstream.numerics import SeededRng
 from hybridstream.rope import (RoPEConfig, apply_rope, position_tables, rotate,
                                rotation_tables, temporal_index)
 
-CFG = RoPEConfig.half_split(16, max_temporal_index=21)
+CFG = RoPEConfig(16, max_temporal_index=21)
 
 
 def rand_tokens(seed, tokens=6, dim=16):
@@ -169,11 +169,11 @@ class TestTablesAndRotate:
         s = np.arange(6.0)
         for t in (7, np.array([0, 21, 5, 9]), np.array([[1, 2, 3, 4]] * 3)):
             want = apply_rope(x, t, s, CFG)
+            cos, sin = rotation_tables(t, s, CFG)
             slots = np.full((2, 3, 5, 6, 16), np.nan)
-            got = apply_rope(x, t, s, CFG, out=slots[:, :, :4])
+            got = rotate(x, cos, sin, out=slots[:, :, :4])
             assert got.base is slots and np.array_equal(got, want)
             assert np.isnan(slots[:, :, 4]).all()  # nothing outside out is written
-            cos, sin = rotation_tables(t, s, CFG)
             assert np.array_equal(rotate(x, cos, sin, out=np.empty(x.shape)), want)
 
     def test_position_tables_bit_equal_to_rotation_tables(self):
@@ -187,7 +187,7 @@ class TestTablesAndRotate:
         want_cos, want_sin = rotation_tables(rel, s, CFG)
         assert np.array_equal(cos[rel], want_cos) and np.array_equal(sin[rel], want_sin)
         # built once per (config, tokens), and nobody can write into them
-        assert position_tables(RoPEConfig.half_split(16, max_temporal_index=21), 6)[0] is cos
+        assert position_tables(RoPEConfig(16, max_temporal_index=21), 6)[0] is cos
         assert position_tables(CFG, 5)[0].shape == (22, 5, 8)
         with pytest.raises(ValueError):
             cos[3] = 0.0
@@ -201,17 +201,18 @@ class TestTablesAndRotate:
 
 
 class TestConfig:
-    def test_pair_accounting(self):
-        with pytest.raises(ShapeError):
-            RoPEConfig(head_dim=16, temporal_dims=4, spatial_dims=3)
+    def test_head_dim_must_be_positive_multiple_of_4(self):
+        for head_dim in (0, -4, 2, 6, 18):
+            with pytest.raises(ShapeError, match="positive multiple of 4"):
+                RoPEConfig(head_dim)
 
-    def test_half_split(self):
-        cfg = RoPEConfig.half_split(32)
-        assert cfg.temporal_dims == cfg.spatial_dims == 8
-
-    def test_temporal_only_axis(self):
-        cfg = RoPEConfig(head_dim=8, temporal_dims=4, spatial_dims=0)
-        x = SeededRng(10).normal((2, 8))
-        out = apply_rope(x, 3, np.array([5.0, 9.0]), cfg)
-        assert np.isfinite(out).all()
-        assert np.abs(np.linalg.norm(out, axis=1) - np.linalg.norm(x, axis=1)).max() < 1e-10
+    def test_pairs_split_evenly_between_axes(self):
+        # the temporal pairs take channels [0, 8) of a head_dim 16, the spatial [8, 16)
+        assert RoPEConfig(4).pairs == 1 and CFG.pairs == 4
+        x = rand_tokens(10)
+        temporal = apply_rope(x, 13, np.zeros(6), CFG)
+        spatial = apply_rope(x, 0, np.arange(6.0) + 13, CFG)
+        assert np.array_equal(temporal[:, 8:], x[:, 8:])
+        assert not np.allclose(temporal[:, :8], x[:, :8])
+        assert np.array_equal(spatial[:, :8], x[:, :8])
+        assert not np.allclose(spatial[:, 8:], x[:, 8:])

@@ -223,7 +223,7 @@ class TestSparseAttention:
             if not active[i].any():
                 active[i, 0] = True
         mask = BlockMask(active)
-        out = sparse_attention(q, k, v, mask)
+        out = sparse_attention(q, k, v, mask, 1.0 / np.sqrt(8))
         for i in range(2):
             vals = np.concatenate([v[j * 4:(j + 1) * 4, 0] for j in np.flatnonzero(active[i])])
             rows = out[i * 4:(i + 1) * 4, 0]
@@ -237,7 +237,7 @@ class TestSparseAttention:
         q, k, v = random_qkv(13, n_q=8, n_kv=24, d=8)
         mask = build_mask(pooled_scores(q, k, 4, 4), BlockConfig(0.34))
         c = Counter()
-        sparse_attention(q, k, v, mask, counters=c)
+        sparse_attention(q, k, v, mask, 1.0 / np.sqrt(8), counters=c)
         assert c.score_evals == mask.active_count() * 4 * 4
 
     def test_zero_active_row_rejected(self):
@@ -245,7 +245,7 @@ class TestSparseAttention:
         bad = BlockMask(np.ones((1, 1), dtype=bool))
         bad.active[0, 0] = False  # smuggle past the constructor
         with pytest.raises(ContractViolationError):
-            sparse_attention(q, k, v, bad)
+            sparse_attention(q, k, v, bad, 1.0 / np.sqrt(8))
 
     def test_packed_heads_bit_equal_to_per_head_calls(self):
         # q, k, v of every head stacked on the token axis with a block-diagonal
@@ -259,10 +259,12 @@ class TestSparseAttention:
         packed = np.zeros((heads, t_m, heads, t_n), dtype=bool)
         for h in range(heads):
             packed[h, :, h] = rows.reshape(heads, t_m, t_n)[h]
+        scale = 1.0 / np.sqrt(d)
         got = sparse_attention(q.reshape(-1, d), k.reshape(-1, d), v.reshape(-1, d),
-                               BlockMask(packed.reshape(heads * t_m, heads * t_n)))
+                               BlockMask(packed.reshape(heads * t_m, heads * t_n)), scale)
         for h in range(heads):
-            want = sparse_attention(q[h], k[h], v[h], BlockMask(rows[h * t_m:(h + 1) * t_m]))
+            want = sparse_attention(q[h], k[h], v[h], BlockMask(rows[h * t_m:(h + 1) * t_m]),
+                                    scale)
             assert np.array_equal(got[h * t_m * b:(h + 1) * t_m * b], want)
 
     def test_softmax_temporaries_fit_one_score_array(self):
@@ -281,12 +283,12 @@ class TestSparseAttention:
         assert (rows.sum(axis=1) == quota).all()
         packed = np.eye(heads, dtype=bool)[:, None, :, None] & rows.reshape(heads, t_m, 1, t_n)
         mask = BlockMask(packed.reshape(heads * t_m, heads * t_n))
-        sparse_attention(q, k, v, mask)  # warm up
+        sparse_attention(q, k, v, mask, 0.25)  # warm up
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            out = sparse_attention(q, k, v, mask)
+            out = sparse_attention(q, k, v, mask, 0.25)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()

@@ -165,20 +165,15 @@ class TestSnapshot:
         with pytest.raises(FormatError, match=field):
             RollingCache.restore(blob)
 
-    def test_unknown_feature_map_is_format_error(self):
+    def test_version_2_snapshot_is_format_error(self):
+        # version 2 was this layout with each linear state's feature map named
         def edit(manifest):
-            manifest["linear_states"][0]["feature_map"] = "relu"
+            manifest["version"] = 2
+            for meta in manifest["linear_states"]:
+                meta["feature_map"] = "elu1"
 
         blob = self.with_manifest(self.build_cache(5).snapshot(), edit)
-        with pytest.raises(FormatError, match="relu"):
-            RollingCache.restore(blob)
-
-    def test_removed_exp_feature_map_is_format_error(self):
-        def edit(manifest):
-            manifest["linear_states"][0]["feature_map"] = "exp"
-
-        blob = self.with_manifest(self.build_cache(5).snapshot(), edit)
-        with pytest.raises(FormatError, match="unknown feature map 'exp'"):
+        with pytest.raises(FormatError, match="unsupported snapshot version 2"):
             RollingCache.restore(blob)
 
     @pytest.mark.parametrize("field, value", [
@@ -250,6 +245,14 @@ class TestSnapshot:
             cache.append(ChunkKV(i, kv.keys[..., :4], kv.values[..., :4], kv.is_sink))
         with pytest.raises(FormatError, match="head_dim 8"):
             RollingCache.restore(cache.snapshot())
+
+    def test_linear_state_count_unlike_layers_is_format_error(self):
+        cache = self.build_cache(5)  # entries of 2 layers, one state per layer
+        del cache.linear_states[1]
+        with pytest.raises(FormatError, match="1 linear states for entries of 2 layers"):
+            RollingCache.restore(cache.snapshot())
+        cache.linear_states.clear()  # no history pathway at all restores
+        assert RollingCache.restore(cache.snapshot()).linear_states == []
 
     def test_linear_state_shapes_that_disagree_are_format_error(self):
         cache = self.build_cache(5)
