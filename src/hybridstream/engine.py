@@ -11,6 +11,12 @@ cache its keys/values through a dedicated pass at t=0, and absorb whatever
 the rolling window evicts into the linear state. That chunk step
 (chunk_step) is shared by run_stream and the distillation fixture.
 
+A layer pass makes one product for the queries, keys and values (the
+ToyDenoiser's [model_dim, 3 * model_dim] "wqkv"), splits it into heads
+once and rotates the queries and the chunk's own keys in one call on a
+view of it (hybrid_attention). Its norms, GELU and residual adds write in
+place; each is rounded as its textbook formula is.
+
 The dense full-history oracle these pathways are checked against lives in
 verify, with every other oracle.
 """
@@ -142,11 +148,19 @@ def _layer_norm(x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     # one centring pass; the mean and variance round as x.mean and x.var do
     n = x.shape[-1]
     xc = x - x.sum(axis=-1, keepdims=True) / n
-    return xc / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / n + eps)
+    xc /= np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / n + eps)
+    return xc
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
+    # 0.5 x (1 + erf(x / sqrt 2)) in one buffer; halving is exact (short of
+    # subnormals), so it rounds the same applied last
+    out = x / math.sqrt(2.0)
+    erf(out, out=out)
+    out += 1.0
+    out *= x
+    out *= 0.5
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -174,6 +188,8 @@ def _window(cache: RollingCache, cfg: StreamConfig, query_chunk_index: int) -> t
       visible values, then a last slot for the chunk itself;
     - the keys' block means, [layers, heads, (entries + 1) *
       blocks_per_chunk, head_dim], the chunk's own blocks last;
+    - the cos and sin rotation tables of the visible keys, [entries,
+      chunk_tokens, head_dim], at the entries' relative temporal indices;
     - the BlockConfig forcing the sink blocks and the chunk's own blocks;
     - the [heads, 1, heads, 1] selector of the block-diagonal head mask;
     - the cos and sin rotation tables of the chunk's queries (and own keys)
@@ -186,9 +202,9 @@ def _window(cache: RollingCache, cfg: StreamConfig, query_chunk_index: int) -> t
     (restored) cache, or for a config of other sizes.
 
     Nothing else is built per chunk. The rotation tables come from
-    rope.position_tables: the window keys' are gathered at the entries'
-    relative indices and the queries' are a read-only view of it. The
-    BlockConfig and the selector are shared per window layout
+    rope.position_tables: the window keys' are gathered into the workspace
+    at the entries' relative indices and the queries' are a read-only view
+    of it. The BlockConfig and the selector are shared per window layout
     (_block_layout)."""
     def build(stale: tuple | None) -> tuple:
         visible = cache.visible_kv(query_chunk_index)
@@ -201,28 +217,30 @@ def _window(cache: RollingCache, cfg: StreamConfig, query_chunk_index: int) -> t
         shape = (layers, heads, n + 1, cfg.chunk_tokens, d)
         means_shape = (layers, heads, (n + 1) * bpc, d)
         if stale is not None and (stale[0].shape, stale[2].shape) == (shape, means_shape):
-            keys, values, key_means = stale[:3]
+            keys, values, key_means, key_cos, key_sin = stale[:5]
         else:
             keys, values, key_means = np.empty(shape), np.empty(shape), np.empty(means_shape)
+            key_cos, key_sin = np.empty((n,) + shape[3:]), np.empty((n,) + shape[3:])
         if visible:
             # the unrotated keys are staged where the values go next
             staged = values[:, :, :n]
             np.stack([e.keys for e, _ in visible], axis=2, out=staged)
             rel = np.array([r for _, r in visible])
-            rotate(staged, cos[rel], sin[rel], out=keys[:, :, :n])
+            # relative indices lie in [0, cap]; mode "raise" would buffer out
+            np.take(cos, rel, axis=0, out=key_cos, mode="clip")
+            np.take(sin, rel, axis=0, out=key_sin, mode="clip")
+            rotate(staged, key_cos, key_sin, out=keys[:, :, :n])
             np.stack([e.values for e, _ in visible], axis=2, out=staged)
             window_keys = keys[:, :, :n].reshape(layers, heads, -1, d)  # a view
             key_means[:, :, :n * bpc] = block_means(window_keys, bt)
         q_t = temporal_index(query_chunk_index, rope_cfg)
-        return keys, values, key_means, bcfg, selector, cos[q_t], sin[q_t]
+        return keys, values, key_means, key_cos, key_sin, bcfg, selector, cos[q_t], sin[q_t]
 
     return cache.memo((query_chunk_index, cfg), build)
 
 
 def hybrid_attention(
-    q: np.ndarray,
-    k_self: np.ndarray,
-    v_self: np.ndarray,
+    qkv: np.ndarray,
     cache: RollingCache,
     layer: int,
     cfg: StreamConfig,
@@ -231,28 +249,29 @@ def hybrid_attention(
 ) -> np.ndarray:
     """One layer of hybrid attention for one chunk.
 
-    q, k_self, v_self: unrotated per-head tensors [heads, chunk_tokens,
-    head_dim] for the chunk being generated. Keys from the cache and from
-    the chunk itself are rotated at their relative temporal indices (the
-    cached ones and the query tables once per query chunk, see _window);
-    sink blocks and the chunk's own blocks are always kept active in the
-    mask. All heads go through one block_scores, one build_mask and one
-    sparse_attention call, packed as the sparse_local module describes.
+    qkv: the unrotated per-head queries, keys and values of the chunk
+    being generated, [3, heads, chunk_tokens, head_dim]. Keys from the
+    cache and from the chunk itself are rotated at their relative temporal
+    indices (the cached ones and the query tables once per query chunk,
+    see _window); sink blocks and the chunk's own blocks are always kept
+    active in the mask. All heads go through one block_scores, one
+    build_mask and one sparse_attention call, packed as the sparse_local
+    module describes.
     Returns [chunk_tokens, model_dim]: sparse local output plus the
     history readout, summed elementwise. Until the layer's state absorbs
     a chunk the readout is exact zeros, so it is not computed.
     """
-    shape = (cfg.heads, cfg.chunk_tokens, cfg.head_dim)
-    if q.shape != shape or k_self.shape != shape or v_self.shape != shape:
-        raise ShapeError(f"q {q.shape}, k {k_self.shape}, v {v_self.shape}; want {shape}")
-    window_keys, window_values, window_means, bcfg, selector, q_cos, q_sin = \
+    shape = (3, cfg.heads, cfg.chunk_tokens, cfg.head_dim)
+    if qkv.shape != shape:
+        raise ShapeError(f"qkv {qkv.shape}; want {shape}")
+    window_keys, window_values, window_means, _, _, bcfg, selector, q_cos, q_sin = \
         _window(cache, cfg, query_chunk_index)
-    rotated = rotate(np.stack((q, k_self)), q_cos, q_sin)
+    rotated = rotate(qkv[:2], q_cos, q_sin)  # queries and own keys, one view of qkv
     q_means, k_self_means = block_means(rotated, cfg.block_tokens)  # [heads, t_m, d] each
     # the chunk's own slots; the keys and values attended are views
     keys, values, key_means = window_keys[layer], window_values[layer], window_means[layer]
     keys[:, -1] = rotated[1]
-    values[:, -1] = v_self
+    values[:, -1] = qkv[2]
     key_means[:, -k_self_means.shape[1]:] = k_self_means
 
     scores = block_scores(q_means, key_means)  # [heads, t_m, t_n]
@@ -262,7 +281,7 @@ def hybrid_attention(
     rows = build_mask(scores.reshape(heads * t_m, t_n), bcfg).active
     # head h's rows keep only head h's key blocks: [heads, t_m, heads, t_n]
     packed = selector & rows.reshape(heads, t_m, 1, t_n)
-    tokens, d = shape[1:]
+    tokens, d = shape[2:]
     local = sparse_attention(rotated[0].reshape(-1, d), keys.reshape(-1, d),
                              values.reshape(-1, d),
                              BlockMask(packed.reshape(heads * t_m, heads * t_n)),
@@ -270,7 +289,7 @@ def hybrid_attention(
     local = local.reshape(heads, tokens, d).transpose(1, 0, 2).reshape(tokens, heads * d)
 
     if layer < len(cache.linear_states) and cache.linear_states[layer].evicted_tokens:
-        local += history_output(cache.linear_states[layer], q, q_cos, q_sin)
+        local += history_output(cache.linear_states[layer], qkv[0], q_cos, q_sin)
     return local
 
 
@@ -280,7 +299,10 @@ class ToyDenoiser:
     Weights are drawn from the seeded RNG (stream 1 of the config seed) and
     scaled by 1/sqrt(fan_in); the timestep embedding table has one row per
     schedule entry plus a final row for the t=0 cache pass, scaled by 0.1.
-    Forward passes are deterministic and never mutate the cache.
+    Per layer the query, key and value weights are drawn in that order and
+    kept side by side as one [model_dim, 3 * model_dim] "wqkv", so a pass
+    makes one product for all three. Forward passes are deterministic and
+    never mutate the cache.
     """
 
     def __init__(self, cfg: StreamConfig):
@@ -290,10 +312,9 @@ class ToyDenoiser:
         hidden = 4 * d
         self.layers = []
         for _ in range(cfg.layers):
+            wq, wk, wv = (rng.normal((d, d)) / math.sqrt(d) for _ in range(3))
             self.layers.append({
-                "wq": rng.normal((d, d)) / math.sqrt(d),
-                "wk": rng.normal((d, d)) / math.sqrt(d),
-                "wv": rng.normal((d, d)) / math.sqrt(d),
+                "wqkv": np.concatenate((wq, wk, wv), axis=1),
                 "wo": rng.normal((d, d)) / math.sqrt(d),
                 "w1": rng.normal((d, hidden)) / math.sqrt(d),
                 "w2": rng.normal((hidden, d)) / math.sqrt(hidden),
@@ -319,10 +340,6 @@ class ToyDenoiser:
                 return self.time_table[i]
         raise ValueError(f"timestep {t} not in schedule {ts}")
 
-    def _split_heads(self, x: np.ndarray) -> np.ndarray:
-        tokens = x.shape[0]
-        return x.reshape(tokens, self.cfg.heads, self.cfg.head_dim).transpose(1, 0, 2)
-
     def forward(
         self,
         x: np.ndarray,
@@ -337,19 +354,17 @@ class ToyDenoiser:
             raise ShapeError(
                 f"expected [{self.cfg.chunk_tokens}, {self.cfg.model_dim}], got {x.shape}"
             )
+        cfg = self.cfg
         h = x + self._time_row(t)[None, :]
         layer_kvs = []
         for layer_idx, w in enumerate(self.layers):
-            a = _layer_norm(h)
-            q = self._split_heads(a @ w["wq"])
-            k = self._split_heads(a @ w["wk"])
-            v = self._split_heads(a @ w["wv"])
-            layer_kvs.append((k, v))
-            attn = hybrid_attention(q, k, v, cache, layer_idx, self.cfg,
-                                    query_chunk_index, counters)
-            h = h + attn @ w["wo"]
-            m = _layer_norm(h)
-            h = h + _gelu(m @ w["w1"]) @ w["w2"]
+            # [tokens, 3 * model_dim] split into heads: [3, heads, tokens, head_dim]
+            qkv = (_layer_norm(h) @ w["wqkv"]).reshape(
+                cfg.chunk_tokens, 3, cfg.heads, cfg.head_dim).transpose(1, 2, 0, 3)
+            layer_kvs.append((qkv[1], qkv[2]))
+            h += hybrid_attention(qkv, cache, layer_idx, cfg, query_chunk_index,
+                                  counters) @ w["wo"]
+            h += _gelu(_layer_norm(h) @ w["w1"]) @ w["w2"]
         return h, layer_kvs
 
     def compute_chunk_kv(self, x0: np.ndarray, cache: RollingCache,

@@ -7,7 +7,11 @@ chunks of the per-chunk mean of phi(k), kept unrotated). Queries read the
 state as projection(rotate(phi(q)) L / (phi(q) . H + eps)), so memory and
 query cost never grow with how much has been evicted. The feature map phi
 is elu(x) + 1 (Katharopoulos et al., 2020): positive everywhere and only
-linear in growth, which keeps the normalizer meaningful and finite.
+linear in growth, which keeps the normalizer meaningful and finite. It is
+evaluated as exp(min(x, 0)) + max(x, 0), equal to elu(x) + 1 bit for bit.
+Rotations use rope's full-width tables: absorb_evicted builds them through
+apply_rope, and history_output takes the query chunk's tables from its
+caller.
 
 Note the deliberate asymmetry: the rotation enters L and the query
 numerator but not H or the denominator, and H averages within each evicted
@@ -29,8 +33,12 @@ EPS_DIV = 1e-6  # denominator guard for adversarial queries
 
 def elu_plus_one(x: np.ndarray) -> np.ndarray:
     """The feature map phi(x) = elu(x) + 1, elementwise."""
+    # exp(min(x, 0)) + max(x, 0) is exp(x) + 0 for x <= 0 and 1 + x above, as
+    # elu(x) + 1 is, bit for bit (also at +-0, +-inf and nan)
     x = np.asarray(x, dtype=np.float64)
-    return np.where(x > 0, x + 1.0, np.exp(np.minimum(x, 0.0)))
+    out = np.exp(np.minimum(x, 0.0))
+    out += np.maximum(x, 0.0)
+    return out
 
 
 @dataclass
@@ -138,7 +146,7 @@ def history_output(
     """Read the history pathway for a batch of per-head queries.
 
     queries: [heads, tokens, head_dim], unrotated. cos, sin: the queries'
-    rotation tables, [tokens, head_dim // 2] or broadcasting over the heads
+    rotation tables, [tokens, head_dim] or broadcasting over the heads
     (rope.rotation_tables at the query chunk's temporal index and the
     tokens' spatial indices, or that index's view of rope.position_tables);
     a caller takes them once per query chunk.
@@ -158,5 +166,6 @@ def history_output(
     num = rotate(fq, cos, sin) @ state.L  # [heads, tokens, head_dim]
     # a matrix-vector product per head, rounded as fq[h] @ H[h] would be
     den = fq @ state.H[:, :, None] + EPS_DIV  # [heads, tokens, 1]
-    concat = (num / den).transpose(1, 0, 2).reshape(tokens, state.model_dim)
+    num /= den
+    concat = num.transpose(1, 0, 2).reshape(tokens, state.model_dim)
     return concat @ state.projection

@@ -8,11 +8,14 @@ bounded index range; spatial indices are never capped.
 
 rotation_tables builds the cos and sin of every pair's angle for given
 indices, and rotate applies such tables to a tensor; apply_rope is the two
-composed. Tables fixed over many rotations are built once and reused:
-position_tables holds, per config and token count, the tables of every
-capped temporal index at the spatial indices 0..tokens - 1, so a caller
-that rotates whole chunks takes a chunk's tables as a view (one index) or
-gathers one per slice (an index array) instead of building them.
+composed. The tables are full width, one entry per channel: a pair's cos
+on both of its (even, odd) lanes, its sin negated on the even lane. A
+rotation is then x * cos plus x with each pair's lanes swapped times sin,
+two contiguous products. Tables fixed over many rotations are built once
+and reused: position_tables holds, per config and token count, the tables
+of every capped temporal index at the spatial indices 0..tokens - 1, so a
+caller that rotates whole chunks takes a chunk's tables as a view (one
+index) or gathers one per slice (an index array) instead of building them.
 """
 
 from __future__ import annotations
@@ -70,8 +73,9 @@ def _tables(config: RoPEConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def rotation_tables(t_index, s_indices, config: RoPEConfig) -> tuple[np.ndarray, np.ndarray]:
     """cos and sin of every rotation pair's angle, each [*t.shape, tokens,
-    head_dim // 2]: the temporal pairs at the capped temporal index of each
+    head_dim]: the temporal pairs at the capped temporal index of each
     slice, the spatial pairs at each token's own (uncapped) spatial index.
+    Channels 2j and 2j + 1 hold pair j: cos on both, sin negated on 2j.
 
     t_index: an int or an int array, each in [0, max_temporal_index].
     s_indices: [tokens], shared by every slice. Temporal angles come from
@@ -103,13 +107,17 @@ def rotation_tables(t_index, s_indices, config: RoPEConfig) -> tuple[np.ndarray,
     ang = s[:, None] * freqs
     cos[..., p:] = np.cos(ang)
     sin[..., p:] = np.sin(ang)
+    # full width: each pair's values on both of its lanes, the even lane's
+    # sin negated (exact), so rotate() needs no subtraction
+    cos, sin = np.repeat(cos, 2, axis=-1), np.repeat(sin, 2, axis=-1)
+    np.negative(sin[..., 0::2], out=sin[..., 0::2])
     return cos, sin
 
 
 @lru_cache(maxsize=32)
 def position_tables(config: RoPEConfig, tokens: int) -> tuple[np.ndarray, np.ndarray]:
     """rotation_tables(t, arange(tokens), config) for every t in 0..cap at
-    once: cos and sin, each [max_temporal_index + 1, tokens, head_dim // 2].
+    once: cos and sin, each [max_temporal_index + 1, tokens, head_dim].
     Built once per (config, tokens) and read-only, since every caller with
     that config and token count shares them."""
     tables = rotation_tables(np.arange(config.max_temporal_index + 1),
@@ -121,12 +129,11 @@ def position_tables(config: RoPEConfig, tokens: int) -> tuple[np.ndarray, np.nda
 
 def check_tables(shape: tuple, cos: np.ndarray, sin: np.ndarray) -> None:
     """Raise ShapeError unless cos and sin are rotation tables for an x of
-    `shape` ([..., tokens, head_dim]): both [..., tokens, head_dim // 2],
-    their leading dims broadcasting over x's."""
-    pairs = shape[:-1] + (shape[-1] // 2,) if len(shape) >= 2 else ()
-    if (not pairs or shape[-1] % 2 or cos.shape != sin.shape or cos.ndim > len(pairs)
-            or cos.shape[-2:] != pairs[-2:]
-            or any(a not in (1, b) for a, b in zip(cos.shape[:-2], pairs[-cos.ndim:-2]))):
+    `shape` ([..., tokens, head_dim]): both [..., tokens, head_dim], their
+    leading dims broadcasting over x's."""
+    if (len(shape) < 2 or shape[-1] % 2 or cos.shape != sin.shape or cos.ndim > len(shape)
+            or cos.shape[-2:] != shape[-2:]
+            or any(a not in (1, b) for a, b in zip(cos.shape[:-2], shape[-cos.ndim:-2]))):
         raise ShapeError(f"rotation tables {cos.shape} do not fit x {shape}")
 
 
@@ -153,15 +160,13 @@ def rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray,
 
 def _rotate_into(x: np.ndarray, cos: np.ndarray, sin: np.ndarray,
                  out: np.ndarray) -> np.ndarray:
-    # even' = even cos - odd sin, odd' = odd cos + even sin, accumulated in
-    # place to hold one temporary at a time (addition order does not change
-    # the rounding of a two-term sum)
-    even, odd = x[..., 0::2], x[..., 1::2]
-    out_even, out_odd = out[..., 0::2], out[..., 1::2]
-    np.multiply(even, cos, out=out_even)
-    out_even -= odd * sin
-    np.multiply(odd, cos, out=out_odd)
-    out_odd += even * sin
+    # even' = even cos - odd sin, odd' = odd cos + even sin: out takes x with
+    # each pair's lanes swapped, times sin (negative on the even lane), plus
+    # x cos. a + (-b) rounds as a - b, and a two-term sum in either order.
+    out[..., 0::2] = x[..., 1::2]
+    out[..., 1::2] = x[..., 0::2]
+    out *= sin
+    out += x * cos
     return out
 
 

@@ -122,7 +122,9 @@ class RollingCache:
 
         The caller owns routing the evicted entry into the linear states
         (absorb before the next attention call). Sink-range chunks go to the
-        pinned list and never count against capacity.
+        pinned list and never count against capacity. A chunk out of
+        sequence, with the wrong sink flag or of a shape that does not fit
+        (_shape_mismatch) raises before anything changes.
         """
         if kv.chunk_index != self._next_index:
             raise SequenceError(
@@ -134,6 +136,9 @@ class RollingCache:
                 f"chunk {kv.chunk_index} sink flag {kv.is_sink} conflicts with "
                 f"sink_chunks={self.sink_chunks}"
             )
+        mismatch = self._shape_mismatch(kv.keys.shape)
+        if mismatch:
+            raise ShapeError(f"chunk {kv.chunk_index}: {mismatch}")
         self._next_index += 1
         if expected_sink:
             self.sink_entries.append(kv)
@@ -275,10 +280,23 @@ class RollingCache:
         if len(shapes) > 1:
             raise FormatError(f"entries disagree on key/value shape: {sorted(shapes)}")
         for shape in shapes:
-            if len(self.linear_states) not in (0, shape[0]):
-                raise FormatError(f"{len(self.linear_states)} linear states for entries of "
-                                  f"{shape[0]} layers; want 0 or {shape[0]}")
-            for s in self.linear_states:
-                if (shape[1], shape[3]) != (s.heads, s.head_dim):
-                    raise FormatError(f"entry keys {shape} do not match a linear state of "
-                                      f"{s.heads} heads x head_dim {s.head_dim}")
+            mismatch = self._shape_mismatch(shape)
+            if mismatch:
+                raise FormatError(mismatch)
+
+    def _shape_mismatch(self, shape: tuple) -> str:
+        """Why keys and values of `shape` ([layers, heads, tokens, head_dim])
+        do not fit this cache, or "" if they do: they must have the entries'
+        shape, and the linear states must be none or one per layer, each of
+        their heads and head_dim."""
+        entries = self.sink_entries or self.window_entries
+        if entries and entries[0].keys.shape != shape:
+            return f"keys and values {shape} unlike the entries' {entries[0].keys.shape}"
+        if len(self.linear_states) not in (0, shape[0]):
+            return (f"{len(self.linear_states)} linear states for entries of {shape[0]} "
+                    f"layers; want 0 or {shape[0]}")
+        for s in self.linear_states:
+            if (shape[1], shape[3]) != (s.heads, s.head_dim):
+                return (f"entry keys {shape} do not match a linear state of "
+                        f"{s.heads} heads x head_dim {s.head_dim}")
+        return ""

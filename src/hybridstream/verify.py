@@ -32,7 +32,7 @@ from .engine import OpCounters, StreamConfig, ToyDenoiser, append_and_absorb, ch
     config_for_mode, hybrid_attention, rectified_flow, run_stream
 from .linear_history import LinearState, absorb_evicted, elu_plus_one, history_output
 from .numerics import SeededRng, read_tensor_from, softmax_rows, write_tensor
-from .rope import RoPEConfig, apply_rope, rotation_tables, temporal_index
+from .rope import RoPEConfig, apply_rope, rotate, rotation_tables, temporal_index
 from .sparse_local import BlockConfig, BlockMask, build_mask, sparse_attention
 from .stream_cache import ChunkKV, RollingCache, relative_temporal_index
 
@@ -139,6 +139,24 @@ def _suite_rope() -> list[CheckResult]:
                 for i, j in np.ndindex(ts.shape))
     out.append(_check("rope.batched_matches_per_slice", equal,
                       "one call over [2, 3] slices bit-equal to per-slice calls"))
+
+    # rotate against a scalar loop: pair j of a token, channels (2j, 2j + 1),
+    # turns by index * base_theta ** (-(j mod pairs) / pairs) with math.cos
+    # and math.sin; the first `pairs` pairs take the slice's temporal index,
+    # the rest the token's spatial index
+    xs, ts, s = SeededRng(5).normal((3, 8, 16)), np.array([0, 7, 21]), np.arange(8.0) + 3.0
+    got = rotate(xs, *rotation_tables(ts, s, cfg))
+    want = np.empty(xs.shape)
+    p = cfg.pairs
+    for i, n, j in np.ndindex(3, 8, 8):
+        angle = float(ts[i] if j < p else s[n]) * cfg.base_theta ** (-(j % p) / p)
+        c, sn = math.cos(angle), math.sin(angle)
+        even, odd = xs[i, n, 2 * j], xs[i, n, 2 * j + 1]
+        want[i, n, 2 * j] = even * c - odd * sn
+        want[i, n, 2 * j + 1] = odd * c + even * sn
+    err = float(np.abs(got - want).max())
+    out.append(_check("rope.pair_formula", err <= 1e-12,
+                      f"max |rotate - scalar pair loop| = {err:.2e} over 3 slices"))
     return out
 
 
@@ -445,7 +463,7 @@ def dense_limit_check(cfg: StreamConfig, trials: int, max_chunks: int, seed: int
         cache = random_cache(cfg, chunks, cache_seed + trial, model)
         q, ks, vs = rng.normal(shape), rng.normal(shape), rng.normal(shape)
         layer = trial % cfg.layers
-        got = hybrid_attention(q, ks, vs, cache, layer, cfg, chunks)
+        got = hybrid_attention(np.stack((q, ks, vs)), cache, layer, cfg, chunks)
         want = dense_oracle_attention(q, ks, vs, cache.entries(), layer, cfg, chunks)
         worst = max(worst, np.abs(got - want).max())
     return _check("hybrid.dense_limit_equivalence", worst <= tol,
@@ -459,11 +477,12 @@ def _suite_hybrid() -> list[CheckResult]:
     shape = (_TOY.heads, _TOY.chunk_tokens, _TOY.head_dim)
     rng = SeededRng(62)
     q, ks, vs = rng.normal(shape), rng.normal(shape), rng.normal(shape)
-    full = hybrid_attention(q, ks, vs, cache, 0, _TOY, 8)
+    qkv = np.stack((q, ks, vs))
+    full = hybrid_attention(qkv, cache, 0, _TOY, 8)
     saved = [s.evicted_tokens for s in cache.linear_states]
     for s in cache.linear_states:
         s.evicted_tokens = 0
-    local = hybrid_attention(q, ks, vs, cache, 0, _TOY, 8)
+    local = hybrid_attention(qkv, cache, 0, _TOY, 8)
     for s, n in zip(cache.linear_states, saved):
         s.evicted_tokens = n
     rope_cfg = _TOY.rope_config()

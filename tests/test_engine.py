@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from hybridstream import engine
 from hybridstream.engine import (
@@ -41,14 +42,17 @@ def random_chunk_kv(cfg, idx, seed, sink=False):
 
 
 def random_qkv(cfg, seed):
+    """Queries, keys and values of a chunk, [3, heads, chunk_tokens, head_dim]."""
     rng = SeededRng(seed)
     shape = (cfg.heads, cfg.chunk_tokens, cfg.head_dim)
-    return rng.normal(shape), rng.normal(shape), rng.normal(shape)
+    return np.stack([rng.normal(shape) for _ in range(3)])
 
 
-def per_head_hybrid(q, k_self, v_self, cache, layer, cfg, qci):
+def per_head_hybrid(qkv, cache, layer, cfg, qci, rope=apply_rope, phi=elu_plus_one):
     """Unbatched hybrid attention: every visible key rotated per entry and
-    head, the history read out head by head."""
+    head, the history read out head by head. rope(x, t, s, rope_cfg) and the
+    feature map phi may be swapped for other formulas of the same values."""
+    q, k_self, v_self = qkv
     rope_cfg = cfg.rope_config()
     s_idx = np.arange(float(cfg.chunk_tokens))
     q_index = temporal_index(qci, rope_cfg)
@@ -61,10 +65,10 @@ def per_head_hybrid(q, k_self, v_self, cache, layer, cfg, qci):
     bcfg = BlockConfig(cfg.keep_ratio, frozenset(forced))
     heads = []
     for h in range(cfg.heads):
-        k_parts = [apply_rope(e.keys[layer, h], rel, s_idx, rope_cfg) for e, rel in visible]
-        k_full = np.concatenate(k_parts + [apply_rope(k_self[h], q_index, s_idx, rope_cfg)])
+        k_parts = [rope(e.keys[layer, h], rel, s_idx, rope_cfg) for e, rel in visible]
+        q_rot, k_rot = rope(np.stack((q[h], k_self[h])), q_index, s_idx, rope_cfg)
+        k_full = np.concatenate(k_parts + [k_rot])
         v_full = np.concatenate([e.values[layer, h] for e, _ in visible] + [v_self[h]])
-        q_rot = apply_rope(q[h], q_index, s_idx, rope_cfg)
         mask = build_mask(block_scores(block_means(q_rot, cfg.block_tokens),
                                        block_means(k_full, cfg.block_tokens)), bcfg)
         heads.append(sparse_attention(q_rot, k_full, v_full, mask,
@@ -72,14 +76,120 @@ def per_head_hybrid(q, k_self, v_self, cache, layer, cfg, qci):
     out = np.concatenate(heads, axis=1)
     state = cache.linear_states[layer]
     if state.evicted_tokens:
-        fq = elu_plus_one(q)
+        fq = phi(q)
         hist = []
         for h in range(cfg.heads):
-            num = apply_rope(fq[h], q_index, s_idx, rope_cfg) @ state.L[h]
+            num = rope(fq[h], q_index, s_idx, rope_cfg) @ state.L[h]
             den = fq[h] @ state.H[h] + 1e-6
             hist.append(num / den[:, None])
         out = out + np.concatenate(hist, axis=1) @ state.projection
     return out
+
+
+def lane_rope(x, t, s, rope_cfg):
+    """Rotation as it was computed over interleaved half-width lanes: pair j
+    sits in channels (2j, 2j + 1) and turns by the cos and sin of its angle."""
+    cos2, sin2 = rotation_tables(t, s, rope_cfg)
+    cos, sin = cos2[..., 0::2], sin2[..., 1::2]  # one value per pair
+    even, odd = x[..., 0::2], x[..., 1::2]
+    out = np.empty(x.shape)
+    out[..., 0::2] = even * cos - odd * sin
+    out[..., 1::2] = odd * cos + even * sin
+    return out
+
+
+def where_elu_plus_one(x):
+    return np.where(x > 0, x + 1.0, np.exp(np.minimum(x, 0.0)))
+
+
+def textbook_gelu(x):
+    return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
+
+
+def textbook_layer_norm(x, eps=1e-5):
+    n = x.shape[-1]
+    xc = x - x.sum(axis=-1, keepdims=True) / n
+    return xc / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / n + eps)
+
+
+def separate_products_forward(model, x, t, cache, qci):
+    """ToyDenoiser.forward with the weights redrawn from the seed in their
+    order (wq, wk, wv, wo, w1, w2, history_proj per layer), three [d, d]
+    products per layer, per-head attention over lane_rope and
+    where_elu_plus_one, and out-of-place residuals, norms and gelu."""
+    cfg = model.cfg
+    d, tokens = cfg.model_dim, cfg.chunk_tokens
+    rng = SeededRng(cfg.seed).derive(1)
+    shapes = [(d, d)] * 4 + [(d, 4 * d), (4 * d, d), (d, d)]
+    layers = [[rng.normal(shape) / math.sqrt(shape[0]) for shape in shapes]
+              for _ in range(cfg.layers)]
+    time_table = rng.normal((len(cfg.denoise_timesteps) + 1, d)) * 0.1
+    row = len(cfg.denoise_timesteps) if t == 0.0 else cfg.denoise_timesteps.index(t)
+
+    def split(y):
+        return y.reshape(tokens, cfg.heads, cfg.head_dim).transpose(1, 0, 2)
+
+    h = x + time_table[row][None, :]
+    layer_kvs = []
+    for layer, (wq, wk, wv, wo, w1, w2, proj) in enumerate(layers):
+        assert np.array_equal(proj, cache.linear_states[layer].projection)
+        a = textbook_layer_norm(h)
+        q, k, v = split(a @ wq), split(a @ wk), split(a @ wv)
+        layer_kvs.append((k, v))
+        attn = per_head_hybrid(np.stack((q, k, v)), cache, layer, cfg, qci,
+                               rope=lane_rope, phi=where_elu_plus_one)
+        h = h + attn @ wo
+        h = h + textbook_gelu(textbook_layer_norm(h) @ w1) @ w2
+    return h, layer_kvs
+
+
+class TestFusedPassRegression:
+    """The fused layer pass (one QKV product, full-width rotation tables,
+    in-place elementwise ops) against the formulas it replaced, bit for bit."""
+
+    CONFIGS = [
+        (StreamConfig(), 6),                         # default: history absorbed
+        (StreamConfig(window_frames=45), 18),        # 16 visible entries
+        (StreamConfig(heads=3, model_dim=48), 6),
+    ]
+
+    @pytest.mark.parametrize("cfg, chunks", CONFIGS)
+    def test_forward_bit_equal_to_separate_products(self, cfg, chunks):
+        model = ToyDenoiser(cfg)
+        cache = random_cache(cfg, chunks, seed=110, model=model)
+        assert all(s.evicted_tokens for s in cache.linear_states)
+        x = SeededRng(111).normal((cfg.chunk_tokens, cfg.model_dim))
+        for t in (cfg.denoise_timesteps[0], cfg.denoise_timesteps[-1], 0.0):
+            got, got_kvs = model.forward(x, t, cache, chunks)
+            want, want_kvs = separate_products_forward(model, x, t, cache, chunks)
+            assert np.array_equal(got, want), t
+            for (k, v), (wk, wv) in zip(got_kvs, want_kvs):
+                assert np.array_equal(k, wk) and np.array_equal(v, wv)
+
+    @pytest.mark.parametrize("cfg, chunks", CONFIGS)
+    def test_hybrid_attention_bit_equal_to_lane_rotation(self, cfg, chunks):
+        cache = random_cache(cfg, chunks, seed=112)
+        qkv = random_qkv(cfg, 113)
+        for layer in range(cfg.layers):
+            got = hybrid_attention(qkv, cache, layer, cfg, chunks)
+            want = per_head_hybrid(qkv, cache, layer, cfg, chunks,
+                                   rope=lane_rope, phi=where_elu_plus_one)
+            assert np.array_equal(got, want), layer
+
+    def test_elementwise_ops_at_special_values(self):
+        tiny = np.finfo(np.float64).tiny
+        x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, tiny, -tiny,
+                      tiny / 3, -tiny / 3, 1e-300, -1e-300, 1.5, -1.5, 40.0, -40.0, 710.0,
+                      -750.0, -8.3, 8.3])
+        x = np.concatenate([x, SeededRng(114).normal(4000) * 4])
+        with np.errstate(invalid="ignore"):  # gelu(-inf) is -inf * 0 in both
+            pairs = [(elu_plus_one(x), where_elu_plus_one(x)),
+                     (engine._gelu(x), textbook_gelu(x))]
+        for got, want in pairs:
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+        rows = SeededRng(115).normal((48, 32)) * np.logspace(-3, 3, 48)[:, None]
+        assert np.array_equal(engine._layer_norm(rows), textbook_layer_norm(rows))
 
 
 class TestRotatedWindowMemo:
@@ -96,41 +206,41 @@ class TestRotatedWindowMemo:
         ]
         for cfg, chunks in itertools.product(configs, (0, 1, 3, 9)):
             cache = random_cache(cfg, chunks, seed=20 + chunks)
-            q, k_self, v_self = random_qkv(cfg, 30 + chunks)
+            qkv = random_qkv(cfg, 30 + chunks)
             for layer in range(cfg.layers):
-                got = hybrid_attention(q, k_self, v_self, cache, layer, cfg, chunks)
-                want = per_head_hybrid(q, k_self, v_self, cache, layer, cfg, chunks)
+                got = hybrid_attention(qkv, cache, layer, cfg, chunks)
+                want = per_head_hybrid(qkv, cache, layer, cfg, chunks)
                 assert np.array_equal(got, want), (cfg.heads, cfg.keep_ratio, chunks, layer)
 
     def test_second_call_bit_equal_to_cold_call(self):
         cfg = self.CFG
         cache = random_cache(cfg, 8, seed=40)
         cold_cache = RollingCache.restore(cache.snapshot())
-        q, k_self, v_self = random_qkv(cfg, 41)
-        first = hybrid_attention(q, k_self, v_self, cache, 1, cfg, 8)
-        second = hybrid_attention(q, k_self, v_self, cache, 1, cfg, 8)
-        cold = hybrid_attention(q, k_self, v_self, cold_cache, 1, cfg, 8)
+        qkv = random_qkv(cfg, 41)
+        first = hybrid_attention(qkv, cache, 1, cfg, 8)
+        second = hybrid_attention(qkv, cache, 1, cfg, 8)
+        cold = hybrid_attention(qkv, cold_cache, 1, cfg, 8)
         assert np.array_equal(first, second)
         assert np.array_equal(second, cold)
 
     def test_reuse_after_change_matches_fresh(self):
         cfg = self.CFG
         cache = random_cache(cfg, 8, seed=50)
-        q, k_self, v_self = random_qkv(cfg, 51)
-        hybrid_attention(q, k_self, v_self, cache, 0, cfg, 9)  # fills the memo
+        qkv = random_qkv(cfg, 51)
+        hybrid_attention(qkv, cache, 0, cfg, 9)  # fills the memo
         # a different query index past the cap moves every relative index
-        got = hybrid_attention(q, k_self, v_self, cache, 0, cfg, 30)
-        assert np.array_equal(got, per_head_hybrid(q, k_self, v_self, cache, 0, cfg, 30))
+        got = hybrid_attention(qkv, cache, 0, cfg, 30)
+        assert np.array_equal(got, per_head_hybrid(qkv, cache, 0, cfg, 30))
         # a restored snapshot carries no memo
         restored = RollingCache.restore(cache.snapshot())
-        got = hybrid_attention(q, k_self, v_self, restored, 0, cfg, 9)
-        assert np.array_equal(got, per_head_hybrid(q, k_self, v_self, restored, 0, cfg, 9))
+        got = hybrid_attention(qkv, restored, 0, cfg, 9)
+        assert np.array_equal(got, per_head_hybrid(qkv, restored, 0, cfg, 9))
         # the same query index after an append (which evicts here)
-        hybrid_attention(q, k_self, v_self, cache, 0, cfg, 9)
+        hybrid_attention(qkv, cache, 0, cfg, 9)
         assert append_and_absorb(cache, random_chunk_kv(cfg, 8, seed=52), cfg) is not None
         for layer in range(cfg.layers):
-            got = hybrid_attention(q, k_self, v_self, cache, layer, cfg, 9)
-            assert np.array_equal(got, per_head_hybrid(q, k_self, v_self, cache, layer, cfg, 9))
+            got = hybrid_attention(qkv, cache, layer, cfg, 9)
+            assert np.array_equal(got, per_head_hybrid(qkv, cache, layer, cfg, 9))
 
     def test_window_values_bit_equal_to_per_entry_concatenation(self):
         cfg = self.CFG
@@ -160,8 +270,8 @@ class TestRotatedWindowMemo:
         cfg = self.CFG
         cache = random_cache(cfg, 8, seed=60)
         before = cache.snapshot()
-        q, k_self, v_self = random_qkv(cfg, 61)
-        hybrid_attention(q, k_self, v_self, cache, 0, cfg, 8)
+        qkv = random_qkv(cfg, 61)
+        hybrid_attention(qkv, cache, 0, cfg, 8)
         assert cache.snapshot() == before
 
 
@@ -184,8 +294,9 @@ class TestWindowWorkspace:
 
     @staticmethod
     def arrays(w):
-        # the selector is shared per window layout, not owned by the cache
-        return w[:3]
+        # keys, values, block means and the keys' rotation tables; the
+        # selector is shared per window layout, not owned by the cache
+        return w[:5]
 
     def test_reused_across_steady_chunks_reallocated_in_warm_up(self):
         cfg = self.CFG
@@ -199,40 +310,40 @@ class TestWindowWorkspace:
         for i in range(1, 10):
             # the window grows through chunk 5, then keeps its size
             reused = [a is b for a, b in zip(seen[i], seen[i - 1])]
-            assert reused == [i > 5] * 3, (i, reused)
+            assert reused == [i > 5] * 5, (i, reused)
 
     def test_reallocated_after_restore_and_for_other_sizes(self):
         cfg = self.CFG
         cache = random_cache(cfg, 8, seed=81)
-        q, k_self, v_self = random_qkv(cfg, 82)
+        qkv = random_qkv(cfg, 82)
         first = self.arrays(_window(cache, cfg, 8))
         restored = RollingCache.restore(cache.snapshot())
         assert not any(a is b for a, b in zip(first, self.arrays(_window(restored, cfg, 8))))
         # two-frame chunks of 6 tokens: the same keys, other block means
         other = replace(cfg, frames_per_chunk=2, tokens_per_frame=6)
-        got = hybrid_attention(q, k_self, v_self, cache, 1, other, 8)
-        assert np.array_equal(got, per_head_hybrid(q, k_self, v_self, cache, 1, other, 8))
+        got = hybrid_attention(qkv, cache, 1, other, 8)
+        assert np.array_equal(got, per_head_hybrid(qkv, cache, 1, other, 8))
         assert _window(cache, other, 8)[2] is not first[2]
         # a config of the same sizes rewrites the arrays it finds
         same_sizes = replace(cfg, keep_ratio=0.25)
         kept = self.arrays(_window(cache, same_sizes, 8))
         for c in (cfg, same_sizes, cfg):
-            got = hybrid_attention(q, k_self, v_self, cache, 0, c, 8)
-            assert np.array_equal(got, per_head_hybrid(q, k_self, v_self, cache, 0, c, 8))
+            got = hybrid_attention(qkv, cache, 0, c, 8)
+            assert np.array_equal(got, per_head_hybrid(qkv, cache, 0, c, 8))
             assert all(a is b for a, b in zip(kept, self.arrays(_window(cache, c, 8))))
 
     def test_output_unchanged_by_later_passes(self):
         cfg = self.CFG
         cache = random_cache(cfg, 8, seed=83)
-        q, k_self, v_self = random_qkv(cfg, 84)
-        out = hybrid_attention(q, k_self, v_self, cache, 0, cfg, 8)
+        qkv = random_qkv(cfg, 84)
+        out = hybrid_attention(qkv, cache, 0, cfg, 8)
         kept = out.copy()
         for seed in (85, 86):
-            q2, k2, v2 = random_qkv(cfg, seed)
+            qkv2 = random_qkv(cfg, seed)
             for layer in range(cfg.layers):
-                hybrid_attention(q2, k2, v2, cache, layer, cfg, 8)
+                hybrid_attention(qkv2, cache, layer, cfg, 8)
             append_and_absorb(cache, random_chunk_kv(cfg, cache.next_index, seed), cfg)
-            hybrid_attention(q2, k2, v2, cache, 0, cfg, cache.next_index)
+            hybrid_attention(qkv2, cache, 0, cfg, cache.next_index)
         assert np.array_equal(out, kept)
 
     def test_one_cache_bit_equal_to_per_head_reference_past_the_cap(self):
@@ -241,10 +352,10 @@ class TestWindowWorkspace:
         cache = ToyDenoiser(cfg).new_cache()
         for i in range(cfg.max_temporal_index + 5):
             for seed in (1000 + i, 2000 + i):  # two passes per query chunk
-                q, k_self, v_self = random_qkv(cfg, seed)
+                qkv = random_qkv(cfg, seed)
                 for layer in range(cfg.layers):
-                    got = hybrid_attention(q, k_self, v_self, cache, layer, cfg, i)
-                    want = per_head_hybrid(q, k_self, v_self, cache, layer, cfg, i)
+                    got = hybrid_attention(qkv, cache, layer, cfg, i)
+                    want = per_head_hybrid(qkv, cache, layer, cfg, i)
                     assert np.array_equal(got, want), (i, seed, layer)
             append_and_absorb(cache, random_chunk_kv(cfg, i, seed=3000 + i, sink=i < 1), cfg)
 
@@ -252,8 +363,8 @@ class TestWindowWorkspace:
         # window 45 in steady state: 16 visible entries of 48 tokens
         cfg = replace(StreamConfig(), window_frames=45)
         cache = random_cache(cfg, 17, seed=87)
-        q, k_self, v_self = random_qkv(cfg, 88)
-        hybrid_attention(q, k_self, v_self, cache, 0, cfg, 17)
+        qkv = random_qkv(cfg, 88)
+        hybrid_attention(qkv, cache, 0, cfg, 17)
         append_and_absorb(cache, random_chunk_kv(cfg, 17, seed=89), cfg)
         visible = len(cache.visible_kv(18))
         assert visible == 16
@@ -271,8 +382,8 @@ class TestWindowWorkspace:
             return sparse_attention(*args, **kwargs)
 
         monkeypatch.setattr(engine, "sparse_attention", kernel)
-        hybrid_attention(q, k_self, v_self, cache, 1, cfg, 18)
-        attention = traced_peak(lambda: hybrid_attention(q, k_self, v_self, cache, 1, cfg, 18))
+        hybrid_attention(qkv, cache, 1, cfg, 18)
+        attention = traced_peak(lambda: hybrid_attention(qkv, cache, 1, cfg, 18))
         args, kwargs = calls[-1]
         softmax = traced_peak(lambda: sparse_attention(*args, **kwargs))
         assert attention - softmax < layer_keys, (attention, softmax, layer_keys)
@@ -305,7 +416,7 @@ class TestSharedTables:
 
     def test_shared_arrays_are_read_only(self):
         cache = random_cache(TOY, 8, seed=95)
-        bcfg, selector, q_cos, q_sin = _window(cache, TOY, 8)[3:]
+        bcfg, selector, q_cos, q_sin = _window(cache, TOY, 8)[5:]
         cos, sin = position_tables(TOY.rope_config(), TOY.chunk_tokens)
         for a in (cos, sin, q_cos, q_sin, selector, bcfg.forced_index):
             with pytest.raises(ValueError):
@@ -315,7 +426,7 @@ class TestSharedTables:
         cache = random_cache(TOY, 8, seed=96)
         cos, sin = position_tables(TOY.rope_config(), TOY.chunk_tokens)
         for qci in (8, TOY.max_temporal_index + 9):
-            q_cos, q_sin = _window(cache, TOY, qci)[5:]
+            q_cos, q_sin = _window(cache, TOY, qci)[7:]
             t = temporal_index(qci, TOY.rope_config())
             assert q_cos.base is cos and q_sin.base is sin
             want = rotation_tables(t, np.arange(float(TOY.chunk_tokens)), TOY.rope_config())
@@ -330,14 +441,14 @@ class TestHistorySkip:
         raise AssertionError("history_output called on an empty history")
 
     @staticmethod
-    def with_empty_readout(q, k_self, v_self, cache, layer, cfg, qci):
+    def with_empty_readout(qkv, cache, layer, cfg, qci):
         # the per-head reference plus the empty state's (all-zero) readout
         tables = rotation_tables(temporal_index(qci, cfg.rope_config()),
                                  np.arange(float(cfg.chunk_tokens)), cfg.rope_config())
         state = cache.linear_states[layer]
         assert state.evicted_tokens == 0
-        return (per_head_hybrid(q, k_self, v_self, cache, layer, cfg, qci)
-                + history_output(state, q, *tables))
+        return (per_head_hybrid(qkv, cache, layer, cfg, qci)
+                + history_output(state, qkv[0], *tables))
 
     @pytest.mark.parametrize("cfg, chunks", [
         (TOY, 4),  # sink 1, capacity 3: the next append is the first eviction
@@ -345,12 +456,12 @@ class TestHistorySkip:
     ])
     def test_empty_history_not_read(self, monkeypatch, cfg, chunks):
         cache = random_cache(cfg, chunks, seed=97)
-        q, k_self, v_self = random_qkv(cfg, 98)
-        want = [self.with_empty_readout(q, k_self, v_self, cache, layer, cfg, chunks)
+        qkv = random_qkv(cfg, 98)
+        want = [self.with_empty_readout(qkv, cache, layer, cfg, chunks)
                 for layer in range(cfg.layers)]
         monkeypatch.setattr(engine, "history_output", self.refuse)
         for layer in range(cfg.layers):
-            got = hybrid_attention(q, k_self, v_self, cache, layer, cfg, chunks)
+            got = hybrid_attention(qkv, cache, layer, cfg, chunks)
             assert np.array_equal(got, want[layer]), layer
         # whole chunk steps: before the first eviction, and with no history
         model = ToyDenoiser(cfg)
@@ -384,14 +495,14 @@ class TestHybridAttention:
         cache = random_cache(cfg, 8, seed=5)
         for e in cache.entries():
             e.values[:] = 0.0
-        q, k_self, _ = random_qkv(cfg, 77)
-        v_self = np.zeros_like(k_self)
+        qkv = random_qkv(cfg, 77)
+        qkv[2] = 0.0
         rope_cfg = cfg.rope_config()
         tables = rotation_tables(temporal_index(8, rope_cfg), np.arange(float(cfg.chunk_tokens)),
                                  rope_cfg)
         for layer in range(cfg.layers):
-            got = hybrid_attention(q, k_self, v_self, cache, layer, cfg, 8)
-            hist = history_output(cache.linear_states[layer], q, *tables)
+            got = hybrid_attention(qkv, cache, layer, cfg, 8)
+            hist = history_output(cache.linear_states[layer], qkv[0], *tables)
             assert np.abs(got - hist).max() < 1e-9
 
     def test_zero_query_closed_form(self):
@@ -400,10 +511,11 @@ class TestHybridAttention:
         # (L, H). Both are evaluated directly.
         cfg = TOY
         cache = random_cache(cfg, 8, seed=6)
-        q = np.zeros((cfg.heads, cfg.chunk_tokens, cfg.head_dim))
-        _, k_self, v_self = random_qkv(cfg, 88)
+        qkv = random_qkv(cfg, 88)
+        qkv[0] = 0.0
+        q, k_self, v_self = qkv
         layer = 0
-        got = hybrid_attention(q, k_self, v_self, cache, layer, cfg, 8)
+        got = hybrid_attention(qkv, cache, layer, cfg, 8)
 
         rope_cfg = cfg.rope_config()
         s_idx = np.arange(float(cfg.chunk_tokens))

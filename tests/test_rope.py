@@ -178,7 +178,7 @@ class TestTablesAndRotate:
 
     def test_position_tables_bit_equal_to_rotation_tables(self):
         cos, sin = position_tables(CFG, 6)
-        assert cos.shape == sin.shape == (CFG.max_temporal_index + 1, 6, 8)
+        assert cos.shape == sin.shape == (CFG.max_temporal_index + 1, 6, 16)
         s = np.arange(6.0)
         for t in range(CFG.max_temporal_index + 1):  # a view per index
             want_cos, want_sin = rotation_tables(t, s, CFG)
@@ -188,7 +188,7 @@ class TestTablesAndRotate:
         assert np.array_equal(cos[rel], want_cos) and np.array_equal(sin[rel], want_sin)
         # built once per (config, tokens), and nobody can write into them
         assert position_tables(RoPEConfig(16, max_temporal_index=21), 6)[0] is cos
-        assert position_tables(CFG, 5)[0].shape == (22, 5, 8)
+        assert position_tables(CFG, 5)[0].shape == (22, 5, 16)
         with pytest.raises(ValueError):
             cos[3] = 0.0
 

@@ -8,8 +8,8 @@ import zlib
 import numpy as np
 import pytest
 
-from hybridstream.engine import StreamConfig, append_and_absorb
-from hybridstream.errors import FormatError, SequenceError
+from hybridstream.engine import StreamConfig, ToyDenoiser, append_and_absorb, chunk_step
+from hybridstream.errors import FormatError, SequenceError, ShapeError
 from hybridstream.linear_history import LinearState
 from hybridstream.numerics import SeededRng
 from hybridstream.stream_cache import ChunkKV, RollingCache, relative_temporal_index
@@ -67,6 +67,47 @@ class TestAppendEviction:
         cache = RollingCache(3, 1, CAP)
         with pytest.raises(ValueError):
             cache.append(make_kv(0, sink=False))
+
+    @pytest.mark.parametrize("shape", [
+        (LAYERS, 3, TOKENS, HEAD_DIM),        # heads
+        (LAYERS, HEADS, TOKENS + 1, HEAD_DIM),  # tokens
+        (LAYERS, HEADS, TOKENS, 4),           # head_dim
+        (3, HEADS, TOKENS, HEAD_DIM),          # layers
+    ])
+    def test_shape_mismatch_rejected_before_any_change(self, shape):
+        stream = TestSnapshot.STREAM
+        cache = RollingCache(3, 1, CAP, make_states())
+        for i in range(6):  # chunks 1 and 2 absorbed; the next append evicts
+            append_and_absorb(cache, make_kv(i, sink=i == 0), stream)
+        entries = cache.entries()
+        states = [(s.L.copy(), s.H.copy(), s.evicted_tokens) for s in cache.linear_states]
+        rng = SeededRng(9)
+        bad = ChunkKV(6, rng.normal(shape), rng.normal(shape))
+        with pytest.raises(ShapeError, match="unlike the entries'"):
+            append_and_absorb(cache, bad, stream)
+        assert cache.next_index == 6
+        assert all(a is b for a, b in zip(cache.entries(), entries))
+        assert len(cache.entries()) == len(entries)
+        for s, (L, H, evicted) in zip(cache.linear_states, states):
+            assert np.array_equal(s.L, L) and np.array_equal(s.H, H)
+            assert s.evicted_tokens == evicted
+        assert append_and_absorb(cache, make_kv(6), stream).chunk_index == 3
+
+    def test_first_chunk_checked_against_linear_states(self):
+        # an empty cache has no entries to compare with: the states decide
+        for shape, match in [((LAYERS, 3, TOKENS, HEAD_DIM), "2 heads x head_dim 8"),
+                             ((LAYERS, HEADS, TOKENS, 4), "2 heads x head_dim 8"),
+                             ((3, HEADS, TOKENS, HEAD_DIM), "2 linear states for entries of 3")]:
+            cache = RollingCache(3, 0, CAP, make_states())
+            rng = SeededRng(10)
+            with pytest.raises(ShapeError, match=match):
+                cache.append(ChunkKV(0, rng.normal(shape), rng.normal(shape)))
+            assert cache.next_index == 0 and cache.entries() == []
+        # without states any first shape is taken, and later ones must match it
+        cache = RollingCache(3, 0, CAP)
+        cache.append(ChunkKV(0, np.zeros((1, 3, 5, 4)), np.zeros((1, 3, 5, 4))))
+        with pytest.raises(ShapeError):
+            cache.append(make_kv(1))
 
     def test_memory_bound_for_any_stream_length(self):
         for n in [1, 3, 4, 10, 50]:
@@ -239,10 +280,11 @@ class TestSnapshot:
             RollingCache.restore(cache.snapshot())
 
     def test_entry_shape_unlike_linear_states_is_format_error(self):
-        cache = RollingCache(3, 1, CAP, make_states())
+        cache = RollingCache(3, 1, CAP)
         for i in range(3):
             kv = make_kv(i, sink=i == 0)
             cache.append(ChunkKV(i, kv.keys[..., :4], kv.values[..., :4], kv.is_sink))
+        cache.linear_states = make_states()  # append refuses such chunks; attach them after
         with pytest.raises(FormatError, match="head_dim 8"):
             RollingCache.restore(cache.snapshot())
 
@@ -253,6 +295,18 @@ class TestSnapshot:
             RollingCache.restore(cache.snapshot())
         cache.linear_states.clear()  # no history pathway at all restores
         assert RollingCache.restore(cache.snapshot()).linear_states == []
+
+    def test_restored_cache_missing_a_layer_state_cannot_stream(self):
+        # an empty cache has no entries for restore to count layers against,
+        # so the missing state restores; the first chunk of 2 layers is refused
+        model = ToyDenoiser(self.STREAM)
+        cache = model.new_cache()
+        del cache.linear_states[1]
+        restored = RollingCache.restore(cache.snapshot())
+        assert len(restored.linear_states) == 1
+        with pytest.raises(ShapeError, match="1 linear states for entries of 2 layers"):
+            chunk_step(model, restored, 0, self.STREAM.denoise_timesteps, SeededRng(7))
+        assert restored.next_index == 0 and restored.entries() == []
 
     def test_linear_state_shapes_that_disagree_are_format_error(self):
         cache = self.build_cache(5)
