@@ -10,9 +10,9 @@ from hybridstream import ChunkKV, RollingCache, SeededRng
 rng = SeededRng(0)
 
 
-def make_chunk(idx, sink=False):
+def make_chunk(idx):
     shape = (1, 1, 4, 8)  # layers, heads, tokens, head_dim
-    return ChunkKV(idx, rng.normal(shape), rng.normal(shape), sink)
+    return ChunkKV(idx, rng.normal(shape), rng.normal(shape))
 
 
 # A window of 3 chunks plus one pinned sink chunk, temporal cap 21.
@@ -20,7 +20,7 @@ cache = RollingCache(capacity_chunks=3, sink_chunks=1, max_temporal_index=21)
 
 print("appending chunks 0..9 (chunk 0 is the sink)\n")
 for i in range(10):
-    evicted = cache.append(make_chunk(i, sink=i == 0))
+    evicted = cache.append(make_chunk(i))
     window = [e.chunk_index for e in cache.window_entries]
     note = f"evicted chunk {evicted.chunk_index}" if evicted else "no eviction"
     print(f"  append {i}: window={window}  ({note})")
@@ -32,15 +32,15 @@ print("Cached tokens stay bounded:", cache.total_cached_tokens)
 # entries get larger indices, and the sink pins to the origin.
 print("\nvisible_kv for query chunk 9:")
 for entry, rel in cache.visible_kv(9):
-    kind = "sink  " if entry.is_sink else "window"
+    kind = "sink  " if entry.chunk_index < cache.sink_chunks else "window"
     print(f"  {kind} chunk {entry.chunk_index:3d} -> relative temporal index {rel}")
 
 print("\nvisible_kv for query chunk 500 (same window shape, indices unchanged):")
 cache2 = RollingCache(capacity_chunks=3, sink_chunks=1, max_temporal_index=21)
 for i in range(501):
-    cache2.append(make_chunk(i, sink=i == 0))
+    cache2.append(make_chunk(i))
 for entry, rel in cache2.visible_kv(500):
-    kind = "sink  " if entry.is_sink else "window"
+    kind = "sink  " if entry.chunk_index < cache2.sink_chunks else "window"
     print(f"  {kind} chunk {entry.chunk_index:3d} -> relative temporal index {rel}")
 
 # Snapshots round-trip exactly, including float64 content.

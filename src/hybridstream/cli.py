@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -41,35 +41,15 @@ class UsageError(Exception):
 # config files
 # ---------------------------------------------------------------------------
 
-_STREAM_FIELDS = {
-    "frames_per_chunk": int,
-    "window_frames": int,
-    "sink_chunks": int,
-    "tokens_per_frame": int,
-    "model_dim": int,
-    "heads": int,
-    "head_dim": int,
-    "layers": int,
-    "keep_ratio": float,
-    "max_temporal_index": int,
-    "base_theta": float,
-    "seed": int,
-    "linear_history": bool,
-    "denoise_timesteps": tuple,
-}
+def _file_fields(config_class) -> dict:
+    """The fields of a config dataclass a config file may set, with their
+    types: those whose default is an int, float, bool or tuple."""
+    return {f.name: type(f.default) for f in fields(config_class)
+            if type(f.default) in (int, float, bool, tuple)}
 
-_DISTILL_FIELDS = {
-    "lam": float,
-    "phase_switch_step": int,
-    "steps": int,
-    "generator_lr": float,
-    "batch_size": int,
-    "fixture_chunks": int,
-    "timesteps": tuple,
-    "seed": int,
-    "world_dim": int,
-}
 
+_STREAM_FIELDS = _file_fields(StreamConfig)
+_DISTILL_FIELDS = {**_file_fields(DistillConfig), "seed": int, "world_dim": int}
 _RUN_FIELDS = {"chunks": int}
 
 
@@ -95,23 +75,19 @@ def parse_config_file(path: str) -> dict:
     return out
 
 
-def _coerce(field: str, kind, raw):
+def _coerce(field: str, kind, raw: str):
     try:
         if kind is bool:
-            if isinstance(raw, bool):
-                return raw
-            low = str(raw).strip().lower()
+            low = raw.lower()
             if low in ("1", "true", "yes", "on"):
                 return True
             if low in ("0", "false", "no", "off"):
                 return False
             raise ValueError(raw)
         if kind is tuple:
-            if isinstance(raw, tuple):
-                return raw
-            return tuple(float(p) for p in str(raw).split(",") if p.strip())
+            return tuple(float(p) for p in raw.split(",") if p.strip())
         return kind(raw)
-    except (TypeError, ValueError):
+    except ValueError:
         raise UsageError(f"invalid value for config field '{field}': {raw!r}")
 
 
@@ -130,19 +106,14 @@ def _config_hash(payload: dict) -> str:
 
 
 def _stream_config_payload(cfg: StreamConfig, chunks: int) -> dict:
-    payload = asdict(cfg)
-    payload["denoise_timesteps"] = list(cfg.denoise_timesteps)
-    payload["chunks"] = chunks
-    return payload
+    return {**asdict(cfg), "chunks": chunks}
 
 
 def _build_stream_config(args) -> tuple[StreamConfig, int]:
     file_cfg = {}
     if args.config:
         file_cfg = parse_config_file(args.config)
-    merged_schema = dict(_STREAM_FIELDS)
-    merged_schema.update(_RUN_FIELDS)
-    typed = _typed_config(file_cfg, merged_schema, "stream")
+    typed = _typed_config(file_cfg, {**_STREAM_FIELDS, **_RUN_FIELDS}, "stream")
     chunks = typed.pop("chunks", 8)
 
     # flags win over file values
@@ -156,8 +127,6 @@ def _build_stream_config(args) -> tuple[StreamConfig, int]:
         chunks = args.chunks
     if chunks < 1:
         raise UsageError("chunks must be >= 1")
-    if "denoise_timesteps" in typed:
-        typed["denoise_timesteps"] = tuple(typed["denoise_timesteps"])
     try:
         cfg = StreamConfig(**typed)
     except (ValueError, TypeError) as exc:
@@ -255,12 +224,12 @@ def cmd_generate(args) -> int:
     if args.concat:
         stacked = np.stack(res.latents)
         name = "latents.hft"
-        write_tensor(os.path.join(args.out, name), stacked.shape, stacked)
+        write_tensor(os.path.join(args.out, name), stacked)
         files.append(name)
     else:
         for i, latent in enumerate(res.latents):
             name = f"chunk_{i:04d}.hft"
-            write_tensor(os.path.join(args.out, name), latent.shape, latent)
+            write_tensor(os.path.join(args.out, name), latent)
             files.append(name)
     payload = _stream_config_payload(cfg, chunks)
     manifest = {
@@ -289,8 +258,6 @@ def cmd_distill(args) -> int:
         typed["lam"] = args.lam
     if args.phase_switch is not None:
         typed["phase_switch_step"] = args.phase_switch
-    if "timesteps" in typed:
-        typed["timesteps"] = tuple(typed["timesteps"])
     try:
         cfg = DistillConfig(**typed)
     except (ValueError, TypeError) as exc:
@@ -303,20 +270,12 @@ def cmd_distill(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     write_trace_csv(os.path.join(args.out, "trace.csv"), result.rows)
-    write_tensor(os.path.join(args.out, "generator_A.hft"),
-                 result.generator.A.shape, result.generator.A)
-    write_tensor(os.path.join(args.out, "generator_b.hft"),
-                 result.generator.b.shape, result.generator.b)
-    write_tensor(os.path.join(args.out, "world_mean.hft"),
-                 world.mean.shape, world.mean)
-    write_tensor(os.path.join(args.out, "world_cov.hft"),
-                 world.cov.shape, world.cov)
+    write_tensor(os.path.join(args.out, "generator_A.hft"), result.generator.A)
+    write_tensor(os.path.join(args.out, "generator_b.hft"), result.generator.b)
+    write_tensor(os.path.join(args.out, "world_mean.hft"), world.mean)
+    write_tensor(os.path.join(args.out, "world_cov.hft"), world.cov)
     last = result.rows[-1]
-    payload = asdict(cfg)
-    payload["timesteps"] = list(cfg.timesteps)
-    payload["fixture"] = asdict(cfg.fixture)
-    payload["fixture"]["denoise_timesteps"] = list(cfg.fixture.denoise_timesteps)
-    payload.update({"seed": seed, "world_dim": world_dim})
+    payload = {**asdict(cfg), "seed": seed, "world_dim": world_dim}
     manifest = {
         "config": payload,
         "config_hash": _config_hash(payload),

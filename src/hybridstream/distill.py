@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .engine import StreamConfig, ToyDenoiser, chunk_step, rectified_flow
+from .engine import StreamConfig, ToyDenoiser, check_timesteps, chunk_step, rectified_flow
 from .errors import ShapeError
 from .numerics import SeededRng
 
@@ -34,7 +34,6 @@ _DEFAULT_FIXTURE = StreamConfig(
     window_frames=2,
     sink_chunks=1,
     tokens_per_frame=4,
-    model_dim=8,
     heads=1,
     head_dim=8,
     layers=1,
@@ -249,11 +248,7 @@ class DistillConfig:
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         if not (0.0 < self.generator_lr < math.inf):
             raise ValueError(f"generator_lr must be finite and > 0, got {self.generator_lr}")
-        ts = self.timesteps
-        if not ts or any(not (0.0 < t <= 1.0) for t in ts):
-            raise ValueError("timesteps must lie in (0, 1]")
-        if any(ts[i] <= ts[i + 1] for i in range(len(ts) - 1)):
-            raise ValueError("timesteps must be strictly descending")
+        check_timesteps(self.timesteps)
         if self.steps < 1 or self.batch_size < 1:
             raise ValueError("steps and batch_size must be >= 1")
         if self.phase_switch_step < 0:

@@ -62,13 +62,21 @@ def rectified_flow(t):
     return 1.0 - t, t
 
 
+def check_timesteps(ts) -> None:
+    """Raise ValueError unless `ts` is a non-empty, strictly descending
+    schedule in (0, 1]."""
+    if not ts or any(not (0.0 < t <= 1.0) for t in ts):
+        raise ValueError("timesteps must lie in (0, 1]")
+    if any(ts[i] <= ts[i + 1] for i in range(len(ts) - 1)):
+        raise ValueError("timesteps must be strictly descending")
+
+
 @dataclass(frozen=True)
 class StreamConfig:
     frames_per_chunk: int = 3
     window_frames: int = 9
     sink_chunks: int = 1
     tokens_per_frame: int = 16
-    model_dim: int = 32
     heads: int = 2
     head_dim: int = 16
     layers: int = 2
@@ -88,18 +96,14 @@ class StreamConfig:
             raise ValueError(f"sink_chunks must be >= 0, got {self.sink_chunks}")
         if not (0.0 < self.keep_ratio <= 1.0):
             raise ValueError(f"keep_ratio must be in (0, 1], got {self.keep_ratio}")
-        if self.model_dim != self.heads * self.head_dim:
-            raise ShapeError(
-                f"model_dim {self.model_dim} != heads {self.heads} x head_dim {self.head_dim}"
-            )
         if self.window_frames % self.frames_per_chunk != 0:
             raise ValueError("window_frames must be divisible by frames_per_chunk")
-        ts = self.denoise_timesteps
-        if not ts or any(not (0.0 < t <= 1.0) for t in ts):
-            raise ValueError("timesteps must lie in (0, 1]")
-        if any(ts[i] <= ts[i + 1] for i in range(len(ts) - 1)):
-            raise ValueError("timesteps must be strictly descending")
+        check_timesteps(self.denoise_timesteps)
         self.rope_config()  # RoPEConfig checks head_dim, base_theta and max_temporal_index
+
+    @property
+    def model_dim(self) -> int:
+        return self.heads * self.head_dim
 
     @property
     def chunk_tokens(self) -> int:
@@ -164,19 +168,17 @@ def _gelu(x: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _block_layout(sinks: tuple, blocks_per_chunk: int, keep_ratio: float,
+def _block_layout(sinks: int, entries: int, blocks_per_chunk: int, keep_ratio: float,
                   heads: int) -> tuple:
     """The BlockConfig and the read-only [heads, 1, heads, 1] selector of the
-    block-diagonal head mask, for a window whose entries have the given sink
-    flags. Shared by every cache and config with that layout."""
-    n, bpc = len(sinks), blocks_per_chunk
-    forced = set(range(n * bpc, (n + 1) * bpc))
-    for pos, is_sink in enumerate(sinks):
-        if is_sink:
-            forced.update(range(pos * bpc, (pos + 1) * bpc))
+    block-diagonal head mask, for a window of `entries` entries whose first
+    `sinks` are the sink entries, the chunk's own blocks after them all.
+    Shared by every cache and config with that layout."""
+    bpc = blocks_per_chunk
+    forced = frozenset(range(sinks * bpc)) | frozenset(range(entries * bpc, (entries + 1) * bpc))
     selector = np.eye(heads, dtype=bool)[:, None, :, None]
     selector.flags.writeable = False
-    return BlockConfig(keep_ratio, frozenset(forced)), selector
+    return BlockConfig(keep_ratio, forced), selector
 
 
 def _window(cache: RollingCache, cfg: StreamConfig, query_chunk_index: int) -> tuple:
@@ -210,8 +212,7 @@ def _window(cache: RollingCache, cfg: StreamConfig, query_chunk_index: int) -> t
         visible = cache.visible_kv(query_chunk_index)
         n, bpc, bt = len(visible), cfg.blocks_per_chunk, cfg.block_tokens
         layers, heads, d = cfg.layers, cfg.heads, cfg.head_dim
-        bcfg, selector = _block_layout(tuple(e.is_sink for e, _ in visible), bpc,
-                                       cfg.keep_ratio, heads)
+        bcfg, selector = _block_layout(len(cache.sink_entries), n, bpc, cfg.keep_ratio, heads)
         rope_cfg = cfg.rope_config()
         cos, sin = position_tables(rope_cfg, cfg.chunk_tokens)
         shape = (layers, heads, n + 1, cfg.chunk_tokens, d)
@@ -375,8 +376,7 @@ class ToyDenoiser:
         _, layer_kvs = self.forward(x0, 0.0, cache, chunk_index, counters)
         keys = np.stack([kv[0] for kv in layer_kvs])
         values = np.stack([kv[1] for kv in layer_kvs])
-        return ChunkKV(chunk_index, keys, values,
-                       is_sink=chunk_index < self.cfg.sink_chunks)
+        return ChunkKV(chunk_index, keys, values)
 
 
 @dataclass

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import io
 import struct
-from typing import BinaryIO, Sequence
+from typing import BinaryIO
 
 import numpy as np
 
@@ -141,20 +141,12 @@ def softmax_rows(m: np.ndarray) -> np.ndarray:
 _MAX_RANK = 64
 
 
-def write_tensor(path_or_file, shape: Sequence[int], data) -> None:
-    """Write one tensor. float32 input is stored verbatim (bit-preserving);
-    anything else is cast to float32 first."""
-    dims = tuple(int(d) for d in shape)
-    if any(d < 0 for d in dims):
-        raise ShapeError(f"negative dimension in shape {dims}")
-    count = 1
-    for d in dims:
-        count *= d
+def write_tensor(path_or_file, data) -> None:
+    """Write one tensor of data's shape. float32 input is stored verbatim
+    (bit-preserving); anything else is cast to float32 first."""
     arr = np.asarray(data)
-    if arr.size != count:
-        raise ShapeError(f"shape {dims} expects {count} values, got {arr.size}")
     payload = np.ascontiguousarray(arr.reshape(-1), dtype="<f4")
-    header = TENSOR_MAGIC + struct.pack("<I", len(dims)) + struct.pack(f"<{len(dims)}I", *dims)
+    header = TENSOR_MAGIC + struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape)
 
     if hasattr(path_or_file, "write"):
         path_or_file.write(header)
@@ -235,7 +227,7 @@ def f32_pairs_to_f64(pairs: np.ndarray) -> np.ndarray:
 
 def write_f64_tensor(f: BinaryIO, a: np.ndarray) -> None:
     pairs = f64_to_f32_pairs(np.asarray(a, dtype=np.float64))
-    write_tensor(f, pairs.shape, pairs)
+    write_tensor(f, pairs)
 
 
 def read_f64_tensor(f: BinaryIO) -> np.ndarray:

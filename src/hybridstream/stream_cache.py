@@ -1,20 +1,23 @@
 """Rolling per-chunk KV cache with pinned sink entries and eviction.
 
-Sink chunks (the configured first chunks of a stream) live outside the
-ring and are never evicted; window entries are FIFO with a fixed chunk
-capacity. Evicted entries are returned to the caller, which routes them
-into the attached linear states. Entries store unrotated keys; rotation
-happens at attention time from each entry's current relative temporal
-index, so cached content never needs re-rotation as the window slides.
+Sink chunks, the first `sink_chunks` chunks of a stream by chunk index,
+live outside the ring and are never evicted; window entries are FIFO with
+a fixed chunk capacity. Evicted entries are returned to the caller, which
+routes them into the attached linear states. Entries store unrotated keys;
+rotation happens at attention time from each entry's current relative
+temporal index, so cached content never needs re-rotation as the window
+slides.
 That index is fixed for a whole query chunk, so the engine lays out the
 rotated visible keys and the visible values once per query chunk, for
 every layer and head, in a workspace held by the cache's memo. The next
 query chunk rewrites the same arrays in place when their shape still fits;
 snapshots never carry them.
 
-A snapshot is a length-prefixed JSON manifest, the entries' keys and values
-and the linear states as exact f64 tensors, then a CRC-32 of every byte
-before it, so a flipped byte anywhere fails to restore.
+A snapshot (format version 4) is a length-prefixed JSON manifest, the
+entries' keys and values and the linear states as exact f64 tensors, then
+a CRC-32 of every byte before it, so a flipped byte anywhere fails to
+restore. Its entries carry only their chunk index; restore routes each
+by that index, as append does.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from . import numerics
 from .errors import FormatError, SequenceError, ShapeError
 from .linear_history import LinearState
 
-_SNAPSHOT_VERSION = 3
+_SNAPSHOT_VERSION = 4
 _ENCODING = "f64-bit-split-pairs"
 
 
@@ -50,12 +53,12 @@ def _field(meta, name: str, kind: type, low: int | None = None):
 
 @dataclass
 class ChunkKV:
-    """Per-layer, per-head keys/values for one chunk of frames."""
+    """Per-layer, per-head keys/values for one chunk of frames. Whether it
+    is a sink follows from its chunk_index (RollingCache.append)."""
 
     chunk_index: int
     keys: np.ndarray    # [layers, heads, chunk_tokens, head_dim], unrotated
     values: np.ndarray  # same shape
-    is_sink: bool = False
 
     def __post_init__(self):
         self.keys = np.asarray(self.keys, dtype=np.float64)
@@ -121,26 +124,20 @@ class RollingCache:
         """Insert the next chunk; returns the evicted entry, if any.
 
         The caller owns routing the evicted entry into the linear states
-        (absorb before the next attention call). Sink-range chunks go to the
-        pinned list and never count against capacity. A chunk out of
-        sequence, with the wrong sink flag or of a shape that does not fit
-        (_shape_mismatch) raises before anything changes.
+        (absorb before the next attention call). Chunks 0 .. sink_chunks - 1
+        go to the pinned list and never count against capacity. A chunk out
+        of sequence or of a shape that does not fit (_shape_mismatch) raises
+        before anything changes.
         """
         if kv.chunk_index != self._next_index:
             raise SequenceError(
                 f"expected chunk {self._next_index}, got {kv.chunk_index}"
             )
-        expected_sink = kv.chunk_index < self.sink_chunks
-        if kv.is_sink != expected_sink:
-            raise ValueError(
-                f"chunk {kv.chunk_index} sink flag {kv.is_sink} conflicts with "
-                f"sink_chunks={self.sink_chunks}"
-            )
         mismatch = self._shape_mismatch(kv.keys.shape)
         if mismatch:
             raise ShapeError(f"chunk {kv.chunk_index}: {mismatch}")
         self._next_index += 1
-        if expected_sink:
+        if kv.chunk_index < self.sink_chunks:
             self.sink_entries.append(kv)
             return None
         evicted = None
@@ -183,9 +180,7 @@ class RollingCache:
             "sink_chunks": self.sink_chunks,
             "max_temporal_index": self.max_temporal_index,
             "next_index": self._next_index,
-            "entries": [
-                {"chunk_index": e.chunk_index, "is_sink": e.is_sink} for e in entries
-            ],
+            "entries": [{"chunk_index": e.chunk_index} for e in entries],
             "linear_states": [
                 {"evicted_tokens": s.evicted_tokens} for s in self.linear_states
             ],
@@ -208,7 +203,9 @@ class RollingCache:
         """Rebuild a cache from snapshot() bytes. The manifest's version is
         read first, so a blob of another format version is named as such;
         the CRC-32 trailer is then checked before any other field or payload
-        byte is decoded. Every failure is a FormatError."""
+        byte is decoded. Each entry goes to the pinned or the window list by
+        its chunk index, as append sends it, and _check_restored then checks
+        the whole. Every failure is a FormatError."""
         body, trailer = data[:-4], data[-4:]
         f = io.BytesIO(body)
         head = f.read(4)
@@ -220,7 +217,7 @@ class RollingCache:
             raise FormatError("snapshot manifest truncated")
         try:
             manifest = json.loads(blob.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise FormatError(f"snapshot manifest is not valid JSON: {exc}") from exc
         if not isinstance(manifest, dict):
             raise FormatError("snapshot manifest is not a JSON object")
@@ -239,14 +236,13 @@ class RollingCache:
         cache._next_index = _field(manifest, "next_index", int, 0)
         for meta in _field(manifest, "entries", list):
             chunk_index = _field(meta, "chunk_index", int, 0)
-            is_sink = _field(meta, "is_sink", bool)
             keys = numerics.read_f64_tensor(f)
             values = numerics.read_f64_tensor(f)
             try:
-                kv = ChunkKV(chunk_index, keys, values, is_sink)
+                kv = ChunkKV(chunk_index, keys, values)
             except ShapeError as exc:
                 raise FormatError(f"snapshot entry {chunk_index}: {exc}") from exc
-            if kv.is_sink:
+            if chunk_index < cache.sink_chunks:
                 cache.sink_entries.append(kv)
             else:
                 cache.window_entries.append(kv)
@@ -262,17 +258,20 @@ class RollingCache:
         """Raise FormatError unless the entries are exactly what appending
         chunks 0 .. next_index - 1 leaves behind, all with one key/value shape
         that agrees with the linear states' heads and head_dim. There must be
-        either no linear states or one per layer of those entries."""
-        n, sinks = self._next_index, self.sink_chunks
-        for e in self.entries():
-            if e.is_sink != (e.chunk_index < sinks):
-                raise FormatError(f"chunk {e.chunk_index} sink flag {e.is_sink} conflicts "
-                                  f"with sink_chunks={sinks}")
-        if len(self.window_entries) > self.capacity_chunks:
+        either no linear states or one per layer of those entries. The entry
+        counts are compared first, so the work done is bounded by the entries
+        present, not by next_index or sink_chunks."""
+        n, capacity = self._next_index, self.capacity_chunks
+        if len(self.window_entries) > capacity:
             raise FormatError(f"window holds {len(self.window_entries)} entries, over its "
-                              f"capacity of {self.capacity_chunks}")
+                              f"capacity of {capacity}")
+        sinks = min(n, self.sink_chunks)
+        window = min(n - sinks, capacity)
         got = [e.chunk_index for e in self.entries()]
-        want = list(range(min(n, sinks))) + list(range(max(sinks, n - self.capacity_chunks), n))
+        if len(got) != sinks + window:
+            raise FormatError(f"{len(got)} entries, but a stream at next_index {n} keeps "
+                              f"{sinks} sink and {window} window entries")
+        want = list(range(sinks)) + list(range(n - window, n))
         if got != want:
             raise FormatError(f"entry chunks {got} are not those a stream at next_index {n} "
                               f"keeps ({want})")

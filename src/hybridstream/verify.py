@@ -96,7 +96,7 @@ def _suite_numerics() -> list[CheckResult]:
 
     buf = io.BytesIO()
     data = np.float32(rng.standard_normal((5, 3)).astype(np.float32))
-    write_tensor(buf, (5, 3), data)
+    write_tensor(buf, data)
     buf.seek(0)
     shape, back = read_tensor_from(buf)
     out.append(_check("numerics.tensor_round_trip",
@@ -370,8 +370,7 @@ def _suite_cache() -> list[CheckResult]:
     evicted_ids = []
     rng = SeededRng(4)
     for i in range(40):
-        kv = ChunkKV(i, rng.normal((1, 1, 4, 8)), rng.normal((1, 1, 4, 8)),
-                     is_sink=i == 0)
+        kv = ChunkKV(i, rng.normal((1, 1, 4, 8)), rng.normal((1, 1, 4, 8)))
         ev = cache.append(kv)
         if ev is not None:
             evicted_ids.append(ev.chunk_index)
@@ -399,7 +398,7 @@ def _suite_cache() -> list[CheckResult]:
 # suite: hybrid
 # ---------------------------------------------------------------------------
 
-_TOY = StreamConfig(tokens_per_frame=4, model_dim=16, heads=2, head_dim=8)
+_TOY = StreamConfig(tokens_per_frame=4, heads=2, head_dim=8)
 
 
 def random_cache(cfg: StreamConfig, chunks: int, seed: int,
@@ -410,7 +409,7 @@ def random_cache(cfg: StreamConfig, chunks: int, seed: int,
     rng = SeededRng(seed)
     shape = (cfg.layers, cfg.heads, cfg.chunk_tokens, cfg.head_dim)
     for i in range(chunks):
-        kv = ChunkKV(i, rng.normal(shape), rng.normal(shape), i < cfg.sink_chunks)
+        kv = ChunkKV(i, rng.normal(shape), rng.normal(shape))
         append_and_absorb(cache, kv, cfg)
     return cache
 

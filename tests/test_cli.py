@@ -3,10 +3,12 @@ output formats."""
 
 import csv
 import json
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
+from hybridstream import cli
 from hybridstream.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -15,16 +17,15 @@ from hybridstream.cli import (
     BENCH_CSV_HEADER,
     main,
 )
-from hybridstream.distill import TRACE_HEADER
-from hybridstream.engine import BENCH_MODES
-from hybridstream.numerics import read_tensor
+from hybridstream.distill import TRACE_HEADER, DistillConfig, GaussianWorld
+from hybridstream.engine import BENCH_MODES, StreamConfig
+from hybridstream.numerics import SeededRng, read_tensor
 from hybridstream.sparse_local import BlockConfig
 from hybridstream.verify import mask_invariant_check
 
 SMALL_STREAM = """
 # small geometry for fast runs
 tokens_per_frame = 4
-model_dim = 16
 heads = 2
 head_dim = 8
 layers = 1
@@ -178,7 +179,7 @@ class TestGenerateCommand:
 
     def test_hash_sensitive_to_every_field(self, tmp_path):
         # flipping any single config field must change the manifest hash
-        base = dict(tokens_per_frame=4, model_dim=16, heads=2, head_dim=8,
+        base = dict(tokens_per_frame=4, heads=2, head_dim=8,
                     layers=1, chunks=3, seed=11, keep_ratio=0.2,
                     window_frames=9, sink_chunks=1, frames_per_chunk=3,
                     max_temporal_index=21)
@@ -420,6 +421,51 @@ class TestConfigParsing:
         out = tmp_path / "o"
         assert main(["generate", "--config", str(p), "--chunks", "1",
                      "--out", str(out)]) == EXIT_OK
+
+    @staticmethod
+    def restating(tmp_path, values):
+        """A config file setting `values`: tuples as comma lists, bools as
+        true/false, everything else as str() writes it."""
+        def text(v):
+            if isinstance(v, bool):
+                return "true" if v else "false"
+            if isinstance(v, tuple):
+                return ", ".join(map(str, v))
+            return str(v)
+
+        p = tmp_path / "defaults.cfg"
+        p.write_text("".join(f"{k} = {text(v)}\n" for k, v in values.items()))
+        return str(p)
+
+    def test_stream_file_restating_every_default_builds_the_default(self, tmp_path):
+        defaults = {f.name: f.default for f in fields(StreamConfig)}
+        assert set(cli._STREAM_FIELDS) == set(defaults)
+        out = tmp_path / "o"
+        p = self.restating(tmp_path, {**defaults, "chunks": 8})
+        assert main(["generate", "--config", p, "--out", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        want = json.loads(json.dumps({**asdict(StreamConfig()), "chunks": 8}))
+        assert manifest["config"] == want and len(manifest["files"]) == 8
+
+    def test_distill_file_restating_every_default_builds_the_default(self, tmp_path,
+                                                                     monkeypatch):
+        class Built(Exception):
+            pass
+
+        def capture(cfg, world, gen, rng):  # stands in for the 2000-step run
+            raise Built(cfg, world)
+
+        monkeypatch.setattr(cli, "train", capture)
+        defaults = {f.name: f.default for f in fields(DistillConfig) if f.name != "fixture"}
+        defaults.update(seed=0, world_dim=2)
+        assert set(cli._DISTILL_FIELDS) == set(defaults)
+        with pytest.raises(Built) as info:
+            main(["distill", "--config", self.restating(tmp_path, defaults),
+                  "--out", str(tmp_path / "o")])
+        cfg, world = info.value.args
+        assert cfg == DistillConfig()
+        want = GaussianWorld.random(SeededRng(0).derive(cli._WORLD_STREAM), 2)
+        assert np.array_equal(world.mean, want.mean) and np.array_equal(world.cov, want.cov)
 
     def test_no_subcommand_is_usage_error(self):
         assert main([]) == EXIT_USAGE

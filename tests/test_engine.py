@@ -32,13 +32,13 @@ from hybridstream.sparse_local import (BlockConfig, block_means, block_scores, b
 from hybridstream.stream_cache import ChunkKV, RollingCache, relative_temporal_index
 from hybridstream.verify import dense_oracle_attention, expected_score_evals, random_cache
 
-TOY = StreamConfig(tokens_per_frame=4, model_dim=16, heads=2, head_dim=8)
+TOY = StreamConfig(tokens_per_frame=4, heads=2, head_dim=8)
 
 
-def random_chunk_kv(cfg, idx, seed, sink=False):
+def random_chunk_kv(cfg, idx, seed):
     rng = SeededRng(seed)
     shape = (cfg.layers, cfg.heads, cfg.chunk_tokens, cfg.head_dim)
-    return ChunkKV(idx, rng.normal(shape), rng.normal(shape), sink)
+    return ChunkKV(idx, rng.normal(shape), rng.normal(shape))
 
 
 def random_qkv(cfg, seed):
@@ -60,7 +60,7 @@ def per_head_hybrid(qkv, cache, layer, cfg, qci, rope=apply_rope, phi=elu_plus_o
     bpc = cfg.blocks_per_chunk
     forced = set(range(len(visible) * bpc, (len(visible) + 1) * bpc))
     for pos, (entry, _) in enumerate(visible):
-        if entry.is_sink:
+        if entry.chunk_index < cfg.sink_chunks:
             forced.update(range(pos * bpc, (pos + 1) * bpc))
     bcfg = BlockConfig(cfg.keep_ratio, frozenset(forced))
     heads = []
@@ -150,7 +150,7 @@ class TestFusedPassRegression:
     CONFIGS = [
         (StreamConfig(), 6),                         # default: history absorbed
         (StreamConfig(window_frames=45), 18),        # 16 visible entries
-        (StreamConfig(heads=3, model_dim=48), 6),
+        (StreamConfig(heads=3), 6),
     ]
 
     @pytest.mark.parametrize("cfg, chunks", CONFIGS)
@@ -201,7 +201,7 @@ class TestRotatedWindowMemo:
     def test_bit_equal_to_per_head_reference(self):
         configs = [
             self.CFG,
-            replace(self.CFG, heads=3, model_dim=24),
+            replace(self.CFG, heads=3),
             TOY,  # quota == forced blocks, as in the default config: no selection
         ]
         for cfg, chunks in itertools.product(configs, (0, 1, 3, 9)):
@@ -357,7 +357,7 @@ class TestWindowWorkspace:
                     got = hybrid_attention(qkv, cache, layer, cfg, i)
                     want = per_head_hybrid(qkv, cache, layer, cfg, i)
                     assert np.array_equal(got, want), (i, seed, layer)
-            append_and_absorb(cache, random_chunk_kv(cfg, i, seed=3000 + i, sink=i < 1), cfg)
+            append_and_absorb(cache, random_chunk_kv(cfg, i, seed=3000 + i), cfg)
 
     def test_steady_chunk_allocates_less_than_a_layer_of_window_keys(self, monkeypatch):
         # window 45 in steady state: 16 visible entries of 48 tokens
@@ -524,7 +524,7 @@ class TestHybridAttention:
         bpc = cfg.blocks_per_chunk
         forced = set()
         for pos, (entry, _) in enumerate(visible):
-            if entry.is_sink:
+            if entry.chunk_index < cfg.sink_chunks:
                 forced.update(range(pos * bpc, (pos + 1) * bpc))
         forced.update(range(len(visible) * bpc, (len(visible) + 1) * bpc))
         bcfg = BlockConfig(cfg.keep_ratio, frozenset(forced))
@@ -573,8 +573,7 @@ class TestDenseOracle:
 
     def test_matches_naive_token_loop(self):
         cfg = TOY
-        history = [random_chunk_kv(cfg, i, seed=50 + i, sink=i < cfg.sink_chunks)
-                   for i in range(4)]
+        history = [random_chunk_kv(cfg, i, seed=50 + i) for i in range(4)]
         q, k_self, v_self = random_qkv(cfg, 60)
         qci = 4
         got = dense_oracle_attention(q, k_self, v_self, history, 1, cfg, qci)
@@ -735,10 +734,6 @@ class TestNoiseSchedule:
 
 
 class TestConfigValidation:
-    def test_dim_mismatch(self):
-        with pytest.raises(ShapeError):
-            StreamConfig(model_dim=30, heads=2, head_dim=16)
-
     def test_window_divisibility(self):
         with pytest.raises(ValueError):
             StreamConfig(window_frames=10, frames_per_chunk=3)

@@ -29,7 +29,7 @@ from hybridstream.numerics import TENSOR_MAGIC, read_tensor_from, write_tensor
 from hybridstream.stream_cache import RollingCache
 from hybridstream.verify import random_cache
 
-CFG = StreamConfig(tokens_per_frame=2, model_dim=8, heads=2, head_dim=4, layers=2)
+CFG = StreamConfig(tokens_per_frame=2, heads=2, head_dim=4, layers=2)
 JUNK = [None, -1, 0, 1, 7, 2**40, "x", "", 1.5, True, [], {}, [0], {"a": 1}]
 
 
@@ -130,7 +130,7 @@ def snapshot():
 def tensor_file():
     latent = run_stream(CFG, 1).latents[0]
     buf = io.BytesIO()
-    write_tensor(buf, latent.shape, latent)
+    write_tensor(buf, latent)
     return buf.getvalue()
 
 
@@ -166,7 +166,7 @@ def test_tensor_fuzz(tensor_file):
             outcomes[kind, "rejected"] += 1
             continue
         buf = io.BytesIO()
-        write_tensor(buf, shape, data)
+        write_tensor(buf, data)
         assert buf.getvalue() == mutated, kind
         outcomes[kind, "accepted"] += 1
     assert outcomes["truncate", "accepted"] == 0

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hybridstream.errors import FormatError, LengthError, ShapeError
+from hybridstream.errors import FormatError, LengthError
 from hybridstream.numerics import (
     TENSOR_MAGIC,
     SeededRng,
@@ -121,20 +121,20 @@ class TestTensorFormat:
     def test_round_trip_bitwise(self, tmp_path):
         p = tmp_path / "t.hft"
         data = np.random.default_rng(2).standard_normal((4, 5)).astype(np.float32)
-        write_tensor(p, (4, 5), data)
+        write_tensor(p, data)
         shape, back = read_tensor(p)
         assert shape == (4, 5)
         assert back.dtype == np.float32
         assert np.array_equal(back, data)
         # writing the read-back must give identical bytes
         buf = io.BytesIO()
-        write_tensor(buf, shape, back)
+        write_tensor(buf, back)
         assert buf.getvalue() == p.read_bytes()
 
     def test_f64_input_is_stored_as_f32(self, tmp_path):
         p = tmp_path / "t.hft"
         data = np.random.default_rng(3).standard_normal(7)
-        write_tensor(p, (7,), data)
+        write_tensor(p, data)
         _, back = read_tensor(p)
         assert np.array_equal(back, data.astype(np.float32))
 
@@ -146,7 +146,7 @@ class TestTensorFormat:
 
     def test_truncated_payload_is_length_error(self, tmp_path):
         p = tmp_path / "short.hft"
-        write_tensor(p, (2, 2), np.zeros((2, 2)))
+        write_tensor(p, np.zeros((2, 2)))
         blob = p.read_bytes()
         p.write_bytes(blob[:-4])  # drop one f32: header claims 2x2, payload has 3
         with pytest.raises(LengthError):
@@ -165,18 +165,14 @@ class TestTensorFormat:
 
     def test_trailing_bytes_rejected(self, tmp_path):
         p = tmp_path / "long.hft"
-        write_tensor(p, (2,), np.zeros(2))
+        write_tensor(p, np.zeros(2))
         p.write_bytes(p.read_bytes() + b"\x00")
         with pytest.raises(LengthError):
             read_tensor(p)
 
-    def test_shape_data_mismatch_on_write(self, tmp_path):
-        with pytest.raises(ShapeError):
-            write_tensor(tmp_path / "x.hft", (2, 2), np.zeros(3))
-
     def test_header_layout(self):
         buf = io.BytesIO()
-        write_tensor(buf, (2, 3), np.arange(6))
+        write_tensor(buf, np.arange(6).reshape(2, 3))
         blob = buf.getvalue()
         assert blob[:4] == b"HFT1"
         assert blob[4:8] == (2).to_bytes(4, "little")
@@ -186,8 +182,8 @@ class TestTensorFormat:
 
     def test_stream_reader_multiple_tensors(self):
         buf = io.BytesIO()
-        write_tensor(buf, (2,), [1.0, 2.0])
-        write_tensor(buf, (3,), [3.0, 4.0, 5.0])
+        write_tensor(buf, [1.0, 2.0])
+        write_tensor(buf, [3.0, 4.0, 5.0])
         buf.seek(0)
         s1, d1 = read_tensor_from(buf)
         s2, d2 = read_tensor_from(buf)

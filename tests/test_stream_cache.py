@@ -3,6 +3,7 @@ indices, snapshot round trips."""
 
 import json
 import struct
+import time
 import zlib
 
 import numpy as np
@@ -18,16 +19,16 @@ LAYERS, HEADS, TOKENS, HEAD_DIM = 2, 2, 6, 8
 CAP = 21
 
 
-def make_kv(idx, sink=False, seed=None):
+def make_kv(idx, seed=None):
     rng = SeededRng(1000 + idx if seed is None else seed)
     return ChunkKV(idx, rng.normal((LAYERS, HEADS, TOKENS, HEAD_DIM)),
-                   rng.normal((LAYERS, HEADS, TOKENS, HEAD_DIM)), sink)
+                   rng.normal((LAYERS, HEADS, TOKENS, HEAD_DIM)))
 
 
 def fill(cache, n):
     evicted = []
     for i in range(n):
-        out = cache.append(make_kv(i, sink=i < cache.sink_chunks))
+        out = cache.append(make_kv(i))
         if out is not None:
             evicted.append(out)
     return evicted
@@ -53,7 +54,7 @@ class TestAppendEviction:
         cache = RollingCache(3, 1, CAP)
         evictions = []
         for i in range(12):
-            out = cache.append(make_kv(i, sink=i == 0))
+            out = cache.append(make_kv(i))
             evictions.append(None if out is None else out.chunk_index)
         assert evictions == [None, None, None, None, 1, 2, 3, 4, 5, 6, 7, 8]
 
@@ -62,11 +63,6 @@ class TestAppendEviction:
         cache.append(make_kv(0))
         with pytest.raises(SequenceError):
             cache.append(make_kv(2))
-
-    def test_sink_flag_mismatch_rejected(self):
-        cache = RollingCache(3, 1, CAP)
-        with pytest.raises(ValueError):
-            cache.append(make_kv(0, sink=False))
 
     @pytest.mark.parametrize("shape", [
         (LAYERS, 3, TOKENS, HEAD_DIM),        # heads
@@ -78,7 +74,7 @@ class TestAppendEviction:
         stream = TestSnapshot.STREAM
         cache = RollingCache(3, 1, CAP, make_states())
         for i in range(6):  # chunks 1 and 2 absorbed; the next append evicts
-            append_and_absorb(cache, make_kv(i, sink=i == 0), stream)
+            append_and_absorb(cache, make_kv(i), stream)
         entries = cache.entries()
         states = [(s.L.copy(), s.H.copy(), s.evicted_tokens) for s in cache.linear_states]
         rng = SeededRng(9)
@@ -178,13 +174,13 @@ def make_states(seed=5):
 
 class TestSnapshot:
     # the stream geometry matching the module constants: 6 tokens per chunk
-    STREAM = StreamConfig(tokens_per_frame=2, model_dim=HEADS * HEAD_DIM, heads=HEADS,
-                          head_dim=HEAD_DIM, layers=LAYERS, max_temporal_index=CAP)
+    STREAM = StreamConfig(tokens_per_frame=2, heads=HEADS, head_dim=HEAD_DIM, layers=LAYERS,
+                          max_temporal_index=CAP)
 
     def build_cache(self, chunks):
         cache = RollingCache(3, 1, CAP, make_states())
         for i in range(chunks):
-            append_and_absorb(cache, make_kv(i, sink=i == 0), self.STREAM)
+            append_and_absorb(cache, make_kv(i), self.STREAM)
         return cache
 
     @staticmethod
@@ -207,15 +203,26 @@ class TestSnapshot:
             RollingCache.restore(blob)
 
     def test_version_2_snapshot_is_format_error(self):
-        # version 2 was this layout with each linear state's feature map named
-        def edit(manifest):
-            manifest["version"] = 2
-            for meta in manifest["linear_states"]:
-                meta["feature_map"] = "elu1"
+        # version 3 was this layout with each entry's sink flag; version 2
+        # also named each linear state's feature map
+        for version in (2, 3):
+            def edit(manifest):
+                manifest["version"] = version
+                for meta in manifest["entries"]:
+                    meta["is_sink"] = meta["chunk_index"] < manifest["sink_chunks"]
+                if version == 2:
+                    for meta in manifest["linear_states"]:
+                        meta["feature_map"] = "elu1"
 
-        blob = self.with_manifest(self.build_cache(5).snapshot(), edit)
-        with pytest.raises(FormatError, match="unsupported snapshot version 2"):
-            RollingCache.restore(blob)
+            blob = self.with_manifest(self.build_cache(5).snapshot(), edit)
+            with pytest.raises(FormatError, match=f"unsupported snapshot version {version}"):
+                RollingCache.restore(blob)
+
+    def test_deeply_nested_manifest_is_format_error(self):
+        manifest = b"[" * 200_000 + b"]" * 200_000
+        body = struct.pack("<I", len(manifest)) + manifest  # sealed with a valid CRC-32
+        with pytest.raises(FormatError, match="not valid JSON"):
+            RollingCache.restore(body + struct.pack("<I", zlib.crc32(body)))
 
     @pytest.mark.parametrize("field, value", [
         ("capacity_chunks", "3"),
@@ -252,12 +259,6 @@ class TestSnapshot:
         assert "capacity" in self.edited_snapshot_error(
             lambda m: m.update(capacity_chunks=1))
 
-    def test_sink_flag_conflict_is_format_error(self):
-        def edit(manifest):
-            manifest["entries"][1]["is_sink"] = True
-
-        assert "sink flag" in self.edited_snapshot_error(edit)
-
     def test_non_consecutive_window_is_format_error(self):
         def edit(manifest):
             manifest["entries"][1]["chunk_index"] = 4
@@ -267,6 +268,19 @@ class TestSnapshot:
     def test_next_index_disagreeing_with_entries_is_format_error(self):
         assert "next_index 99" in self.edited_snapshot_error(
             lambda m: m.update(next_index=99))
+
+    def test_huge_next_index_is_refused_by_the_entry_count(self):
+        # the work must not grow with next_index: building the chunk lists a
+        # stream at 10**12 keeps would take terabytes
+        n = 10**12
+        blob = self.with_manifest(RollingCache(3, 1, CAP).snapshot(),
+                                  lambda m: m.update(next_index=n, sink_chunks=n))
+        start = time.perf_counter()
+        with pytest.raises(FormatError) as info:
+            RollingCache.restore(blob)
+        assert time.perf_counter() - start < 1.0
+        message = str(info.value)
+        assert len(message) < 200 and f"{n} sink and 0 window entries" in message
 
     def test_entry_shapes_that_differ_are_format_error(self):
         cache = self.build_cache(8)
@@ -282,8 +296,8 @@ class TestSnapshot:
     def test_entry_shape_unlike_linear_states_is_format_error(self):
         cache = RollingCache(3, 1, CAP)
         for i in range(3):
-            kv = make_kv(i, sink=i == 0)
-            cache.append(ChunkKV(i, kv.keys[..., :4], kv.values[..., :4], kv.is_sink))
+            kv = make_kv(i)
+            cache.append(ChunkKV(i, kv.keys[..., :4], kv.values[..., :4]))
         cache.linear_states = make_states()  # append refuses such chunks; attach them after
         with pytest.raises(FormatError, match="head_dim 8"):
             RollingCache.restore(cache.snapshot())
