@@ -13,7 +13,7 @@ from hybridstream import (
     apply_rope,
     elu_plus_one,
     history_output,
-    rotation_tables,
+    position_tables,
 )
 
 HEADS, HEAD_DIM, TOKENS = 2, 8, 6
@@ -25,11 +25,13 @@ projection = rng.normal((MODEL_DIM, MODEL_DIM)) / np.sqrt(MODEL_DIM)
 state = LinearState.zeros(HEADS, HEAD_DIM, projection)
 print(f"fresh state: {state.evicted_tokens} tokens absorbed, {state.nbytes} bytes")
 
-# Queries are rotated at their chunk's temporal index and their own spatial
-# indices; those tables are built once and reused for every readout.
+# Queries are rotated at their chunk's temporal index and each token's place
+# in the chunk; position_tables builds those tables once, and a readout
+# takes its temporal index's row.
 q = rng.normal((HEADS, 4, HEAD_DIM))
-tables_5 = rotation_tables(5, np.arange(4.0), rope_cfg)
-tables_21 = rotation_tables(21, np.arange(4.0), rope_cfg)
+cos, sin = position_tables(rope_cfg, 4)
+tables_5 = cos[5], sin[5]
+tables_21 = cos[21], sin[21]
 
 # Queries against an empty state are exactly zero: no history, no signal.
 out = history_output(state, q, *tables_5)
@@ -46,7 +48,7 @@ for c in range(30):
     absorb_evicted(state, k, v, rope_cfg)
     fk = elu_plus_one(k)
     for h in range(HEADS):
-        rot = apply_rope(fk[h], 0, np.arange(float(TOKENS)), rope_cfg)
+        rot = apply_rope(fk[h], 0, rope_cfg)
         L_direct[h] += rot.T @ v[h]
         H_direct[h] += fk[h].mean(axis=0)
 

@@ -49,8 +49,7 @@ from .numerics import (
     softmax_rows,
     write_tensor,
 )
-from .rope import (RoPEConfig, apply_rope, position_tables, rotate, rotation_tables,
-                   temporal_index)
+from .rope import RoPEConfig, apply_rope, position_tables, rotate, temporal_index
 from .sparse_local import (
     BlockConfig,
     BlockMask,

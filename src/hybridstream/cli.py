@@ -186,14 +186,6 @@ def _bench_one(mode: str, base: StreamConfig, chunks: int) -> dict:
     }
 
 
-BENCH_CSV_HEADER = [
-    "mode", "chunks", "ms_mean", "ms_p50", "ms_p95", "peak_cached_tokens",
-    "score_evals_steady", "score_evals_total", "pooled_scores_total",
-    "max_relative_index", "seed", "window_frames", "keep_ratio",
-    "sink_chunks", "linear_history",
-]
-
-
 def cmd_bench(args) -> int:
     base, chunks = _build_stream_config(args)
     modes = list(BENCH_MODES) if args.mode == "all" else [args.mode]
@@ -206,7 +198,7 @@ def cmd_bench(args) -> int:
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "bench.csv"), "w", newline="") as f:
-            writer = csv.DictWriter(f, fieldnames=BENCH_CSV_HEADER)
+            writer = csv.DictWriter(f, fieldnames=list(rows[0]))  # _bench_one's keys
             writer.writeheader()
             writer.writerows(rows)
         with open(os.path.join(args.out, "bench.json"), "w") as f:

@@ -29,6 +29,7 @@ from .engine import StreamConfig, ToyDenoiser, check_timesteps, chunk_step, rect
 from .errors import ShapeError
 from .numerics import SeededRng
 
+_WORLD_EIGS = (0.3, 1.3)  # the covariance spectrum of a GaussianWorld.random
 _DEFAULT_FIXTURE = StreamConfig(
     frames_per_chunk=1,
     window_frames=2,
@@ -74,13 +75,13 @@ class GaussianWorld:
         return self.mean + rng.normal((batch, self.n)) @ self.chol.T
 
     @classmethod
-    def random(cls, rng: SeededRng, n: int,
-               eig_range: tuple[float, float] = (0.3, 1.3)) -> "GaussianWorld":
-        """A reproducible random world with bounded covariance spectrum."""
+    def random(cls, rng: SeededRng, n: int) -> "GaussianWorld":
+        """A reproducible random world whose covariance eigenvalues lie in
+        _WORLD_EIGS."""
         mean = 2.0 * rng.uniform(n) - 1.0
         a = rng.normal((n, n))
         q, _ = np.linalg.qr(a)
-        lo, hi = eig_range
+        lo, hi = _WORLD_EIGS
         eigs = lo + (hi - lo) * rng.uniform(n)
         return cls(mean, (q * eigs) @ q.T)
 
@@ -253,6 +254,8 @@ class DistillConfig:
             raise ValueError("steps and batch_size must be >= 1")
         if self.phase_switch_step < 0:
             raise ValueError(f"phase_switch_step must be >= 0, got {self.phase_switch_step}")
+        if self.fixture_chunks < 0:
+            raise ValueError(f"fixture_chunks must be >= 0, got {self.fixture_chunks}")
 
 
 @dataclass

@@ -43,6 +43,7 @@ from .stream_cache import ChunkKV, RollingCache
 
 _WEIGHT_STREAM = 1
 _NOISE_STREAM = 2
+_NORM_EPS = 1e-5  # the layer norm's variance guard
 
 
 @dataclass
@@ -148,11 +149,11 @@ def config_for_mode(mode: str, base: StreamConfig) -> StreamConfig:
     return replace(base, **BENCH_MODES[mode])
 
 
-def _layer_norm(x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
+def _layer_norm(x: np.ndarray) -> np.ndarray:
     # one centring pass; the mean and variance round as x.mean and x.var do
     n = x.shape[-1]
     xc = x - x.sum(axis=-1, keepdims=True) / n
-    xc /= np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / n + eps)
+    xc /= np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / n + _NORM_EPS)
     return xc
 
 

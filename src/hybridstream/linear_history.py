@@ -9,9 +9,9 @@ query cost never grow with how much has been evicted. The feature map phi
 is elu(x) + 1 (Katharopoulos et al., 2020): positive everywhere and only
 linear in growth, which keeps the normalizer meaningful and finite. It is
 evaluated as exp(min(x, 0)) + max(x, 0), equal to elu(x) + 1 bit for bit.
-Rotations use rope's full-width tables: absorb_evicted builds them through
-apply_rope, and history_output takes the query chunk's tables from its
-caller.
+Rotations use rope.position_tables: absorb_evicted rotates through
+apply_rope, which reads the cached row at temporal index 0, and
+history_output takes the query chunk's row from its caller.
 
 Note the deliberate asymmetry: the rotation enters L and the query
 numerator but not H or the denominator, and H averages within each evicted
@@ -113,10 +113,11 @@ def absorb_evicted(
 
     keys/values: [heads, chunk_tokens, head_dim]. Rotation is applied once
     here, anchoring evicted content at temporal index 0 (and each token at
-    its spatial position 0..chunk_tokens - 1 in the chunk) so that
-    query-side capped indices keep a monotone relative offset to everything
-    already absorbed. Raises ValueError, leaving the state unchanged, when
-    the updated L or H would be non-finite.
+    its place 0..chunk_tokens - 1 in the chunk) so that query-side capped
+    indices keep a monotone relative offset to everything already
+    absorbed. The rotation reads the cached row 0 of rope.position_tables,
+    so an eviction builds no tables. Raises ValueError, leaving the state
+    unchanged, when the updated L or H would be non-finite.
     """
     keys = np.asarray(keys, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
@@ -127,7 +128,7 @@ def absorb_evicted(
             f"expected [{state.heads}, tokens, {state.head_dim}], got {keys.shape}"
         )
     fk = elu_plus_one(keys)
-    rotated = apply_rope(fk, 0, np.arange(keys.shape[1], dtype=np.float64), rope_cfg)
+    rotated = apply_rope(fk, 0, rope_cfg)
     L = state.L + np.einsum("htd,hte->hde", rotated, values)
     H = state.H + fk.mean(axis=1)
     if not (np.all(np.isfinite(L)) and np.all(np.isfinite(H))):
@@ -146,10 +147,9 @@ def history_output(
     """Read the history pathway for a batch of per-head queries.
 
     queries: [heads, tokens, head_dim], unrotated. cos, sin: the queries'
-    rotation tables, [tokens, head_dim] or broadcasting over the heads
-    (rope.rotation_tables at the query chunk's temporal index and the
-    tokens' spatial indices, or that index's view of rope.position_tables);
-    a caller takes them once per query chunk.
+    rotation tables, [tokens, head_dim] or broadcasting over the heads:
+    the query chunk's temporal-index row of rope.position_tables, which a
+    caller takes once per query chunk.
     Returns [tokens, model_dim]. An empty state returns exact zeros: the
     pathway is inactive until the first eviction.
     """

@@ -165,8 +165,9 @@ def _read_exact(f: BinaryIO, n: int, what: str) -> bytes:
 
 
 def read_tensor_from(f: BinaryIO, allow_trailing: bool = True):
-    """Read one tensor from an open, seekable binary stream. Returns (shape,
-    float32 array); a payload longer than the stream's rest is a LengthError."""
+    """Read one tensor from an open, seekable binary stream. Returns the
+    float32 array, shaped as its header says; a payload longer than the
+    stream's rest is a LengthError."""
     magic = f.read(4)
     if magic != TENSOR_MAGIC:
         raise FormatError(f"bad magic {magic!r}, expected {TENSOR_MAGIC!r}")
@@ -189,13 +190,12 @@ def read_tensor_from(f: BinaryIO, allow_trailing: bool = True):
         extra = f.read(1)
         if extra:
             raise LengthError(f"trailing bytes after payload for shape {dims}")
-    data = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
-    return tuple(dims), data
+    return np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
 
 
 def read_tensor(path):
-    """Read a tensor file. Returns (shape, float32 array); the file must
-    contain exactly one tensor."""
+    """Read a tensor file. Returns the float32 array; the file must contain
+    exactly one tensor."""
     with open(path, "rb") as f:
         return read_tensor_from(f, allow_trailing=False)
 
@@ -231,7 +231,7 @@ def write_f64_tensor(f: BinaryIO, a: np.ndarray) -> None:
 
 
 def read_f64_tensor(f: BinaryIO) -> np.ndarray:
-    shape, pairs = read_tensor_from(f)
-    if len(shape) < 1 or shape[0] != 2:
-        raise FormatError(f"not a split-f64 tensor: shape {shape}")
+    pairs = read_tensor_from(f)
+    if pairs.ndim < 1 or pairs.shape[0] != 2:
+        raise FormatError(f"not a split-f64 tensor: shape {pairs.shape}")
     return f32_pairs_to_f64(pairs)

@@ -2,20 +2,19 @@
 
 Head channels are split into 2-D rotation pairs, half of them on each of
 two factorized axes: a temporal axis shared by every token of a chunk, and
-a spatial axis carrying each token's position inside the chunk. Temporal
-indices saturate at `max_temporal_index` so arbitrarily long streams keep a
-bounded index range; spatial indices are never capped.
+a spatial axis carrying each token's place 0..tokens - 1 inside the chunk.
+Temporal indices saturate at `max_temporal_index` so arbitrarily long
+streams keep a bounded index range.
 
-rotation_tables builds the cos and sin of every pair's angle for given
-indices, and rotate applies such tables to a tensor; apply_rope is the two
-composed. The tables are full width, one entry per channel: a pair's cos
-on both of its (even, odd) lanes, its sin negated on the even lane. A
-rotation is then x * cos plus x with each pair's lanes swapped times sin,
-two contiguous products. Tables fixed over many rotations are built once
-and reused: position_tables holds, per config and token count, the tables
-of every capped temporal index at the spatial indices 0..tokens - 1, so a
-caller that rotates whole chunks takes a chunk's tables as a view (one
-index) or gathers one per slice (an index array) instead of building them.
+position_tables is the one builder of rotation tables: per config and
+token count, the cos and sin of every pair's angle at every capped
+temporal index, built once and read-only. rotate applies such tables to a
+tensor, and apply_rope is the two composed. The tables are full width, one
+entry per channel: a pair's cos on both of its (even, odd) lanes, its sin
+negated on the even lane. A rotation is then x * cos plus x with each
+pair's lanes swapped times sin, two contiguous products. A caller that
+rotates whole chunks takes a chunk's tables as a view (one index) or
+gathers one per slice (an index array) instead of building them.
 """
 
 from __future__ import annotations
@@ -56,75 +55,34 @@ def temporal_index(chunk_pos: int, config: RoPEConfig) -> int:
 
 
 @lru_cache(maxsize=32)
-def _tables(config: RoPEConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Precomputed per config: cos and sin of the temporal pairs' angles at
-    every index 0..cap ([max_temporal_index + 1, pairs] each), and the
-    pairs' frequencies, which both axes share."""
+def position_tables(config: RoPEConfig, tokens: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of every rotation pair's angle, each [max_temporal_index
+    + 1, tokens, head_dim]: row t holds the temporal pairs at index t and
+    the spatial pairs at each token's place 0..tokens - 1. Channels 2j and
+    2j + 1 hold pair j: cos on both, sin negated on 2j. Built once per
+    (config, tokens) and read-only, since every caller with that config and
+    token count shares them: a row (a view) rotates a chunk at one index, a
+    gather of rows rotates slices at several."""
     # pair k of an axis rotates at angle index / base_theta ** (2k / axis_dim),
     # axis_dim being the axis's channel count, 2 * pairs
     freqs = config.base_theta ** (-2.0 * np.arange(config.pairs, dtype=np.float64)
                                   / (2.0 * config.pairs))
-    ang = np.arange(config.max_temporal_index + 1, dtype=np.float64)[:, None] * freqs
-    tables = (np.cos(ang), np.sin(ang), freqs)
-    for table in tables:
-        table.flags.writeable = False  # shared by every call with this config
-    return tables
-
-
-def rotation_tables(t_index, s_indices, config: RoPEConfig) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of every rotation pair's angle, each [*t.shape, tokens,
-    head_dim]: the temporal pairs at the capped temporal index of each
-    slice, the spatial pairs at each token's own (uncapped) spatial index.
-    Channels 2j and 2j + 1 hold pair j: cos on both, sin negated on 2j.
-
-    t_index: an int or an int array, each in [0, max_temporal_index].
-    s_indices: [tokens], shared by every slice. Temporal angles come from
-    the config's precomputed table, spatial ones are computed per call.
-    Tables that stay fixed over many rotations (a query chunk's, say) can
-    be built once and passed to rotate() each time.
-    """
-    t = np.asarray(t_index)
-    if t.dtype.kind not in "iu":
-        raise ContractViolationError(f"temporal index must be an integer, got dtype {t.dtype}")
-    if t.size:
-        cap = config.max_temporal_index
-        low, high = (int(t), int(t)) if t.ndim == 0 else (int(t.min()), int(t.max()))
-        if high > cap or low < 0:
-            raise ContractViolationError(
-                f"temporal index {high if high > cap else low} outside [0, {cap}]; "
-                "callers must saturate with temporal_index() first"
-            )
-    s = np.asarray(s_indices, dtype=np.float64)
-    if s.ndim != 1:
-        raise ShapeError(f"s_indices must be 1-D, got shape {s.shape}")
-
-    t_cos, t_sin, freqs = _tables(config)
+    t_ang = np.arange(config.max_temporal_index + 1, dtype=np.float64)[:, None] * freqs
+    s_ang = np.arange(tokens, dtype=np.float64)[:, None] * freqs
     p = config.pairs
-    cos = np.empty(t.shape + (s.shape[0], 2 * p))
+    cos = np.empty((config.max_temporal_index + 1, tokens, 2 * p))
     sin = np.empty_like(cos)
-    cos[..., :p] = t_cos[t][..., None, :]
-    sin[..., :p] = t_sin[t][..., None, :]
-    ang = s[:, None] * freqs
-    cos[..., p:] = np.cos(ang)
-    sin[..., p:] = np.sin(ang)
+    cos[..., :p] = np.cos(t_ang)[:, None, :]
+    sin[..., :p] = np.sin(t_ang)[:, None, :]
+    cos[..., p:] = np.cos(s_ang)
+    sin[..., p:] = np.sin(s_ang)
     # full width: each pair's values on both of its lanes, the even lane's
     # sin negated (exact), so rotate() needs no subtraction
     cos, sin = np.repeat(cos, 2, axis=-1), np.repeat(sin, 2, axis=-1)
     np.negative(sin[..., 0::2], out=sin[..., 0::2])
-    return cos, sin
-
-
-@lru_cache(maxsize=32)
-def position_tables(config: RoPEConfig, tokens: int) -> tuple[np.ndarray, np.ndarray]:
-    """rotation_tables(t, arange(tokens), config) for every t in 0..cap at
-    once: cos and sin, each [max_temporal_index + 1, tokens, head_dim].
-    Built once per (config, tokens) and read-only, since every caller with
-    that config and token count shares them."""
-    tables = rotation_tables(np.arange(config.max_temporal_index + 1),
-                             np.arange(tokens, dtype=np.float64), config)
-    for table in tables:
+    for table in (cos, sin):
         table.flags.writeable = False
-    return tables
+    return cos, sin
 
 
 def check_tables(shape: tuple, cos: np.ndarray, sin: np.ndarray) -> None:
@@ -140,7 +98,7 @@ def check_tables(shape: tuple, cos: np.ndarray, sin: np.ndarray) -> None:
 def rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray,
            out: np.ndarray | None = None) -> np.ndarray:
     """Rotate x's (even, odd) channel pairs by the angles whose cos and sin
-    are given (see rotation_tables and check_tables). Rotations preserve
+    are given (see position_tables and check_tables). Rotations preserve
     per-token norms exactly (up to rounding).
 
     out, when given, is an array of x's shape that does not overlap x; the
@@ -170,22 +128,33 @@ def _rotate_into(x: np.ndarray, cos: np.ndarray, sin: np.ndarray,
     return out
 
 
-def apply_rope(x: np.ndarray, t_index, s_indices, config: RoPEConfig) -> np.ndarray:
+def apply_rope(x: np.ndarray, t_index, config: RoPEConfig) -> np.ndarray:
     """Rotate each token's pairs: temporal pairs by the capped temporal
-    index of its slice, spatial pairs by that token's own (uncapped)
-    spatial index. The same as rotate(x, *rotation_tables(...)).
+    index of its slice, spatial pairs by the token's place 0..tokens - 1 in
+    the chunk. The same as rotate(x, cos[t_index], sin[t_index]) with the
+    tables of position_tables(config, tokens).
 
     x: [..., tokens, head_dim]; channels [0 : 2 * pairs] hold the temporal
     pairs as (even, odd) lanes, the remainder the spatial pairs.
     t_index: an int, or an int array broadcasting over x's leading dims
     (x.shape[:-2]), so one call rotates many slices, each at its own index.
-    s_indices: [tokens], shared by every slice.
+    Each lies in [0, max_temporal_index].
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim < 2 or x.shape[-1] != config.head_dim:
         raise ShapeError(f"expected [..., tokens, {config.head_dim}], got {x.shape}")
-    s = np.asarray(s_indices, dtype=np.float64)
-    if s.shape != x.shape[-2:-1]:
-        raise ShapeError(f"s_indices must have shape ({x.shape[-2]},), got {s.shape}")
+    t = np.asarray(t_index)
+    if t.dtype.kind not in "iu":
+        raise ContractViolationError(f"temporal index must be an integer, got dtype {t.dtype}")
+    if t.size:
+        cap = config.max_temporal_index
+        low, high = (int(t), int(t)) if t.ndim == 0 else (int(t.min()), int(t.max()))
+        if high > cap or low < 0:
+            raise ContractViolationError(
+                f"temporal index {high if high > cap else low} outside [0, {cap}]; "
+                "callers must saturate with temporal_index() first"
+            )
+    cos, sin = position_tables(config, x.shape[-2])
+    row = int(t) if t.ndim == 0 else t  # a view for one index, a gather for many
     # rotate() raises ShapeError unless t's shape broadcasts over x.shape[:-2]
-    return rotate(x, *rotation_tables(t_index, s, config))
+    return rotate(x, cos[row], sin[row])

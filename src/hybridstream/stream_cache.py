@@ -13,11 +13,12 @@ every layer and head, in a workspace held by the cache's memo. The next
 query chunk rewrites the same arrays in place when their shape still fits;
 snapshots never carry them.
 
-A snapshot (format version 4) is a length-prefixed JSON manifest, the
+A snapshot (format version 5) is a length-prefixed JSON manifest, the
 entries' keys and values and the linear states as exact f64 tensors, then
 a CRC-32 of every byte before it, so a flipped byte anywhere fails to
 restore. Its entries carry only their chunk index; restore routes each
-by that index, as append does.
+by that index, as append does. The manifest and each of its records must
+hold exactly the keys snapshot() writes.
 """
 
 from __future__ import annotations
@@ -34,21 +35,28 @@ from . import numerics
 from .errors import FormatError, SequenceError, ShapeError
 from .linear_history import LinearState
 
-_SNAPSHOT_VERSION = 4
-_ENCODING = "f64-bit-split-pairs"
+_SNAPSHOT_VERSION = 5
 
 
 def _field(meta, name: str, kind: type, low: int | None = None):
     """meta[name] from a snapshot manifest, raising FormatError unless meta is
     a JSON object whose field has exactly type `kind` (so a bool is not an
-    int) and, when `low` is given, a value of at least `low`."""
+    int) and, when `low` is given, a value of at least `low`. The field is
+    popped, so whatever is left once a record is read is a key that
+    snapshot() does not write (_no_more)."""
     if not isinstance(meta, dict) or name not in meta:
         raise FormatError(f"snapshot manifest lacks field {name!r}")
-    value = meta[name]
+    value = meta.pop(name)
     if type(value) is not kind or (low is not None and value < low):
         want = kind.__name__ + ("" if low is None else f" >= {low}")
         raise FormatError(f"snapshot field {name!r} is {value!r}; want {want}")
     return value
+
+
+def _no_more(meta: dict, record: str) -> None:
+    """Raise FormatError naming a key left in a record once _field read it."""
+    if meta:
+        raise FormatError(f"snapshot {record} has unknown field {min(meta)!r}")
 
 
 @dataclass
@@ -184,7 +192,6 @@ class RollingCache:
             "linear_states": [
                 {"evicted_tokens": s.evicted_tokens} for s in self.linear_states
             ],
-            "encoding": _ENCODING,
         }
         blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
         out = io.BytesIO()
@@ -203,9 +210,10 @@ class RollingCache:
         """Rebuild a cache from snapshot() bytes. The manifest's version is
         read first, so a blob of another format version is named as such;
         the CRC-32 trailer is then checked before any other field or payload
-        byte is decoded. Each entry goes to the pinned or the window list by
-        its chunk index, as append sends it, and _check_restored then checks
-        the whole. Every failure is a FormatError."""
+        byte is decoded. A key that snapshot() does not write is refused.
+        Each entry goes to the pinned or the window list by its chunk index,
+        as append sends it, and _check_restored then checks the whole.
+        Every failure is a FormatError."""
         body, trailer = data[:-4], data[-4:]
         f = io.BytesIO(body)
         head = f.read(4)
@@ -221,12 +229,11 @@ class RollingCache:
             raise FormatError(f"snapshot manifest is not valid JSON: {exc}") from exc
         if not isinstance(manifest, dict):
             raise FormatError("snapshot manifest is not a JSON object")
-        if manifest.get("version") != _SNAPSHOT_VERSION:
-            raise FormatError(f"unsupported snapshot version {manifest.get('version')!r}")
+        version = manifest.pop("version", None)
+        if version != _SNAPSHOT_VERSION:
+            raise FormatError(f"unsupported snapshot version {version!r}")
         if struct.unpack("<I", trailer)[0] != zlib.crc32(body):
             raise FormatError("snapshot checksum mismatch")
-        if manifest.get("encoding") != _ENCODING:
-            raise FormatError(f"unsupported snapshot encoding {manifest.get('encoding')!r}")
 
         cache = cls(
             capacity_chunks=_field(manifest, "capacity_chunks", int, 1),
@@ -234,8 +241,12 @@ class RollingCache:
             max_temporal_index=_field(manifest, "max_temporal_index", int, 1),
         )
         cache._next_index = _field(manifest, "next_index", int, 0)
-        for meta in _field(manifest, "entries", list):
+        entries = _field(manifest, "entries", list)
+        states = _field(manifest, "linear_states", list)
+        _no_more(manifest, "manifest")
+        for meta in entries:
             chunk_index = _field(meta, "chunk_index", int, 0)
+            _no_more(meta, f"entry {chunk_index}")
             keys = numerics.read_f64_tensor(f)
             values = numerics.read_f64_tensor(f)
             try:
@@ -246,8 +257,9 @@ class RollingCache:
                 cache.sink_entries.append(kv)
             else:
                 cache.window_entries.append(kv)
-        for meta in _field(manifest, "linear_states", list):
+        for meta in states:
             evicted_tokens = _field(meta, "evicted_tokens", int, 0)
+            _no_more(meta, "linear state")
             cache.linear_states.append(LinearState.from_stream(f, evicted_tokens))
         if f.read(1):
             raise FormatError("trailing bytes after snapshot payload")

@@ -32,7 +32,7 @@ from .engine import OpCounters, StreamConfig, ToyDenoiser, append_and_absorb, ch
     config_for_mode, hybrid_attention, rectified_flow, run_stream
 from .linear_history import LinearState, absorb_evicted, elu_plus_one, history_output
 from .numerics import SeededRng, read_tensor_from, softmax_rows, write_tensor
-from .rope import RoPEConfig, apply_rope, rotate, rotation_tables, temporal_index
+from .rope import RoPEConfig, apply_rope, position_tables, temporal_index
 from .sparse_local import BlockConfig, BlockMask, build_mask, sparse_attention
 from .stream_cache import ChunkKV, RollingCache, relative_temporal_index
 
@@ -98,9 +98,9 @@ def _suite_numerics() -> list[CheckResult]:
     data = np.float32(rng.standard_normal((5, 3)).astype(np.float32))
     write_tensor(buf, data)
     buf.seek(0)
-    shape, back = read_tensor_from(buf)
+    back = read_tensor_from(buf)
     out.append(_check("numerics.tensor_round_trip",
-                      shape == (5, 3) and np.array_equal(back, data),
+                      back.shape == (5, 3) and np.array_equal(back, data),
                       "write/read bitwise equal"))
     return out
 
@@ -118,45 +118,43 @@ def _suite_rope() -> list[CheckResult]:
                       "min(pos, 21) for all positions"))
 
     x = SeededRng(1).normal((8, 16))
-    rot = apply_rope(x, 13, np.arange(8.0), cfg)
+    rot = apply_rope(x, 13, cfg)
     err = np.abs(np.linalg.norm(rot, axis=1) - np.linalg.norm(x, axis=1)).max()
     out.append(_check("rope.norm_preserved", err < 1e-10, f"max norm drift {err:.2e}"))
 
     q = SeededRng(2).normal((1, 16))
     k = SeededRng(3).normal((1, 16))
-    s = np.zeros(1)
-    d1 = apply_rope(q, 9, s, cfg) @ apply_rope(k, 4, s, cfg).T
-    d2 = apply_rope(q, 14, s, cfg) @ apply_rope(k, 9, s, cfg).T
+    d1 = apply_rope(q, 9, cfg) @ apply_rope(k, 4, cfg).T
+    d2 = apply_rope(q, 14, cfg) @ apply_rope(k, 9, cfg).T
     drift = abs(float(d1[0, 0] - d2[0, 0]))
     out.append(_check("rope.relative_offsets", drift < 1e-9,
                       f"dot drift under shift {drift:.2e}"))
 
     xs = SeededRng(4).normal((2, 3, 8, 16))
     ts = np.array([[0, 13, 21], [7, 7, 2]])
-    s = np.arange(8.0)
-    batched = apply_rope(xs, ts, s, cfg)
-    equal = all(np.array_equal(batched[i, j], apply_rope(xs[i, j], int(ts[i, j]), s, cfg))
+    batched = apply_rope(xs, ts, cfg)
+    equal = all(np.array_equal(batched[i, j], apply_rope(xs[i, j], int(ts[i, j]), cfg))
                 for i, j in np.ndindex(ts.shape))
     out.append(_check("rope.batched_matches_per_slice", equal,
                       "one call over [2, 3] slices bit-equal to per-slice calls"))
 
-    # rotate against a scalar loop: pair j of a token, channels (2j, 2j + 1),
+    # apply_rope against a scalar loop: pair j of a token, channels (2j, 2j + 1),
     # turns by index * base_theta ** (-(j mod pairs) / pairs) with math.cos
     # and math.sin; the first `pairs` pairs take the slice's temporal index,
-    # the rest the token's spatial index
-    xs, ts, s = SeededRng(5).normal((3, 8, 16)), np.array([0, 7, 21]), np.arange(8.0) + 3.0
-    got = rotate(xs, *rotation_tables(ts, s, cfg))
+    # the rest the token's place n in the chunk
+    xs, ts = SeededRng(5).normal((3, 8, 16)), np.array([0, 7, 21])
+    got = apply_rope(xs, ts, cfg)
     want = np.empty(xs.shape)
     p = cfg.pairs
     for i, n, j in np.ndindex(3, 8, 8):
-        angle = float(ts[i] if j < p else s[n]) * cfg.base_theta ** (-(j % p) / p)
+        angle = float(ts[i] if j < p else n) * cfg.base_theta ** (-(j % p) / p)
         c, sn = math.cos(angle), math.sin(angle)
         even, odd = xs[i, n, 2 * j], xs[i, n, 2 * j + 1]
         want[i, n, 2 * j] = even * c - odd * sn
         want[i, n, 2 * j + 1] = odd * c + even * sn
     err = float(np.abs(got - want).max())
     out.append(_check("rope.pair_formula", err <= 1e-12,
-                      f"max |rotate - scalar pair loop| = {err:.2e} over 3 slices"))
+                      f"max |apply_rope - scalar pair loop| = {err:.2e} over 3 slices"))
     return out
 
 
@@ -173,7 +171,6 @@ def linear_state_checks(heads: int, head_dim: int, tokens: int, evictions,
     positive readout denominators for large queries."""
     rope_cfg = RoPEConfig(head_dim)
     proj = np.eye(heads * head_dim)  # only the readout uses it
-    s_idx = np.arange(float(tokens))
     rng = SeededRng(seed)
 
     def absorb_random(state):
@@ -190,7 +187,7 @@ def linear_state_checks(heads: int, head_dim: int, tokens: int, evictions,
             k, v = absorb_random(state)
             fk = elu_plus_one(k)
             for h in range(heads):
-                L[h] += apply_rope(fk[h], 0, s_idx, rope_cfg).T @ v[h]
+                L[h] += apply_rope(fk[h], 0, rope_cfg).T @ v[h]
                 H[h] += fk[h].mean(axis=0)
         rel = max(rel, np.abs(state.L - L).max() / np.abs(L).max(),
                   np.abs(state.H - H).max() / np.abs(H).max())
@@ -426,7 +423,6 @@ def dense_oracle_attention(
     """Exact softmax attention over an arbitrary retained history (plus the
     chunk itself) under the same rotation policy. Test-scale only."""
     rope_cfg = cfg.rope_config()
-    s_idx = np.arange(cfg.chunk_tokens, dtype=np.float64)
     q_index = temporal_index(query_chunk_index, rope_cfg)
     outs = []
     for h in range(cfg.heads):
@@ -434,14 +430,14 @@ def dense_oracle_attention(
             apply_rope(e.keys[layer, h],
                        relative_temporal_index(query_chunk_index, e.chunk_index,
                                                cfg.max_temporal_index),
-                       s_idx, rope_cfg)
+                       rope_cfg)
             for e in history
         ]
-        k_parts.append(apply_rope(k_self[h], q_index, s_idx, rope_cfg))
+        k_parts.append(apply_rope(k_self[h], q_index, rope_cfg))
         v_parts = [e.values[layer, h] for e in history] + [v_self[h]]
         k_full = np.concatenate(k_parts, axis=0)
         v_full = np.concatenate(v_parts, axis=0)
-        q_rot = apply_rope(q[h], q_index, s_idx, rope_cfg)
+        q_rot = apply_rope(q[h], q_index, rope_cfg)
         probs = softmax_rows((q_rot @ k_full.T) / math.sqrt(cfg.head_dim))
         outs.append(probs @ v_full)
     return np.concatenate(outs, axis=1)
@@ -485,9 +481,8 @@ def _suite_hybrid() -> list[CheckResult]:
     for s, n in zip(cache.linear_states, saved):
         s.evicted_tokens = n
     rope_cfg = _TOY.rope_config()
-    hist = history_output(cache.linear_states[0], q,
-                          *rotation_tables(temporal_index(8, rope_cfg),
-                                           np.arange(float(_TOY.chunk_tokens)), rope_cfg))
+    t, (cos, sin) = temporal_index(8, rope_cfg), position_tables(rope_cfg, _TOY.chunk_tokens)
+    hist = history_output(cache.linear_states[0], q, cos[t], sin[t])
     err = np.abs(full - (local + hist)).max()
     out.append(_check("hybrid.additive_decomposition", err < 1e-9,
                       f"|hybrid - (local + history)| = {err:.2e}"))

@@ -26,7 +26,7 @@ from hybridstream.engine import (
 from hybridstream.errors import ShapeError
 from hybridstream.numerics import SeededRng
 from hybridstream.linear_history import elu_plus_one, history_output
-from hybridstream.rope import apply_rope, position_tables, rotation_tables, temporal_index
+from hybridstream.rope import apply_rope, position_tables, temporal_index
 from hybridstream.sparse_local import (BlockConfig, block_means, block_scores, build_mask,
                                       sparse_attention)
 from hybridstream.stream_cache import ChunkKV, RollingCache, relative_temporal_index
@@ -50,11 +50,10 @@ def random_qkv(cfg, seed):
 
 def per_head_hybrid(qkv, cache, layer, cfg, qci, rope=apply_rope, phi=elu_plus_one):
     """Unbatched hybrid attention: every visible key rotated per entry and
-    head, the history read out head by head. rope(x, t, s, rope_cfg) and the
+    head, the history read out head by head. rope(x, t, rope_cfg) and the
     feature map phi may be swapped for other formulas of the same values."""
     q, k_self, v_self = qkv
     rope_cfg = cfg.rope_config()
-    s_idx = np.arange(float(cfg.chunk_tokens))
     q_index = temporal_index(qci, rope_cfg)
     visible = cache.visible_kv(qci)
     bpc = cfg.blocks_per_chunk
@@ -65,8 +64,8 @@ def per_head_hybrid(qkv, cache, layer, cfg, qci, rope=apply_rope, phi=elu_plus_o
     bcfg = BlockConfig(cfg.keep_ratio, frozenset(forced))
     heads = []
     for h in range(cfg.heads):
-        k_parts = [rope(e.keys[layer, h], rel, s_idx, rope_cfg) for e, rel in visible]
-        q_rot, k_rot = rope(np.stack((q[h], k_self[h])), q_index, s_idx, rope_cfg)
+        k_parts = [rope(e.keys[layer, h], rel, rope_cfg) for e, rel in visible]
+        q_rot, k_rot = rope(np.stack((q[h], k_self[h])), q_index, rope_cfg)
         k_full = np.concatenate(k_parts + [k_rot])
         v_full = np.concatenate([e.values[layer, h] for e, _ in visible] + [v_self[h]])
         mask = build_mask(block_scores(block_means(q_rot, cfg.block_tokens),
@@ -79,18 +78,18 @@ def per_head_hybrid(qkv, cache, layer, cfg, qci, rope=apply_rope, phi=elu_plus_o
         fq = phi(q)
         hist = []
         for h in range(cfg.heads):
-            num = rope(fq[h], q_index, s_idx, rope_cfg) @ state.L[h]
+            num = rope(fq[h], q_index, rope_cfg) @ state.L[h]
             den = fq[h] @ state.H[h] + 1e-6
             hist.append(num / den[:, None])
         out = out + np.concatenate(hist, axis=1) @ state.projection
     return out
 
 
-def lane_rope(x, t, s, rope_cfg):
+def lane_rope(x, t, rope_cfg):
     """Rotation as it was computed over interleaved half-width lanes: pair j
     sits in channels (2j, 2j + 1) and turns by the cos and sin of its angle."""
-    cos2, sin2 = rotation_tables(t, s, rope_cfg)
-    cos, sin = cos2[..., 0::2], sin2[..., 1::2]  # one value per pair
+    cos2, sin2 = position_tables(rope_cfg, x.shape[-2])
+    cos, sin = cos2[t, :, 0::2], sin2[t, :, 1::2]  # one value per pair
     even, odd = x[..., 0::2], x[..., 1::2]
     out = np.empty(x.shape)
     out[..., 0::2] = even * cos - odd * sin
@@ -429,8 +428,7 @@ class TestSharedTables:
             q_cos, q_sin = _window(cache, TOY, qci)[7:]
             t = temporal_index(qci, TOY.rope_config())
             assert q_cos.base is cos and q_sin.base is sin
-            want = rotation_tables(t, np.arange(float(TOY.chunk_tokens)), TOY.rope_config())
-            assert np.array_equal(q_cos, want[0]) and np.array_equal(q_sin, want[1])
+            assert np.array_equal(q_cos, cos[t]) and np.array_equal(q_sin, sin[t])
 
 
 class TestHistorySkip:
@@ -443,12 +441,12 @@ class TestHistorySkip:
     @staticmethod
     def with_empty_readout(qkv, cache, layer, cfg, qci):
         # the per-head reference plus the empty state's (all-zero) readout
-        tables = rotation_tables(temporal_index(qci, cfg.rope_config()),
-                                 np.arange(float(cfg.chunk_tokens)), cfg.rope_config())
+        cos, sin = position_tables(cfg.rope_config(), cfg.chunk_tokens)
+        t = temporal_index(qci, cfg.rope_config())
         state = cache.linear_states[layer]
         assert state.evicted_tokens == 0
         return (per_head_hybrid(qkv, cache, layer, cfg, qci)
-                + history_output(state, qkv[0], *tables))
+                + history_output(state, qkv[0], cos[t], sin[t]))
 
     @pytest.mark.parametrize("cfg, chunks", [
         (TOY, 4),  # sink 1, capacity 3: the next append is the first eviction
@@ -498,11 +496,11 @@ class TestHybridAttention:
         qkv = random_qkv(cfg, 77)
         qkv[2] = 0.0
         rope_cfg = cfg.rope_config()
-        tables = rotation_tables(temporal_index(8, rope_cfg), np.arange(float(cfg.chunk_tokens)),
-                                 rope_cfg)
+        cos, sin = position_tables(rope_cfg, cfg.chunk_tokens)
+        t = temporal_index(8, rope_cfg)
         for layer in range(cfg.layers):
             got = hybrid_attention(qkv, cache, layer, cfg, 8)
-            hist = history_output(cache.linear_states[layer], qkv[0], *tables)
+            hist = history_output(cache.linear_states[layer], qkv[0], cos[t], sin[t])
             assert np.abs(got - hist).max() < 1e-9
 
     def test_zero_query_closed_form(self):
@@ -518,7 +516,6 @@ class TestHybridAttention:
         got = hybrid_attention(qkv, cache, layer, cfg, 8)
 
         rope_cfg = cfg.rope_config()
-        s_idx = np.arange(float(cfg.chunk_tokens))
         q_index = temporal_index(8, rope_cfg)
         visible = cache.visible_kv(8)
         bpc = cfg.blocks_per_chunk
@@ -530,13 +527,13 @@ class TestHybridAttention:
         bcfg = BlockConfig(cfg.keep_ratio, frozenset(forced))
         local_heads = []
         for h in range(cfg.heads):
-            k_parts = [apply_rope(e.keys[layer, h], rel, s_idx, rope_cfg)
+            k_parts = [apply_rope(e.keys[layer, h], rel, rope_cfg)
                        for e, rel in visible]
-            k_parts.append(apply_rope(k_self[h], q_index, s_idx, rope_cfg))
+            k_parts.append(apply_rope(k_self[h], q_index, rope_cfg))
             v_parts = [e.values[layer, h] for e, _ in visible] + [v_self[h]]
             k_full = np.concatenate(k_parts)
             v_full = np.concatenate(v_parts)
-            q_rot = apply_rope(q[h], q_index, s_idx, rope_cfg)
+            q_rot = apply_rope(q[h], q_index, rope_cfg)
             b = cfg.block_tokens
             mask = build_mask(block_scores(block_means(q_rot, b), block_means(k_full, b)), bcfg)
             rows = []
@@ -551,7 +548,7 @@ class TestHybridAttention:
         fq = elu_plus_one(q)  # elu1(0) = 1 everywhere
         per_head = []
         for h in range(cfg.heads):
-            num = apply_rope(fq[h], q_index, s_idx, rope_cfg) @ state.L[h]
+            num = apply_rope(fq[h], q_index, rope_cfg) @ state.L[h]
             den = fq[h] @ state.H[h] + 1e-6
             per_head.append(num / den[:, None])
         hist = np.concatenate(per_head, axis=1) @ state.projection
@@ -579,7 +576,6 @@ class TestDenseOracle:
         got = dense_oracle_attention(q, k_self, v_self, history, 1, cfg, qci)
 
         rope_cfg = cfg.rope_config()
-        s_idx = np.arange(float(cfg.chunk_tokens))
         q_index = temporal_index(qci, rope_cfg)
         scale = 1.0 / math.sqrt(cfg.head_dim)
         outs = []
@@ -587,15 +583,15 @@ class TestDenseOracle:
             keys, vals = [], []
             for e in history:
                 rel = relative_temporal_index(qci, e.chunk_index, cfg.max_temporal_index)
-                rk = apply_rope(e.keys[1, h], rel, s_idx, rope_cfg)
+                rk = apply_rope(e.keys[1, h], rel, rope_cfg)
                 for tok in range(cfg.chunk_tokens):
                     keys.append(rk[tok])
                     vals.append(e.values[1, h, tok])
-            rk = apply_rope(k_self[h], q_index, s_idx, rope_cfg)
+            rk = apply_rope(k_self[h], q_index, rope_cfg)
             for tok in range(cfg.chunk_tokens):
                 keys.append(rk[tok])
                 vals.append(v_self[h, tok])
-            qr = apply_rope(q[h], q_index, s_idx, rope_cfg)
+            qr = apply_rope(q[h], q_index, rope_cfg)
             rows = []
             for tok in range(cfg.chunk_tokens):
                 logits = np.array([qr[tok] @ kk * scale for kk in keys])

@@ -12,7 +12,7 @@ from hybridstream.linear_history import (
     history_output,
 )
 from hybridstream.numerics import SeededRng
-from hybridstream.rope import RoPEConfig, apply_rope, rotation_tables
+from hybridstream.rope import RoPEConfig, apply_rope, position_tables
 
 HEADS, HEAD_DIM = 2, 8
 MODEL_DIM = HEADS * HEAD_DIM
@@ -24,8 +24,11 @@ def fresh_state(seed=0):
     return LinearState.zeros(HEADS, HEAD_DIM, proj)
 
 
-def tables(t_index, s_indices):
-    return rotation_tables(t_index, s_indices, ROPE)
+def tables(t_index, tokens, rope_cfg=ROPE):
+    """The rotation tables of `tokens` queries at t_index (an int or an
+    index per slice): its rows of rope.position_tables."""
+    cos, sin = position_tables(rope_cfg, tokens)
+    return cos[t_index], sin[t_index]
 
 
 def random_chunk(seed, tokens=6):
@@ -39,10 +42,9 @@ def batch_state_oracle(chunks, rope_cfg):
     L = np.zeros((HEADS, HEAD_DIM, HEAD_DIM))
     H = np.zeros((HEADS, HEAD_DIM))
     for keys, values in chunks:
-        s_idx = np.arange(keys.shape[1], dtype=float)
         fk = elu_plus_one(keys)
         for h in range(HEADS):
-            rot = apply_rope(fk[h], 0, s_idx, rope_cfg)
+            rot = apply_rope(fk[h], 0, rope_cfg)
             for tok in range(keys.shape[1]):
                 L[h] += np.outer(rot[tok], values[h, tok])
             H[h] += fk[h].mean(axis=0)
@@ -140,12 +142,11 @@ class TestHistoryOutput:
             absorb_evicted(state, *random_chunk(seed), ROPE)
         # a transposed view, as the engine passes its split heads
         q = SeededRng(32).normal((5, HEADS, HEAD_DIM)).transpose(1, 0, 2)
-        s_idx = np.arange(5.0)
-        out = history_output(state, q, *tables(7, s_idx))
+        out = history_output(state, q, *tables(7, 5))
         fq = elu_plus_one(q)
         per_head = []
         for h in range(HEADS):
-            num = apply_rope(fq[h], 7, s_idx, ROPE) @ state.L[h]
+            num = apply_rope(fq[h], 7, ROPE) @ state.L[h]
             den = fq[h] @ state.H[h] + EPS_DIV
             per_head.append(num / den[:, None])
         want = np.concatenate(per_head, axis=1) @ state.projection
@@ -154,7 +155,7 @@ class TestHistoryOutput:
     def test_empty_state_outputs_zeros(self):
         state = fresh_state()
         q = SeededRng(30).normal((HEADS, 4, HEAD_DIM))
-        out = history_output(state, q, *tables(5, np.arange(4.0)))
+        out = history_output(state, q, *tables(5, 4))
         assert out.shape == (4, MODEL_DIM)
         assert np.array_equal(out, np.zeros_like(out))
 
@@ -162,12 +163,12 @@ class TestHistoryOutput:
         empty, full = fresh_state(), fresh_state()
         absorb_evicted(full, *random_chunk(3), ROPE)
         q = SeededRng(34).normal((HEADS, 4, HEAD_DIM))
-        cos, sin = tables(5, np.arange(4.0))
+        cos, sin = tables(5, 4)
         wide = RoPEConfig(2 * HEAD_DIM)
         bad = [
-            tables(5, np.arange(3.0)),                     # too few tokens
-            tables(np.array([5, 5, 5]), np.arange(4.0)),   # 3 slices over 2 heads
-            rotation_tables(5, np.arange(4.0), wide),      # pairs of another head_dim
+            tables(5, 3),                                  # too few tokens
+            tables(np.array([5, 5, 5]), 4),                # 3 slices over 2 heads
+            tables(5, 4, wide),                            # pairs of another head_dim
             (cos, sin[:, :-1]),                            # cos and sin disagree
             (cos[0], sin[0]),                              # no token axis
         ]
@@ -176,7 +177,7 @@ class TestHistoryOutput:
                 with pytest.raises(ShapeError):
                     history_output(state, q, bad_cos, bad_sin)
             # one table per head broadcasts, and reads as the shared table does
-            per_head = tables(np.array([5, 5]), np.arange(4.0))  # [2, 4, pairs]
+            per_head = tables(np.array([5, 5]), 4)  # [2, 4, head_dim]
             assert np.array_equal(history_output(state, q, *per_head),
                                   history_output(state, q, cos, sin))
 
@@ -188,8 +189,8 @@ class TestHistoryOutput:
         k = np.abs(rng.normal((HEADS, 1, HEAD_DIM))) + 0.1
         v = rng.normal((HEADS, 1, HEAD_DIM))
         absorb_evicted(state, k, v, ROPE)
-        q = np.abs(rng.normal((HEADS, 3, HEAD_DIM))) + 0.1
-        out = history_output(state, q, *tables(0, np.zeros(3)))
+        q = np.abs(rng.normal((HEADS, 1, HEAD_DIM))) + 0.1
+        out = history_output(state, q, *tables(0, 1))
         per_head = []
         for h in range(HEADS):
             dot = (q[h] + 1.0) @ (k[h, 0] + 1.0)
@@ -206,8 +207,8 @@ class TestHistoryOutput:
         absorb_evicted(base, k, v, ROPE)
         absorb_evicted(scaled, k, 3.0 * v, ROPE)
         q = SeededRng(33).normal((HEADS, 4, HEAD_DIM))
-        out1 = history_output(base, q, *tables(7, np.arange(4.0)))
-        out3 = history_output(scaled, q, *tables(7, np.arange(4.0)))
+        out1 = history_output(base, q, *tables(7, 4))
+        out3 = history_output(scaled, q, *tables(7, 4))
         assert np.abs(out3 - 3.0 * out1).max() < 1e-9
 
     def test_denominator_positive_for_adversarial_queries(self):

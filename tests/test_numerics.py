@@ -122,8 +122,8 @@ class TestTensorFormat:
         p = tmp_path / "t.hft"
         data = np.random.default_rng(2).standard_normal((4, 5)).astype(np.float32)
         write_tensor(p, data)
-        shape, back = read_tensor(p)
-        assert shape == (4, 5)
+        back = read_tensor(p)
+        assert back.shape == (4, 5)
         assert back.dtype == np.float32
         assert np.array_equal(back, data)
         # writing the read-back must give identical bytes
@@ -135,7 +135,7 @@ class TestTensorFormat:
         p = tmp_path / "t.hft"
         data = np.random.default_rng(3).standard_normal(7)
         write_tensor(p, data)
-        _, back = read_tensor(p)
+        back = read_tensor(p)
         assert np.array_equal(back, data.astype(np.float32))
 
     def test_wrong_magic(self, tmp_path):
@@ -185,9 +185,9 @@ class TestTensorFormat:
         write_tensor(buf, [1.0, 2.0])
         write_tensor(buf, [3.0, 4.0, 5.0])
         buf.seek(0)
-        s1, d1 = read_tensor_from(buf)
-        s2, d2 = read_tensor_from(buf)
-        assert s1 == (2,) and s2 == (3,)
+        d1 = read_tensor_from(buf)
+        d2 = read_tensor_from(buf)
+        assert d1.shape == (2,) and d2.shape == (3,)
         assert np.array_equal(d1, [1.0, 2.0]) and np.array_equal(d2, [3.0, 4.0, 5.0])
 
 

@@ -5,8 +5,7 @@ import pytest
 
 from hybridstream.errors import ContractViolationError, ShapeError
 from hybridstream.numerics import SeededRng
-from hybridstream.rope import (RoPEConfig, apply_rope, position_tables, rotate,
-                               rotation_tables, temporal_index)
+from hybridstream.rope import RoPEConfig, apply_rope, position_tables, rotate, temporal_index
 
 CFG = RoPEConfig(16, max_temporal_index=21)
 
@@ -35,166 +34,164 @@ class TestTemporalIndex:
 
 
 class TestApplyRope:
+    # one-token inputs sit at spatial index 0, so they turn on the temporal
+    # axis alone
     def test_zero_angles_identity(self):
-        x = rand_tokens(0)
-        out = apply_rope(x, 0, np.zeros(6), CFG)
+        x = rand_tokens(0, tokens=1)
+        out = apply_rope(x, 0, CFG)
         assert np.array_equal(out, x)
 
     def test_norm_preserved(self):
         x = rand_tokens(1)
-        out = apply_rope(x, 13, np.arange(6), CFG)
+        out = apply_rope(x, 13, CFG)
         before = np.linalg.norm(x, axis=1)
         after = np.linalg.norm(out, axis=1)
         assert np.abs(before - after).max() < 1e-10
 
     def test_temporal_rotation_composes_additively(self):
-        x = rand_tokens(2)
-        zeros = np.zeros(6)
-        once = apply_rope(apply_rope(x, 4, zeros, CFG), 9, zeros, CFG)
-        combined = apply_rope(x, 13, zeros, CFG)
-        assert np.abs(once - combined).max() < 1e-12
-
-    def test_spatial_rotation_composes_additively(self):
-        x = rand_tokens(3)
-        s1 = np.arange(6.0)
-        s2 = 2.0 * np.arange(6.0)
-        once = apply_rope(apply_rope(x, 0, s1, CFG), 0, s2, CFG)
-        combined = apply_rope(x, 0, s1 + s2, CFG)
+        x = rand_tokens(2, tokens=1)
+        once = apply_rope(apply_rope(x, 4, CFG), 9, CFG)
+        combined = apply_rope(x, 13, CFG)
         assert np.abs(once - combined).max() < 1e-12
 
     def test_dot_products_depend_only_on_offset(self):
         q = rand_tokens(4, tokens=1)
         k = rand_tokens(5, tokens=1)
-        s = np.zeros(1)
-        base = apply_rope(q, 9, s, CFG) @ apply_rope(k, 4, s, CFG).T
-        shifted = apply_rope(q, 14, s, CFG) @ apply_rope(k, 9, s, CFG).T
+        base = apply_rope(q, 9, CFG) @ apply_rope(k, 4, CFG).T
+        shifted = apply_rope(q, 14, CFG) @ apply_rope(k, 9, CFG).T
         assert abs(base[0, 0] - shifted[0, 0]) < 1e-9
 
     def test_spatial_relative_property(self):
-        q = rand_tokens(6, tokens=3)
-        k = rand_tokens(7, tokens=3)
-        s = np.array([0.0, 5.0, 11.0])
-        base = apply_rope(q, 0, s, CFG) @ apply_rope(k, 0, s, CFG).T
-        shifted = apply_rope(q, 0, s + 100.0, CFG) @ apply_rope(k, 0, s + 100.0, CFG).T
-        assert np.abs(base - shifted).max() < 1e-9
+        # every row holds one vector, so row i turns it by its place i alone:
+        # q_i . k_j depends only on the token offset i - j
+        tokens = 12
+        q = np.repeat(rand_tokens(6, tokens=1), tokens, axis=0)
+        k = np.repeat(rand_tokens(7, tokens=1), tokens, axis=0)
+        dots = apply_rope(q, 5, CFG) @ apply_rope(k, 5, CFG).T
+        for offset in range(1 - tokens, tokens):
+            diagonal = np.diagonal(dots, offset)
+            assert np.abs(diagonal - diagonal[0]).max() < 1e-9
+        assert not np.allclose(dots[0, 0], dots[0, 1])  # the offset does matter
 
     def test_uncapped_index_rejected(self):
         with pytest.raises(ContractViolationError):
-            apply_rope(rand_tokens(8), 22, np.zeros(6), CFG)
+            apply_rope(rand_tokens(8), 22, CFG)
 
     def test_spatial_indices_never_capped(self):
-        # huge spatial indices are fine; only the temporal axis saturates
-        x = rand_tokens(9)
-        out = apply_rope(x, 21, np.full(6, 1e6), CFG)
+        # a long chunk's places run to 4095; only the temporal axis saturates
+        x = rand_tokens(9, tokens=4096)
+        out = apply_rope(x, 21, CFG)
         assert np.isfinite(out).all()
+        drift = np.abs(np.linalg.norm(out, axis=1) - np.linalg.norm(x, axis=1)).max()
+        assert drift < 1e-10
 
     def test_bad_shapes(self):
         with pytest.raises(ShapeError):
-            apply_rope(np.zeros((3, 8)), 0, np.zeros(3), CFG)
+            apply_rope(np.zeros((3, 8)), 0, CFG)
         with pytest.raises(ShapeError):
-            apply_rope(np.zeros((3, 16)), 0, np.zeros(4), CFG)
+            apply_rope(np.zeros(16), 0, CFG)
 
 
 class TestBatchedRope:
     def test_batched_bit_equal_to_per_slice_calls(self):
         x = SeededRng(11).normal((2, 3, 4, 6, 16))
         t = np.array([[0, 5, 21, 7], [3, 3, 1, 20], [21, 0, 0, 9]])  # over dims 1, 2
-        s = np.arange(6.0)
-        out = apply_rope(x, t, s, CFG)
-        shared = apply_rope(x, 13, s, CFG)  # one scalar index for every slice
+        out = apply_rope(x, t, CFG)
+        shared = apply_rope(x, 13, CFG)  # one scalar index for every slice
         for a, b, c in np.ndindex(2, 3, 4):
-            assert np.array_equal(out[a, b, c], apply_rope(x[a, b, c], int(t[b, c]), s, CFG))
-            assert np.array_equal(shared[a, b, c], apply_rope(x[a, b, c], 13, s, CFG))
+            assert np.array_equal(out[a, b, c], apply_rope(x[a, b, c], int(t[b, c]), CFG))
+            assert np.array_equal(shared[a, b, c], apply_rope(x[a, b, c], 13, CFG))
 
     def test_over_cap_element_anywhere_rejected(self):
         x = np.zeros((2, 4, 6, 16))
         for pos in np.ndindex(2, 4):
             t = np.full((2, 4), 21)
             t[pos] = 22
-            with pytest.raises(ContractViolationError):
-                apply_rope(x, t, np.zeros(6), CFG)
+            with pytest.raises(ContractViolationError, match="temporal index 22 outside"):
+                apply_rope(x, t, CFG)
             t[pos] = -1
-            with pytest.raises(ContractViolationError):
-                apply_rope(x, t, np.zeros(6), CFG)
+            with pytest.raises(ContractViolationError, match="temporal index -1 outside"):
+                apply_rope(x, t, CFG)
 
     def test_index_must_broadcast_and_be_integer(self):
         x = np.zeros((2, 4, 6, 16))
         with pytest.raises(ShapeError):
-            apply_rope(x, np.zeros(3, dtype=int), np.zeros(6), CFG)
+            apply_rope(x, np.zeros(3, dtype=int), CFG)
         with pytest.raises(ShapeError):
-            apply_rope(x[0, 0], np.zeros(1, dtype=int), np.zeros(6), CFG)
-        with pytest.raises(ContractViolationError):
-            apply_rope(x, 1.5, np.zeros(6), CFG)
+            apply_rope(x[0, 0], np.zeros(1, dtype=int), CFG)
+        with pytest.raises(ContractViolationError, match="must be an integer"):
+            apply_rope(x, 1.5, CFG)
 
 
 class TestTablesAndRotate:
     def test_rotate_with_tables_bit_equal_to_apply_rope(self):
         x = SeededRng(12).normal((2, 3, 6, 16))
-        s = np.arange(6.0) + 3.0
+        cos, sin = position_tables(CFG, 6)
         for t in (0, 13, 21, np.array([4, 21, 0]), np.array([[1, 2, 3], [21, 20, 0]])):
-            assert np.array_equal(rotate(x, *rotation_tables(t, s, CFG)), apply_rope(x, t, s, CFG))
+            assert np.array_equal(rotate(x, cos[t], sin[t]), apply_rope(x, t, CFG))
         # one table set rotates many tensors, here stacked queries and keys
-        cos, sin = rotation_tables(9, s, CFG)
-        both = rotate(np.stack((x, 2 * x)), cos, sin)
-        assert np.array_equal(both[1], apply_rope(2 * x, 9, s, CFG))
-
-    def test_tables_checks_match_apply_rope(self):
-        with pytest.raises(ContractViolationError):
-            rotation_tables(22, np.zeros(6), CFG)
-        with pytest.raises(ContractViolationError):
-            rotation_tables(np.array([3, -1]), np.zeros(6), CFG)
-        with pytest.raises(ContractViolationError):
-            rotation_tables(1.5, np.zeros(6), CFG)
-        with pytest.raises(ShapeError):
-            rotation_tables(3, np.zeros((2, 6)), CFG)
+        both = rotate(np.stack((x, 2 * x)), cos[9], sin[9])
+        assert np.array_equal(both[1], apply_rope(2 * x, 9, CFG))
 
     def test_tables_must_fit_x(self):
         x = np.zeros((2, 4, 6, 16))
-        cos, sin = rotation_tables(3, np.zeros(6), CFG)
+        cos, sin = position_tables(CFG, 6)
+        cos5, sin5 = position_tables(CFG, 5)
+        slices = np.zeros(3, dtype=int)
         for bad_cos, bad_sin in [
-            rotation_tables(3, np.zeros(5), CFG),                   # token count
-            rotation_tables(np.zeros(3, dtype=int), np.zeros(6), CFG),  # slices
-            (cos, sin[..., :-1]),                                    # cos vs sin
-            (cos[None, None, None], sin[None, None, None]),          # too many dims
+            (cos5[3], sin5[3]),                                      # token count
+            (cos[slices], sin[slices]),                              # slices
+            (cos[3], sin[3, :, :-1]),                                # cos vs sin
+            (cos[None, None, None, 3], sin[None, None, None, 3]),    # too many dims
         ]:
             with pytest.raises(ShapeError):
                 rotate(x, bad_cos, bad_sin)
         with pytest.raises(ShapeError):
-            rotate(np.zeros((6, 15)), cos, sin)
+            rotate(np.zeros((6, 15)), cos[3], sin[3])
 
     def test_out_bit_equal_to_fresh_result(self):
         # slab-wise into out, including a strided view such as the engine's
         # window slots, and with tables that broadcast over leading dims
         x = SeededRng(13).normal((2, 3, 4, 6, 16))
-        s = np.arange(6.0)
+        tables = position_tables(CFG, 6)
         for t in (7, np.array([0, 21, 5, 9]), np.array([[1, 2, 3, 4]] * 3)):
-            want = apply_rope(x, t, s, CFG)
-            cos, sin = rotation_tables(t, s, CFG)
+            want = apply_rope(x, t, CFG)
+            cos, sin = (table[t] for table in tables)
             slots = np.full((2, 3, 5, 6, 16), np.nan)
             got = rotate(x, cos, sin, out=slots[:, :, :4])
             assert got.base is slots and np.array_equal(got, want)
             assert np.isnan(slots[:, :, 4]).all()  # nothing outside out is written
             assert np.array_equal(rotate(x, cos, sin, out=np.empty(x.shape)), want)
 
-    def test_position_tables_bit_equal_to_rotation_tables(self):
-        cos, sin = position_tables(CFG, 6)
-        assert cos.shape == sin.shape == (CFG.max_temporal_index + 1, 6, 16)
-        s = np.arange(6.0)
-        for t in range(CFG.max_temporal_index + 1):  # a view per index
-            want_cos, want_sin = rotation_tables(t, s, CFG)
-            assert np.array_equal(cos[t], want_cos) and np.array_equal(sin[t], want_sin)
-        rel = np.array([0, 21, 5, 5])  # gathered, one table per slice
-        want_cos, want_sin = rotation_tables(rel, s, CFG)
-        assert np.array_equal(cos[rel], want_cos) and np.array_equal(sin[rel], want_sin)
-        # built once per (config, tokens), and nobody can write into them
-        assert position_tables(RoPEConfig(16, max_temporal_index=21), 6)[0] is cos
+    def test_position_tables_equal_angles_from_scratch(self):
+        tokens, p = 6, CFG.pairs
+        cos, sin = position_tables(CFG, tokens)
+        assert cos.shape == sin.shape == (CFG.max_temporal_index + 1, tokens, 16)
+        # pair j < p turns by the temporal index t, pair p + j by the token's
+        # place n, both at frequency base_theta ** (-2j / (2 p))
+        freqs = CFG.base_theta ** (-2.0 * np.arange(p, dtype=np.float64) / (2.0 * p))
+        t = np.arange(CFG.max_temporal_index + 1, dtype=np.float64)
+        n = np.arange(tokens, dtype=np.float64)
+        ang = np.empty(cos.shape[:2] + (2 * p,))
+        ang[..., :p] = (t[:, None] * freqs)[:, None, :]
+        ang[..., p:] = n[:, None] * freqs
+        assert np.array_equal(cos[..., 0::2], np.cos(ang))
+        assert np.array_equal(cos[..., 1::2], np.cos(ang))
+        assert np.array_equal(sin[..., 0::2], -np.sin(ang))
+        assert np.array_equal(sin[..., 1::2], np.sin(ang))
+        # row t is a view; the tables are built once per (config, tokens), and
+        # nobody can write into them
+        assert np.shares_memory(cos[5], cos) and np.shares_memory(sin[5], sin)
+        assert position_tables(RoPEConfig(16, max_temporal_index=21), tokens)[0] is cos
         assert position_tables(CFG, 5)[0].shape == (22, 5, 16)
         with pytest.raises(ValueError):
             cos[3] = 0.0
+        with pytest.raises(ValueError):
+            sin[3] = 0.0
 
     def test_out_must_fit_x(self):
         x = np.zeros((2, 4, 6, 16))
-        cos, sin = rotation_tables(3, np.zeros(6), CFG)
+        cos, sin = (table[3] for table in position_tables(CFG, 6))
         for shape in ((2, 4, 6, 15), (1, 4, 6, 16), (4, 6, 16)):
             with pytest.raises(ShapeError):
                 rotate(x, cos, sin, out=np.empty(shape))
@@ -209,10 +206,13 @@ class TestConfig:
     def test_pairs_split_evenly_between_axes(self):
         # the temporal pairs take channels [0, 8) of a head_dim 16, the spatial [8, 16)
         assert RoPEConfig(4).pairs == 1 and CFG.pairs == 4
+        # one token sits at spatial index 0; at temporal index 0 only the
+        # spatial pairs of tokens 1.. turn
         x = rand_tokens(10)
-        temporal = apply_rope(x, 13, np.zeros(6), CFG)
-        spatial = apply_rope(x, 0, np.arange(6.0) + 13, CFG)
-        assert np.array_equal(temporal[:, 8:], x[:, 8:])
-        assert not np.allclose(temporal[:, :8], x[:, :8])
+        temporal = apply_rope(x[:1], 13, CFG)
+        spatial = apply_rope(x, 0, CFG)
+        assert np.array_equal(temporal[:, 8:], x[:1, 8:])
+        assert not np.allclose(temporal[:, :8], x[:1, :8])
         assert np.array_equal(spatial[:, :8], x[:, :8])
-        assert not np.allclose(spatial[:, 8:], x[:, 8:])
+        assert np.array_equal(spatial[0], x[0])
+        assert not np.allclose(spatial[1:, 8:], x[1:, 8:])

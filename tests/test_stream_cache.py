@@ -203,13 +203,16 @@ class TestSnapshot:
             RollingCache.restore(blob)
 
     def test_version_2_snapshot_is_format_error(self):
-        # version 3 was this layout with each entry's sink flag; version 2
-        # also named each linear state's feature map
-        for version in (2, 3):
+        # version 4 was this layout with an "encoding" field; version 3 also
+        # gave each entry a sink flag, and version 2 named each linear
+        # state's feature map
+        for version in (2, 3, 4):
             def edit(manifest):
                 manifest["version"] = version
-                for meta in manifest["entries"]:
-                    meta["is_sink"] = meta["chunk_index"] < manifest["sink_chunks"]
+                manifest["encoding"] = "f64-bit-split-pairs"
+                if version <= 3:
+                    for meta in manifest["entries"]:
+                        meta["is_sink"] = meta["chunk_index"] < manifest["sink_chunks"]
                 if version == 2:
                     for meta in manifest["linear_states"]:
                         meta["feature_map"] = "elu1"
@@ -217,6 +220,17 @@ class TestSnapshot:
             blob = self.with_manifest(self.build_cache(5).snapshot(), edit)
             with pytest.raises(FormatError, match=f"unsupported snapshot version {version}"):
                 RollingCache.restore(blob)
+
+    @pytest.mark.parametrize("record, edit", [
+        ("manifest", lambda m: m.update(note="restored twice")),
+        ("entry 2", lambda m: m["entries"][1].update(is_sink=True)),
+        ("linear state", lambda m: m["linear_states"][0].update(feature_map="elu1")),
+    ])
+    def test_unknown_key_is_format_error(self, record, edit):
+        # restore reads exactly the keys snapshot() writes (sink 0, window 2-4)
+        blob = self.with_manifest(self.build_cache(5).snapshot(), edit)
+        with pytest.raises(FormatError, match=f"snapshot {record} has unknown field"):
+            RollingCache.restore(blob)
 
     def test_deeply_nested_manifest_is_format_error(self):
         manifest = b"[" * 200_000 + b"]" * 200_000
