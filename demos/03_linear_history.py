@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """The compressed history pathway: absorb evicted chunks into the (L, H)
 state, query it in constant time, and verify against direct batch sums.
+The state holds only what it absorbed; the readout's output projection is
+a layer weight of the model (ToyDenoiser's "history_proj"), passed in.
 """
 
 import numpy as np
@@ -21,8 +23,9 @@ MODEL_DIM = HEADS * HEAD_DIM
 rope_cfg = RoPEConfig(HEAD_DIM, max_temporal_index=21)
 rng = SeededRng(3)
 
+# the layer's output projection: a model weight, not part of the state
 projection = rng.normal((MODEL_DIM, MODEL_DIM)) / np.sqrt(MODEL_DIM)
-state = LinearState.zeros(HEADS, HEAD_DIM, projection)
+state = LinearState.zeros(HEADS, HEAD_DIM)
 print(f"fresh state: {state.evicted_tokens} tokens absorbed, {state.nbytes} bytes")
 
 # Queries are rotated at their chunk's temporal index and each token's place
@@ -34,7 +37,7 @@ tables_5 = cos[5], sin[5]
 tables_21 = cos[21], sin[21]
 
 # Queries against an empty state are exactly zero: no history, no signal.
-out = history_output(state, q, *tables_5)
+out = history_output(state, q, *tables_5, projection)
 print("empty-state output is all zeros:", bool((out == 0).all()))
 
 # Absorb a stream of evicted chunks and track direct sums alongside.
@@ -57,7 +60,7 @@ print(f"  |L - direct sums| = {np.abs(state.L - L_direct).max():.2e}")
 print(f"  |H - direct sums| = {np.abs(state.H - H_direct).max():.2e}")
 print(f"  state is still {state.nbytes} bytes; it never grows")
 
-out = history_output(state, q, *tables_21)
+out = history_output(state, q, *tables_21, projection)
 print(f"  query output shape {out.shape}, finite: {bool(np.isfinite(out).all())}")
 
 # The feature map (elu + 1) keeps the normalizer strictly positive even for
@@ -68,8 +71,8 @@ print(f"  worst-case denominator for a 50-sigma query: {min(dens):.3e} (> 0)")
 
 # Scaling every absorbed value by c scales the output by c: the state is
 # linear in what it stores.
-scaled = LinearState.zeros(HEADS, HEAD_DIM, projection)
+scaled = LinearState.zeros(HEADS, HEAD_DIM)
 for k, v in chunks:
     absorb_evicted(scaled, k, 2.0 * v, rope_cfg)
-out2 = history_output(scaled, q, *tables_21)
+out2 = history_output(scaled, q, *tables_21, projection)
 print(f"  linearity in V: |out(2v) - 2 out(v)| = {np.abs(out2 - 2 * out).max():.2e}")

@@ -85,7 +85,7 @@ def _coerce(field: str, kind, raw: str):
                 return False
             raise ValueError(raw)
         if kind is tuple:
-            return tuple(float(p) for p in raw.split(",") if p.strip())
+            return tuple(map(float, raw.split(",")))  # an empty item is refused
         return kind(raw)
     except ValueError:
         raise UsageError(f"invalid value for config field '{field}': {raw!r}")

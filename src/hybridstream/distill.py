@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -284,20 +284,14 @@ class TrainResult:
         return np.asarray(self.trajectory)
 
 
-TRACE_HEADER = ["step", "phase", "loss_dmd", "loss_reg", "grad_norm", "mean_err", "cov_err",
-                "s_index", "lambda_effective", "loss_total"]
-
-
 def write_trace_csv(path, rows: Sequence[TraceRow]) -> None:
+    """TraceRow's field names, then one line per row (a float as its repr)."""
+    names = [f.name for f in fields(TraceRow)]
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(TRACE_HEADER)
+        writer.writerow(names)
         for r in rows:
-            writer.writerow([
-                r.step, r.phase, repr(r.loss_dmd), repr(r.loss_reg),
-                repr(r.grad_norm), repr(r.mean_err), repr(r.cov_err),
-                r.s_index, repr(float(r.lambda_effective)), repr(r.loss_total),
-            ])
+            writer.writerow([getattr(r, name) for name in names])
 
 
 def _run_fixture(model: ToyDenoiser, cfg: DistillConfig, s_index: int,
@@ -364,7 +358,7 @@ def train(
         fake_mean_t, fake_cov_t = diffuse_gaussian(fake_mean, fake_cov, t_s)
         loss_dmd = gaussian_kl(fake_mean_t, fake_cov_t, real_mean_t, real_cov_t)
 
-        lam = config.lam if lambda_override is None else float(lambda_override(step, s_index))
+        lam = float(config.lam if lambda_override is None else lambda_override(step, s_index))
         loss_reg = 0.0
         grad_a, grad_b = grad.A.copy(), grad.b.copy()
         if s_index == 0 and lam != 0.0:

@@ -247,6 +247,7 @@ def hybrid_attention(
     layer: int,
     cfg: StreamConfig,
     query_chunk_index: int,
+    history_proj: np.ndarray,
     counters: OpCounters | None = None,
 ) -> np.ndarray:
     """One layer of hybrid attention for one chunk.
@@ -260,8 +261,9 @@ def hybrid_attention(
     build_mask and one sparse_attention call, packed as the sparse_local
     module describes.
     Returns [chunk_tokens, model_dim]: sparse local output plus the
-    history readout, summed elementwise. Until the layer's state absorbs
-    a chunk the readout is exact zeros, so it is not computed.
+    history readout through the layer's weight history_proj, summed
+    elementwise. Until the layer's state absorbs a chunk (or with no state)
+    the readout is exact zeros, so it is not computed.
     """
     shape = (3, cfg.heads, cfg.chunk_tokens, cfg.head_dim)
     if qkv.shape != shape:
@@ -291,7 +293,8 @@ def hybrid_attention(
     local = local.reshape(heads, tokens, d).transpose(1, 0, 2).reshape(tokens, heads * d)
 
     if layer < len(cache.linear_states) and cache.linear_states[layer].evicted_tokens:
-        local += history_output(cache.linear_states[layer], qkv[0], q_cos, q_sin)
+        local += history_output(cache.linear_states[layer], qkv[0], q_cos, q_sin,
+                                history_proj)
     return local
 
 
@@ -303,7 +306,8 @@ class ToyDenoiser:
     schedule entry plus a final row for the t=0 cache pass, scaled by 0.1.
     Per layer the query, key and value weights are drawn in that order and
     kept side by side as one [model_dim, 3 * model_dim] "wqkv", so a pass
-    makes one product for all three. Forward passes are deterministic and
+    makes one product for all three. "history_proj", the history readout's
+    output projection, lives here only. Forward passes are deterministic and
     never mutate the cache.
     """
 
@@ -325,13 +329,13 @@ class ToyDenoiser:
         self.time_table = rng.normal((len(cfg.denoise_timesteps) + 1, d)) * 0.1
 
     def new_cache(self) -> RollingCache:
-        states = [
-            LinearState.zeros(self.cfg.heads, self.cfg.head_dim,
-                              layer["history_proj"])
-            for layer in self.layers
-        ]
-        return RollingCache(self.cfg.capacity_chunks, self.cfg.sink_chunks,
-                            self.cfg.max_temporal_index, states)
+        """An empty cache: a zero linear state per layer, or none (evictions
+        are dropped) unless cfg.linear_history is set."""
+        cfg = self.cfg
+        states = [LinearState.zeros(cfg.heads, cfg.head_dim)
+                  for _ in range(cfg.layers if cfg.linear_history else 0)]
+        return RollingCache(cfg.capacity_chunks, cfg.sink_chunks, cfg.max_temporal_index,
+                            states)
 
     def _time_row(self, t: float) -> np.ndarray:
         ts = self.cfg.denoise_timesteps
@@ -365,7 +369,7 @@ class ToyDenoiser:
                 cfg.chunk_tokens, 3, cfg.heads, cfg.head_dim).transpose(1, 2, 0, 3)
             layer_kvs.append((qkv[1], qkv[2]))
             h += hybrid_attention(qkv, cache, layer_idx, cfg, query_chunk_index,
-                                  counters) @ w["wo"]
+                                  w["history_proj"], counters) @ w["wo"]
             h += _gelu(_layer_norm(h) @ w["w1"]) @ w["w2"]
         return h, layer_kvs
 
@@ -394,11 +398,11 @@ class StreamResult:
 
 def append_and_absorb(cache: RollingCache, kv: ChunkKV,
                       cfg: StreamConfig) -> ChunkKV | None:
-    """Append a chunk to the window and, when cfg.linear_history is set,
-    fold the chunk it evicts into every layer's linear state at temporal
-    index 0. Returns the evicted entry, if any."""
+    """Append a chunk to the window and fold the chunk it evicts into every
+    linear state the cache has, at temporal index 0. Returns the evicted
+    entry, if any."""
     evicted = cache.append(kv)
-    if evicted is not None and cfg.linear_history:
+    if evicted is not None:
         rope_cfg = cfg.rope_config()
         for layer_idx, state in enumerate(cache.linear_states):
             absorb_evicted(state, evicted.keys[layer_idx],

@@ -4,8 +4,9 @@ evicted cache entries.
 Per head the state is a feature-space accumulator L (sum over evicted
 tokens of rotate(phi(k))^T v) and a normalizer vector H (sum over evicted
 chunks of the per-chunk mean of phi(k), kept unrotated). Queries read the
-state as projection(rotate(phi(q)) L / (phi(q) . H + eps)), so memory and
-query cost never grow with how much has been evicted. The feature map phi
+state as projection(rotate(phi(q)) L / (phi(q) . H + eps)), where the
+projection is a model weight the caller passes in, so memory and query
+cost never grow with how much has been evicted. The feature map phi
 is elu(x) + 1 (Katharopoulos et al., 2020): positive everywhere and only
 linear in growth, which keeps the normalizer meaningful and finite. It is
 evaluated as exp(min(x, 0)) + max(x, 0), equal to elu(x) + 1 bit for bit.
@@ -43,28 +44,18 @@ def elu_plus_one(x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class LinearState:
-    """Per-head (L, H) summary of everything evicted so far, plus the fixed
-    output projection applied after heads are concatenated."""
+    """Per-head (L, H) summary of everything evicted so far: exactly what a
+    stream absorbed. The readout's output projection is a model weight, not
+    state (history_output)."""
 
     L: np.ndarray        # [heads, head_dim, head_dim]
     H: np.ndarray        # [heads, head_dim]
     evicted_tokens: int
-    projection: np.ndarray  # [model_dim, model_dim]
 
     @classmethod
-    def zeros(cls, heads: int, head_dim: int, projection: np.ndarray) -> "LinearState":
-        projection = np.asarray(projection, dtype=np.float64)
-        model_dim = heads * head_dim
-        if projection.shape != (model_dim, model_dim):
-            raise ShapeError(
-                f"projection must be [{model_dim}, {model_dim}], got {projection.shape}"
-            )
-        return cls(
-            L=np.zeros((heads, head_dim, head_dim)),
-            H=np.zeros((heads, head_dim)),
-            evicted_tokens=0,
-            projection=projection,
-        )
+    def zeros(cls, heads: int, head_dim: int) -> "LinearState":
+        return cls(L=np.zeros((heads, head_dim, head_dim)), H=np.zeros((heads, head_dim)),
+                   evicted_tokens=0)
 
     @property
     def heads(self) -> int:
@@ -75,32 +66,25 @@ class LinearState:
         return self.L.shape[1]
 
     @property
-    def model_dim(self) -> int:
-        return self.projection.shape[0]
-
-    @property
     def nbytes(self) -> int:
         """State footprint; independent of how many tokens were absorbed."""
-        return self.L.nbytes + self.H.nbytes + self.projection.nbytes + 8
+        return self.L.nbytes + self.H.nbytes + 8
 
     # -- serialization (exact f64, used by cache snapshots) -----------------
 
     def to_stream(self, f) -> None:
         numerics.write_f64_tensor(f, self.L)
         numerics.write_f64_tensor(f, self.H)
-        numerics.write_f64_tensor(f, self.projection)
 
     @classmethod
     def from_stream(cls, f, evicted_tokens: int) -> "LinearState":
         L = numerics.read_f64_tensor(f)
         H = numerics.read_f64_tensor(f)
-        projection = numerics.read_f64_tensor(f)
         heads, head_dim = L.shape[:2] if L.ndim == 3 else (-1, -1)
-        if (L.shape != (heads, head_dim, head_dim) or H.shape != (heads, head_dim)
-                or projection.shape != (heads * head_dim,) * 2):
-            raise FormatError(f"linear state shapes L {L.shape}, H {H.shape} and projection "
-                              f"{projection.shape} do not fit one heads x head_dim")
-        return cls(L, H, int(evicted_tokens), projection)
+        if L.shape != (heads, head_dim, head_dim) or H.shape != (heads, head_dim):
+            raise FormatError(f"linear state shapes L {L.shape} and H {H.shape} do not fit "
+                              f"one heads x head_dim")
+        return cls(L, H, int(evicted_tokens))
 
 
 def absorb_evicted(
@@ -143,13 +127,16 @@ def history_output(
     queries: np.ndarray,
     cos: np.ndarray,
     sin: np.ndarray,
+    projection: np.ndarray,
 ) -> np.ndarray:
     """Read the history pathway for a batch of per-head queries.
 
     queries: [heads, tokens, head_dim], unrotated. cos, sin: the queries'
     rotation tables, [tokens, head_dim] or broadcasting over the heads:
     the query chunk's temporal-index row of rope.position_tables, which a
-    caller takes once per query chunk.
+    caller takes once per query chunk. projection: the layer's
+    [model_dim, model_dim] weight ("history_proj"), applied to the heads
+    concatenated.
     Returns [tokens, model_dim]. An empty state returns exact zeros: the
     pathway is inactive until the first eviction.
     """
@@ -158,14 +145,17 @@ def history_output(
         raise ShapeError(
             f"expected [{state.heads}, tokens, {state.head_dim}], got {queries.shape}"
         )
+    model_dim = state.heads * state.head_dim
+    if projection.shape != (model_dim, model_dim):
+        raise ShapeError(f"projection must be [{model_dim}, {model_dim}], got {projection.shape}")
     check_tables(queries.shape, cos, sin)
     tokens = queries.shape[1]
     if state.evicted_tokens == 0:
-        return np.zeros((tokens, state.model_dim))
+        return np.zeros((tokens, model_dim))
     fq = elu_plus_one(queries)
     num = rotate(fq, cos, sin) @ state.L  # [heads, tokens, head_dim]
     # a matrix-vector product per head, rounded as fq[h] @ H[h] would be
     den = fq @ state.H[:, :, None] + EPS_DIV  # [heads, tokens, 1]
     num /= den
-    concat = num.transpose(1, 0, 2).reshape(tokens, state.model_dim)
-    return concat @ state.projection
+    concat = num.transpose(1, 0, 2).reshape(tokens, model_dim)
+    return concat @ projection

@@ -13,12 +13,12 @@ every layer and head, in a workspace held by the cache's memo. The next
 query chunk rewrites the same arrays in place when their shape still fits;
 snapshots never carry them.
 
-A snapshot (format version 5) is a length-prefixed JSON manifest, the
-entries' keys and values and the linear states as exact f64 tensors, then
-a CRC-32 of every byte before it, so a flipped byte anywhere fails to
-restore. Its entries carry only their chunk index; restore routes each
-by that index, as append does. The manifest and each of its records must
-hold exactly the keys snapshot() writes.
+A snapshot (format version 6) is a length-prefixed JSON manifest, the
+entries' keys and values and the linear states' L and H as exact f64
+tensors (no model weight), then a CRC-32 of every byte before it, so a
+flipped byte anywhere fails to restore. Its entries carry only their chunk
+index; restore routes each by that index, as append does. The manifest and
+each of its records must hold exactly the keys snapshot() writes.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from . import numerics
 from .errors import FormatError, SequenceError, ShapeError
 from .linear_history import LinearState
 
-_SNAPSHOT_VERSION = 5
+_SNAPSHOT_VERSION = 6
 
 
 def _field(meta, name: str, kind: type, low: int | None = None):
@@ -207,8 +207,8 @@ class RollingCache:
 
     @classmethod
     def restore(cls, data: bytes) -> "RollingCache":
-        """Rebuild a cache from snapshot() bytes. The manifest's version is
-        read first, so a blob of another format version is named as such;
+        """Rebuild a cache from snapshot() bytes. The manifest's version (an
+        int) is read first, so a blob of another format version is named as such;
         the CRC-32 trailer is then checked before any other field or payload
         byte is decoded. A key that snapshot() does not write is refused.
         Each entry goes to the pinned or the window list by its chunk index,
@@ -230,7 +230,7 @@ class RollingCache:
         if not isinstance(manifest, dict):
             raise FormatError("snapshot manifest is not a JSON object")
         version = manifest.pop("version", None)
-        if version != _SNAPSHOT_VERSION:
+        if type(version) is not int or version != _SNAPSHOT_VERSION:  # 6.0 is not 6
             raise FormatError(f"unsupported snapshot version {version!r}")
         if struct.unpack("<I", trailer)[0] != zlib.crc32(body):
             raise FormatError("snapshot checksum mismatch")

@@ -170,7 +170,6 @@ def linear_state_checks(heads: int, head_dim: int, tokens: int, evictions,
     `evictions`; equal footprints after the two counts in `memory_after`;
     positive readout denominators for large queries."""
     rope_cfg = RoPEConfig(head_dim)
-    proj = np.eye(heads * head_dim)  # only the readout uses it
     rng = SeededRng(seed)
 
     def absorb_random(state):
@@ -180,7 +179,7 @@ def linear_state_checks(heads: int, head_dim: int, tokens: int, evictions,
 
     rel = 0.0
     for n in evictions:
-        state = LinearState.zeros(heads, head_dim, proj)
+        state = LinearState.zeros(heads, head_dim)
         L = np.zeros_like(state.L)
         H = np.zeros_like(state.H)
         for _ in range(n):
@@ -195,7 +194,7 @@ def linear_state_checks(heads: int, head_dim: int, tokens: int, evictions,
                   f"rel err vs direct sums {rel:.2e} over {list(evictions)} absorbs")]
 
     few, many = memory_after
-    state = LinearState.zeros(heads, head_dim, proj)
+    state = LinearState.zeros(heads, head_dim)
     for c in range(many):
         absorb_random(state)
         if c + 1 == few:
@@ -401,7 +400,7 @@ _TOY = StreamConfig(tokens_per_frame=4, heads=2, head_dim=8)
 def random_cache(cfg: StreamConfig, chunks: int, seed: int,
                  model: ToyDenoiser | None = None) -> RollingCache:
     """`chunks` chunks of random keys and values, appended as the stream
-    appends them (absorbing evictions when cfg.linear_history is set)."""
+    appends them (absorbing evictions into the states new_cache gives)."""
     cache = (model or ToyDenoiser(cfg)).new_cache()
     rng = SeededRng(seed)
     shape = (cfg.layers, cfg.heads, cfg.chunk_tokens, cfg.head_dim)
@@ -458,7 +457,8 @@ def dense_limit_check(cfg: StreamConfig, trials: int, max_chunks: int, seed: int
         cache = random_cache(cfg, chunks, cache_seed + trial, model)
         q, ks, vs = rng.normal(shape), rng.normal(shape), rng.normal(shape)
         layer = trial % cfg.layers
-        got = hybrid_attention(np.stack((q, ks, vs)), cache, layer, cfg, chunks)
+        got = hybrid_attention(np.stack((q, ks, vs)), cache, layer, cfg, chunks,
+                               model.layers[layer]["history_proj"])
         want = dense_oracle_attention(q, ks, vs, cache.entries(), layer, cfg, chunks)
         worst = max(worst, np.abs(got - want).max())
     return _check("hybrid.dense_limit_equivalence", worst <= tol,
@@ -468,21 +468,23 @@ def dense_limit_check(cfg: StreamConfig, trials: int, max_chunks: int, seed: int
 def _suite_hybrid() -> list[CheckResult]:
     out = [dense_limit_check(_TOY, 10, 4, seed=6, cache_seed=60)]
 
-    cache = random_cache(_TOY, 8, seed=61)
+    model = ToyDenoiser(_TOY)
+    proj = model.layers[0]["history_proj"]
+    cache = random_cache(_TOY, 8, seed=61, model=model)
     shape = (_TOY.heads, _TOY.chunk_tokens, _TOY.head_dim)
     rng = SeededRng(62)
     q, ks, vs = rng.normal(shape), rng.normal(shape), rng.normal(shape)
     qkv = np.stack((q, ks, vs))
-    full = hybrid_attention(qkv, cache, 0, _TOY, 8)
+    full = hybrid_attention(qkv, cache, 0, _TOY, 8, proj)
     saved = [s.evicted_tokens for s in cache.linear_states]
     for s in cache.linear_states:
         s.evicted_tokens = 0
-    local = hybrid_attention(qkv, cache, 0, _TOY, 8)
+    local = hybrid_attention(qkv, cache, 0, _TOY, 8, proj)
     for s, n in zip(cache.linear_states, saved):
         s.evicted_tokens = n
     rope_cfg = _TOY.rope_config()
     t, (cos, sin) = temporal_index(8, rope_cfg), position_tables(rope_cfg, _TOY.chunk_tokens)
-    hist = history_output(cache.linear_states[0], q, cos[t], sin[t])
+    hist = history_output(cache.linear_states[0], q, cos[t], sin[t], proj)
     err = np.abs(full - (local + hist)).max()
     out.append(_check("hybrid.additive_decomposition", err < 1e-9,
                       f"|hybrid - (local + history)| = {err:.2e}"))

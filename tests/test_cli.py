@@ -16,7 +16,7 @@ from hybridstream.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
-from hybridstream.distill import TRACE_HEADER, DistillConfig, GaussianWorld
+from hybridstream.distill import DistillConfig, GaussianWorld
 from hybridstream.engine import BENCH_MODES, StreamConfig
 from hybridstream.numerics import SeededRng, read_tensor
 from hybridstream.sparse_local import BlockConfig
@@ -219,6 +219,8 @@ class TestGenerateCommand:
         ("max_temporal_index = 0", "max_temporal_index"),
         ("base_theta = 1", "base_theta"),
         ("base_theta = nan", "base_theta"),
+        ("denoise_timesteps = 1.0,,0.5", "denoise_timesteps"),  # an empty item
+        ("denoise_timesteps = 1.0, 0.5,", "denoise_timesteps"),
     ])
     def test_out_of_range_field_is_usage_error(self, tmp_path, capsys, args, field):
         if isinstance(args, str):
@@ -245,8 +247,8 @@ class TestDistillCommand:
             reader = csv.reader(f)
             header = next(reader)
             rows = list(reader)
-        assert header == TRACE_HEADER
-        assert header[-3:] == ["s_index", "lambda_effective", "loss_total"]
+        assert header == ["step", "phase", "loss_dmd", "loss_reg", "grad_norm", "mean_err",
+                          "cov_err", "s_index", "lambda_effective", "loss_total"]
         assert len(rows) == 40
         for r in (dict(zip(header, row)) for row in rows):
             assert 0 <= int(r["s_index"]) < 4
@@ -309,7 +311,8 @@ class TestDistillCommand:
     @pytest.mark.parametrize("line", ["lam = nan", "lam = inf", "generator_lr = nan",
                                       "generator_lr = inf", "generator_lr = 0",
                                       "generator_lr = -0.1", "batch_size = 0",
-                                      "phase_switch_step = -5", "fixture_chunks = -3"])
+                                      "phase_switch_step = -5", "fixture_chunks = -3",
+                                      "timesteps = 0.9,,0.3", "timesteps = 0.9, 0.3,"])
     def test_out_of_range_value_is_usage_error(self, tmp_path, capsys, line):
         p = tmp_path / "bad.cfg"
         p.write_text(line + "\n")

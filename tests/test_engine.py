@@ -5,6 +5,7 @@ import itertools
 import math
 import tracemalloc
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -35,6 +36,16 @@ from hybridstream.verify import dense_oracle_attention, expected_score_evals, ra
 TOY = StreamConfig(tokens_per_frame=4, heads=2, head_dim=8)
 
 
+@lru_cache(maxsize=16)
+def model_of(cfg):
+    return ToyDenoiser(cfg)
+
+
+def history_proj(cfg, layer):
+    """The layer's history readout projection, a weight of the model of cfg."""
+    return model_of(cfg).layers[layer]["history_proj"]
+
+
 def random_chunk_kv(cfg, idx, seed):
     rng = SeededRng(seed)
     shape = (cfg.layers, cfg.heads, cfg.chunk_tokens, cfg.head_dim)
@@ -48,10 +59,11 @@ def random_qkv(cfg, seed):
     return np.stack([rng.normal(shape) for _ in range(3)])
 
 
-def per_head_hybrid(qkv, cache, layer, cfg, qci, rope=apply_rope, phi=elu_plus_one):
+def per_head_hybrid(qkv, cache, layer, cfg, qci, rope=apply_rope, phi=elu_plus_one, proj=None):
     """Unbatched hybrid attention: every visible key rotated per entry and
-    head, the history read out head by head. rope(x, t, rope_cfg) and the
-    feature map phi may be swapped for other formulas of the same values."""
+    head, the history read out head by head through proj (by default the
+    model's history_proj). rope(x, t, rope_cfg) and the feature map phi may
+    be swapped for other formulas of the same values."""
     q, k_self, v_self = qkv
     rope_cfg = cfg.rope_config()
     q_index = temporal_index(qci, rope_cfg)
@@ -73,15 +85,16 @@ def per_head_hybrid(qkv, cache, layer, cfg, qci, rope=apply_rope, phi=elu_plus_o
         heads.append(sparse_attention(q_rot, k_full, v_full, mask,
                                       scale=1.0 / math.sqrt(cfg.head_dim)))
     out = np.concatenate(heads, axis=1)
-    state = cache.linear_states[layer]
-    if state.evicted_tokens:
-        fq = phi(q)
-        hist = []
-        for h in range(cfg.heads):
-            num = rope(fq[h], q_index, rope_cfg) @ state.L[h]
-            den = fq[h] @ state.H[h] + 1e-6
-            hist.append(num / den[:, None])
-        out = out + np.concatenate(hist, axis=1) @ state.projection
+    for state in cache.linear_states[layer:layer + 1]:  # none without the history pathway
+        if state.evicted_tokens:
+            fq = phi(q)
+            hist = []
+            for h in range(cfg.heads):
+                num = rope(fq[h], q_index, rope_cfg) @ state.L[h]
+                den = fq[h] @ state.H[h] + 1e-6
+                hist.append(num / den[:, None])
+            out = out + np.concatenate(hist, axis=1) @ (
+                history_proj(cfg, layer) if proj is None else proj)
     return out
 
 
@@ -131,12 +144,11 @@ def separate_products_forward(model, x, t, cache, qci):
     h = x + time_table[row][None, :]
     layer_kvs = []
     for layer, (wq, wk, wv, wo, w1, w2, proj) in enumerate(layers):
-        assert np.array_equal(proj, cache.linear_states[layer].projection)
         a = textbook_layer_norm(h)
         q, k, v = split(a @ wq), split(a @ wk), split(a @ wv)
         layer_kvs.append((k, v))
         attn = per_head_hybrid(np.stack((q, k, v)), cache, layer, cfg, qci,
-                               rope=lane_rope, phi=where_elu_plus_one)
+                               rope=lane_rope, phi=where_elu_plus_one, proj=proj)
         h = h + attn @ wo
         h = h + textbook_gelu(textbook_layer_norm(h) @ w1) @ w2
     return h, layer_kvs
@@ -170,7 +182,7 @@ class TestFusedPassRegression:
         cache = random_cache(cfg, chunks, seed=112)
         qkv = random_qkv(cfg, 113)
         for layer in range(cfg.layers):
-            got = hybrid_attention(qkv, cache, layer, cfg, chunks)
+            got = hybrid_attention(qkv, cache, layer, cfg, chunks, history_proj(cfg, layer))
             want = per_head_hybrid(qkv, cache, layer, cfg, chunks,
                                    rope=lane_rope, phi=where_elu_plus_one)
             assert np.array_equal(got, want), layer
@@ -207,7 +219,7 @@ class TestRotatedWindowMemo:
             cache = random_cache(cfg, chunks, seed=20 + chunks)
             qkv = random_qkv(cfg, 30 + chunks)
             for layer in range(cfg.layers):
-                got = hybrid_attention(qkv, cache, layer, cfg, chunks)
+                got = hybrid_attention(qkv, cache, layer, cfg, chunks, history_proj(cfg, layer))
                 want = per_head_hybrid(qkv, cache, layer, cfg, chunks)
                 assert np.array_equal(got, want), (cfg.heads, cfg.keep_ratio, chunks, layer)
 
@@ -216,9 +228,9 @@ class TestRotatedWindowMemo:
         cache = random_cache(cfg, 8, seed=40)
         cold_cache = RollingCache.restore(cache.snapshot())
         qkv = random_qkv(cfg, 41)
-        first = hybrid_attention(qkv, cache, 1, cfg, 8)
-        second = hybrid_attention(qkv, cache, 1, cfg, 8)
-        cold = hybrid_attention(qkv, cold_cache, 1, cfg, 8)
+        first = hybrid_attention(qkv, cache, 1, cfg, 8, history_proj(cfg, 1))
+        second = hybrid_attention(qkv, cache, 1, cfg, 8, history_proj(cfg, 1))
+        cold = hybrid_attention(qkv, cold_cache, 1, cfg, 8, history_proj(cfg, 1))
         assert np.array_equal(first, second)
         assert np.array_equal(second, cold)
 
@@ -226,19 +238,19 @@ class TestRotatedWindowMemo:
         cfg = self.CFG
         cache = random_cache(cfg, 8, seed=50)
         qkv = random_qkv(cfg, 51)
-        hybrid_attention(qkv, cache, 0, cfg, 9)  # fills the memo
+        hybrid_attention(qkv, cache, 0, cfg, 9, history_proj(cfg, 0))  # fills the memo
         # a different query index past the cap moves every relative index
-        got = hybrid_attention(qkv, cache, 0, cfg, 30)
+        got = hybrid_attention(qkv, cache, 0, cfg, 30, history_proj(cfg, 0))
         assert np.array_equal(got, per_head_hybrid(qkv, cache, 0, cfg, 30))
         # a restored snapshot carries no memo
         restored = RollingCache.restore(cache.snapshot())
-        got = hybrid_attention(qkv, restored, 0, cfg, 9)
+        got = hybrid_attention(qkv, restored, 0, cfg, 9, history_proj(cfg, 0))
         assert np.array_equal(got, per_head_hybrid(qkv, restored, 0, cfg, 9))
         # the same query index after an append (which evicts here)
-        hybrid_attention(qkv, cache, 0, cfg, 9)
+        hybrid_attention(qkv, cache, 0, cfg, 9, history_proj(cfg, 0))
         assert append_and_absorb(cache, random_chunk_kv(cfg, 8, seed=52), cfg) is not None
         for layer in range(cfg.layers):
-            got = hybrid_attention(qkv, cache, layer, cfg, 9)
+            got = hybrid_attention(qkv, cache, layer, cfg, 9, history_proj(cfg, layer))
             assert np.array_equal(got, per_head_hybrid(qkv, cache, layer, cfg, 9))
 
     def test_window_values_bit_equal_to_per_entry_concatenation(self):
@@ -270,7 +282,7 @@ class TestRotatedWindowMemo:
         cache = random_cache(cfg, 8, seed=60)
         before = cache.snapshot()
         qkv = random_qkv(cfg, 61)
-        hybrid_attention(qkv, cache, 0, cfg, 8)
+        hybrid_attention(qkv, cache, 0, cfg, 8, history_proj(cfg, 0))
         assert cache.snapshot() == before
 
 
@@ -320,14 +332,14 @@ class TestWindowWorkspace:
         assert not any(a is b for a, b in zip(first, self.arrays(_window(restored, cfg, 8))))
         # two-frame chunks of 6 tokens: the same keys, other block means
         other = replace(cfg, frames_per_chunk=2, tokens_per_frame=6)
-        got = hybrid_attention(qkv, cache, 1, other, 8)
+        got = hybrid_attention(qkv, cache, 1, other, 8, history_proj(other, 1))
         assert np.array_equal(got, per_head_hybrid(qkv, cache, 1, other, 8))
         assert _window(cache, other, 8)[2] is not first[2]
         # a config of the same sizes rewrites the arrays it finds
         same_sizes = replace(cfg, keep_ratio=0.25)
         kept = self.arrays(_window(cache, same_sizes, 8))
         for c in (cfg, same_sizes, cfg):
-            got = hybrid_attention(qkv, cache, 0, c, 8)
+            got = hybrid_attention(qkv, cache, 0, c, 8, history_proj(c, 0))
             assert np.array_equal(got, per_head_hybrid(qkv, cache, 0, c, 8))
             assert all(a is b for a, b in zip(kept, self.arrays(_window(cache, c, 8))))
 
@@ -335,14 +347,14 @@ class TestWindowWorkspace:
         cfg = self.CFG
         cache = random_cache(cfg, 8, seed=83)
         qkv = random_qkv(cfg, 84)
-        out = hybrid_attention(qkv, cache, 0, cfg, 8)
+        out = hybrid_attention(qkv, cache, 0, cfg, 8, history_proj(cfg, 0))
         kept = out.copy()
         for seed in (85, 86):
             qkv2 = random_qkv(cfg, seed)
             for layer in range(cfg.layers):
-                hybrid_attention(qkv2, cache, layer, cfg, 8)
+                hybrid_attention(qkv2, cache, layer, cfg, 8, history_proj(cfg, layer))
             append_and_absorb(cache, random_chunk_kv(cfg, cache.next_index, seed), cfg)
-            hybrid_attention(qkv2, cache, 0, cfg, cache.next_index)
+            hybrid_attention(qkv2, cache, 0, cfg, cache.next_index, history_proj(cfg, 0))
         assert np.array_equal(out, kept)
 
     def test_one_cache_bit_equal_to_per_head_reference_past_the_cap(self):
@@ -353,7 +365,7 @@ class TestWindowWorkspace:
             for seed in (1000 + i, 2000 + i):  # two passes per query chunk
                 qkv = random_qkv(cfg, seed)
                 for layer in range(cfg.layers):
-                    got = hybrid_attention(qkv, cache, layer, cfg, i)
+                    got = hybrid_attention(qkv, cache, layer, cfg, i, history_proj(cfg, layer))
                     want = per_head_hybrid(qkv, cache, layer, cfg, i)
                     assert np.array_equal(got, want), (i, seed, layer)
             append_and_absorb(cache, random_chunk_kv(cfg, i, seed=3000 + i), cfg)
@@ -363,7 +375,7 @@ class TestWindowWorkspace:
         cfg = replace(StreamConfig(), window_frames=45)
         cache = random_cache(cfg, 17, seed=87)
         qkv = random_qkv(cfg, 88)
-        hybrid_attention(qkv, cache, 0, cfg, 17)
+        hybrid_attention(qkv, cache, 0, cfg, 17, history_proj(cfg, 0))
         append_and_absorb(cache, random_chunk_kv(cfg, 17, seed=89), cfg)
         visible = len(cache.visible_kv(18))
         assert visible == 16
@@ -381,8 +393,9 @@ class TestWindowWorkspace:
             return sparse_attention(*args, **kwargs)
 
         monkeypatch.setattr(engine, "sparse_attention", kernel)
-        hybrid_attention(qkv, cache, 1, cfg, 18)
-        attention = traced_peak(lambda: hybrid_attention(qkv, cache, 1, cfg, 18))
+        proj = history_proj(cfg, 1)
+        hybrid_attention(qkv, cache, 1, cfg, 18, proj)
+        attention = traced_peak(lambda: hybrid_attention(qkv, cache, 1, cfg, 18, proj))
         args, kwargs = calls[-1]
         softmax = traced_peak(lambda: sparse_attention(*args, **kwargs))
         assert attention - softmax < layer_keys, (attention, softmax, layer_keys)
@@ -440,13 +453,15 @@ class TestHistorySkip:
 
     @staticmethod
     def with_empty_readout(qkv, cache, layer, cfg, qci):
-        # the per-head reference plus the empty state's (all-zero) readout
+        # the per-head reference plus the empty state's (all-zero) readout,
+        # if the cache has a state at all
         cos, sin = position_tables(cfg.rope_config(), cfg.chunk_tokens)
         t = temporal_index(qci, cfg.rope_config())
-        state = cache.linear_states[layer]
-        assert state.evicted_tokens == 0
-        return (per_head_hybrid(qkv, cache, layer, cfg, qci)
-                + history_output(state, qkv[0], cos[t], sin[t]))
+        out = per_head_hybrid(qkv, cache, layer, cfg, qci)
+        for state in cache.linear_states[layer:layer + 1]:
+            assert state.evicted_tokens == 0
+            out = out + history_output(state, qkv[0], cos[t], sin[t], history_proj(cfg, layer))
+        return out
 
     @pytest.mark.parametrize("cfg, chunks", [
         (TOY, 4),  # sink 1, capacity 3: the next append is the first eviction
@@ -459,7 +474,7 @@ class TestHistorySkip:
                 for layer in range(cfg.layers)]
         monkeypatch.setattr(engine, "history_output", self.refuse)
         for layer in range(cfg.layers):
-            got = hybrid_attention(qkv, cache, layer, cfg, chunks)
+            got = hybrid_attention(qkv, cache, layer, cfg, chunks, history_proj(cfg, layer))
             assert np.array_equal(got, want[layer]), layer
         # whole chunk steps: before the first eviction, and with no history
         model = ToyDenoiser(cfg)
@@ -499,8 +514,9 @@ class TestHybridAttention:
         cos, sin = position_tables(rope_cfg, cfg.chunk_tokens)
         t = temporal_index(8, rope_cfg)
         for layer in range(cfg.layers):
-            got = hybrid_attention(qkv, cache, layer, cfg, 8)
-            hist = history_output(cache.linear_states[layer], qkv[0], cos[t], sin[t])
+            got = hybrid_attention(qkv, cache, layer, cfg, 8, history_proj(cfg, layer))
+            hist = history_output(cache.linear_states[layer], qkv[0], cos[t], sin[t],
+                                  history_proj(cfg, layer))
             assert np.abs(got - hist).max() < 1e-9
 
     def test_zero_query_closed_form(self):
@@ -513,7 +529,7 @@ class TestHybridAttention:
         qkv[0] = 0.0
         q, k_self, v_self = qkv
         layer = 0
-        got = hybrid_attention(qkv, cache, layer, cfg, 8)
+        got = hybrid_attention(qkv, cache, layer, cfg, 8, history_proj(cfg, layer))
 
         rope_cfg = cfg.rope_config()
         q_index = temporal_index(8, rope_cfg)
@@ -551,7 +567,7 @@ class TestHybridAttention:
             num = apply_rope(fq[h], q_index, rope_cfg) @ state.L[h]
             den = fq[h] @ state.H[h] + 1e-6
             per_head.append(num / den[:, None])
-        hist = np.concatenate(per_head, axis=1) @ state.projection
+        hist = np.concatenate(per_head, axis=1) @ history_proj(cfg, layer)
         assert np.abs(got - (local + hist)).max() < 1e-9
 
 
@@ -629,6 +645,14 @@ class TestToyDenoiser:
         x = SeededRng(13).normal((TOY.chunk_tokens, TOY.model_dim))
         assert not np.array_equal(a.forward(x, 0.5, cache_a, 1)[0],
                                   b.forward(x, 0.5, cache_b, 1)[0])
+
+    def test_no_state_without_the_history_pathway(self):
+        assert ToyDenoiser(replace(TOY, linear_history=False)).new_cache().linear_states == []
+        states = ToyDenoiser(TOY).new_cache().linear_states
+        assert [(s.heads, s.head_dim, s.evicted_tokens) for s in states] == [(2, 8, 0)] * 2
+        # evictions are dropped: the stream ends with no state
+        res = run_stream(config_for_mode("swa", TOY), TOY.capacity_chunks + 3)
+        assert res.final_cache.linear_states == []
 
     def test_output_shape_matches_input(self):
         model = ToyDenoiser(TOY)

@@ -1,5 +1,7 @@
 """Linear history state tests: closed forms, batch-sum oracle, constant memory."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -17,11 +19,12 @@ from hybridstream.rope import RoPEConfig, apply_rope, position_tables
 HEADS, HEAD_DIM = 2, 8
 MODEL_DIM = HEADS * HEAD_DIM
 ROPE = RoPEConfig(HEAD_DIM, max_temporal_index=21)
+# the readout's output projection, a layer weight the caller passes in
+PROJ = SeededRng(0).normal((MODEL_DIM, MODEL_DIM)) / np.sqrt(MODEL_DIM)
 
 
-def fresh_state(seed=0):
-    proj = SeededRng(seed).normal((MODEL_DIM, MODEL_DIM)) / np.sqrt(MODEL_DIM)
-    return LinearState.zeros(HEADS, HEAD_DIM, proj)
+def fresh_state():
+    return LinearState.zeros(HEADS, HEAD_DIM)
 
 
 def tables(t_index, tokens, rope_cfg=ROPE):
@@ -49,6 +52,15 @@ def batch_state_oracle(chunks, rope_cfg):
                 L[h] += np.outer(rot[tok], values[h, tok])
             H[h] += fk[h].mean(axis=0)
     return L, H
+
+
+class TestState:
+    def test_holds_only_what_was_absorbed(self):
+        # no model weight: the readout's projection is passed to history_output
+        assert [f.name for f in fields(LinearState)] == ["L", "H", "evicted_tokens"]
+        state = fresh_state()
+        absorb_evicted(state, *random_chunk(1), ROPE)
+        assert state.nbytes == state.L.nbytes + state.H.nbytes + 8 == 1160
 
 
 class TestAbsorb:
@@ -142,20 +154,20 @@ class TestHistoryOutput:
             absorb_evicted(state, *random_chunk(seed), ROPE)
         # a transposed view, as the engine passes its split heads
         q = SeededRng(32).normal((5, HEADS, HEAD_DIM)).transpose(1, 0, 2)
-        out = history_output(state, q, *tables(7, 5))
+        out = history_output(state, q, *tables(7, 5), PROJ)
         fq = elu_plus_one(q)
         per_head = []
         for h in range(HEADS):
             num = apply_rope(fq[h], 7, ROPE) @ state.L[h]
             den = fq[h] @ state.H[h] + EPS_DIV
             per_head.append(num / den[:, None])
-        want = np.concatenate(per_head, axis=1) @ state.projection
+        want = np.concatenate(per_head, axis=1) @ PROJ
         assert np.array_equal(out, want)
 
     def test_empty_state_outputs_zeros(self):
         state = fresh_state()
         q = SeededRng(30).normal((HEADS, 4, HEAD_DIM))
-        out = history_output(state, q, *tables(5, 4))
+        out = history_output(state, q, *tables(5, 4), PROJ)
         assert out.shape == (4, MODEL_DIM)
         assert np.array_equal(out, np.zeros_like(out))
 
@@ -175,29 +187,38 @@ class TestHistoryOutput:
         for state in (empty, full):
             for bad_cos, bad_sin in bad:
                 with pytest.raises(ShapeError):
-                    history_output(state, q, bad_cos, bad_sin)
+                    history_output(state, q, bad_cos, bad_sin, PROJ)
             # one table per head broadcasts, and reads as the shared table does
             per_head = tables(np.array([5, 5]), 4)  # [2, 4, head_dim]
-            assert np.array_equal(history_output(state, q, *per_head),
-                                  history_output(state, q, cos, sin))
+            assert np.array_equal(history_output(state, q, *per_head, PROJ),
+                                  history_output(state, q, cos, sin, PROJ))
+
+    def test_projection_of_another_shape_rejected(self):
+        empty, full = fresh_state(), fresh_state()
+        absorb_evicted(full, *random_chunk(3), ROPE)
+        q = SeededRng(35).normal((HEADS, 4, HEAD_DIM))
+        for state in (empty, full):
+            for bad in (PROJ[:, :-1], PROJ[:-1], PROJ[None], np.eye(MODEL_DIM + 2)):
+                with pytest.raises(ShapeError, match="projection must be"):
+                    history_output(state, q, *tables(5, 4), bad)
 
     def test_single_token_brute_force(self):
         # one absorbed token, zero angles, positive data so phi(x) = x + 1:
-        # output = projection( (phi(q) . phi(k)) / (phi(q) . phi(k) + eps) * v )
+        # output = PROJ( (phi(q) . phi(k)) / (phi(q) . phi(k) + eps) * v )
         state = fresh_state()
         rng = SeededRng(31)
         k = np.abs(rng.normal((HEADS, 1, HEAD_DIM))) + 0.1
         v = rng.normal((HEADS, 1, HEAD_DIM))
         absorb_evicted(state, k, v, ROPE)
         q = np.abs(rng.normal((HEADS, 1, HEAD_DIM))) + 0.1
-        out = history_output(state, q, *tables(0, 1))
+        out = history_output(state, q, *tables(0, 1), PROJ)
         per_head = []
         for h in range(HEADS):
             dot = (q[h] + 1.0) @ (k[h, 0] + 1.0)
             num = dot[:, None] * v[h, 0][None, :]
             den = dot + EPS_DIV
             per_head.append(num / den[:, None])
-        want = np.concatenate(per_head, axis=1) @ state.projection
+        want = np.concatenate(per_head, axis=1) @ PROJ
         assert np.abs(out - want).max() < 1e-12
 
     def test_linear_in_absorbed_values(self):
@@ -207,8 +228,8 @@ class TestHistoryOutput:
         absorb_evicted(base, k, v, ROPE)
         absorb_evicted(scaled, k, 3.0 * v, ROPE)
         q = SeededRng(33).normal((HEADS, 4, HEAD_DIM))
-        out1 = history_output(base, q, *tables(7, 4))
-        out3 = history_output(scaled, q, *tables(7, 4))
+        out1 = history_output(base, q, *tables(7, 4), PROJ)
+        out3 = history_output(scaled, q, *tables(7, 4), PROJ)
         assert np.abs(out3 - 3.0 * out1).max() < 1e-9
 
     def test_denominator_positive_for_adversarial_queries(self):

@@ -5,6 +5,7 @@ import json
 import struct
 import time
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -162,14 +163,8 @@ class TestRelativeIndices:
             relative_temporal_index(3, 4, CAP)
 
 
-def make_states(seed=5):
-    rng = SeededRng(seed)
-    model_dim = HEADS * HEAD_DIM
-    states = []
-    for _ in range(LAYERS):
-        proj = rng.normal((model_dim, model_dim)) / np.sqrt(model_dim)
-        states.append(LinearState.zeros(HEADS, HEAD_DIM, proj))
-    return states
+def make_states():
+    return [LinearState.zeros(HEADS, HEAD_DIM) for _ in range(LAYERS)]
 
 
 class TestSnapshot:
@@ -203,13 +198,15 @@ class TestSnapshot:
             RollingCache.restore(blob)
 
     def test_version_2_snapshot_is_format_error(self):
-        # version 4 was this layout with an "encoding" field; version 3 also
+        # version 5 was this layout with a projection tensor after each linear
+        # state's L and H; version 4 also had an "encoding" field, version 3
         # gave each entry a sink flag, and version 2 named each linear
         # state's feature map
-        for version in (2, 3, 4):
+        for version in (2, 3, 4, 5):
             def edit(manifest):
                 manifest["version"] = version
-                manifest["encoding"] = "f64-bit-split-pairs"
+                if version <= 4:
+                    manifest["encoding"] = "f64-bit-split-pairs"
                 if version <= 3:
                     for meta in manifest["entries"]:
                         meta["is_sink"] = meta["chunk_index"] < manifest["sink_chunks"]
@@ -360,7 +357,6 @@ class TestSnapshot:
         for s1, s2 in zip(cache.linear_states, restored.linear_states):
             assert np.array_equal(s1.L, s2.L)
             assert np.array_equal(s1.H, s2.H)
-            assert np.array_equal(s1.projection, s2.projection)
             assert s1.evicted_tokens == s2.evicted_tokens
 
     def test_restored_cache_keeps_streaming(self):
@@ -386,6 +382,25 @@ class TestSnapshot:
             flipped[pos] ^= 0x01
             with pytest.raises(FormatError, match="checksum"):
                 RollingCache.restore(bytes(flipped))
+
+    def test_version_of_another_json_type_is_format_error(self):
+        # read first, as the int snapshot() writes: 6.0 is not version 6
+        blob = self.with_manifest(self.build_cache(5).snapshot(),
+                                  lambda m: m.update(version=float(m["version"])))
+        with pytest.raises(FormatError, match=r"unsupported snapshot version 6\.0"):
+            RollingCache.restore(blob)
+
+    def test_snapshot_holds_no_model_weight(self):
+        # equal entries and states from models that differ in every weight,
+        # history_proj included, snapshot to the same bytes
+        blobs = []
+        for seed in (0, 1):
+            cache = ToyDenoiser(replace(self.STREAM, seed=seed)).new_cache()
+            for i in range(8):
+                append_and_absorb(cache, make_kv(i), self.STREAM)
+            assert all(s.evicted_tokens == 24 for s in cache.linear_states)
+            blobs.append(cache.snapshot())
+        assert blobs[0] == blobs[1]
 
     def test_version_one_snapshot_is_unsupported(self):
         # version 1 was this layout without the trailer
