@@ -37,8 +37,7 @@ from .linear_history import LinearState, absorb_evicted, history_output
 from .numerics import SeededRng
 # apply_rope has no caller here: perfbench's tracer wraps engine.apply_rope (ROADMAP item 1)
 from .rope import RoPEConfig, apply_rope, position_tables, rotate, temporal_index
-from .sparse_local import (BlockConfig, BlockMask, block_means, block_scores, build_mask,
-                           sparse_attention)
+from .sparse_local import BlockConfig, block_means, block_scores, build_mask, sparse_attention
 from .stream_cache import ChunkKV, RollingCache
 
 _WEIGHT_STREAM = 1
@@ -169,17 +168,15 @@ def _gelu(x: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _block_layout(sinks: int, entries: int, blocks_per_chunk: int, keep_ratio: float,
-                  heads: int) -> tuple:
-    """The BlockConfig and the read-only [heads, 1, heads, 1] selector of the
-    block-diagonal head mask, for a window of `entries` entries whose first
-    `sinks` are the sink entries, the chunk's own blocks after them all.
-    Shared by every cache and config with that layout."""
+def _block_layout(sinks: int, entries: int, blocks_per_chunk: int,
+                  keep_ratio: float) -> BlockConfig:
+    """The BlockConfig forcing the sink blocks and the chunk's own, for a
+    window of `entries` entries whose first `sinks` are the sink entries,
+    the chunk's own blocks after them all. Shared by every cache and config
+    with that layout, and with it the masks build_mask shares per shape."""
     bpc = blocks_per_chunk
     forced = frozenset(range(sinks * bpc)) | frozenset(range(entries * bpc, (entries + 1) * bpc))
-    selector = np.eye(heads, dtype=bool)[:, None, :, None]
-    selector.flags.writeable = False
-    return BlockConfig(keep_ratio, forced), selector
+    return BlockConfig(keep_ratio, forced)
 
 
 def _window(cache: RollingCache, cfg: StreamConfig, query_chunk_index: int) -> tuple:
@@ -194,7 +191,6 @@ def _window(cache: RollingCache, cfg: StreamConfig, query_chunk_index: int) -> t
     - the cos and sin rotation tables of the visible keys, [entries,
       chunk_tokens, head_dim], at the entries' relative temporal indices;
     - the BlockConfig forcing the sink blocks and the chunk's own blocks;
-    - the [heads, 1, heads, 1] selector of the block-diagonal head mask;
     - the cos and sin rotation tables of the chunk's queries (and own keys)
       at its capped temporal index.
 
@@ -207,13 +203,12 @@ def _window(cache: RollingCache, cfg: StreamConfig, query_chunk_index: int) -> t
     Nothing else is built per chunk. The rotation tables come from
     rope.position_tables: the window keys' are gathered into the workspace
     at the entries' relative indices and the queries' are a read-only view
-    of it. The BlockConfig and the selector are shared per window layout
-    (_block_layout)."""
+    of it. The BlockConfig is shared per window layout (_block_layout)."""
     def build(stale: tuple | None) -> tuple:
         visible = cache.visible_kv(query_chunk_index)
         n, bpc, bt = len(visible), cfg.blocks_per_chunk, cfg.block_tokens
         layers, heads, d = cfg.layers, cfg.heads, cfg.head_dim
-        bcfg, selector = _block_layout(len(cache.sink_entries), n, bpc, cfg.keep_ratio, heads)
+        bcfg = _block_layout(len(cache.sink_entries), n, bpc, cfg.keep_ratio)
         rope_cfg = cfg.rope_config()
         cos, sin = position_tables(rope_cfg, cfg.chunk_tokens)
         shape = (layers, heads, n + 1, cfg.chunk_tokens, d)
@@ -236,7 +231,7 @@ def _window(cache: RollingCache, cfg: StreamConfig, query_chunk_index: int) -> t
             window_keys = keys[:, :, :n].reshape(layers, heads, -1, d)  # a view
             key_means[:, :, :n * bpc] = block_means(window_keys, bt)
         q_t = temporal_index(query_chunk_index, rope_cfg)
-        return keys, values, key_means, key_cos, key_sin, bcfg, selector, cos[q_t], sin[q_t]
+        return keys, values, key_means, key_cos, key_sin, bcfg, cos[q_t], sin[q_t]
 
     return cache.memo((query_chunk_index, cfg), build)
 
@@ -258,8 +253,10 @@ def hybrid_attention(
     indices (the cached ones and the query tables once per query chunk,
     see _window); sink blocks and the chunk's own blocks are always kept
     active in the mask. All heads go through one block_scores, one
-    build_mask and one sparse_attention call, packed as the sparse_local
-    module describes.
+    build_mask and one sparse_attention call, the mask's rows packed block
+    diagonally by BlockMask.block_diagonal. Where the layout's quota leaves
+    no choice, build_mask returns the layout's one shared mask, whose
+    packing and gather plan were built with it, so the pass builds no mask.
     Returns [chunk_tokens, model_dim]: sparse local output plus the
     history readout through the layer's weight history_proj, summed
     elementwise. Until the layer's state absorbs a chunk (or with no state)
@@ -268,7 +265,7 @@ def hybrid_attention(
     shape = (3, cfg.heads, cfg.chunk_tokens, cfg.head_dim)
     if qkv.shape != shape:
         raise ShapeError(f"qkv {qkv.shape}; want {shape}")
-    window_keys, window_values, window_means, _, _, bcfg, selector, q_cos, q_sin = \
+    window_keys, window_values, window_means, _, _, bcfg, q_cos, q_sin = \
         _window(cache, cfg, query_chunk_index)
     rotated = rotate(qkv[:2], q_cos, q_sin)  # queries and own keys, one view of qkv
     q_means, k_self_means = block_means(rotated, cfg.block_tokens)  # [heads, t_m, d] each
@@ -282,13 +279,10 @@ def hybrid_attention(
     if counters is not None:
         counters.pooled_scores += scores.size
     heads, t_m, t_n = scores.shape
-    rows = build_mask(scores.reshape(heads * t_m, t_n), bcfg).active
-    # head h's rows keep only head h's key blocks: [heads, t_m, heads, t_n]
-    packed = selector & rows.reshape(heads, t_m, 1, t_n)
+    rows = build_mask(scores.reshape(heads * t_m, t_n), bcfg)
     tokens, d = shape[2:]
     local = sparse_attention(rotated[0].reshape(-1, d), keys.reshape(-1, d),
-                             values.reshape(-1, d),
-                             BlockMask(packed.reshape(heads * t_m, heads * t_n)),
+                             values.reshape(-1, d), rows.block_diagonal(heads),
                              scale=1.0 / math.sqrt(d), counters=counters)
     local = local.reshape(heads, tokens, d).transpose(1, 0, 2).reshape(tokens, heads * d)
 

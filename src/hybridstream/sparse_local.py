@@ -6,9 +6,9 @@ block means (block_means), so a caller can keep the means of keys it
 scores many times. The engine packs all heads into one call: block_scores
 batches over leading [heads] dims, build_mask takes the scores as [heads *
 t_m, t_n] rows (one per (head, query block) pair), and sparse_attention
-takes q, k and v as [heads * tokens, d] with a [heads * t_m, heads * t_n]
-block-diagonal mask whose head-h rows are active only in head h's key
-blocks.
+takes q, k and v as [heads * tokens, d] with the [heads * t_m, heads * t_n]
+block-diagonal mask BlockMask.block_diagonal packs from those rows, whose
+head-h rows are active only in head h's key blocks.
 
 Gather rule: each query-block row's kept key blocks, in ascending order and
 padded to the largest per-row count c, are gathered as [rows, c * b_kv, d];
@@ -17,13 +17,19 @@ over the row sums give the output. A padding slot holds a block the row does
 not keep and scores -inf, so the result is dense attention with -inf scores
 on the inactive blocks. build_mask gives every row the same count, so its
 masks never pad. verify.row_loop_attention is the online-softmax reference.
+
+A mask is read-only, so what is derived from it is built once and kept on
+it: the gather plan (BlockMask.plan) and its head packing. Where the quota
+leaves no choice, build_mask returns one shared mask per layout and shape,
+so a layer pass over such a layout builds no mask at all.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,17 +56,50 @@ class BlockConfig:
         index.flags.writeable = False
         return index
 
+    @cached_property
+    def shared_masks(self) -> dict:
+        """build_mask's one mask per (T_m, T_n) for the shapes whose quota
+        leaves no choice."""
+        return {}
 
-@dataclass
+
+class GatherPlan(NamedTuple):
+    """What sparse_attention reads of a mask to gather its rows."""
+
+    counts: np.ndarray  # [rows] kept blocks per row
+    total: int          # kept blocks over all rows
+    widest: int         # the largest count, c
+    index: np.ndarray   # [rows, c]: each row's kept blocks ascending, then its first dropped ones
+    pads: bool          # whether some row keeps fewer than c blocks
+
+
+@lru_cache(maxsize=16)
+def _head_selector(heads: int) -> np.ndarray:
+    """The read-only [heads, 1, heads, 1] selector of a block-diagonal head
+    mask, built once per head count."""
+    selector = np.eye(heads, dtype=bool)[:, None, :, None]
+    selector.flags.writeable = False
+    return selector
+
+
+@dataclass(eq=False)
 class BlockMask:
     """Boolean [query blocks x key blocks] activity matrix. A row is one
     query block of one head; heads packed into one call stack their rows,
-    and their key blocks too when the mask is block diagonal."""
+    and their key blocks too when the mask is block diagonal
+    (block_diagonal).
+
+    The mask holds a read-only copy of the matrix it is given, so what it
+    builds from it once stays valid: the gather plan (plan) and the
+    block-diagonal packing of the last head count asked for."""
 
     active: np.ndarray
+    _width: int | None = field(default=None, init=False, repr=False)  # blocks every row keeps
+    _packed: tuple = field(default=(), init=False, repr=False)  # (heads, block_diagonal(heads))
 
     def __post_init__(self):
-        self.active = np.asarray(self.active, dtype=bool)
+        self.active = np.array(self.active, dtype=bool)
+        self.active.flags.writeable = False
         if self.active.ndim != 2:
             raise ShapeError(f"mask must be 2-D, got shape {self.active.shape}")
         if self.active.shape[0] > 0 and not self.active.any(axis=1).all():
@@ -72,6 +111,41 @@ class BlockMask:
 
     def active_count(self) -> int:
         return int(self.active.sum())
+
+    @cached_property
+    def plan(self) -> GatherPlan:
+        """The gather plan, built on first use. Where every row keeps the
+        same known number of blocks (build_mask's masks and their packings),
+        the rows' active blocks in row-major order are the index and nothing
+        is counted. Raises ContractViolationError if a row keeps no block."""
+        rows = self.active.shape[0]
+        if self._width is not None:
+            width = self._width
+            return GatherPlan(np.full(rows, width), rows * width, width,
+                              self.active.nonzero()[1].reshape(rows, width), False)
+        counts = self.active.sum(axis=1)
+        if not counts.all():
+            raise ContractViolationError("a query row has no active blocks")
+        c = int(counts.max())
+        # a stable sort puts each row's kept blocks first, in ascending order
+        index = np.argsort(~self.active, axis=1, kind="stable")[:, :c]
+        return GatherPlan(counts, int(counts.sum()), c, index, bool((counts < c).any()))
+
+    def block_diagonal(self, heads: int) -> "BlockMask":
+        """These rows as `heads` groups of t_m query blocks, packed for one
+        call over every head's tokens: [heads * t_m, heads * t_n], head h's
+        rows active only in head h's key blocks. Built on the first call for
+        a head count, then the same object."""
+        if self._packed and self._packed[0] == heads:
+            return self._packed[1]
+        rows, t_n = self.active.shape
+        if rows % heads:
+            raise ShapeError(f"{rows} mask rows do not split into {heads} heads")
+        packed = _head_selector(heads) & self.active.reshape(heads, rows // heads, 1, t_n)
+        packed = BlockMask(packed.reshape(rows, heads * t_n))
+        packed._width = self._width
+        self._packed = (heads, packed)
+        return packed
 
 
 def block_means(x: np.ndarray, block: int) -> np.ndarray:
@@ -105,10 +179,18 @@ def build_mask(scores: np.ndarray, cfg: BlockConfig) -> BlockMask:
     The per-row quota is max(forced count, ceil(keep_ratio * T_n)); forced
     blocks count toward it. Score ties break toward the lower key-block
     index, so masks are deterministic.
+
+    Where the quota leaves no choice (it equals the forced count, or T_n)
+    the scores cannot change the mask: it is built once per (cfg, T_m, T_n)
+    and that one read-only mask is returned for every later score matrix
+    of that shape, with its gather plan and head packing.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2:
         raise ShapeError(f"scores must be 2-D, got shape {scores.shape}")
+    shared = cfg.shared_masks.get(scores.shape)
+    if shared is not None:
+        return shared
     t_m, t_n = scores.shape
     forced = cfg.forced_index
     if forced.size and (forced[0] < 0 or forced[-1] >= t_n):
@@ -117,7 +199,8 @@ def build_mask(scores: np.ndarray, cfg: BlockConfig) -> BlockMask:
     active = np.zeros((t_m, t_n), dtype=bool)
     active[:, forced] = True
     need = quota - forced.size
-    if need > 0:
+    choice = 0 < need < t_n - forced.size
+    if choice:
         # a stable sort of the negated scores of the free blocks is descending
         # by score with ties kept in ascending (lower-index-first) order
         is_free = np.ones(t_n, dtype=bool)
@@ -125,7 +208,13 @@ def build_mask(scores: np.ndarray, cfg: BlockConfig) -> BlockMask:
         free = np.flatnonzero(is_free)
         order = np.argsort(-scores[:, free], axis=1, kind="stable")[:, :need]
         active[np.arange(t_m)[:, None], free[order]] = True
-    return BlockMask(active)
+    elif need:
+        active[:] = True
+    mask = BlockMask(active)
+    mask._width = quota
+    if not choice:
+        cfg.shared_masks[scores.shape] = mask
+    return mask
 
 
 def sparse_attention(
@@ -156,22 +245,17 @@ def sparse_attention(
         )
     b_q = q.shape[0] // t_m
     b_kv = k.shape[0] // t_n
-    counts = mask.active.sum(axis=1)
-    if not counts.all():
-        raise ContractViolationError("a query row has no active blocks")
+    counts, total, c, idx, pads = mask.plan  # idx: [t_m, c]
     if counters is not None:
-        counters.score_evals += int(counts.sum()) * b_q * b_kv
+        counters.score_evals += total * b_q * b_kv
 
-    # a stable sort puts each row's kept blocks first, in ascending order
-    c = int(counts.max())
-    idx = np.argsort(~mask.active, axis=1, kind="stable")[:, :c]  # [t_m, c]
     k_rows = k.reshape(t_n, b_kv, -1)[idx].reshape(t_m, c * b_kv, -1)
     v_rows = v.reshape(t_n, b_kv, -1)[idx].reshape(t_m, c * b_kv, -1)
     # the softmax works in place on s, so the scores are the one temporary as
     # large as the gathered keys
     s = q.reshape(t_m, b_q, -1) @ k_rows.transpose(0, 2, 1)  # [t_m, b_q, c*b_kv]
     s *= scale
-    if (counts < c).any():
+    if pads:
         padded = np.repeat(np.arange(c) >= counts[:, None], b_kv, axis=1)  # [t_m, c*b_kv]
         s[np.broadcast_to(padded[:, None, :], s.shape)] = -np.inf
     s -= s.max(axis=2, keepdims=True)

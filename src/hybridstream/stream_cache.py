@@ -270,7 +270,8 @@ class RollingCache:
         """Raise FormatError unless the entries are exactly what appending
         chunks 0 .. next_index - 1 leaves behind, all with one key/value shape
         that agrees with the linear states' heads and head_dim. There must be
-        either no linear states or one per layer of those entries. The entry
+        either no linear states or one per layer of those entries, each
+        holding the tokens of every chunk such a stream evicted. The entry
         counts are compared first, so the work done is bounded by the entries
         present, not by next_index or sink_chunks."""
         n, capacity = self._next_index, self.capacity_chunks
@@ -294,6 +295,14 @@ class RollingCache:
             mismatch = self._shape_mismatch(shape)
             if mismatch:
                 raise FormatError(mismatch)
+        # chunks are evicted only from a full window, so one is there to count
+        evicted = n - sinks - window
+        tokens = evicted * self.window_entries[0].tokens if evicted else 0
+        for s in self.linear_states:
+            if s.evicted_tokens != tokens:
+                raise FormatError(f"a linear state holds {s.evicted_tokens} evicted tokens; a "
+                                  f"stream at next_index {n} evicted {evicted} chunks, {tokens} "
+                                  f"tokens")
 
     def _shape_mismatch(self, shape: tuple) -> str:
         """Why keys and values of `shape` ([layers, heads, tokens, head_dim])

@@ -217,10 +217,12 @@ def linear_state_checks(heads: int, head_dim: int, tokens: int, evictions,
 # ---------------------------------------------------------------------------
 
 
-def mask_invariant_check(cfg: BlockConfig, t_m: int = 4, t_n: int = 10,
-                         seed: int = 0) -> CheckResult:
+def mask_invariant_check(cfg: BlockConfig, t_m: int = 4, t_n: int = 10, seed: int = 0,
+                         name: str = "sparse.mask_invariants") -> CheckResult:
     """Mask construction invariants for a given block configuration; used
-    with injected configurations for negative testing."""
+    with injected configurations for negative testing. Where the quota
+    leaves no choice (it equals the forced count, or t_n) they pin the mask
+    exactly: the forced blocks, or every block."""
     scores = SeededRng(seed).normal((t_m, t_n))
     try:
         mask = build_mask(scores, cfg)
@@ -229,10 +231,9 @@ def mask_invariant_check(cfg: BlockConfig, t_m: int = 4, t_n: int = 10,
         ok = (per_row == min(quota, t_n)).all() and mask.active.any(axis=1).all()
         for j in cfg.forced_blocks:
             ok = ok and mask.active[:, j].all()
-        return _check("sparse.mask_invariants", ok,
-                      f"per-row active counts {sorted(set(per_row.tolist()))}")
+        return _check(name, ok, f"per-row active counts {sorted(set(per_row.tolist()))}")
     except Exception as exc:  # malformed configs surface as named failures
-        return _check("sparse.mask_invariants", False, f"{type(exc).__name__}: {exc}")
+        return _check(name, False, f"{type(exc).__name__}: {exc}")
 
 
 def masked_dense_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
@@ -351,6 +352,10 @@ def masked_dense_checks(trials: int, max_blocks: int, block_range: tuple[int, in
 
 def _suite_sparse() -> list[CheckResult]:
     return [mask_invariant_check(BlockConfig(0.2, frozenset({0}))),
+            # quota 4 of 10, all forced; then every block
+            mask_invariant_check(BlockConfig(0.2, frozenset({0, 1, 8, 9})),
+                                 name="sparse.mask_invariants_forced_only"),
+            mask_invariant_check(BlockConfig(1.0), name="sparse.mask_invariants_dense"),
             gather_check(60, 6, seed=12)] + \
         masked_dense_checks(20, 6, (4, 5), seed=3, data_seed=500)
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from hybridstream import engine
+from hybridstream import engine, sparse_local
 from hybridstream.engine import (
     BENCH_MODES,
     StreamConfig,
@@ -28,8 +28,8 @@ from hybridstream.errors import ShapeError
 from hybridstream.numerics import SeededRng
 from hybridstream.linear_history import elu_plus_one, history_output
 from hybridstream.rope import apply_rope, position_tables, temporal_index
-from hybridstream.sparse_local import (BlockConfig, block_means, block_scores, build_mask,
-                                      sparse_attention)
+from hybridstream.sparse_local import (BlockConfig, BlockMask, block_means, block_scores,
+                                      build_mask, sparse_attention)
 from hybridstream.stream_cache import ChunkKV, RollingCache, relative_temporal_index
 from hybridstream.verify import dense_oracle_attention, expected_score_evals, random_cache
 
@@ -402,8 +402,9 @@ class TestWindowWorkspace:
 
 
 class TestSharedTables:
-    """The rotation tables and the block layouts are built once per sizes and
-    shared by every cache, config and seed that has them."""
+    """The rotation tables, the block layouts and the masks whose quota
+    leaves no choice are built once per sizes and shared by every cache,
+    config and seed that has them."""
 
     @staticmethod
     def stream_every_mode(seed):
@@ -413,7 +414,7 @@ class TestSharedTables:
                 run_stream(cfg, 18)  # window 45 is full from chunk 16
 
     def test_bounded_and_independent_of_the_seed(self):
-        caches = (position_tables, engine._block_layout)
+        caches = (position_tables, engine._block_layout, sparse_local._head_selector)
         for c in caches:
             c.cache_clear()
         self.stream_every_mode(seed=1)
@@ -428,9 +429,13 @@ class TestSharedTables:
 
     def test_shared_arrays_are_read_only(self):
         cache = random_cache(TOY, 8, seed=95)
-        bcfg, selector, q_cos, q_sin = _window(cache, TOY, 8)[5:]
+        bcfg, q_cos, q_sin = _window(cache, TOY, 8)[5:]
         cos, sin = position_tables(TOY.rope_config(), TOY.chunk_tokens)
-        for a in (cos, sin, q_cos, q_sin, selector, bcfg.forced_index):
+        # sink 1 and own 3 of 15 blocks forced, quota 3: one mask for the layout
+        rows = build_mask(np.zeros((TOY.heads * TOY.blocks_per_chunk, 15)), bcfg)
+        packed = rows.block_diagonal(TOY.heads)
+        for a in (cos, sin, q_cos, q_sin, sparse_local._head_selector(TOY.heads),
+                  bcfg.forced_index, rows.active, packed.active):
             with pytest.raises(ValueError):
                 a[...] = 0
 
@@ -438,10 +443,27 @@ class TestSharedTables:
         cache = random_cache(TOY, 8, seed=96)
         cos, sin = position_tables(TOY.rope_config(), TOY.chunk_tokens)
         for qci in (8, TOY.max_temporal_index + 9):
-            q_cos, q_sin = _window(cache, TOY, qci)[7:]
+            q_cos, q_sin = _window(cache, TOY, qci)[6:]
             t = temporal_index(qci, TOY.rope_config())
             assert q_cos.base is cos and q_sin.base is sin
             assert np.array_equal(q_cos, cos[t]) and np.array_equal(q_sin, sin[t])
+
+    @pytest.mark.parametrize("window, built", [(9, 0), (45, 20)])
+    def test_masks_built_per_steady_chunk(self, monkeypatch, window, built):
+        # the default layout's quota is its 6 forced blocks of 15, so every
+        # pass reuses one mask and its packing; a 45-frame window picks 11 of
+        # 51, so each of a chunk's 10 passes builds its rows and their packing
+        cfg = StreamConfig(window_frames=window, seed=22)
+        model = ToyDenoiser(cfg)
+        cache = model.new_cache()
+        rng = SeededRng(23)
+        for i in range(20):  # a 45-frame window is full from chunk 16
+            chunk_step(model, cache, i, cfg.denoise_timesteps, rng)
+        masks = []
+        init = BlockMask.__post_init__
+        monkeypatch.setattr(BlockMask, "__post_init__", lambda m: (masks.append(m), init(m)))
+        chunk_step(model, cache, 20, cfg.denoise_timesteps, rng)
+        assert len(masks) == built
 
 
 class TestHistorySkip:

@@ -1,6 +1,8 @@
 """Block-sparse attention tests: pooled scores, masks, the gathered softmax
 and heads packed into one call."""
 
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -193,6 +195,56 @@ class TestBuildMask:
         with pytest.raises(ContractViolationError):
             BlockMask(np.zeros((2, 3), dtype=bool))
 
+    def test_one_shared_mask_exactly_when_the_quota_leaves_no_choice(self):
+        # the engine's layouts: sink blocks and the chunk's own blocks forced
+        rng = SeededRng(20)
+        for ratio, entries, sinks, bpc in itertools.product(
+                (0.2, 0.5, 1.0), range(17), (0, 1), (1, 3)):
+            if sinks > entries:
+                continue
+            t_n = (entries + 1) * bpc
+            forced = frozenset(range(sinks * bpc)) | frozenset(range(entries * bpc, t_n))
+            cfg = BlockConfig(ratio, forced)
+            quota = max(len(forced), math.ceil(ratio * t_n))
+            first, second = (build_mask(rng.normal((2 * bpc, t_n)), cfg) for _ in range(2))
+            no_choice = quota in (len(forced), t_n)
+            assert (first is second) == no_choice, (ratio, entries, sinks, bpc)
+            if no_choice:
+                want = np.zeros((2 * bpc, t_n), dtype=bool)
+                want[:, sorted(forced) if quota < t_n else slice(None)] = True
+                assert np.array_equal(first.active, want)
+                with pytest.raises(ValueError):
+                    first.active[0, 0] = not first.active[0, 0]
+
+    def test_mask_holds_a_read_only_copy(self):
+        active = np.array([[True, False], [True, True]])
+        mask = BlockMask(active)
+        active[0] = False  # the caller's array, not the mask's
+        assert mask.active.tolist() == [[True, False], [True, True]]
+        with pytest.raises(ValueError):
+            mask.active[0, 1] = True
+
+    def test_block_diagonal_packs_heads_once(self):
+        rng = np.random.default_rng(21)
+        for trial in range(30):
+            heads, t_m, t_n = rng.integers(1, 4), rng.integers(1, 4), rng.integers(2, 12)
+            forced = frozenset(rng.choice(t_n, size=rng.integers(0, t_n), replace=False).tolist())
+            cfg = BlockConfig(float(rng.uniform(0.05, 1.0)), forced)
+            rows = build_mask(rng.standard_normal((heads * t_m, t_n)), cfg)
+            packed = rows.block_diagonal(heads)
+            want = np.eye(heads, dtype=bool)[:, None, :, None] \
+                & rows.active.reshape(heads, t_m, 1, t_n)
+            assert np.array_equal(packed.active, want.reshape(heads * t_m, heads * t_n))
+            assert rows.block_diagonal(heads) is packed
+            # the plan build_mask's known quota gives is the one counting gives
+            for mask in (rows, packed):
+                got, counted = mask.plan, BlockMask(mask.active).plan
+                assert np.array_equal(got.counts, counted.counts)
+                assert np.array_equal(got.index, counted.index)
+                assert (got.total, got.widest, got.pads) == (counted.total, counted.widest, False)
+        with pytest.raises(ShapeError, match="3 mask rows"):
+            BlockMask(np.ones((3, 2), dtype=bool)).block_diagonal(2)
+
 
 class TestSparseAttention:
     def test_dense_limit_equals_plain_softmax(self):
@@ -243,6 +295,7 @@ class TestSparseAttention:
     def test_zero_active_row_rejected(self):
         q, k, v = random_qkv(15, n_q=4, n_kv=4, d=8)
         bad = BlockMask(np.ones((1, 1), dtype=bool))
+        bad.active.flags.writeable = True  # the mask's own copy, made writable again
         bad.active[0, 0] = False  # smuggle past the constructor
         with pytest.raises(ContractViolationError):
             sparse_attention(q, k, v, bad, 1.0 / np.sqrt(8))

@@ -293,6 +293,26 @@ class TestSnapshot:
         message = str(info.value)
         assert len(message) < 200 and f"{n} sink and 0 window entries" in message
 
+    @pytest.mark.parametrize("count", [0, 30])
+    def test_evicted_tokens_unlike_the_evictions_are_format_error(self, count):
+        # sink 0, window 5-7: chunks 1-4 were evicted, 6 tokens each; 30 is
+        # one chunk too many
+        cache = self.build_cache(8)
+        assert [s.evicted_tokens for s in cache.linear_states] == [24, 24]
+        blob = self.with_manifest(
+            cache.snapshot(), lambda m: m["linear_states"][1].update(evicted_tokens=count))
+        with pytest.raises(FormatError, match=f"holds {count} evicted tokens.* 4 chunks, 24"):
+            RollingCache.restore(blob)
+
+    def test_stream_without_evictions_restores_with_none_absorbed(self):
+        cache = self.build_cache(4)  # sink 0, window 1-3
+        restored = RollingCache.restore(cache.snapshot())
+        assert [s.evicted_tokens for s in restored.linear_states] == [0, 0]
+        blob = self.with_manifest(
+            cache.snapshot(), lambda m: m["linear_states"][0].update(evicted_tokens=6))
+        with pytest.raises(FormatError, match="holds 6 evicted tokens.* 0 chunks, 0"):
+            RollingCache.restore(blob)
+
     def test_entry_shapes_that_differ_are_format_error(self):
         cache = self.build_cache(8)
         kv = cache.window_entries[1]
