@@ -91,18 +91,34 @@ def _coerce(field: str, kind, raw: str):
         raise UsageError(f"invalid value for config field '{field}': {raw!r}")
 
 
-def _typed_config(raw: dict, schema: dict, what: str) -> dict:
-    out = {}
+def _read_config(args, schema: dict, what: str) -> dict:
+    """The values a command runs with: its --config file's, typed by
+    `schema`, then every flag given, each under the key it sets (its dest)."""
+    raw = parse_config_file(args.config) if args.config else {}
+    values = {}
     for key, value in raw.items():
         if key not in schema:
             raise UsageError(f"unknown {what} config field '{key}'")
-        out[key] = _coerce(key, schema[key], value)
-    return out
+        values[key] = _coerce(key, schema[key], value)
+    # flags win over file values
+    values.update((key, getattr(args, key)) for key in schema
+                  if getattr(args, key, None) is not None)
+    return values
 
 
-def _config_hash(payload: dict) -> str:
+def _build(config_class, values: dict, what: str):
+    try:
+        return config_class(**values)
+    except (ValueError, TypeError) as exc:
+        raise UsageError(f"invalid {what} config: {exc}")
+
+
+def _write_manifest(out: str, payload: dict, **extra) -> None:
     canon = json.dumps(payload, sort_keys=True)
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    manifest = {"config": payload,
+                "config_hash": hashlib.sha256(canon.encode("utf-8")).hexdigest(), **extra}
+    with open(os.path.join(out, "manifest.json"), "w") as f:
+        json.dump(manifest, f, indent=2, sort_keys=True)
 
 
 def _stream_config_payload(cfg: StreamConfig, chunks: int) -> dict:
@@ -110,28 +126,11 @@ def _stream_config_payload(cfg: StreamConfig, chunks: int) -> dict:
 
 
 def _build_stream_config(args) -> tuple[StreamConfig, int]:
-    file_cfg = {}
-    if args.config:
-        file_cfg = parse_config_file(args.config)
-    typed = _typed_config(file_cfg, {**_STREAM_FIELDS, **_RUN_FIELDS}, "stream")
-    chunks = typed.pop("chunks", 8)
-
-    # flags win over file values
-    if getattr(args, "seed", None) is not None:
-        typed["seed"] = args.seed
-    if getattr(args, "window", None) is not None:
-        typed["window_frames"] = args.window
-    if getattr(args, "sparsity", None) is not None:
-        typed["keep_ratio"] = args.sparsity
-    if getattr(args, "chunks", None) is not None:
-        chunks = args.chunks
+    values = _read_config(args, {**_STREAM_FIELDS, **_RUN_FIELDS}, "stream")
+    chunks = values.pop("chunks", 8)
     if chunks < 1:
         raise UsageError("chunks must be >= 1")
-    try:
-        cfg = StreamConfig(**typed)
-    except (ValueError, TypeError) as exc:
-        raise UsageError(f"invalid stream config: {exc}")
-    return cfg, chunks
+    return _build(StreamConfig, values, "stream"), chunks
 
 
 # ---------------------------------------------------------------------------
@@ -223,37 +222,19 @@ def cmd_generate(args) -> int:
             name = f"chunk_{i:04d}.hft"
             write_tensor(os.path.join(args.out, name), latent)
             files.append(name)
-    payload = _stream_config_payload(cfg, chunks)
-    manifest = {
-        "config": payload,
-        "config_hash": _config_hash(payload),
-        "seed": cfg.seed,
-        "chunks": chunks,
-        "files": files,
-    }
-    with open(os.path.join(args.out, "manifest.json"), "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
+    _write_manifest(args.out, _stream_config_payload(cfg, chunks), seed=cfg.seed,
+                    chunks=chunks, files=files)
     print(f"wrote {len(files)} tensor file(s) + manifest to {args.out}")
     return EXIT_OK
 
 
 def cmd_distill(args) -> int:
-    file_cfg = parse_config_file(args.config) if args.config else {}
-    typed = _typed_config(file_cfg, _DISTILL_FIELDS, "distill")
-    seed = typed.pop("seed", 0)
-    world_dim = typed.pop("world_dim", 2)
+    values = _read_config(args, _DISTILL_FIELDS, "distill")
+    seed = values.pop("seed", 0)
+    world_dim = values.pop("world_dim", 2)
     if world_dim < 1:
         raise UsageError(f"config field 'world_dim' must be >= 1, got {world_dim}")
-    if args.seed is not None:
-        seed = args.seed
-    if args.lam is not None:
-        typed["lam"] = args.lam
-    if args.phase_switch is not None:
-        typed["phase_switch_step"] = args.phase_switch
-    try:
-        cfg = DistillConfig(**typed)
-    except (ValueError, TypeError) as exc:
-        raise UsageError(f"invalid distill config: {exc}")
+    cfg = _build(DistillConfig, values, "distill")
 
     master = SeededRng(seed)
     world = GaussianWorld.random(master.derive(_WORLD_STREAM), world_dim)
@@ -267,17 +248,10 @@ def cmd_distill(args) -> int:
     write_tensor(os.path.join(args.out, "world_mean.hft"), world.mean)
     write_tensor(os.path.join(args.out, "world_cov.hft"), world.cov)
     last = result.rows[-1]
-    payload = {**asdict(cfg), "seed": seed, "world_dim": world_dim}
-    manifest = {
-        "config": payload,
-        "config_hash": _config_hash(payload),
-        "final_mean_err": last.mean_err,
-        "final_cov_err": last.cov_err,
-        "files": ["trace.csv", "generator_A.hft", "generator_b.hft",
-                  "world_mean.hft", "world_cov.hft"],
-    }
-    with open(os.path.join(args.out, "manifest.json"), "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
+    _write_manifest(args.out, {**asdict(cfg), "seed": seed, "world_dim": world_dim},
+                    final_mean_err=last.mean_err, final_cov_err=last.cov_err,
+                    files=["trace.csv", "generator_A.hft", "generator_b.hft",
+                           "world_mean.hft", "world_cov.hft"])
     print(f"distilled {cfg.steps} steps: |b - mean| = {last.mean_err:.4f}, "
           f"|AA^T - cov|_F = {last.cov_err:.4f}; trace in {args.out}")
     return EXIT_OK
@@ -301,23 +275,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="directory for verify.json")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("bench", help="benchmark attention modes")
+    # the stream flags bench and generate share; each dest is the key it sets
+    stream = argparse.ArgumentParser(add_help=False)
+    stream.add_argument("--chunks", type=int, default=None)
+    stream.add_argument("--window", dest="window_frames", type=int, default=None,
+                        help="window size in frames")
+    stream.add_argument("--sparsity", dest="keep_ratio", type=float, default=None,
+                        help="keep ratio in (0, 1]")
+    stream.add_argument("--seed", type=int, default=None)
+    stream.add_argument("--config", default=None, help="key = value config file")
+
+    p = sub.add_parser("bench", parents=[stream], help="benchmark attention modes")
     p.add_argument("--mode", default="all",
                    choices=sorted(BENCH_MODES) + ["all"])
-    p.add_argument("--chunks", type=int, default=None)
-    p.add_argument("--window", type=int, default=None, help="window size in frames")
-    p.add_argument("--sparsity", type=float, default=None, help="keep ratio in (0, 1]")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config", default=None, help="key = value config file")
     p.add_argument("--out", default=None, help="directory for bench.csv / bench.json")
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("generate", help="run the stream and dump latents")
-    p.add_argument("--chunks", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--window", type=int, default=None)
-    p.add_argument("--sparsity", type=float, default=None)
-    p.add_argument("--config", default=None)
+    p = sub.add_parser("generate", parents=[stream],
+                       help="run the stream and dump latents")
     p.add_argument("--concat", action="store_true",
                    help="one stacked tensor instead of one file per chunk")
     p.add_argument("--out", required=True)
@@ -327,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="regularizer weight")
-    p.add_argument("--phase-switch", dest="phase_switch", type=int, default=None)
+    p.add_argument("--phase-switch", dest="phase_switch_step", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_distill)

@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import erf
 
-from .errors import ShapeError
+from .errors import ContractViolationError, ShapeError
 from .linear_history import LinearState, absorb_evicted, history_output
 from .numerics import SeededRng
 # apply_rope has no caller here: perfbench's tracer wraps engine.apply_rope (ROADMAP item 1)
@@ -99,7 +99,7 @@ class StreamConfig:
         if self.window_frames % self.frames_per_chunk != 0:
             raise ValueError("window_frames must be divisible by frames_per_chunk")
         check_timesteps(self.denoise_timesteps)
-        self.rope_config()  # RoPEConfig checks head_dim, base_theta and max_temporal_index
+        self.rope_config  # RoPEConfig checks head_dim, base_theta and max_temporal_index
 
     @property
     def model_dim(self) -> int:
@@ -122,11 +122,8 @@ class StreamConfig:
     def block_tokens(self) -> int:
         return self.tokens_per_frame
 
-    def rope_config(self) -> RoPEConfig:
-        return self._rope_config
-
     @cached_property
-    def _rope_config(self) -> RoPEConfig:
+    def rope_config(self) -> RoPEConfig:
         # built once, by __post_init__; a frozen config's rotation never changes
         return RoPEConfig(self.head_dim, self.base_theta, self.max_temporal_index)
 
@@ -203,13 +200,20 @@ def _window(cache: RollingCache, cfg: StreamConfig, query_chunk_index: int) -> t
     Nothing else is built per chunk. The rotation tables come from
     rope.position_tables: the window keys' are gathered into the workspace
     at the entries' relative indices and the queries' are a read-only view
-    of it. The BlockConfig is shared per window layout (_block_layout)."""
+    of it. The BlockConfig is shared per window layout (_block_layout).
+
+    A cache whose RoPE cap is not the config's raises ContractViolationError
+    before anything is built: its relative indices would not fit the tables."""
     def build(stale: tuple | None) -> tuple:
+        if cache.max_temporal_index != cfg.max_temporal_index:
+            raise ContractViolationError(
+                f"cache RoPE cap {cache.max_temporal_index} differs from the model's "
+                f"{cfg.max_temporal_index}")
         visible = cache.visible_kv(query_chunk_index)
         n, bpc, bt = len(visible), cfg.blocks_per_chunk, cfg.block_tokens
         layers, heads, d = cfg.layers, cfg.heads, cfg.head_dim
         bcfg = _block_layout(len(cache.sink_entries), n, bpc, cfg.keep_ratio)
-        rope_cfg = cfg.rope_config()
+        rope_cfg = cfg.rope_config
         cos, sin = position_tables(rope_cfg, cfg.chunk_tokens)
         shape = (layers, heads, n + 1, cfg.chunk_tokens, d)
         means_shape = (layers, heads, (n + 1) * bpc, d)
@@ -223,7 +227,7 @@ def _window(cache: RollingCache, cfg: StreamConfig, query_chunk_index: int) -> t
             staged = values[:, :, :n]
             np.stack([e.keys for e, _ in visible], axis=2, out=staged)
             rel = np.array([r for _, r in visible])
-            # relative indices lie in [0, cap]; mode "raise" would buffer out
+            # the caps agree, so relative indices lie in [0, cap]; "raise" would buffer out
             np.take(cos, rel, axis=0, out=key_cos, mode="clip")
             np.take(sin, rel, axis=0, out=key_sin, mode="clip")
             rotate(staged, key_cos, key_sin, out=keys[:, :, :n])
@@ -397,7 +401,7 @@ def append_and_absorb(cache: RollingCache, kv: ChunkKV,
     entry, if any."""
     evicted = cache.append(kv)
     if evicted is not None:
-        rope_cfg = cfg.rope_config()
+        rope_cfg = cfg.rope_config
         for layer_idx, state in enumerate(cache.linear_states):
             absorb_evicted(state, evicted.keys[layer_idx],
                            evicted.values[layer_idx], rope_cfg)

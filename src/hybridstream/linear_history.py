@@ -84,6 +84,8 @@ class LinearState:
         if L.shape != (heads, head_dim, head_dim) or H.shape != (heads, head_dim):
             raise FormatError(f"linear state shapes L {L.shape} and H {H.shape} do not fit "
                               f"one heads x head_dim")
+        if not (np.isfinite(L).all() and np.isfinite(H).all()):
+            raise FormatError("linear state L or H holds a non-finite value")
         return cls(L, H, int(evicted_tokens))
 
 
@@ -132,9 +134,9 @@ def history_output(
     """Read the history pathway for a batch of per-head queries.
 
     queries: [heads, tokens, head_dim], unrotated. cos, sin: the queries'
-    rotation tables, [tokens, head_dim] or broadcasting over the heads:
-    the query chunk's temporal-index row of rope.position_tables, which a
-    caller takes once per query chunk. projection: the layer's
+    rotation tables, [tokens, head_dim] (the query chunk's temporal-index
+    row of rope.position_tables, which a caller takes once per query chunk)
+    or [heads, tokens, head_dim], one per head. projection: the layer's
     [model_dim, model_dim] weight ("history_proj"), applied to the heads
     concatenated.
     Returns [tokens, model_dim]. An empty state returns exact zeros: the

@@ -12,9 +12,10 @@ temporal index, built once and read-only. rotate applies such tables to a
 tensor, and apply_rope is the two composed. The tables are full width, one
 entry per channel: a pair's cos on both of its (even, odd) lanes, its sin
 negated on the even lane. A rotation is then x * cos plus x with each
-pair's lanes swapped times sin, two contiguous products. A caller that
-rotates whole chunks takes a chunk's tables as a view (one index) or
-gathers one per slice (an index array) instead of building them.
+pair's lanes swapped times sin, two contiguous products. rotate takes
+tables of its input's own trailing shape: one row (a view) rotates a chunk
+at one index, and a gather of rows, one per slice, rotates slices at
+several. apply_rope takes one int index.
 """
 
 from __future__ import annotations
@@ -87,11 +88,9 @@ def position_tables(config: RoPEConfig, tokens: int) -> tuple[np.ndarray, np.nda
 
 def check_tables(shape: tuple, cos: np.ndarray, sin: np.ndarray) -> None:
     """Raise ShapeError unless cos and sin are rotation tables for an x of
-    `shape` ([..., tokens, head_dim]): both [..., tokens, head_dim], their
-    leading dims broadcasting over x's."""
-    if (len(shape) < 2 or shape[-1] % 2 or cos.shape != sin.shape or cos.ndim > len(shape)
-            or cos.shape[-2:] != shape[-2:]
-            or any(a not in (1, b) for a, b in zip(cos.shape[:-2], shape[-cos.ndim:-2]))):
+    `shape` ([..., tokens, head_dim]): both of x's trailing shape, at least
+    [tokens, head_dim]."""
+    if cos.ndim < 2 or cos.shape != shape[-cos.ndim:] or sin.shape != cos.shape or shape[-1] % 2:
         raise ShapeError(f"rotation tables {cos.shape} do not fit x {shape}")
 
 
@@ -128,33 +127,27 @@ def _rotate_into(x: np.ndarray, cos: np.ndarray, sin: np.ndarray,
     return out
 
 
-def apply_rope(x: np.ndarray, t_index, config: RoPEConfig) -> np.ndarray:
+def apply_rope(x: np.ndarray, t_index: int, config: RoPEConfig) -> np.ndarray:
     """Rotate each token's pairs: temporal pairs by the capped temporal
-    index of its slice, spatial pairs by the token's place 0..tokens - 1 in
-    the chunk. The same as rotate(x, cos[t_index], sin[t_index]) with the
+    index t_index, spatial pairs by the token's place 0..tokens - 1 in the
+    chunk. The same as rotate(x, cos[t_index], sin[t_index]) with the
     tables of position_tables(config, tokens).
 
     x: [..., tokens, head_dim]; channels [0 : 2 * pairs] hold the temporal
-    pairs as (even, odd) lanes, the remainder the spatial pairs.
-    t_index: an int, or an int array broadcasting over x's leading dims
-    (x.shape[:-2]), so one call rotates many slices, each at its own index.
-    Each lies in [0, max_temporal_index].
+    pairs as (even, odd) lanes, the remainder the spatial pairs. Every slice
+    turns at the same index. t_index: an int in [0, max_temporal_index].
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim < 2 or x.shape[-1] != config.head_dim:
         raise ShapeError(f"expected [..., tokens, {config.head_dim}], got {x.shape}")
-    t = np.asarray(t_index)
-    if t.dtype.kind not in "iu":
-        raise ContractViolationError(f"temporal index must be an integer, got dtype {t.dtype}")
-    if t.size:
-        cap = config.max_temporal_index
-        low, high = (int(t), int(t)) if t.ndim == 0 else (int(t.min()), int(t.max()))
-        if high > cap or low < 0:
-            raise ContractViolationError(
-                f"temporal index {high if high > cap else low} outside [0, {cap}]; "
-                "callers must saturate with temporal_index() first"
-            )
+    if isinstance(t_index, bool) or not isinstance(t_index, (int, np.integer)):
+        raise ContractViolationError(
+            f"temporal index must be an int, got {type(t_index).__name__}")
+    cap = config.max_temporal_index
+    if not 0 <= t_index <= cap:
+        raise ContractViolationError(
+            f"temporal index {t_index} outside [0, {cap}]; "
+            "callers must saturate with temporal_index() first"
+        )
     cos, sin = position_tables(config, x.shape[-2])
-    row = int(t) if t.ndim == 0 else t  # a view for one index, a gather for many
-    # rotate() raises ShapeError unless t's shape broadcasts over x.shape[:-2]
-    return rotate(x, cos[row], sin[row])
+    return rotate(x, cos[t_index], sin[t_index])

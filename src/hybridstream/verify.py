@@ -130,20 +130,12 @@ def _suite_rope() -> list[CheckResult]:
     out.append(_check("rope.relative_offsets", drift < 1e-9,
                       f"dot drift under shift {drift:.2e}"))
 
-    xs = SeededRng(4).normal((2, 3, 8, 16))
-    ts = np.array([[0, 13, 21], [7, 7, 2]])
-    batched = apply_rope(xs, ts, cfg)
-    equal = all(np.array_equal(batched[i, j], apply_rope(xs[i, j], int(ts[i, j]), cfg))
-                for i, j in np.ndindex(ts.shape))
-    out.append(_check("rope.batched_matches_per_slice", equal,
-                      "one call over [2, 3] slices bit-equal to per-slice calls"))
-
     # apply_rope against a scalar loop: pair j of a token, channels (2j, 2j + 1),
     # turns by index * base_theta ** (-(j mod pairs) / pairs) with math.cos
     # and math.sin; the first `pairs` pairs take the slice's temporal index,
     # the rest the token's place n in the chunk
-    xs, ts = SeededRng(5).normal((3, 8, 16)), np.array([0, 7, 21])
-    got = apply_rope(xs, ts, cfg)
+    xs, ts = SeededRng(5).normal((3, 8, 16)), (0, 7, 21)
+    got = np.stack([apply_rope(x, t, cfg) for x, t in zip(xs, ts)])
     want = np.empty(xs.shape)
     p = cfg.pairs
     for i, n, j in np.ndindex(3, 8, 8):
@@ -426,7 +418,7 @@ def dense_oracle_attention(
 ) -> np.ndarray:
     """Exact softmax attention over an arbitrary retained history (plus the
     chunk itself) under the same rotation policy. Test-scale only."""
-    rope_cfg = cfg.rope_config()
+    rope_cfg = cfg.rope_config
     q_index = temporal_index(query_chunk_index, rope_cfg)
     outs = []
     for h in range(cfg.heads):
@@ -487,7 +479,7 @@ def _suite_hybrid() -> list[CheckResult]:
     local = hybrid_attention(qkv, cache, 0, _TOY, 8, proj)
     for s, n in zip(cache.linear_states, saved):
         s.evicted_tokens = n
-    rope_cfg = _TOY.rope_config()
+    rope_cfg = _TOY.rope_config
     t, (cos, sin) = temporal_index(8, rope_cfg), position_tables(rope_cfg, _TOY.chunk_tokens)
     hist = history_output(cache.linear_states[0], q, cos[t], sin[t], proj)
     err = np.abs(full - (local + hist)).max()
@@ -675,8 +667,8 @@ SUITES = {
 
 
 def run_suites(only: str | None = None) -> list[CheckResult]:
-    names = [only] if only else list(SUITES)
-    if only and only not in SUITES:
+    names = list(SUITES) if only is None else [only]
+    if only is not None and only not in SUITES:
         raise KeyError(f"unknown suite {only!r}; available: {', '.join(SUITES)}")
     results = []
     for name in names:

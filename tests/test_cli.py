@@ -1,6 +1,7 @@
 """Command-line interface tests: subcommands, config handling, exit codes,
 output formats."""
 
+import argparse
 import csv
 import json
 from dataclasses import asdict, fields
@@ -62,6 +63,11 @@ class TestVerifyCommand:
 
     def test_unknown_suite_is_usage_error(self):
         assert main(["verify", "--suite", "nope"]) == EXIT_USAGE
+
+    def test_empty_suite_is_usage_error(self, capsys):
+        # "" names no suite; only leaving --suite out runs them all
+        assert main(["verify", "--suite", ""]) == EXIT_USAGE
+        assert "unknown suite ''" in capsys.readouterr().err
 
     def test_json_listing(self, tmp_path, capsys):
         assert main(["verify", "--suite", "numerics", "--out", str(tmp_path)]) == EXIT_OK
@@ -397,6 +403,59 @@ class TestJsonSchemas:
         assert main(["verify", "--suite", "rope", "--out", str(ver_out)]) == EXIT_OK
         jsonschema.validate(json.loads((ver_out / "verify.json").read_text()),
                             VERIFY_SCHEMA)
+
+
+class TestFlags:
+    """Each flag's dest is the config key it sets, so flags and file keys
+    reach a config by one path."""
+
+    SCHEMAS = {"verify": {}, "bench": {**cli._STREAM_FIELDS, **cli._RUN_FIELDS},
+               "generate": {**cli._STREAM_FIELDS, **cli._RUN_FIELDS},
+               "distill": cli._DISTILL_FIELDS}
+
+    def test_every_option_sets_a_key_of_its_commands_schema(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(self.SCHEMAS)
+        for command, parser in sub.choices.items():
+            for action in parser._actions:
+                if not isinstance(action, argparse._HelpAction):
+                    assert (action.dest in self.SCHEMAS[command] or action.dest in
+                            {"config", "out", "mode", "concat", "suite"}), (command, action.dest)
+
+    @pytest.mark.parametrize("flag, key, value", [
+        ("--seed", "seed", 99), ("--chunks", "chunks", 1),
+        ("--window", "window_frames", 3), ("--sparsity", "keep_ratio", 0.25)])
+    def test_stream_flag_overrides_the_file_key(self, tmp_path, flag, key, value):
+        file_values = {"tokens_per_frame": 2, "layers": 1, "chunks": 2,
+                       "seed": 11, "window_frames": 6, "keep_ratio": 0.5}
+        p = tmp_path / "stream.cfg"
+        p.write_text("".join(f"{k} = {v}\n" for k, v in file_values.items()))
+        out = tmp_path / "gen"
+        assert main(["generate", "--config", str(p), flag, str(value),
+                     "--out", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert {k: manifest["config"][k] for k in file_values} == {**file_values, key: value}
+
+    @pytest.mark.parametrize("flag, key, value", [
+        ("--seed", "seed", 9), ("--lambda", "lam", 0.125), ("--phase-switch", "phase_switch_step", 3)])
+    def test_distill_flag_overrides_the_file_key(self, tmp_path, monkeypatch, flag, key, value):
+        class Built(Exception):
+            pass
+
+        def capture(cfg, world, gen, rng):  # stands in for the 2000-step run
+            raise Built(cfg, world)
+
+        monkeypatch.setattr(cli, "train", capture)
+        p = tmp_path / "distill.cfg"
+        p.write_text("seed = 4\nlam = 0.5\nphase_switch_step = 7\n")
+        with pytest.raises(Built) as info:
+            main(["distill", "--config", str(p), flag, str(value), "--out", str(tmp_path / "o")])
+        cfg, world = info.value.args
+        want = {"seed": 4, "lam": 0.5, "phase_switch_step": 7, key: value}
+        assert (cfg.lam, cfg.phase_switch_step) == (want["lam"], want["phase_switch_step"])
+        mean = GaussianWorld.random(SeededRng(want["seed"]).derive(cli._WORLD_STREAM), 2).mean
+        assert np.array_equal(world.mean, mean)
 
 
 class TestConfigParsing:

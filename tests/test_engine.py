@@ -24,7 +24,7 @@ from hybridstream.engine import (
     rectified_flow,
     run_stream,
 )
-from hybridstream.errors import ShapeError
+from hybridstream.errors import ContractViolationError, ShapeError
 from hybridstream.numerics import SeededRng
 from hybridstream.linear_history import elu_plus_one, history_output
 from hybridstream.rope import apply_rope, position_tables, temporal_index
@@ -65,7 +65,7 @@ def per_head_hybrid(qkv, cache, layer, cfg, qci, rope=apply_rope, phi=elu_plus_o
     model's history_proj). rope(x, t, rope_cfg) and the feature map phi may
     be swapped for other formulas of the same values."""
     q, k_self, v_self = qkv
-    rope_cfg = cfg.rope_config()
+    rope_cfg = cfg.rope_config
     q_index = temporal_index(qci, rope_cfg)
     visible = cache.visible_kv(qci)
     bpc = cfg.blocks_per_chunk
@@ -323,6 +323,17 @@ class TestWindowWorkspace:
             reused = [a is b for a, b in zip(seen[i], seen[i - 1])]
             assert reused == [i > 5] * 5, (i, reused)
 
+    @pytest.mark.parametrize("cache_cap, model_cap", [(40, 21), (21, 40)])
+    def test_cache_of_another_rope_cap_refused_before_any_change(self, cache_cap, model_cap):
+        # relative indices up to 29 would be clipped to a cap-21 model's tables
+        stream = random_cache(replace(TOY, max_temporal_index=cache_cap), 30, seed=83)
+        cache = RollingCache.restore(stream.snapshot())
+        model = model_of(replace(TOY, max_temporal_index=model_cap))
+        entries = [e.chunk_index for e in cache.entries()]
+        with pytest.raises(ContractViolationError, match="RoPE cap"):
+            chunk_step(model, cache, 30, TOY.denoise_timesteps, SeededRng(84))
+        assert cache.next_index == 30 and [e.chunk_index for e in cache.entries()] == entries
+
     def test_reallocated_after_restore_and_for_other_sizes(self):
         cfg = self.CFG
         cache = random_cache(cfg, 8, seed=81)
@@ -430,7 +441,7 @@ class TestSharedTables:
     def test_shared_arrays_are_read_only(self):
         cache = random_cache(TOY, 8, seed=95)
         bcfg, q_cos, q_sin = _window(cache, TOY, 8)[5:]
-        cos, sin = position_tables(TOY.rope_config(), TOY.chunk_tokens)
+        cos, sin = position_tables(TOY.rope_config, TOY.chunk_tokens)
         # sink 1 and own 3 of 15 blocks forced, quota 3: one mask for the layout
         rows = build_mask(np.zeros((TOY.heads * TOY.blocks_per_chunk, 15)), bcfg)
         packed = rows.block_diagonal(TOY.heads)
@@ -441,10 +452,10 @@ class TestSharedTables:
 
     def test_query_tables_are_the_capped_index_views(self):
         cache = random_cache(TOY, 8, seed=96)
-        cos, sin = position_tables(TOY.rope_config(), TOY.chunk_tokens)
+        cos, sin = position_tables(TOY.rope_config, TOY.chunk_tokens)
         for qci in (8, TOY.max_temporal_index + 9):
             q_cos, q_sin = _window(cache, TOY, qci)[6:]
-            t = temporal_index(qci, TOY.rope_config())
+            t = temporal_index(qci, TOY.rope_config)
             assert q_cos.base is cos and q_sin.base is sin
             assert np.array_equal(q_cos, cos[t]) and np.array_equal(q_sin, sin[t])
 
@@ -477,8 +488,8 @@ class TestHistorySkip:
     def with_empty_readout(qkv, cache, layer, cfg, qci):
         # the per-head reference plus the empty state's (all-zero) readout,
         # if the cache has a state at all
-        cos, sin = position_tables(cfg.rope_config(), cfg.chunk_tokens)
-        t = temporal_index(qci, cfg.rope_config())
+        cos, sin = position_tables(cfg.rope_config, cfg.chunk_tokens)
+        t = temporal_index(qci, cfg.rope_config)
         out = per_head_hybrid(qkv, cache, layer, cfg, qci)
         for state in cache.linear_states[layer:layer + 1]:
             assert state.evicted_tokens == 0
@@ -532,7 +543,7 @@ class TestHybridAttention:
             e.values[:] = 0.0
         qkv = random_qkv(cfg, 77)
         qkv[2] = 0.0
-        rope_cfg = cfg.rope_config()
+        rope_cfg = cfg.rope_config
         cos, sin = position_tables(rope_cfg, cfg.chunk_tokens)
         t = temporal_index(8, rope_cfg)
         for layer in range(cfg.layers):
@@ -553,7 +564,7 @@ class TestHybridAttention:
         layer = 0
         got = hybrid_attention(qkv, cache, layer, cfg, 8, history_proj(cfg, layer))
 
-        rope_cfg = cfg.rope_config()
+        rope_cfg = cfg.rope_config
         q_index = temporal_index(8, rope_cfg)
         visible = cache.visible_kv(8)
         bpc = cfg.blocks_per_chunk
@@ -613,7 +624,7 @@ class TestDenseOracle:
         qci = 4
         got = dense_oracle_attention(q, k_self, v_self, history, 1, cfg, qci)
 
-        rope_cfg = cfg.rope_config()
+        rope_cfg = cfg.rope_config
         q_index = temporal_index(qci, rope_cfg)
         scale = 1.0 / math.sqrt(cfg.head_dim)
         outs = []

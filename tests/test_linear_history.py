@@ -193,6 +193,17 @@ class TestHistoryOutput:
             assert np.array_equal(history_output(state, q, *per_head, PROJ),
                                   history_output(state, q, cos, sin, PROJ))
 
+    def test_size_one_table_dims_do_not_broadcast(self):
+        # [1, tokens, d] tables over [heads, tokens, d] queries are refused,
+        # whether or not the state has absorbed anything
+        empty, full = fresh_state(), fresh_state()
+        absorb_evicted(full, *random_chunk(3), ROPE)
+        q = SeededRng(36).normal((HEADS, 4, HEAD_DIM))
+        cos, sin = tables(np.array([5]), 4)
+        for state in (empty, full):
+            with pytest.raises(ShapeError):
+                history_output(state, q, cos, sin, PROJ)
+
     def test_projection_of_another_shape_rejected(self):
         empty, full = fresh_state(), fresh_state()
         absorb_evicted(full, *random_chunk(3), ROPE)

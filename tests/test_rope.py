@@ -14,6 +14,17 @@ def rand_tokens(seed, tokens=6, dim=16):
     return SeededRng(seed).normal((tokens, dim))
 
 
+def per_slice(x, t):
+    """x rotated by one apply_rope call per [tokens, 16] slice, each at its
+    own int index: t is an int or an int array broadcasting over
+    x.shape[:-2]."""
+    t = np.broadcast_to(t, x.shape[:-2])
+    out = np.empty(x.shape)
+    for i in np.ndindex(t.shape):
+        out[i] = apply_rope(x[i], int(t[i]), CFG)
+    return out
+
+
 class TestTemporalIndex:
     def test_below_cap(self):
         assert temporal_index(5, CFG) == 5
@@ -91,36 +102,20 @@ class TestApplyRope:
         with pytest.raises(ShapeError):
             apply_rope(np.zeros(16), 0, CFG)
 
+    def test_index_must_be_an_int(self):
+        x = np.zeros((2, 6, 16))
+        for bad in (np.array([0, 3]), np.array(3), True, 1.5):
+            with pytest.raises(ContractViolationError, match="must be an int"):
+                apply_rope(x, bad, CFG)
+        assert np.array_equal(apply_rope(x, np.int64(3), CFG), apply_rope(x, 3, CFG))
+
 
 class TestBatchedRope:
     def test_batched_bit_equal_to_per_slice_calls(self):
         x = SeededRng(11).normal((2, 3, 4, 6, 16))
-        t = np.array([[0, 5, 21, 7], [3, 3, 1, 20], [21, 0, 0, 9]])  # over dims 1, 2
-        out = apply_rope(x, t, CFG)
-        shared = apply_rope(x, 13, CFG)  # one scalar index for every slice
+        shared = apply_rope(x, 13, CFG)  # one index for every slice
         for a, b, c in np.ndindex(2, 3, 4):
-            assert np.array_equal(out[a, b, c], apply_rope(x[a, b, c], int(t[b, c]), CFG))
             assert np.array_equal(shared[a, b, c], apply_rope(x[a, b, c], 13, CFG))
-
-    def test_over_cap_element_anywhere_rejected(self):
-        x = np.zeros((2, 4, 6, 16))
-        for pos in np.ndindex(2, 4):
-            t = np.full((2, 4), 21)
-            t[pos] = 22
-            with pytest.raises(ContractViolationError, match="temporal index 22 outside"):
-                apply_rope(x, t, CFG)
-            t[pos] = -1
-            with pytest.raises(ContractViolationError, match="temporal index -1 outside"):
-                apply_rope(x, t, CFG)
-
-    def test_index_must_broadcast_and_be_integer(self):
-        x = np.zeros((2, 4, 6, 16))
-        with pytest.raises(ShapeError):
-            apply_rope(x, np.zeros(3, dtype=int), CFG)
-        with pytest.raises(ShapeError):
-            apply_rope(x[0, 0], np.zeros(1, dtype=int), CFG)
-        with pytest.raises(ContractViolationError, match="must be an integer"):
-            apply_rope(x, 1.5, CFG)
 
 
 class TestTablesAndRotate:
@@ -128,7 +123,7 @@ class TestTablesAndRotate:
         x = SeededRng(12).normal((2, 3, 6, 16))
         cos, sin = position_tables(CFG, 6)
         for t in (0, 13, 21, np.array([4, 21, 0]), np.array([[1, 2, 3], [21, 20, 0]])):
-            assert np.array_equal(rotate(x, cos[t], sin[t]), apply_rope(x, t, CFG))
+            assert np.array_equal(rotate(x, cos[t], sin[t]), per_slice(x, t))
         # one table set rotates many tensors, here stacked queries and keys
         both = rotate(np.stack((x, 2 * x)), cos[9], sin[9])
         assert np.array_equal(both[1], apply_rope(2 * x, 9, CFG))
@@ -149,13 +144,23 @@ class TestTablesAndRotate:
         with pytest.raises(ShapeError):
             rotate(np.zeros((6, 15)), cos[3], sin[3])
 
+    def test_size_one_dims_do_not_broadcast(self):
+        # tables of the input's own trailing shape only: [1, tokens, d] over
+        # [heads, tokens, d] is refused, with and without out
+        x = np.zeros((2, 6, 16))
+        cos, sin = position_tables(CFG, 6)
+        for out in (None, np.empty(x.shape)):
+            with pytest.raises(ShapeError, match="do not fit"):
+                rotate(x, cos[None, 3], sin[None, 3], out=out)
+        assert rotate(x, cos[[3, 3]], sin[[3, 3]]).shape == x.shape
+
     def test_out_bit_equal_to_fresh_result(self):
         # slab-wise into out, including a strided view such as the engine's
         # window slots, and with tables that broadcast over leading dims
         x = SeededRng(13).normal((2, 3, 4, 6, 16))
         tables = position_tables(CFG, 6)
         for t in (7, np.array([0, 21, 5, 9]), np.array([[1, 2, 3, 4]] * 3)):
-            want = apply_rope(x, t, CFG)
+            want = per_slice(x, t)
             cos, sin = (table[t] for table in tables)
             slots = np.full((2, 3, 5, 6, 16), np.nan)
             got = rotate(x, cos, sin, out=slots[:, :, :4])

@@ -360,6 +360,13 @@ class TestSnapshot:
         with pytest.raises(FormatError, match="linear state shapes"):
             RollingCache.restore(cache.snapshot())
 
+    @pytest.mark.parametrize("name, value", [("L", np.nan), ("L", -np.inf), ("H", np.inf)])
+    def test_non_finite_linear_state_is_format_error(self, name, value):
+        cache = self.build_cache(8)
+        getattr(cache.linear_states[0], name).flat[3] = value
+        with pytest.raises(FormatError, match="non-finite"):
+            RollingCache.restore(cache.snapshot())  # sealed: its CRC-32 holds
+
     def test_round_trip_preserves_visible_kv(self):
         cache = self.build_cache(7)
         restored = RollingCache.restore(cache.snapshot())
