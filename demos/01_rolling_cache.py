@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Walk through the rolling KV cache: sink pinning, FIFO eviction, and the
-capped relative temporal indices that entries carry for a querying chunk.
+capped relative temporal indices the model gives entries from their
+distance behind a querying chunk.
 """
 
 import numpy as np
 
-from hybridstream import ChunkKV, RollingCache, SeededRng
+from hybridstream import ChunkKV, RollingCache, RoPEConfig, SeededRng, temporal_index
 
 rng = SeededRng(0)
 
@@ -15,8 +16,9 @@ def make_chunk(idx):
     return ChunkKV(idx, rng.normal(shape), rng.normal(shape))
 
 
-# A window of 3 chunks plus one pinned sink chunk, temporal cap 21.
-cache = RollingCache(capacity_chunks=3, sink_chunks=1, max_temporal_index=21)
+# A window of 3 chunks plus one pinned sink chunk; the model's temporal cap is 21.
+cache = RollingCache(capacity_chunks=3, sink_chunks=1)
+rope_cfg = RoPEConfig(8, max_temporal_index=21)
 
 print("appending chunks 0..9 (chunk 0 is the sink)\n")
 for i in range(10):
@@ -28,26 +30,31 @@ for i in range(10):
 print("\nThe sink never leaves:", [e.chunk_index for e in cache.sink_entries])
 print("Cached tokens stay bounded:", cache.total_cached_tokens)
 
-# Relative temporal indices: the querying chunk saturates at the cap, nearer
-# entries get larger indices, and the sink pins to the origin.
-print("\nvisible_kv for query chunk 9:")
-for entry, rel in cache.visible_kv(9):
-    kind = "sink  " if entry.chunk_index < cache.sink_chunks else "window"
-    print(f"  {kind} chunk {entry.chunk_index:3d} -> relative temporal index {rel}")
+# Relative temporal indices: the cache gives each entry's distance behind the
+# querying chunk; the querying chunk saturates at the cap, nearer entries get
+# larger indices, and the sink pins to the origin.
+def show(cache, query):
+    for entry, dist in cache.visible_kv(query):
+        kind = "sink  " if entry.chunk_index < cache.sink_chunks else "window"
+        rel = temporal_index(query, rope_cfg, dist)
+        print(f"  {kind} chunk {entry.chunk_index:3d} (distance {dist:3d}) -> "
+              f"relative temporal index {rel}")
 
-print("\nvisible_kv for query chunk 500 (same window shape, indices unchanged):")
-cache2 = RollingCache(capacity_chunks=3, sink_chunks=1, max_temporal_index=21)
+
+print("\nvisible_kv for query chunk 9:")
+show(cache, 9)
+
+print("\nvisible_kv for query chunk 500 (same window shape; the query saturates at the cap):")
+cache2 = RollingCache(capacity_chunks=3, sink_chunks=1)
 for i in range(501):
     cache2.append(make_chunk(i))
-for entry, rel in cache2.visible_kv(500):
-    kind = "sink  " if entry.chunk_index < cache2.sink_chunks else "window"
-    print(f"  {kind} chunk {entry.chunk_index:3d} -> relative temporal index {rel}")
+show(cache2, 500)
 
 # Snapshots round-trip exactly, including float64 content.
 blob = cache.snapshot()
 restored = RollingCache.restore(blob)
 same = all(
-    np.array_equal(a.keys, b.keys) and ra == rb
-    for (a, ra), (b, rb) in zip(cache.visible_kv(9), restored.visible_kv(9))
+    np.array_equal(a.keys, b.keys) and da == db
+    for (a, da), (b, db) in zip(cache.visible_kv(9), restored.visible_kv(9))
 )
 print(f"\nsnapshot is {len(blob)} bytes; restore reproduces visible_kv: {same}")

@@ -58,6 +58,6 @@ from .sparse_local import (
     build_mask,
     sparse_attention,
 )
-from .stream_cache import ChunkKV, RollingCache, relative_temporal_index
+from .stream_cache import ChunkKV, RollingCache
 
 __version__ = "0.1.0"

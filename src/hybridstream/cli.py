@@ -139,10 +139,10 @@ def _build_stream_config(args) -> tuple[StreamConfig, int]:
 
 
 def cmd_verify(args) -> int:
-    try:
-        results = verify_mod.run_suites(args.suite)
-    except KeyError as exc:
-        raise UsageError(str(exc.args[0]))
+    if args.suite is not None and args.suite not in verify_mod.SUITES:
+        raise UsageError(f"unknown suite {args.suite!r}; "
+                         f"available: {', '.join(verify_mod.SUITES)}")
+    results = verify_mod.run_suites(args.suite)
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name} -- {r.detail}")
     failed = [r for r in results if not r.passed]

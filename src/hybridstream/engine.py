@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import erf
 
-from .errors import ContractViolationError, ShapeError
+from .errors import ShapeError
 from .linear_history import LinearState, absorb_evicted, history_output
 from .numerics import SeededRng
 # apply_rope has no caller here: perfbench's tracer wraps engine.apply_rope (ROADMAP item 1)
@@ -197,21 +197,24 @@ def _window(cache: RollingCache, cfg: StreamConfig, query_chunk_index: int) -> t
     made only when a shape changes: while the window grows, for a new
     (restored) cache, or for a config of other sizes.
 
-    Nothing else is built per chunk. The rotation tables come from
-    rope.position_tables: the window keys' are gathered into the workspace
-    at the entries' relative indices and the queries' are a read-only view
-    of it. The BlockConfig is shared per window layout (_block_layout).
+    Nothing else is built per chunk. The indices are the config's
+    (cfg.rope_config): rope.temporal_index of each entry's distance behind
+    the query chunk (RollingCache.visible_kv), and of the query chunk. The
+    rotation tables come from rope.position_tables: the window keys' are
+    gathered into the workspace at the entries' relative indices and the
+    queries' are a read-only view of it. The BlockConfig is shared per
+    window layout (_block_layout).
 
-    A cache whose RoPE cap is not the config's raises ContractViolationError
-    before anything is built: its relative indices would not fit the tables."""
+    A cache whose entries or linear states do not fit the config's layers,
+    heads, chunk_tokens and head_dim (RollingCache.shape_mismatch) raises
+    ShapeError before anything is built."""
     def build(stale: tuple | None) -> tuple:
-        if cache.max_temporal_index != cfg.max_temporal_index:
-            raise ContractViolationError(
-                f"cache RoPE cap {cache.max_temporal_index} differs from the model's "
-                f"{cfg.max_temporal_index}")
+        layers, heads, d = cfg.layers, cfg.heads, cfg.head_dim
+        mismatch = cache.shape_mismatch((layers, heads, cfg.chunk_tokens, d))
+        if mismatch:
+            raise ShapeError(f"cache does not fit the model: {mismatch}")
         visible = cache.visible_kv(query_chunk_index)
         n, bpc, bt = len(visible), cfg.blocks_per_chunk, cfg.block_tokens
-        layers, heads, d = cfg.layers, cfg.heads, cfg.head_dim
         bcfg = _block_layout(len(cache.sink_entries), n, bpc, cfg.keep_ratio)
         rope_cfg = cfg.rope_config
         cos, sin = position_tables(rope_cfg, cfg.chunk_tokens)
@@ -226,8 +229,9 @@ def _window(cache: RollingCache, cfg: StreamConfig, query_chunk_index: int) -> t
             # the unrotated keys are staged where the values go next
             staged = values[:, :, :n]
             np.stack([e.keys for e, _ in visible], axis=2, out=staged)
-            rel = np.array([r for _, r in visible])
-            # the caps agree, so relative indices lie in [0, cap]; "raise" would buffer out
+            rel = np.array([temporal_index(query_chunk_index, rope_cfg, dist)
+                            for _, dist in visible])
+            # temporal indices lie in [0, cap]; "raise" would buffer out
             np.take(cos, rel, axis=0, out=key_cos, mode="clip")
             np.take(sin, rel, axis=0, out=key_sin, mode="clip")
             rotate(staged, key_cos, key_sin, out=keys[:, :, :n])
@@ -332,8 +336,7 @@ class ToyDenoiser:
         cfg = self.cfg
         states = [LinearState.zeros(cfg.heads, cfg.head_dim)
                   for _ in range(cfg.layers if cfg.linear_history else 0)]
-        return RollingCache(cfg.capacity_chunks, cfg.sink_chunks, cfg.max_temporal_index,
-                            states)
+        return RollingCache(cfg.capacity_chunks, cfg.sink_chunks, states)
 
     def _time_row(self, t: float) -> np.ndarray:
         ts = self.cfg.denoise_timesteps
@@ -456,8 +459,8 @@ def run_stream(cfg: StreamConfig, num_chunks: int,
         chunk_ms[i] = (time.perf_counter() - start) * 1e3
         chunk_scores[i], chunk_pooled[i] = counters.snapshot()
         peak_tokens = max(peak_tokens, cache.total_cached_tokens)
-        for _, rel in cache.visible_kv(i):
-            max_rel_seen = max(max_rel_seen, rel)
+        for _, dist in cache.visible_kv(i):
+            max_rel_seen = max(max_rel_seen, temporal_index(i, cfg.rope_config, dist))
         latents.append(x0)
 
     return StreamResult(latents, chunk_ms, chunk_scores, chunk_pooled,

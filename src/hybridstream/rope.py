@@ -4,7 +4,8 @@ Head channels are split into 2-D rotation pairs, half of them on each of
 two factorized axes: a temporal axis shared by every token of a chunk, and
 a spatial axis carrying each token's place 0..tokens - 1 inside the chunk.
 Temporal indices saturate at `max_temporal_index` so arbitrarily long
-streams keep a bounded index range.
+streams keep a bounded index range: temporal_index caps a query chunk's
+index and, from its distance behind the query, a cached key's.
 
 position_tables is the one builder of rotation tables: per config and
 token count, the cos and sin of every pair's angle at every capped
@@ -48,11 +49,14 @@ class RoPEConfig:
         return self.head_dim // 4
 
 
-def temporal_index(chunk_pos: int, config: RoPEConfig) -> int:
-    """Capped temporal position: min(chunk_pos, max_temporal_index)."""
-    if chunk_pos < 0:
-        raise ValueError(f"chunk_pos must be >= 0, got {chunk_pos}")
-    return min(int(chunk_pos), config.max_temporal_index)
+def temporal_index(chunk_pos: int, config: RoPEConfig, distance: int = 0) -> int:
+    """Capped temporal position of what lies `distance` chunks behind the
+    chunk at chunk_pos: max(0, min(chunk_pos, cap) - distance). The querying
+    chunk (distance 0) saturates at the cap, and the clamp at 0 pins a sink
+    entry to the origin for arbitrarily long streams."""
+    if chunk_pos < 0 or distance < 0:
+        raise ValueError(f"chunk_pos and distance must be >= 0, got {chunk_pos}, {distance}")
+    return max(0, min(int(chunk_pos), config.max_temporal_index) - distance)
 
 
 @lru_cache(maxsize=32)

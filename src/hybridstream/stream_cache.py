@@ -3,17 +3,17 @@
 Sink chunks, the first `sink_chunks` chunks of a stream by chunk index,
 live outside the ring and are never evicted; window entries are FIFO with
 a fixed chunk capacity. Evicted entries are returned to the caller, which
-routes them into the attached linear states. Entries store unrotated keys;
-rotation happens at attention time from each entry's current relative
-temporal index, so cached content never needs re-rotation as the window
-slides.
-That index is fixed for a whole query chunk, so the engine lays out the
-rotated visible keys and the visible values once per query chunk, for
-every layer and head, in a workspace held by the cache's memo. The next
-query chunk rewrites the same arrays in place when their shape still fits;
-snapshots never carry them.
+routes them into the attached linear states. Entries store unrotated keys,
+and the cache holds no position other than each entry's chunk index:
+visible_kv gives each entry's distance in chunks behind a querying chunk,
+and the model turns that distance into a temporal position at attention
+time, so cached content never needs re-rotation as the window slides.
+The engine lays out the rotated visible keys and the visible values once
+per query chunk, for every layer and head, in a workspace held by the
+cache's memo. The next query chunk rewrites the same arrays in place when
+their shape still fits; snapshots never carry them.
 
-A snapshot (format version 6) is a length-prefixed JSON manifest, the
+A snapshot (format version 7) is a length-prefixed JSON manifest, the
 entries' keys and values and the linear states' L and H as exact f64
 tensors (no model weight), then a CRC-32 of every byte before it, so a
 flipped byte anywhere fails to restore. Its entries carry only their chunk
@@ -35,7 +35,7 @@ from . import numerics
 from .errors import FormatError, SequenceError, ShapeError
 from .linear_history import LinearState
 
-_SNAPSHOT_VERSION = 6
+_SNAPSHOT_VERSION = 7
 
 
 def _field(meta, name: str, kind: type, low: int | None = None):
@@ -81,20 +81,6 @@ class ChunkKV:
         return self.keys.shape[2]
 
 
-def relative_temporal_index(query_chunk_index: int, entry_chunk_index: int, cap: int) -> int:
-    """Capped relative temporal position of a cached entry.
-
-    Before saturation (query index <= cap) this is the entry's own absolute
-    position; once the stream passes the cap, the querying chunk sits at
-    `cap` and entries at distance d sit at cap - d, clamped at 0. The clamp
-    is what pins a sink entry to the origin for arbitrarily long streams.
-    """
-    if entry_chunk_index > query_chunk_index:
-        raise ValueError("entry newer than the querying chunk")
-    distance = query_chunk_index - entry_chunk_index
-    return max(0, min(query_chunk_index, cap) - distance)
-
-
 class RollingCache:
     """FIFO chunk window plus pinned sinks plus per-layer linear states."""
 
@@ -102,7 +88,6 @@ class RollingCache:
         self,
         capacity_chunks: int,
         sink_chunks: int,
-        max_temporal_index: int,
         linear_states: list[LinearState] | None = None,
     ):
         if capacity_chunks < 1:
@@ -111,7 +96,6 @@ class RollingCache:
             raise ValueError("sink_chunks must be >= 0")
         self.capacity_chunks = capacity_chunks
         self.sink_chunks = sink_chunks
-        self.max_temporal_index = max_temporal_index
         self.sink_entries: list[ChunkKV] = []
         self.window_entries: list[ChunkKV] = []
         self.linear_states: list[LinearState] = linear_states or []
@@ -134,14 +118,14 @@ class RollingCache:
         The caller owns routing the evicted entry into the linear states
         (absorb before the next attention call). Chunks 0 .. sink_chunks - 1
         go to the pinned list and never count against capacity. A chunk out
-        of sequence or of a shape that does not fit (_shape_mismatch) raises
+        of sequence or of a shape that does not fit (shape_mismatch) raises
         before anything changes.
         """
         if kv.chunk_index != self._next_index:
             raise SequenceError(
                 f"expected chunk {self._next_index}, got {kv.chunk_index}"
             )
-        mismatch = self._shape_mismatch(kv.keys.shape)
+        mismatch = self.shape_mismatch(kv.keys.shape)
         if mismatch:
             raise ShapeError(f"chunk {kv.chunk_index}: {mismatch}")
         self._next_index += 1
@@ -170,13 +154,13 @@ class RollingCache:
         return list(self.sink_entries) + list(self.window_entries)
 
     def visible_kv(self, query_chunk_index: int) -> list[tuple[ChunkKV, int]]:
-        """Sink + window entries paired with their capped relative temporal
-        index for the given querying chunk, oldest first."""
-        return [
-            (e, relative_temporal_index(query_chunk_index, e.chunk_index,
-                                        self.max_temporal_index))
-            for e in self.entries()
-        ]
+        """Sink + window entries, oldest first, each paired with its distance
+        query_chunk_index - chunk_index: how many chunks it lies behind the
+        querying chunk. An entry newer than that chunk raises ValueError."""
+        out = [(e, query_chunk_index - e.chunk_index) for e in self.entries()]
+        if out and out[-1][1] < 0:
+            raise ValueError("entry newer than the querying chunk")
+        return out
 
     # -- snapshot / restore --------------------------------------------------
 
@@ -186,7 +170,6 @@ class RollingCache:
             "version": _SNAPSHOT_VERSION,
             "capacity_chunks": self.capacity_chunks,
             "sink_chunks": self.sink_chunks,
-            "max_temporal_index": self.max_temporal_index,
             "next_index": self._next_index,
             "entries": [{"chunk_index": e.chunk_index} for e in entries],
             "linear_states": [
@@ -230,7 +213,7 @@ class RollingCache:
         if not isinstance(manifest, dict):
             raise FormatError("snapshot manifest is not a JSON object")
         version = manifest.pop("version", None)
-        if type(version) is not int or version != _SNAPSHOT_VERSION:  # 6.0 is not 6
+        if type(version) is not int or version != _SNAPSHOT_VERSION:  # 7.0 is not 7
             raise FormatError(f"unsupported snapshot version {version!r}")
         if struct.unpack("<I", trailer)[0] != zlib.crc32(body):
             raise FormatError("snapshot checksum mismatch")
@@ -238,7 +221,6 @@ class RollingCache:
         cache = cls(
             capacity_chunks=_field(manifest, "capacity_chunks", int, 1),
             sink_chunks=_field(manifest, "sink_chunks", int, 0),
-            max_temporal_index=_field(manifest, "max_temporal_index", int, 1),
         )
         cache._next_index = _field(manifest, "next_index", int, 0)
         entries = _field(manifest, "entries", list)
@@ -292,7 +274,7 @@ class RollingCache:
         if len(shapes) > 1:
             raise FormatError(f"entries disagree on key/value shape: {sorted(shapes)}")
         for shape in shapes:
-            mismatch = self._shape_mismatch(shape)
+            mismatch = self.shape_mismatch(shape)
             if mismatch:
                 raise FormatError(mismatch)
         # chunks are evicted only from a full window, so one is there to count
@@ -304,7 +286,7 @@ class RollingCache:
                                   f"stream at next_index {n} evicted {evicted} chunks, {tokens} "
                                   f"tokens")
 
-    def _shape_mismatch(self, shape: tuple) -> str:
+    def shape_mismatch(self, shape: tuple) -> str:
         """Why keys and values of `shape` ([layers, heads, tokens, head_dim])
         do not fit this cache, or "" if they do: they must have the entries'
         shape, and the linear states must be none or one per layer, each of

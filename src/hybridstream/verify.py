@@ -34,7 +34,7 @@ from .linear_history import LinearState, absorb_evicted, elu_plus_one, history_o
 from .numerics import SeededRng, read_tensor_from, softmax_rows, write_tensor
 from .rope import RoPEConfig, apply_rope, position_tables, temporal_index
 from .sparse_local import BlockConfig, BlockMask, build_mask, sparse_attention
-from .stream_cache import ChunkKV, RollingCache, relative_temporal_index
+from .stream_cache import ChunkKV, RollingCache
 
 
 @dataclass
@@ -359,7 +359,7 @@ def _suite_sparse() -> list[CheckResult]:
 
 def _suite_cache() -> list[CheckResult]:
     out = []
-    cache = RollingCache(3, 1, 21)
+    cache = RollingCache(3, 1)
     evicted_ids = []
     rng = SeededRng(4)
     for i in range(40):
@@ -374,14 +374,15 @@ def _suite_cache() -> list[CheckResult]:
                       f"visible {visible_ids}, {len(evicted_ids)} evicted"))
     out.append(_check("cache.memory_bound", cache.total_cached_tokens == 4 * 4,
                       f"{cache.total_cached_tokens} cached tokens"))
-    rels = [rel for _, rel in cache.visible_kv(39)]
+    rope_cfg = RoPEConfig(8, max_temporal_index=21)
+    rels = [temporal_index(39, rope_cfg, dist) for _, dist in cache.visible_kv(39)]
     out.append(_check("cache.relative_index_cap",
                       all(0 <= r <= 21 for r in rels) and rels == sorted(rels),
                       f"relative indices {rels}"))
     restored = RollingCache.restore(cache.snapshot())
     same = all(
-        np.array_equal(a.keys, b.keys) and r1 == r2
-        for (a, r1), (b, r2) in zip(cache.visible_kv(39), restored.visible_kv(39))
+        np.array_equal(a.keys, b.keys) and d1 == d2
+        for (a, d1), (b, d2) in zip(cache.visible_kv(39), restored.visible_kv(39))
     )
     out.append(_check("cache.snapshot_round_trip", same, "restore preserves visible_kv"))
     return out
@@ -424,8 +425,8 @@ def dense_oracle_attention(
     for h in range(cfg.heads):
         k_parts = [
             apply_rope(e.keys[layer, h],
-                       relative_temporal_index(query_chunk_index, e.chunk_index,
-                                               cfg.max_temporal_index),
+                       temporal_index(query_chunk_index, rope_cfg,
+                                      query_chunk_index - e.chunk_index),
                        rope_cfg)
             for e in history
         ]
@@ -667,9 +668,8 @@ SUITES = {
 
 
 def run_suites(only: str | None = None) -> list[CheckResult]:
+    """Run every suite, or only the one named (a key of SUITES)."""
     names = list(SUITES) if only is None else [only]
-    if only is not None and only not in SUITES:
-        raise KeyError(f"unknown suite {only!r}; available: {', '.join(SUITES)}")
     results = []
     for name in names:
         results.extend(SUITES[name]())

@@ -69,6 +69,17 @@ class TestVerifyCommand:
         assert main(["verify", "--suite", ""]) == EXIT_USAGE
         assert "unknown suite ''" in capsys.readouterr().err
 
+    def test_key_error_inside_a_suite_is_not_a_usage_error(self, monkeypatch):
+        # only an unknown suite name is the command line's fault
+        import hybridstream.verify as verify_mod
+
+        def faulty_suite():
+            raise KeyError("missing")
+
+        monkeypatch.setitem(verify_mod.SUITES, "rope", faulty_suite)
+        with pytest.raises(KeyError, match="missing"):
+            main(["verify", "--suite", "rope"])
+
     def test_json_listing(self, tmp_path, capsys):
         assert main(["verify", "--suite", "numerics", "--out", str(tmp_path)]) == EXIT_OK
         data = json.loads((tmp_path / "verify.json").read_text())

@@ -24,13 +24,13 @@ from hybridstream.engine import (
     rectified_flow,
     run_stream,
 )
-from hybridstream.errors import ContractViolationError, ShapeError
+from hybridstream.errors import ShapeError
 from hybridstream.numerics import SeededRng
 from hybridstream.linear_history import elu_plus_one, history_output
 from hybridstream.rope import apply_rope, position_tables, temporal_index
 from hybridstream.sparse_local import (BlockConfig, BlockMask, block_means, block_scores,
                                       build_mask, sparse_attention)
-from hybridstream.stream_cache import ChunkKV, RollingCache, relative_temporal_index
+from hybridstream.stream_cache import ChunkKV, RollingCache
 from hybridstream.verify import dense_oracle_attention, expected_score_evals, random_cache
 
 TOY = StreamConfig(tokens_per_frame=4, heads=2, head_dim=8)
@@ -76,7 +76,8 @@ def per_head_hybrid(qkv, cache, layer, cfg, qci, rope=apply_rope, phi=elu_plus_o
     bcfg = BlockConfig(cfg.keep_ratio, frozenset(forced))
     heads = []
     for h in range(cfg.heads):
-        k_parts = [rope(e.keys[layer, h], rel, rope_cfg) for e, rel in visible]
+        k_parts = [rope(e.keys[layer, h], temporal_index(qci, rope_cfg, dist), rope_cfg)
+                   for e, dist in visible]
         q_rot, k_rot = rope(np.stack((q[h], k_self[h])), q_index, rope_cfg)
         k_full = np.concatenate(k_parts + [k_rot])
         v_full = np.concatenate([e.values[layer, h] for e, _ in visible] + [v_self[h]])
@@ -324,15 +325,28 @@ class TestWindowWorkspace:
             assert reused == [i > 5] * 5, (i, reused)
 
     @pytest.mark.parametrize("cache_cap, model_cap", [(40, 21), (21, 40)])
-    def test_cache_of_another_rope_cap_refused_before_any_change(self, cache_cap, model_cap):
-        # relative indices up to 29 would be clipped to a cap-21 model's tables
+    def test_cache_streams_under_another_rope_cap(self, cache_cap, model_cap):
+        # the cache holds unrotated keys and a state absorbed at index 0, so
+        # the model's cap alone sets every index: 30 chunks in, a cap-21
+        # model saturates and a cap-40 one does not
         stream = random_cache(replace(TOY, max_temporal_index=cache_cap), 30, seed=83)
         cache = RollingCache.restore(stream.snapshot())
-        model = model_of(replace(TOY, max_temporal_index=model_cap))
+        cfg = replace(TOY, max_temporal_index=model_cap)
+        qkv = random_qkv(cfg, 84)
+        for layer in range(cfg.layers):
+            got = hybrid_attention(qkv, cache, layer, cfg, 30, history_proj(cfg, layer))
+            assert np.array_equal(got, per_head_hybrid(qkv, cache, layer, cfg, 30)), layer
+
+    @pytest.mark.parametrize("size, value", [("layers", 3), ("heads", 3),
+                                             ("tokens_per_frame", 2), ("head_dim", 12)])
+    def test_cache_of_other_sizes_refused_before_any_change(self, size, value):
+        # TOY is verify._TOY, the sizes of the verify suites' caches
+        cache = RollingCache.restore(random_cache(TOY, 8, seed=85).snapshot())
+        model = model_of(replace(TOY, **{size: value}))
         entries = [e.chunk_index for e in cache.entries()]
-        with pytest.raises(ContractViolationError, match="RoPE cap"):
-            chunk_step(model, cache, 30, TOY.denoise_timesteps, SeededRng(84))
-        assert cache.next_index == 30 and [e.chunk_index for e in cache.entries()] == entries
+        with pytest.raises(ShapeError, match="cache does not fit the model"):
+            chunk_step(model, cache, 8, TOY.denoise_timesteps, SeededRng(86))
+        assert cache.next_index == 8 and [e.chunk_index for e in cache.entries()] == entries
 
     def test_reallocated_after_restore_and_for_other_sizes(self):
         cfg = self.CFG
@@ -576,8 +590,8 @@ class TestHybridAttention:
         bcfg = BlockConfig(cfg.keep_ratio, frozenset(forced))
         local_heads = []
         for h in range(cfg.heads):
-            k_parts = [apply_rope(e.keys[layer, h], rel, rope_cfg)
-                       for e, rel in visible]
+            k_parts = [apply_rope(e.keys[layer, h], temporal_index(8, rope_cfg, dist), rope_cfg)
+                       for e, dist in visible]
             k_parts.append(apply_rope(k_self[h], q_index, rope_cfg))
             v_parts = [e.values[layer, h] for e, _ in visible] + [v_self[h]]
             k_full = np.concatenate(k_parts)
@@ -631,7 +645,7 @@ class TestDenseOracle:
         for h in range(cfg.heads):
             keys, vals = [], []
             for e in history:
-                rel = relative_temporal_index(qci, e.chunk_index, cfg.max_temporal_index)
+                rel = temporal_index(qci, rope_cfg, qci - e.chunk_index)
                 rk = apply_rope(e.keys[1, h], rel, rope_cfg)
                 for tok in range(cfg.chunk_tokens):
                     keys.append(rk[tok])

@@ -1,4 +1,5 @@
-"""Rotary embedding tests: cap behaviour, isometry, relative offsets."""
+"""Rotary embedding tests: cap behaviour, relative indices, isometry, relative
+offsets."""
 
 import numpy as np
 import pytest
@@ -42,6 +43,38 @@ class TestTemporalIndex:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             temporal_index(-1, CFG)
+
+
+class TestRelativeIndices:
+    """temporal_index of what lies `distance` chunks behind a querying chunk:
+    a cached entry's relative temporal index, with CFG's cap of 21."""
+
+    def test_saturated_query_maps_to_cap(self):
+        assert temporal_index(500, CFG, 0) == 21
+        for dist in (1, 2, 3):
+            rel = temporal_index(500, CFG, dist)
+            assert rel == 21 - dist
+            assert 0 <= rel <= 21
+
+    def test_shift_invariance_once_saturated(self):
+        for q1, q2 in [(100, 500), (22, 1000)]:
+            pat1 = [temporal_index(q1, CFG, d) for d in range(4)]
+            pat2 = [temporal_index(q2, CFG, d) for d in range(4)]
+            assert pat1 == pat2
+
+    def test_unsaturated_indices_are_absolute_positions(self):
+        for q in range(22):
+            for e in range(q + 1):
+                assert temporal_index(q, CFG, q - e) == e
+
+    def test_sink_pins_to_zero_beyond_cap(self):
+        for q in [21, 22, 100, 10_000]:
+            assert temporal_index(q, CFG, q) == 0
+
+    def test_negative_distance_rejected(self):
+        # an entry newer than the querying chunk
+        with pytest.raises(ValueError):
+            temporal_index(3, CFG, -1)
 
 
 class TestApplyRope:

@@ -1,5 +1,5 @@
-"""Rolling cache tests: FIFO eviction, sink pinning, capped relative
-indices, snapshot round trips."""
+"""Rolling cache tests: FIFO eviction, sink pinning, each entry's distance
+behind a querying chunk, snapshot round trips."""
 
 import json
 import struct
@@ -14,10 +14,11 @@ from hybridstream.engine import StreamConfig, ToyDenoiser, append_and_absorb, ch
 from hybridstream.errors import FormatError, SequenceError, ShapeError
 from hybridstream.linear_history import LinearState
 from hybridstream.numerics import SeededRng
-from hybridstream.stream_cache import ChunkKV, RollingCache, relative_temporal_index
+from hybridstream.rope import RoPEConfig, temporal_index
+from hybridstream.stream_cache import ChunkKV, RollingCache
 
 LAYERS, HEADS, TOKENS, HEAD_DIM = 2, 2, 6, 8
-CAP = 21
+CAP = 21  # the model's RoPE cap; the cache holds none
 
 
 def make_kv(idx, seed=None):
@@ -37,7 +38,7 @@ def fill(cache, n):
 
 class TestAppendEviction:
     def test_fifo_without_sink(self):
-        cache = RollingCache(3, 0, CAP)
+        cache = RollingCache(3, 0)
         for i in range(3):
             assert cache.append(make_kv(i)) is None
         evicted = cache.append(make_kv(3))
@@ -45,14 +46,14 @@ class TestAppendEviction:
         assert [e.chunk_index for e in cache.window_entries] == [1, 2, 3]
 
     def test_sink_never_evicted(self):
-        cache = RollingCache(3, 1, CAP)
+        cache = RollingCache(3, 1)
         evicted = fill(cache, 6)
         assert [e.chunk_index for e in cache.sink_entries] == [0]
         assert [e.chunk_index for e in cache.window_entries] == [3, 4, 5]
         assert [e.chunk_index for e in evicted] == [1, 2]
 
     def test_eviction_sequence_enumeration(self):
-        cache = RollingCache(3, 1, CAP)
+        cache = RollingCache(3, 1)
         evictions = []
         for i in range(12):
             out = cache.append(make_kv(i))
@@ -60,7 +61,7 @@ class TestAppendEviction:
         assert evictions == [None, None, None, None, 1, 2, 3, 4, 5, 6, 7, 8]
 
     def test_non_consecutive_rejected(self):
-        cache = RollingCache(3, 0, CAP)
+        cache = RollingCache(3, 0)
         cache.append(make_kv(0))
         with pytest.raises(SequenceError):
             cache.append(make_kv(2))
@@ -73,7 +74,7 @@ class TestAppendEviction:
     ])
     def test_shape_mismatch_rejected_before_any_change(self, shape):
         stream = TestSnapshot.STREAM
-        cache = RollingCache(3, 1, CAP, make_states())
+        cache = RollingCache(3, 1, make_states())
         for i in range(6):  # chunks 1 and 2 absorbed; the next append evicts
             append_and_absorb(cache, make_kv(i), stream)
         entries = cache.entries()
@@ -95,26 +96,26 @@ class TestAppendEviction:
         for shape, match in [((LAYERS, 3, TOKENS, HEAD_DIM), "2 heads x head_dim 8"),
                              ((LAYERS, HEADS, TOKENS, 4), "2 heads x head_dim 8"),
                              ((3, HEADS, TOKENS, HEAD_DIM), "2 linear states for entries of 3")]:
-            cache = RollingCache(3, 0, CAP, make_states())
+            cache = RollingCache(3, 0, make_states())
             rng = SeededRng(10)
             with pytest.raises(ShapeError, match=match):
                 cache.append(ChunkKV(0, rng.normal(shape), rng.normal(shape)))
             assert cache.next_index == 0 and cache.entries() == []
         # without states any first shape is taken, and later ones must match it
-        cache = RollingCache(3, 0, CAP)
+        cache = RollingCache(3, 0)
         cache.append(ChunkKV(0, np.zeros((1, 3, 5, 4)), np.zeros((1, 3, 5, 4))))
         with pytest.raises(ShapeError):
             cache.append(make_kv(1))
 
     def test_memory_bound_for_any_stream_length(self):
         for n in [1, 3, 4, 10, 50]:
-            cache = RollingCache(3, 1, CAP)
+            cache = RollingCache(3, 1)
             fill(cache, n)
             want = (min(1, n) + min(max(n - 1, 0), 3)) * TOKENS
             assert cache.total_cached_tokens == want
 
     def test_evicted_and_visible_partition_all_chunks(self):
-        cache = RollingCache(3, 1, CAP)
+        cache = RollingCache(3, 1)
         evicted = fill(cache, 30)
         evicted_ids = {e.chunk_index for e in evicted}
         visible_ids = {e.chunk_index for e in cache.entries()}
@@ -123,44 +124,30 @@ class TestAppendEviction:
 
 
 class TestRelativeIndices:
+    """visible_kv pairs each entry with its distance behind the querying
+    chunk; rope.temporal_index (tested in test_rope) caps it."""
+
     def test_stream_start_identity(self):
-        cache = RollingCache(3, 0, CAP)
+        cache = RollingCache(3, 0)
         cache.append(make_kv(0))
-        [(entry, rel)] = cache.visible_kv(0)
-        assert entry.chunk_index == 0 and rel == 0
-
-    def test_saturated_query_maps_to_cap(self):
-        assert relative_temporal_index(500, 500, CAP) == CAP
-        for dist in (1, 2, 3):
-            rel = relative_temporal_index(500, 500 - dist, CAP)
-            assert rel == CAP - dist
-            assert 0 <= rel <= CAP
-
-    def test_shift_invariance_once_saturated(self):
-        for q1, q2 in [(100, 500), (22, 1000)]:
-            pat1 = [relative_temporal_index(q1, q1 - d, CAP) for d in range(4)]
-            pat2 = [relative_temporal_index(q2, q2 - d, CAP) for d in range(4)]
-            assert pat1 == pat2
-
-    def test_unsaturated_indices_are_absolute_positions(self):
-        for q in range(CAP + 1):
-            for e in range(q + 1):
-                assert relative_temporal_index(q, e, CAP) == e
-
-    def test_sink_pins_to_zero_beyond_cap(self):
-        for q in [CAP, CAP + 1, 100, 10_000]:
-            assert relative_temporal_index(q, 0, CAP) == 0
+        [(entry, dist)] = cache.visible_kv(0)
+        assert entry.chunk_index == 0 and dist == 0
 
     def test_indices_capped_for_long_streams(self):
-        cache = RollingCache(3, 1, CAP)
+        cache = RollingCache(3, 1)
         fill(cache, 1200)
-        rels = [rel for _, rel in cache.visible_kv(1199)]
-        assert all(0 <= r <= CAP for r in rels)
-        assert rels == sorted(rels)  # non-decreasing in entry order
+        dists = [dist for _, dist in cache.visible_kv(1199)]
+        assert dists == [1199, 2, 1, 0]  # sink 0, window 1197-1199
+        rels = [temporal_index(1199, RoPEConfig(HEAD_DIM, max_temporal_index=CAP), d)
+                for d in dists]
+        assert rels == [0, CAP - 2, CAP - 1, CAP]
 
     def test_entry_newer_than_query_rejected(self):
-        with pytest.raises(ValueError):
-            relative_temporal_index(3, 4, CAP)
+        cache = RollingCache(3, 1)
+        fill(cache, 5)
+        assert [dist for _, dist in cache.visible_kv(4)] == [4, 2, 1, 0]
+        with pytest.raises(ValueError, match="newer than the querying chunk"):
+            cache.visible_kv(3)
 
 
 def make_states():
@@ -173,7 +160,7 @@ class TestSnapshot:
                           max_temporal_index=CAP)
 
     def build_cache(self, chunks):
-        cache = RollingCache(3, 1, CAP, make_states())
+        cache = RollingCache(3, 1, make_states())
         for i in range(chunks):
             append_and_absorb(cache, make_kv(i), self.STREAM)
         return cache
@@ -198,13 +185,14 @@ class TestSnapshot:
             RollingCache.restore(blob)
 
     def test_version_2_snapshot_is_format_error(self):
-        # version 5 was this layout with a projection tensor after each linear
-        # state's L and H; version 4 also had an "encoding" field, version 3
-        # gave each entry a sink flag, and version 2 named each linear
-        # state's feature map
-        for version in (2, 3, 4, 5):
+        # versions 2-6 held the RoPE cap as "max_temporal_index"; version 5
+        # also had a projection tensor after each linear state's L and H,
+        # version 4 also an "encoding" field, version 3 gave each entry a sink
+        # flag, and version 2 named each linear state's feature map
+        for version in (2, 3, 4, 5, 6):
             def edit(manifest):
                 manifest["version"] = version
+                manifest["max_temporal_index"] = CAP
                 if version <= 4:
                     manifest["encoding"] = "f64-bit-split-pairs"
                 if version <= 3:
@@ -220,6 +208,8 @@ class TestSnapshot:
 
     @pytest.mark.parametrize("record, edit", [
         ("manifest", lambda m: m.update(note="restored twice")),
+        pytest.param("manifest", lambda m: m.update(max_temporal_index=CAP),
+                     id="manifest-max_temporal_index"),  # versions up to 6 had it
         ("entry 2", lambda m: m["entries"][1].update(is_sink=True)),
         ("linear state", lambda m: m["linear_states"][0].update(feature_map="elu1")),
     ])
@@ -239,7 +229,6 @@ class TestSnapshot:
         ("capacity_chunks", "3"),
         ("capacity_chunks", 0),
         ("sink_chunks", -1),
-        ("max_temporal_index", "x"),
         ("evicted_tokens", "x"),
     ])
     def test_malformed_scalar_field_is_format_error(self, field, value):
@@ -284,7 +273,7 @@ class TestSnapshot:
         # the work must not grow with next_index: building the chunk lists a
         # stream at 10**12 keeps would take terabytes
         n = 10**12
-        blob = self.with_manifest(RollingCache(3, 1, CAP).snapshot(),
+        blob = self.with_manifest(RollingCache(3, 1).snapshot(),
                                   lambda m: m.update(next_index=n, sink_chunks=n))
         start = time.perf_counter()
         with pytest.raises(FormatError) as info:
@@ -325,7 +314,7 @@ class TestSnapshot:
             RollingCache.restore(cache.snapshot())
 
     def test_entry_shape_unlike_linear_states_is_format_error(self):
-        cache = RollingCache(3, 1, CAP)
+        cache = RollingCache(3, 1)
         for i in range(3):
             kv = make_kv(i)
             cache.append(ChunkKV(i, kv.keys[..., :4], kv.values[..., :4]))
@@ -411,10 +400,10 @@ class TestSnapshot:
                 RollingCache.restore(bytes(flipped))
 
     def test_version_of_another_json_type_is_format_error(self):
-        # read first, as the int snapshot() writes: 6.0 is not version 6
+        # read first, as the int snapshot() writes: 7.0 is not version 7
         blob = self.with_manifest(self.build_cache(5).snapshot(),
                                   lambda m: m.update(version=float(m["version"])))
-        with pytest.raises(FormatError, match=r"unsupported snapshot version 6\.0"):
+        with pytest.raises(FormatError, match=r"unsupported snapshot version 7\.0"):
             RollingCache.restore(blob)
 
     def test_snapshot_holds_no_model_weight(self):
