@@ -213,8 +213,7 @@ def dmd_gradient(gen: AffineGenerator, world: GaussianWorld, t: float,
     if not (0.0 < t <= 1.0):
         raise ValueError(f"t must be in (0, 1], got {t}")
     a, bt = rectified_flow(t)
-    eps = rng.normal((batch, world.n))
-    eps_diff = rng.normal((batch, world.n))
+    eps, eps_diff = rng.normal((batch, world.n), count=2)  # one call, drawn in that order
     x0 = gen.transform(eps)
     xt = a * x0 + bt * eps_diff
 

@@ -9,7 +9,10 @@ schedule, re-noising between steps along the rectified-flow path
 (rectified_flow, the one noise schedule), emit the final clean prediction,
 cache its keys/values through a dedicated pass at t=0, and absorb whatever
 the rolling window evicts into the linear state. That chunk step
-(chunk_step) is shared by run_stream and the distillation fixture.
+(chunk_step) is shared by run_stream and the distillation fixture. It
+draws all of a chunk's noise in one SeededRng.normal call, and its t=0
+pass stops after the last layer's attention, since only the keys and
+values of that pass are kept (ToyDenoiser.compute_chunk_kv).
 
 A layer pass makes one product for the queries, keys and values (the
 ToyDenoiser's [model_dim, 3 * model_dim] "wqkv"), splits it into heads
@@ -354,8 +357,16 @@ class ToyDenoiser:
         cache: RollingCache,
         query_chunk_index: int,
         counters: OpCounters | None = None,
-    ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-        """One pass over a chunk. Returns (prediction, per-layer (k, v))."""
+        *,
+        keys_only: bool = False,
+    ) -> tuple[np.ndarray | None, list[tuple[np.ndarray, np.ndarray]]]:
+        """One pass over a chunk. Returns (prediction, per-layer (k, v)).
+
+        With keys_only (the t=0 cache pass, compute_chunk_kv) the last layer
+        stops right after its hybrid attention, whose output nothing reads,
+        and the prediction is None: the keys and values are all that pass
+        keeps. The attention itself still runs, so the pass's OpCounters
+        (and the cost model's closed form) count every layer."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.cfg.chunk_tokens, self.cfg.model_dim):
             raise ShapeError(
@@ -364,13 +375,17 @@ class ToyDenoiser:
         cfg = self.cfg
         h = x + self._time_row(t)[None, :]
         layer_kvs = []
+        last = len(self.layers) - 1
         for layer_idx, w in enumerate(self.layers):
             # [tokens, 3 * model_dim] split into heads: [3, heads, tokens, head_dim]
             qkv = (_layer_norm(h) @ w["wqkv"]).reshape(
                 cfg.chunk_tokens, 3, cfg.heads, cfg.head_dim).transpose(1, 2, 0, 3)
             layer_kvs.append((qkv[1], qkv[2]))
-            h += hybrid_attention(qkv, cache, layer_idx, cfg, query_chunk_index,
-                                  w["history_proj"], counters) @ w["wo"]
+            attended = hybrid_attention(qkv, cache, layer_idx, cfg, query_chunk_index,
+                                        w["history_proj"], counters)
+            if keys_only and layer_idx == last:
+                return None, layer_kvs
+            h += attended @ w["wo"]
             h += _gelu(_layer_norm(h) @ w["w1"]) @ w["w2"]
         return h, layer_kvs
 
@@ -378,8 +393,11 @@ class ToyDenoiser:
                          chunk_index: int,
                          counters: OpCounters | None = None) -> ChunkKV:
         """Dedicated t=0 pass over the emitted chunk, collecting the keys and
-        values that actually get cached."""
-        _, layer_kvs = self.forward(x0, 0.0, cache, chunk_index, counters)
+        values that actually get cached. The pass goes through forward with
+        keys_only, so the last layer's wo product, residual adds, norm and
+        MLP, whose output nothing reads, are not computed; its keys, values
+        and counters equal a full forward(x0, 0.0, ...)'s bit for bit."""
+        _, layer_kvs = self.forward(x0, 0.0, cache, chunk_index, counters, keys_only=True)
         keys = np.stack([kv[0] for kv in layer_kvs])
         values = np.stack([kv[1] for kv in layer_kvs])
         return ChunkKV(chunk_index, keys, values)
@@ -392,7 +410,7 @@ class StreamResult:
     chunk_score_evals: np.ndarray
     chunk_pooled_scores: np.ndarray
     peak_cached_tokens: int
-    max_relative_index_seen: int
+    max_relative_index_seen: int  # the last chunk's capped temporal index, the largest
     config: StreamConfig
     final_cache: RollingCache
 
@@ -401,13 +419,23 @@ def append_and_absorb(cache: RollingCache, kv: ChunkKV,
                       cfg: StreamConfig) -> ChunkKV | None:
     """Append a chunk to the window and fold the chunk it evicts into every
     linear state the cache has, at temporal index 0. Returns the evicted
-    entry, if any."""
-    evicted = cache.append(kv)
-    if evicted is not None:
-        rope_cfg = cfg.rope_config
-        for layer_idx, state in enumerate(cache.linear_states):
-            absorb_evicted(state, evicted.keys[layer_idx],
-                           evicted.values[layer_idx], rope_cfg)
+    entry, if any.
+
+    Every layer's new state is computed on a copy before the cache or any
+    state changes, then all are committed with the append. So a refused
+    append, or an absorb rejected as non-finite (ValueError), leaves the
+    cache, its entries and every state as they were."""
+    evicted = cache.evicts(kv)
+    rope_cfg = cfg.rope_config
+    # absorb_evicted replaces a state's arrays and never writes them, so
+    # updating a copy that shares them leaves the cache's state untouched
+    updated = [] if evicted is None else [
+        absorb_evicted(LinearState(state.L, state.H, state.evicted_tokens),
+                       evicted.keys[layer_idx], evicted.values[layer_idx], rope_cfg)
+        for layer_idx, state in enumerate(cache.linear_states)]
+    cache.append(kv)
+    for state, new in zip(cache.linear_states, updated):
+        state.L, state.H, state.evicted_tokens = new.L, new.H, new.evicted_tokens
     return evicted
 
 
@@ -418,17 +446,18 @@ def chunk_step(model: ToyDenoiser, cache: RollingCache, chunk_index: int,
 
     Start from fresh noise at the first timestep, denoise down `timesteps`
     re-noising between steps, run the t=0 cache pass on the last
-    prediction, then append it (absorbing any eviction).
+    prediction, then append it (absorbing any eviction). The chunk's noise
+    is drawn in one call up front, len(timesteps) arrays: the start, then
+    one per re-noising, bit for bit the draws one call each would make.
     """
     cfg = model.cfg
-    shape = (cfg.chunk_tokens, cfg.model_dim)
-    x = rng.normal(shape)
+    noise = rng.normal((cfg.chunk_tokens, cfg.model_dim), count=len(timesteps))
+    x = noise[0]
     for j, t in enumerate(timesteps):
         x0 = model.forward(x, t, cache, chunk_index, counters)[0]
         if j + 1 < len(timesteps):
-            eps = rng.normal(shape)
             alpha, beta = rectified_flow(timesteps[j + 1])
-            x = alpha * x0 + beta * eps
+            x = alpha * x0 + beta * noise[j + 1]
     append_and_absorb(cache, model.compute_chunk_kv(x0, cache, chunk_index, counters), cfg)
     return x0
 
@@ -450,7 +479,6 @@ def run_stream(cfg: StreamConfig, num_chunks: int,
     chunk_scores = np.zeros(num_chunks, dtype=np.int64)
     chunk_pooled = np.zeros(num_chunks, dtype=np.int64)
     peak_tokens = 0
-    max_rel_seen = 0
 
     for i in range(num_chunks):
         counters = OpCounters()
@@ -459,10 +487,10 @@ def run_stream(cfg: StreamConfig, num_chunks: int,
         chunk_ms[i] = (time.perf_counter() - start) * 1e3
         chunk_scores[i], chunk_pooled[i] = counters.snapshot()
         peak_tokens = max(peak_tokens, cache.total_cached_tokens)
-        for _, dist in cache.visible_kv(i):
-            max_rel_seen = max(max_rel_seen, temporal_index(i, cfg.rope_config, dist))
         latents.append(x0)
 
-    return StreamResult(latents, chunk_ms, chunk_scores, chunk_pooled,
-                        peak_tokens, max_rel_seen, cfg, cache)
+    # each chunk's own entry sits at distance 0, with the largest capped
+    # index of its window, and indices never fall as the stream goes on
+    return StreamResult(latents, chunk_ms, chunk_scores, chunk_pooled, peak_tokens,
+                        temporal_index(num_chunks - 1, cfg.rope_config), cfg, cache)
 

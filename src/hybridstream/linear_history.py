@@ -103,7 +103,9 @@ def absorb_evicted(
     indices keep a monotone relative offset to everything already
     absorbed. The rotation reads the cached row 0 of rope.position_tables,
     so an eviction builds no tables. Raises ValueError, leaving the state
-    unchanged, when the updated L or H would be non-finite.
+    unchanged, when the updated L or H would be non-finite. The state's L
+    and H are replaced by new arrays, never written, so updating a copy
+    that shares them leaves the original as it was.
     """
     keys = np.asarray(keys, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)

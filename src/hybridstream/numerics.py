@@ -9,6 +9,7 @@ bit-split helpers `f64_to_f32_pairs` / `f32_pairs_to_f64`.
 from __future__ import annotations
 
 import io
+import operator
 import struct
 from typing import BinaryIO
 
@@ -47,6 +48,9 @@ class SeededRng:
     stream: a request for n values consumes exactly 2 * ceil(n / 2) raw
     draws (u1 from the first half mapped to (0, 1], u2 from the second half
     mapped to [0, 1)), and pairs are emitted as (r cos, r sin) interleaved.
+    A batched request, normal(shape, count=k), takes k such runs back to
+    back, one per array, so it consumes and returns exactly what k
+    successive normal(shape) calls would.
     Gaussian bit patterns may differ across libm implementations; the
     distribution and the underlying uniform stream do not.
     """
@@ -87,8 +91,13 @@ class SeededRng:
         """n raw uint64 draws."""
         return self._raw(n)
 
-    def normal(self, shape) -> np.ndarray:
-        """Standard normal draws via Box-Muller, filled row-major."""
+    def normal(self, shape, count: int | None = None) -> np.ndarray:
+        """Standard normal draws via Box-Muller, filled row-major.
+
+        With `count`, `count` draws of `shape` stacked as [count, *shape]:
+        bit for bit what `count` successive normal(shape) calls return, the
+        counter advanced as they would advance it (count = 0 draws nothing).
+        normal(shape) is the draw of count None, shaped `shape`."""
         if isinstance(shape, (int, np.integer)):
             out_shape: tuple = (int(shape),)
         else:
@@ -98,23 +107,30 @@ class SeededRng:
             if s < 0:
                 raise ValueError("shape entries must be >= 0")
             n *= s
-        if n == 0:
+        k = 1 if count is None else operator.index(count)
+        if k < 0:
+            raise ValueError(f"count must be >= 0, got {count}")
+        if count is not None:
+            out_shape = (k,) + out_shape
+        if n == 0 or k == 0:
             return np.zeros(out_shape, dtype=np.float64)
         m = (n + 1) // 2
-        # every 53-bit draw is exact in float64, so adding 1 after the
+        # one row of 2m raw draws per requested array: its u1 from the first
+        # half, its u2 from the second, as a call for that array alone takes
+        # them. Every 53-bit draw is exact in float64, so adding 1 after the
         # conversion rounds as adding it before would
-        u = (self._raw(2 * m) >> np.uint64(11)).astype(np.float64)
-        u1, u2 = u[:m], u[m:]
+        u = (self._raw(2 * m * k) >> np.uint64(11)).astype(np.float64).reshape(k, 2 * m)
+        u1, u2 = u[:, :m], u[:, m:]
         u1 += 1.0
         u *= _INV_2_53
         r = np.log(u1)
         r *= -2.0
         np.sqrt(r, out=r)
         u2 *= 2.0 * np.pi  # theta
-        z = np.empty(2 * m, dtype=np.float64)
-        np.multiply(r, np.cos(u2), out=z[0::2])
-        np.multiply(r, np.sin(u2), out=z[1::2])
-        return z[:n].reshape(out_shape)
+        z = np.empty((k, 2 * m), dtype=np.float64)
+        np.multiply(r, np.cos(u2), out=z[:, 0::2])
+        np.multiply(r, np.sin(u2), out=z[:, 1::2])
+        return z[:, :n].reshape(out_shape)
 
 
 def softmax_rows(m: np.ndarray) -> np.ndarray:

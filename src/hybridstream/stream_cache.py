@@ -112,15 +112,9 @@ class RollingCache:
             e.tokens for e in self.window_entries
         )
 
-    def append(self, kv: ChunkKV) -> ChunkKV | None:
-        """Insert the next chunk; returns the evicted entry, if any.
-
-        The caller owns routing the evicted entry into the linear states
-        (absorb before the next attention call). Chunks 0 .. sink_chunks - 1
-        go to the pinned list and never count against capacity. A chunk out
-        of sequence or of a shape that does not fit (shape_mismatch) raises
-        before anything changes.
-        """
+    def evicts(self, kv: ChunkKV) -> ChunkKV | None:
+        """The entry append(kv) would evict, if any, with nothing changed. A
+        chunk append refuses raises here as it does there."""
         if kv.chunk_index != self._next_index:
             raise SequenceError(
                 f"expected chunk {self._next_index}, got {kv.chunk_index}"
@@ -128,13 +122,26 @@ class RollingCache:
         mismatch = self.shape_mismatch(kv.keys.shape)
         if mismatch:
             raise ShapeError(f"chunk {kv.chunk_index}: {mismatch}")
+        if kv.chunk_index < self.sink_chunks or len(self.window_entries) < self.capacity_chunks:
+            return None
+        return self.window_entries[0]
+
+    def append(self, kv: ChunkKV) -> ChunkKV | None:
+        """Insert the next chunk; returns the evicted entry, if any.
+
+        The caller owns routing the evicted entry into the linear states
+        (absorb before the next attention call). Chunks 0 .. sink_chunks - 1
+        go to the pinned list and never count against capacity. A chunk out
+        of sequence or of a shape that does not fit (shape_mismatch) raises
+        before anything changes, as it does in evicts.
+        """
+        evicted = self.evicts(kv)
         self._next_index += 1
         if kv.chunk_index < self.sink_chunks:
             self.sink_entries.append(kv)
             return None
-        evicted = None
-        if len(self.window_entries) == self.capacity_chunks:
-            evicted = self.window_entries.pop(0)
+        if evicted is not None:
+            self.window_entries.pop(0)
         self.window_entries.append(kv)
         return evicted
 

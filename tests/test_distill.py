@@ -254,6 +254,24 @@ class TestDmdGradient:
         with pytest.raises(ValueError):
             dmd_gradient(gen, w, 0.0, SeededRng(16), 10)
 
+    def test_noise_drawn_in_one_call(self, monkeypatch):
+        w = world2()
+        gen = AffineGenerator(0.7 * np.eye(2) + 0.1, np.array([0.3, -0.2]))
+        normal = SeededRng.normal
+        counts = []
+
+        def one_call_per_array(self, shape, count=None):
+            counts.append(count)
+            if count is None:
+                return normal(self, shape)
+            return np.stack([normal(self, shape) for _ in range(count)])
+
+        batched = dmd_gradient(gen, w, 0.5, SeededRng(17), 33)
+        monkeypatch.setattr(SeededRng, "normal", one_call_per_array)
+        separate = dmd_gradient(gen, w, 0.5, SeededRng(17), 33)
+        assert counts == [2]
+        assert np.array_equal(batched.A, separate.A) and np.array_equal(batched.b, separate.b)
+
     def test_convergence_smoke(self):
         # short-budget version of the convergence experiment
         rng = SeededRng(123)

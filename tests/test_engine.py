@@ -12,8 +12,10 @@ import pytest
 from scipy.special import erf
 
 from hybridstream import engine, sparse_local
+from hybridstream.distill import DistillConfig
 from hybridstream.engine import (
     BENCH_MODES,
+    OpCounters,
     StreamConfig,
     ToyDenoiser,
     append_and_absorb,
@@ -202,6 +204,143 @@ class TestFusedPassRegression:
             assert np.array_equal(np.signbit(got), np.signbit(want))
         rows = SeededRng(115).normal((48, 32)) * np.logspace(-3, 3, 48)[:, None]
         assert np.array_equal(engine._layer_norm(rows), textbook_layer_norm(rows))
+
+
+_FIXTURE = replace(DistillConfig().fixture, denoise_timesteps=DistillConfig().timesteps)
+
+
+class TestCachePass:
+    """compute_chunk_kv stops the t=0 pass after the last layer's attention;
+    what it keeps equals a full forward(x0, 0.0, ...)'s bit for bit."""
+
+    CONFIGS = [
+        (StreamConfig(), 6),
+        (StreamConfig(window_frames=45), 18),
+        (StreamConfig(heads=3), 6),
+        (replace(_FIXTURE, keep_ratio=1.0, linear_history=False), 4),  # distill, dense phase
+        (replace(_FIXTURE, linear_history=True), 4),                   # distill, hybrid phase
+    ]
+
+    @pytest.mark.parametrize("cfg, chunks", CONFIGS)
+    def test_keys_values_and_counters_equal_a_full_pass(self, cfg, chunks):
+        model = model_of(cfg)
+        cache = random_cache(cfg, chunks, seed=120, model=model)
+        x0 = SeededRng(121).normal((cfg.chunk_tokens, cfg.model_dim))
+        full, cached = OpCounters(), OpCounters()
+        _, layer_kvs = model.forward(x0, 0.0, cache, chunks, full)
+        kv = model.compute_chunk_kv(x0, cache, chunks, cached)
+        assert kv.chunk_index == chunks
+        assert np.array_equal(kv.keys, np.stack([k for k, _ in layer_kvs]))
+        assert np.array_equal(kv.values, np.stack([v for _, v in layer_kvs]))
+        assert cached.snapshot() == full.snapshot()
+        assert cached.score_evals > 0 and cached.pooled_scores > 0
+
+    def test_one_forward_call_and_no_gelu_in_the_last_layer(self, monkeypatch):
+        cfg = StreamConfig()
+        model = model_of(cfg)
+        cache = random_cache(cfg, 6, seed=122, model=model)
+        x0 = SeededRng(123).normal((cfg.chunk_tokens, cfg.model_dim))
+        gelus, forwards = [], []
+        gelu, forward = engine._gelu, ToyDenoiser.forward
+
+        def counted_gelu(x):
+            gelus.append(1)
+            return gelu(x)
+
+        def counted_forward(self, *args, **kwargs):
+            forwards.append((args[3], kwargs))
+            return forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "_gelu", counted_gelu)
+        monkeypatch.setattr(ToyDenoiser, "forward", counted_forward)
+        model.compute_chunk_kv(x0, cache, 6)
+        assert forwards == [(6, {"keys_only": True})]
+        assert len(gelus) == cfg.layers - 1
+        gelus.clear()
+        prediction, _ = model.forward(x0, 0.0, cache, 6)
+        assert prediction is not None and len(gelus) == cfg.layers
+
+
+def per_step_noise_chunk_step(model, cache, chunk_index, timesteps, rng):
+    """chunk_step as it drew its noise: one normal call per timestep, the
+    start first, then each re-noising's just before it."""
+    cfg = model.cfg
+    shape = (cfg.chunk_tokens, cfg.model_dim)
+    x = rng.normal(shape)
+    for j, t in enumerate(timesteps):
+        x0 = model.forward(x, t, cache, chunk_index)[0]
+        if j + 1 < len(timesteps):
+            eps = rng.normal(shape)
+            alpha, beta = rectified_flow(timesteps[j + 1])
+            x = alpha * x0 + beta * eps
+    append_and_absorb(cache, model.compute_chunk_kv(x0, cache, chunk_index), cfg)
+    return x0
+
+
+class TestChunkNoise:
+    def test_one_normal_call_per_chunk(self, monkeypatch):
+        model = model_of(TOY)
+        cache, rng = model.new_cache(), SeededRng(130)
+        counts = []
+        normal = SeededRng.normal
+
+        def counted(self, shape, count=None):
+            counts.append(count)
+            return normal(self, shape, count=count)
+
+        monkeypatch.setattr(SeededRng, "normal", counted)
+        for i in range(3):
+            chunk_step(model, cache, i, TOY.denoise_timesteps, rng)
+        assert counts == [len(TOY.denoise_timesteps)] * 3
+
+    @pytest.mark.parametrize("timesteps", [(1.0, 0.75, 0.5, 0.25), (1.0, 0.75), (1.0,)])
+    def test_bit_equal_to_one_draw_per_timestep(self, timesteps):
+        # 8 chunks evict and absorb; shorter schedules are the distill fixture's
+        model = model_of(TOY)
+        got_cache, want_cache = model.new_cache(), model.new_cache()
+        got_rng, want_rng = SeededRng(131), SeededRng(131)
+        for i in range(8):
+            got = chunk_step(model, got_cache, i, timesteps, got_rng)
+            want = per_step_noise_chunk_step(model, want_cache, i, timesteps, want_rng)
+            assert np.array_equal(got, want), i
+        assert got_cache.snapshot() == want_cache.snapshot()
+        assert np.array_equal(got_rng.integers(2), want_rng.integers(2))
+
+
+class TestAbsorbAllOrNothing:
+    def test_rejected_absorb_changes_nothing(self):
+        # chunk 4's layer-1 values overflow layer 1's state when chunk 7 evicts it
+        cfg = StreamConfig()
+        cache = random_cache(cfg, 5, seed=140)
+        cache.window_entries[-1].values[1] = 1e308
+        for i in (5, 6):
+            append_and_absorb(cache, random_chunk_kv(cfg, i, seed=141 + i), cfg)
+        entries = cache.entries()
+        states = [(s.L.copy(), s.H.copy(), s.evicted_tokens) for s in cache.linear_states]
+        snapshot = cache.snapshot()
+        with pytest.raises(ValueError, match="absorb rejected"):
+            append_and_absorb(cache, random_chunk_kv(cfg, 7, seed=148), cfg)
+        assert cache.next_index == 7
+        assert [e.chunk_index for e in cache.entries()] == [0, 4, 5, 6]
+        assert all(a is b for a, b in zip(cache.entries(), entries))
+        for s, (L, H, evicted) in zip(cache.linear_states, states):
+            assert np.array_equal(s.L, L) and np.array_equal(s.H, H)
+            assert s.evicted_tokens == evicted == 3 * cfg.chunk_tokens
+        assert cache.snapshot() == snapshot
+        restored = RollingCache.restore(cache.snapshot())
+        assert restored.next_index == 7
+
+    def test_accepted_absorb_updates_the_states_in_place(self):
+        cfg = StreamConfig()
+        cache = random_cache(cfg, 5, seed=150)
+        states = list(cache.linear_states)
+        before = [s.L.copy() for s in states]
+        evicted = append_and_absorb(cache, random_chunk_kv(cfg, 5, seed=151), cfg)
+        assert evicted.chunk_index == 2
+        assert all(a is b for a, b in zip(cache.linear_states, states))
+        for s, L in zip(states, before):
+            assert s.evicted_tokens == 2 * cfg.chunk_tokens  # chunks 1 and 2
+            assert not np.array_equal(s.L, L)
 
 
 class TestRotatedWindowMemo:
@@ -744,6 +883,11 @@ class TestGenerateStream:
         res = run_stream(TOY, 100)
         assert all(np.isfinite(x).all() for x in res.latents)
         assert res.max_relative_index_seen <= TOY.max_temporal_index
+
+    def test_max_relative_index_is_the_last_chunks_capped_index(self):
+        for chunks in (1, 5, 23, 30):
+            res = run_stream(TOY, chunks)
+            assert res.max_relative_index_seen == min(chunks - 1, TOY.max_temporal_index)
 
     def test_norm_band_regression(self):
         # frozen band for the default toy fixture (seed 0); regenerating the

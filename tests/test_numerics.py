@@ -117,6 +117,34 @@ class TestSeededRng:
                               (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53)
 
 
+    @pytest.mark.parametrize("seed", [0, 7, 12345, 2**64 - 1])
+    def test_batched_normal_bit_equal_to_successive_calls(self, seed):
+        # odd and even sizes; the leading uniform draw puts each batch at an odd counter
+        for shape in [1, 2, 7, 8, (3, 5), (4, 8), (5, 3, 3), (256, 2)]:
+            for count in range(1, 6):
+                batched, successive = SeededRng(seed), SeededRng(seed)
+                batched.uniform(1)
+                successive.uniform(1)
+                got = batched.normal(shape, count=count)
+                want = np.stack([successive.normal(shape) for _ in range(count)])
+                assert got.shape == want.shape == (count,) + np.shape(np.empty(shape))
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (shape, count)
+                # the counter moved as far: the next raw draws agree
+                assert np.array_equal(batched.integers(3), successive.integers(3))
+
+    def test_batched_normal_of_count_zero_draws_nothing(self):
+        r = SeededRng(5)
+        assert r.normal((3, 4), count=0).shape == (0, 3, 4)
+        assert r.normal(0, count=3).shape == (3, 0)
+        assert np.array_equal(r.integers(4), SeededRng(5).integers(4))
+
+    def test_batched_normal_of_negative_count_rejected(self):
+        r = SeededRng(5)
+        with pytest.raises(ValueError, match="count"):
+            r.normal(4, count=-1)
+        assert np.array_equal(r.integers(4), SeededRng(5).integers(4))
+
+
 class TestTensorFormat:
     def test_round_trip_bitwise(self, tmp_path):
         p = tmp_path / "t.hft"
