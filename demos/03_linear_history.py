@@ -48,7 +48,7 @@ for c in range(30):
     k = rng.normal((HEADS, TOKENS, HEAD_DIM))
     v = rng.normal((HEADS, TOKENS, HEAD_DIM))
     chunks.append((k, v))
-    absorb_evicted(state, k, v, rope_cfg)
+    state = absorb_evicted(state, k, v, rope_cfg)  # a new state; the old one is unchanged
     fk = elu_plus_one(k)
     for h in range(HEADS):
         rot = apply_rope(fk[h], 0, rope_cfg)
@@ -73,6 +73,6 @@ print(f"  worst-case denominator for a 50-sigma query: {min(dens):.3e} (> 0)")
 # linear in what it stores.
 scaled = LinearState.zeros(HEADS, HEAD_DIM)
 for k, v in chunks:
-    absorb_evicted(scaled, k, 2.0 * v, rope_cfg)
+    scaled = absorb_evicted(scaled, k, 2.0 * v, rope_cfg)
 out2 = history_output(scaled, q, *tables_21, projection)
 print(f"  linearity in V: |out(2v) - 2 out(v)| = {np.abs(out2 - 2 * out).max():.2e}")

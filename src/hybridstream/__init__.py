@@ -31,6 +31,7 @@ from .distill import (
 )
 from .errors import (
     ContractViolationError,
+    DivergenceError,
     FormatError,
     LengthError,
     SequenceError,

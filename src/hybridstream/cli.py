@@ -1,9 +1,10 @@
 """Command line interface: verification suites, throughput/cost benchmarks,
 stream generation dumps, and distillation runs.
 
-Exit codes: 0 success, 1 verification/assertion failure, 2 usage error,
-3 I/O error. Config files are plain `key = value` lines ('#' starts a
-comment); command-line flags override file values.
+Exit codes: 0 success, 1 verification failure or a diverged distillation
+(one line on stderr, no files written), 2 usage error, 3 I/O error. Config
+files are plain `key = value` lines ('#' starts a comment); command-line
+flags override file values.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 from . import verify as verify_mod
 from .distill import AffineGenerator, DistillConfig, GaussianWorld, train, write_trace_csv
 from .engine import BENCH_MODES, StreamConfig, config_for_mode, run_stream
+from .errors import DivergenceError
 from .numerics import SeededRng, write_tensor
 
 EXIT_OK = 0
@@ -239,7 +241,13 @@ def cmd_distill(args) -> int:
     master = SeededRng(seed)
     world = GaussianWorld.random(master.derive(_WORLD_STREAM), world_dim)
     gen = AffineGenerator(0.5 * np.eye(world_dim), np.zeros(world_dim))
-    result = train(cfg, world, gen, master.derive(_TRAIN_STREAM))
+    try:
+        # a diverging run ends in DivergenceError, not in overflow warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = train(cfg, world, gen, master.derive(_TRAIN_STREAM))
+    except DivergenceError as exc:
+        print(f"distillation diverged: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
 
     os.makedirs(args.out, exist_ok=True)
     write_trace_csv(os.path.join(args.out, "trace.csv"), result.rows)

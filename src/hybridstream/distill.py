@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .engine import StreamConfig, ToyDenoiser, check_timesteps, chunk_step, rectified_flow
-from .errors import ShapeError
+from .errors import DivergenceError, ShapeError
 from .numerics import SeededRng
 
 _WORLD_EIGS = (0.3, 1.3)  # the covariance spectrum of a GaussianWorld.random
@@ -293,22 +293,12 @@ def write_trace_csv(path, rows: Sequence[TraceRow]) -> None:
             writer.writerow([getattr(r, name) for name in names])
 
 
-def _run_fixture(model: ToyDenoiser, cfg: DistillConfig, s_index: int,
-                 rng: SeededRng) -> None:
-    """One forward-only pass of the chunk loop on a fresh cache, each chunk
-    denoised from the noisiest timestep down to the sampled one."""
-    cache = model.new_cache()
-    for i in range(cfg.fixture_chunks):
-        chunk_step(model, cache, i, cfg.timesteps[:s_index + 1], rng)
-
-
 def train(
     config: DistillConfig,
     world: GaussianWorld,
     gen: AffineGenerator,
     rng: SeededRng,
     lambda_override: Callable[[int, int], float] | None = None,
-    run_fixture: bool = True,
 ) -> TrainResult:
     """Distill the affine student against the Gaussian world.
 
@@ -320,6 +310,10 @@ def train(
     teacher-anchored regularizer. Everything downstream of the rng is
     deterministic; lambda never influences the rng stream, so runs that
     differ only in lambda are step-for-step comparable.
+
+    A diverging run raises DivergenceError naming its first step whose
+    critic solve fails, or after which |b - mean| or |AA^T - cov|_F is not
+    finite.
     """
     gen = gen.copy()
     n = world.n
@@ -330,13 +324,11 @@ def train(
     pool_eps = rng.normal((config.batch_size, n))
     pool_rollout = teacher_rollout(world, pool_eps)
 
-    fixture_models = None
-    if run_fixture:
-        fixture = replace(config.fixture, denoise_timesteps=config.timesteps)
-        fixture_models = {
-            Phase.DENSE: ToyDenoiser(replace(fixture, keep_ratio=1.0, linear_history=False)),
-            Phase.HYBRID: ToyDenoiser(replace(fixture, linear_history=True)),
-        }
+    fixture = replace(config.fixture, denoise_timesteps=config.timesteps)
+    fixture_models = {
+        Phase.DENSE: ToyDenoiser(replace(fixture, keep_ratio=1.0, linear_history=False)),
+        Phase.HYBRID: ToyDenoiser(replace(fixture, linear_history=True)),
+    }
 
     rows = []
     trajectory = []
@@ -344,18 +336,25 @@ def train(
         phase = Phase.DENSE if step < config.phase_switch_step else Phase.HYBRID
         s_index = int(rng.uniform(1)[0] * t_count)
         s_index = min(s_index, t_count - 1)
-        if run_fixture:
-            _run_fixture(fixture_models[phase], config, s_index, rng)
+        # the fixture: a forward-only pass of the chunk loop on a fresh
+        # cache, each chunk denoised from the noisiest timestep to the sampled one
+        model = fixture_models[phase]
+        cache = model.new_cache()
+        for i in range(config.fixture_chunks):
+            chunk_step(model, cache, i, config.timesteps[:s_index + 1], rng)
 
         # the analytic critic: the fake score comes straight from the
         # current generator parameters
         fake_mean, fake_cov = gen.induced()
 
         t_s = config.timesteps[s_index]
-        grad = dmd_gradient(gen, world, t_s, rng, config.batch_size)
         real_mean_t, real_cov_t = diffuse_gaussian(world.mean, world.cov, t_s)
         fake_mean_t, fake_cov_t = diffuse_gaussian(fake_mean, fake_cov, t_s)
-        loss_dmd = gaussian_kl(fake_mean_t, fake_cov_t, real_mean_t, real_cov_t)
+        try:
+            grad = dmd_gradient(gen, world, t_s, rng, config.batch_size)
+            loss_dmd = gaussian_kl(fake_mean_t, fake_cov_t, real_mean_t, real_cov_t)
+        except np.linalg.LinAlgError as exc:
+            raise DivergenceError(f"step {step}: the critic's solve failed ({exc})") from exc
 
         lam = float(config.lam if lambda_override is None else lambda_override(step, s_index))
         loss_reg = 0.0
@@ -374,6 +373,9 @@ def train(
         grad_norm = math.sqrt(float(np.sum(grad_a * grad_a)) + float(np.sum(grad_b * grad_b)))
         mean_err = float(np.linalg.norm(gen.b - world.mean))
         cov_err = float(np.linalg.norm(gen.A @ gen.A.T - world.cov))
+        if not (math.isfinite(mean_err) and math.isfinite(cov_err)):
+            raise DivergenceError(f"step {step}: the generator's error is no longer finite "
+                                  f"(|b - mean| = {mean_err}, |AA^T - cov|_F = {cov_err})")
         loss_total = float(loss_dmd) + lam * loss_reg
         rows.append(TraceRow(step, phase.value, float(loss_dmd), loss_reg,
                              grad_norm, mean_err, cov_err, s_index, lam,

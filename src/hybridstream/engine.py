@@ -421,21 +421,18 @@ def append_and_absorb(cache: RollingCache, kv: ChunkKV,
     linear state the cache has, at temporal index 0. Returns the evicted
     entry, if any.
 
-    Every layer's new state is computed on a copy before the cache or any
-    state changes, then all are committed with the append. So a refused
-    append, or an absorb rejected as non-finite (ValueError), leaves the
-    cache, its entries and every state as they were."""
+    Every layer's new state (a new value) is computed first, then the chunk
+    is appended and the new states replace the old in the cache's list. So
+    a refused append, or an absorb rejected as non-finite (ValueError),
+    leaves the cache, its entries and every state as they were."""
     evicted = cache.evicts(kv)
-    rope_cfg = cfg.rope_config
-    # absorb_evicted replaces a state's arrays and never writes them, so
-    # updating a copy that shares them leaves the cache's state untouched
-    updated = [] if evicted is None else [
-        absorb_evicted(LinearState(state.L, state.H, state.evicted_tokens),
-                       evicted.keys[layer_idx], evicted.values[layer_idx], rope_cfg)
+    states = [] if evicted is None else [
+        absorb_evicted(state, evicted.keys[layer_idx], evicted.values[layer_idx],
+                       cfg.rope_config)
         for layer_idx, state in enumerate(cache.linear_states)]
     cache.append(kv)
-    for state, new in zip(cache.linear_states, updated):
-        state.L, state.H, state.evicted_tokens = new.L, new.H, new.evicted_tokens
+    if states:
+        cache.linear_states[:] = states
     return evicted
 
 

@@ -19,3 +19,7 @@ class FormatError(ValueError):
 
 class LengthError(FormatError):
     """A serialized payload is shorter or longer than its header claims."""
+
+
+class DivergenceError(ValueError):
+    """A training run's parameters or its critic left the finite range."""

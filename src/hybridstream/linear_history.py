@@ -25,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numerics
-from .errors import FormatError, ShapeError
+from .errors import ShapeError
 from .rope import RoPEConfig, apply_rope, check_tables, rotate
 
 EPS_DIV = 1e-6  # denominator guard for adversarial queries
@@ -42,11 +41,12 @@ def elu_plus_one(x: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinearState:
     """Per-head (L, H) summary of everything evicted so far: exactly what a
-    stream absorbed. The readout's output projection is a model weight, not
-    state (history_output)."""
+    stream absorbed. A value: absorb_evicted returns a new state, so no
+    field is ever assigned. The readout's output projection is a model
+    weight, not state (history_output)."""
 
     L: np.ndarray        # [heads, head_dim, head_dim]
     H: np.ndarray        # [heads, head_dim]
@@ -70,24 +70,6 @@ class LinearState:
         """State footprint; independent of how many tokens were absorbed."""
         return self.L.nbytes + self.H.nbytes + 8
 
-    # -- serialization (exact f64, used by cache snapshots) -----------------
-
-    def to_stream(self, f) -> None:
-        numerics.write_f64_tensor(f, self.L)
-        numerics.write_f64_tensor(f, self.H)
-
-    @classmethod
-    def from_stream(cls, f, evicted_tokens: int) -> "LinearState":
-        L = numerics.read_f64_tensor(f)
-        H = numerics.read_f64_tensor(f)
-        heads, head_dim = L.shape[:2] if L.ndim == 3 else (-1, -1)
-        if L.shape != (heads, head_dim, head_dim) or H.shape != (heads, head_dim):
-            raise FormatError(f"linear state shapes L {L.shape} and H {H.shape} do not fit "
-                              f"one heads x head_dim")
-        if not (np.isfinite(L).all() and np.isfinite(H).all()):
-            raise FormatError("linear state L or H holds a non-finite value")
-        return cls(L, H, int(evicted_tokens))
-
 
 def absorb_evicted(
     state: LinearState,
@@ -95,17 +77,16 @@ def absorb_evicted(
     values: np.ndarray,
     rope_cfg: RoPEConfig,
 ) -> LinearState:
-    """Fold one evicted chunk into the state (in place; also returned).
+    """The state with one evicted chunk folded in, as a new LinearState;
+    `state` itself is left as it was.
 
     keys/values: [heads, chunk_tokens, head_dim]. Rotation is applied once
     here, anchoring evicted content at temporal index 0 (and each token at
     its place 0..chunk_tokens - 1 in the chunk) so that query-side capped
     indices keep a monotone relative offset to everything already
     absorbed. The rotation reads the cached row 0 of rope.position_tables,
-    so an eviction builds no tables. Raises ValueError, leaving the state
-    unchanged, when the updated L or H would be non-finite. The state's L
-    and H are replaced by new arrays, never written, so updating a copy
-    that shares them leaves the original as it was.
+    so an eviction builds no tables. Raises ValueError when the new L or H
+    would be non-finite.
     """
     keys = np.asarray(keys, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
@@ -121,9 +102,7 @@ def absorb_evicted(
     H = state.H + fk.mean(axis=1)
     if not (np.all(np.isfinite(L)) and np.all(np.isfinite(H))):
         raise ValueError("linear state would become non-finite; absorb rejected")
-    state.L, state.H = L, H
-    state.evicted_tokens += keys.shape[1]
-    return state
+    return LinearState(L, H, state.evicted_tokens + keys.shape[1])
 
 
 def history_output(

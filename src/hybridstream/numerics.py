@@ -2,8 +2,8 @@
 binary tensor container used for all on-disk artifacts.
 
 All reference-path math is float64. Tensor files store float32 payloads
-(see `write_tensor`); exact float64 persistence is available through the
-bit-split helpers `f64_to_f32_pairs` / `f32_pairs_to_f64`.
+(see `write_tensor`); a float64 array goes in bit for bit as its float32
+view, which is how cache snapshots store theirs (stream_cache).
 """
 
 from __future__ import annotations
@@ -214,40 +214,3 @@ def read_tensor(path):
     exactly one tensor."""
     with open(path, "rb") as f:
         return read_tensor_from(f, allow_trailing=False)
-
-
-# ---------------------------------------------------------------------------
-# Exact float64 persistence inside the float32 container: each f64 is split
-# into its two 32-bit halves, which are stored bit-for-bit as two "f32"
-# payload entries. Pure reinterpretation, no arithmetic, so every f64 bit
-# pattern round-trips exactly.
-# ---------------------------------------------------------------------------
-
-
-def f64_to_f32_pairs(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype="<f8")
-    u = a.view("<u8")
-    hi = (u >> np.uint64(32)).astype("<u4")
-    lo = (u & np.uint64(0xFFFFFFFF)).astype("<u4")
-    return np.stack([hi, lo]).view("<f4")
-
-
-def f32_pairs_to_f64(pairs: np.ndarray) -> np.ndarray:
-    pairs = np.ascontiguousarray(pairs, dtype="<f4")
-    if pairs.ndim < 1 or pairs.shape[0] != 2:
-        raise ShapeError(f"expected leading dimension 2, got shape {pairs.shape}")
-    u = pairs.view("<u4").astype("<u8")
-    rebuilt = np.ascontiguousarray((u[0] << np.uint64(32)) | u[1])
-    return rebuilt.view("<f8")
-
-
-def write_f64_tensor(f: BinaryIO, a: np.ndarray) -> None:
-    pairs = f64_to_f32_pairs(np.asarray(a, dtype=np.float64))
-    write_tensor(f, pairs)
-
-
-def read_f64_tensor(f: BinaryIO) -> np.ndarray:
-    pairs = read_tensor_from(f)
-    if pairs.ndim < 1 or pairs.shape[0] != 2:
-        raise FormatError(f"not a split-f64 tensor: shape {pairs.shape}")
-    return f32_pairs_to_f64(pairs)

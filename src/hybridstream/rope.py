@@ -40,8 +40,8 @@ class RoPEConfig:
             raise ShapeError(f"head_dim must be a positive multiple of 4, got {self.head_dim}")
         if self.max_temporal_index < 1:
             raise ValueError("max_temporal_index must be >= 1")
-        if not self.base_theta > 1.0:  # also rejects nan
-            raise ValueError("base_theta must exceed 1")
+        if not 1.0 < self.base_theta < np.inf:  # also rejects nan
+            raise ValueError(f"base_theta must be finite and exceed 1, got {self.base_theta}")
 
     @property
     def pairs(self) -> int:

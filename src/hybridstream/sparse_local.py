@@ -94,7 +94,6 @@ class BlockMask:
     block-diagonal packing of the last head count asked for."""
 
     active: np.ndarray
-    _width: int | None = field(default=None, init=False, repr=False)  # blocks every row keeps
     _packed: tuple = field(default=(), init=False, repr=False)  # (heads, block_diagonal(heads))
 
     def __post_init__(self):
@@ -114,22 +113,21 @@ class BlockMask:
 
     @cached_property
     def plan(self) -> GatherPlan:
-        """The gather plan, built on first use. Where every row keeps the
-        same known number of blocks (build_mask's masks and their packings),
-        the rows' active blocks in row-major order are the index and nothing
-        is counted. Raises ContractViolationError if a row keeps no block."""
-        rows = self.active.shape[0]
-        if self._width is not None:
-            width = self._width
-            return GatherPlan(np.full(rows, width), rows * width, width,
-                              self.active.nonzero()[1].reshape(rows, width), False)
-        counts = self.active.sum(axis=1)
-        if not counts.all():
+        """The gather plan, built on first use from the rows' own counts. If
+        every row keeps c blocks (as build_mask's masks do), the active
+        blocks in row-major order are the index; else a stable sort puts each
+        row's kept blocks first, ascending. Raises ContractViolationError if
+        a row keeps no block."""
+        rows, blocks = self.active.nonzero()  # row-major: each row's blocks ascending
+        counts = np.bincount(rows, minlength=self.active.shape[0])
+        per_row = counts.tolist()  # a few values: Python's min and max are cheaper
+        if 0 in per_row:
             raise ContractViolationError("a query row has no active blocks")
-        c = int(counts.max())
-        # a stable sort puts each row's kept blocks first, in ascending order
+        c = max(per_row)
+        if blocks.size == c * len(per_row):  # no row keeps fewer than c
+            return GatherPlan(counts, blocks.size, c, blocks.reshape(-1, c), False)
         index = np.argsort(~self.active, axis=1, kind="stable")[:, :c]
-        return GatherPlan(counts, int(counts.sum()), c, index, bool((counts < c).any()))
+        return GatherPlan(counts, blocks.size, c, index, True)
 
     def block_diagonal(self, heads: int) -> "BlockMask":
         """These rows as `heads` groups of t_m query blocks, packed for one
@@ -143,7 +141,6 @@ class BlockMask:
             raise ShapeError(f"{rows} mask rows do not split into {heads} heads")
         packed = _head_selector(heads) & self.active.reshape(heads, rows // heads, 1, t_n)
         packed = BlockMask(packed.reshape(rows, heads * t_n))
-        packed._width = self._width
         self._packed = (heads, packed)
         return packed
 
@@ -211,7 +208,6 @@ def build_mask(scores: np.ndarray, cfg: BlockConfig) -> BlockMask:
     elif need:
         active[:] = True
     mask = BlockMask(active)
-    mask._width = quota
     if not choice:
         cfg.shared_masks[scores.shape] = mask
     return mask

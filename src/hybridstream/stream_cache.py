@@ -13,9 +13,10 @@ per query chunk, for every layer and head, in a workspace held by the
 cache's memo. The next query chunk rewrites the same arrays in place when
 their shape still fits; snapshots never carry them.
 
-A snapshot (format version 7) is a length-prefixed JSON manifest, the
-entries' keys and values and the linear states' L and H as exact f64
-tensors (no model weight), then a CRC-32 of every byte before it, so a
+A snapshot (format version 8) is a length-prefixed JSON manifest, the
+entries' keys and values and the linear states' L and H (no model weight),
+each f64 array an HFT1 tensor of its float32 view (the last axis doubled,
+so every bit round-trips), then a CRC-32 of every byte before it, so a
 flipped byte anywhere fails to restore. Its entries carry only their chunk
 index; restore routes each by that index, as append does. The manifest and
 each of its records must hold exactly the keys snapshot() writes.
@@ -35,7 +36,15 @@ from . import numerics
 from .errors import FormatError, SequenceError, ShapeError
 from .linear_history import LinearState
 
-_SNAPSHOT_VERSION = 7
+_SNAPSHOT_VERSION = 8
+
+
+def _read_f64(f) -> np.ndarray:
+    """The next f64 array of a snapshot, read back from its float32 view."""
+    a = numerics.read_tensor_from(f)
+    if a.ndim == 0 or a.shape[-1] % 2:
+        raise FormatError(f"tensor of shape {a.shape} is no float32 view of an f64 array")
+    return a.view("<f8")
 
 
 def _field(meta, name: str, kind: type, low: int | None = None):
@@ -187,11 +196,10 @@ class RollingCache:
         out = io.BytesIO()
         out.write(struct.pack("<I", len(blob)))
         out.write(blob)
-        for e in entries:
-            numerics.write_f64_tensor(out, e.keys)
-            numerics.write_f64_tensor(out, e.values)
-        for s in self.linear_states:
-            s.to_stream(out)
+        arrays = [a for e in entries for a in (e.keys, e.values)]
+        arrays += [a for s in self.linear_states for a in (s.L, s.H)]
+        for a in arrays:
+            numerics.write_tensor(out, np.ascontiguousarray(a, "<f8").view("<f4"))
         out.write(struct.pack("<I", zlib.crc32(out.getbuffer())))
         return out.getvalue()
 
@@ -220,7 +228,7 @@ class RollingCache:
         if not isinstance(manifest, dict):
             raise FormatError("snapshot manifest is not a JSON object")
         version = manifest.pop("version", None)
-        if type(version) is not int or version != _SNAPSHOT_VERSION:  # 7.0 is not 7
+        if type(version) is not int or version != _SNAPSHOT_VERSION:  # 8.0 is not 8
             raise FormatError(f"unsupported snapshot version {version!r}")
         if struct.unpack("<I", trailer)[0] != zlib.crc32(body):
             raise FormatError("snapshot checksum mismatch")
@@ -236,10 +244,8 @@ class RollingCache:
         for meta in entries:
             chunk_index = _field(meta, "chunk_index", int, 0)
             _no_more(meta, f"entry {chunk_index}")
-            keys = numerics.read_f64_tensor(f)
-            values = numerics.read_f64_tensor(f)
             try:
-                kv = ChunkKV(chunk_index, keys, values)
+                kv = ChunkKV(chunk_index, _read_f64(f), _read_f64(f))
             except ShapeError as exc:
                 raise FormatError(f"snapshot entry {chunk_index}: {exc}") from exc
             if chunk_index < cache.sink_chunks:
@@ -249,7 +255,13 @@ class RollingCache:
         for meta in states:
             evicted_tokens = _field(meta, "evicted_tokens", int, 0)
             _no_more(meta, "linear state")
-            cache.linear_states.append(LinearState.from_stream(f, evicted_tokens))
+            L, H = _read_f64(f), _read_f64(f)
+            if L.ndim != 3 or L.shape[1] != L.shape[2] or H.shape != L.shape[:2]:
+                raise FormatError(f"linear state shapes L {L.shape} and H {H.shape} do not "
+                                  f"fit one heads x head_dim")
+            if not (np.isfinite(L).all() and np.isfinite(H).all()):
+                raise FormatError("linear state L or H holds a non-finite value")
+            cache.linear_states.append(LinearState(L, H, evicted_tokens))
         if f.read(1):
             raise FormatError("trailing bytes after snapshot payload")
         cache._check_restored()

@@ -166,8 +166,7 @@ def linear_state_checks(heads: int, head_dim: int, tokens: int, evictions,
 
     def absorb_random(state):
         k, v = rng.normal((heads, tokens, head_dim)), rng.normal((heads, tokens, head_dim))
-        absorb_evicted(state, k, v, rope_cfg)
-        return k, v
+        return absorb_evicted(state, k, v, rope_cfg), k, v
 
     rel = 0.0
     for n in evictions:
@@ -175,7 +174,7 @@ def linear_state_checks(heads: int, head_dim: int, tokens: int, evictions,
         L = np.zeros_like(state.L)
         H = np.zeros_like(state.H)
         for _ in range(n):
-            k, v = absorb_random(state)
+            state, k, v = absorb_random(state)
             fk = elu_plus_one(k)
             for h in range(heads):
                 L[h] += apply_rope(fk[h], 0, rope_cfg).T @ v[h]
@@ -188,7 +187,7 @@ def linear_state_checks(heads: int, head_dim: int, tokens: int, evictions,
     few, many = memory_after
     state = LinearState.zeros(heads, head_dim)
     for c in range(many):
-        absorb_random(state)
+        state = absorb_random(state)[0]
         if c + 1 == few:
             n_bytes_few = state.nbytes
     out.append(_check("linear_state.constant_memory", state.nbytes == n_bytes_few,
@@ -474,12 +473,9 @@ def _suite_hybrid() -> list[CheckResult]:
     q, ks, vs = rng.normal(shape), rng.normal(shape), rng.normal(shape)
     qkv = np.stack((q, ks, vs))
     full = hybrid_attention(qkv, cache, 0, _TOY, 8, proj)
-    saved = [s.evicted_tokens for s in cache.linear_states]
-    for s in cache.linear_states:
-        s.evicted_tokens = 0
-    local = hybrid_attention(qkv, cache, 0, _TOY, 8, proj)
-    for s, n in zip(cache.linear_states, saved):
-        s.evicted_tokens = n
+    bare = RollingCache.restore(cache.snapshot())  # the same window, no history
+    bare.linear_states.clear()
+    local = hybrid_attention(qkv, bare, 0, _TOY, 8, proj)
     rope_cfg = _TOY.rope_config
     t, (cos, sin) = temporal_index(8, rope_cfg), position_tables(rope_cfg, _TOY.chunk_tokens)
     hist = history_output(cache.linear_states[0], q, cos[t], sin[t], proj)

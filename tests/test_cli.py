@@ -236,6 +236,7 @@ class TestGenerateCommand:
         ("max_temporal_index = 0", "max_temporal_index"),
         ("base_theta = 1", "base_theta"),
         ("base_theta = nan", "base_theta"),
+        ("base_theta = inf", "base_theta"),
         ("denoise_timesteps = 1.0,,0.5", "denoise_timesteps"),  # an empty item
         ("denoise_timesteps = 1.0, 0.5,", "denoise_timesteps"),
     ])
@@ -336,6 +337,20 @@ class TestDistillCommand:
         out = tmp_path / "o"
         assert main(["distill", "--config", str(p), "--out", str(out)]) == EXIT_USAGE
         assert line.split(" = ")[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lr, cause", [
+        ("2", "step 192: the critic's solve failed"),  # a singular covariance
+        # the errors overflow at once; left to run, the parameters turn NaN
+        ("1e308", "step 0: the generator's error is no longer finite"),
+    ])
+    def test_diverging_run_exits_one_and_writes_nothing(self, tmp_path, capsys, lr, cause):
+        p = tmp_path / "lr.cfg"
+        p.write_text(f"generator_lr = {lr}\nsteps = 300\n")
+        out = tmp_path / "o"
+        assert main(["distill", "--config", str(p), "--out", str(out)]) == EXIT_VERIFY_FAILED
+        err = capsys.readouterr().err
+        assert err.startswith(f"distillation diverged: {cause}") and err.count("\n") == 1
         assert not out.exists()
 
     def test_default_config_converges(self, tmp_path):

@@ -3,6 +3,7 @@ function, the distribution-matching gradient, and the training loop's
 gating/phase behaviour."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from hybridstream.distill import (
     train,
 )
 from hybridstream.engine import rectified_flow
-from hybridstream.errors import ShapeError
+from hybridstream.errors import DivergenceError, ShapeError
 from hybridstream.numerics import SeededRng
 from hybridstream.verify import exact_dmd_gradient
 
@@ -277,8 +278,7 @@ class TestDmdGradient:
         rng = SeededRng(123)
         w = GaussianWorld.random(rng.derive(0), 2)
         gen = AffineGenerator(0.5 * np.eye(2), np.zeros(2))
-        res = train(DistillConfig(lam=0.0, steps=600), w, gen, rng.derive(1),
-                    run_fixture=False)
+        res = train(DistillConfig(lam=0.0, steps=600, fixture_chunks=0), w, gen, rng.derive(1))
         assert res.rows[-1].mean_err <= 0.05
         assert res.rows[-1].cov_err <= 0.05
 
@@ -354,8 +354,8 @@ class TestTrainLoop:
 
     def test_trajectory_is_a_declared_field(self):
         w = world2()
-        res = train(self.cfg(steps=5), w, AffineGenerator(0.5 * np.eye(2), np.zeros(2)),
-                    SeededRng(28), run_fixture=False)
+        res = train(self.cfg(steps=5, fixture_chunks=0), w,
+                    AffineGenerator(0.5 * np.eye(2), np.zeros(2)), SeededRng(28))
         assert res.trajectory.shape == (5, 6)
         assert np.array_equal(res.trajectory[-1],
                               np.concatenate([res.generator.A.reshape(-1), res.generator.b]))
@@ -366,9 +366,25 @@ class TestTrainLoop:
     def test_input_generator_not_mutated(self):
         w = world2()
         gen = AffineGenerator(0.5 * np.eye(2), np.zeros(2))
-        train(self.cfg(steps=5), w, gen, SeededRng(26), run_fixture=False)
+        train(self.cfg(steps=5, fixture_chunks=0), w, gen, SeededRng(26))
         assert np.array_equal(gen.A, 0.5 * np.eye(2))
         assert np.array_equal(gen.b, np.zeros(2))
+
+    @pytest.mark.parametrize("lr, cause", [(5.0, "the critic's solve failed"),
+                                           (1e308, "the generator's error is no longer finite")])
+    def test_diverging_run_names_its_first_bad_step(self, lr, cause):
+        # the named step is the first bad one: a run of just the steps
+        # before it ends cleanly
+        cfg = self.cfg(generator_lr=lr, steps=300, fixture_chunks=0)
+        gen = AffineGenerator(0.5 * np.eye(2), np.zeros(2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match=rf"^step \d+: {cause}") as info:
+                train(cfg, world2(), gen, SeededRng(29))
+            step = int(str(info.value).split(":")[0].removeprefix("step "))
+            assert step > 0 or lr == 1e308
+            if step:
+                rows = train(replace(cfg, steps=step), world2(), gen, SeededRng(29)).rows
+                assert len(rows) == step and math.isfinite(rows[-1].cov_err)
 
 
 class TestPhaseSchedule:

@@ -330,17 +330,21 @@ class TestAbsorbAllOrNothing:
         restored = RollingCache.restore(cache.snapshot())
         assert restored.next_index == 7
 
-    def test_accepted_absorb_updates_the_states_in_place(self):
+    def test_accepted_absorb_replaces_the_states(self):
+        # new state values go into the cache's own list; the old values are
+        # left as they were
         cfg = StreamConfig()
         cache = random_cache(cfg, 5, seed=150)
-        states = list(cache.linear_states)
+        listed, states = cache.linear_states, list(cache.linear_states)
         before = [s.L.copy() for s in states]
         evicted = append_and_absorb(cache, random_chunk_kv(cfg, 5, seed=151), cfg)
         assert evicted.chunk_index == 2
-        assert all(a is b for a, b in zip(cache.linear_states, states))
-        for s, L in zip(states, before):
-            assert s.evicted_tokens == 2 * cfg.chunk_tokens  # chunks 1 and 2
-            assert not np.array_equal(s.L, L)
+        assert cache.linear_states is listed and len(listed) == len(states)
+        for new, old, L in zip(listed, states, before):
+            assert new is not old and old.evicted_tokens == cfg.chunk_tokens  # chunk 1
+            assert np.array_equal(old.L, L)
+            assert new.evicted_tokens == 2 * cfg.chunk_tokens  # chunks 1 and 2
+            assert not np.array_equal(new.L, L)
 
 
 class TestRotatedWindowMemo:
@@ -672,7 +676,8 @@ class TestHistorySkip:
         cfg = TOY
         model = ToyDenoiser(cfg)
         cache = random_cache(cfg, 5, seed=100, model=model)
-        assert all(s.evicted_tokens for s in cache.linear_states)
+        states = list(cache.linear_states)  # the chunk's eviction replaces them at its end
+        assert all(s.evicted_tokens for s in states)
         calls = []
 
         def spy(*args, **kwargs):
@@ -683,7 +688,7 @@ class TestHistorySkip:
         chunk_step(model, cache, 5, cfg.denoise_timesteps, SeededRng(101))
         passes = len(cfg.denoise_timesteps) + 1
         assert len(calls) == passes * cfg.layers
-        assert all(a is b for a, b in zip(calls, cache.linear_states * passes))
+        assert all(a is b for a, b in zip(calls, states * passes))
 
 
 class TestHybridAttention:

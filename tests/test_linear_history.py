@@ -1,6 +1,6 @@
 """Linear history state tests: closed forms, batch-sum oracle, constant memory."""
 
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -59,15 +59,32 @@ class TestState:
         # no model weight: the readout's projection is passed to history_output
         assert [f.name for f in fields(LinearState)] == ["L", "H", "evicted_tokens"]
         state = fresh_state()
-        absorb_evicted(state, *random_chunk(1), ROPE)
+        state = absorb_evicted(state, *random_chunk(1), ROPE)
+        assert state.evicted_tokens == 6
         assert state.nbytes == state.L.nbytes + state.H.nbytes + 8 == 1160
+
+    def test_absorb_returns_a_new_state_and_leaves_its_input(self):
+        state = absorb_evicted(fresh_state(), *random_chunk(1), ROPE)
+        arrays, L, H = (state.L, state.H), state.L.copy(), state.H.copy()
+        new = absorb_evicted(state, *random_chunk(2), ROPE)
+        assert new is not state and (new.evicted_tokens, state.evicted_tokens) == (12, 6)
+        assert state.L is arrays[0] and state.H is arrays[1]  # the same arrays, unwritten
+        assert np.array_equal(state.L, L) and np.array_equal(state.H, H)
+        assert not np.array_equal(new.L, L) and not np.array_equal(new.H, H)
+
+    def test_fields_cannot_be_assigned(self):
+        state = fresh_state()
+        for name, value in (("L", state.L + 1), ("H", state.H + 1), ("evicted_tokens", 6)):
+            with pytest.raises(FrozenInstanceError):
+                setattr(state, name, value)
+        assert state.evicted_tokens == 0 and not state.L.any() and not state.H.any()
 
 
 class TestAbsorb:
     def test_non_finite_absorb_raises_and_leaves_state_unchanged(self):
         state = fresh_state()
         for seed in range(3):
-            absorb_evicted(state, *random_chunk(seed), ROPE)
+            state = absorb_evicted(state, *random_chunk(seed), ROPE)
         L, H, tokens = state.L.copy(), state.H.copy(), state.evicted_tokens
         keys, values = random_chunk(9)
         values[1, 2, 3] = np.inf
@@ -83,7 +100,7 @@ class TestAbsorb:
     def test_zero_values_leave_L_unchanged(self):
         state = fresh_state()
         keys, _ = random_chunk(1)
-        absorb_evicted(state, keys, np.zeros_like(keys), ROPE)
+        state = absorb_evicted(state, keys, np.zeros_like(keys), ROPE)
         assert np.array_equal(state.L, np.zeros_like(state.L))
         assert not np.array_equal(state.H, np.zeros_like(state.H))
         assert state.evicted_tokens == 6
@@ -95,7 +112,7 @@ class TestAbsorb:
         rng = SeededRng(2)
         k = np.abs(rng.normal((HEADS, 1, HEAD_DIM))) + 0.1
         v = rng.normal((HEADS, 1, HEAD_DIM))
-        absorb_evicted(state, k, v, ROPE)
+        state = absorb_evicted(state, k, v, ROPE)
         for h in range(HEADS):
             assert np.abs(state.L[h] - np.outer(k[h, 0] + 1.0, v[h, 0])).max() < 1e-12
             assert np.abs(state.H[h] - (k[h, 0] + 1.0)).max() < 1e-12
@@ -107,35 +124,37 @@ class TestAbsorb:
         k2, v2 = random_chunk(4, tokens=4)
         sep, first, second = fresh_state(), fresh_state(), fresh_state()
         for k, v in [(k1, v1), (k2, v2)]:
-            absorb_evicted(sep, k, v, ROPE)
-        absorb_evicted(first, k1, v1, ROPE)
-        absorb_evicted(second, k2, v2, ROPE)
+            sep = absorb_evicted(sep, k, v, ROPE)
+        first = absorb_evicted(first, k1, v1, ROPE)
+        second = absorb_evicted(second, k2, v2, ROPE)
         # L is a plain token sum over chunks, each rotated at its own
         # positions 0..tokens - 1
         assert np.abs(sep.L - (first.L + second.L)).max() < 1e-12
         # H averages per absorbed chunk: two 4-token chunks sum to twice the
         # 8-token mean of the same tokens
         cat = fresh_state()
-        absorb_evicted(cat, np.concatenate([k1, k2], axis=1),
-                       np.concatenate([v1, v2], axis=1), ROPE)
+        cat = absorb_evicted(cat, np.concatenate([k1, k2], axis=1),
+                             np.concatenate([v1, v2], axis=1), ROPE)
         assert np.abs(sep.H - 2.0 * cat.H).max() < 1e-12
+        assert sep.evicted_tokens == cat.evicted_tokens == 8
 
     def test_order_invariance(self):
         chunks = [random_chunk(s, tokens=5) for s in range(5, 9)]
         fwd = fresh_state()
         rev = fresh_state()
         for k, v in chunks:
-            absorb_evicted(fwd, k, v, ROPE)
+            fwd = absorb_evicted(fwd, k, v, ROPE)
         for k, v in reversed(chunks):
-            absorb_evicted(rev, k, v, ROPE)
+            rev = absorb_evicted(rev, k, v, ROPE)
         assert np.abs(fwd.L - rev.L).max() < 1e-12
         assert np.abs(fwd.H - rev.H).max() < 1e-12
+        assert fwd.evicted_tokens == rev.evicted_tokens == 20
 
     def test_matches_batch_oracle(self):
         chunks = [random_chunk(s, tokens=6) for s in range(20, 28)]
         state = fresh_state()
         for k, v in chunks:
-            absorb_evicted(state, k, v, ROPE)
+            state = absorb_evicted(state, k, v, ROPE)
         L, H = batch_state_oracle(chunks, ROPE)
         assert np.abs(state.L - L).max() / (np.abs(L).max() + 1e-30) < 1e-9
         assert np.abs(state.H - H).max() / (np.abs(H).max() + 1e-30) < 1e-9
@@ -151,7 +170,8 @@ class TestHistoryOutput:
     def test_bit_equal_to_per_head_readout(self):
         state = fresh_state()
         for seed in range(4):
-            absorb_evicted(state, *random_chunk(seed), ROPE)
+            state = absorb_evicted(state, *random_chunk(seed), ROPE)
+        assert state.evicted_tokens == 24
         # a transposed view, as the engine passes its split heads
         q = SeededRng(32).normal((5, HEADS, HEAD_DIM)).transpose(1, 0, 2)
         out = history_output(state, q, *tables(7, 5), PROJ)
@@ -173,7 +193,8 @@ class TestHistoryOutput:
 
     def test_tables_that_do_not_fit_the_queries_rejected(self):
         empty, full = fresh_state(), fresh_state()
-        absorb_evicted(full, *random_chunk(3), ROPE)
+        full = absorb_evicted(full, *random_chunk(3), ROPE)
+        assert full.evicted_tokens == 6
         q = SeededRng(34).normal((HEADS, 4, HEAD_DIM))
         cos, sin = tables(5, 4)
         wide = RoPEConfig(2 * HEAD_DIM)
@@ -197,7 +218,8 @@ class TestHistoryOutput:
         # [1, tokens, d] tables over [heads, tokens, d] queries are refused,
         # whether or not the state has absorbed anything
         empty, full = fresh_state(), fresh_state()
-        absorb_evicted(full, *random_chunk(3), ROPE)
+        full = absorb_evicted(full, *random_chunk(3), ROPE)
+        assert full.evicted_tokens == 6
         q = SeededRng(36).normal((HEADS, 4, HEAD_DIM))
         cos, sin = tables(np.array([5]), 4)
         for state in (empty, full):
@@ -206,7 +228,8 @@ class TestHistoryOutput:
 
     def test_projection_of_another_shape_rejected(self):
         empty, full = fresh_state(), fresh_state()
-        absorb_evicted(full, *random_chunk(3), ROPE)
+        full = absorb_evicted(full, *random_chunk(3), ROPE)
+        assert full.evicted_tokens == 6
         q = SeededRng(35).normal((HEADS, 4, HEAD_DIM))
         for state in (empty, full):
             for bad in (PROJ[:, :-1], PROJ[:-1], PROJ[None], np.eye(MODEL_DIM + 2)):
@@ -220,7 +243,7 @@ class TestHistoryOutput:
         rng = SeededRng(31)
         k = np.abs(rng.normal((HEADS, 1, HEAD_DIM))) + 0.1
         v = rng.normal((HEADS, 1, HEAD_DIM))
-        absorb_evicted(state, k, v, ROPE)
+        state = absorb_evicted(state, k, v, ROPE)
         q = np.abs(rng.normal((HEADS, 1, HEAD_DIM))) + 0.1
         out = history_output(state, q, *tables(0, 1), PROJ)
         per_head = []
@@ -236,18 +259,20 @@ class TestHistoryOutput:
         k, v = random_chunk(32, tokens=5)
         base = fresh_state()
         scaled = fresh_state()
-        absorb_evicted(base, k, v, ROPE)
-        absorb_evicted(scaled, k, 3.0 * v, ROPE)
+        base = absorb_evicted(base, k, v, ROPE)
+        scaled = absorb_evicted(scaled, k, 3.0 * v, ROPE)
         q = SeededRng(33).normal((HEADS, 4, HEAD_DIM))
         out1 = history_output(base, q, *tables(7, 4), PROJ)
         out3 = history_output(scaled, q, *tables(7, 4), PROJ)
         assert np.abs(out3 - 3.0 * out1).max() < 1e-9
+        assert np.abs(out1).max() > 0
 
     def test_denominator_positive_for_adversarial_queries(self):
         state = fresh_state()
         for s in range(40, 44):
             k, v = random_chunk(s, tokens=6)
-            absorb_evicted(state, k, v, ROPE)
+            state = absorb_evicted(state, k, v, ROPE)
+        assert state.evicted_tokens == 24
         rng = SeededRng(50)
         for _ in range(50):
             q = rng.normal((HEADS, 2, HEAD_DIM)) * 20.0
@@ -261,11 +286,12 @@ class TestHistoryOutput:
         many = fresh_state()
         for s in range(4):
             k, v = random_chunk(s, tokens=6)
-            absorb_evicted(few, k, v, ROPE)
+            few = absorb_evicted(few, k, v, ROPE)
         for s in range(400):
             k, v = random_chunk(s, tokens=6)
-            absorb_evicted(many, k, v, ROPE)
+            many = absorb_evicted(many, k, v, ROPE)
         assert few.nbytes == many.nbytes
+        assert (few.evicted_tokens, many.evicted_tokens) == (24, 2400)
 
 
 class TestFeatureMap:

@@ -12,8 +12,6 @@ from hybridstream.errors import FormatError, LengthError
 from hybridstream.numerics import (
     TENSOR_MAGIC,
     SeededRng,
-    f32_pairs_to_f64,
-    f64_to_f32_pairs,
     read_tensor,
     read_tensor_from,
     softmax_rows,
@@ -217,15 +215,3 @@ class TestTensorFormat:
         d2 = read_tensor_from(buf)
         assert d1.shape == (2,) and d2.shape == (3,)
         assert np.array_equal(d1, [1.0, 2.0]) and np.array_equal(d2, [3.0, 4.0, 5.0])
-
-
-class TestF64BitSplit:
-    def test_exact_round_trip_random(self):
-        a = np.random.default_rng(4).standard_normal((3, 4)) * 1e10
-        back = f32_pairs_to_f64(f64_to_f32_pairs(a)).reshape(3, 4)
-        assert np.array_equal(back.view(np.uint64), a.view(np.uint64))
-
-    def test_exact_round_trip_edge_values(self):
-        a = np.array([0.0, -0.0, 1e-300, -1e300, np.pi, np.inf, -np.inf, np.nan])
-        back = f32_pairs_to_f64(f64_to_f32_pairs(a))
-        assert np.array_equal(back.view(np.uint64), a.view(np.uint64))

@@ -236,6 +236,12 @@ class TestTablesAndRotate:
 
 
 class TestConfig:
+    @pytest.mark.parametrize("theta", [1.0, 0.5, np.nan, np.inf])
+    def test_base_theta_must_be_finite_and_exceed_one(self, theta):
+        # at inf every pair's frequency but the first is 0: no rotation
+        with pytest.raises(ValueError, match="base_theta must be finite and exceed 1"):
+            RoPEConfig(16, base_theta=theta)
+
     def test_head_dim_must_be_positive_multiple_of_4(self):
         for head_dim in (0, -4, 2, 6, 18):
             with pytest.raises(ShapeError, match="positive multiple of 4"):

@@ -236,14 +236,43 @@ class TestBuildMask:
                 & rows.active.reshape(heads, t_m, 1, t_n)
             assert np.array_equal(packed.active, want.reshape(heads * t_m, heads * t_n))
             assert rows.block_diagonal(heads) is packed
-            # the plan build_mask's known quota gives is the one counting gives
+            # build_mask's rows all keep the quota, and so do their packings
             for mask in (rows, packed):
-                got, counted = mask.plan, BlockMask(mask.active).plan
-                assert np.array_equal(got.counts, counted.counts)
-                assert np.array_equal(got.index, counted.index)
-                assert (got.total, got.widest, got.pads) == (counted.total, counted.widest, False)
+                assert_plan_matches_reference(mask)
+                assert not mask.plan.pads
         with pytest.raises(ShapeError, match="3 mask rows"):
             BlockMask(np.ones((3, 2), dtype=bool)).block_diagonal(2)
+
+
+def assert_plan_matches_reference(mask):
+    """The plan of `mask` against one built row by row: each row's kept
+    blocks ascending, then its dropped ones, cut to the widest count."""
+    rows = [np.flatnonzero(r).tolist() + np.flatnonzero(~r).tolist() for r in mask.active]
+    counts = mask.active.sum(axis=1)
+    c = max(counts)
+    plan = mask.plan
+    assert plan.counts.tolist() == counts.tolist()
+    assert (plan.total, plan.widest, plan.pads) == (sum(counts), c, bool(min(counts) < c))
+    assert plan.index.tolist() == [r[:c] for r in rows]
+
+
+class TestPlan:
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_matches_a_row_by_row_reference(self, padded):
+        # random masks whose rows keep one count (uniform) or differ in it
+        rng = np.random.default_rng(23 + padded)
+        for trial in range(40):
+            t_m, t_n = rng.integers(1, 7), rng.integers(1, 12)
+            keep = rng.integers(1, t_n + 1, size=t_m) if padded else \
+                np.full(t_m, rng.integers(1, t_n + 1))
+            if padded and t_m > 1 and t_n > 1 and (keep == keep[0]).all():
+                keep[0] = keep[0] % t_n + 1  # some row keeps another count
+            active = np.zeros((t_m, t_n), dtype=bool)
+            for row, k in zip(active, keep):
+                row[rng.choice(t_n, size=k, replace=False)] = True
+            mask = BlockMask(active)
+            assert_plan_matches_reference(mask)
+            assert mask.plan.pads == bool((keep < keep.max()).any())
 
 
 class TestSparseAttention:

@@ -1,6 +1,7 @@
 """Rolling cache tests: FIFO eviction, sink pinning, each entry's distance
 behind a querying chunk, snapshot round trips."""
 
+import io
 import json
 import struct
 import time
@@ -13,7 +14,7 @@ import pytest
 from hybridstream.engine import StreamConfig, ToyDenoiser, append_and_absorb, chunk_step
 from hybridstream.errors import FormatError, SequenceError, ShapeError
 from hybridstream.linear_history import LinearState
-from hybridstream.numerics import SeededRng
+from hybridstream.numerics import SeededRng, write_tensor
 from hybridstream.rope import RoPEConfig, temporal_index
 from hybridstream.stream_cache import ChunkKV, RollingCache
 
@@ -345,7 +346,7 @@ class TestSnapshot:
     def test_linear_state_shapes_that_disagree_are_format_error(self):
         cache = self.build_cache(5)
         state = cache.linear_states[1]
-        state.H = state.H[:, :4]  # head_dim 4 against L's 8
+        cache.linear_states[1] = replace(state, H=state.H[:, :4])  # head_dim 4 against L's 8
         with pytest.raises(FormatError, match="linear state shapes"):
             RollingCache.restore(cache.snapshot())
 
@@ -400,11 +401,63 @@ class TestSnapshot:
                 RollingCache.restore(bytes(flipped))
 
     def test_version_of_another_json_type_is_format_error(self):
-        # read first, as the int snapshot() writes: 7.0 is not version 7
+        # read first, as the int snapshot() writes: 8.0 is not version 8
         blob = self.with_manifest(self.build_cache(5).snapshot(),
                                   lambda m: m.update(version=float(m["version"])))
-        with pytest.raises(FormatError, match=r"unsupported snapshot version 7\.0"):
+        with pytest.raises(FormatError, match=r"unsupported snapshot version 8\.0"):
             RollingCache.restore(blob)
+
+    def test_version_7_snapshot_is_format_error(self):
+        # version 7 had this manifest, but stored each f64 array as a
+        # [2, *shape] tensor of its high, then its low 32-bit halves
+        cache = self.build_cache(5)
+        blob = cache.snapshot()
+        (mlen,) = struct.unpack("<I", blob[:4])
+        manifest = json.loads(blob[4:4 + mlen])
+        manifest["version"] = 7
+        text = json.dumps(manifest, sort_keys=True).encode("utf-8")
+        body = io.BytesIO(struct.pack("<I", len(text)) + text)
+        body.seek(0, io.SEEK_END)
+        arrays = [a for e in cache.entries() for a in (e.keys, e.values)]
+        for a in arrays + [a for s in cache.linear_states for a in (s.L, s.H)]:
+            bits = a.view("<u8")
+            halves = [(bits >> np.uint64(32)).astype("<u4"), bits.astype("<u4")]
+            write_tensor(body, np.stack(halves).view("<f4"))
+        body = body.getvalue()
+        with pytest.raises(FormatError, match="unsupported snapshot version 7"):
+            RollingCache.restore(body + struct.pack("<I", zlib.crc32(body)))
+
+    def test_round_trip_keeps_every_f64_bit(self):
+        # +-0, the least subnormal, +-inf, NaN, and NaNs with payloads
+        bits = np.array([0, 1 << 63, 1, 0x7FF0 << 48, 0xFFF0 << 48, 0x7FF8 << 48,
+                         0x7FF8_0000_DEAD_BEEF, 0xFFF8_0000_0000_0001], dtype="<u8")
+        cache = self.build_cache(5)
+        entry = cache.window_entries[0]
+        entry.keys.view("<u8").flat[:bits.size] = bits
+        entry.values.view("<u8").flat[-bits.size:] = bits[::-1]
+        blob = cache.snapshot()
+        restored = RollingCache.restore(blob)
+        for a, b in zip(cache.entries(), restored.entries()):
+            assert a.keys.view("<u8").tobytes() == b.keys.view("<u8").tobytes()
+            assert a.values.view("<u8").tobytes() == b.values.view("<u8").tobytes()
+        got = restored.window_entries[0]
+        assert np.array_equal(got.keys.view("<u8").flat[:bits.size], bits)
+        assert np.array_equal(got.values.view("<u8").flat[-bits.size:], bits[::-1])
+        assert restored.snapshot() == blob
+
+    @pytest.mark.parametrize("shape", [(1, 4, 7), ()])
+    def test_tensor_that_is_no_f64_view_is_format_error(self, shape):
+        # a linear state's L tensor of an odd last axis, or of none, cannot
+        # be the float32 view of an f64 array
+        blob = RollingCache(3, 1, [LinearState.zeros(1, 4)]).snapshot()
+        (mlen,) = struct.unpack("<I", blob[:4])
+        payload = io.BytesIO()
+        write_tensor(payload, np.zeros(shape, dtype=np.float32))
+        write_tensor(payload, np.zeros((1, 8), dtype=np.float32))  # H, as written
+        body = blob[:4 + mlen] + payload.getvalue()
+        with pytest.raises(FormatError, match="no float32 view of an f64 array"):
+            RollingCache.restore(body + struct.pack("<I", zlib.crc32(body)))
+        assert RollingCache.restore(blob).linear_states[0].head_dim == 4
 
     def test_snapshot_holds_no_model_weight(self):
         # equal entries and states from models that differ in every weight,

@@ -4,10 +4,12 @@ Prints one 16-hex-digit sha256 prefix per output of the hybridstream
 package under ROOT/src: run_stream latents and op counts for every
 BENCH_MODES entry at windows 9 and 45 (40 chunks, seed 5), a 3-head
 config (30 chunks), keep_ratio 0.5 at window 45 (24 chunks), the default
-DistillConfig's parameter trajectory (seed 4), and every file that
+DistillConfig's parameter trajectory (seed 4), the snapshot bytes of the
+default StreamConfig's cache after 8 chunks, and every file that
 `hybridstream generate --chunks 4 --seed 3` and `hybridstream distill
 --seed 4` write. Run it on two checkouts and compare the listings: a
-change that keeps outputs bit-identical leaves all 22 lines equal.
+change that keeps outputs bit-identical leaves every line equal but the
+snapshot's, which changes with the snapshot format alone.
 """
 
 import glob
@@ -48,6 +50,8 @@ has_field = "model_dim" in engine.StreamConfig.__dataclass_fields__
 out["3-head"] = stream(engine.StreamConfig(seed=5, heads=3,
                                            **({"model_dim": 48} if has_field else {})), 30)
 out["ratio0.5@45"] = stream(engine.StreamConfig(window_frames=45, keep_ratio=0.5, seed=5), 24)
+out["snapshot@8"] = hashlib.sha256(
+    engine.run_stream(engine.StreamConfig(), 8).final_cache.snapshot()).hexdigest()[:16]
 master = hs.SeededRng(4)
 world = hs.GaussianWorld.random(master.derive(cli._WORLD_STREAM), 2)
 gen = hs.AffineGenerator(0.5 * np.eye(2), np.zeros(2))
