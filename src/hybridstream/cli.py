@@ -178,7 +178,6 @@ def _bench_one(mode: str, base: StreamConfig, chunks: int) -> dict:
         "score_evals_steady": int(res.chunk_score_evals[-1]),
         "score_evals_total": int(res.chunk_score_evals.sum()),
         "pooled_scores_total": int(res.chunk_pooled_scores.sum()),
-        "max_relative_index": int(res.max_relative_index_seen),
         "seed": cfg.seed,
         "window_frames": cfg.window_frames,
         "keep_ratio": cfg.keep_ratio,

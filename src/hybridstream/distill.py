@@ -275,8 +275,6 @@ class TraceRow:
 class TrainResult:
     rows: list
     generator: AffineGenerator
-    world: GaussianWorld
-    config: DistillConfig
     trajectory: np.ndarray  # [steps, n * n + n]: A then b after each update
 
     def parameter_trajectory(self) -> np.ndarray:
@@ -340,8 +338,8 @@ def train(
         # cache, each chunk denoised from the noisiest timestep to the sampled one
         model = fixture_models[phase]
         cache = model.new_cache()
-        for i in range(config.fixture_chunks):
-            chunk_step(model, cache, i, config.timesteps[:s_index + 1], rng)
+        for _ in range(config.fixture_chunks):
+            chunk_step(model, cache, config.timesteps[:s_index + 1], rng)
 
         # the analytic critic: the fake score comes straight from the
         # current generator parameters
@@ -362,7 +360,7 @@ def train(
         if s_index == 0 and lam != 0.0:
             student = gen.transform(pool_eps)
             resid = student - pool_rollout
-            loss_reg = float(np.mean(resid * resid))
+            loss_reg = reg_loss(student, pool_rollout)
             scale = 2.0 / (config.batch_size * n)
             grad_a += lam * scale * (resid.T @ pool_eps)
             grad_b += lam * scale * resid.sum(axis=0)
@@ -382,4 +380,4 @@ def train(
                              loss_total))
         trajectory.append(np.concatenate([gen.A.reshape(-1), gen.b]))
 
-    return TrainResult(rows, gen, world, config, np.asarray(trajectory))
+    return TrainResult(rows, gen, np.asarray(trajectory))

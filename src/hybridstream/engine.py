@@ -9,7 +9,8 @@ schedule, re-noising between steps along the rectified-flow path
 (rectified_flow, the one noise schedule), emit the final clean prediction,
 cache its keys/values through a dedicated pass at t=0, and absorb whatever
 the rolling window evicts into the linear state. That chunk step
-(chunk_step) is shared by run_stream and the distillation fixture. It
+(chunk_step), shared by run_stream and the distillation fixture, makes the
+chunk its cache appends next (RollingCache.next_index). It
 draws all of a chunk's noise in one SeededRng.normal call, and its t=0
 pass stops after the last layer's attention, since only the keys and
 values of that pass are kept (ToyDenoiser.compute_chunk_kv).
@@ -389,18 +390,18 @@ class ToyDenoiser:
             h += _gelu(_layer_norm(h) @ w["w1"]) @ w["w2"]
         return h, layer_kvs
 
-    def compute_chunk_kv(self, x0: np.ndarray, cache: RollingCache,
-                         chunk_index: int,
+    def compute_chunk_kv(self, x0: np.ndarray, cache: RollingCache, *,
                          counters: OpCounters | None = None) -> ChunkKV:
-        """Dedicated t=0 pass over the emitted chunk, collecting the keys and
-        values that actually get cached. The pass goes through forward with
-        keys_only, so the last layer's wo product, residual adds, norm and
-        MLP, whose output nothing reads, are not computed; its keys, values
-        and counters equal a full forward(x0, 0.0, ...)'s bit for bit."""
-        _, layer_kvs = self.forward(x0, 0.0, cache, chunk_index, counters, keys_only=True)
+        """Dedicated t=0 pass over the emitted chunk (cache.next_index), collecting
+        the keys and values that actually get cached. The pass goes through
+        forward with keys_only, so the last layer's wo product, residual adds,
+        norm and MLP, whose output nothing reads, are not computed; its keys,
+        values and counters equal a full forward(x0, 0.0, ...)'s bit for bit."""
+        _, layer_kvs = self.forward(x0, 0.0, cache, cache.next_index, counters,
+                                    keys_only=True)
         keys = np.stack([kv[0] for kv in layer_kvs])
         values = np.stack([kv[1] for kv in layer_kvs])
-        return ChunkKV(chunk_index, keys, values)
+        return ChunkKV(cache.next_index, keys, values)
 
 
 @dataclass
@@ -410,7 +411,6 @@ class StreamResult:
     chunk_score_evals: np.ndarray
     chunk_pooled_scores: np.ndarray
     peak_cached_tokens: int
-    max_relative_index_seen: int  # the last chunk's capped temporal index, the largest
     config: StreamConfig
     final_cache: RollingCache
 
@@ -436,10 +436,9 @@ def append_and_absorb(cache: RollingCache, kv: ChunkKV,
     return evicted
 
 
-def chunk_step(model: ToyDenoiser, cache: RollingCache, chunk_index: int,
-               timesteps: Sequence[float], rng: SeededRng,
-               counters: OpCounters | None = None) -> np.ndarray:
-    """Generate and cache one chunk; returns its emitted prediction.
+def chunk_step(model: ToyDenoiser, cache: RollingCache, timesteps: Sequence[float],
+               rng: SeededRng, *, counters: OpCounters | None = None) -> np.ndarray:
+    """Generate and cache chunk cache.next_index; returns its prediction.
 
     Start from fresh noise at the first timestep, denoise down `timesteps`
     re-noising between steps, run the t=0 cache pass on the last
@@ -448,14 +447,15 @@ def chunk_step(model: ToyDenoiser, cache: RollingCache, chunk_index: int,
     one per re-noising, bit for bit the draws one call each would make.
     """
     cfg = model.cfg
+    index = cache.next_index
     noise = rng.normal((cfg.chunk_tokens, cfg.model_dim), count=len(timesteps))
     x = noise[0]
     for j, t in enumerate(timesteps):
-        x0 = model.forward(x, t, cache, chunk_index, counters)[0]
+        x0 = model.forward(x, t, cache, index, counters)[0]
         if j + 1 < len(timesteps):
             alpha, beta = rectified_flow(timesteps[j + 1])
             x = alpha * x0 + beta * noise[j + 1]
-    append_and_absorb(cache, model.compute_chunk_kv(x0, cache, chunk_index, counters), cfg)
+    append_and_absorb(cache, model.compute_chunk_kv(x0, cache, counters=counters), cfg)
     return x0
 
 
@@ -480,14 +480,11 @@ def run_stream(cfg: StreamConfig, num_chunks: int,
     for i in range(num_chunks):
         counters = OpCounters()
         start = time.perf_counter()
-        x0 = chunk_step(model, cache, i, cfg.denoise_timesteps, noise_rng, counters)
+        x0 = chunk_step(model, cache, cfg.denoise_timesteps, noise_rng, counters=counters)
         chunk_ms[i] = (time.perf_counter() - start) * 1e3
         chunk_scores[i], chunk_pooled[i] = counters.snapshot()
         peak_tokens = max(peak_tokens, cache.total_cached_tokens)
         latents.append(x0)
 
-    # each chunk's own entry sits at distance 0, with the largest capped
-    # index of its window, and indices never fall as the stream goes on
-    return StreamResult(latents, chunk_ms, chunk_scores, chunk_pooled, peak_tokens,
-                        temporal_index(num_chunks - 1, cfg.rope_config), cfg, cache)
+    return StreamResult(latents, chunk_ms, chunk_scores, chunk_pooled, peak_tokens, cfg, cache)
 

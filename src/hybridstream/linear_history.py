@@ -45,12 +45,19 @@ def elu_plus_one(x: np.ndarray) -> np.ndarray:
 class LinearState:
     """Per-head (L, H) summary of everything evicted so far: exactly what a
     stream absorbed. A value: absorb_evicted returns a new state, so no
-    field is ever assigned. The readout's output projection is a model
-    weight, not state (history_output)."""
+    field is ever assigned, and L and H are read-only views, so an in-place
+    write (state.L += 1.0) fails before it changes anything. The readout's
+    output projection is a model weight, not state (history_output)."""
 
     L: np.ndarray        # [heads, head_dim, head_dim]
     H: np.ndarray        # [heads, head_dim]
     evicted_tokens: int
+
+    def __post_init__(self):
+        for name in ("L", "H"):
+            view = getattr(self, name).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
     @classmethod
     def zeros(cls, heads: int, head_dim: int) -> "LinearState":

@@ -516,8 +516,8 @@ def workspace_reuse_check(cfg: StreamConfig, chunks: int) -> CheckResult:
     differ = []
     for i in range(chunks):
         fresh = RollingCache.restore(fresh.snapshot())
-        a = chunk_step(model, kept, i, cfg.denoise_timesteps, kept_rng)
-        b = chunk_step(model, fresh, i, cfg.denoise_timesteps, fresh_rng)
+        a = chunk_step(model, kept, cfg.denoise_timesteps, kept_rng)
+        b = chunk_step(model, fresh, cfg.denoise_timesteps, fresh_rng)
         if not np.array_equal(a, b):
             differ.append(i)
     return _check("engine.workspace_reuse_bit_identical", not differ,
@@ -530,9 +530,6 @@ def _suite_stream() -> list[CheckResult]:
     res = run_stream(_TOY, 60)
     finite = all(np.isfinite(x).all() for x in res.latents)
     out.append(_check("stream.long_horizon_finite", finite, "60 chunks, no NaN/Inf"))
-    out.append(_check("stream.rope_index_cap",
-                      res.max_relative_index_seen <= _TOY.max_temporal_index,
-                      f"max relative index {res.max_relative_index_seen}"))
     steady = res.chunk_score_evals[10:]
     out.append(_check("stream.flat_cost_counts", len(set(steady.tolist())) == 1,
                       f"steady-state score evals {steady[0]} per chunk"))

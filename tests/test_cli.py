@@ -121,8 +121,7 @@ class TestBenchCommand:
         assert list(rows[0].keys()) == [
             "mode", "chunks", "ms_mean", "ms_p50", "ms_p95", "peak_cached_tokens",
             "score_evals_steady", "score_evals_total", "pooled_scores_total",
-            "max_relative_index", "seed", "window_frames", "keep_ratio",
-            "sink_chunks", "linear_history",
+            "seed", "window_frames", "keep_ratio", "sink_chunks", "linear_history",
         ]
         report = json.loads((out / "bench.json").read_text())
         assert report["reports"][0]["chunks"] == 5

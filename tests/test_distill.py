@@ -359,7 +359,7 @@ class TestTrainLoop:
         assert res.trajectory.shape == (5, 6)
         assert np.array_equal(res.trajectory[-1],
                               np.concatenate([res.generator.A.reshape(-1), res.generator.b]))
-        rebuilt = TrainResult(res.rows, res.generator, w, res.config, res.trajectory)
+        rebuilt = TrainResult(res.rows, res.generator, res.trajectory)
         assert np.array_equal(rebuilt.parameter_trajectory(), res.parameter_trajectory())
         assert "trajectory=" in repr(res)
 

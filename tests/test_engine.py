@@ -228,7 +228,7 @@ class TestCachePass:
         x0 = SeededRng(121).normal((cfg.chunk_tokens, cfg.model_dim))
         full, cached = OpCounters(), OpCounters()
         _, layer_kvs = model.forward(x0, 0.0, cache, chunks, full)
-        kv = model.compute_chunk_kv(x0, cache, chunks, cached)
+        kv = model.compute_chunk_kv(x0, cache, counters=cached)
         assert kv.chunk_index == chunks
         assert np.array_equal(kv.keys, np.stack([k for k, _ in layer_kvs]))
         assert np.array_equal(kv.values, np.stack([v for _, v in layer_kvs]))
@@ -253,7 +253,7 @@ class TestCachePass:
 
         monkeypatch.setattr(engine, "_gelu", counted_gelu)
         monkeypatch.setattr(ToyDenoiser, "forward", counted_forward)
-        model.compute_chunk_kv(x0, cache, 6)
+        model.compute_chunk_kv(x0, cache)
         assert forwards == [(6, {"keys_only": True})]
         assert len(gelus) == cfg.layers - 1
         gelus.clear()
@@ -261,19 +261,19 @@ class TestCachePass:
         assert prediction is not None and len(gelus) == cfg.layers
 
 
-def per_step_noise_chunk_step(model, cache, chunk_index, timesteps, rng):
+def per_step_noise_chunk_step(model, cache, timesteps, rng):
     """chunk_step as it drew its noise: one normal call per timestep, the
     start first, then each re-noising's just before it."""
     cfg = model.cfg
     shape = (cfg.chunk_tokens, cfg.model_dim)
     x = rng.normal(shape)
     for j, t in enumerate(timesteps):
-        x0 = model.forward(x, t, cache, chunk_index)[0]
+        x0 = model.forward(x, t, cache, cache.next_index)[0]
         if j + 1 < len(timesteps):
             eps = rng.normal(shape)
             alpha, beta = rectified_flow(timesteps[j + 1])
             x = alpha * x0 + beta * eps
-    append_and_absorb(cache, model.compute_chunk_kv(x0, cache, chunk_index), cfg)
+    append_and_absorb(cache, model.compute_chunk_kv(x0, cache), cfg)
     return x0
 
 
@@ -289,8 +289,8 @@ class TestChunkNoise:
             return normal(self, shape, count=count)
 
         monkeypatch.setattr(SeededRng, "normal", counted)
-        for i in range(3):
-            chunk_step(model, cache, i, TOY.denoise_timesteps, rng)
+        for _ in range(3):
+            chunk_step(model, cache, TOY.denoise_timesteps, rng)
         assert counts == [len(TOY.denoise_timesteps)] * 3
 
     @pytest.mark.parametrize("timesteps", [(1.0, 0.75, 0.5, 0.25), (1.0, 0.75), (1.0,)])
@@ -300,11 +300,44 @@ class TestChunkNoise:
         got_cache, want_cache = model.new_cache(), model.new_cache()
         got_rng, want_rng = SeededRng(131), SeededRng(131)
         for i in range(8):
-            got = chunk_step(model, got_cache, i, timesteps, got_rng)
-            want = per_step_noise_chunk_step(model, want_cache, i, timesteps, want_rng)
+            got = chunk_step(model, got_cache, timesteps, got_rng)
+            want = per_step_noise_chunk_step(model, want_cache, timesteps, want_rng)
             assert np.array_equal(got, want), i
         assert got_cache.snapshot() == want_cache.snapshot()
         assert np.array_equal(got_rng.integers(2), want_rng.integers(2))
+
+
+class TestChunkIndexFromCache:
+    """chunk_step and compute_chunk_kv work on the chunk the cache expects
+    next (cache.next_index); neither takes an index."""
+
+    def test_restored_stream_continues_bit_for_bit(self):
+        # 8 chunks evict and absorb; the 16 after the restore run past the cap
+        cfg = TOY
+        whole = run_stream(cfg, 24)
+        model = ToyDenoiser(cfg)
+        cache, rng = model.new_cache(), SeededRng(cfg.seed).derive(engine._NOISE_STREAM)
+        head = [chunk_step(model, cache, cfg.denoise_timesteps, rng) for _ in range(8)]
+        restored = RollingCache.restore(cache.snapshot())
+        model = ToyDenoiser(cfg)  # nothing of the first model is kept
+        tail = [chunk_step(model, restored, cfg.denoise_timesteps, rng) for _ in range(16)]
+        assert restored.next_index == 24
+        assert all(np.array_equal(a, b) for a, b in zip(head + tail, whole.latents, strict=True))
+        assert restored.snapshot() == whole.final_cache.snapshot()
+
+    def test_an_index_argument_is_a_type_error(self):
+        model = model_of(TOY)
+        cache = model.new_cache()
+        x0 = SeededRng(132).normal((TOY.chunk_tokens, TOY.model_dim))
+        with pytest.raises(TypeError):
+            chunk_step(model, cache, 0, TOY.denoise_timesteps, SeededRng(133))
+        with pytest.raises(TypeError):
+            chunk_step(model, cache, TOY.denoise_timesteps, SeededRng(133), chunk_index=0)
+        with pytest.raises(TypeError):
+            model.compute_chunk_kv(x0, cache, 0)
+        with pytest.raises(TypeError):
+            model.compute_chunk_kv(x0, cache, chunk_index=0)
+        assert cache.next_index == 0 and cache.entries() == []
 
 
 class TestAbsorbAllOrNothing:
@@ -461,7 +494,7 @@ class TestWindowWorkspace:
         seen = []
         for i in range(10):
             seen.append(self.arrays(_window(cache, cfg, i)))
-            chunk_step(model, cache, i, cfg.denoise_timesteps, rng)
+            chunk_step(model, cache, cfg.denoise_timesteps, rng)
         for i in range(1, 10):
             # the window grows through chunk 5, then keeps its size
             reused = [a is b for a, b in zip(seen[i], seen[i - 1])]
@@ -488,7 +521,7 @@ class TestWindowWorkspace:
         model = model_of(replace(TOY, **{size: value}))
         entries = [e.chunk_index for e in cache.entries()]
         with pytest.raises(ShapeError, match="cache does not fit the model"):
-            chunk_step(model, cache, 8, TOY.denoise_timesteps, SeededRng(86))
+            chunk_step(model, cache, TOY.denoise_timesteps, SeededRng(86))
         assert cache.next_index == 8 and [e.chunk_index for e in cache.entries()] == entries
 
     def test_reallocated_after_restore_and_for_other_sizes(self):
@@ -625,12 +658,12 @@ class TestSharedTables:
         model = ToyDenoiser(cfg)
         cache = model.new_cache()
         rng = SeededRng(23)
-        for i in range(20):  # a 45-frame window is full from chunk 16
-            chunk_step(model, cache, i, cfg.denoise_timesteps, rng)
+        for _ in range(20):  # a 45-frame window is full from chunk 16
+            chunk_step(model, cache, cfg.denoise_timesteps, rng)
         masks = []
         init = BlockMask.__post_init__
         monkeypatch.setattr(BlockMask, "__post_init__", lambda m: (masks.append(m), init(m)))
-        chunk_step(model, cache, 20, cfg.denoise_timesteps, rng)
+        chunk_step(model, cache, cfg.denoise_timesteps, rng)
         assert len(masks) == built
 
 
@@ -669,8 +702,8 @@ class TestHistorySkip:
         # whole chunk steps: before the first eviction, and with no history
         model = ToyDenoiser(cfg)
         stream = model.new_cache()
-        for i in range(chunks + 1):
-            chunk_step(model, stream, i, cfg.denoise_timesteps, SeededRng(99))
+        for _ in range(chunks + 1):
+            chunk_step(model, stream, cfg.denoise_timesteps, SeededRng(99))
 
     def test_read_once_per_pass_after_an_eviction(self, monkeypatch):
         cfg = TOY
@@ -685,7 +718,7 @@ class TestHistorySkip:
             return history_output(*args, **kwargs)
 
         monkeypatch.setattr(engine, "history_output", spy)
-        chunk_step(model, cache, 5, cfg.denoise_timesteps, SeededRng(101))
+        chunk_step(model, cache, cfg.denoise_timesteps, SeededRng(101))
         passes = len(cfg.denoise_timesteps) + 1
         assert len(calls) == passes * cfg.layers
         assert all(a is b for a, b in zip(calls, states * passes))
@@ -885,14 +918,10 @@ class TestGenerateStream:
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_long_horizon_finite_and_capped(self):
+        # 100 chunks run far past the RoPE cap (21); every index from chunk
+        # 21 on is the capped one
         res = run_stream(TOY, 100)
         assert all(np.isfinite(x).all() for x in res.latents)
-        assert res.max_relative_index_seen <= TOY.max_temporal_index
-
-    def test_max_relative_index_is_the_last_chunks_capped_index(self):
-        for chunks in (1, 5, 23, 30):
-            res = run_stream(TOY, chunks)
-            assert res.max_relative_index_seen == min(chunks - 1, TOY.max_temporal_index)
 
     def test_norm_band_regression(self):
         # frozen band for the default toy fixture (seed 0); regenerating the

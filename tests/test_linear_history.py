@@ -79,6 +79,20 @@ class TestState:
                 setattr(state, name, value)
         assert state.evicted_tokens == 0 and not state.L.any() and not state.H.any()
 
+    def test_arrays_cannot_be_written_in_place(self):
+        # the write is refused before it lands, so no half-updated state is left
+        state = fresh_state()
+        with pytest.raises(ValueError, match="read-only"):
+            state.L += 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            state.H[0, 0] = 1.0
+        assert state.L.sum() == 0.0 and state.H.sum() == 0.0
+        # a state built from writable arrays does not share their writability
+        L = np.zeros((HEADS, HEAD_DIM, HEAD_DIM))
+        with pytest.raises(ValueError, match="read-only"):
+            LinearState(L, np.zeros((HEADS, HEAD_DIM)), 0).L[0, 0, 0] = 1.0
+        assert L.flags.writeable and not L.any()
+
 
 class TestAbsorb:
     def test_non_finite_absorb_raises_and_leaves_state_unchanged(self):

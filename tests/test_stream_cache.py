@@ -340,7 +340,7 @@ class TestSnapshot:
         restored = RollingCache.restore(cache.snapshot())
         assert len(restored.linear_states) == 1
         with pytest.raises(ShapeError, match="1 linear states for entries of 2 layers"):
-            chunk_step(model, restored, 0, self.STREAM.denoise_timesteps, SeededRng(7))
+            chunk_step(model, restored, self.STREAM.denoise_timesteps, SeededRng(7))
         assert restored.next_index == 0 and restored.entries() == []
 
     def test_linear_state_shapes_that_disagree_are_format_error(self):
@@ -353,7 +353,10 @@ class TestSnapshot:
     @pytest.mark.parametrize("name, value", [("L", np.nan), ("L", -np.inf), ("H", np.inf)])
     def test_non_finite_linear_state_is_format_error(self, name, value):
         cache = self.build_cache(8)
-        getattr(cache.linear_states[0], name).flat[3] = value
+        state = cache.linear_states[0]
+        bad = getattr(state, name).copy()  # a state's own arrays are read-only
+        bad.flat[3] = value
+        cache.linear_states[0] = replace(state, **{name: bad})
         with pytest.raises(FormatError, match="non-finite"):
             RollingCache.restore(cache.snapshot())  # sealed: its CRC-32 holds
 

@@ -45,10 +45,7 @@ for w in (9, 45):
     for mode in engine.BENCH_MODES:
         cfg = engine.config_for_mode(mode, engine.StreamConfig(window_frames=w, seed=5))
         out[f"{mode}@{w}"] = stream(cfg, 40)
-# checkouts older than 7fc90d1 set model_dim themselves
-has_field = "model_dim" in engine.StreamConfig.__dataclass_fields__
-out["3-head"] = stream(engine.StreamConfig(seed=5, heads=3,
-                                           **({"model_dim": 48} if has_field else {})), 30)
+out["3-head"] = stream(engine.StreamConfig(seed=5, heads=3), 30)
 out["ratio0.5@45"] = stream(engine.StreamConfig(window_frames=45, keep_ratio=0.5, seed=5), 24)
 out["snapshot@8"] = hashlib.sha256(
     engine.run_stream(engine.StreamConfig(), 8).final_cache.snapshot()).hexdigest()[:16]
