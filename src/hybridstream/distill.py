@@ -30,7 +30,8 @@ from .errors import DivergenceError, ShapeError
 from .numerics import SeededRng
 
 _WORLD_EIGS = (0.3, 1.3)  # the covariance spectrum of a GaussianWorld.random
-_DEFAULT_FIXTURE = StreamConfig(
+# the streaming fixture train rolls each step, under the DistillConfig's timesteps
+_FIXTURE = StreamConfig(
     frames_per_chunk=1,
     window_frames=2,
     sink_chunks=1,
@@ -240,7 +241,6 @@ class DistillConfig:
     steps: int = 2000                 # generator updates
     generator_lr: float = 0.05
     batch_size: int = 256
-    fixture: StreamConfig = _DEFAULT_FIXTURE  # its denoise_timesteps are replaced by `timesteps`
     fixture_chunks: int = 4
 
     def __post_init__(self):
@@ -322,10 +322,10 @@ def train(
     pool_eps = rng.normal((config.batch_size, n))
     pool_rollout = teacher_rollout(world, pool_eps)
 
-    fixture = replace(config.fixture, denoise_timesteps=config.timesteps)
+    fixture = replace(_FIXTURE, denoise_timesteps=config.timesteps)
     fixture_models = {
         Phase.DENSE: ToyDenoiser(replace(fixture, keep_ratio=1.0, linear_history=False)),
-        Phase.HYBRID: ToyDenoiser(replace(fixture, linear_history=True)),
+        Phase.HYBRID: ToyDenoiser(fixture),
     }
 
     rows = []

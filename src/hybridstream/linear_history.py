@@ -127,8 +127,9 @@ def history_output(
     or [heads, tokens, head_dim], one per head. projection: the layer's
     [model_dim, model_dim] weight ("history_proj"), applied to the heads
     concatenated.
-    Returns [tokens, model_dim]. An empty state returns exact zeros: the
-    pathway is inactive until the first eviction.
+    Returns [tokens, model_dim]. An empty state, whose L and H are zero,
+    reads zeros (0 / EPS_DIV): the pathway is inactive until the first
+    eviction.
     """
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 3 or queries.shape[0] != state.heads or queries.shape[2] != state.head_dim:
@@ -140,8 +141,6 @@ def history_output(
         raise ShapeError(f"projection must be [{model_dim}, {model_dim}], got {projection.shape}")
     check_tables(queries.shape, cos, sin)
     tokens = queries.shape[1]
-    if state.evicted_tokens == 0:
-        return np.zeros((tokens, model_dim))
     fq = elu_plus_one(queries)
     num = rotate(fq, cos, sin) @ state.L  # [heads, tokens, head_dim]
     # a matrix-vector product per head, rounded as fq[h] @ H[h] would be

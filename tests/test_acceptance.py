@@ -43,21 +43,19 @@ def assert_passed(results):
 
 def test_dense_limit_equivalence():
     with criterion("dense-limit equivalence (keep=1.0, empty state)", 10.0):
-        assert_passed([verify.dense_limit_check(TOY, 50, 8, seed=77, cache_seed=9000,
-                                                tol=1e-6)])
+        assert_passed([verify.dense_limit_check(TOY, 50, 8, seed=77, cache_seed=9000)])
 
 
 def test_linear_state_brute_force():
     with criterion("linear-state brute force vs direct sums", 10.0):
         assert_passed(verify.linear_state_checks(
             TOY.heads, TOY.head_dim, TOY.chunk_tokens, evictions=(3, 7, 17, 50),
-            memory_after=(4, 400), seed=123, tol=1e-9))
+            memory_after=(4, 400), seed=123))
 
 
 def test_online_softmax_equivalence():
     with criterion("online-softmax vs masked-dense attention", 10.0):
-        assert_passed(verify.masked_dense_checks(100, 7, (2, 6), seed=7, data_seed=3000,
-                                                 tol=1e-6))
+        assert_passed(verify.masked_dense_checks(100, 7, (2, 6), seed=7, data_seed=3000))
 
 
 def test_rope_cap_and_long_horizon_stability():
@@ -111,12 +109,12 @@ def test_cost_model_hybrid_vs_dense21():
 
 def test_dmd_fixed_point_and_batch_scaling():
     with criterion("DMD fixed point + sqrt(batch) noise scaling", 30.0):
-        assert_passed(verify.dmd_noise_checks(residual_batch=100_000, reps=30))
+        assert_passed(verify.dmd_noise_checks(residual_batch=100_000))
 
 
 def test_dmd_convergence():
     with criterion("DMD convergence: 2000 updates to the 2-D world", 120.0):
-        assert_passed([verify.convergence_check(steps=2000, tol=0.05)])
+        assert_passed([verify.convergence_check()])
 
 
 def test_objective_gating():

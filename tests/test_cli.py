@@ -229,6 +229,8 @@ class TestGenerateCommand:
         (["--sparsity", "1.5"], "keep_ratio"),
         (["--sparsity", "nan"], "keep_ratio"),
         (["--window", "0"], "window_frames"),
+        (["--seed", "-1"], "seed"),  # SeededRng would alias these to 2**64 - 1 and 0
+        (["--seed", str(2**64)], "seed"),
         ("frames_per_chunk = 0", "frames_per_chunk"),
         ("tokens_per_frame = 0", "tokens_per_frame"),
         ("layers = 0", "layers"),
@@ -318,6 +320,15 @@ class TestDistillCommand:
         with open(out / "trace.csv") as f:
             assert len(list(csv.DictReader(f))) == 20
 
+    def test_manifest_config_holds_the_file_keys(self, tmp_path):
+        p = tmp_path / "ts.cfg"
+        p.write_text("timesteps = 1.0, 0.5\nsteps = 4\n")
+        out = tmp_path / "dis"
+        assert main(["distill", "--config", str(p), "--out", str(out)]) == EXIT_OK
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert set(config) == set(cli._DISTILL_FIELDS)
+        assert config["timesteps"] == [1.0, 0.5] and config["steps"] == 4
+
     @pytest.mark.parametrize("dim", ["0", "-1"])
     def test_nonpositive_world_dim_is_usage_error(self, tmp_path, capsys, dim):
         p = tmp_path / "bad.cfg"
@@ -329,6 +340,7 @@ class TestDistillCommand:
                                       "generator_lr = inf", "generator_lr = 0",
                                       "generator_lr = -0.1", "batch_size = 0",
                                       "phase_switch_step = -5", "fixture_chunks = -3",
+                                      "seed = -1", f"seed = {2**64}",
                                       "timesteps = 0.9,,0.3", "timesteps = 0.9, 0.3,"])
     def test_out_of_range_value_is_usage_error(self, tmp_path, capsys, line):
         p = tmp_path / "bad.cfg"
@@ -545,7 +557,7 @@ class TestConfigParsing:
             raise Built(cfg, world)
 
         monkeypatch.setattr(cli, "train", capture)
-        defaults = {f.name: f.default for f in fields(DistillConfig) if f.name != "fixture"}
+        defaults = {f.name: f.default for f in fields(DistillConfig)}
         defaults.update(seed=0, world_dim=2)
         assert set(cli._DISTILL_FIELDS) == set(defaults)
         with pytest.raises(Built) as info:

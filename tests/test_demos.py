@@ -1,8 +1,8 @@
 """Every demo runs to completion.
 
 Demo 06 is left out: it runs the distillation loop with its streaming
-fixture and takes about 19 s, almost all of it in the fixture. Add it here
-once the fixture is gone (ROADMAP item 2)."""
+fixture and takes 7 to 13 s on 2 CPUs (six runs), almost all of it in the
+fixture. Add it here once the fixture is gone (ROADMAP item 2)."""
 
 import os
 import subprocess

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from hybridstream import engine, sparse_local
+from hybridstream import distill, engine, sparse_local
 from hybridstream.distill import DistillConfig
 from hybridstream.engine import (
     BENCH_MODES,
@@ -206,7 +206,7 @@ class TestFusedPassRegression:
         assert np.array_equal(engine._layer_norm(rows), textbook_layer_norm(rows))
 
 
-_FIXTURE = replace(DistillConfig().fixture, denoise_timesteps=DistillConfig().timesteps)
+_FIXTURE = replace(distill._FIXTURE, denoise_timesteps=DistillConfig().timesteps)
 
 
 class TestCachePass:
@@ -218,7 +218,7 @@ class TestCachePass:
         (StreamConfig(window_frames=45), 18),
         (StreamConfig(heads=3), 6),
         (replace(_FIXTURE, keep_ratio=1.0, linear_history=False), 4),  # distill, dense phase
-        (replace(_FIXTURE, linear_history=True), 4),                   # distill, hybrid phase
+        (_FIXTURE, 4),                                                 # distill, hybrid phase
     ]
 
     @pytest.mark.parametrize("cfg, chunks", CONFIGS)
@@ -986,6 +986,12 @@ class TestConfigValidation:
     def test_timesteps_descending(self):
         with pytest.raises(ValueError):
             StreamConfig(denoise_timesteps=(0.5, 0.75))
+
+    def test_seed_range(self):
+        StreamConfig(seed=2**64 - 1)
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match="seed"):
+                StreamConfig(seed=seed)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,9 @@ default StreamConfig's cache after 8 chunks, and every file that
 `hybridstream generate --chunks 4 --seed 3` and `hybridstream distill
 --seed 4` write. Run it on two checkouts and compare the listings: a
 change that keeps outputs bit-identical leaves every line equal but the
-snapshot's, which changes with the snapshot format alone.
+snapshot's, which changes with the snapshot format alone. A change to a
+config's fields also moves the manifests that echo them (and their
+config_hash), with every latent, tensor and trace line equal.
 """
 
 import glob
