@@ -12,8 +12,9 @@ the rolling window evicts into the linear state. That chunk step
 (chunk_step), shared by run_stream and the distillation fixture, makes the
 chunk its cache appends next (RollingCache.next_index). It
 draws all of a chunk's noise in one SeededRng.normal call, and its t=0
-pass stops after the last layer's attention, since only the keys and
-values of that pass are kept (ToyDenoiser.compute_chunk_kv).
+pass stops after the last layer's local attention, with no history
+readout, since only the keys and values of that pass are kept
+(ToyDenoiser.compute_chunk_kv).
 
 A layer pass makes one product for the queries, keys and values (the
 ToyDenoiser's [model_dim, 3 * model_dim] "wqkv"), splits it into heads
@@ -154,8 +155,8 @@ def config_for_mode(mode: str, base: StreamConfig) -> StreamConfig:
 def _layer_norm(x: np.ndarray) -> np.ndarray:
     # one centring pass; the mean and variance round as x.mean and x.var do
     n = x.shape[-1]
-    xc = x - x.sum(axis=-1, keepdims=True) / n
-    xc /= np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / n + _NORM_EPS)
+    xc = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+    xc /= np.sqrt(np.add.reduce(xc * xc, axis=-1, keepdims=True) / n + _NORM_EPS)
     return xc
 
 
@@ -256,7 +257,7 @@ def hybrid_attention(
     layer: int,
     cfg: StreamConfig,
     query_chunk_index: int,
-    history_proj: np.ndarray,
+    history_proj: np.ndarray | None,
     counters: OpCounters | None = None,
 ) -> np.ndarray:
     """One layer of hybrid attention for one chunk.
@@ -271,10 +272,14 @@ def hybrid_attention(
     diagonally by BlockMask.block_diagonal. Where the layout's quota leaves
     no choice, build_mask returns the layout's one shared mask, whose
     packing and gather plan were built with it, so the pass builds no mask.
+    Where it chooses, the pass builds the row mask and its packing, whose
+    gather plan is the rows' own offset per head.
     Returns [chunk_tokens, model_dim]: sparse local output plus the
     history readout through the layer's weight history_proj, summed
     elementwise. Until the layer's state absorbs a chunk (or with no state)
-    the readout is exact zeros, so it is not computed.
+    the readout is exact zeros, so it is not computed; with no
+    history_proj (a pass that discards this output, ToyDenoiser.forward)
+    it is not computed either, and the local output alone is returned.
     """
     shape = (3, cfg.heads, cfg.chunk_tokens, cfg.head_dim)
     if qkv.shape != shape:
@@ -300,7 +305,8 @@ def hybrid_attention(
                              scale=1.0 / math.sqrt(d), counters=counters)
     local = local.reshape(heads, tokens, d).transpose(1, 0, 2).reshape(tokens, heads * d)
 
-    if layer < len(cache.linear_states) and cache.linear_states[layer].evicted_tokens:
+    if history_proj is not None and layer < len(cache.linear_states) \
+            and cache.linear_states[layer].evicted_tokens:
         local += history_output(cache.linear_states[layer], qkv[0], q_cos, q_sin,
                                 history_proj)
     return local
@@ -368,8 +374,10 @@ class ToyDenoiser:
         With keys_only (the t=0 cache pass, compute_chunk_kv) the last layer
         stops right after its hybrid attention, whose output nothing reads,
         and the prediction is None: the keys and values are all that pass
-        keeps. The attention itself still runs, so the pass's OpCounters
-        (and the cost model's closed form) count every layer."""
+        keeps. That attention still runs its local pathway, so the pass's
+        OpCounters (and the cost model's closed form) count every layer, but
+        gets no history projection, so it makes no history readout, which
+        has no counter."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.cfg.chunk_tokens, self.cfg.model_dim):
             raise ShapeError(
@@ -384,9 +392,10 @@ class ToyDenoiser:
             qkv = (_layer_norm(h) @ w["wqkv"]).reshape(
                 cfg.chunk_tokens, 3, cfg.heads, cfg.head_dim).transpose(1, 2, 0, 3)
             layer_kvs.append((qkv[1], qkv[2]))
+            stop = keys_only and layer_idx == last
             attended = hybrid_attention(qkv, cache, layer_idx, cfg, query_chunk_index,
-                                        w["history_proj"], counters)
-            if keys_only and layer_idx == last:
+                                        None if stop else w["history_proj"], counters)
+            if stop:
                 return None, layer_kvs
             h += attended @ w["wo"]
             h += _gelu(_layer_norm(h) @ w["w1"]) @ w["w2"]
@@ -396,9 +405,10 @@ class ToyDenoiser:
                          counters: OpCounters | None = None) -> ChunkKV:
         """Dedicated t=0 pass over the emitted chunk (cache.next_index), collecting
         the keys and values that actually get cached. The pass goes through
-        forward with keys_only, so the last layer's wo product, residual adds,
-        norm and MLP, whose output nothing reads, are not computed; its keys,
-        values and counters equal a full forward(x0, 0.0, ...)'s bit for bit."""
+        forward with keys_only, so the last layer's history readout, wo
+        product, residual adds, norm and MLP, whose output nothing reads,
+        are not computed; its keys, values and counters equal a full
+        forward(x0, 0.0, ...)'s bit for bit."""
         _, layer_kvs = self.forward(x0, 0.0, cache, cache.next_index, counters,
                                     keys_only=True)
         keys = np.stack([kv[0] for kv in layer_kvs])

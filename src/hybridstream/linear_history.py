@@ -106,7 +106,9 @@ def absorb_evicted(
     fk = elu_plus_one(keys)
     rotated = apply_rope(fk, 0, rope_cfg)
     L = state.L + np.einsum("htd,hte->hde", rotated, values)
-    H = state.H + fk.mean(axis=1)
+    H = np.add.reduce(fk, axis=1)
+    H /= keys.shape[1]  # the sum over the count, as fk.mean rounds it
+    H += state.H
     if not (np.all(np.isfinite(L)) and np.all(np.isfinite(H))):
         raise ValueError("linear state would become non-finite; absorb rejected")
     return LinearState(L, H, state.evicted_tokens + keys.shape[1])

@@ -60,6 +60,11 @@ class SeededRng:
         self._counter = 0
 
     def _raw(self, n: int) -> np.ndarray:
+        # n is checked before the counter moves: a float would leave it off
+        # the integers and a negative n would rewind it
+        n = operator.index(n)
+        if n < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
         # splitmix64 of seed + i * GOLDEN, mixed in place in one array (unsigned
         # array arithmetic wraps modulo 2**64 without a warning)
         z = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
@@ -80,15 +85,15 @@ class SeededRng:
         return SeededRng(child)
 
     def uniform(self, n: int) -> np.ndarray:
-        """n doubles in [0, 1), 53-bit resolution."""
-        if n < 0:
-            raise ValueError("n must be >= 0")
+        """n doubles in [0, 1), 53-bit resolution; n is checked as integers
+        checks it."""
         u = (self._raw(n) >> np.uint64(11)).astype(np.float64)
         u *= _INV_2_53
         return u
 
     def integers(self, n: int) -> np.ndarray:
-        """n raw uint64 draws."""
+        """n raw uint64 draws. Raises TypeError unless n is an integer and
+        ValueError if it is negative, before any draw is taken."""
         return self._raw(n)
 
     def normal(self, shape, count: int | None = None) -> np.ndarray:

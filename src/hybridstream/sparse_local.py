@@ -19,9 +19,11 @@ on the inactive blocks. build_mask gives every row the same count, so its
 masks never pad. verify.row_loop_attention is the online-softmax reference.
 
 A mask is read-only, so what is derived from it is built once and kept on
-it: the gather plan (BlockMask.plan) and its head packing. Where the quota
-leaves no choice, build_mask returns one shared mask per layout and shape,
-so a layer pass over such a layout builds no mask at all.
+it: the gather plan (BlockMask.plan) and its head packing, whose plan is
+the rows' own with each head's blocks offset. Where the quota leaves no
+choice, build_mask returns one shared mask per layout and shape, so a layer
+pass over such a layout builds no mask at all; where it does choose, the
+layout's quota and free blocks are looked up per T_n (BlockConfig.choice).
 """
 
 from __future__ import annotations
@@ -62,6 +64,28 @@ class BlockConfig:
         leaves no choice."""
         return {}
 
+    @cached_property
+    def choices(self) -> dict:
+        """build_mask's (need, free) per T_n: how many blocks a row picks
+        beyond the forced ones, and the read-only index of the blocks it
+        picks them from, ascending (those not forced)."""
+        return {}
+
+    def choice(self, t_n: int) -> tuple:
+        """choices[t_n], built on first use. Raises ShapeError if a forced
+        block lies outside T_n key blocks."""
+        choice = self.choices.get(t_n)
+        if choice is None:
+            forced = self.forced_index
+            if forced.size and (forced[0] < 0 or forced[-1] >= t_n):
+                raise ShapeError(
+                    f"forced block {forced.tolist()} out of range for {t_n} key blocks")
+            quota = max(forced.size, math.ceil(self.keep_ratio * t_n))
+            free = np.setdiff1d(np.arange(t_n), forced)
+            free.flags.writeable = False
+            choice = self.choices[t_n] = (quota - forced.size, free)
+        return choice
+
 
 class GatherPlan(NamedTuple):
     """What sparse_attention reads of a mask to gather its rows."""
@@ -101,7 +125,7 @@ class BlockMask:
         self.active.flags.writeable = False
         if self.active.ndim != 2:
             raise ShapeError(f"mask must be 2-D, got shape {self.active.shape}")
-        if self.active.shape[0] > 0 and not self.active.any(axis=1).all():
+        if not np.logical_and.reduce(np.logical_or.reduce(self.active, axis=1)):
             raise ContractViolationError("every query row needs at least one active block")
 
     @property
@@ -118,22 +142,27 @@ class BlockMask:
         blocks in row-major order are the index; else a stable sort puts each
         row's kept blocks first, ascending. Raises ContractViolationError if
         a row keeps no block."""
-        rows, blocks = self.active.nonzero()  # row-major: each row's blocks ascending
-        counts = np.bincount(rows, minlength=self.active.shape[0])
-        per_row = counts.tolist()  # a few values: Python's min and max are cheaper
+        counts = np.add.reduce(self.active, axis=1)  # a bool sum counts in intp
+        per_row = counts.tolist()  # a few values: Python's max and sum are cheaper
         if 0 in per_row:
             raise ContractViolationError("a query row has no active blocks")
-        c = max(per_row)
-        if blocks.size == c * len(per_row):  # no row keeps fewer than c
-            return GatherPlan(counts, blocks.size, c, blocks.reshape(-1, c), False)
-        index = np.argsort(~self.active, axis=1, kind="stable")[:, :c]
-        return GatherPlan(counts, blocks.size, c, index, True)
+        c, total = max(per_row), sum(per_row)
+        if total == c * len(per_row):  # no row keeps fewer than c
+            # row-major: each row's blocks ascending
+            return GatherPlan(counts, total, c, self.active.nonzero()[1].reshape(-1, c), False)
+        index = (~self.active).argsort(axis=1, kind="stable")[:, :c]
+        return GatherPlan(counts, total, c, index, True)
 
     def block_diagonal(self, heads: int) -> "BlockMask":
         """These rows as `heads` groups of t_m query blocks, packed for one
         call over every head's tokens: [heads * t_m, heads * t_n], head h's
         rows active only in head h's key blocks. Built on the first call for
-        a head count, then the same object."""
+        a head count, then the same object.
+
+        Unless a row pads, the packed plan is these rows' plan with head h's
+        index offset by h * t_n: a packed row keeps the same blocks, shifted
+        into its head's. So it is the plan the packed matrix's own counting
+        would give, without counting the heads-times wider matrix."""
         if self._packed and self._packed[0] == heads:
             return self._packed[1]
         rows, t_n = self.active.shape
@@ -141,6 +170,10 @@ class BlockMask:
             raise ShapeError(f"{rows} mask rows do not split into {heads} heads")
         packed = _head_selector(heads) & self.active.reshape(heads, rows // heads, 1, t_n)
         packed = BlockMask(packed.reshape(rows, heads * t_n))
+        counts, total, c, index, pads = self.plan
+        if not pads:  # a padding row's slots past its count differ once packed
+            offsets = np.arange(0, heads * t_n, t_n).repeat(rows // heads)[:, None]
+            packed.plan = GatherPlan(counts, total, c, index + offsets, False)
         self._packed = (heads, packed)
         return packed
 
@@ -153,7 +186,7 @@ def block_means(x: np.ndarray, block: int) -> np.ndarray:
     if x.ndim < 2 or x.shape[-2] % block != 0:
         raise ShapeError(f"token count of {x.shape} not divisible by block size {block}")
     # the sum over the block axis divided by the count, as x.mean rounds it
-    return x.reshape(*x.shape[:-2], -1, block, x.shape[-1]).sum(axis=-2) / block
+    return np.add.reduce(x.reshape(*x.shape[:-2], -1, block, x.shape[-1]), axis=-2) / block
 
 
 def block_scores(q_means: np.ndarray, k_means: np.ndarray) -> np.ndarray:
@@ -180,7 +213,8 @@ def build_mask(scores: np.ndarray, cfg: BlockConfig) -> BlockMask:
     Where the quota leaves no choice (it equals the forced count, or T_n)
     the scores cannot change the mask: it is built once per (cfg, T_m, T_n)
     and that one read-only mask is returned for every later score matrix
-    of that shape, with its gather plan and head packing.
+    of that shape, with its gather plan and head packing. The quota and
+    the free blocks are built once per (cfg, T_n) (BlockConfig.choice).
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2:
@@ -189,27 +223,18 @@ def build_mask(scores: np.ndarray, cfg: BlockConfig) -> BlockMask:
     if shared is not None:
         return shared
     t_m, t_n = scores.shape
-    forced = cfg.forced_index
-    if forced.size and (forced[0] < 0 or forced[-1] >= t_n):
-        raise ShapeError(f"forced block {forced.tolist()} out of range for {t_n} key blocks")
-    quota = max(forced.size, math.ceil(cfg.keep_ratio * t_n))
+    need, free = cfg.choice(t_n)
     active = np.zeros((t_m, t_n), dtype=bool)
-    active[:, forced] = True
-    need = quota - forced.size
-    choice = 0 < need < t_n - forced.size
-    if choice:
+    active[:, cfg.forced_index] = True
+    if 0 < need < free.size:
         # a stable sort of the negated scores of the free blocks is descending
         # by score with ties kept in ascending (lower-index-first) order
-        is_free = np.ones(t_n, dtype=bool)
-        is_free[forced] = False
-        free = np.flatnonzero(is_free)
-        order = np.argsort(-scores[:, free], axis=1, kind="stable")[:, :need]
+        order = (-scores[:, free]).argsort(axis=1, kind="stable")[:, :need]
         active[np.arange(t_m)[:, None], free[order]] = True
-    elif need:
+        return BlockMask(active)
+    if need:
         active[:] = True
-    mask = BlockMask(active)
-    if not choice:
-        cfg.shared_masks[scores.shape] = mask
+    mask = cfg.shared_masks[scores.shape] = BlockMask(active)
     return mask
 
 
@@ -228,7 +253,7 @@ def sparse_attention(
     q = np.asarray(q, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    t_m, t_n = mask.shape
+    t_m, t_n = mask.active.shape
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
         raise ShapeError("q, k, v must be 2-D")
     if k.shape[0] != v.shape[0]:
@@ -254,8 +279,8 @@ def sparse_attention(
     if pads:
         padded = np.repeat(np.arange(c) >= counts[:, None], b_kv, axis=1)  # [t_m, c*b_kv]
         s[np.broadcast_to(padded[:, None, :], s.shape)] = -np.inf
-    s -= s.max(axis=2, keepdims=True)
+    s -= np.maximum.reduce(s, axis=2, keepdims=True)
     np.exp(s, out=s)
     out = s @ v_rows
-    out /= s.sum(axis=2, keepdims=True)
+    out /= np.add.reduce(s, axis=2, keepdims=True)
     return out.reshape(q.shape[0], v.shape[1])

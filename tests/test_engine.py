@@ -711,17 +711,26 @@ class TestHistorySkip:
         cache = random_cache(cfg, 5, seed=100, model=model)
         states = list(cache.linear_states)  # the chunk's eviction replaces them at its end
         assert all(s.evicted_tokens for s in states)
-        calls = []
+        calls, timesteps = [], []
+        forward = model.forward
+
+        def spy_forward(x, t, *args, **kwargs):
+            timesteps.append(t)
+            return forward(x, t, *args, **kwargs)
 
         def spy(*args, **kwargs):
-            calls.append(args[0])
+            calls.append((timesteps[-1], args[0]))
             return history_output(*args, **kwargs)
 
+        monkeypatch.setattr(model, "forward", spy_forward)
         monkeypatch.setattr(engine, "history_output", spy)
         chunk_step(model, cache, cfg.denoise_timesteps, SeededRng(101))
         passes = len(cfg.denoise_timesteps) + 1
-        assert len(calls) == passes * cfg.layers
-        assert all(a is b for a, b in zip(calls, states * passes))
+        # the t=0 cache pass discards its last layer's attention output, and
+        # with it that layer's readout
+        assert len(calls) == passes * cfg.layers - 1
+        want = [(t, s) for t in (*cfg.denoise_timesteps, 0.0) for s in states][:-1]
+        assert all(t == u and a is b for (t, a), (u, b) in zip(calls, want))
 
 
 class TestHybridAttention:

@@ -142,6 +142,20 @@ class TestSeededRng:
             r.normal(4, count=-1)
         assert np.array_equal(r.integers(4), SeededRng(5).integers(4))
 
+    def test_fractional_draw_count_rejected_before_drawing(self):
+        r = SeededRng(5)
+        with pytest.raises(TypeError):
+            r.uniform(2.5)
+        assert np.array_equal(r.integers(4), SeededRng(5).integers(4))
+        assert r.uniform(np.int64(2)).shape == (2,)
+
+    def test_negative_draw_count_rejected_before_drawing(self):
+        r = SeededRng(5)
+        for draw in (r.integers, r.uniform):
+            with pytest.raises(ValueError, match="n must be >= 0"):
+                draw(-1)
+        assert np.array_equal(r.integers(4), SeededRng(5).integers(4))
+
 
 class TestTensorFormat:
     def test_round_trip_bitwise(self, tmp_path):

@@ -243,6 +243,49 @@ class TestBuildMask:
         with pytest.raises(ShapeError, match="3 mask rows"):
             BlockMask(np.ones((3, 2), dtype=bool)).block_diagonal(2)
 
+    def test_one_config_at_many_widths_masks_as_fresh_ones(self):
+        # a window growing to capacity behind a 3-block sink, keep 0.5: every
+        # width chooses, and one config keeps a quota and free index per width
+        shared = BlockConfig(0.5, frozenset(range(3)))
+        rng = SeededRng(24)
+        widths = [3 * entries for entries in range(3, 17)]
+        for t_n in widths + widths[::-1]:
+            scores = rng.normal((6, t_n))
+            got = build_mask(scores, shared)
+            want = build_mask(scores, BlockConfig(0.5, frozenset(range(3))))
+            assert np.array_equal(got.active, want.active), t_n
+            assert np.array_equal(got.active, reference_mask(scores, shared)), t_n
+            assert build_mask(scores, shared) is not got  # it chose
+        assert sorted(shared.choices) == widths and not shared.shared_masks
+        for t_n, (need, free) in shared.choices.items():
+            assert need == math.ceil(t_n / 2) - 3
+            assert free.tolist() == list(range(3, t_n))
+            with pytest.raises(ValueError):
+                free[0] = 0
+
+    @pytest.mark.parametrize("heads", [2, 3])
+    @pytest.mark.parametrize("kind", ["choosing", "shared", "padded"])
+    def test_packed_plan_is_the_packed_matrix_plan(self, heads, kind):
+        rng = SeededRng(25 + heads)
+        t_m, t_n = 3, 12
+        if kind == "padded":
+            active = rng.uniform(heads * t_m * t_n).reshape(-1, t_n) < 0.4
+            active[:, 0] = active[0] = True  # no row is empty, and rows differ in count
+            rows = BlockMask(active)
+        else:
+            forced = frozenset({0, 1, 9, 10, 11})
+            cfg = BlockConfig(0.6 if kind == "choosing" else 0.2, forced)
+            rows = build_mask(rng.normal((heads * t_m, t_n)), cfg)
+            assert (cfg.shared_masks.get(rows.shape) is rows) == (kind == "shared")
+        assert rows.plan.pads == (kind == "padded")
+        packed = rows.block_diagonal(heads)
+        want = BlockMask(packed.active).plan
+        got = packed.plan
+        assert np.array_equal(got.counts, want.counts)
+        assert np.array_equal(got.index, want.index)
+        assert got.index.dtype == want.index.dtype
+        assert (got.total, got.widest, got.pads) == (want.total, want.widest, want.pads)
+
 
 def assert_plan_matches_reference(mask):
     """The plan of `mask` against one built row by row: each row's kept
