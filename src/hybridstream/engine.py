@@ -99,6 +99,8 @@ class StreamConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.sink_chunks < 0:
             raise ValueError(f"sink_chunks must be >= 0, got {self.sink_chunks}")
+        if not isinstance(self.seed, (int, np.integer)):  # SeededRng takes no float
+            raise TypeError(f"seed must be an integer, got {self.seed!r}")
         if not (0 <= self.seed < 2**64):  # SeededRng would alias it modulo 2**64
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if not (0.0 < self.keep_ratio <= 1.0):
@@ -205,8 +207,9 @@ def _window(cache: RollingCache, cfg: StreamConfig, query_chunk_index: int) -> t
     (restored) cache, or for a config of other sizes.
 
     Nothing else is built per chunk. The indices are the config's
-    (cfg.rope_config): rope.temporal_index of each entry's distance behind
-    the query chunk (RollingCache.visible_kv), and of the query chunk. The
+    (cfg.rope_config), from one rope.temporal_index call: of each entry's
+    distance behind the query chunk (RollingCache.visible_kv), and of the
+    query chunk's own distance 0. The
     rotation tables come from rope.position_tables: the window keys' are
     gathered into the workspace at the entries' relative indices and the
     queries' are a read-only view of it. The BlockConfig is shared per
@@ -232,12 +235,13 @@ def _window(cache: RollingCache, cfg: StreamConfig, query_chunk_index: int) -> t
         else:
             keys, values, key_means = np.empty(shape), np.empty(shape), np.empty(means_shape)
             key_cos, key_sin = np.empty((n,) + shape[3:]), np.empty((n,) + shape[3:])
+        # the entries' temporal indices, then the chunk's own (distance 0)
+        *rel, q_t = temporal_index(query_chunk_index, rope_cfg,
+                                   [dist for _, dist in visible] + [0])
         if visible:
             # the unrotated keys are staged where the values go next
             staged = values[:, :, :n]
             np.stack([e.keys for e, _ in visible], axis=2, out=staged)
-            rel = np.array([temporal_index(query_chunk_index, rope_cfg, dist)
-                            for _, dist in visible])
             # temporal indices lie in [0, cap]; "raise" would buffer out
             np.take(cos, rel, axis=0, out=key_cos, mode="clip")
             np.take(sin, rel, axis=0, out=key_sin, mode="clip")
@@ -245,7 +249,6 @@ def _window(cache: RollingCache, cfg: StreamConfig, query_chunk_index: int) -> t
             np.stack([e.values for e, _ in visible], axis=2, out=staged)
             window_keys = keys[:, :, :n].reshape(layers, heads, -1, d)  # a view
             key_means[:, :, :n * bpc] = block_means(window_keys, bt)
-        q_t = temporal_index(query_chunk_index, rope_cfg)
         return keys, values, key_means, key_cos, key_sin, bcfg, cos[q_t], sin[q_t]
 
     return cache.memo((query_chunk_index, cfg), build)

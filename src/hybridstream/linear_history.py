@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .rope import RoPEConfig, apply_rope, check_tables, rotate
+from .rope import RoPEConfig, apply_rope, rotate
 
 EPS_DIV = 1e-6  # denominator guard for adversarial queries
 
@@ -109,7 +109,8 @@ def absorb_evicted(
     H = np.add.reduce(fk, axis=1)
     H /= keys.shape[1]  # the sum over the count, as fk.mean rounds it
     H += state.H
-    if not (np.all(np.isfinite(L)) and np.all(np.isfinite(H))):
+    if not (np.logical_and.reduce(np.isfinite(L), axis=None)
+            and np.logical_and.reduce(np.isfinite(H), axis=None)):
         raise ValueError("linear state would become non-finite; absorb rejected")
     return LinearState(L, H, state.evicted_tokens + keys.shape[1])
 
@@ -141,7 +142,6 @@ def history_output(
     model_dim = state.heads * state.head_dim
     if projection.shape != (model_dim, model_dim):
         raise ShapeError(f"projection must be [{model_dim}, {model_dim}], got {projection.shape}")
-    check_tables(queries.shape, cos, sin)
     tokens = queries.shape[1]
     fq = elu_plus_one(queries)
     num = rotate(fq, cos, sin) @ state.L  # [heads, tokens, head_dim]

@@ -56,7 +56,7 @@ class SeededRng:
     """
 
     def __init__(self, seed: int):
-        self.seed = int(seed) & _MASK64
+        self.seed = operator.index(seed) & _MASK64
         self._counter = 0
 
     def _raw(self, n: int) -> np.ndarray:
@@ -81,7 +81,7 @@ class SeededRng:
 
     def derive(self, stream: int) -> "SeededRng":
         """Independent child generator for a numbered stream."""
-        child = _mix64_int(self.seed + (int(stream) + 1) * _GOLDEN)
+        child = _mix64_int(self.seed + (operator.index(stream) + 1) * _GOLDEN)
         return SeededRng(child)
 
     def uniform(self, n: int) -> np.ndarray:
@@ -104,9 +104,8 @@ class SeededRng:
         counter advanced as they would advance it (count = 0 draws nothing).
         normal(shape) is the draw of count None, shaped `shape`."""
         if isinstance(shape, (int, np.integer)):
-            out_shape: tuple = (int(shape),)
-        else:
-            out_shape = tuple(int(s) for s in shape)
+            shape = (shape,)
+        out_shape = tuple(map(operator.index, shape))
         n = 1
         for s in out_shape:
             if s < 0:

@@ -49,14 +49,19 @@ class RoPEConfig:
         return self.head_dim // 4
 
 
-def temporal_index(chunk_pos: int, config: RoPEConfig, distance: int = 0) -> int:
+def temporal_index(chunk_pos: int, config: RoPEConfig, distance=0):
     """Capped temporal position of what lies `distance` chunks behind the
     chunk at chunk_pos: max(0, min(chunk_pos, cap) - distance). The querying
     chunk (distance 0) saturates at the cap, and the clamp at 0 pins a sink
-    entry to the origin for arbitrarily long streams."""
-    if chunk_pos < 0 or distance < 0:
+    entry to the origin for arbitrarily long streams. An int distance gives
+    an int; a sequence of distances, the list of their positions."""
+    many = not isinstance(distance, (int, np.integer))
+    distances = distance if many else (distance,)
+    if chunk_pos < 0 or min(distances, default=0) < 0:
         raise ValueError(f"chunk_pos and distance must be >= 0, got {chunk_pos}, {distance}")
-    return max(0, min(int(chunk_pos), config.max_temporal_index) - distance)
+    capped = min(int(chunk_pos), config.max_temporal_index)
+    rel = [max(0, capped - d) for d in distances]
+    return rel if many else rel[0]
 
 
 @lru_cache(maxsize=32)

@@ -18,8 +18,9 @@ entries' keys and values and the linear states' L and H (no model weight),
 each f64 array an HFT1 tensor of its float32 view (the last axis doubled,
 so every bit round-trips), then a CRC-32 of every byte before it, so a
 flipped byte anywhere fails to restore. Its entries carry only their chunk
-index; restore routes each by that index, as append does. The manifest and
-each of its records must hold exactly the keys snapshot() writes.
+index; restore appends each one, so append alone routes, orders and
+shape-checks them. The manifest and each of its records must hold exactly
+the keys snapshot() writes.
 """
 
 from __future__ import annotations
@@ -209,9 +210,14 @@ class RollingCache:
         int) is read first, so a blob of another format version is named as such;
         the CRC-32 trailer is then checked before any other field or payload
         byte is decoded. A key that snapshot() does not write is refused.
-        Each entry goes to the pinned or the window list by its chunk index,
-        as append sends it, and _check_restored then checks the whole.
-        Every failure is a FormatError."""
+
+        The entries must be as many as a stream at next_index keeps, counted
+        before any payload is read. They are then appended: the sinks from
+        chunk 0, then, past the chunks such a stream evicted, the window, so
+        a chunk append would refuse (out of order, or of another shape) is
+        refused here. The linear states must be none or one per layer of the
+        entries, of their heads and head_dim (shape_mismatch), each holding
+        the tokens of every evicted chunk. Every failure is a FormatError."""
         body, trailer = data[:-4], data[-4:]
         f = io.BytesIO(body)
         head = f.read(4)
@@ -237,21 +243,28 @@ class RollingCache:
             capacity_chunks=_field(manifest, "capacity_chunks", int, 1),
             sink_chunks=_field(manifest, "sink_chunks", int, 0),
         )
-        cache._next_index = _field(manifest, "next_index", int, 0)
+        n = _field(manifest, "next_index", int, 0)
         entries = _field(manifest, "entries", list)
         states = _field(manifest, "linear_states", list)
         _no_more(manifest, "manifest")
-        for meta in entries:
+        # counted before any payload is read, so the work is bounded by the
+        # entries present, not by next_index or sink_chunks
+        sinks = min(n, cache.sink_chunks)
+        window = min(n - sinks, cache.capacity_chunks)
+        if len(entries) != sinks + window:
+            raise FormatError(f"{len(entries)} entries, but a stream at next_index {n} with "
+                              f"capacity {cache.capacity_chunks} keeps {sinks} sink and "
+                              f"{window} window entries")
+        for i, meta in enumerate(entries):
+            if i == sinks:
+                cache._next_index = n - window  # over the chunks the stream evicted
             chunk_index = _field(meta, "chunk_index", int, 0)
             _no_more(meta, f"entry {chunk_index}")
             try:
-                kv = ChunkKV(chunk_index, _read_f64(f), _read_f64(f))
-            except ShapeError as exc:
-                raise FormatError(f"snapshot entry {chunk_index}: {exc}") from exc
-            if chunk_index < cache.sink_chunks:
-                cache.sink_entries.append(kv)
-            else:
-                cache.window_entries.append(kv)
+                cache.append(ChunkKV(chunk_index, _read_f64(f), _read_f64(f)))
+            except (SequenceError, ShapeError) as exc:
+                raise FormatError(f"snapshot entry {chunk_index} of a stream at next_index "
+                                  f"{n}: {exc}") from exc
         for meta in states:
             evicted_tokens = _field(meta, "evicted_tokens", int, 0)
             _no_more(meta, "linear state")
@@ -264,46 +277,19 @@ class RollingCache:
             cache.linear_states.append(LinearState(L, H, evicted_tokens))
         if f.read(1):
             raise FormatError("trailing bytes after snapshot payload")
-        cache._check_restored()
-        return cache
-
-    def _check_restored(self) -> None:
-        """Raise FormatError unless the entries are exactly what appending
-        chunks 0 .. next_index - 1 leaves behind, all with one key/value shape
-        that agrees with the linear states' heads and head_dim. There must be
-        either no linear states or one per layer of those entries, each
-        holding the tokens of every chunk such a stream evicted. The entry
-        counts are compared first, so the work done is bounded by the entries
-        present, not by next_index or sink_chunks."""
-        n, capacity = self._next_index, self.capacity_chunks
-        if len(self.window_entries) > capacity:
-            raise FormatError(f"window holds {len(self.window_entries)} entries, over its "
-                              f"capacity of {capacity}")
-        sinks = min(n, self.sink_chunks)
-        window = min(n - sinks, capacity)
-        got = [e.chunk_index for e in self.entries()]
-        if len(got) != sinks + window:
-            raise FormatError(f"{len(got)} entries, but a stream at next_index {n} keeps "
-                              f"{sinks} sink and {window} window entries")
-        want = list(range(sinks)) + list(range(n - window, n))
-        if got != want:
-            raise FormatError(f"entry chunks {got} are not those a stream at next_index {n} "
-                              f"keeps ({want})")
-        shapes = {a.shape for e in self.entries() for a in (e.keys, e.values)}
-        if len(shapes) > 1:
-            raise FormatError(f"entries disagree on key/value shape: {sorted(shapes)}")
-        for shape in shapes:
-            mismatch = self.shape_mismatch(shape)
+        if entries:
+            mismatch = cache.shape_mismatch(cache.entries()[0].keys.shape)
             if mismatch:
                 raise FormatError(mismatch)
         # chunks are evicted only from a full window, so one is there to count
         evicted = n - sinks - window
-        tokens = evicted * self.window_entries[0].tokens if evicted else 0
-        for s in self.linear_states:
+        tokens = evicted * cache.window_entries[0].tokens if evicted else 0
+        for s in cache.linear_states:
             if s.evicted_tokens != tokens:
                 raise FormatError(f"a linear state holds {s.evicted_tokens} evicted tokens; a "
                                   f"stream at next_index {n} evicted {evicted} chunks, {tokens} "
                                   f"tokens")
+        return cache
 
     def shape_mismatch(self, shape: tuple) -> str:
         """Why keys and values of `shape` ([layers, heads, tokens, head_dim])

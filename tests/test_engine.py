@@ -1002,6 +1002,13 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match="seed"):
                 StreamConfig(seed=seed)
 
+    def test_fractional_seed_rejected(self):
+        # SeededRng would run seed 1's stream while the config says 1.5
+        assert StreamConfig(seed=np.int64(3)).seed == 3
+        for seed in (1.5, 2.0):
+            with pytest.raises(TypeError, match="seed must be an integer"):
+                StreamConfig(seed=seed)
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             config_for_mode("nope", TOY)

@@ -149,6 +149,24 @@ class TestSeededRng:
         assert np.array_equal(r.integers(4), SeededRng(5).integers(4))
         assert r.uniform(np.int64(2)).shape == (2,)
 
+    def test_fractional_shape_entry_rejected_before_drawing(self):
+        r = SeededRng(5)
+        for shape in ((2.7, 3), (2, 3.0), [np.float64(2), 3]):
+            with pytest.raises(TypeError):
+                r.normal(shape)
+        assert np.array_equal(r.normal((2, 3)), SeededRng(5).normal((2, 3)))
+        assert r.normal((np.int64(2), 3)).shape == (2, 3)
+
+    def test_fractional_seed_and_stream_rejected(self):
+        for seed in (1.5, 1.0):
+            with pytest.raises(TypeError):
+                SeededRng(seed)
+        for stream in (1.5, 1.0):
+            with pytest.raises(TypeError):
+                SeededRng(1).derive(stream)
+        assert np.array_equal(SeededRng(np.uint64(1)).derive(np.int64(1)).integers(3),
+                              SeededRng(1).derive(1).integers(3))
+
     def test_negative_draw_count_rejected_before_drawing(self):
         r = SeededRng(5)
         for draw in (r.integers, r.uniform):

@@ -75,6 +75,15 @@ class TestRelativeIndices:
         # an entry newer than the querying chunk
         with pytest.raises(ValueError):
             temporal_index(3, CFG, -1)
+        with pytest.raises(ValueError):
+            temporal_index(3, CFG, [2, -1])
+
+    @pytest.mark.parametrize("q", [0, 5, 21, 22, 500])
+    def test_sequence_of_distances_is_each_distance_index(self, q):
+        dists = [q, q // 2, 3, 1, 0]
+        assert temporal_index(q, CFG, dists) == [temporal_index(q, CFG, d) for d in dists]
+        assert temporal_index(q, CFG, np.array(dists)) == temporal_index(q, CFG, dists)
+        assert temporal_index(q, CFG, []) == []
 
 
 class TestApplyRope:

@@ -160,8 +160,8 @@ class TestSnapshot:
     STREAM = StreamConfig(tokens_per_frame=2, heads=HEADS, head_dim=HEAD_DIM, layers=LAYERS,
                           max_temporal_index=CAP)
 
-    def build_cache(self, chunks):
-        cache = RollingCache(3, 1, make_states())
+    def build_cache(self, chunks, capacity=3, sinks=1):
+        cache = RollingCache(capacity, sinks, make_states())
         for i in range(chunks):
             append_and_absorb(cache, make_kv(i), self.STREAM)
         return cache
@@ -245,10 +245,15 @@ class TestSnapshot:
 
     @pytest.mark.parametrize("chunks", range(7))
     def test_every_appended_state_restores(self, chunks):
-        cache = self.build_cache(chunks)
-        restored = RollingCache.restore(cache.snapshot())
-        assert [e.chunk_index for e in restored.entries()] == \
-            [e.chunk_index for e in cache.entries()]
+        for capacity, sinks in [(3, 1), (3, 0), (3, 2), (1, 1)]:
+            cache = self.build_cache(chunks, capacity, sinks)
+            restored = RollingCache.restore(cache.snapshot())
+            assert [e.chunk_index for e in restored.sink_entries] == \
+                [e.chunk_index for e in cache.sink_entries]
+            assert [e.chunk_index for e in restored.window_entries] == \
+                [e.chunk_index for e in cache.window_entries]
+            assert restored.next_index == cache.next_index
+            assert restored.snapshot() == cache.snapshot()
 
     def edited_snapshot_error(self, edit):
         blob = self.with_manifest(self.build_cache(8).snapshot(), edit)  # sink 0, window 5-7
@@ -264,7 +269,12 @@ class TestSnapshot:
         def edit(manifest):
             manifest["entries"][1]["chunk_index"] = 4
 
-        assert "[0, 4, 6, 7]" in self.edited_snapshot_error(edit)
+        assert "expected chunk 5, got 4" in self.edited_snapshot_error(edit)
+
+        def misplaced_sink(manifest):
+            manifest["entries"][0]["chunk_index"] = 1
+
+        assert "expected chunk 0, got 1" in self.edited_snapshot_error(misplaced_sink)
 
     def test_next_index_disagreeing_with_entries_is_format_error(self):
         assert "next_index 99" in self.edited_snapshot_error(
@@ -307,7 +317,7 @@ class TestSnapshot:
         cache = self.build_cache(8)
         kv = cache.window_entries[1]
         cache.window_entries[1] = ChunkKV(kv.chunk_index, kv.keys[:, :, :4], kv.values[:, :, :4])
-        with pytest.raises(FormatError, match="disagree"):
+        with pytest.raises(FormatError, match="unlike the entries'"):
             RollingCache.restore(cache.snapshot())
         cache.window_entries[1] = kv
         kv.values = kv.values[:, :, :4]  # keys and values of one entry differ
