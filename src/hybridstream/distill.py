@@ -27,7 +27,7 @@ import numpy as np
 
 from .engine import StreamConfig, ToyDenoiser, check_timesteps, chunk_step, rectified_flow
 from .errors import DivergenceError, ShapeError
-from .numerics import SeededRng
+from .numerics import SeededRng, integer_fields
 
 _WORLD_EIGS = (0.3, 1.3)  # the covariance spectrum of a GaussianWorld.random
 # the streaming fixture train rolls each step, under the DistillConfig's timesteps
@@ -244,6 +244,7 @@ class DistillConfig:
     fixture_chunks: int = 4
 
     def __post_init__(self):
+        integer_fields(self, ("phase_switch_step", "steps", "batch_size", "fixture_chunks"))
         if not (0.0 <= self.lam < math.inf):
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         if not (0.0 < self.generator_lr < math.inf):

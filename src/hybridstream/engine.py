@@ -17,10 +17,13 @@ readout, since only the keys and values of that pass are kept
 (ToyDenoiser.compute_chunk_kv).
 
 A layer pass makes one product for the queries, keys and values (the
-ToyDenoiser's [model_dim, 3 * model_dim] "wqkv"), splits it into heads
-once and rotates the queries and the chunk's own keys in one call on a
-view of it (hybrid_attention). Its norms, GELU and residual adds write in
-place; each is rounded as its textbook formula is.
+ToyDenoiser's [model_dim, 3 * model_dim] "wqkv") and copies its head split
+once into one C-contiguous [3, heads, tokens, head_dim] array, so the
+rotation, the feature map, the readout, the workspace slot writes and the
+cached keys and values all read unit-stride data; the queries and the
+chunk's own keys are rotated in one call (hybrid_attention). Its norms,
+GELU and residual adds write in place; each is rounded as its textbook
+formula is.
 
 The dense full-history oracle these pathways are checked against lives in
 verify, with every other oracle.
@@ -39,7 +42,7 @@ from scipy.special import erf
 
 from .errors import ShapeError
 from .linear_history import LinearState, absorb_evicted, history_output
-from .numerics import SeededRng
+from .numerics import SeededRng, integer_fields
 # apply_rope has no caller here: perfbench's tracer wraps engine.apply_rope (ROADMAP item 1)
 from .rope import RoPEConfig, apply_rope, position_tables, rotate, temporal_index
 from .sparse_local import BlockConfig, block_means, block_scores, build_mask, sparse_attention
@@ -93,14 +96,14 @@ class StreamConfig:
     linear_history: bool = True  # absorb evicted chunks; off = plain drop
 
     def __post_init__(self):
-        for name in ("frames_per_chunk", "window_frames", "tokens_per_frame", "heads",
-                     "head_dim", "layers"):
+        positive = ("frames_per_chunk", "window_frames", "tokens_per_frame", "heads",
+                    "head_dim", "layers")
+        integer_fields(self, positive + ("sink_chunks", "max_temporal_index", "seed"))
+        for name in positive:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.sink_chunks < 0:
             raise ValueError(f"sink_chunks must be >= 0, got {self.sink_chunks}")
-        if not isinstance(self.seed, (int, np.integer)):  # SeededRng takes no float
-            raise TypeError(f"seed must be an integer, got {self.seed!r}")
         if not (0 <= self.seed < 2**64):  # SeededRng would alias it modulo 2**64
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if not (0.0 < self.keep_ratio <= 1.0):
@@ -266,7 +269,9 @@ def hybrid_attention(
     """One layer of hybrid attention for one chunk.
 
     qkv: the unrotated per-head queries, keys and values of the chunk
-    being generated, [3, heads, chunk_tokens, head_dim]. Keys from the
+    being generated, [3, heads, chunk_tokens, head_dim], C-contiguous as
+    ToyDenoiser.forward passes it (any layout reads the same, only more
+    slowly). Keys from the
     cache and from the chunk itself are rotated at their relative temporal
     indices (the cached ones and the query tables once per query chunk,
     see _window); sink blocks and the chunk's own blocks are always kept
@@ -275,8 +280,8 @@ def hybrid_attention(
     diagonally by BlockMask.block_diagonal. Where the layout's quota leaves
     no choice, build_mask returns the layout's one shared mask, whose
     packing and gather plan were built with it, so the pass builds no mask.
-    Where it chooses, the pass builds the row mask and its packing, whose
-    gather plan is the rows' own offset per head.
+    Where it chooses, the pass builds the row mask, with the gather plan its
+    top-k fixed, and its packing, whose plan is the rows' offset per head.
     Returns [chunk_tokens, model_dim]: sparse local output plus the
     history readout through the layer's weight history_proj, summed
     elementwise. Until the layer's state absorbs a chunk (or with no state)
@@ -391,9 +396,10 @@ class ToyDenoiser:
         layer_kvs = []
         last = len(self.layers) - 1
         for layer_idx, w in enumerate(self.layers):
-            # [tokens, 3 * model_dim] split into heads: [3, heads, tokens, head_dim]
-            qkv = (_layer_norm(h) @ w["wqkv"]).reshape(
-                cfg.chunk_tokens, 3, cfg.heads, cfg.head_dim).transpose(1, 2, 0, 3)
+            # [tokens, 3 * model_dim] split into heads: [3, heads, tokens, head_dim],
+            # copied once so every reader of it runs unit-stride
+            qkv = np.ascontiguousarray((_layer_norm(h) @ w["wqkv"]).reshape(
+                cfg.chunk_tokens, 3, cfg.heads, cfg.head_dim).transpose(1, 2, 0, 3))
             layer_kvs.append((qkv[1], qkv[2]))
             stop = keys_only and layer_idx == last
             attended = hybrid_attention(qkv, cache, layer_idx, cfg, query_chunk_index,

@@ -39,6 +39,18 @@ def _mix64_int(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def integer_fields(config, names) -> None:
+    """Set each named field of a (frozen) dataclass to operator.index of its
+    value, so a config holds ints. Raises TypeError naming the field if a
+    value is not an integer (a float, even 2.0, is refused)."""
+    for name in names:
+        value = getattr(config, name)
+        try:
+            object.__setattr__(config, name, operator.index(value))
+        except TypeError:
+            raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 class SeededRng:
     """Counter-based deterministic generator.
 

@@ -27,6 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ContractViolationError, ShapeError
+from .numerics import integer_fields
 
 
 @dataclass(frozen=True)
@@ -36,6 +37,7 @@ class RoPEConfig:
     max_temporal_index: int = 21
 
     def __post_init__(self):
+        integer_fields(self, ("head_dim", "max_temporal_index"))
         if self.head_dim < 4 or self.head_dim % 4:
             raise ShapeError(f"head_dim must be a positive multiple of 4, got {self.head_dim}")
         if self.max_temporal_index < 1:

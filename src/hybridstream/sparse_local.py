@@ -20,10 +20,12 @@ masks never pad. verify.row_loop_attention is the online-softmax reference.
 
 A mask is read-only, so what is derived from it is built once and kept on
 it: the gather plan (BlockMask.plan) and its head packing, whose plan is
-the rows' own with each head's blocks offset. Where the quota leaves no
-choice, build_mask returns one shared mask per layout and shape, so a layer
-pass over such a layout builds no mask at all; where it does choose, the
-layout's quota and free blocks are looked up per T_n (BlockConfig.choice).
+the rows' own with each head's blocks offset by a read-only column built
+once per (heads, rows, T_n). Where the quota leaves no choice, build_mask
+returns one shared mask per layout and shape, so a layer pass over such a
+layout builds no mask at all; where it does choose, the layout's quota and
+free blocks are looked up per T_n (BlockConfig.choice), and the mask is
+given the plan its top-k fixed, so nothing recounts it.
 """
 
 from __future__ import annotations
@@ -106,6 +108,16 @@ def _head_selector(heads: int) -> np.ndarray:
     return selector
 
 
+@lru_cache(maxsize=16)
+def _head_offsets(heads: int, rows: int, t_n: int) -> np.ndarray:
+    """The read-only [rows, 1] offset column of a block-diagonal packing:
+    h * t_n on each of head h's rows // heads rows, built once per
+    (heads, rows, t_n)."""
+    offsets = np.arange(0, heads * t_n, t_n).repeat(rows // heads)[:, None]
+    offsets.flags.writeable = False
+    return offsets
+
+
 @dataclass(eq=False)
 class BlockMask:
     """Boolean [query blocks x key blocks] activity matrix. A row is one
@@ -172,8 +184,8 @@ class BlockMask:
         packed = BlockMask(packed.reshape(rows, heads * t_n))
         counts, total, c, index, pads = self.plan
         if not pads:  # a padding row's slots past its count differ once packed
-            offsets = np.arange(0, heads * t_n, t_n).repeat(rows // heads)[:, None]
-            packed.plan = GatherPlan(counts, total, c, index + offsets, False)
+            packed.plan = GatherPlan(counts, total, c, index + _head_offsets(heads, rows, t_n),
+                                     False)
         self._packed = (heads, packed)
         return packed
 
@@ -215,6 +227,9 @@ def build_mask(scores: np.ndarray, cfg: BlockConfig) -> BlockMask:
     and that one read-only mask is returned for every later score matrix
     of that shape, with its gather plan and head packing. The quota and
     the free blocks are built once per (cfg, T_n) (BlockConfig.choice).
+    Where it chooses, every row keeps the quota, so the mask is given its
+    gather plan as it is built: the active blocks in row order, unpadded,
+    field for field what BlockMask.plan would count.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2:
@@ -231,7 +246,11 @@ def build_mask(scores: np.ndarray, cfg: BlockConfig) -> BlockMask:
         # by score with ties kept in ascending (lower-index-first) order
         order = (-scores[:, free]).argsort(axis=1, kind="stable")[:, :need]
         active[np.arange(t_m)[:, None], free[order]] = True
-        return BlockMask(active)
+        mask = BlockMask(active)
+        c = cfg.forced_index.size + need  # the quota, kept by every row
+        mask.plan = GatherPlan(np.full(t_m, c, dtype=np.intp), t_m * c, c,
+                               mask.active.nonzero()[1].reshape(t_m, c), False)
+        return mask
     if need:
         active[:] = True
     mask = cfg.shared_masks[scores.shape] = BlockMask(active)

@@ -295,6 +295,19 @@ class TestKL:
         assert abs(got - 2.5) < 1e-12
 
 
+class TestConfig:
+    @pytest.mark.parametrize("name", ["phase_switch_step", "steps", "batch_size",
+                                      "fixture_chunks"])
+    def test_fractional_integer_field_rejected(self, name):
+        # steps=10.5 was accepted, and the loop's range() failed on it later
+        value = getattr(DistillConfig(), name)
+        held = getattr(DistillConfig(**{name: np.int64(value)}), name)
+        assert held == value and type(held) is int
+        for bad in (value + 0.5, float(value)):
+            with pytest.raises(TypeError, match=f"{name} must be an integer"):
+                DistillConfig(**{name: bad})
+
+
 class TestTrainLoop:
     def cfg(self, **kw):
         base = dict(steps=40, phase_switch_step=20)

@@ -667,6 +667,33 @@ class TestSharedTables:
         assert len(masks) == built
 
 
+class TestContiguousQkv:
+    @pytest.mark.parametrize("window", [9, 45])
+    def test_every_pass_attends_a_contiguous_qkv(self, monkeypatch, window):
+        # forward copies the head split of its QKV product once per layer pass,
+        # so what hybrid_attention rotates, reads out and writes to its slots
+        # is unit-stride, in the denoise passes and the keys-only cache pass
+        cfg = StreamConfig(window_frames=window, seed=24)
+        model = ToyDenoiser(cfg)
+        cache = model.new_cache()
+        rng = SeededRng(25)
+        attend = engine.hybrid_attention
+        seen = []
+
+        def spy(qkv, cache, layer, cfg, qci, history_proj, counters=None):
+            seen.append((qkv.flags.c_contiguous, history_proj is None))
+            return attend(qkv, cache, layer, cfg, qci, history_proj, counters)
+
+        monkeypatch.setattr(engine, "hybrid_attention", spy)
+        chunks = cfg.sink_chunks + cfg.capacity_chunks + 2  # past the first eviction
+        for _ in range(chunks):
+            chunk_step(model, cache, cfg.denoise_timesteps, rng)
+        assert len(seen) == chunks * (len(cfg.denoise_timesteps) + 1) * cfg.layers
+        assert all(contiguous for contiguous, _ in seen)
+        # one keys-only layer (the cache pass's last, with no projection) per chunk
+        assert sum(keys_only for _, keys_only in seen) == chunks
+
+
 class TestHistorySkip:
     """An empty linear state is not read out; its readout was exact zeros."""
 
@@ -1008,6 +1035,19 @@ class TestConfigValidation:
         for seed in (1.5, 2.0):
             with pytest.raises(TypeError, match="seed must be an integer"):
                 StreamConfig(seed=seed)
+
+    @pytest.mark.parametrize("name", ["frames_per_chunk", "window_frames", "sink_chunks",
+                                      "tokens_per_frame", "heads", "head_dim", "layers",
+                                      "max_temporal_index"])
+    def test_fractional_integer_field_rejected(self, name):
+        # sink_chunks=0.5 streamed with one sink while its config said 0.5, and
+        # heads=2.0 failed late, inside run_stream, with a bare TypeError
+        value = getattr(StreamConfig(), name)
+        held = getattr(StreamConfig(**{name: np.int64(value)}), name)
+        assert held == value and type(held) is int
+        for bad in (value + 0.5, float(value)):
+            with pytest.raises(TypeError, match=f"{name} must be an integer"):
+                StreamConfig(**{name: bad})
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):

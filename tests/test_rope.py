@@ -256,6 +256,15 @@ class TestConfig:
             with pytest.raises(ShapeError, match="positive multiple of 4"):
                 RoPEConfig(head_dim)
 
+    @pytest.mark.parametrize("name", ["head_dim", "max_temporal_index"])
+    def test_fractional_integer_field_rejected(self, name):
+        # max_temporal_index=21.5 failed late, building tables, with a bare TypeError
+        held = getattr(RoPEConfig(**{"head_dim": 16, name: np.int64(16)}), name)
+        assert held == 16 and type(held) is int
+        for bad in (16.5, 16.0):
+            with pytest.raises(TypeError, match=f"{name} must be an integer"):
+                RoPEConfig(**{"head_dim": 16, name: bad})
+
     def test_pairs_split_evenly_between_axes(self):
         # the temporal pairs take channels [0, 8) of a head_dim 16, the spatial [8, 16)
         assert RoPEConfig(4).pairs == 1 and CFG.pairs == 4

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hybridstream import sparse_local
 from hybridstream.errors import ContractViolationError, ShapeError
 from hybridstream.numerics import SeededRng, softmax_rows
 from hybridstream.sparse_local import (
@@ -262,6 +263,36 @@ class TestBuildMask:
             assert free.tolist() == list(range(3, t_n))
             with pytest.raises(ValueError):
                 free[0] = 0
+
+    @pytest.mark.parametrize("heads", [1, 2, 3])
+    @pytest.mark.parametrize("keep", [0.2, 0.5])
+    def test_choosing_plan_is_the_counted_plan(self, keep, heads):
+        # a choosing mask gets the plan its top-k fixed, set as it is built, and
+        # its packing offsets that plan by one read-only column per shape: each
+        # equals the plan counted from its matrix
+        cfg = BlockConfig(keep, frozenset(range(3)))
+        rng = SeededRng(26 + heads)
+        chose = 0
+        for t_n in [3 * entries for entries in range(3, 17)]:
+            rows = build_mask(rng.normal((heads * 3, t_n)), cfg)
+            if cfg.shared_masks.get(rows.shape) is rows:
+                continue
+            chose += 1
+            assert "plan" in vars(rows)  # set, not counted on first use
+            packed = rows.block_diagonal(heads)
+            for mask in (rows, packed):
+                got, want = mask.plan, BlockMask(mask.active).plan
+                assert np.array_equal(got.counts, want.counts)
+                assert np.array_equal(got.index, want.index)
+                assert (got.counts.dtype, got.index.dtype) == (want.counts.dtype, want.index.dtype)
+                assert (got.total, got.widest, got.pads) == (want.total, want.widest, want.pads)
+            offsets = sparse_local._head_offsets(heads, heads * 3, t_n)
+            assert sparse_local._head_offsets(heads, heads * 3, t_n) is offsets
+            assert np.array_equal(packed.plan.index - rows.plan.index, np.broadcast_to(
+                offsets, rows.plan.index.shape))
+            with pytest.raises(ValueError):
+                offsets[-1, 0] = 0
+        assert chose == (11 if keep == 0.2 else 14)  # quota 3 < ceil(keep * t_n) < t_n
 
     @pytest.mark.parametrize("heads", [2, 3])
     @pytest.mark.parametrize("kind", ["choosing", "shared", "padded"])
