@@ -235,11 +235,12 @@ def cmd_distill(args) -> int:
     world_dim = values.pop("world_dim", 2)
     if world_dim < 1:
         raise UsageError(f"config field 'world_dim' must be >= 1, got {world_dim}")
-    if not (0 <= seed < 2**64):  # SeededRng would alias it modulo 2**64
-        raise UsageError(f"config field 'seed' must be in [0, 2**64), got {seed}")
+    try:
+        master = SeededRng(seed)
+    except ValueError as exc:
+        raise UsageError(f"config field 'seed': {exc}")
     cfg = _build(DistillConfig, values, "distill")
 
-    master = SeededRng(seed)
     world = GaussianWorld.random(master.derive(_WORLD_STREAM), world_dim)
     gen = AffineGenerator(0.5 * np.eye(world_dim), np.zeros(world_dim))
     try:

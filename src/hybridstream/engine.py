@@ -104,8 +104,9 @@ class StreamConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.sink_chunks < 0:
             raise ValueError(f"sink_chunks must be >= 0, got {self.sink_chunks}")
-        if not (0 <= self.seed < 2**64):  # SeededRng would alias it modulo 2**64
-            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
+        SeededRng(self.seed)  # refuses a seed outside its range
+        if type(self.linear_history) is not bool:
+            raise TypeError(f"linear_history must be a bool, got {self.linear_history!r}")
         if not (0.0 < self.keep_ratio <= 1.0):
             raise ValueError(f"keep_ratio must be in (0, 1], got {self.keep_ratio}")
         if self.window_frames % self.frames_per_chunk != 0:

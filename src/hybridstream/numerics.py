@@ -39,16 +39,22 @@ def _mix64_int(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def integer_fields(config, names) -> None:
-    """Set each named field of a (frozen) dataclass to operator.index of its
-    value, so a config holds ints. Raises TypeError naming the field if a
-    value is not an integer (a float, even 2.0, is refused)."""
-    for name in names:
-        value = getattr(config, name)
+def as_index(value, name: str) -> int:
+    """operator.index(value). Raises TypeError naming `name` if value is not
+    an integer or is a bool (a float, even 2.0, and True are refused)."""
+    if not isinstance(value, bool):
         try:
-            object.__setattr__(config, name, operator.index(value))
+            return operator.index(value)
         except TypeError:
-            raise TypeError(f"{name} must be an integer, got {value!r}") from None
+            pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
+def integer_fields(config, names) -> None:
+    """Set each named field of a (frozen) dataclass to as_index of its value,
+    so a config holds ints."""
+    for name in names:
+        object.__setattr__(config, name, as_index(getattr(config, name), name))
 
 
 class SeededRng:
@@ -68,7 +74,9 @@ class SeededRng:
     """
 
     def __init__(self, seed: int):
-        self.seed = operator.index(seed) & _MASK64
+        self.seed = operator.index(seed)
+        if not 0 <= self.seed <= _MASK64:  # no seed aliases another modulo 2**64
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         self._counter = 0
 
     def _raw(self, n: int) -> np.ndarray:

@@ -13,20 +13,19 @@ per query chunk, for every layer and head, in a workspace held by the
 cache's memo. The next query chunk rewrites the same arrays in place when
 their shape still fits; snapshots never carry them.
 
-A snapshot (format version 8) is a length-prefixed JSON manifest, the
-entries' keys and values and the linear states' L and H (no model weight),
-each f64 array an HFT1 tensor of its float32 view (the last axis doubled,
-so every bit round-trips), then a CRC-32 of every byte before it, so a
-flipped byte anywhere fails to restore. Its entries carry only their chunk
-index; restore appends each one, so append alone routes, orders and
-shape-checks them. The manifest and each of its records must hold exactly
-the keys snapshot() writes.
+A snapshot (format version 9) is a fixed little-endian header (_HEADER),
+the entries' keys and values and the linear states' L and H (no model
+weight), each f64 array an HFT1 tensor of its float32 view (the last axis
+doubled, so every bit round-trips), then a CRC-32 of every byte before it,
+so a flipped byte anywhere fails to restore. It stores nothing restore can
+derive: the header fixes which chunks a stream at next_index keeps and how
+many tokens it evicted, and restore appends each entry, so append alone
+routes, orders and shape-checks them.
 """
 
 from __future__ import annotations
 
 import io
-import json
 import struct
 import zlib
 from dataclasses import dataclass
@@ -34,10 +33,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .errors import FormatError, SequenceError, ShapeError
+from .errors import ContractViolationError, FormatError, SequenceError, ShapeError
 from .linear_history import LinearState
 
-_SNAPSHOT_VERSION = 8
+_SNAPSHOT_MAGIC = b"HSNP"
+_SNAPSHOT_VERSION = 9
+_HEADER = struct.Struct("<4sIQQQI")  # magic, version, capacity, sinks, next_index, states
 
 
 def _read_f64(f) -> np.ndarray:
@@ -46,27 +47,6 @@ def _read_f64(f) -> np.ndarray:
     if a.ndim == 0 or a.shape[-1] % 2:
         raise FormatError(f"tensor of shape {a.shape} is no float32 view of an f64 array")
     return a.view("<f8")
-
-
-def _field(meta, name: str, kind: type, low: int | None = None):
-    """meta[name] from a snapshot manifest, raising FormatError unless meta is
-    a JSON object whose field has exactly type `kind` (so a bool is not an
-    int) and, when `low` is given, a value of at least `low`. The field is
-    popped, so whatever is left once a record is read is a key that
-    snapshot() does not write (_no_more)."""
-    if not isinstance(meta, dict) or name not in meta:
-        raise FormatError(f"snapshot manifest lacks field {name!r}")
-    value = meta.pop(name)
-    if type(value) is not kind or (low is not None and value < low):
-        want = kind.__name__ + ("" if low is None else f" >= {low}")
-        raise FormatError(f"snapshot field {name!r} is {value!r}; want {want}")
-    return value
-
-
-def _no_more(meta: dict, record: str) -> None:
-    """Raise FormatError naming a key left in a record once _field read it."""
-    if meta:
-        raise FormatError(f"snapshot {record} has unknown field {min(meta)!r}")
 
 
 @dataclass
@@ -79,6 +59,7 @@ class ChunkKV:
     values: np.ndarray  # same shape
 
     def __post_init__(self):
+        self.chunk_index = numerics.as_index(self.chunk_index, "chunk_index")
         self.keys = np.asarray(self.keys, dtype=np.float64)
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.keys.ndim != 4:
@@ -100,6 +81,8 @@ class RollingCache:
         sink_chunks: int,
         linear_states: list[LinearState] | None = None,
     ):
+        capacity_chunks = numerics.as_index(capacity_chunks, "capacity_chunks")
+        sink_chunks = numerics.as_index(sink_chunks, "sink_chunks")
         if capacity_chunks < 1:
             raise ValueError("capacity_chunks must be >= 1")
         if sink_chunks < 0:
@@ -181,23 +164,27 @@ class RollingCache:
 
     # -- snapshot / restore --------------------------------------------------
 
-    def snapshot(self) -> bytes:
+    def _evicted_tokens(self) -> int:
+        """The tokens of the chunks this stream appended and no longer keeps:
+        every entry of a stream has the same token count."""
         entries = self.entries()
-        manifest = {
-            "version": _SNAPSHOT_VERSION,
-            "capacity_chunks": self.capacity_chunks,
-            "sink_chunks": self.sink_chunks,
-            "next_index": self._next_index,
-            "entries": [{"chunk_index": e.chunk_index} for e in entries],
-            "linear_states": [
-                {"evicted_tokens": s.evicted_tokens} for s in self.linear_states
-            ],
-        }
-        blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
+        return (self._next_index - len(entries)) * (entries[0].tokens if entries else 0)
+
+    def snapshot(self) -> bytes:
+        """The cache as format-9 bytes (module docstring). Raises
+        ContractViolationError if a linear state holds other than the
+        evicted chunks' tokens, which only a hand-built cache can: restore
+        derives that count, so such a snapshot could not round-trip."""
+        tokens = self._evicted_tokens()
+        for s in self.linear_states:
+            if s.evicted_tokens != tokens:
+                raise ContractViolationError(
+                    f"a linear state holds {s.evicted_tokens} evicted tokens; a stream at "
+                    f"next_index {self._next_index} evicted {tokens} tokens")
         out = io.BytesIO()
-        out.write(struct.pack("<I", len(blob)))
-        out.write(blob)
-        arrays = [a for e in entries for a in (e.keys, e.values)]
+        out.write(_HEADER.pack(_SNAPSHOT_MAGIC, _SNAPSHOT_VERSION, self.capacity_chunks,
+                               self.sink_chunks, self._next_index, len(self.linear_states)))
+        arrays = [a for e in self.entries() for a in (e.keys, e.values)]
         arrays += [a for s in self.linear_states for a in (s.L, s.H)]
         for a in arrays:
             numerics.write_tensor(out, np.ascontiguousarray(a, "<f8").view("<f4"))
@@ -206,89 +193,55 @@ class RollingCache:
 
     @classmethod
     def restore(cls, data: bytes) -> "RollingCache":
-        """Rebuild a cache from snapshot() bytes. The manifest's version (an
-        int) is read first, so a blob of another format version is named as such;
+        """Rebuild a cache from snapshot() bytes. The magic and version are
+        read first, so a blob of another format version is named as such;
         the CRC-32 trailer is then checked before any other field or payload
-        byte is decoded. A key that snapshot() does not write is refused.
+        byte is used.
 
-        The entries must be as many as a stream at next_index keeps, counted
-        before any payload is read. They are then appended: the sinks from
-        chunk 0, then, past the chunks such a stream evicted, the window, so
-        a chunk append would refuse (out of order, or of another shape) is
-        refused here. The linear states must be none or one per layer of the
-        entries, of their heads and head_dim (shape_mismatch), each holding
-        the tokens of every evicted chunk. Every failure is a FormatError."""
-        body, trailer = data[:-4], data[-4:]
-        f = io.BytesIO(body)
-        head = f.read(4)
-        if len(head) != 4:
-            raise FormatError("snapshot shorter than its length prefix")
-        (mlen,) = struct.unpack("<I", head)
-        blob = f.read(mlen)
-        if len(blob) != mlen:
-            raise FormatError("snapshot manifest truncated")
-        try:
-            manifest = json.loads(blob.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-            raise FormatError(f"snapshot manifest is not valid JSON: {exc}") from exc
-        if not isinstance(manifest, dict):
-            raise FormatError("snapshot manifest is not a JSON object")
-        version = manifest.pop("version", None)
-        if type(version) is not int or version != _SNAPSHOT_VERSION:  # 8.0 is not 8
-            raise FormatError(f"unsupported snapshot version {version!r}")
-        if struct.unpack("<I", trailer)[0] != zlib.crc32(body):
+        The header fixes the entries a stream at next_index keeps: the sinks
+        from chunk 0, then the window ending at chunk next_index - 1. Each is
+        read and appended, so a tensor that is missing, or that a chunk append
+        would refuse, is named with its entry; the work is bounded by the
+        payload present, not by next_index. The linear states must be none or
+        one per layer of the entries, of their heads and head_dim
+        (shape_mismatch). Every failure is a FormatError."""
+        if len(data) < _HEADER.size + 4:
+            raise FormatError("snapshot shorter than its header and trailer")
+        magic, version, capacity, sinks, n, states = _HEADER.unpack_from(data)
+        if magic != _SNAPSHOT_MAGIC:
+            raise FormatError(f"not a snapshot of format version {_SNAPSHOT_VERSION}: it "
+                              f"starts {magic!r}, not {_SNAPSHOT_MAGIC!r}")
+        if version != _SNAPSHOT_VERSION:
+            raise FormatError(f"unsupported snapshot version {version}")
+        if data[-4:] != struct.pack("<I", zlib.crc32(data[:-4])):
             raise FormatError("snapshot checksum mismatch")
-
-        cache = cls(
-            capacity_chunks=_field(manifest, "capacity_chunks", int, 1),
-            sink_chunks=_field(manifest, "sink_chunks", int, 0),
-        )
-        n = _field(manifest, "next_index", int, 0)
-        entries = _field(manifest, "entries", list)
-        states = _field(manifest, "linear_states", list)
-        _no_more(manifest, "manifest")
-        # counted before any payload is read, so the work is bounded by the
-        # entries present, not by next_index or sink_chunks
-        sinks = min(n, cache.sink_chunks)
-        window = min(n - sinks, cache.capacity_chunks)
-        if len(entries) != sinks + window:
-            raise FormatError(f"{len(entries)} entries, but a stream at next_index {n} with "
-                              f"capacity {cache.capacity_chunks} keeps {sinks} sink and "
-                              f"{window} window entries")
-        for i, meta in enumerate(entries):
-            if i == sinks:
+        if capacity < 1:
+            raise FormatError("snapshot capacity_chunks is 0; want >= 1")
+        cache, f = cls(capacity, sinks), io.BytesIO(data[_HEADER.size:-4])
+        kept = min(n, sinks)
+        window = min(n - kept, capacity)
+        for i in range(kept + window):
+            if i == kept:
                 cache._next_index = n - window  # over the chunks the stream evicted
-            chunk_index = _field(meta, "chunk_index", int, 0)
-            _no_more(meta, f"entry {chunk_index}")
             try:
-                cache.append(ChunkKV(chunk_index, _read_f64(f), _read_f64(f)))
-            except (SequenceError, ShapeError) as exc:
-                raise FormatError(f"snapshot entry {chunk_index} of a stream at next_index "
-                                  f"{n}: {exc}") from exc
-        for meta in states:
-            evicted_tokens = _field(meta, "evicted_tokens", int, 0)
-            _no_more(meta, "linear state")
+                cache.append(ChunkKV(cache.next_index, _read_f64(f), _read_f64(f)))
+            except (FormatError, ShapeError) as exc:
+                raise FormatError(f"snapshot entry {cache.next_index} of a stream at "
+                                  f"next_index {n}: {exc}") from exc
+        for _ in range(states):
             L, H = _read_f64(f), _read_f64(f)
             if L.ndim != 3 or L.shape[1] != L.shape[2] or H.shape != L.shape[:2]:
                 raise FormatError(f"linear state shapes L {L.shape} and H {H.shape} do not "
                                   f"fit one heads x head_dim")
             if not (np.isfinite(L).all() and np.isfinite(H).all()):
                 raise FormatError("linear state L or H holds a non-finite value")
-            cache.linear_states.append(LinearState(L, H, evicted_tokens))
+            cache.linear_states.append(LinearState(L, H, cache._evicted_tokens()))
         if f.read(1):
             raise FormatError("trailing bytes after snapshot payload")
-        if entries:
+        if cache.entries():
             mismatch = cache.shape_mismatch(cache.entries()[0].keys.shape)
             if mismatch:
                 raise FormatError(mismatch)
-        # chunks are evicted only from a full window, so one is there to count
-        evicted = n - sinks - window
-        tokens = evicted * cache.window_entries[0].tokens if evicted else 0
-        for s in cache.linear_states:
-            if s.evicted_tokens != tokens:
-                raise FormatError(f"a linear state holds {s.evicted_tokens} evicted tokens; a "
-                                  f"stream at next_index {n} evicted {evicted} chunks, {tokens} "
-                                  f"tokens")
         return cache
 
     def shape_mismatch(self, shape: tuple) -> str:

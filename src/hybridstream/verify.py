@@ -377,12 +377,18 @@ def _suite_cache() -> list[CheckResult]:
     out.append(_check("cache.relative_index_cap",
                       all(0 <= r <= 21 for r in rels) and rels == sorted(rels),
                       f"relative indices {rels}"))
-    restored = RollingCache.restore(cache.snapshot())
-    same = all(
-        np.array_equal(a.keys, b.keys) and d1 == d2
-        for (a, d1), (b, d2) in zip(cache.visible_kv(39), restored.visible_kv(39))
-    )
-    out.append(_check("cache.snapshot_round_trip", same, "restore preserves visible_kv"))
+
+    def bits(cache):
+        pairs = [(e.chunk_index, e.keys, e.values) for e in cache.entries()]
+        pairs += [(s.evicted_tokens, s.L, s.H) for s in cache.linear_states]
+        return cache.next_index, [(n, a.shape, b.shape, a.tobytes(), b.tobytes())
+                                  for n, a, b in pairs]
+
+    stream = random_cache(_TOY, 12, seed=5)  # eight chunks absorbed into the history
+    restored = RollingCache.restore(stream.snapshot())
+    out.append(_check("cache.snapshot_round_trip", bits(restored) == bits(stream),
+                      f"keys, values, next_index, and L, H and evicted tokens "
+                      f"{[s.evicted_tokens for s in stream.linear_states]}, bit for bit"))
     return out
 
 

@@ -307,6 +307,10 @@ class TestConfig:
             with pytest.raises(TypeError, match=f"{name} must be an integer"):
                 DistillConfig(**{name: bad})
 
+    def test_bool_integer_field_rejected(self):
+        with pytest.raises(TypeError, match="steps must be an integer, got True"):
+            DistillConfig(steps=True)
+
 
 class TestTrainLoop:
     def cfg(self, **kw):

@@ -1049,6 +1049,17 @@ class TestConfigValidation:
             with pytest.raises(TypeError, match=f"{name} must be an integer"):
                 StreamConfig(**{name: bad})
 
+    def test_bool_integer_field_rejected(self):
+        # heads=True was held as 1
+        with pytest.raises(TypeError, match="heads must be an integer, got True"):
+            StreamConfig(heads=True)
+
+    @pytest.mark.parametrize("value", ["no", 2, 1, None])
+    def test_non_bool_linear_history_rejected(self, value):
+        # linear_history="no" streamed with history while the config held "no"
+        with pytest.raises(TypeError, match=f"linear_history must be a bool, got {value!r}"):
+            StreamConfig(linear_history=value)
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             config_for_mode("nope", TOY)

@@ -167,6 +167,13 @@ class TestSeededRng:
         assert np.array_equal(SeededRng(np.uint64(1)).derive(np.int64(1)).integers(3),
                               SeededRng(1).derive(1).integers(3))
 
+    def test_seed_outside_64_bits_rejected(self):
+        # -1 and 2**64 were masked to 2**64 - 1 and 0, aliasing their streams
+        for seed in (-1, 2**64, -(2**64)):
+            with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+                SeededRng(seed)
+        assert SeededRng(2**64 - 1).seed == 2**64 - 1 and SeededRng(0).seed == 0
+
     def test_negative_draw_count_rejected_before_drawing(self):
         r = SeededRng(5)
         for draw in (r.integers, r.uniform):

@@ -265,6 +265,10 @@ class TestConfig:
             with pytest.raises(TypeError, match=f"{name} must be an integer"):
                 RoPEConfig(**{"head_dim": 16, name: bad})
 
+    def test_bool_integer_field_rejected(self):
+        with pytest.raises(TypeError, match="max_temporal_index must be an integer, got True"):
+            RoPEConfig(16, max_temporal_index=True)
+
     def test_pairs_split_evenly_between_axes(self):
         # the temporal pairs take channels [0, 8) of a head_dim 16, the spatial [8, 16)
         assert RoPEConfig(4).pairs == 1 and CFG.pairs == 4

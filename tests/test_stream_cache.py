@@ -7,12 +7,13 @@ import struct
 import time
 import zlib
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
 
 from hybridstream.engine import StreamConfig, ToyDenoiser, append_and_absorb, chunk_step
-from hybridstream.errors import FormatError, SequenceError, ShapeError
+from hybridstream.errors import ContractViolationError, FormatError, SequenceError, ShapeError
 from hybridstream.linear_history import LinearState
 from hybridstream.numerics import SeededRng, write_tensor
 from hybridstream.rope import RoPEConfig, temporal_index
@@ -20,6 +21,9 @@ from hybridstream.stream_cache import ChunkKV, RollingCache
 
 LAYERS, HEADS, TOKENS, HEAD_DIM = 2, 2, 6, 8
 CAP = 21  # the model's RoPE cap; the cache holds none
+# a format-9 snapshot's header: magic, version, capacity_chunks, sink_chunks,
+# next_index, the number of linear states
+HEADER = struct.Struct("<4sIQQQI")
 
 
 def make_kv(idx, seed=None):
@@ -108,6 +112,23 @@ class TestAppendEviction:
         with pytest.raises(ShapeError):
             cache.append(make_kv(1))
 
+    def test_non_integer_index_rejected(self):
+        # RollingCache(3.5, 0.5) kept 4 window entries and took chunk 0.0 for
+        # a sink, and ChunkKV(1.0, ...) was appended as chunk 1 holding 1.0
+        for args, name in [((3.5, 0), "capacity_chunks"), ((True, 0), "capacity_chunks"),
+                           ((3, 0.5), "sink_chunks"), ((3, False), "sink_chunks")]:
+            with pytest.raises(TypeError, match=f"{name} must be an integer"):
+                RollingCache(*args)
+        cache = RollingCache(np.int64(3), np.int64(1))
+        assert (type(cache.capacity_chunks), type(cache.sink_chunks)) == (int, int)
+        kv = make_kv(0)
+        for bad in (0.0, False):
+            with pytest.raises(TypeError, match="chunk_index must be an integer"):
+                ChunkKV(bad, kv.keys, kv.values)
+        assert cache.next_index == 0 and cache.entries() == []
+        cache.append(ChunkKV(np.int64(0), kv.keys, kv.values))
+        assert type(cache.sink_entries[0].chunk_index) is int
+
     def test_memory_bound_for_any_stream_length(self):
         for n in [1, 3, 4, 10, 50]:
             cache = RollingCache(3, 1)
@@ -166,81 +187,26 @@ class TestSnapshot:
             append_and_absorb(cache, make_kv(i), self.STREAM)
         return cache
 
-    @staticmethod
-    def with_manifest(blob, edit):
-        """The snapshot with its JSON manifest passed through `edit`, and its
-        CRC-32 trailer sealed again over the edited bytes."""
-        (mlen,) = struct.unpack("<I", blob[:4])
-        manifest = json.loads(blob[4:4 + mlen])
-        edit(manifest)
-        new = json.dumps(manifest, sort_keys=True).encode("utf-8")
-        body = struct.pack("<I", len(new)) + new + blob[4 + mlen:-4]
-        return body + struct.pack("<I", zlib.crc32(body))
+    def test_other_format_version_is_format_error(self):
+        # format 8 was a u32 length and a JSON manifest listing each entry's
+        # chunk index and each linear state's evicted tokens (formats 1-7
+        # began with that length too); its first bytes are no format-9 magic
+        cache = self.build_cache(5)  # sink 0, window 2-4
+        blob = cache.snapshot()
+        manifest = json.dumps({
+            "version": 8, "capacity_chunks": 3, "sink_chunks": 1, "next_index": 5,
+            "entries": [{"chunk_index": e.chunk_index} for e in cache.entries()],
+            "linear_states": [{"evicted_tokens": 6}] * LAYERS}, sort_keys=True).encode()
+        format_8 = sealed(struct.pack("<I", len(manifest)) + manifest + blob[HEADER.size:-4])
+        with pytest.raises(FormatError, match="not a snapshot of format version 9"):
+            RollingCache.restore(format_8)
+        with pytest.raises(FormatError, match="unsupported snapshot version 8"):
+            RollingCache.restore(with_header(blob, version=8))
 
-    @pytest.mark.parametrize("field", ["capacity_chunks", "next_index", "entries",
-                                       "linear_states"])
-    def test_missing_manifest_field_is_format_error(self, field):
-        blob = self.with_manifest(self.build_cache(5).snapshot(),
-                                  lambda m: m.pop(field))
-        with pytest.raises(FormatError, match=field):
-            RollingCache.restore(blob)
-
-    def test_version_2_snapshot_is_format_error(self):
-        # versions 2-6 held the RoPE cap as "max_temporal_index"; version 5
-        # also had a projection tensor after each linear state's L and H,
-        # version 4 also an "encoding" field, version 3 gave each entry a sink
-        # flag, and version 2 named each linear state's feature map
-        for version in (2, 3, 4, 5, 6):
-            def edit(manifest):
-                manifest["version"] = version
-                manifest["max_temporal_index"] = CAP
-                if version <= 4:
-                    manifest["encoding"] = "f64-bit-split-pairs"
-                if version <= 3:
-                    for meta in manifest["entries"]:
-                        meta["is_sink"] = meta["chunk_index"] < manifest["sink_chunks"]
-                if version == 2:
-                    for meta in manifest["linear_states"]:
-                        meta["feature_map"] = "elu1"
-
-            blob = self.with_manifest(self.build_cache(5).snapshot(), edit)
-            with pytest.raises(FormatError, match=f"unsupported snapshot version {version}"):
-                RollingCache.restore(blob)
-
-    @pytest.mark.parametrize("record, edit", [
-        ("manifest", lambda m: m.update(note="restored twice")),
-        pytest.param("manifest", lambda m: m.update(max_temporal_index=CAP),
-                     id="manifest-max_temporal_index"),  # versions up to 6 had it
-        ("entry 2", lambda m: m["entries"][1].update(is_sink=True)),
-        ("linear state", lambda m: m["linear_states"][0].update(feature_map="elu1")),
-    ])
-    def test_unknown_key_is_format_error(self, record, edit):
-        # restore reads exactly the keys snapshot() writes (sink 0, window 2-4)
-        blob = self.with_manifest(self.build_cache(5).snapshot(), edit)
-        with pytest.raises(FormatError, match=f"snapshot {record} has unknown field"):
-            RollingCache.restore(blob)
-
-    def test_deeply_nested_manifest_is_format_error(self):
-        manifest = b"[" * 200_000 + b"]" * 200_000
-        body = struct.pack("<I", len(manifest)) + manifest  # sealed with a valid CRC-32
-        with pytest.raises(FormatError, match="not valid JSON"):
-            RollingCache.restore(body + struct.pack("<I", zlib.crc32(body)))
-
-    @pytest.mark.parametrize("field, value", [
-        ("capacity_chunks", "3"),
-        ("capacity_chunks", 0),
-        ("sink_chunks", -1),
-        ("evicted_tokens", "x"),
-    ])
+    @pytest.mark.parametrize("field, value", [("capacity_chunks", 0)])
     def test_malformed_scalar_field_is_format_error(self, field, value):
-        def edit(manifest):
-            if field == "evicted_tokens":
-                manifest["linear_states"][0][field] = value
-            else:
-                manifest[field] = value
-
-        blob = self.with_manifest(self.build_cache(5).snapshot(), edit)
-        with pytest.raises(FormatError, match=f"'{field}' is {value!r}"):
+        blob = with_header(self.build_cache(5).snapshot(), **{field: value})
+        with pytest.raises(FormatError, match=f"{field} is {value}"):
             RollingCache.restore(blob)
 
     @pytest.mark.parametrize("chunks", range(7))
@@ -255,63 +221,75 @@ class TestSnapshot:
             assert restored.next_index == cache.next_index
             assert restored.snapshot() == cache.snapshot()
 
-    def edited_snapshot_error(self, edit):
-        blob = self.with_manifest(self.build_cache(8).snapshot(), edit)  # sink 0, window 5-7
+    def edited_snapshot_error(self, chunks=8, **fields):
+        blob = with_header(self.build_cache(chunks).snapshot(), **fields)
         with pytest.raises(FormatError) as info:
             RollingCache.restore(blob)
         return str(info.value)
 
     def test_window_over_capacity_is_format_error(self):
-        assert "capacity" in self.edited_snapshot_error(
-            lambda m: m.update(capacity_chunks=1))
-
-    def test_non_consecutive_window_is_format_error(self):
-        def edit(manifest):
-            manifest["entries"][1]["chunk_index"] = 4
-
-        assert "expected chunk 5, got 4" in self.edited_snapshot_error(edit)
-
-        def misplaced_sink(manifest):
-            manifest["entries"][0]["chunk_index"] = 1
-
-        assert "expected chunk 0, got 1" in self.edited_snapshot_error(misplaced_sink)
+        # sink 0, window 5-7 read under capacity 1: sink 0 and window 7 take
+        # the first two entries, and the third's tensors are no linear state
+        assert "linear state shapes" in self.edited_snapshot_error(capacity_chunks=1)
 
     def test_next_index_disagreeing_with_entries_is_format_error(self):
-        assert "next_index 99" in self.edited_snapshot_error(
-            lambda m: m.update(next_index=99))
+        # sink 0 and window 1 read at next_index 99: window 96-98 takes the
+        # second entry, then the first linear state's tensors
+        message = self.edited_snapshot_error(2, next_index=99)
+        assert "snapshot entry 97 of a stream at next_index 99" in message
 
-    def test_huge_next_index_is_refused_by_the_entry_count(self):
+    @pytest.mark.parametrize("chunks", [0, 2, 5, 8])
+    def test_edited_geometry_is_refused_or_round_trips(self, chunks):
+        # a header that keeps entries other than the payload holds is
+        # refused; one that keeps as many of the same shapes restores to a
+        # cache whose snapshot is the edited blob, evicted tokens derived
+        blob = self.build_cache(chunks).snapshot()
+        accepted = []
+        for capacity, sinks, n in product([1, 2, 3, 9], [0, 1, 2, 9],
+                                          [0, 1, 2, 5, 8, 99, 2**64 - 1]):
+            edited = with_header(blob, capacity_chunks=capacity, sink_chunks=sinks,
+                                 next_index=n)
+            try:
+                restored = RollingCache.restore(edited)
+            except FormatError:
+                continue
+            assert restored.snapshot() == edited
+            accepted.append((capacity, sinks, n))
+        assert (3, 1, chunks) in accepted and len(accepted) > 1
+
+    @pytest.mark.parametrize("fields", [dict(next_index=10**12),
+                                        dict(next_index=10**12, sink_chunks=10**12)],
+                             ids=["next_index", "next_index-sink_chunks"])
+    def test_huge_next_index_is_refused_by_the_missing_entry(self, fields):
         # the work must not grow with next_index: building the chunk lists a
         # stream at 10**12 keeps would take terabytes
-        n = 10**12
-        blob = self.with_manifest(RollingCache(3, 1).snapshot(),
-                                  lambda m: m.update(next_index=n, sink_chunks=n))
+        blob = with_header(RollingCache(3, 1).snapshot(), **fields)
         start = time.perf_counter()
         with pytest.raises(FormatError) as info:
             RollingCache.restore(blob)
         assert time.perf_counter() - start < 1.0
         message = str(info.value)
-        assert len(message) < 200 and f"{n} sink and 0 window entries" in message
+        assert len(message) < 200 and "snapshot entry 0 of a stream at next_index" in message
 
     @pytest.mark.parametrize("count", [0, 30])
-    def test_evicted_tokens_unlike_the_evictions_are_format_error(self, count):
+    def test_evicted_tokens_unlike_the_evictions_are_refused_by_snapshot(self, count):
         # sink 0, window 5-7: chunks 1-4 were evicted, 6 tokens each; 30 is
-        # one chunk too many
+        # one chunk too many. restore derives the count, so snapshot() refuses
+        # a state that holds another (appended without absorbing, say)
         cache = self.build_cache(8)
         assert [s.evicted_tokens for s in cache.linear_states] == [24, 24]
-        blob = self.with_manifest(
-            cache.snapshot(), lambda m: m["linear_states"][1].update(evicted_tokens=count))
-        with pytest.raises(FormatError, match=f"holds {count} evicted tokens.* 4 chunks, 24"):
-            RollingCache.restore(blob)
+        cache.linear_states[1] = replace(cache.linear_states[1], evicted_tokens=count)
+        with pytest.raises(ContractViolationError,
+                           match=f"holds {count} evicted tokens.* evicted 24 tokens"):
+            cache.snapshot()
 
     def test_stream_without_evictions_restores_with_none_absorbed(self):
         cache = self.build_cache(4)  # sink 0, window 1-3
         restored = RollingCache.restore(cache.snapshot())
         assert [s.evicted_tokens for s in restored.linear_states] == [0, 0]
-        blob = self.with_manifest(
-            cache.snapshot(), lambda m: m["linear_states"][0].update(evicted_tokens=6))
-        with pytest.raises(FormatError, match="holds 6 evicted tokens.* 0 chunks, 0"):
-            RollingCache.restore(blob)
+        cache.linear_states[0] = replace(cache.linear_states[0], evicted_tokens=6)
+        with pytest.raises(ContractViolationError, match="holds 6 evicted tokens.* evicted 0"):
+            cache.snapshot()
 
     def test_entry_shapes_that_differ_are_format_error(self):
         cache = self.build_cache(8)
@@ -404,41 +382,13 @@ class TestSnapshot:
 
     def test_checksum_covers_every_byte(self):
         blob = self.build_cache(5).snapshot()
-        (mlen,) = struct.unpack("<I", blob[:4])
         assert blob[-4:] == struct.pack("<I", zlib.crc32(blob[:-4]))
         # payload bytes (a key, a linear state) and the trailer itself
-        for pos in (4 + mlen + 40, len(blob) - 100, len(blob) - 4, len(blob) - 1):
+        for pos in (HEADER.size + 40, len(blob) - 100, len(blob) - 4, len(blob) - 1):
             flipped = bytearray(blob)
             flipped[pos] ^= 0x01
             with pytest.raises(FormatError, match="checksum"):
                 RollingCache.restore(bytes(flipped))
-
-    def test_version_of_another_json_type_is_format_error(self):
-        # read first, as the int snapshot() writes: 8.0 is not version 8
-        blob = self.with_manifest(self.build_cache(5).snapshot(),
-                                  lambda m: m.update(version=float(m["version"])))
-        with pytest.raises(FormatError, match=r"unsupported snapshot version 8\.0"):
-            RollingCache.restore(blob)
-
-    def test_version_7_snapshot_is_format_error(self):
-        # version 7 had this manifest, but stored each f64 array as a
-        # [2, *shape] tensor of its high, then its low 32-bit halves
-        cache = self.build_cache(5)
-        blob = cache.snapshot()
-        (mlen,) = struct.unpack("<I", blob[:4])
-        manifest = json.loads(blob[4:4 + mlen])
-        manifest["version"] = 7
-        text = json.dumps(manifest, sort_keys=True).encode("utf-8")
-        body = io.BytesIO(struct.pack("<I", len(text)) + text)
-        body.seek(0, io.SEEK_END)
-        arrays = [a for e in cache.entries() for a in (e.keys, e.values)]
-        for a in arrays + [a for s in cache.linear_states for a in (s.L, s.H)]:
-            bits = a.view("<u8")
-            halves = [(bits >> np.uint64(32)).astype("<u4"), bits.astype("<u4")]
-            write_tensor(body, np.stack(halves).view("<f4"))
-        body = body.getvalue()
-        with pytest.raises(FormatError, match="unsupported snapshot version 7"):
-            RollingCache.restore(body + struct.pack("<I", zlib.crc32(body)))
 
     def test_round_trip_keeps_every_f64_bit(self):
         # +-0, the least subnormal, +-inf, NaN, and NaNs with payloads
@@ -463,13 +413,11 @@ class TestSnapshot:
         # a linear state's L tensor of an odd last axis, or of none, cannot
         # be the float32 view of an f64 array
         blob = RollingCache(3, 1, [LinearState.zeros(1, 4)]).snapshot()
-        (mlen,) = struct.unpack("<I", blob[:4])
         payload = io.BytesIO()
         write_tensor(payload, np.zeros(shape, dtype=np.float32))
         write_tensor(payload, np.zeros((1, 8), dtype=np.float32))  # H, as written
-        body = blob[:4 + mlen] + payload.getvalue()
         with pytest.raises(FormatError, match="no float32 view of an f64 array"):
-            RollingCache.restore(body + struct.pack("<I", zlib.crc32(body)))
+            RollingCache.restore(sealed(blob[:HEADER.size] + payload.getvalue()))
         assert RollingCache.restore(blob).linear_states[0].head_dim == 4
 
     def test_snapshot_holds_no_model_weight(self):
@@ -484,25 +432,28 @@ class TestSnapshot:
             blobs.append(cache.snapshot())
         assert blobs[0] == blobs[1]
 
-    def test_version_one_snapshot_is_unsupported(self):
-        # version 1 was this layout without the trailer
-        blob = self.with_manifest(self.build_cache(5).snapshot(),
-                                  lambda m: m.update(version=1))[:-4]
-        with pytest.raises(FormatError, match="unsupported snapshot version 1"):
-            RollingCache.restore(blob)
-
     def test_corrupt_manifest_rejected(self):
         blob = bytearray(self.build_cache(5).snapshot())
-        blob[8] ^= 0xFF  # flip a manifest byte
+        blob[8] ^= 0xFF  # flip a header byte
         with pytest.raises(FormatError):
             RollingCache.restore(bytes(blob))
 
     def test_snapshot_size_constant_in_stream_length(self):
         short = self.build_cache(10).snapshot()
         long = self.build_cache(100).snapshot()
-        # the tensor payload is byte-for-byte the same size; only the JSON
-        # manifest may drift by a few digits of chunk index
-        payload_short = len(short) - struct.unpack("<I", short[:4])[0]
-        payload_long = len(long) - struct.unpack("<I", long[:4])[0]
-        assert payload_short == payload_long
-        assert abs(len(short) - len(long)) < 64
+        # a fixed header, and no chunk index stored anywhere
+        assert len(short) == len(long)
+
+
+def sealed(body):
+    """A snapshot body followed by its CRC-32 trailer."""
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def with_header(blob, **fields):
+    """The snapshot with the named header fields replaced and its CRC-32
+    trailer sealed again over the edited bytes."""
+    names = ("magic", "version", "capacity_chunks", "sink_chunks", "next_index",
+             "linear_states")
+    values = {**dict(zip(names, HEADER.unpack_from(blob))), **fields}
+    return sealed(HEADER.pack(*values.values()) + blob[HEADER.size:-4])

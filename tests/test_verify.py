@@ -2,10 +2,13 @@
 their tolerances."""
 
 import inspect
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from hybridstream import verify
+from hybridstream.stream_cache import RollingCache
 
 CHECKS = sorted(name for name in vars(verify)
                 if name.endswith(("_check", "_checks")) and not name.startswith("_"))
@@ -23,3 +26,25 @@ def test_suite_passes(suite):
 def test_tolerance_is_not_an_argument(name):
     with pytest.raises(TypeError, match="tol"):
         inspect.signature(getattr(verify, name)).bind_partial(tol=1.0)
+
+
+@pytest.mark.parametrize("loss", ["value bit", "H bit", "evicted tokens"])
+def test_snapshot_round_trip_check_sees_a_lost_bit(monkeypatch, loss):
+    # a restore that changed one value's last bit, one history readout
+    # normalizer's, or one state's evicted-token count must fail the check
+    restore = RollingCache.restore.__func__
+
+    def lossy(cls, data):
+        cache = restore(cls, data)
+        entry, state = cache.window_entries[-1], cache.linear_states[0]
+        if loss == "value bit":
+            entry.values = np.nextafter(entry.values, np.inf)
+        elif loss == "H bit":
+            cache.linear_states[0] = replace(state, H=np.nextafter(state.H, np.inf))
+        else:
+            cache.linear_states[0] = replace(state, evicted_tokens=0)
+        return cache
+
+    monkeypatch.setattr(RollingCache, "restore", classmethod(lossy))
+    [check] = [r for r in verify.SUITES["cache"]() if r.name == "cache.snapshot_round_trip"]
+    assert not check.passed
