@@ -187,21 +187,48 @@ class TestSnapshot:
             append_and_absorb(cache, make_kv(i), self.STREAM)
         return cache
 
-    def test_other_format_version_is_format_error(self):
-        # format 8 was a u32 length and a JSON manifest listing each entry's
-        # chunk index and each linear state's evicted tokens (formats 1-7
-        # began with that length too); its first bytes are no format-9 magic
-        cache = self.build_cache(5)  # sink 0, window 2-4
-        blob = cache.snapshot()
+    def format_8_blob(self, cache, version=8, **state_fields):
+        """The cache in format 8's layout: a u32 length and a JSON manifest
+        listing each entry's chunk index and each linear state's evicted
+        tokens, then the format-9 payload and a trailer. Formats 1-7 began
+        with that length too."""
+        states = [{"evicted_tokens": s.evicted_tokens, **state_fields}
+                  for s in cache.linear_states]
         manifest = json.dumps({
-            "version": 8, "capacity_chunks": 3, "sink_chunks": 1, "next_index": 5,
+            "version": version, "capacity_chunks": cache.capacity_chunks,
+            "sink_chunks": cache.sink_chunks, "next_index": cache.next_index,
             "entries": [{"chunk_index": e.chunk_index} for e in cache.entries()],
-            "linear_states": [{"evicted_tokens": 6}] * LAYERS}, sort_keys=True).encode()
-        format_8 = sealed(struct.pack("<I", len(manifest)) + manifest + blob[HEADER.size:-4])
+            "linear_states": states}, sort_keys=True).encode()
+        payload = cache.snapshot()[HEADER.size:-4]
+        return sealed(struct.pack("<I", len(manifest)) + manifest + payload)
+
+    def assert_other_version_refused(self, version, trailer=True):
+        # a blob of the old layout fails on the format-9 magic; a format-9
+        # header carrying the old version number fails on its version
+        cache = self.build_cache(5)  # sink 0, window 2-4
+        cut = None if trailer else -4
         with pytest.raises(FormatError, match="not a snapshot of format version 9"):
-            RollingCache.restore(format_8)
-        with pytest.raises(FormatError, match="unsupported snapshot version 8"):
-            RollingCache.restore(with_header(blob, version=8))
+            RollingCache.restore(self.format_8_blob(cache, version)[:cut])
+        with pytest.raises(FormatError, match=f"unsupported snapshot version {version}"):
+            RollingCache.restore(with_header(cache.snapshot(), version=version)[:cut])
+
+    def test_other_format_version_is_format_error(self):
+        self.assert_other_version_refused(8)
+
+    def test_version_one_snapshot_is_unsupported(self):
+        # version 1 was format 8's layout without the trailer
+        self.assert_other_version_refused(1, trailer=False)
+
+    def test_version_2_snapshot_is_format_error(self):
+        # versions 2-6 held the RoPE cap in the manifest, and some of them
+        # further per-record keys
+        for version in (2, 3, 4, 5, 6):
+            self.assert_other_version_refused(version)
+
+    def test_version_7_snapshot_is_format_error(self):
+        # version 7 had format 8's manifest, but stored each f64 array as a
+        # [2, *shape] tensor of its high, then its low 32-bit halves
+        self.assert_other_version_refused(7)
 
     @pytest.mark.parametrize("field, value", [("capacity_chunks", 0)])
     def test_malformed_scalar_field_is_format_error(self, field, value):
@@ -272,12 +299,16 @@ class TestSnapshot:
         assert len(message) < 200 and "snapshot entry 0 of a stream at next_index" in message
 
     @pytest.mark.parametrize("count", [0, 30])
-    def test_evicted_tokens_unlike_the_evictions_are_refused_by_snapshot(self, count):
+    def test_evicted_tokens_unlike_the_evictions_are_format_error(self, count):
         # sink 0, window 5-7: chunks 1-4 were evicted, 6 tokens each; 30 is
-        # one chunk too many. restore derives the count, so snapshot() refuses
-        # a state that holds another (appended without absorbing, say)
+        # one chunk too many. Format 8 stored the count, and restore refused
+        # one unlike the evictions; format 9 stores none, so restore derives
+        # it, and snapshot() refuses a state that holds another (appended
+        # without absorbing, say)
         cache = self.build_cache(8)
         assert [s.evicted_tokens for s in cache.linear_states] == [24, 24]
+        with pytest.raises(FormatError, match="not a snapshot of format version 9"):
+            RollingCache.restore(self.format_8_blob(cache, evicted_tokens=count))
         cache.linear_states[1] = replace(cache.linear_states[1], evicted_tokens=count)
         with pytest.raises(ContractViolationError,
                            match=f"holds {count} evicted tokens.* evicted 24 tokens"):
