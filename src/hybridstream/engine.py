@@ -40,9 +40,9 @@ from typing import Sequence
 import numpy as np
 from scipy.special import erf
 
-from .errors import ShapeError
+from .errors import ContractViolationError, ShapeError
 from .linear_history import LinearState, absorb_evicted, history_output
-from .numerics import SeededRng, integer_fields
+from .numerics import SeededRng, as_index, integer_fields
 # apply_rope has no caller here: perfbench's tracer wraps engine.apply_rope (ROADMAP item 1)
 from .rope import RoPEConfig, apply_rope, position_tables, rotate, temporal_index
 from .sparse_local import BlockConfig, block_means, block_scores, build_mask, sparse_attention
@@ -289,7 +289,14 @@ def hybrid_attention(
     the readout is exact zeros, so it is not computed; with no
     history_proj (a pass that discards this output, ToyDenoiser.forward)
     it is not computed either, and the local output alone is returned.
+
+    layer is taken through numerics.as_index (TypeError for a float or a
+    bool); one outside [0, cfg.layers) raises ContractViolationError, and a
+    qkv of another shape ShapeError, before the workspace is touched.
     """
+    layer = as_index(layer, "layer")
+    if not 0 <= layer < cfg.layers:
+        raise ContractViolationError(f"layer {layer} outside [0, {cfg.layers})")
     shape = (3, cfg.heads, cfg.chunk_tokens, cfg.head_dim)
     if qkv.shape != shape:
         raise ShapeError(f"qkv {qkv.shape}; want {shape}")

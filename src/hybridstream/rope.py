@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ContractViolationError, ShapeError
-from .numerics import integer_fields
+from .numerics import as_index, integer_fields
 
 
 @dataclass(frozen=True)
@@ -56,12 +56,15 @@ def temporal_index(chunk_pos: int, config: RoPEConfig, distance=0):
     chunk at chunk_pos: max(0, min(chunk_pos, cap) - distance). The querying
     chunk (distance 0) saturates at the cap, and the clamp at 0 pins a sink
     entry to the origin for arbitrarily long streams. An int distance gives
-    an int; a sequence of distances, the list of their positions."""
+    an int; a sequence of distances, the list of their positions. chunk_pos
+    and every distance are taken through numerics.as_index, so a float or a
+    bool raises TypeError."""
+    chunk_pos = as_index(chunk_pos, "chunk_pos")
     many = not isinstance(distance, (int, np.integer))
-    distances = distance if many else (distance,)
+    distances = [as_index(d, "distance") for d in (distance if many else (distance,))]
     if chunk_pos < 0 or min(distances, default=0) < 0:
         raise ValueError(f"chunk_pos and distance must be >= 0, got {chunk_pos}, {distance}")
-    capped = min(int(chunk_pos), config.max_temporal_index)
+    capped = min(chunk_pos, config.max_temporal_index)
     rel = [max(0, capped - d) for d in distances]
     return rel if many else rel[0]
 

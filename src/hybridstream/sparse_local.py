@@ -18,21 +18,21 @@ not keep and scores -inf, so the result is dense attention with -inf scores
 on the inactive blocks. build_mask gives every row the same count, so its
 masks never pad. verify.row_loop_attention is the online-softmax reference.
 
-A mask is read-only, so what is derived from it is built once and kept on
-it: the gather plan (BlockMask.plan) and its head packing, whose plan is
-the rows' own with each head's blocks offset by a read-only column built
-once per (heads, rows, T_n). Where the quota leaves no choice, build_mask
-returns one shared mask per layout and shape, so a layer pass over such a
-layout builds no mask at all; where it does choose, the layout's quota and
-free blocks are looked up per T_n (BlockConfig.choice), and the mask is
-given the plan its top-k fixed, so nothing recounts it.
+A mask is read-only and gets its gather plan (BlockMask.plan) when it is
+made. BlockMask(active) copies, checks and counts the matrix it is given.
+The masks this module makes itself on a choosing pass, build_mask's rows
+and the packing of rows that do not pad, are made with the plan their
+maker fixed: the top-k's rows all keep the quota, and a packed row keeps
+its row's blocks offset into its head's. Where the quota leaves no choice,
+build_mask returns one shared mask per layout and shape, so a layer pass
+over such a layout makes no mask at all; where it does choose, the
+layout's quota and free blocks are looked up per T_n (BlockConfig.choice).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -43,39 +43,29 @@ from .errors import ContractViolationError, ShapeError
 @dataclass(frozen=True)
 class BlockConfig:
     """What build_mask needs of a layout; the block sizes come from the
-    shapes of the arrays passed to block_means and sparse_attention."""
+    shapes of the arrays passed to block_means and sparse_attention. The
+    derived fields are left out of comparison, hashing and repr."""
 
     keep_ratio: float
     forced_blocks: frozenset = field(default_factory=frozenset)  # key-block indices
+    # forced_blocks ascending, read-only
+    forced_index: np.ndarray = field(init=False, repr=False, compare=False)
+    # build_mask's one mask per (T_m, T_n) whose quota leaves no choice
+    shared_masks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    choices: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # choice()
 
     def __post_init__(self):
         if not (0.0 < self.keep_ratio <= 1.0):
             raise ValueError(f"keep_ratio must be in (0, 1], got {self.keep_ratio}")
-
-    @cached_property
-    def forced_index(self) -> np.ndarray:
-        """forced_blocks in ascending order, as a read-only index array built
-        on first use."""
         index = np.array(sorted(self.forced_blocks), dtype=np.intp)
         index.flags.writeable = False
-        return index
-
-    @cached_property
-    def shared_masks(self) -> dict:
-        """build_mask's one mask per (T_m, T_n) for the shapes whose quota
-        leaves no choice."""
-        return {}
-
-    @cached_property
-    def choices(self) -> dict:
-        """build_mask's (need, free) per T_n: how many blocks a row picks
-        beyond the forced ones, and the read-only index of the blocks it
-        picks them from, ascending (those not forced)."""
-        return {}
+        object.__setattr__(self, "forced_index", index)
 
     def choice(self, t_n: int) -> tuple:
-        """choices[t_n], built on first use. Raises ShapeError if a forced
-        block lies outside T_n key blocks."""
+        """(need, free) for T_n key blocks, built on first use into choices:
+        how many blocks a row picks beyond the forced ones, and the read-only
+        index of the blocks it picks them from, ascending (those not forced).
+        Raises ShapeError if a forced block lies outside T_n key blocks."""
         choice = self.choices.get(t_n)
         if choice is None:
             forced = self.forced_index
@@ -99,25 +89,6 @@ class GatherPlan(NamedTuple):
     pads: bool          # whether some row keeps fewer than c blocks
 
 
-@lru_cache(maxsize=16)
-def _head_selector(heads: int) -> np.ndarray:
-    """The read-only [heads, 1, heads, 1] selector of a block-diagonal head
-    mask, built once per head count."""
-    selector = np.eye(heads, dtype=bool)[:, None, :, None]
-    selector.flags.writeable = False
-    return selector
-
-
-@lru_cache(maxsize=16)
-def _head_offsets(heads: int, rows: int, t_n: int) -> np.ndarray:
-    """The read-only [rows, 1] offset column of a block-diagonal packing:
-    h * t_n on each of head h's rows // heads rows, built once per
-    (heads, rows, t_n)."""
-    offsets = np.arange(0, heads * t_n, t_n).repeat(rows // heads)[:, None]
-    offsets.flags.writeable = False
-    return offsets
-
-
 @dataclass(eq=False)
 class BlockMask:
     """Boolean [query blocks x key blocks] activity matrix. A row is one
@@ -125,45 +96,46 @@ class BlockMask:
     and their key blocks too when the mask is block diagonal
     (block_diagonal).
 
-    The mask holds a read-only copy of the matrix it is given, so what it
-    builds from it once stays valid: the gather plan (plan) and the
+    BlockMask(active) holds a read-only copy of the matrix and counts its
+    gather plan (plan) at once: a stable sort puts each row's kept blocks
+    first, ascending, and pads is set when the rows' counts differ. Raises
+    ContractViolationError if a row keeps no block. The mask also keeps the
     block-diagonal packing of the last head count asked for."""
 
     active: np.ndarray
+    plan: GatherPlan = field(init=False, repr=False)
     _packed: tuple = field(default=(), init=False, repr=False)  # (heads, block_diagonal(heads))
 
     def __post_init__(self):
-        self.active = np.array(self.active, dtype=bool)
-        self.active.flags.writeable = False
-        if self.active.ndim != 2:
-            raise ShapeError(f"mask must be 2-D, got shape {self.active.shape}")
-        if not np.logical_and.reduce(np.logical_or.reduce(self.active, axis=1)):
+        active = np.array(self.active, dtype=bool)
+        if active.ndim != 2:
+            raise ShapeError(f"mask must be 2-D, got shape {active.shape}")
+        counts = np.add.reduce(active, axis=1)  # a bool sum counts in intp
+        per_row = counts.tolist()  # a few values: Python's min, max and sum are cheaper
+        if 0 in per_row:
             raise ContractViolationError("every query row needs at least one active block")
+        c = max(per_row, default=0)
+        index = (~active).argsort(axis=1, kind="stable")[:, :c]
+        active.flags.writeable = False
+        self.active, self.plan = active, GatherPlan(counts, sum(per_row), c, index,
+                                                    min(per_row, default=c) < c)
+
+    @classmethod
+    def _made(cls, active: np.ndarray, plan: GatherPlan) -> "BlockMask":
+        """A mask over `active`, a bool matrix its maker has just built and
+        holds no other reference to, with the plan its maker fixed: the matrix
+        is marked read-only, not copied, checked or counted."""
+        active.flags.writeable = False
+        mask = cls.__new__(cls)
+        mask.active, mask.plan, mask._packed = active, plan, ()
+        return mask
 
     @property
     def shape(self):
         return self.active.shape
 
     def active_count(self) -> int:
-        return int(self.active.sum())
-
-    @cached_property
-    def plan(self) -> GatherPlan:
-        """The gather plan, built on first use from the rows' own counts. If
-        every row keeps c blocks (as build_mask's masks do), the active
-        blocks in row-major order are the index; else a stable sort puts each
-        row's kept blocks first, ascending. Raises ContractViolationError if
-        a row keeps no block."""
-        counts = np.add.reduce(self.active, axis=1)  # a bool sum counts in intp
-        per_row = counts.tolist()  # a few values: Python's max and sum are cheaper
-        if 0 in per_row:
-            raise ContractViolationError("a query row has no active blocks")
-        c, total = max(per_row), sum(per_row)
-        if total == c * len(per_row):  # no row keeps fewer than c
-            # row-major: each row's blocks ascending
-            return GatherPlan(counts, total, c, self.active.nonzero()[1].reshape(-1, c), False)
-        index = (~self.active).argsort(axis=1, kind="stable")[:, :c]
-        return GatherPlan(counts, total, c, index, True)
+        return self.plan.total
 
     def block_diagonal(self, heads: int) -> "BlockMask":
         """These rows as `heads` groups of t_m query blocks, packed for one
@@ -171,21 +143,26 @@ class BlockMask:
         rows active only in head h's key blocks. Built on the first call for
         a head count, then the same object.
 
-        Unless a row pads, the packed plan is these rows' plan with head h's
-        index offset by h * t_n: a packed row keeps the same blocks, shifted
-        into its head's. So it is the plan the packed matrix's own counting
-        would give, without counting the heads-times wider matrix."""
+        Unless a row pads, the packing is made with these rows' plan, head
+        h's index offset by h * t_n: a packed row keeps the same blocks,
+        shifted into its head's. So it is the plan the packed matrix's own
+        counting would give, without copying or counting the heads-times
+        wider matrix. A padding mask's packing is counted by BlockMask."""
         if self._packed and self._packed[0] == heads:
             return self._packed[1]
         rows, t_n = self.active.shape
         if rows % heads:
             raise ShapeError(f"{rows} mask rows do not split into {heads} heads")
-        packed = _head_selector(heads) & self.active.reshape(heads, rows // heads, 1, t_n)
-        packed = BlockMask(packed.reshape(rows, heads * t_n))
+        per_head, head = rows // heads, np.arange(heads)
+        packed = np.zeros((heads, per_head, heads, t_n), dtype=bool)
+        packed[head, :, head] = self.active.reshape(heads, per_head, t_n)
+        packed = packed.reshape(rows, heads * t_n)
         counts, total, c, index, pads = self.plan
-        if not pads:  # a padding row's slots past its count differ once packed
-            packed.plan = GatherPlan(counts, total, c, index + _head_offsets(heads, rows, t_n),
-                                     False)
+        if pads:  # a padding row's slots past its count differ once packed
+            packed = BlockMask(packed)
+        else:
+            offsets = (head * t_n).repeat(per_head)[:, None]
+            packed = BlockMask._made(packed, GatherPlan(counts, total, c, index + offsets, False))
         self._packed = (heads, packed)
         return packed
 
@@ -223,13 +200,13 @@ def build_mask(scores: np.ndarray, cfg: BlockConfig) -> BlockMask:
     index, so masks are deterministic.
 
     Where the quota leaves no choice (it equals the forced count, or T_n)
-    the scores cannot change the mask: it is built once per (cfg, T_m, T_n)
-    and that one read-only mask is returned for every later score matrix
-    of that shape, with its gather plan and head packing. The quota and
-    the free blocks are built once per (cfg, T_n) (BlockConfig.choice).
-    Where it chooses, every row keeps the quota, so the mask is given its
-    gather plan as it is built: the active blocks in row order, unpadded,
-    field for field what BlockMask.plan would count.
+    the scores cannot change the mask: it is made once per (cfg, T_m, T_n)
+    (cfg.shared_masks) and that one read-only mask is returned for every
+    later score matrix of that shape, with its gather plan and head packing.
+    The quota and the free blocks are built once per (cfg, T_n)
+    (BlockConfig.choice). Where it chooses, every row keeps the quota, so
+    the mask is made with the plan its top-k fixed: the active blocks in
+    row order, unpadded, field for field what BlockMask(active) would count.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2:
@@ -246,11 +223,9 @@ def build_mask(scores: np.ndarray, cfg: BlockConfig) -> BlockMask:
         # by score with ties kept in ascending (lower-index-first) order
         order = (-scores[:, free]).argsort(axis=1, kind="stable")[:, :need]
         active[np.arange(t_m)[:, None], free[order]] = True
-        mask = BlockMask(active)
         c = cfg.forced_index.size + need  # the quota, kept by every row
-        mask.plan = GatherPlan(np.full(t_m, c, dtype=np.intp), t_m * c, c,
-                               mask.active.nonzero()[1].reshape(t_m, c), False)
-        return mask
+        return BlockMask._made(active, GatherPlan(np.full(t_m, c, dtype=np.intp), t_m * c, c,
+                                                  active.nonzero()[1].reshape(t_m, c), False))
     if need:
         active[:] = True
     mask = cfg.shared_masks[scores.shape] = BlockMask(active)

@@ -41,6 +41,13 @@ _SNAPSHOT_VERSION = 9
 _HEADER = struct.Struct("<4sIQQQI")  # magic, version, capacity, sinks, next_index, states
 
 
+def _kept_chunks(capacity: int, sinks: int, next_index: int) -> tuple[range, range]:
+    """The chunks a stream at next_index keeps (RollingCache.append): the
+    sinks from chunk 0, then the window ending at chunk next_index - 1."""
+    kept = min(next_index, sinks)
+    return range(kept), range(next_index - min(next_index - kept, capacity), next_index)
+
+
 def _read_f64(f) -> np.ndarray:
     """The next f64 array of a snapshot, read back from its float32 view."""
     a = numerics.read_tensor_from(f)
@@ -172,9 +179,16 @@ class RollingCache:
 
     def snapshot(self) -> bytes:
         """The cache as format-9 bytes (module docstring). Raises
-        ContractViolationError if a linear state holds other than the
-        evicted chunks' tokens, which only a hand-built cache can: restore
-        derives that count, so such a snapshot could not round-trip."""
+        ContractViolationError if the entries are not, in order, the chunks a
+        stream at next_index keeps (_kept_chunks), or if a linear state holds
+        other than the evicted chunks' tokens, which only a hand-edited cache
+        can: restore derives both, so such a snapshot could not round-trip."""
+        held = [e.chunk_index for e in self.entries()]
+        kept = [i for chunks in _kept_chunks(self.capacity_chunks, self.sink_chunks,
+                                            self._next_index) for i in chunks]
+        if held != kept:
+            raise ContractViolationError(f"entries of chunks {held}; a stream at next_index "
+                                         f"{self._next_index} keeps chunks {kept}")
         tokens = self._evicted_tokens()
         for s in self.linear_states:
             if s.evicted_tokens != tokens:
@@ -198,13 +212,13 @@ class RollingCache:
         the CRC-32 trailer is then checked before any other field or payload
         byte is used.
 
-        The header fixes the entries a stream at next_index keeps: the sinks
-        from chunk 0, then the window ending at chunk next_index - 1. Each is
-        read and appended, so a tensor that is missing, or that a chunk append
-        would refuse, is named with its entry; the work is bounded by the
-        payload present, not by next_index. The linear states must be none or
-        one per layer of the entries, of their heads and head_dim
-        (shape_mismatch). Every failure is a FormatError."""
+        The header fixes the entries a stream at next_index keeps
+        (_kept_chunks). Each is read and appended, so a tensor that is
+        missing, or that a chunk append would refuse, is named with its
+        entry; the work is bounded by the payload present, not by
+        next_index. The linear states must be none or one per layer of the
+        entries, of their heads and head_dim (shape_mismatch). Every failure
+        is a FormatError."""
         if len(data) < _HEADER.size + 4:
             raise FormatError("snapshot shorter than its header and trailer")
         magic, version, capacity, sinks, n, states = _HEADER.unpack_from(data)
@@ -218,16 +232,14 @@ class RollingCache:
         if capacity < 1:
             raise FormatError("snapshot capacity_chunks is 0; want >= 1")
         cache, f = cls(capacity, sinks), io.BytesIO(data[_HEADER.size:-4])
-        kept = min(n, sinks)
-        window = min(n - kept, capacity)
-        for i in range(kept + window):
-            if i == kept:
-                cache._next_index = n - window  # over the chunks the stream evicted
-            try:
-                cache.append(ChunkKV(cache.next_index, _read_f64(f), _read_f64(f)))
-            except (FormatError, ShapeError) as exc:
-                raise FormatError(f"snapshot entry {cache.next_index} of a stream at "
-                                  f"next_index {n}: {exc}") from exc
+        for chunks in _kept_chunks(capacity, sinks, n):
+            cache._next_index = chunks.start  # past the chunks the stream evicted
+            for i in chunks:
+                try:
+                    cache.append(ChunkKV(i, _read_f64(f), _read_f64(f)))
+                except (FormatError, ShapeError) as exc:
+                    raise FormatError(f"snapshot entry {i} of a stream at "
+                                      f"next_index {n}: {exc}") from exc
         for _ in range(states):
             L, H = _read_f64(f), _read_f64(f)
             if L.ndim != 3 or L.shape[1] != L.shape[2] or H.shape != L.shape[:2]:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from hybridstream import distill, engine, sparse_local
+from hybridstream import distill, engine
 from hybridstream.distill import DistillConfig
 from hybridstream.engine import (
     BENCH_MODES,
@@ -26,7 +26,7 @@ from hybridstream.engine import (
     rectified_flow,
     run_stream,
 )
-from hybridstream.errors import ShapeError
+from hybridstream.errors import ContractViolationError, ShapeError
 from hybridstream.numerics import SeededRng
 from hybridstream.linear_history import elu_plus_one, history_output
 from hybridstream.rope import apply_rope, position_tables, temporal_index
@@ -615,7 +615,7 @@ class TestSharedTables:
                 run_stream(cfg, 18)  # window 45 is full from chunk 16
 
     def test_bounded_and_independent_of_the_seed(self):
-        caches = (position_tables, engine._block_layout, sparse_local._head_selector)
+        caches = (position_tables, engine._block_layout)
         for c in caches:
             c.cache_clear()
         self.stream_every_mode(seed=1)
@@ -635,8 +635,7 @@ class TestSharedTables:
         # sink 1 and own 3 of 15 blocks forced, quota 3: one mask for the layout
         rows = build_mask(np.zeros((TOY.heads * TOY.blocks_per_chunk, 15)), bcfg)
         packed = rows.block_diagonal(TOY.heads)
-        for a in (cos, sin, q_cos, q_sin, sparse_local._head_selector(TOY.heads),
-                  bcfg.forced_index, rows.active, packed.active):
+        for a in (cos, sin, q_cos, q_sin, bcfg.forced_index, rows.active, packed.active):
             with pytest.raises(ValueError):
                 a[...] = 0
 
@@ -649,11 +648,11 @@ class TestSharedTables:
             assert q_cos.base is cos and q_sin.base is sin
             assert np.array_equal(q_cos, cos[t]) and np.array_equal(q_sin, sin[t])
 
-    @pytest.mark.parametrize("window, built", [(9, 0), (45, 20)])
-    def test_masks_built_per_steady_chunk(self, monkeypatch, window, built):
-        # the default layout's quota is its 6 forced blocks of 15, so every
-        # pass reuses one mask and its packing; a 45-frame window picks 11 of
-        # 51, so each of a chunk's 10 passes builds its rows and their packing
+    @staticmethod
+    def steady_chunk(monkeypatch, window):
+        """The masks a steady chunk at `window` frames makes, each as
+        (constructor, mask): "copy" for BlockMask(active), "made" for the
+        masks made with the plan their maker fixed."""
         cfg = StreamConfig(window_frames=window, seed=22)
         model = ToyDenoiser(cfg)
         cache = model.new_cache()
@@ -661,10 +660,42 @@ class TestSharedTables:
         for _ in range(20):  # a 45-frame window is full from chunk 16
             chunk_step(model, cache, cfg.denoise_timesteps, rng)
         masks = []
-        init = BlockMask.__post_init__
-        monkeypatch.setattr(BlockMask, "__post_init__", lambda m: (masks.append(m), init(m)))
+        init, made = BlockMask.__post_init__, BlockMask._made
+        monkeypatch.setattr(BlockMask, "__post_init__",
+                            lambda m: (masks.append(("copy", m)), init(m)))
+        monkeypatch.setattr(BlockMask, "_made", classmethod(
+            lambda cls, active, plan: masks.append(("made", made(active, plan))) or masks[-1][1]))
         chunk_step(model, cache, cfg.denoise_timesteps, rng)
-        assert len(masks) == built
+        monkeypatch.undo()
+        return masks
+
+    @pytest.mark.parametrize("window, built", [(9, 0), (45, 20)])
+    def test_masks_built_per_steady_chunk(self, monkeypatch, window, built):
+        # the default layout's quota is its 6 forced blocks of 15, so every
+        # pass reuses one mask and its packing; a 45-frame window picks 11 of
+        # 51, so each of a chunk's 10 passes builds its rows and their packing
+        assert len(self.steady_chunk(monkeypatch, window)) == built
+
+    def test_masks_are_made_with_their_counted_plans(self, monkeypatch):
+        # a steady window-45 chunk makes its 20 masks without copying a matrix
+        assert [kind for kind, _ in self.steady_chunk(monkeypatch, 45)] == ["made"] * 20
+        # and every mask attended, in every mode and width, has the plan that
+        # BlockMask(active) counts from its matrix, field for field
+        seen = []
+        attend = engine.sparse_attention
+        monkeypatch.setattr(engine, "sparse_attention",
+                            lambda q, k, v, mask, **kw: (seen.append(mask),
+                                                         attend(q, k, v, mask, **kw))[1])
+        for window in (9, 45):
+            for mode in BENCH_MODES:
+                run_stream(config_for_mode(mode, replace(TOY, window_frames=window)), 18)
+        run_stream(replace(TOY, window_frames=45, keep_ratio=0.5), 18)
+        assert len(seen) == 9 * 18 * 5 * TOY.layers
+        for mask in seen:
+            got, want = mask.plan, BlockMask(mask.active).plan
+            for a, b in zip(got, want):
+                assert type(a) is type(b) and np.array_equal(a, b)
+                assert getattr(a, "dtype", None) == getattr(b, "dtype", None)
 
 
 class TestContiguousQkv:
@@ -829,6 +860,16 @@ class TestHybridAttention:
             per_head.append(num / den[:, None])
         hist = np.concatenate(per_head, axis=1) @ history_proj(cfg, layer)
         assert np.abs(got - (local + hist)).max() < 1e-9
+
+    @pytest.mark.parametrize("layer, error", [(-1, ContractViolationError),
+                                              (2, ContractViolationError),
+                                              (1.0, TypeError), (True, TypeError)])
+    def test_layer_outside_the_model_rejected(self, layer, error):
+        # -1 would read the last layer's slots, 1.0 index them as 1, True broadcast
+        cache = random_cache(TOY, 8, seed=7)
+        with pytest.raises(error, match="layer"):
+            hybrid_attention(random_qkv(TOY, 89), cache, layer, TOY, 8, history_proj(TOY, 0))
+        assert cache._memo is None  # refused before the workspace was built
 
 
 class TestDenseOracle:

@@ -44,6 +44,13 @@ class TestTemporalIndex:
         with pytest.raises(ValueError):
             temporal_index(-1, CFG)
 
+    @pytest.mark.parametrize("chunk_pos, distance", [(5.7, 0), (True, 0), (8, [1.5]),
+                                                     (8, True), (8, [0, True])])
+    def test_non_integer_position_or_distance_rejected(self, chunk_pos, distance):
+        # a float is not truncated (5.7 read as 5, [1.5] gave [7.5]), and True is not 1
+        with pytest.raises(TypeError, match="chunk_pos|distance"):
+            temporal_index(chunk_pos, CFG, distance)
+
 
 class TestRelativeIndices:
     """temporal_index of what lies `distance` chunks behind a querying chunk:

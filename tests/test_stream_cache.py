@@ -322,6 +322,23 @@ class TestSnapshot:
         with pytest.raises(ContractViolationError, match="holds 6 evicted tokens.* evicted 0"):
             cache.snapshot()
 
+    def test_entries_other_than_the_kept_chunks_are_refused_by_snapshot(self):
+        # sink 0, window 3-5. Without linear states nothing else compares the
+        # entries: a window missing chunk 3 was written, then failed to read
+        # ("entry 5 ... bad magic"), and a reversed window restored as chunks
+        # 3, 4, 5 with chunk 5's keys read as chunk 3's
+        bare = RollingCache(3, 1)
+        fill(bare, 6)
+        bare.window_entries.pop(0)
+        with pytest.raises(ContractViolationError, match=r"chunks \[0, 4, 5\].*\[0, 3, 4, 5\]"):
+            bare.snapshot()
+        cache = self.build_cache(6)
+        cache.window_entries.reverse()
+        with pytest.raises(ContractViolationError, match=r"chunks \[0, 5, 4, 3\]"):
+            cache.snapshot()
+        cache.window_entries.reverse()
+        assert RollingCache.restore(cache.snapshot()).snapshot() == cache.snapshot()
+
     def test_entry_shapes_that_differ_are_format_error(self):
         cache = self.build_cache(8)
         kv = cache.window_entries[1]

@@ -8,9 +8,11 @@ src/), one run at a time, PAIRS times (default 10, for 30 s each). Pair i
 even ones, so neither side always meets the host warm. Prints each pair's
 end-to-end metrics (the JSON result line's), then per metric A's median
 and quartiles, B's median and change, and in how many pairs B was better,
-"better" as BENCHMARK.json states it. Exits 1 as soon as a run exits
-non-zero or reports failed > 0. Beyond what run.py itself writes
-(perfbench/out/), nothing is written.
+"better" as BENCHMARK.json states it; for a metric BENCHMARK.json bounds,
+also its bound and whether B's median is worse than A's by more than it
+(the rule a change that claims no gain is held to). Exits 1 as soon as a
+run exits non-zero or reports failed > 0. Beyond what run.py itself
+writes (perfbench/out/), nothing is written.
 """
 
 import json
@@ -36,9 +38,11 @@ def run(root: str, workload: str, seed: int, seconds: float) -> dict:
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
-def better_lower(root: str) -> dict:
+def end_to_end(root: str) -> dict:
+    """Per end-to-end metric of BENCHMARK.json: (lower is better, bound)."""
     with open(os.path.join(root, "BENCHMARK.json")) as f:
-        return {m["name"]: m["better"] == "lower" for m in json.load(f)["end_to_end"]}
+        return {m["name"]: (m["better"] == "lower", m["bound"])
+                for m in json.load(f)["end_to_end"]}
 
 
 def main(argv) -> int:
@@ -52,7 +56,7 @@ def main(argv) -> int:
     if pairs < 2:  # quartiles need two runs a side
         print("PAIRS must be at least 2", file=sys.stderr)
         return 2
-    lower = better_lower(root_a)
+    metrics = end_to_end(root_a)
     runs = {"A": [], "B": []}
     for i in range(1, pairs + 1):
         order = "AB" if i % 2 else "BA"
@@ -68,10 +72,15 @@ def main(argv) -> int:
         b = [r[name] for r in runs["B"]]
         q1, _, q3 = statistics.quantiles(a, n=4, method="inclusive")
         ma, mb = statistics.median(a), statistics.median(b)
-        wins = sum((y < x) if lower.get(name, True) else (y > x) for x, y in zip(a, b))
+        lower, bound = metrics.get(name, (True, None))
+        wins = sum((y < x) if lower else (y > x) for x, y in zip(a, b))
         change = f"{(mb - ma) / ma:+.1%}" if ma else "n/a"
-        print(f"  {name:<18} {ma:.6g} [{q1:.6g}, {q3:.6g}] -> {mb:.6g} ({change}), "
-              f"B better in {wins}/{pairs}")
+        line = (f"  {name:<18} {ma:.6g} [{q1:.6g}, {q3:.6g}] -> {mb:.6g} ({change}), "
+                f"B better in {wins}/{pairs}")
+        if bound is not None:
+            worse = (mb - ma if lower else ma - mb) > bound * abs(ma)
+            line += f"; bound {bound:.0%}: B {'worse by more' if worse else 'within'}"
+        print(line)
     return 0
 
 
