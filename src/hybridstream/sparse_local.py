@@ -117,8 +117,8 @@ class BlockMask:
         c = max(per_row, default=0)
         index = (~active).argsort(axis=1, kind="stable")[:, :c]
         active.flags.writeable = False
-        self.active, self.plan = active, GatherPlan(counts, sum(per_row), c, index,
-                                                    min(per_row, default=c) < c)
+        self.plan, self.active = GatherPlan(counts, sum(per_row), c, index,
+                                            min(per_row, default=c) < c), active
 
     @classmethod
     def _made(cls, active: np.ndarray, plan: GatherPlan) -> "BlockMask":
