@@ -1,6 +1,15 @@
 """Streaming attention engine with a compressed linear history pathway,
 block-sparse local attention, a rolling KV cache with pinned sinks, capped
-relative rotary positions, and a closed-form Gaussian distillation lab."""
+relative rotary positions, and a closed-form Gaussian distillation lab.
+
+`import hybridstream` loads the streaming engine and what it uses. The
+distillation lab, `hybridstream.distill`, loads on first use of it or of a
+name it re-exports here (`train`, `DistillConfig`, ...), since no stream
+runs it. `hybridstream.verify` and `hybridstream.cli` load only when
+imported.
+"""
+
+import importlib
 
 from .engine import (
     BENCH_MODES,
@@ -12,22 +21,6 @@ from .engine import (
     hybrid_attention,
     rectified_flow,
     run_stream,
-)
-from .distill import (
-    AffineGenerator,
-    DistillConfig,
-    DmdGradient,
-    GaussianWorld,
-    Phase,
-    TrainResult,
-    diffuse_gaussian,
-    dmd_gradient,
-    flow_matching_loss,
-    gaussian_kl,
-    gaussian_score,
-    reg_loss,
-    teacher_rollout,
-    train,
 )
 from .errors import (
     ContractViolationError,
@@ -62,3 +55,34 @@ from .sparse_local import (
 from .stream_cache import ChunkKV, RollingCache
 
 __version__ = "0.1.0"
+
+# re-exported from .distill, which __getattr__ loads on first use
+_DISTILL_NAMES = frozenset({
+    "AffineGenerator",
+    "DistillConfig",
+    "DmdGradient",
+    "GaussianWorld",
+    "Phase",
+    "TrainResult",
+    "diffuse_gaussian",
+    "dmd_gradient",
+    "flow_matching_loss",
+    "gaussian_kl",
+    "gaussian_score",
+    "reg_loss",
+    "teacher_rollout",
+    "train",
+})
+
+
+def __getattr__(name: str):
+    # import_module, not `from . import distill`: the latter asks this
+    # package for the attribute first, which would call __getattr__ again
+    if name == "distill" or name in _DISTILL_NAMES:
+        distill = importlib.import_module(f"{__name__}.distill")
+        return distill if name == "distill" else getattr(distill, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _DISTILL_NAMES | {"distill"})

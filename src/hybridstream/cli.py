@@ -20,7 +20,6 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from . import verify as verify_mod
 from .distill import AffineGenerator, DistillConfig, GaussianWorld, train, write_trace_csv
 from .engine import BENCH_MODES, StreamConfig, config_for_mode, run_stream
 from .errors import DivergenceError
@@ -141,6 +140,8 @@ def _build_stream_config(args) -> tuple[StreamConfig, int]:
 
 
 def cmd_verify(args) -> int:
+    from . import verify as verify_mod  # here, not at the top: no other command reads it
+
     if args.suite is not None and args.suite not in verify_mod.SUITES:
         raise UsageError(f"unknown suite {args.suite!r}; "
                          f"available: {', '.join(verify_mod.SUITES)}")

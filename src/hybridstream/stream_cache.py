@@ -180,15 +180,22 @@ class RollingCache:
     def snapshot(self) -> bytes:
         """The cache as format-9 bytes (module docstring). Raises
         ContractViolationError if the entries are not, in order, the chunks a
-        stream at next_index keeps (_kept_chunks), or if a linear state holds
-        other than the evicted chunks' tokens, which only a hand-edited cache
-        can: restore derives both, so such a snapshot could not round-trip."""
-        held = [e.chunk_index for e in self.entries()]
+        stream at next_index keeps (_kept_chunks), if an entry's keys or
+        values do not fit the cache (shape_mismatch), or if a linear state
+        holds other than the evicted chunks' tokens, which only a hand-edited
+        cache can: restore derives or refuses each, so such a snapshot could
+        not round-trip."""
+        entries = self.entries()
+        held = [e.chunk_index for e in entries]
         kept = [i for chunks in _kept_chunks(self.capacity_chunks, self.sink_chunks,
                                             self._next_index) for i in chunks]
         if held != kept:
             raise ContractViolationError(f"entries of chunks {held}; a stream at next_index "
                                          f"{self._next_index} keeps chunks {kept}")
+        for e in entries:
+            mismatch = self.shape_mismatch(e.keys.shape) or self.shape_mismatch(e.values.shape)
+            if mismatch:
+                raise ContractViolationError(f"entry {e.chunk_index}: {mismatch}")
         tokens = self._evicted_tokens()
         for s in self.linear_states:
             if s.evicted_tokens != tokens:
@@ -198,7 +205,7 @@ class RollingCache:
         out = io.BytesIO()
         out.write(_HEADER.pack(_SNAPSHOT_MAGIC, _SNAPSHOT_VERSION, self.capacity_chunks,
                                self.sink_chunks, self._next_index, len(self.linear_states)))
-        arrays = [a for e in self.entries() for a in (e.keys, e.values)]
+        arrays = [a for e in entries for a in (e.keys, e.values)]
         arrays += [a for s in self.linear_states for a in (s.L, s.H)]
         for a in arrays:
             numerics.write_tensor(out, np.ascontiguousarray(a, "<f8").view("<f4"))

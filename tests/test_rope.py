@@ -45,9 +45,11 @@ class TestTemporalIndex:
             temporal_index(-1, CFG)
 
     @pytest.mark.parametrize("chunk_pos, distance", [(5.7, 0), (True, 0), (8, [1.5]),
-                                                     (8, True), (8, [0, True])])
+                                                     (8, True), (8, [0, True]), (8, 1.0),
+                                                     (8, np.float64(2.0))])
     def test_non_integer_position_or_distance_rejected(self, chunk_pos, distance):
-        # a float is not truncated (5.7 read as 5, [1.5] gave [7.5]), and True is not 1
+        # a float is not truncated (5.7 read as 5, [1.5] gave [7.5]), a scalar
+        # float distance is not taken for a sequence, and True is not 1
         with pytest.raises(TypeError, match="chunk_pos|distance"):
             temporal_index(chunk_pos, CFG, distance)
 

@@ -339,16 +339,25 @@ class TestSnapshot:
         cache.window_entries.reverse()
         assert RollingCache.restore(cache.snapshot()).snapshot() == cache.snapshot()
 
+    # snapshot() refuses entries that do not fit the cache (shape_mismatch)
+    # when it writes them; restore refuses the same bytes written without
+    # that check (unchecked_snapshot)
+
     def test_entry_shapes_that_differ_are_format_error(self):
         cache = self.build_cache(8)
+        assert unchecked_snapshot(cache) == cache.snapshot()
         kv = cache.window_entries[1]
         cache.window_entries[1] = ChunkKV(kv.chunk_index, kv.keys[:, :, :4], kv.values[:, :, :4])
+        with pytest.raises(ContractViolationError, match="entry 6: .*unlike the entries'"):
+            cache.snapshot()
         with pytest.raises(FormatError, match="unlike the entries'"):
-            RollingCache.restore(cache.snapshot())
+            RollingCache.restore(unchecked_snapshot(cache))
         cache.window_entries[1] = kv
         kv.values = kv.values[:, :, :4]  # keys and values of one entry differ
+        with pytest.raises(ContractViolationError, match="entry 6: .*unlike the entries'"):
+            cache.snapshot()
         with pytest.raises(FormatError, match="snapshot entry 6"):
-            RollingCache.restore(cache.snapshot())
+            RollingCache.restore(unchecked_snapshot(cache))
 
     def test_entry_shape_unlike_linear_states_is_format_error(self):
         cache = RollingCache(3, 1)
@@ -356,14 +365,19 @@ class TestSnapshot:
             kv = make_kv(i)
             cache.append(ChunkKV(i, kv.keys[..., :4], kv.values[..., :4]))
         cache.linear_states = make_states()  # append refuses such chunks; attach them after
+        with pytest.raises(ContractViolationError, match="entry 0: .*head_dim 8"):
+            cache.snapshot()
         with pytest.raises(FormatError, match="head_dim 8"):
-            RollingCache.restore(cache.snapshot())
+            RollingCache.restore(unchecked_snapshot(cache))
 
     def test_linear_state_count_unlike_layers_is_format_error(self):
         cache = self.build_cache(5)  # entries of 2 layers, one state per layer
         del cache.linear_states[1]
+        with pytest.raises(ContractViolationError,
+                           match="entry 0: 1 linear states for entries of 2 layers"):
+            cache.snapshot()
         with pytest.raises(FormatError, match="1 linear states for entries of 2 layers"):
-            RollingCache.restore(cache.snapshot())
+            RollingCache.restore(unchecked_snapshot(cache))
         cache.linear_states.clear()  # no history pathway at all restores
         assert RollingCache.restore(cache.snapshot()).linear_states == []
 
@@ -496,6 +510,20 @@ class TestSnapshot:
 def sealed(body):
     """A snapshot body followed by its CRC-32 trailer."""
     return body + struct.pack("<I", zlib.crc32(body))
+
+
+def unchecked_snapshot(cache):
+    """The format-9 bytes snapshot() writes for `cache`, without its checks:
+    the header, each entry's keys and values and each linear state's L and
+    H, each an HFT1 tensor of its float32 view, then the CRC-32 trailer."""
+    out = io.BytesIO()
+    out.write(HEADER.pack(b"HSNP", 9, cache.capacity_chunks, cache.sink_chunks,
+                          cache.next_index, len(cache.linear_states)))
+    arrays = [a for e in cache.entries() for a in (e.keys, e.values)]
+    arrays += [a for s in cache.linear_states for a in (s.L, s.H)]
+    for a in arrays:
+        write_tensor(out, np.ascontiguousarray(a, "<f8").view("<f4"))
+    return sealed(out.getvalue())
 
 
 def with_header(blob, **fields):
