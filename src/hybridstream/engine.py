@@ -280,9 +280,9 @@ def hybrid_attention(
     build_mask and one sparse_attention call, the mask's rows packed block
     diagonally by BlockMask.block_diagonal. Where the layout's quota leaves
     no choice, build_mask returns the layout's one shared mask, whose
-    packing and gather plan were built with it, so the pass builds no mask.
-    Where it chooses, the pass builds the row mask, with the gather plan its
-    top-k fixed, and its packing, whose plan is the rows' offset per head.
+    packing and gather index were built with it, so the pass builds no
+    mask. Where it chooses, the pass builds the row mask, with the index its
+    top-k fixed, and its packing, whose index is the rows' offset per head.
     Returns [chunk_tokens, model_dim]: sparse local output plus the
     history readout through the layer's weight history_proj, summed
     elementwise. Until the layer's state absorbs a chunk (or with no state)

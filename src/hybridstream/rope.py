@@ -55,12 +55,13 @@ def temporal_index(chunk_pos: int, config: RoPEConfig, distance=0):
     """Capped temporal position of what lies `distance` chunks behind the
     chunk at chunk_pos: max(0, min(chunk_pos, cap) - distance). The querying
     chunk (distance 0) saturates at the cap, and the clamp at 0 pins a sink
-    entry to the origin for arbitrarily long streams. An int distance gives
-    an int; a sequence of distances, the list of their positions. chunk_pos
-    and every distance are taken through numerics.as_index, so a float (even
-    a scalar 1.0) or a bool raises TypeError."""
+    entry to the origin for arbitrarily long streams. An int distance (or
+    a 0-d integer array) gives an int; a sequence of distances, the list of
+    their positions. chunk_pos and every distance are taken through
+    numerics.as_index, so a float (even a scalar 1.0 or a 0-d float array)
+    or a bool raises TypeError."""
     chunk_pos = as_index(chunk_pos, "chunk_pos")
-    many = hasattr(distance, "__iter__")
+    many = hasattr(distance, "__iter__") and getattr(distance, "ndim", 1) > 0
     distances = [as_index(d, "distance") for d in (distance if many else (distance,))]
     if chunk_pos < 0 or min(distances, default=0) < 0:
         raise ValueError(f"chunk_pos and distance must be >= 0, got {chunk_pos}, {distance}")

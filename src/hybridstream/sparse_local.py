@@ -10,41 +10,41 @@ takes q, k and v as [heads * tokens, d] with the [heads * t_m, heads * t_n]
 block-diagonal mask BlockMask.block_diagonal packs from those rows, whose
 head-h rows are active only in head h's key blocks.
 
-Gather rule: each query-block row's kept key blocks, in ascending order and
-padded to the largest per-row count c, are gathered as [rows, c * b_kv, d];
-one batched product, one max-subtracted exp and one product with the values
-over the row sums give the output. A padding slot holds a block the row does
-not keep and scores -inf, so the result is dense attention with -inf scores
-on the inactive blocks. build_mask gives every row the same count, so its
-masks never pad. verify.row_loop_attention is the online-softmax reference.
+Gather rule: every row of a mask keeps the same number c >= 1 of key
+blocks (BlockMask's invariant; build_mask keeps its quota on every row).
+Each row's kept blocks, ascending (BlockMask.index), are gathered as
+[rows, c * b_kv, d]; one batched product, one max-subtracted exp and one
+product with the values over the row sums give the output, which is dense
+attention with -inf scores on the inactive blocks.
+verify.row_loop_attention is the online-softmax reference.
 
-A mask is read-only and gets its gather plan (BlockMask.plan) when it is
-made. BlockMask(active) copies, checks and counts the matrix it is given.
-The masks this module makes itself on a choosing pass, build_mask's rows
-and the packing of rows that do not pad, are made with the plan their
-maker fixed: the top-k's rows all keep the quota, and a packed row keeps
-its row's blocks offset into its head's. Where the quota leaves no choice,
-build_mask returns one shared mask per layout and shape, so a layer pass
-over such a layout makes no mask at all; where it does choose, the
-layout's quota and free blocks are looked up per T_n (BlockConfig.choice).
+A mask is read-only and gets its index when it is made: BlockMask(active)
+reads it off a copy of the matrix, and a choosing pass's two masks, the
+rows and their packing, are made with the index their maker fixed. Where
+the quota leaves no choice, build_mask returns one shared mask per layout
+and shape, so such a layer pass makes no mask at all; where it chooses,
+the layout's quota and free blocks are looked up per T_n
+(BlockConfig.choice).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ContractViolationError, ShapeError
+from .numerics import as_index
 
 
 @dataclass(frozen=True)
 class BlockConfig:
     """What build_mask needs of a layout; the block sizes come from the
     shapes of the arrays passed to block_means and sparse_attention. The
-    derived fields are left out of comparison, hashing and repr."""
+    derived fields are left out of comparison, hashing and repr. Each
+    forced block is taken through numerics.as_index, so a float or a bool
+    raises TypeError naming forced_blocks."""
 
     keep_ratio: float
     forced_blocks: frozenset = field(default_factory=frozenset)  # key-block indices
@@ -57,7 +57,7 @@ class BlockConfig:
     def __post_init__(self):
         if not (0.0 < self.keep_ratio <= 1.0):
             raise ValueError(f"keep_ratio must be in (0, 1], got {self.keep_ratio}")
-        index = np.array(sorted(self.forced_blocks), dtype=np.intp)
+        index = np.array(sorted(as_index(b, "forced_blocks") for b in self.forced_blocks), np.intp)
         index.flags.writeable = False
         object.__setattr__(self, "forced_index", index)
 
@@ -79,55 +79,43 @@ class BlockConfig:
         return choice
 
 
-class GatherPlan(NamedTuple):
-    """What sparse_attention reads of a mask to gather its rows."""
-
-    counts: np.ndarray  # [rows] kept blocks per row
-    total: int          # kept blocks over all rows
-    widest: int         # the largest count, c
-    index: np.ndarray   # [rows, c]: each row's kept blocks ascending, then its first dropped ones
-    pads: bool          # whether some row keeps fewer than c blocks
-
-
 @dataclass(eq=False)
 class BlockMask:
-    """Boolean [query blocks x key blocks] activity matrix. A row is one
-    query block of one head; heads packed into one call stack their rows,
-    and their key blocks too when the mask is block diagonal
-    (block_diagonal).
+    """Boolean [query blocks x key blocks] activity matrix whose rows all
+    keep the same number c >= 1 of blocks. A row is one query block of one
+    head; heads packed into one call stack their rows, and their key blocks
+    too when the mask is block diagonal (block_diagonal).
 
-    BlockMask(active) holds a read-only copy of the matrix and counts its
-    gather plan (plan) at once: a stable sort puts each row's kept blocks
-    first, ascending, and pads is set when the rows' counts differ. Raises
-    ContractViolationError if a row keeps no block. The mask also keeps the
-    block-diagonal packing of the last head count asked for."""
+    BlockMask(active) holds read-only copies of the matrix and of its index
+    ([rows, c], each row's kept blocks ascending). Raises
+    ContractViolationError naming the rows' counts unless they are one
+    count of at least 1. The mask also keeps the block-diagonal packing of
+    the last head count asked for."""
 
     active: np.ndarray
-    plan: GatherPlan = field(init=False, repr=False)
+    index: np.ndarray = field(init=False, repr=False)
     _packed: tuple = field(default=(), init=False, repr=False)  # (heads, block_diagonal(heads))
 
     def __post_init__(self):
         active = np.array(self.active, dtype=bool)
         if active.ndim != 2:
             raise ShapeError(f"mask must be 2-D, got shape {active.shape}")
-        counts = np.add.reduce(active, axis=1)  # a bool sum counts in intp
-        per_row = counts.tolist()  # a few values: Python's min, max and sum are cheaper
-        if 0 in per_row:
-            raise ContractViolationError("every query row needs at least one active block")
-        c = max(per_row, default=0)
-        index = (~active).argsort(axis=1, kind="stable")[:, :c]
-        active.flags.writeable = False
-        self.plan, self.active = GatherPlan(counts, sum(per_row), c, index,
-                                            min(per_row, default=c) < c), active
+        counts = np.add.reduce(active, axis=1).tolist()  # a bool sum counts in intp
+        if len(set(counts)) != 1 or counts[0] < 1:
+            raise ContractViolationError(
+                f"every mask row must keep one number of blocks, at least 1; got {counts}")
+        index = active.nonzero()[1].reshape(-1, counts[0])
+        active.flags.writeable = index.flags.writeable = False
+        self.active, self.index = active, index
 
     @classmethod
-    def _made(cls, active: np.ndarray, plan: GatherPlan) -> "BlockMask":
+    def _made(cls, active: np.ndarray, index: np.ndarray) -> "BlockMask":
         """A mask over `active`, a bool matrix its maker has just built and
-        holds no other reference to, with the plan its maker fixed: the matrix
-        is marked read-only, not copied, checked or counted."""
-        active.flags.writeable = False
+        holds no other reference to, and the index its maker fixed: both are
+        marked read-only, not copied, checked or counted."""
+        active.flags.writeable = index.flags.writeable = False
         mask = cls.__new__(cls)
-        mask.active, mask.plan, mask._packed = active, plan, ()
+        mask.active, mask.index, mask._packed = active, index, ()
         return mask
 
     @property
@@ -135,19 +123,14 @@ class BlockMask:
         return self.active.shape
 
     def active_count(self) -> int:
-        return self.plan.total
+        return self.index.size
 
     def block_diagonal(self, heads: int) -> "BlockMask":
         """These rows as `heads` groups of t_m query blocks, packed for one
         call over every head's tokens: [heads * t_m, heads * t_n], head h's
         rows active only in head h's key blocks. Built on the first call for
-        a head count, then the same object.
-
-        Unless a row pads, the packing is made with these rows' plan, head
-        h's index offset by h * t_n: a packed row keeps the same blocks,
-        shifted into its head's. So it is the plan the packed matrix's own
-        counting would give, without copying or counting the heads-times
-        wider matrix. A padding mask's packing is counted by BlockMask."""
+        a head count, then the same object. Its index is these rows' index,
+        head h's offset by h * t_n, without reading the wider matrix."""
         if self._packed and self._packed[0] == heads:
             return self._packed[1]
         rows, t_n = self.active.shape
@@ -156,24 +139,19 @@ class BlockMask:
         per_head, head = rows // heads, np.arange(heads)
         packed = np.zeros((heads, per_head, heads, t_n), dtype=bool)
         packed[head, :, head] = self.active.reshape(heads, per_head, t_n)
-        packed = packed.reshape(rows, heads * t_n)
-        counts, total, c, index, pads = self.plan
-        if pads:  # a padding row's slots past its count differ once packed
-            packed = BlockMask(packed)
-        else:
-            offsets = (head * t_n).repeat(per_head)[:, None]
-            packed = BlockMask._made(packed, GatherPlan(counts, total, c, index + offsets, False))
+        offsets = (head * t_n).repeat(per_head)[:, None]
+        packed = BlockMask._made(packed.reshape(rows, heads * t_n), self.index + offsets)
         self._packed = (heads, packed)
         return packed
 
 
 def block_means(x: np.ndarray, block: int) -> np.ndarray:
     """Mean of each run of `block` consecutive tokens: [..., tokens, d] to
-    [..., tokens // block, d]. Raises ShapeError unless block divides the
-    token count."""
+    [..., tokens // block, d]. Raises ShapeError unless block is at least 1
+    and divides the token count."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim < 2 or x.shape[-2] % block != 0:
-        raise ShapeError(f"token count of {x.shape} not divisible by block size {block}")
+    if block < 1 or x.ndim < 2 or x.shape[-2] % block != 0:
+        raise ShapeError(f"token count of {x.shape} does not split into blocks of {block}")
     # the sum over the block axis divided by the count, as x.mean rounds it
     return np.add.reduce(x.reshape(*x.shape[:-2], -1, block, x.shape[-1]), axis=-2) / block
 
@@ -202,11 +180,10 @@ def build_mask(scores: np.ndarray, cfg: BlockConfig) -> BlockMask:
     Where the quota leaves no choice (it equals the forced count, or T_n)
     the scores cannot change the mask: it is made once per (cfg, T_m, T_n)
     (cfg.shared_masks) and that one read-only mask is returned for every
-    later score matrix of that shape, with its gather plan and head packing.
-    The quota and the free blocks are built once per (cfg, T_n)
-    (BlockConfig.choice). Where it chooses, every row keeps the quota, so
-    the mask is made with the plan its top-k fixed: the active blocks in
-    row order, unpadded, field for field what BlockMask(active) would count.
+    later score matrix of that shape, with its index and head packing. The
+    quota and the free blocks are built once per (cfg, T_n)
+    (BlockConfig.choice). Where it chooses, every row keeps the quota, and
+    the mask is made with its active blocks in row order as its index.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2:
@@ -223,9 +200,8 @@ def build_mask(scores: np.ndarray, cfg: BlockConfig) -> BlockMask:
         # by score with ties kept in ascending (lower-index-first) order
         order = (-scores[:, free]).argsort(axis=1, kind="stable")[:, :need]
         active[np.arange(t_m)[:, None], free[order]] = True
-        c = cfg.forced_index.size + need  # the quota, kept by every row
-        return BlockMask._made(active, GatherPlan(np.full(t_m, c, dtype=np.intp), t_m * c, c,
-                                                  active.nonzero()[1].reshape(t_m, c), False))
+        quota = cfg.forced_index.size + need
+        return BlockMask._made(active, active.nonzero()[1].reshape(t_m, quota))
     if need:
         active[:] = True
     mask = cfg.shared_masks[scores.shape] = BlockMask(active)
@@ -243,7 +219,7 @@ def sparse_attention(
     """Masked attention over active blocks as one gathered softmax, as the
     module docstring describes. counters, when given, gets `score_evals`
     bumped by b_q * b_kv per active (query block, key block) pair (the exact
-    number of S entries computed; padding is not counted)."""
+    number of S entries computed)."""
     q = np.asarray(q, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
@@ -254,15 +230,16 @@ def sparse_attention(
         raise ShapeError(f"k and v token counts differ: {k.shape[0]} vs {v.shape[0]}")
     if q.shape[1] != k.shape[1]:
         raise ShapeError(f"head dims differ: {q.shape} vs {k.shape}")
-    if t_m == 0 or q.shape[0] % t_m != 0 or k.shape[0] % t_n != 0:
+    if q.shape[0] % t_m != 0 or k.shape[0] % t_n != 0:
         raise ShapeError(
             f"mask {mask.shape} incompatible with {q.shape[0]} queries / {k.shape[0]} keys"
         )
     b_q = q.shape[0] // t_m
     b_kv = k.shape[0] // t_n
-    counts, total, c, idx, pads = mask.plan  # idx: [t_m, c]
+    idx = mask.index  # [t_m, c]
+    c = idx.shape[1]
     if counters is not None:
-        counters.score_evals += total * b_q * b_kv
+        counters.score_evals += idx.size * b_q * b_kv
 
     k_rows = k.reshape(t_n, b_kv, -1)[idx].reshape(t_m, c * b_kv, -1)
     v_rows = v.reshape(t_n, b_kv, -1)[idx].reshape(t_m, c * b_kv, -1)
@@ -270,9 +247,6 @@ def sparse_attention(
     # large as the gathered keys
     s = q.reshape(t_m, b_q, -1) @ k_rows.transpose(0, 2, 1)  # [t_m, b_q, c*b_kv]
     s *= scale
-    if pads:
-        padded = np.repeat(np.arange(c) >= counts[:, None], b_kv, axis=1)  # [t_m, c*b_kv]
-        s[np.broadcast_to(padded[:, None, :], s.shape)] = -np.inf
     s -= np.maximum.reduce(s, axis=2, keepdims=True)
     np.exp(s, out=s)
     out = s @ v_rows

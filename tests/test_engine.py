@@ -652,7 +652,7 @@ class TestSharedTables:
     def steady_chunk(monkeypatch, window):
         """The masks a steady chunk at `window` frames makes, each as
         (constructor, mask): "copy" for BlockMask(active), "made" for the
-        masks made with the plan their maker fixed."""
+        masks made with the index their maker fixed."""
         cfg = StreamConfig(window_frames=window, seed=22)
         model = ToyDenoiser(cfg)
         cache = model.new_cache()
@@ -664,7 +664,7 @@ class TestSharedTables:
         monkeypatch.setattr(BlockMask, "__post_init__",
                             lambda m: (masks.append(("copy", m)), init(m)))
         monkeypatch.setattr(BlockMask, "_made", classmethod(
-            lambda cls, active, plan: masks.append(("made", made(active, plan))) or masks[-1][1]))
+            lambda cls, active, index: masks.append(("made", made(active, index))) or masks[-1][1]))
         chunk_step(model, cache, cfg.denoise_timesteps, rng)
         monkeypatch.undo()
         return masks
@@ -679,8 +679,8 @@ class TestSharedTables:
     def test_masks_are_made_with_their_counted_plans(self, monkeypatch):
         # a steady window-45 chunk makes its 20 masks without copying a matrix
         assert [kind for kind, _ in self.steady_chunk(monkeypatch, 45)] == ["made"] * 20
-        # and every mask attended, in every mode and width, has the plan that
-        # BlockMask(active) counts from its matrix, field for field
+        # and every mask attended, in every mode and width, has the index that
+        # BlockMask(active) reads off its matrix
         seen = []
         attend = engine.sparse_attention
         monkeypatch.setattr(engine, "sparse_attention",
@@ -692,10 +692,9 @@ class TestSharedTables:
         run_stream(replace(TOY, window_frames=45, keep_ratio=0.5), 18)
         assert len(seen) == 9 * 18 * 5 * TOY.layers
         for mask in seen:
-            got, want = mask.plan, BlockMask(mask.active).plan
-            for a, b in zip(got, want):
-                assert type(a) is type(b) and np.array_equal(a, b)
-                assert getattr(a, "dtype", None) == getattr(b, "dtype", None)
+            got, want = mask.index, BlockMask(mask.active).index
+            assert np.array_equal(got, want) and got.dtype == want.dtype
+            assert not got.flags.writeable
 
 
 class TestContiguousQkv:

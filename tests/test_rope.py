@@ -46,12 +46,18 @@ class TestTemporalIndex:
 
     @pytest.mark.parametrize("chunk_pos, distance", [(5.7, 0), (True, 0), (8, [1.5]),
                                                      (8, True), (8, [0, True]), (8, 1.0),
-                                                     (8, np.float64(2.0))])
+                                                     (8, np.float64(2.0)), (8, np.array(2.0))])
     def test_non_integer_position_or_distance_rejected(self, chunk_pos, distance):
         # a float is not truncated (5.7 read as 5, [1.5] gave [7.5]), a scalar
-        # float distance is not taken for a sequence, and True is not 1
+        # float distance (a 0-d array too) is not taken for a sequence, and
+        # True is not 1
         with pytest.raises(TypeError, match="chunk_pos|distance"):
             temporal_index(chunk_pos, CFG, distance)
+
+    def test_zero_d_integer_array_is_one_distance(self):
+        # as a 0-d integer chunk_pos is one position
+        assert temporal_index(8, CFG, np.array(2)) == temporal_index(np.array(8), CFG, 2) == 6
+        assert type(temporal_index(8, CFG, np.array(2))) is int
 
 
 class TestRelativeIndices:

@@ -3,6 +3,7 @@ and heads packed into one call."""
 
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,7 @@ from hybridstream.sparse_local import (
     build_mask,
     sparse_attention,
 )
-from hybridstream.verify import masked_dense_attention
+from hybridstream.verify import masked_dense_attention, random_mask
 
 
 def reference_mask(scores, cfg):
@@ -88,6 +89,9 @@ class TestBlockScores:
         for shape in ((5, 4), (2, 7, 4), (4,)):
             with pytest.raises(ShapeError):
                 block_means(np.zeros(shape), 4)
+        for block in (0, -4):  # refused before the modulo (0 divided by zero)
+            with pytest.raises(ShapeError, match=f"blocks of {block}"):
+                block_means(np.zeros((8, 4)), block)
 
     def test_batched_bit_equal_to_per_slice_calls(self):
         rng = SeededRng(16)
@@ -186,6 +190,12 @@ class TestBuildMask:
         with pytest.raises(ShapeError, match=r"\[0, 3, 7\] out of range for 5"):
             build_mask(np.zeros((2, 5)), cfg)
 
+    @pytest.mark.parametrize("forced", [{1.5}, {True}, {np.float64(1.0)}, {0, 2.0}])
+    def test_non_integer_forced_block_rejected(self, forced):
+        # a float is not truncated (1.5 was block 1), and True is not block 1
+        with pytest.raises(TypeError, match="forced_blocks"):
+            BlockConfig(0.5, frozenset(forced))
+
     def test_every_row_nonempty(self):
         scores = SeededRng(5).normal((8, 3))
         mask = build_mask(scores, BlockConfig(0.01))
@@ -217,12 +227,15 @@ class TestBuildMask:
                     first.active[0, 0] = not first.active[0, 0]
 
     def test_mask_holds_a_read_only_copy(self):
-        active = np.array([[True, False], [True, True]])
+        active = np.array([[True, False, True], [False, True, True]])
         mask = BlockMask(active)
         active[0] = False  # the caller's array, not the mask's
-        assert mask.active.tolist() == [[True, False], [True, True]]
+        assert mask.active.tolist() == [[True, False, True], [False, True, True]]
+        assert mask.index.tolist() == [[0, 2], [1, 2]]
         with pytest.raises(ValueError):
             mask.active[0, 1] = True
+        with pytest.raises(ValueError):
+            mask.index[0, 0] = 1
 
     def test_block_diagonal_packs_heads_once(self):
         rng = np.random.default_rng(21)
@@ -236,10 +249,9 @@ class TestBuildMask:
                 & rows.active.reshape(heads, t_m, 1, t_n)
             assert np.array_equal(packed.active, want.reshape(heads * t_m, heads * t_n))
             assert rows.block_diagonal(heads) is packed
-            # build_mask's rows all keep the quota, and so do their packings
+            # the packing's index is the rows' offset per head
             for mask in (rows, packed):
-                assert_plan_matches_reference(mask)
-                assert not mask.plan.pads
+                assert_index_matches_reference(mask)
         with pytest.raises(ShapeError, match="3 mask rows"):
             BlockMask(np.ones((3, 2), dtype=bool)).block_diagonal(2)
 
@@ -266,9 +278,9 @@ class TestBuildMask:
     @pytest.mark.parametrize("heads", [1, 2, 3])
     @pytest.mark.parametrize("keep", [0.2, 0.5])
     def test_choosing_plan_is_the_counted_plan(self, keep, heads):
-        # a choosing mask is made with the plan its top-k fixed, and its packing
-        # with that plan offset per head: each equals the plan counted from its
-        # matrix
+        # a choosing mask is made with the index its top-k fixed, and its
+        # packing with that index offset per head: each equals the index
+        # BlockMask reads off its matrix
         cfg = BlockConfig(keep, frozenset(range(3)))
         rng = SeededRng(26 + heads)
         chose = 0
@@ -279,66 +291,66 @@ class TestBuildMask:
             chose += 1
             packed = rows.block_diagonal(heads)
             for mask in (rows, packed):
-                got, want = mask.plan, BlockMask(mask.active).plan
-                assert np.array_equal(got.counts, want.counts)
-                assert np.array_equal(got.index, want.index)
-                assert (got.counts.dtype, got.index.dtype) == (want.counts.dtype, want.index.dtype)
-                assert (got.total, got.widest, got.pads) == (want.total, want.widest, want.pads)
+                got, want = mask.index, BlockMask(mask.active).index
+                assert np.array_equal(got, want) and got.dtype == want.dtype
+                assert not got.flags.writeable and mask.active_count() == got.size
         assert chose == (11 if keep == 0.2 else 14)  # quota 3 < ceil(keep * t_n) < t_n
 
     @pytest.mark.parametrize("heads", [2, 3])
-    @pytest.mark.parametrize("kind", ["choosing", "shared", "padded"])
+    @pytest.mark.parametrize("kind", ["choosing", "shared"])
     def test_packed_plan_is_the_packed_matrix_plan(self, heads, kind):
         rng = SeededRng(25 + heads)
         t_m, t_n = 3, 12
-        if kind == "padded":
-            active = rng.uniform(heads * t_m * t_n).reshape(-1, t_n) < 0.4
-            active[:, 0] = active[0] = True  # no row is empty, and rows differ in count
-            rows = BlockMask(active)
-        else:
-            forced = frozenset({0, 1, 9, 10, 11})
-            cfg = BlockConfig(0.6 if kind == "choosing" else 0.2, forced)
-            rows = build_mask(rng.normal((heads * t_m, t_n)), cfg)
-            assert (cfg.shared_masks.get(rows.shape) is rows) == (kind == "shared")
-        assert rows.plan.pads == (kind == "padded")
+        forced = frozenset({0, 1, 9, 10, 11})
+        cfg = BlockConfig(0.6 if kind == "choosing" else 0.2, forced)
+        rows = build_mask(rng.normal((heads * t_m, t_n)), cfg)
+        assert (cfg.shared_masks.get(rows.shape) is rows) == (kind == "shared")
         packed = rows.block_diagonal(heads)
-        want = BlockMask(packed.active).plan
-        got = packed.plan
-        assert np.array_equal(got.counts, want.counts)
-        assert np.array_equal(got.index, want.index)
-        assert got.index.dtype == want.index.dtype
-        assert (got.total, got.widest, got.pads) == (want.total, want.widest, want.pads)
+        got, want = packed.index, BlockMask(packed.active).index
+        assert np.array_equal(got, want) and got.dtype == want.dtype
 
 
-def assert_plan_matches_reference(mask):
-    """The plan of `mask` against one built row by row: each row's kept
-    blocks ascending, then its dropped ones, cut to the widest count."""
-    rows = [np.flatnonzero(r).tolist() + np.flatnonzero(~r).tolist() for r in mask.active]
-    counts = mask.active.sum(axis=1)
-    c = max(counts)
-    plan = mask.plan
-    assert plan.counts.tolist() == counts.tolist()
-    assert (plan.total, plan.widest, plan.pads) == (sum(counts), c, bool(min(counts) < c))
-    assert plan.index.tolist() == [r[:c] for r in rows]
+def random_rows(rng, t_m, t_n, keep):
+    """A [t_m, t_n] bool matrix whose row i keeps keep[i] random blocks."""
+    active = np.zeros((t_m, t_n), dtype=bool)
+    for row, k in zip(active, keep):
+        row[rng.choice(t_n, size=k, replace=False)] = True
+    return active
 
 
-class TestPlan:
-    @pytest.mark.parametrize("padded", [False, True])
-    def test_matches_a_row_by_row_reference(self, padded):
-        # random masks whose rows keep one count (uniform) or differ in it
-        rng = np.random.default_rng(23 + padded)
+def assert_index_matches_reference(mask):
+    """The index of `mask` against one built row by row: each row's kept
+    blocks ascending."""
+    rows = [np.flatnonzero(r).tolist() for r in mask.active]
+    assert mask.index.tolist() == rows
+    assert mask.active_count() == sum(map(len, rows))
+
+
+class TestIndex:
+    def test_matches_a_row_by_row_reference(self):
+        # random masks whose rows all keep one count
+        rng = np.random.default_rng(23)
         for trial in range(40):
             t_m, t_n = rng.integers(1, 7), rng.integers(1, 12)
-            keep = rng.integers(1, t_n + 1, size=t_m) if padded else \
-                np.full(t_m, rng.integers(1, t_n + 1))
-            if padded and t_m > 1 and t_n > 1 and (keep == keep[0]).all():
+            mask = BlockMask(random_rows(rng, t_m, t_n, np.full(t_m, rng.integers(1, t_n + 1))))
+            assert_index_matches_reference(mask)
+            assert not mask.index.flags.writeable
+
+    def test_ragged_empty_or_no_rows_rejected(self):
+        # every row must keep one count of at least 1; the error names the counts
+        rng = np.random.default_rng(24)
+        cases = [np.zeros((0, 3), dtype=bool), np.zeros((2, 0), dtype=bool),
+                 np.array([[True, False], [False, False]])]
+        for trial in range(20):
+            t_m, t_n = rng.integers(2, 7), rng.integers(2, 12)
+            keep = rng.integers(1, t_n + 1, size=t_m)
+            if (keep == keep[0]).all():
                 keep[0] = keep[0] % t_n + 1  # some row keeps another count
-            active = np.zeros((t_m, t_n), dtype=bool)
-            for row, k in zip(active, keep):
-                row[rng.choice(t_n, size=k, replace=False)] = True
-            mask = BlockMask(active)
-            assert_plan_matches_reference(mask)
-            assert mask.plan.pads == bool((keep < keep.max()).any())
+            cases.append(random_rows(rng, t_m, t_n, keep))
+        for active in cases:
+            with pytest.raises(ContractViolationError,
+                               match=re.escape(str(active.sum(axis=1).tolist()))):
+                BlockMask(active)
 
 
 class TestSparseAttention:
@@ -365,17 +377,15 @@ class TestSparseAttention:
         rng = np.random.default_rng(11)
         q, k, _ = random_qkv(12, n_q=8, n_kv=16, d=8)
         v = rng.standard_normal((16, 1))
-        active = rng.random((2, 4)) < 0.6
-        for i in range(2):
-            if not active[i].any():
-                active[i, 0] = True
-        mask = BlockMask(active)
-        out = sparse_attention(q, k, v, mask, 1.0 / np.sqrt(8))
-        for i in range(2):
-            vals = np.concatenate([v[j * 4:(j + 1) * 4, 0] for j in np.flatnonzero(active[i])])
-            rows = out[i * 4:(i + 1) * 4, 0]
-            assert (rows >= vals.min() - 1e-12).all()
-            assert (rows <= vals.max() + 1e-12).all()
+        for trial in range(10):  # rows of one random count per mask
+            mask = random_mask(rng, 2, 4)
+            out = sparse_attention(q, k, v, mask, 1.0 / np.sqrt(8))
+            for i in range(2):
+                vals = np.concatenate([v[j * 4:(j + 1) * 4, 0]
+                                       for j in np.flatnonzero(mask.active[i])])
+                rows = out[i * 4:(i + 1) * 4, 0]
+                assert (rows >= vals.min() - 1e-12).all()
+                assert (rows <= vals.max() + 1e-12).all()
 
     def test_score_eval_count_is_exact(self):
         class Counter:
