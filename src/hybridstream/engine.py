@@ -10,11 +10,10 @@ schedule, re-noising between steps along the rectified-flow path
 cache its keys/values through a dedicated pass at t=0, and absorb whatever
 the rolling window evicts into the linear state. That chunk step
 (chunk_step), shared by run_stream and the distillation fixture, makes the
-chunk its cache appends next (RollingCache.next_index). It
-draws all of a chunk's noise in one SeededRng.normal call, and its t=0
-pass stops after the last layer's local attention, with no history
-readout, since only the keys and values of that pass are kept
-(ToyDenoiser.compute_chunk_kv).
+chunk its cache appends next (RollingCache.next_index). It draws all of a
+chunk's noise in one SeededRng.normal call, and its t=0 pass stops after
+the last layer's local attention, with no history readout, since only the
+keys and values of that pass are kept (ToyDenoiser.compute_chunk_kv).
 
 A layer pass makes one product for the queries, keys and values (the
 ToyDenoiser's [model_dim, 3 * model_dim] "wqkv") and copies its head split
@@ -44,7 +43,7 @@ from .errors import ContractViolationError, ShapeError
 from .linear_history import LinearState, absorb_evicted, history_output
 from .numerics import SeededRng, as_index, integer_fields
 # apply_rope has no caller here: perfbench's tracer wraps engine.apply_rope (ROADMAP item 1)
-from .rope import RoPEConfig, apply_rope, position_tables, rotate, temporal_index
+from .rope import RoPEConfig, apply_rope, position_tables, rotate, rotate_into, temporal_index
 from .sparse_local import BlockConfig, block_means, block_scores, build_mask, sparse_attention
 from .stream_cache import ChunkKV, RollingCache
 
@@ -210,14 +209,15 @@ def _window(cache: RollingCache, cfg: StreamConfig, query_chunk_index: int) -> t
     made only when a shape changes: while the window grows, for a new
     (restored) cache, or for a config of other sizes.
 
-    Nothing else is built per chunk. The indices are the config's
-    (cfg.rope_config), from one rope.temporal_index call: of each entry's
-    distance behind the query chunk (RollingCache.visible_kv), and of the
-    query chunk's own distance 0. The
-    rotation tables come from rope.position_tables: the window keys' are
-    gathered into the workspace at the entries' relative indices and the
-    queries' are a read-only view of it. The BlockConfig is shared per
-    window layout (_block_layout).
+    The entries' keys are copied one by one into the value slots, rotated
+    from there into the key slots in one shot (rope.rotate_into, the copy
+    its scratch) and overwritten by the values; the block means are summed
+    into their slots. The indices come from one rope.temporal_index call,
+    of each entry's distance behind the query chunk (RollingCache.visible_kv)
+    and of the chunk's own distance 0. The tables are rows of
+    rope.position_tables: gathered into the workspace for the keys, a
+    read-only view for the queries. The BlockConfig is shared per window
+    layout (_block_layout); nothing else is built per chunk.
 
     A cache whose entries or linear states do not fit the config's layers,
     heads, chunk_tokens and head_dim (RollingCache.shape_mismatch) raises
@@ -243,16 +243,18 @@ def _window(cache: RollingCache, cfg: StreamConfig, query_chunk_index: int) -> t
         *rel, q_t = temporal_index(query_chunk_index, rope_cfg,
                                    [dist for _, dist in visible] + [0])
         if visible:
-            # the unrotated keys are staged where the values go next
-            staged = values[:, :, :n]
-            np.stack([e.keys for e, _ in visible], axis=2, out=staged)
+            staged = values[:, :, :n]  # the unrotated keys, then the values
+            for i, (e, _) in enumerate(visible):
+                staged[:, :, i] = e.keys
             # temporal indices lie in [0, cap]; "raise" would buffer out
             np.take(cos, rel, axis=0, out=key_cos, mode="clip")
             np.take(sin, rel, axis=0, out=key_sin, mode="clip")
-            rotate(staged, key_cos, key_sin, out=keys[:, :, :n])
-            np.stack([e.values for e, _ in visible], axis=2, out=staged)
-            window_keys = keys[:, :, :n].reshape(layers, heads, -1, d)  # a view
-            key_means[:, :, :n * bpc] = block_means(window_keys, bt)
+            rotate_into(staged, key_cos, key_sin, keys[:, :, :n])
+            for i, (e, _) in enumerate(visible):
+                staged[:, :, i] = e.values
+            means = key_means[:, :, :n * bpc]  # the sum over the count, as block_means
+            np.add.reduce(keys[:, :, :n].reshape(layers, heads, -1, bt, d), axis=3, out=means)
+            means /= bt
         return keys, values, key_means, key_cos, key_sin, bcfg, cos[q_t], sin[q_t]
 
     return cache.memo((query_chunk_index, cfg), build)
@@ -272,17 +274,17 @@ def hybrid_attention(
     qkv: the unrotated per-head queries, keys and values of the chunk
     being generated, [3, heads, chunk_tokens, head_dim], C-contiguous as
     ToyDenoiser.forward passes it (any layout reads the same, only more
-    slowly). Keys from the
-    cache and from the chunk itself are rotated at their relative temporal
-    indices (the cached ones and the query tables once per query chunk,
-    see _window); sink blocks and the chunk's own blocks are always kept
-    active in the mask. All heads go through one block_scores, one
-    build_mask and one sparse_attention call, the mask's rows packed block
-    diagonally by BlockMask.block_diagonal. Where the layout's quota leaves
-    no choice, build_mask returns the layout's one shared mask, whose
-    packing and gather index were built with it, so the pass builds no
-    mask. Where it chooses, the pass builds the row mask, with the index its
-    top-k fixed, and its packing, whose index is the rows' offset per head.
+    slowly), and left as it is. Keys from the cache and from the chunk
+    itself are rotated at their relative temporal indices (the cached ones
+    and the query tables once per query chunk, see _window); sink blocks
+    and the chunk's own blocks are always kept active in the mask. All
+    heads go through one block_scores, one build_mask and one
+    sparse_attention call, the mask's rows packed block diagonally by
+    BlockMask.block_diagonal. Where the layout's quota leaves no choice,
+    build_mask returns the layout's one shared mask, whose packing and
+    gather index were built with it, so the pass builds no mask. Where it
+    chooses, the pass builds the row mask, with the index its top-k fixed,
+    and its packing, whose index is the rows' offset per head.
     Returns [chunk_tokens, model_dim]: sparse local output plus the
     history readout through the layer's weight history_proj, summed
     elementwise. Until the layer's state absorbs a chunk (or with no state)
@@ -290,11 +292,12 @@ def hybrid_attention(
     history_proj (a pass that discards this output, ToyDenoiser.forward)
     it is not computed either, and the local output alone is returned.
 
-    layer is taken through numerics.as_index (TypeError for a float or a
-    bool); one outside [0, cfg.layers) raises ContractViolationError, and a
-    qkv of another shape ShapeError, before the workspace is touched.
+    layer is taken as it is if a plain int, else through numerics.as_index
+    (TypeError for a float or a bool); one outside [0, cfg.layers) raises
+    ContractViolationError, and a qkv of another shape ShapeError, before
+    the workspace is touched.
     """
-    layer = as_index(layer, "layer")
+    layer = layer if type(layer) is int else as_index(layer, "layer")
     if not 0 <= layer < cfg.layers:
         raise ContractViolationError(f"layer {layer} outside [0, {cfg.layers})")
     shape = (3, cfg.heads, cfg.chunk_tokens, cfg.head_dim)
@@ -323,8 +326,7 @@ def hybrid_attention(
 
     if history_proj is not None and layer < len(cache.linear_states) \
             and cache.linear_states[layer].evicted_tokens:
-        local += history_output(cache.linear_states[layer], qkv[0], q_cos, q_sin,
-                                history_proj)
+        local += history_output(cache.linear_states[layer], qkv[0], q_cos, q_sin, history_proj)
     return local
 
 
@@ -394,12 +396,10 @@ class ToyDenoiser:
         OpCounters (and the cost model's closed form) count every layer, but
         gets no history projection, so it makes no history readout, which
         has no counter."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.cfg.chunk_tokens, self.cfg.model_dim):
-            raise ShapeError(
-                f"expected [{self.cfg.chunk_tokens}, {self.cfg.model_dim}], got {x.shape}"
-            )
         cfg = self.cfg
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != (cfg.chunk_tokens, cfg.model_dim):
+            raise ShapeError(f"expected [{cfg.chunk_tokens}, {cfg.model_dim}], got {x.shape}")
         h = x + self._time_row(t)[None, :]
         layer_kvs = []
         last = len(self.layers) - 1
@@ -420,17 +420,17 @@ class ToyDenoiser:
 
     def compute_chunk_kv(self, x0: np.ndarray, cache: RollingCache, *,
                          counters: OpCounters | None = None) -> ChunkKV:
-        """Dedicated t=0 pass over the emitted chunk (cache.next_index), collecting
-        the keys and values that actually get cached. The pass goes through
+        """Dedicated t=0 pass over the emitted chunk (cache.next_index), writing
+        each layer's keys and values into the ChunkKV. The pass goes through
         forward with keys_only, so the last layer's history readout, wo
         product, residual adds, norm and MLP, whose output nothing reads,
         are not computed; its keys, values and counters equal a full
         forward(x0, 0.0, ...)'s bit for bit."""
-        _, layer_kvs = self.forward(x0, 0.0, cache, cache.next_index, counters,
-                                    keys_only=True)
-        keys = np.stack([kv[0] for kv in layer_kvs])
-        values = np.stack([kv[1] for kv in layer_kvs])
-        return ChunkKV(cache.next_index, keys, values)
+        _, layer_kvs = self.forward(x0, 0.0, cache, cache.next_index, counters, keys_only=True)
+        kv = np.empty((2, len(layer_kvs)) + layer_kvs[0][0].shape)  # keys, values
+        for layer_idx, (k, v) in enumerate(layer_kvs):
+            kv[0, layer_idx], kv[1, layer_idx] = k, v
+        return ChunkKV(cache.next_index, kv[0], kv[1])
 
 
 @dataclass

@@ -10,7 +10,8 @@ index and, from its distance behind the query, a cached key's.
 position_tables is the one builder of rotation tables: per config and
 token count, the cos and sin of every pair's angle at every capped
 temporal index, built once and read-only. rotate applies such tables to a
-tensor, and apply_rope is the two composed. The tables are full width, one
+tensor through rotate_into, the one kernel, which takes its input as
+scratch; apply_rope is the two composed. The tables are full width, one
 entry per channel: a pair's cos on both of its (even, odd) lanes, its sin
 negated on the even lane. A rotation is then x * cos plus x with each
 pair's lanes swapped times sin, two contiguous products. rotate takes
@@ -59,10 +60,11 @@ def temporal_index(chunk_pos: int, config: RoPEConfig, distance=0):
     a 0-d integer array) gives an int; a sequence of distances, the list of
     their positions. chunk_pos and every distance are taken through
     numerics.as_index, so a float (even a scalar 1.0 or a 0-d float array)
-    or a bool raises TypeError."""
-    chunk_pos = as_index(chunk_pos, "chunk_pos")
+    or a bool raises TypeError; a plain int skips that call."""
+    chunk_pos = chunk_pos if type(chunk_pos) is int else as_index(chunk_pos, "chunk_pos")
     many = hasattr(distance, "__iter__") and getattr(distance, "ndim", 1) > 0
-    distances = [as_index(d, "distance") for d in (distance if many else (distance,))]
+    distances = [d if type(d) is int else as_index(d, "distance")
+                 for d in (distance if many else (distance,))]
     if chunk_pos < 0 or min(distances, default=0) < 0:
         raise ValueError(f"chunk_pos and distance must be >= 0, got {chunk_pos}, {distance}")
     capped = min(chunk_pos, config.max_temporal_index)
@@ -109,36 +111,30 @@ def check_tables(shape: tuple, cos: np.ndarray, sin: np.ndarray) -> None:
         raise ShapeError(f"rotation tables {cos.shape} do not fit x {shape}")
 
 
-def rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray,
-           out: np.ndarray | None = None) -> np.ndarray:
+def rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     """Rotate x's (even, odd) channel pairs by the angles whose cos and sin
-    are given (see position_tables and check_tables). Rotations preserve
-    per-token norms exactly (up to rounding).
-
-    out, when given, is an array of x's shape that does not overlap x; the
-    rotation is written into it and it is returned. x is then rotated one
-    slab of the tables' shape at a time, so no temporary outgrows a slab.
-    """
-    x = np.asarray(x, dtype=np.float64)
+    are given (see position_tables and check_tables), into a new array; x
+    is left as it was. Rotations preserve per-token norms exactly (up to
+    rounding)."""
+    x = np.array(x, dtype=np.float64)  # a copy: rotate_into's scratch
     check_tables(x.shape, cos, sin)
-    if out is None:
-        return _rotate_into(x, cos, sin, np.empty(x.shape))
-    if out.shape != x.shape:
-        raise ShapeError(f"out {out.shape} does not fit x {x.shape}")
-    for i in np.ndindex(x.shape[:x.ndim - cos.ndim]):
-        _rotate_into(x[i], cos, sin, out[i])
-    return out
+    return rotate_into(x, cos, sin, np.empty(x.shape))
 
 
-def _rotate_into(x: np.ndarray, cos: np.ndarray, sin: np.ndarray,
-                 out: np.ndarray) -> np.ndarray:
+def rotate_into(x: np.ndarray, cos: np.ndarray, sin: np.ndarray,
+                out: np.ndarray) -> np.ndarray:
+    """Write the rotation of x into out, an array of x's shape that does
+    not overlap it, and return out. x is scratch: it is left holding x *
+    cos. The tables are of x's trailing shape, as rotate takes them, but
+    unchecked."""
     # even' = even cos - odd sin, odd' = odd cos + even sin: out takes x with
     # each pair's lanes swapped, times sin (negative on the even lane), plus
     # x cos. a + (-b) rounds as a - b, and a two-term sum in either order.
     out[..., 0::2] = x[..., 1::2]
     out[..., 1::2] = x[..., 0::2]
     out *= sin
-    out += x * cos
+    x *= cos
+    out += x
     return out
 
 

@@ -147,9 +147,11 @@ class BlockMask:
 
 def block_means(x: np.ndarray, block: int) -> np.ndarray:
     """Mean of each run of `block` consecutive tokens: [..., tokens, d] to
-    [..., tokens // block, d]. Raises ShapeError unless block is at least 1
-    and divides the token count."""
+    [..., tokens // block, d]. block is taken through numerics.as_index
+    (TypeError naming it for a float or a bool); raises ShapeError unless
+    it is at least 1 and divides the token count."""
     x = np.asarray(x, dtype=np.float64)
+    block = block if type(block) is int else as_index(block, "block")
     if block < 1 or x.ndim < 2 or x.shape[-2] % block != 0:
         raise ShapeError(f"token count of {x.shape} does not split into blocks of {block}")
     # the sum over the block axis divided by the count, as x.mean rounds it
@@ -162,8 +164,7 @@ def block_scores(q_means: np.ndarray, k_means: np.ndarray) -> np.ndarray:
     [..., T_n, d] with equal leading dims, scored slice by slice into
     [..., T_m, T_n]. Raw scores are returned; any row-monotone transform
     (e.g. a softmax) selects the same top-K set."""
-    q = np.asarray(q_means, dtype=np.float64)
-    k = np.asarray(k_means, dtype=np.float64)
+    q, k = np.asarray(q_means, dtype=np.float64), np.asarray(k_means, dtype=np.float64)
     if q.ndim < 2 or k.ndim != q.ndim or q.shape[:-2] != k.shape[:-2] \
             or q.shape[-1] != k.shape[-1]:
         raise ShapeError(f"q {q.shape} and k {k.shape} differ outside their block axis")
@@ -234,8 +235,7 @@ def sparse_attention(
         raise ShapeError(
             f"mask {mask.shape} incompatible with {q.shape[0]} queries / {k.shape[0]} keys"
         )
-    b_q = q.shape[0] // t_m
-    b_kv = k.shape[0] // t_n
+    b_q, b_kv = q.shape[0] // t_m, k.shape[0] // t_n
     idx = mask.index  # [t_m, c]
     c = idx.shape[1]
     if counters is not None:

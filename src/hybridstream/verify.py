@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
+from scipy.special import erf
 
 from .distill import (
     AffineGenerator,
@@ -28,9 +29,9 @@ from .distill import (
     gaussian_score,
     train,
 )
-from .engine import OpCounters, StreamConfig, ToyDenoiser, append_and_absorb, chunk_step, \
-    config_for_mode, hybrid_attention, rectified_flow, run_stream
-from .linear_history import LinearState, absorb_evicted, elu_plus_one, history_output
+from .engine import _NOISE_STREAM, _NORM_EPS, OpCounters, StreamConfig, ToyDenoiser, \
+    append_and_absorb, chunk_step, config_for_mode, hybrid_attention, rectified_flow, run_stream
+from .linear_history import EPS_DIV, LinearState, absorb_evicted, elu_plus_one, history_output
 from .numerics import SeededRng, read_tensor_from, softmax_rows, write_tensor
 from .rope import RoPEConfig, apply_rope, position_tables, temporal_index
 from .sparse_local import BlockConfig, BlockMask, build_mask, sparse_attention
@@ -534,6 +535,127 @@ def workspace_reuse_check() -> CheckResult:
                   f"chunks that differ: {differ or 'none'}")
 
 
+def reference_stream(cfg: StreamConfig, chunks: int) -> tuple[list, float]:
+    """The latents run_stream(cfg, chunks) makes, recomputed the slow way,
+    and the smallest top-k margin the stream's masks chose by.
+
+    It takes the model's weights and the stream's noise draws, and nothing
+    of the engine's fast path (the window workspace, shared masks,
+    sparse_attention, LinearState). Every chunk keeps its per-layer keys
+    and values, [tokens, model_dim] each, from a full t=0 forward. Then one
+    layer and one head at a time:
+    - each visible entry's keys go through apply_rope at the entry's
+      temporal_index, the query chunk's queries and own keys at its own;
+    - the sink blocks and the chunk's own are forced, and each query
+      block's row takes the rest of its quota by a sorted loop over the
+      block-mean scores, ties to the lower index;
+    - masked_dense_attention over the entries and the chunk itself;
+    - the history readout from sums over the evicted chunks, summed
+      afresh on every pass.
+    The margin is a chosen block's score less the best unchosen one's, at
+    the quota's edge; a margin near 0 is a near-tie, which rounding may
+    break either way."""
+    model = ToyDenoiser(cfg)
+    rng = SeededRng(cfg.seed).derive(_NOISE_STREAM)
+    rope_cfg, ts = cfg.rope_config, cfg.denoise_timesteps
+    hd, bt, bpc = cfg.head_dim, cfg.block_tokens, cfg.blocks_per_chunk
+    kept = []  # per chunk, per layer: (keys, values)
+    latents, margin = [], math.inf
+
+    def phi(x):
+        return np.where(x > 0, x + 1.0, np.exp(np.minimum(x, 0.0)))
+
+    def layer_norm(x):
+        return (x - x.mean(axis=-1, keepdims=True)) / np.sqrt(x.var(axis=-1, keepdims=True)
+                                                             + _NORM_EPS)
+
+    def local(i, sinks, entries, layer, cols, q, k, v):
+        nonlocal margin
+        own_t = temporal_index(i, rope_cfg)
+        keys = np.concatenate([apply_rope(kept[j][layer][0][:, cols], temporal_index(
+            i, rope_cfg, i - j), rope_cfg) for j in entries] + [apply_rope(k, own_t, rope_cfg)])
+        values = np.concatenate([kept[j][layer][1][:, cols] for j in entries] + [v])
+        q_rot = apply_rope(q, own_t, rope_cfg)
+        scores = (q_rot.reshape(-1, bt, hd).mean(axis=1)
+                  @ keys.reshape(-1, bt, hd).mean(axis=1).T)
+        t_m, t_n = scores.shape
+        forced = set(range(sinks * bpc)) | set(range(t_n - bpc, t_n))
+        need = min(t_n, max(len(forced), math.ceil(cfg.keep_ratio * t_n))) - len(forced)
+        active = np.zeros((t_m, t_n), dtype=bool)
+        for r in range(t_m):
+            ranked = sorted((b for b in range(t_n) if b not in forced),
+                            key=lambda b: (-scores[r, b], b))
+            for b in sorted(forced) + ranked[:need]:
+                active[r, b] = True
+            if 0 < need < len(ranked):
+                margin = min(margin, scores[r, ranked[need - 1]] - scores[r, ranked[need]])
+        return masked_dense_attention(q_rot, keys, values, BlockMask(active), 1 / math.sqrt(hd))
+
+    def history(i, evicted, layer, cols, q):
+        L, H = np.zeros((hd, hd)), np.zeros(hd)
+        for j in evicted:
+            k, v = (a[:, cols] for a in kept[j][layer])
+            fk = phi(k)
+            L += apply_rope(fk, 0, rope_cfg).T @ v
+            H += fk.mean(axis=0)  # H sums each chunk's mean of phi(k), as absorb_evicted does
+        fq = phi(q)
+        return (apply_rope(fq, temporal_index(i, rope_cfg), rope_cfg) @ L) \
+            / (fq @ H + EPS_DIV)[:, None]
+
+    def forward(i, x, t):
+        sinks = min(i, cfg.sink_chunks)
+        oldest = max(cfg.sink_chunks, i - cfg.capacity_chunks)  # the window's first chunk
+        entries = list(range(sinks)) + list(range(oldest, i))
+        evicted = range(cfg.sink_chunks, oldest)
+        h = x + model.time_table[ts.index(t) if t else len(ts)]
+        kvs = []
+        for layer, w in enumerate(model.layers):
+            q, k, v = np.split(layer_norm(h) @ w["wqkv"], 3, axis=1)
+            kvs.append((k, v))
+            heads, readout = [], []
+            for head in range(cfg.heads):
+                cols = slice(head * hd, (head + 1) * hd)
+                heads.append(local(i, sinks, entries, layer, cols, q[:, cols], k[:, cols],
+                                   v[:, cols]))
+                if cfg.linear_history and evicted:
+                    readout.append(history(i, evicted, layer, cols, q[:, cols]))
+            attended = np.concatenate(heads, axis=1)
+            if readout:
+                attended = attended + np.concatenate(readout, axis=1) @ w["history_proj"]
+            h = h + attended @ w["wo"]
+            u = layer_norm(h) @ w["w1"]
+            h = h + (0.5 * u * (1.0 + erf(u / math.sqrt(2.0)))) @ w["w2"]
+        return h, kvs
+
+    shape = (cfg.chunk_tokens, cfg.model_dim)
+    for i in range(chunks):
+        x = rng.normal(shape)
+        for j, t in enumerate(ts):
+            x0 = forward(i, x, t)[0]
+            if j + 1 < len(ts):
+                x = (1.0 - ts[j + 1]) * x0 + ts[j + 1] * rng.normal(shape)
+        kept.append(forward(i, x0, 0.0)[1])
+        latents.append(x0)
+    return latents, margin
+
+
+def reference_equivalence_check(configs: Sequence[StreamConfig], past_cap: int) -> CheckResult:
+    """run_stream against reference_stream to 1e-12 relative (each chunk's
+    largest latent difference over its largest latent magnitude), each
+    config streamed max_temporal_index + past_cap chunks. The detail gives
+    the smallest top-k margin, so a near-tie reads as one."""
+    worst, margin = 0.0, math.inf
+    for cfg in configs:
+        chunks = cfg.max_temporal_index + past_cap
+        want, chosen_by = reference_stream(cfg, chunks)
+        for got, ref in zip(run_stream(cfg, chunks).latents, want):
+            worst = max(worst, np.abs(got - ref).max() / np.abs(ref).max())
+        margin = min(margin, chosen_by)
+    return _check("stream.reference_equivalence", worst <= 1e-12,
+                  f"max relative latent difference {worst:.2e} over {len(configs)} streams "
+                  f"{past_cap} chunks past the RoPE cap; smallest top-k margin {margin:.2e}")
+
+
 def _suite_stream() -> list[CheckResult]:
     out = []
     res = run_stream(_TOY, 60)
@@ -544,6 +666,9 @@ def _suite_stream() -> list[CheckResult]:
                       f"steady-state score evals {steady[0]} per chunk"))
 
     out.append(workspace_reuse_check())
+    # the default layout, whose quota is all forced, and one that chooses
+    out.append(reference_equivalence_check(
+        [config_for_mode("hybrid", _TOY), replace(_TOY, keep_ratio=0.5, window_frames=12)], 4))
 
     hybrid = run_stream(config_for_mode("hybrid", _TOY), 10)
     dense = run_stream(config_for_mode("dense21", _TOY), 10)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from hybridstream import distill, engine
+from hybridstream import distill, engine, rope, sparse_local
 from hybridstream.distill import DistillConfig
 from hybridstream.engine import (
     BENCH_MODES,
@@ -27,7 +27,7 @@ from hybridstream.engine import (
     run_stream,
 )
 from hybridstream.errors import ContractViolationError, ShapeError
-from hybridstream.numerics import SeededRng
+from hybridstream.numerics import SeededRng, as_index
 from hybridstream.linear_history import elu_plus_one, history_output
 from hybridstream.rope import apply_rope, position_tables, temporal_index
 from hybridstream.sparse_local import (BlockConfig, BlockMask, block_means, block_scores,
@@ -602,6 +602,30 @@ class TestWindowWorkspace:
         assert attention - softmax < layer_keys, (attention, softmax, layer_keys)
 
 
+class TestWindowFill:
+    """The window is filled entry by entry and rotated in one shot, and its
+    block means are summed into their slots: bit for bit what per-entry
+    rotations and block_means give."""
+
+    @pytest.mark.parametrize("cfg, chunks", [
+        (TestRotatedWindowMemo.CFG, 9),
+        (replace(StreamConfig(), window_frames=45), 30),  # 16 entries, past the cap
+        (_FIXTURE, 3),
+    ])
+    def test_bit_equal_to_per_entry_rotation_and_block_means(self, cfg, chunks):
+        cache = random_cache(cfg, chunks, seed=130)
+        keys, values, means = _window(cache, cfg, chunks)[:3]
+        visible = cache.visible_kv(chunks)
+        rel = temporal_index(chunks, cfg.rope_config, [dist for _, dist in visible])
+        for i, ((entry, _), t) in enumerate(zip(visible, rel)):
+            assert np.array_equal(keys[:, :, i], apply_rope(entry.keys, t, cfg.rope_config))
+            assert np.array_equal(values[:, :, i], entry.values)
+        n = len(visible)
+        window_keys = keys[:, :, :n].reshape(cfg.layers, cfg.heads, -1, cfg.head_dim)
+        assert np.array_equal(means[:, :, :n * cfg.blocks_per_chunk],
+                              block_means(window_keys, cfg.block_tokens))
+
+
 class TestSharedTables:
     """The rotation tables, the block layouts and the masks whose quota
     leaves no choice are built once per sizes and shared by every cache,
@@ -862,13 +886,44 @@ class TestHybridAttention:
 
     @pytest.mark.parametrize("layer, error", [(-1, ContractViolationError),
                                               (2, ContractViolationError),
-                                              (1.0, TypeError), (True, TypeError)])
+                                              (1.0, TypeError), (True, TypeError),
+                                              pytest.param(np.float64(1.0), TypeError,
+                                                           id="float64-TypeError"),
+                                              pytest.param(np.array(1.0), TypeError,
+                                                           id="0d-float-TypeError")])
     def test_layer_outside_the_model_rejected(self, layer, error):
         # -1 would read the last layer's slots, 1.0 index them as 1, True broadcast
         cache = random_cache(TOY, 8, seed=7)
         with pytest.raises(error, match="layer"):
             hybrid_attention(random_qkv(TOY, 89), cache, layer, TOY, 8, history_proj(TOY, 0))
         assert cache._memo is None  # refused before the workspace was built
+
+    def test_plain_int_layer_and_distances_skip_as_index(self, monkeypatch):
+        # a plain int is taken as it is; anything else still goes through
+        # as_index (test_layer_outside_the_model_rejected and
+        # test_non_integer_position_or_distance_rejected pin its refusals)
+        taken = []
+
+        def counted(value, name):
+            taken.append(name)
+            return as_index(value, name)
+
+        for module in (engine, rope, sparse_local):
+            monkeypatch.setattr(module, "as_index", counted)
+        model = model_of(TOY)
+        cache, rng = model.new_cache(), SeededRng(131)
+        for _ in range(5):  # the window fills by chunk 4; each layout is built once
+            chunk_step(model, cache, TOY.denoise_timesteps, rng)
+        taken.clear()
+        for _ in range(2):
+            chunk_step(model, cache, TOY.denoise_timesteps, rng)
+        assert taken == []
+        qkv, proj = random_qkv(TOY, 132), history_proj(TOY, 1)
+        want = hybrid_attention(qkv, cache, 1, TOY, 7, proj)
+        assert np.array_equal(hybrid_attention(qkv, cache, np.int64(1), TOY, 7, proj), want)
+        assert taken == ["layer"]
+        assert temporal_index(np.int64(30), TOY.rope_config, [np.int64(3), 2]) == [18, 19]
+        assert taken[-2:] == ["chunk_pos", "distance"]
 
 
 class TestDenseOracle:

@@ -6,7 +6,8 @@ import pytest
 
 from hybridstream.errors import ContractViolationError, ShapeError
 from hybridstream.numerics import SeededRng
-from hybridstream.rope import RoPEConfig, apply_rope, position_tables, rotate, temporal_index
+from hybridstream.rope import (RoPEConfig, apply_rope, position_tables, rotate, rotate_into,
+                               temporal_index)
 
 CFG = RoPEConfig(16, max_temporal_index=21)
 
@@ -203,27 +204,46 @@ class TestTablesAndRotate:
 
     def test_size_one_dims_do_not_broadcast(self):
         # tables of the input's own trailing shape only: [1, tokens, d] over
-        # [heads, tokens, d] is refused, with and without out
+        # [heads, tokens, d] is refused
         x = np.zeros((2, 6, 16))
         cos, sin = position_tables(CFG, 6)
-        for out in (None, np.empty(x.shape)):
-            with pytest.raises(ShapeError, match="do not fit"):
-                rotate(x, cos[None, 3], sin[None, 3], out=out)
+        with pytest.raises(ShapeError, match="do not fit"):
+            rotate(x, cos[None, 3], sin[None, 3])
         assert rotate(x, cos[[3, 3]], sin[[3, 3]]).shape == x.shape
 
     def test_out_bit_equal_to_fresh_result(self):
-        # slab-wise into out, including a strided view such as the engine's
-        # window slots, and with tables that broadcast over leading dims
+        # rotate_into writes into out, here a strided view such as the
+        # engine's window slots, with tables that broadcast over leading
+        # dims, and leaves its scratch input holding x * cos
         x = SeededRng(13).normal((2, 3, 4, 6, 16))
         tables = position_tables(CFG, 6)
         for t in (7, np.array([0, 21, 5, 9]), np.array([[1, 2, 3, 4]] * 3)):
             want = per_slice(x, t)
             cos, sin = (table[t] for table in tables)
             slots = np.full((2, 3, 5, 6, 16), np.nan)
-            got = rotate(x, cos, sin, out=slots[:, :, :4])
+            scratch = x.copy()
+            got = rotate_into(scratch, cos, sin, slots[:, :, :4])
             assert got.base is slots and np.array_equal(got, want)
             assert np.isnan(slots[:, :, 4]).all()  # nothing outside out is written
-            assert np.array_equal(rotate(x, cos, sin, out=np.empty(x.shape)), want)
+            assert np.array_equal(scratch, x * cos)
+            assert np.array_equal(rotate(x, cos, sin), want)
+
+    def test_rotate_leaves_its_input_unchanged(self):
+        # rotate hands the kernel a copy as its scratch; x, a view of a
+        # larger array here, keeps every bit
+        base = SeededRng(14).normal((3, 2, 6, 16))
+        x = base[1:]
+        before = base.copy()
+        cos, sin = (table[[4, 21]] for table in position_tables(CFG, 6))
+        got = rotate(x, cos, sin)
+        assert np.array_equal(base, before)
+        assert not np.shares_memory(got, base)
+        assert np.array_equal(got, per_slice(x, np.array([4, 21])))
+        # the engine's query rotation: a view of the chunk's qkv
+        qkv = SeededRng(15).normal((3, 2, 6, 16))
+        kept = qkv.copy()
+        rotate(qkv[:2], cos[1], sin[1])
+        assert np.array_equal(qkv, kept)
 
     def test_position_tables_equal_angles_from_scratch(self):
         tokens, p = 6, CFG.pairs
@@ -250,13 +270,6 @@ class TestTablesAndRotate:
             cos[3] = 0.0
         with pytest.raises(ValueError):
             sin[3] = 0.0
-
-    def test_out_must_fit_x(self):
-        x = np.zeros((2, 4, 6, 16))
-        cos, sin = (table[3] for table in position_tables(CFG, 6))
-        for shape in ((2, 4, 6, 15), (1, 4, 6, 16), (4, 6, 16)):
-            with pytest.raises(ShapeError):
-                rotate(x, cos, sin, out=np.empty(shape))
 
 
 class TestConfig:

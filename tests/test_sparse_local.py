@@ -93,6 +93,17 @@ class TestBlockScores:
             with pytest.raises(ShapeError, match=f"blocks of {block}"):
                 block_means(np.zeros((8, 4)), block)
 
+    @pytest.mark.parametrize("block", [2.0, True, np.float64(4.0), np.array(4.0)])
+    def test_non_integer_block_rejected(self, block):
+        # 2.0 and True reached reshape unchecked and failed there, unnamed
+        with pytest.raises(TypeError, match="block must be an integer"):
+            block_means(np.zeros((8, 4)), block)
+
+    def test_integer_block_types_accepted(self):
+        x = SeededRng(16).normal((8, 4))
+        for block in (np.int64(4), np.array(4)):
+            assert np.array_equal(block_means(x, block), block_means(x, 4))
+
     def test_batched_bit_equal_to_per_slice_calls(self):
         rng = SeededRng(16)
         q, k = rng.normal((2, 3, 16, 8)), rng.normal((2, 3, 40, 8))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from hybridstream import verify
+from hybridstream.engine import BENCH_MODES, StreamConfig, config_for_mode
 from hybridstream.stream_cache import RollingCache
 
 CHECKS = sorted(name for name in vars(verify)
@@ -20,6 +21,16 @@ CHECKS = sorted(name for name in vars(verify)
 def test_suite_passes(suite):
     failed = [f"{r.name}: {r.detail}" for r in verify.SUITES[suite]() if not r.passed]
     assert not failed
+
+
+@pytest.mark.parametrize("window", [9, 45])
+@pytest.mark.parametrize("mode", list(BENCH_MODES))
+def test_stream_equals_the_reference(mode, window):
+    # 4 chunks past the RoPE cap; window 45 keeps 16 entries from chunk 16
+    # on, and its hybrid layout picks 5 of 45 free blocks per row
+    cfg = config_for_mode(mode, StreamConfig(window_frames=window))
+    check = verify.reference_equivalence_check([cfg], 4)
+    assert check.passed, check.detail
 
 
 @pytest.mark.parametrize("name", CHECKS)
