@@ -9,7 +9,8 @@ The training loop keeps the full structural skeleton of streaming
 distillation: per step it uniformly samples which timestep carries the
 update, rolls a small streaming fixture through the engine's chunk step
 down the distillation timesteps (dense attention before
-`phase_switch_step`, hybrid attention from it on), reads the analytic
+`phase_switch_step`, hybrid attention from it on), its noise for every
+chunk of the roll drawn in one call, reads the analytic
 critic off the current generator, and adds the teacher-anchored
 regularizer only on steps whose sampled timestep is the first (noisiest)
 one.
@@ -306,9 +307,12 @@ def train(
     schedule) down `config.timesteps` to that slot, take the
     distribution-matching gradient at the sampled timestep, and,
     only when the sampled slot is the noisiest one, add lambda times the
-    teacher-anchored regularizer. Everything downstream of the rng is
-    deterministic; lambda never influences the rng stream, so runs that
-    differ only in lambda are step-for-step comparable.
+    teacher-anchored regularizer. A roll's noise, fixture_chunks * (slot
+    + 1) arrays, is drawn in one rng.normal call (none when fixture_chunks
+    is 0), each chunk taking its slot + 1 in order: the draws one call per
+    chunk would make. Everything downstream of the rng is deterministic;
+    lambda never influences the rng stream, so runs that differ only in
+    lambda are step-for-step comparable.
 
     A diverging run raises DivergenceError naming its first step whose
     critic solve fails, or after which |b - mean| or |AA^T - cov|_F is not
@@ -328,6 +332,7 @@ def train(
         Phase.DENSE: ToyDenoiser(replace(fixture, keep_ratio=1.0, linear_history=False)),
         Phase.HYBRID: ToyDenoiser(fixture),
     }
+    noise_shape = (fixture.chunk_tokens, fixture.model_dim)
 
     rows = []
     trajectory = []
@@ -337,10 +342,13 @@ def train(
         s_index = min(s_index, t_count - 1)
         # the fixture: a forward-only pass of the chunk loop on a fresh
         # cache, each chunk denoised from the noisiest timestep to the sampled one
-        model = fixture_models[phase]
-        cache = model.new_cache()
-        for _ in range(config.fixture_chunks):
-            chunk_step(model, cache, config.timesteps[:s_index + 1], rng)
+        if config.fixture_chunks:
+            model = fixture_models[phase]
+            cache = model.new_cache()
+            rolled = config.timesteps[:s_index + 1]
+            noise = rng.normal(noise_shape, count=config.fixture_chunks * len(rolled))
+            for chunk_noise in noise.reshape((config.fixture_chunks, len(rolled)) + noise_shape):
+                chunk_step(model, cache, rolled, chunk_noise)
 
         # the analytic critic: the fake score comes straight from the
         # current generator parameters

@@ -10,10 +10,12 @@ schedule, re-noising between steps along the rectified-flow path
 cache its keys/values through a dedicated pass at t=0, and absorb whatever
 the rolling window evicts into the linear state. That chunk step
 (chunk_step), shared by run_stream and the distillation fixture, makes the
-chunk its cache appends next (RollingCache.next_index). It draws all of a
-chunk's noise in one SeededRng.normal call, and its t=0 pass stops after
-the last layer's local attention, with no history readout, since only the
-keys and values of that pass are kept (ToyDenoiser.compute_chunk_kv).
+chunk its cache appends next (RollingCache.next_index). It takes the
+chunk's noise from its caller, which draws it in one SeededRng.normal call
+(run_stream per chunk, the distillation fixture per roll), and its t=0
+pass stops after the last layer's local attention, with no history
+readout, since only the keys and values of that pass are kept
+(ToyDenoiser.compute_chunk_kv).
 
 A layer pass makes one product for the queries, keys and values (the
 ToyDenoiser's [model_dim, 3 * model_dim] "wqkv") and copies its head split
@@ -466,18 +468,24 @@ def append_and_absorb(cache: RollingCache, kv: ChunkKV,
 
 
 def chunk_step(model: ToyDenoiser, cache: RollingCache, timesteps: Sequence[float],
-               rng: SeededRng, *, counters: OpCounters | None = None) -> np.ndarray:
+               noise: np.ndarray, *, counters: OpCounters | None = None) -> np.ndarray:
     """Generate and cache chunk cache.next_index; returns its prediction.
 
-    Start from fresh noise at the first timestep, denoise down `timesteps`
-    re-noising between steps, run the t=0 cache pass on the last
-    prediction, then append it (absorbing any eviction). The chunk's noise
-    is drawn in one call up front, len(timesteps) arrays: the start, then
-    one per re-noising, bit for bit the draws one call each would make.
+    Start from noise[0] at the first timestep, denoise down `timesteps`
+    re-noising with noise[j] before step j, run the t=0 cache pass on the
+    last prediction, then append it (absorbing any eviction). noise is the
+    chunk's [len(timesteps), chunk_tokens, model_dim] draw, which the
+    caller makes and chunk_step only reads: one SeededRng.normal(...,
+    count=len(timesteps)) is bit for bit the draws one call per timestep
+    would make. Noise of another shape raises ShapeError before the cache
+    is touched.
     """
     cfg = model.cfg
+    shape = (len(timesteps), cfg.chunk_tokens, cfg.model_dim)
+    got = getattr(noise, "shape", type(noise).__name__)
+    if got != shape:
+        raise ShapeError(f"noise {got}; want {shape}")
     index = cache.next_index
-    noise = rng.normal((cfg.chunk_tokens, cfg.model_dim), count=len(timesteps))
     x = noise[0]
     for j, t in enumerate(timesteps):
         x0 = model.forward(x, t, cache, index, counters)[0]
@@ -491,7 +499,9 @@ def chunk_step(model: ToyDenoiser, cache: RollingCache, timesteps: Sequence[floa
 def run_stream(cfg: StreamConfig, num_chunks: int,
                model: ToyDenoiser | None = None) -> StreamResult:
     """Full autoregressive loop (see chunk_step) with per-chunk
-    instrumentation. A given model must have been built from `cfg`."""
+    instrumentation. Each chunk's noise is drawn in one SeededRng.normal
+    call on the config seed's noise stream, inside the span its chunk_ms
+    times. A given model must have been built from `cfg`."""
     if num_chunks < 1:
         raise ValueError("num_chunks must be >= 1")
     model = model or ToyDenoiser(cfg)
@@ -505,11 +515,14 @@ def run_stream(cfg: StreamConfig, num_chunks: int,
     chunk_scores = np.zeros(num_chunks, dtype=np.int64)
     chunk_pooled = np.zeros(num_chunks, dtype=np.int64)
     peak_tokens = 0
+    timesteps = cfg.denoise_timesteps
+    noise_shape = (cfg.chunk_tokens, cfg.model_dim)
 
     for i in range(num_chunks):
         counters = OpCounters()
         start = time.perf_counter()
-        x0 = chunk_step(model, cache, cfg.denoise_timesteps, noise_rng, counters=counters)
+        noise = noise_rng.normal(noise_shape, count=len(timesteps))
+        x0 = chunk_step(model, cache, timesteps, noise, counters=counters)
         chunk_ms[i] = (time.perf_counter() - start) * 1e3
         chunk_scores[i], chunk_pooled[i] = counters.snapshot()
         peak_tokens = max(peak_tokens, cache.total_cached_tokens)

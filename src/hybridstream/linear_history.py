@@ -12,7 +12,9 @@ linear in growth, which keeps the normalizer meaningful and finite. It is
 evaluated as exp(min(x, 0)) + max(x, 0), equal to elu(x) + 1 bit for bit.
 Rotations use rope.position_tables: absorb_evicted rotates through
 apply_rope, which reads the cached row at temporal index 0, and
-history_output takes the query chunk's row from its caller.
+history_output takes the query chunk's row from its caller and rotates
+phi(q) in place of a copy (rope.rotate_into), after the denominator has
+read it.
 
 Note the deliberate asymmetry: the rotation enters L and the query
 numerator but not H or the denominator, and H averages within each evicted
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .rope import RoPEConfig, apply_rope, rotate
+from .rope import RoPEConfig, apply_rope, check_tables, rotate_into
 
 EPS_DIV = 1e-6  # denominator guard for adversarial queries
 
@@ -142,11 +144,13 @@ def history_output(
     model_dim = state.heads * state.head_dim
     if projection.shape != (model_dim, model_dim):
         raise ShapeError(f"projection must be [{model_dim}, {model_dim}], got {projection.shape}")
+    check_tables(queries.shape, cos, sin)
     tokens = queries.shape[1]
     fq = elu_plus_one(queries)
-    num = rotate(fq, cos, sin) @ state.L  # [heads, tokens, head_dim]
-    # a matrix-vector product per head, rounded as fq[h] @ H[h] would be
+    # a matrix-vector product per head, rounded as fq[h] @ H[h] would be;
+    # taken first, since the rotation then takes fq as its scratch
     den = fq @ state.H[:, :, None] + EPS_DIV  # [heads, tokens, 1]
+    num = rotate_into(fq, cos, sin, np.empty(fq.shape)) @ state.L  # [heads, tokens, head_dim]
     num /= den
     concat = num.transpose(1, 0, 2).reshape(tokens, model_dim)
     return concat @ projection

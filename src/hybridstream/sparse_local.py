@@ -241,8 +241,8 @@ def sparse_attention(
     if counters is not None:
         counters.score_evals += idx.size * b_q * b_kv
 
-    k_rows = k.reshape(t_n, b_kv, -1)[idx].reshape(t_m, c * b_kv, -1)
-    v_rows = v.reshape(t_n, b_kv, -1)[idx].reshape(t_m, c * b_kv, -1)
+    k_rows = k.reshape(t_n, b_kv, -1).take(idx, axis=0).reshape(t_m, c * b_kv, -1)
+    v_rows = v.reshape(t_n, b_kv, -1).take(idx, axis=0).reshape(t_m, c * b_kv, -1)
     # the softmax works in place on s, so the scores are the one temporary as
     # large as the gathered keys
     s = q.reshape(t_m, b_q, -1) @ k_rows.transpose(0, 2, 1)  # [t_m, b_q, c*b_kv]

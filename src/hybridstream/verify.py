@@ -522,12 +522,13 @@ def workspace_reuse_check() -> CheckResult:
     chunks = cfg.max_temporal_index + 4
     model = ToyDenoiser(cfg)
     kept, fresh = model.new_cache(), model.new_cache()
-    kept_rng, fresh_rng = SeededRng(7), SeededRng(7)
+    rng, ts = SeededRng(7), cfg.denoise_timesteps
     differ = []
     for i in range(chunks):
         fresh = RollingCache.restore(fresh.snapshot())
-        a = chunk_step(model, kept, cfg.denoise_timesteps, kept_rng)
-        b = chunk_step(model, fresh, cfg.denoise_timesteps, fresh_rng)
+        noise = rng.normal((cfg.chunk_tokens, cfg.model_dim), count=len(ts))
+        a = chunk_step(model, kept, ts, noise)
+        b = chunk_step(model, fresh, ts, noise)
         if not np.array_equal(a, b):
             differ.append(i)
     return _check("engine.workspace_reuse_bit_identical", not differ,

@@ -71,7 +71,8 @@ def alternated_streams(cfgs, chunks: int):
     """Stream every config's chunks in turn, chunk i of each before chunk
     i + 1 of any, and the order flipped every chunk, so a change of host
     speed reaches every stream alike. Per config: (score_evals, chunk_ms),
-    each [chunks], with the noise run_stream would draw."""
+    each [chunks], with the noise run_stream would draw, drawn as it draws
+    it: in one call per chunk, inside the chunk's timed span."""
     models = [ToyDenoiser(cfg) for cfg in cfgs]
     caches = [m.new_cache() for m in models]
     rngs = [SeededRng(cfg.seed).derive(_NOISE_STREAM) for cfg in cfgs]
@@ -81,9 +82,10 @@ def alternated_streams(cfgs, chunks: int):
         order = range(len(cfgs)) if i % 2 == 0 else reversed(range(len(cfgs)))
         for j in order:
             counters = OpCounters()
+            ts, cfg = cfgs[j].denoise_timesteps, cfgs[j]
             start = time.perf_counter()
-            chunk_step(models[j], caches[j], cfgs[j].denoise_timesteps, rngs[j],
-                       counters=counters)
+            noise = rngs[j].normal((cfg.chunk_tokens, cfg.model_dim), count=len(ts))
+            chunk_step(models[j], caches[j], ts, noise, counters=counters)
             ms[j, i] = (time.perf_counter() - start) * 1e3
             evals[j, i] = counters.score_evals
     return list(zip(evals, ms))

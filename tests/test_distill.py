@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hybridstream import distill
 from hybridstream.distill import (
     AffineGenerator,
     DistillConfig,
@@ -368,6 +369,39 @@ class TestTrainLoop:
         b = train(self.cfg(), w, gen, SeededRng(25))
         assert np.array_equal(a.parameter_trajectory(), b.parameter_trajectory())
         assert [r.loss_dmd for r in a.rows] == [r.loss_dmd for r in b.rows]
+
+    @staticmethod
+    def normal_calls(monkeypatch, cfg, seed):
+        """train's trajectory and the normal calls on its rng, (shape, count)
+        each, with every batched draw made one call per array."""
+        normal = SeededRng.normal
+        rng, calls = SeededRng(seed), []
+
+        def one_call_per_array(self, shape, count=None):
+            if self is rng:
+                calls.append((tuple(shape), count))
+            if count is None:
+                return normal(self, shape)
+            return np.stack([normal(self, shape) for _ in range(count)])
+
+        with monkeypatch.context() as m:
+            m.setattr(SeededRng, "normal", one_call_per_array)
+            res = train(cfg, world2(), AffineGenerator(0.5 * np.eye(2), np.zeros(2)), rng)
+        return res, calls
+
+    @pytest.mark.parametrize("fixture_chunks", [4, 1, 0])
+    def test_fixture_noise_drawn_in_one_call_per_step(self, monkeypatch, fixture_chunks):
+        cfg = self.cfg(steps=16, phase_switch_step=8, fixture_chunks=fixture_chunks)
+        batched = train(cfg, world2(), AffineGenerator(0.5 * np.eye(2), np.zeros(2)),
+                        SeededRng(30))
+        separate, calls = self.normal_calls(monkeypatch, cfg, 30)
+        assert np.array_equal(batched.parameter_trajectory(), separate.parameter_trajectory())
+        chunk = (distill._FIXTURE.chunk_tokens, distill._FIXTURE.model_dim)
+        assert len({r.s_index for r in separate.rows}) > 1
+        # the teacher pool, then per step the fixture's roll (if any) and the critic's pair
+        per_step = [[(chunk, fixture_chunks * (r.s_index + 1))] * bool(fixture_chunks)
+                    + [((cfg.batch_size, 2), 2)] for r in separate.rows]
+        assert calls == [((cfg.batch_size, 2), None)] + sum(per_step, [])
 
     def test_trajectory_is_a_declared_field(self):
         w = world2()

@@ -261,6 +261,15 @@ class TestCachePass:
         assert prediction is not None and len(gelus) == cfg.layers
 
 
+def noisy_step(model, cache, rng, timesteps=None):
+    """chunk_step on the chunk's noise drawn from rng as run_stream draws
+    it, in one normal call; timesteps default to the model's schedule."""
+    cfg = model.cfg
+    ts = cfg.denoise_timesteps if timesteps is None else timesteps
+    noise = rng.normal((cfg.chunk_tokens, cfg.model_dim), count=len(ts))
+    return chunk_step(model, cache, ts, noise)
+
+
 def per_step_noise_chunk_step(model, cache, timesteps, rng):
     """chunk_step as it drew its noise: one normal call per timestep, the
     start first, then each re-noising's just before it."""
@@ -279,19 +288,38 @@ def per_step_noise_chunk_step(model, cache, timesteps, rng):
 
 class TestChunkNoise:
     def test_one_normal_call_per_chunk(self, monkeypatch):
-        model = model_of(TOY)
-        cache, rng = model.new_cache(), SeededRng(130)
+        model = model_of(TOY)  # built before the count: its weights are draws too
+        want = run_stream(TOY, 3, model)
         counts = []
         normal = SeededRng.normal
 
         def counted(self, shape, count=None):
-            counts.append(count)
+            counts.append((shape, count))
             return normal(self, shape, count=count)
 
         monkeypatch.setattr(SeededRng, "normal", counted)
-        for _ in range(3):
-            chunk_step(model, cache, TOY.denoise_timesteps, rng)
-        assert counts == [len(TOY.denoise_timesteps)] * 3
+        got = run_stream(TOY, 3, model)
+        shape = (TOY.chunk_tokens, TOY.model_dim)
+        assert counts == [(shape, len(TOY.denoise_timesteps))] * 3
+        assert all(np.array_equal(a, b) for a, b in zip(got.latents, want.latents, strict=True))
+
+    @pytest.mark.parametrize("shape", [(3, 12, 16), (5, 12, 16), (4, 16, 12), (12, 16),
+                                       (4, 12, 16, 1), None])
+    def test_noise_of_another_shape_refused_before_the_cache_changes(self, shape):
+        model = model_of(TOY)
+        cache, rng = model.new_cache(), SeededRng(134)
+        for _ in range(5):  # past the first eviction
+            noisy_step(model, cache, rng)
+        before = cache.snapshot()
+        # None: an rng in place of its draw
+        noise = rng if shape is None else rng.normal(shape)
+        with pytest.raises(ShapeError, match="noise"):
+            chunk_step(model, cache, TOY.denoise_timesteps, noise)
+        assert cache.next_index == 5 and cache.snapshot() == before
+        # the schedule fixes the count: the full draw does not fit a shorter one
+        with pytest.raises(ShapeError, match="noise"):
+            chunk_step(model, cache, TOY.denoise_timesteps[:2], rng.normal((4, 12, 16)))
+        assert cache.next_index == 5 and cache.snapshot() == before
 
     @pytest.mark.parametrize("timesteps", [(1.0, 0.75, 0.5, 0.25), (1.0, 0.75), (1.0,)])
     def test_bit_equal_to_one_draw_per_timestep(self, timesteps):
@@ -300,7 +328,7 @@ class TestChunkNoise:
         got_cache, want_cache = model.new_cache(), model.new_cache()
         got_rng, want_rng = SeededRng(131), SeededRng(131)
         for i in range(8):
-            got = chunk_step(model, got_cache, timesteps, got_rng)
+            got = noisy_step(model, got_cache, got_rng, timesteps)
             want = per_step_noise_chunk_step(model, want_cache, timesteps, want_rng)
             assert np.array_equal(got, want), i
         assert got_cache.snapshot() == want_cache.snapshot()
@@ -317,10 +345,10 @@ class TestChunkIndexFromCache:
         whole = run_stream(cfg, 24)
         model = ToyDenoiser(cfg)
         cache, rng = model.new_cache(), SeededRng(cfg.seed).derive(engine._NOISE_STREAM)
-        head = [chunk_step(model, cache, cfg.denoise_timesteps, rng) for _ in range(8)]
+        head = [noisy_step(model, cache, rng) for _ in range(8)]
         restored = RollingCache.restore(cache.snapshot())
         model = ToyDenoiser(cfg)  # nothing of the first model is kept
-        tail = [chunk_step(model, restored, cfg.denoise_timesteps, rng) for _ in range(16)]
+        tail = [noisy_step(model, restored, rng) for _ in range(16)]
         assert restored.next_index == 24
         assert all(np.array_equal(a, b) for a, b in zip(head + tail, whole.latents, strict=True))
         assert restored.snapshot() == whole.final_cache.snapshot()
@@ -329,10 +357,12 @@ class TestChunkIndexFromCache:
         model = model_of(TOY)
         cache = model.new_cache()
         x0 = SeededRng(132).normal((TOY.chunk_tokens, TOY.model_dim))
+        ts = TOY.denoise_timesteps
+        noise = SeededRng(133).normal(x0.shape, count=len(ts))
         with pytest.raises(TypeError):
-            chunk_step(model, cache, 0, TOY.denoise_timesteps, SeededRng(133))
+            chunk_step(model, cache, 0, ts, noise)
         with pytest.raises(TypeError):
-            chunk_step(model, cache, TOY.denoise_timesteps, SeededRng(133), chunk_index=0)
+            chunk_step(model, cache, ts, noise, chunk_index=0)
         with pytest.raises(TypeError):
             model.compute_chunk_kv(x0, cache, 0)
         with pytest.raises(TypeError):
@@ -494,7 +524,7 @@ class TestWindowWorkspace:
         seen = []
         for i in range(10):
             seen.append(self.arrays(_window(cache, cfg, i)))
-            chunk_step(model, cache, cfg.denoise_timesteps, rng)
+            noisy_step(model, cache, rng)
         for i in range(1, 10):
             # the window grows through chunk 5, then keeps its size
             reused = [a is b for a, b in zip(seen[i], seen[i - 1])]
@@ -521,7 +551,7 @@ class TestWindowWorkspace:
         model = model_of(replace(TOY, **{size: value}))
         entries = [e.chunk_index for e in cache.entries()]
         with pytest.raises(ShapeError, match="cache does not fit the model"):
-            chunk_step(model, cache, TOY.denoise_timesteps, SeededRng(86))
+            noisy_step(model, cache, SeededRng(86))
         assert cache.next_index == 8 and [e.chunk_index for e in cache.entries()] == entries
 
     def test_reallocated_after_restore_and_for_other_sizes(self):
@@ -682,14 +712,14 @@ class TestSharedTables:
         cache = model.new_cache()
         rng = SeededRng(23)
         for _ in range(20):  # a 45-frame window is full from chunk 16
-            chunk_step(model, cache, cfg.denoise_timesteps, rng)
+            noisy_step(model, cache, rng)
         masks = []
         init, made = BlockMask.__post_init__, BlockMask._made
         monkeypatch.setattr(BlockMask, "__post_init__",
                             lambda m: (masks.append(("copy", m)), init(m)))
         monkeypatch.setattr(BlockMask, "_made", classmethod(
             lambda cls, active, index: masks.append(("made", made(active, index))) or masks[-1][1]))
-        chunk_step(model, cache, cfg.denoise_timesteps, rng)
+        noisy_step(model, cache, rng)
         monkeypatch.undo()
         return masks
 
@@ -741,7 +771,7 @@ class TestContiguousQkv:
         monkeypatch.setattr(engine, "hybrid_attention", spy)
         chunks = cfg.sink_chunks + cfg.capacity_chunks + 2  # past the first eviction
         for _ in range(chunks):
-            chunk_step(model, cache, cfg.denoise_timesteps, rng)
+            noisy_step(model, cache, rng)
         assert len(seen) == chunks * (len(cfg.denoise_timesteps) + 1) * cfg.layers
         assert all(contiguous for contiguous, _ in seen)
         # one keys-only layer (the cache pass's last, with no projection) per chunk
@@ -784,7 +814,7 @@ class TestHistorySkip:
         model = ToyDenoiser(cfg)
         stream = model.new_cache()
         for _ in range(chunks + 1):
-            chunk_step(model, stream, cfg.denoise_timesteps, SeededRng(99))
+            noisy_step(model, stream, SeededRng(99))
 
     def test_read_once_per_pass_after_an_eviction(self, monkeypatch):
         cfg = TOY
@@ -805,7 +835,7 @@ class TestHistorySkip:
 
         monkeypatch.setattr(model, "forward", spy_forward)
         monkeypatch.setattr(engine, "history_output", spy)
-        chunk_step(model, cache, cfg.denoise_timesteps, SeededRng(101))
+        noisy_step(model, cache, SeededRng(101))
         passes = len(cfg.denoise_timesteps) + 1
         # the t=0 cache pass discards its last layer's attention output, and
         # with it that layer's readout
@@ -913,10 +943,10 @@ class TestHybridAttention:
         model = model_of(TOY)
         cache, rng = model.new_cache(), SeededRng(131)
         for _ in range(5):  # the window fills by chunk 4; each layout is built once
-            chunk_step(model, cache, TOY.denoise_timesteps, rng)
+            noisy_step(model, cache, rng)
         taken.clear()
         for _ in range(2):
-            chunk_step(model, cache, TOY.denoise_timesteps, rng)
+            noisy_step(model, cache, rng)
         assert taken == []
         qkv, proj = random_qkv(TOY, 132), history_proj(TOY, 1)
         want = hybrid_attention(qkv, cache, 1, TOY, 7, proj)

@@ -389,8 +389,10 @@ class TestSnapshot:
         del cache.linear_states[1]
         restored = RollingCache.restore(cache.snapshot())
         assert len(restored.linear_states) == 1
+        ts, cfg = self.STREAM.denoise_timesteps, self.STREAM
+        noise = SeededRng(7).normal((cfg.chunk_tokens, cfg.model_dim), count=len(ts))
         with pytest.raises(ShapeError, match="1 linear states for entries of 2 layers"):
-            chunk_step(model, restored, self.STREAM.denoise_timesteps, SeededRng(7))
+            chunk_step(model, restored, ts, noise)
         assert restored.next_index == 0 and restored.entries() == []
 
     def test_linear_state_shapes_that_disagree_are_format_error(self):

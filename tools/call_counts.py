@@ -8,7 +8,8 @@ checkouts at the same argument.
 
 - WINDOW (default the config's 9): streams the hybrid-mode StreamConfig
   (seed 0, window WINDOW frames), runs 30 warm-up chunks, then counts
-  each of the next 10 chunk_step calls.
+  each of the next 10 chunks: its noise draw and its chunk_step call,
+  as run_stream makes them.
 - distill: trains the default DistillConfig on the 2-D world, seeded as
   `hybridstream distill --seed 0` seeds it, once to warm up, then again
   counted, and gives the calls per generator step: from the first step's
@@ -32,8 +33,9 @@ def stream_counts(window: dict) -> str:
     model = engine.ToyDenoiser(cfg)
     cache = model.new_cache()
     rng = SeededRng(cfg.seed).derive(engine._NOISE_STREAM)
+    ts, shape = cfg.denoise_timesteps, (cfg.chunk_tokens, cfg.model_dim)
     for _ in range(WARMUP):
-        engine.chunk_step(model, cache, cfg.denoise_timesteps, rng)
+        engine.chunk_step(model, cache, ts, rng.normal(shape, count=len(ts)))
 
     counts = {"call": 0, "c_call": 0}
 
@@ -43,7 +45,7 @@ def stream_counts(window: dict) -> str:
 
     for _ in range(COUNTED):
         sys.setprofile(profile)
-        engine.chunk_step(model, cache, cfg.denoise_timesteps, rng)
+        engine.chunk_step(model, cache, ts, rng.normal(shape, count=len(ts)))
         sys.setprofile(None)
     return (f"window {cfg.window_frames}: Python calls {counts['call'] / COUNTED:.1f}, "
             f"C calls {counts['c_call'] / COUNTED:.1f} per steady chunk "
