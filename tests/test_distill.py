@@ -370,12 +370,15 @@ class TestTrainLoop:
         assert np.array_equal(a.parameter_trajectory(), b.parameter_trajectory())
         assert [r.loss_dmd for r in a.rows] == [r.loss_dmd for r in b.rows]
 
-    @staticmethod
-    def normal_calls(monkeypatch, cfg, seed):
-        """train's trajectory and the normal calls on its rng, (shape, count)
-        each, with every batched draw made one call per array."""
+    @pytest.mark.parametrize("fixture_chunks", [4, 1, 0])
+    def test_fixture_noise_drawn_in_one_call_per_step(self, monkeypatch, fixture_chunks):
+        cfg = self.cfg(steps=16, phase_switch_step=8, fixture_chunks=fixture_chunks)
+        batched = train(cfg, world2(), AffineGenerator(0.5 * np.eye(2), np.zeros(2)),
+                        SeededRng(30))
+        # the normal calls on train's rng, (shape, count) each, with every
+        # batched draw made one call per array
         normal = SeededRng.normal
-        rng, calls = SeededRng(seed), []
+        rng, calls = SeededRng(30), []
 
         def one_call_per_array(self, shape, count=None):
             if self is rng:
@@ -384,17 +387,8 @@ class TestTrainLoop:
                 return normal(self, shape)
             return np.stack([normal(self, shape) for _ in range(count)])
 
-        with monkeypatch.context() as m:
-            m.setattr(SeededRng, "normal", one_call_per_array)
-            res = train(cfg, world2(), AffineGenerator(0.5 * np.eye(2), np.zeros(2)), rng)
-        return res, calls
-
-    @pytest.mark.parametrize("fixture_chunks", [4, 1, 0])
-    def test_fixture_noise_drawn_in_one_call_per_step(self, monkeypatch, fixture_chunks):
-        cfg = self.cfg(steps=16, phase_switch_step=8, fixture_chunks=fixture_chunks)
-        batched = train(cfg, world2(), AffineGenerator(0.5 * np.eye(2), np.zeros(2)),
-                        SeededRng(30))
-        separate, calls = self.normal_calls(monkeypatch, cfg, 30)
+        monkeypatch.setattr(SeededRng, "normal", one_call_per_array)
+        separate = train(cfg, world2(), AffineGenerator(0.5 * np.eye(2), np.zeros(2)), rng)
         assert np.array_equal(batched.parameter_trajectory(), separate.parameter_trajectory())
         chunk = (distill._FIXTURE.chunk_tokens, distill._FIXTURE.model_dim)
         assert len({r.s_index for r in separate.rows}) > 1
