@@ -28,7 +28,7 @@ import numpy as np
 
 from .engine import StreamConfig, ToyDenoiser, check_timesteps, chunk_step, rectified_flow
 from .errors import DivergenceError, ShapeError
-from .numerics import SeededRng, integer_fields
+from .numerics import SeededRng, float_fields, integer_fields
 
 _WORLD_EIGS = (0.3, 1.3)  # the covariance spectrum of a GaussianWorld.random
 # the streaming fixture train rolls each step, under the DistillConfig's timesteps
@@ -246,11 +246,12 @@ class DistillConfig:
 
     def __post_init__(self):
         integer_fields(self, ("phase_switch_step", "steps", "batch_size", "fixture_chunks"))
+        float_fields(self, ("lam", "generator_lr"))
         if not (0.0 <= self.lam < math.inf):
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         if not (0.0 < self.generator_lr < math.inf):
             raise ValueError(f"generator_lr must be finite and > 0, got {self.generator_lr}")
-        check_timesteps(self.timesteps)
+        object.__setattr__(self, "timesteps", check_timesteps(self.timesteps))
         if self.steps < 1 or self.batch_size < 1:
             raise ValueError("steps and batch_size must be >= 1")
         if self.phase_switch_step < 0:

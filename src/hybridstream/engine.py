@@ -43,7 +43,7 @@ from scipy.special import erf
 
 from .errors import ContractViolationError, ShapeError
 from .linear_history import LinearState, absorb_evicted, history_output
-from .numerics import SeededRng, as_index, integer_fields
+from .numerics import SeededRng, as_index, float_fields, integer_fields
 # apply_rope has no caller here: perfbench's tracer wraps engine.apply_rope (ROADMAP item 1)
 from .rope import RoPEConfig, apply_rope, position_tables, rotate, rotate_into, temporal_index
 from .sparse_local import BlockConfig, block_means, block_scores, build_mask, sparse_attention
@@ -71,13 +71,15 @@ def rectified_flow(t):
     return 1.0 - t, t
 
 
-def check_timesteps(ts) -> None:
-    """Raise ValueError unless `ts` is a non-empty, strictly descending
-    schedule in (0, 1]."""
+def check_timesteps(ts) -> tuple:
+    """`ts` as a tuple. Raise ValueError unless it is a non-empty, strictly
+    descending schedule in (0, 1]."""
+    ts = tuple(ts)
     if not ts or any(not (0.0 < t <= 1.0) for t in ts):
         raise ValueError("timesteps must lie in (0, 1]")
     if any(ts[i] <= ts[i + 1] for i in range(len(ts) - 1)):
         raise ValueError("timesteps must be strictly descending")
+    return ts
 
 
 @dataclass(frozen=True)
@@ -100,6 +102,7 @@ class StreamConfig:
         positive = ("frames_per_chunk", "window_frames", "tokens_per_frame", "heads",
                     "head_dim", "layers")
         integer_fields(self, positive + ("sink_chunks", "max_temporal_index", "seed"))
+        float_fields(self, ("keep_ratio", "base_theta"))
         for name in positive:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -112,7 +115,8 @@ class StreamConfig:
             raise ValueError(f"keep_ratio must be in (0, 1], got {self.keep_ratio}")
         if self.window_frames % self.frames_per_chunk != 0:
             raise ValueError("window_frames must be divisible by frames_per_chunk")
-        check_timesteps(self.denoise_timesteps)
+        # a tuple, so the frozen config hashes and its schedule cannot change
+        object.__setattr__(self, "denoise_timesteps", check_timesteps(self.denoise_timesteps))
         self.rope_config  # RoPEConfig checks head_dim, base_theta and max_temporal_index
 
     @property
@@ -501,7 +505,10 @@ def run_stream(cfg: StreamConfig, num_chunks: int,
     """Full autoregressive loop (see chunk_step) with per-chunk
     instrumentation. Each chunk's noise is drawn in one SeededRng.normal
     call on the config seed's noise stream, inside the span its chunk_ms
-    times. A given model must have been built from `cfg`."""
+    times. A given model must have been built from `cfg`. num_chunks goes
+    through numerics.as_index, so a float (even 2.0) or a bool raises
+    TypeError."""
+    num_chunks = as_index(num_chunks, "num_chunks")
     if num_chunks < 1:
         raise ValueError("num_chunks must be >= 1")
     model = model or ToyDenoiser(cfg)

@@ -11,8 +11,9 @@ is elu(x) + 1 (Katharopoulos et al., 2020): positive everywhere and only
 linear in growth, which keeps the normalizer meaningful and finite. It is
 evaluated as exp(min(x, 0)) + max(x, 0), equal to elu(x) + 1 bit for bit.
 Rotations use rope.position_tables: absorb_evicted rotates through
-apply_rope, which reads the cached row at temporal index 0, and
-history_output takes the query chunk's row from its caller and rotates
+apply_rope, which reads the cached row at temporal index 0, and folds the
+chunk into L as one batched matrix product, rotate(phi(k))^T v per head,
+and history_output takes the query chunk's row from its caller and rotates
 phi(q) in place of a copy (rope.rotate_into), after the denominator has
 read it.
 
@@ -107,7 +108,7 @@ def absorb_evicted(
         )
     fk = elu_plus_one(keys)
     rotated = apply_rope(fk, 0, rope_cfg)
-    L = state.L + np.einsum("htd,hte->hde", rotated, values)
+    L = state.L + rotated.transpose(0, 2, 1) @ values  # one BLAS product per head
     H = np.add.reduce(fk, axis=1)
     H /= keys.shape[1]  # the sum over the count, as fk.mean rounds it
     H += state.H

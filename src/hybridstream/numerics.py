@@ -9,6 +9,7 @@ view, which is how cache snapshots store theirs (stream_cache).
 from __future__ import annotations
 
 import io
+import numbers
 import operator
 import struct
 from typing import BinaryIO
@@ -50,11 +51,26 @@ def as_index(value, name: str) -> int:
     raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
+def as_real(value, name: str) -> float:
+    """float(value). Raises TypeError naming `name` if value is not a real
+    number or is a bool (a str, even "0.5", None and True are refused)."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise TypeError(f"{name} must be a real number, got {value!r}")
+
+
 def integer_fields(config, names) -> None:
     """Set each named field of a (frozen) dataclass to as_index of its value,
     so a config holds ints."""
     for name in names:
         object.__setattr__(config, name, as_index(getattr(config, name), name))
+
+
+def float_fields(config, names) -> None:
+    """Set each named field of a (frozen) dataclass to as_real of its value,
+    so a config holds floats."""
+    for name in names:
+        object.__setattr__(config, name, as_real(getattr(config, name), name))
 
 
 class SeededRng:

@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ContractViolationError, ShapeError
-from .numerics import as_index, integer_fields
+from .numerics import as_index, float_fields, integer_fields
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,7 @@ class RoPEConfig:
 
     def __post_init__(self):
         integer_fields(self, ("head_dim", "max_temporal_index"))
+        float_fields(self, ("base_theta",))
         if self.head_dim < 4 or self.head_dim % 4:
             raise ShapeError(f"head_dim must be a positive multiple of 4, got {self.head_dim}")
         if self.max_temporal_index < 1:

@@ -312,6 +312,25 @@ class TestConfig:
         with pytest.raises(TypeError, match="steps must be an integer, got True"):
             DistillConfig(steps=True)
 
+    @pytest.mark.parametrize("name", ["lam", "generator_lr"])
+    def test_float_field_that_is_not_a_number_rejected(self, name):
+        # lam=True was held as 1.0, and lam="0.1" failed comparing a float
+        # with a str, naming no field
+        value = getattr(DistillConfig(), name)
+        held = getattr(DistillConfig(**{name: np.float64(value)}), name)
+        assert held == value and type(held) is float
+        assert type(getattr(DistillConfig(**{name: 1}), name)) is float
+        for bad in (True, str(value), None):
+            with pytest.raises(TypeError, match=f"{name} must be a real number, got {bad!r}"):
+                DistillConfig(**{name: bad})
+
+    def test_timesteps_held_as_a_tuple(self):
+        schedule = [1.0, 0.5]
+        cfg = DistillConfig(timesteps=schedule)
+        schedule.append(0.75)
+        assert cfg.timesteps == (1.0, 0.5)
+        assert hash(cfg) == hash(DistillConfig(timesteps=(1.0, 0.5)))
+
 
 class TestTrainLoop:
     def cfg(self, **kw):

@@ -1099,6 +1099,13 @@ class TestGenerateStream:
         assert np.array_equal(run_stream(TOY, 2, ToyDenoiser(TOY)).latents[1],
                               run_stream(TOY, 2).latents[1])
 
+    def test_num_chunks_that_is_not_an_integer_rejected(self):
+        # 2.0 and True failed inside numpy, naming no argument
+        assert len(run_stream(TOY, np.int64(2)).latents) == 2
+        for bad in (2.0, True, "2"):
+            with pytest.raises(TypeError, match="num_chunks must be an integer"):
+                run_stream(TOY, bad)
+
     def test_memory_bound(self):
         res = run_stream(TOY, 30)
         expected = (TOY.sink_chunks + TOY.capacity_chunks) * TOY.chunk_tokens
@@ -1178,6 +1185,28 @@ class TestConfigValidation:
         # heads=True was held as 1
         with pytest.raises(TypeError, match="heads must be an integer, got True"):
             StreamConfig(heads=True)
+
+    @pytest.mark.parametrize("name, whole", [("keep_ratio", 1), ("base_theta", 500)])
+    def test_float_field_that_is_not_a_number_rejected(self, name, whole):
+        # keep_ratio=True was held as 1.0, and keep_ratio="0.5" failed comparing
+        # a float with a str, naming no field
+        value = getattr(StreamConfig(), name)
+        for good in (np.float64(value), whole):
+            held = getattr(StreamConfig(**{name: good}), name)
+            assert held == good and type(held) is float
+        for bad in (True, str(value), None):
+            with pytest.raises(TypeError, match=f"{name} must be a real number, got {bad!r}"):
+                StreamConfig(**{name: bad})
+
+    def test_timesteps_held_as_a_tuple(self):
+        # a list was held as given: the config could not be hashed, and the
+        # schedule could be changed after check_timesteps passed it
+        schedule = [1.0, 0.5]
+        cfg = StreamConfig(denoise_timesteps=schedule)
+        schedule.append(0.75)
+        assert cfg.denoise_timesteps == (1.0, 0.5)
+        assert cfg == StreamConfig(denoise_timesteps=(1.0, 0.5))
+        assert hash(cfg) == hash(StreamConfig(denoise_timesteps=(1.0, 0.5)))
 
     @pytest.mark.parametrize("value", ["no", 2, 1, None])
     def test_non_bool_linear_history_rejected(self, value):

@@ -173,6 +173,22 @@ class TestAbsorb:
         assert np.abs(state.L - L).max() / (np.abs(L).max() + 1e-30) < 1e-9
         assert np.abs(state.H - H).max() / (np.abs(H).max() + 1e-30) < 1e-9
 
+    def test_L_is_one_batched_product(self):
+        # bit for bit the increment rotate(phi(k))^T v as one matmul per head,
+        # and to 1e-12 relative the per-token outer products it sums
+        state = fresh_state()
+        for seed in (30, 31):
+            state = absorb_evicted(state, *random_chunk(seed, tokens=48), ROPE)
+        keys, values = random_chunk(32, tokens=48)
+        got = absorb_evicted(state, keys, values, ROPE).L
+        rotated = apply_rope(elu_plus_one(keys), 0, ROPE)
+        assert np.array_equal(got, state.L + rotated.transpose(0, 2, 1) @ values)
+        want = state.L.copy()
+        for h in range(HEADS):
+            for tok in range(keys.shape[1]):
+                want[h] += np.outer(rotated[h, tok], values[h, tok])
+        assert np.abs(got - want).max() / np.abs(want).max() < 1e-12
+
     def test_shape_mismatch(self):
         state = fresh_state()
         with pytest.raises(ShapeError):

@@ -279,6 +279,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="base_theta must be finite and exceed 1"):
             RoPEConfig(16, base_theta=theta)
 
+    @pytest.mark.parametrize("theta", [True, "1e4", None])
+    def test_base_theta_that_is_not_a_number_rejected(self, theta):
+        with pytest.raises(TypeError, match=f"base_theta must be a real number, got {theta!r}"):
+            RoPEConfig(16, base_theta=theta)
+        assert type(RoPEConfig(16, base_theta=np.int64(500)).base_theta) is float
+
     def test_head_dim_must_be_positive_multiple_of_4(self):
         for head_dim in (0, -4, 2, 6, 18):
             with pytest.raises(ShapeError, match="positive multiple of 4"):
