@@ -6,7 +6,7 @@ distance behind a querying chunk.
 
 import numpy as np
 
-from hybridstream import ChunkKV, RollingCache, RoPEConfig, SeededRng, temporal_index
+from hybridstream import ChunkKV, RollingCache, SeededRng, temporal_index
 
 rng = SeededRng(0)
 
@@ -16,9 +16,9 @@ def make_chunk(idx):
     return ChunkKV(idx, rng.normal(shape), rng.normal(shape))
 
 
-# A window of 3 chunks plus one pinned sink chunk; the model's temporal cap is 21.
+# A window of 3 chunks plus one pinned sink chunk; every temporal index is
+# capped at MAX_TEMPORAL_INDEX, 21.
 cache = RollingCache(capacity_chunks=3, sink_chunks=1)
-rope_cfg = RoPEConfig(8, max_temporal_index=21)
 
 print("appending chunks 0..9 (chunk 0 is the sink)\n")
 for i in range(10):
@@ -36,7 +36,7 @@ print("Cached tokens stay bounded:", cache.total_cached_tokens)
 def show(cache, query):
     for entry, dist in cache.visible_kv(query):
         kind = "sink  " if entry.chunk_index < cache.sink_chunks else "window"
-        rel = temporal_index(query, rope_cfg, dist)
+        rel = temporal_index(query, dist)
         print(f"  {kind} chunk {entry.chunk_index:3d} (distance {dist:3d}) -> "
               f"relative temporal index {rel}")
 

@@ -9,7 +9,6 @@ import numpy as np
 
 from hybridstream import (
     LinearState,
-    RoPEConfig,
     SeededRng,
     absorb_evicted,
     apply_rope,
@@ -20,7 +19,6 @@ from hybridstream import (
 
 HEADS, HEAD_DIM, TOKENS = 2, 8, 6
 MODEL_DIM = HEADS * HEAD_DIM
-rope_cfg = RoPEConfig(HEAD_DIM, max_temporal_index=21)
 rng = SeededRng(3)
 
 # the layer's output projection: a model weight, not part of the state
@@ -29,10 +27,10 @@ state = LinearState.zeros(HEADS, HEAD_DIM)
 print(f"fresh state: {state.evicted_tokens} tokens absorbed, {state.nbytes} bytes")
 
 # Queries are rotated at their chunk's temporal index and each token's place
-# in the chunk; position_tables builds those tables once, and a readout
-# takes its temporal index's row.
+# in the chunk; position_tables builds those tables once per head_dim and
+# token count, and a readout takes its temporal index's row.
 q = rng.normal((HEADS, 4, HEAD_DIM))
-cos, sin = position_tables(rope_cfg, 4)
+cos, sin = position_tables(HEAD_DIM, 4)
 tables_5 = cos[5], sin[5]
 tables_21 = cos[21], sin[21]
 
@@ -48,10 +46,10 @@ for c in range(30):
     k = rng.normal((HEADS, TOKENS, HEAD_DIM))
     v = rng.normal((HEADS, TOKENS, HEAD_DIM))
     chunks.append((k, v))
-    state = absorb_evicted(state, k, v, rope_cfg)  # a new state; the old one is unchanged
+    state = absorb_evicted(state, k, v)  # a new state; the old one is unchanged
     fk = elu_plus_one(k)
     for h in range(HEADS):
-        rot = apply_rope(fk[h], 0, rope_cfg)
+        rot = apply_rope(fk[h], 0)
         L_direct[h] += rot.T @ v[h]
         H_direct[h] += fk[h].mean(axis=0)
 
@@ -73,6 +71,6 @@ print(f"  worst-case denominator for a 50-sigma query: {min(dens):.3e} (> 0)")
 # linear in what it stores.
 scaled = LinearState.zeros(HEADS, HEAD_DIM)
 for k, v in chunks:
-    scaled = absorb_evicted(scaled, k, 2.0 * v, rope_cfg)
+    scaled = absorb_evicted(scaled, k, 2.0 * v)
 out2 = history_output(scaled, q, *tables_21, projection)
 print(f"  linearity in V: |out(2v) - 2 out(v)| = {np.abs(out2 - 2 * out).max():.2e}")

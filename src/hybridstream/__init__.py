@@ -43,7 +43,7 @@ from .numerics import (
     softmax_rows,
     write_tensor,
 )
-from .rope import RoPEConfig, apply_rope, position_tables, rotate, temporal_index
+from .rope import MAX_TEMPORAL_INDEX, apply_rope, position_tables, rotate, temporal_index
 from .sparse_local import (
     BlockConfig,
     BlockMask,

@@ -251,7 +251,7 @@ class DistillConfig:
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         if not (0.0 < self.generator_lr < math.inf):
             raise ValueError(f"generator_lr must be finite and > 0, got {self.generator_lr}")
-        object.__setattr__(self, "timesteps", check_timesteps(self.timesteps))
+        object.__setattr__(self, "timesteps", check_timesteps(self.timesteps, "timesteps"))
         if self.steps < 1 or self.batch_size < 1:
             raise ValueError("steps and batch_size must be >= 1")
         if self.phase_switch_step < 0:

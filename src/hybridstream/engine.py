@@ -26,6 +26,10 @@ chunk's own keys are rotated in one call (hybrid_attention). Its norms,
 GELU and residual adds write in place; each is rounded as its textbook
 formula is.
 
+Keys and queries turn at capped temporal indices (rope.temporal_index)
+with rope's one cap and base, so a StreamConfig holds no rotary settings:
+its head_dim alone picks the rotation tables.
+
 The dense full-history oracle these pathways are checked against lives in
 verify, with every other oracle.
 """
@@ -35,7 +39,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -43,9 +47,9 @@ from scipy.special import erf
 
 from .errors import ContractViolationError, ShapeError
 from .linear_history import LinearState, absorb_evicted, history_output
-from .numerics import SeededRng, as_index, float_fields, integer_fields
+from .numerics import SeededRng, as_index, as_real, float_fields, integer_fields
 # apply_rope has no caller here: perfbench's tracer wraps engine.apply_rope (ROADMAP item 1)
-from .rope import RoPEConfig, apply_rope, position_tables, rotate, rotate_into, temporal_index
+from .rope import apply_rope, check_head_dim, position_tables, rotate, rotate_into, temporal_index
 from .sparse_local import BlockConfig, block_means, block_scores, build_mask, sparse_attention
 from .stream_cache import ChunkKV, RollingCache
 
@@ -71,10 +75,16 @@ def rectified_flow(t):
     return 1.0 - t, t
 
 
-def check_timesteps(ts) -> tuple:
-    """`ts` as a tuple. Raise ValueError unless it is a non-empty, strictly
-    descending schedule in (0, 1]."""
-    ts = tuple(ts)
+def check_timesteps(ts, name: str) -> tuple:
+    """`ts` as a tuple of floats, each entry taken through numerics.as_real,
+    so a str, None or bool entry, or a ts that is not a sequence, raises
+    TypeError naming `name`, the config field. Raise ValueError unless it is
+    a non-empty, strictly descending schedule in (0, 1]."""
+    try:
+        entries = iter(ts)
+    except TypeError:
+        raise TypeError(f"{name} must be a sequence of real numbers, got {ts!r}") from None
+    ts = tuple(as_real(t, name) for t in entries)
     if not ts or any(not (0.0 < t <= 1.0) for t in ts):
         raise ValueError("timesteps must lie in (0, 1]")
     if any(ts[i] <= ts[i + 1] for i in range(len(ts) - 1)):
@@ -92,8 +102,6 @@ class StreamConfig:
     head_dim: int = 16
     layers: int = 2
     keep_ratio: float = 0.2
-    max_temporal_index: int = 21
-    base_theta: float = 10000.0
     denoise_timesteps: tuple = (1.0, 0.75, 0.5, 0.25)
     seed: int = 0
     linear_history: bool = True  # absorb evicted chunks; off = plain drop
@@ -101,8 +109,8 @@ class StreamConfig:
     def __post_init__(self):
         positive = ("frames_per_chunk", "window_frames", "tokens_per_frame", "heads",
                     "head_dim", "layers")
-        integer_fields(self, positive + ("sink_chunks", "max_temporal_index", "seed"))
-        float_fields(self, ("keep_ratio", "base_theta"))
+        integer_fields(self, positive + ("sink_chunks", "seed"))
+        float_fields(self, ("keep_ratio",))
         for name in positive:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -116,8 +124,9 @@ class StreamConfig:
         if self.window_frames % self.frames_per_chunk != 0:
             raise ValueError("window_frames must be divisible by frames_per_chunk")
         # a tuple, so the frozen config hashes and its schedule cannot change
-        object.__setattr__(self, "denoise_timesteps", check_timesteps(self.denoise_timesteps))
-        self.rope_config  # RoPEConfig checks head_dim, base_theta and max_temporal_index
+        ts = check_timesteps(self.denoise_timesteps, "denoise_timesteps")
+        object.__setattr__(self, "denoise_timesteps", ts)
+        check_head_dim(self.head_dim)  # a positive multiple of 4, else ShapeError
 
     @property
     def model_dim(self) -> int:
@@ -139,11 +148,6 @@ class StreamConfig:
     @property
     def block_tokens(self) -> int:
         return self.tokens_per_frame
-
-    @cached_property
-    def rope_config(self) -> RoPEConfig:
-        # built once, by __post_init__; a frozen config's rotation never changes
-        return RoPEConfig(self.head_dim, self.base_theta, self.max_temporal_index)
 
 
 # Baseline configurations for relative-cost comparisons. "dense21" is plain
@@ -236,8 +240,7 @@ def _window(cache: RollingCache, cfg: StreamConfig, query_chunk_index: int) -> t
         visible = cache.visible_kv(query_chunk_index)
         n, bpc, bt = len(visible), cfg.blocks_per_chunk, cfg.block_tokens
         bcfg = _block_layout(len(cache.sink_entries), n, bpc, cfg.keep_ratio)
-        rope_cfg = cfg.rope_config
-        cos, sin = position_tables(rope_cfg, cfg.chunk_tokens)
+        cos, sin = position_tables(d, cfg.chunk_tokens)
         shape = (layers, heads, n + 1, cfg.chunk_tokens, d)
         means_shape = (layers, heads, (n + 1) * bpc, d)
         if stale is not None and (stale[0].shape, stale[2].shape) == (shape, means_shape):
@@ -246,8 +249,7 @@ def _window(cache: RollingCache, cfg: StreamConfig, query_chunk_index: int) -> t
             keys, values, key_means = np.empty(shape), np.empty(shape), np.empty(means_shape)
             key_cos, key_sin = np.empty((n,) + shape[3:]), np.empty((n,) + shape[3:])
         # the entries' temporal indices, then the chunk's own (distance 0)
-        *rel, q_t = temporal_index(query_chunk_index, rope_cfg,
-                                   [dist for _, dist in visible] + [0])
+        *rel, q_t = temporal_index(query_chunk_index, [dist for _, dist in visible] + [0])
         if visible:
             staged = values[:, :, :n]  # the unrotated keys, then the values
             for i, (e, _) in enumerate(visible):
@@ -450,8 +452,7 @@ class StreamResult:
     final_cache: RollingCache
 
 
-def append_and_absorb(cache: RollingCache, kv: ChunkKV,
-                      cfg: StreamConfig) -> ChunkKV | None:
+def append_and_absorb(cache: RollingCache, kv: ChunkKV) -> ChunkKV | None:
     """Append a chunk to the window and fold the chunk it evicts into every
     linear state the cache has, at temporal index 0. Returns the evicted
     entry, if any.
@@ -462,8 +463,7 @@ def append_and_absorb(cache: RollingCache, kv: ChunkKV,
     leaves the cache, its entries and every state as they were."""
     evicted = cache.evicts(kv)
     states = [] if evicted is None else [
-        absorb_evicted(state, evicted.keys[layer_idx], evicted.values[layer_idx],
-                       cfg.rope_config)
+        absorb_evicted(state, evicted.keys[layer_idx], evicted.values[layer_idx])
         for layer_idx, state in enumerate(cache.linear_states)]
     cache.append(kv)
     if states:
@@ -496,7 +496,7 @@ def chunk_step(model: ToyDenoiser, cache: RollingCache, timesteps: Sequence[floa
         if j + 1 < len(timesteps):
             alpha, beta = rectified_flow(timesteps[j + 1])
             x = alpha * x0 + beta * noise[j + 1]
-    append_and_absorb(cache, model.compute_chunk_kv(x0, cache, counters=counters), cfg)
+    append_and_absorb(cache, model.compute_chunk_kv(x0, cache, counters=counters))
     return x0
 
 

@@ -10,12 +10,12 @@ cost never grow with how much has been evicted. The feature map phi
 is elu(x) + 1 (Katharopoulos et al., 2020): positive everywhere and only
 linear in growth, which keeps the normalizer meaningful and finite. It is
 evaluated as exp(min(x, 0)) + max(x, 0), equal to elu(x) + 1 bit for bit.
-Rotations use rope.position_tables: absorb_evicted rotates through
-apply_rope, which reads the cached row at temporal index 0, and folds the
-chunk into L as one batched matrix product, rotate(phi(k))^T v per head,
-and history_output takes the query chunk's row from its caller and rotates
-phi(q) in place of a copy (rope.rotate_into), after the denominator has
-read it.
+Rotations use rope.position_tables of the state's head_dim: absorb_evicted
+rotates through apply_rope, which reads the cached row at temporal index 0,
+and folds the chunk into L as one batched matrix product, rotate(phi(k))^T
+v per head, and history_output takes the query chunk's row from its caller
+and rotates phi(q) in place of a copy (rope.rotate_into), after the
+denominator has read it.
 
 Note the deliberate asymmetry: the rotation enters L and the query
 numerator but not H or the denominator, and H averages within each evicted
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .rope import RoPEConfig, apply_rope, check_tables, rotate_into
+from .rope import apply_rope, check_tables, rotate_into
 
 EPS_DIV = 1e-6  # denominator guard for adversarial queries
 
@@ -85,7 +85,6 @@ def absorb_evicted(
     state: LinearState,
     keys: np.ndarray,
     values: np.ndarray,
-    rope_cfg: RoPEConfig,
 ) -> LinearState:
     """The state with one evicted chunk folded in, as a new LinearState;
     `state` itself is left as it was.
@@ -107,7 +106,7 @@ def absorb_evicted(
             f"expected [{state.heads}, tokens, {state.head_dim}], got {keys.shape}"
         )
     fk = elu_plus_one(keys)
-    rotated = apply_rope(fk, 0, rope_cfg)
+    rotated = apply_rope(fk, 0)
     L = state.L + rotated.transpose(0, 2, 1) @ values  # one BLAS product per head
     H = np.add.reduce(fk, axis=1)
     H /= keys.shape[1]  # the sum over the count, as fk.mean rounds it

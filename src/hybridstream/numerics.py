@@ -90,7 +90,7 @@ class SeededRng:
     """
 
     def __init__(self, seed: int):
-        self.seed = operator.index(seed)
+        self.seed = as_index(seed, "seed")
         if not 0 <= self.seed <= _MASK64:  # no seed aliases another modulo 2**64
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         self._counter = 0
@@ -116,8 +116,9 @@ class SeededRng:
         return z
 
     def derive(self, stream: int) -> "SeededRng":
-        """Independent child generator for a numbered stream."""
-        child = _mix64_int(self.seed + (operator.index(stream) + 1) * _GOLDEN)
+        """Independent child generator for a numbered stream; stream goes
+        through as_index, so a float or a bool raises TypeError."""
+        child = _mix64_int(self.seed + (as_index(stream, "stream") + 1) * _GOLDEN)
         return SeededRng(child)
 
     def uniform(self, n: int) -> np.ndarray:

@@ -3,11 +3,13 @@
 Head channels are split into 2-D rotation pairs, half of them on each of
 two factorized axes: a temporal axis shared by every token of a chunk, and
 a spatial axis carrying each token's place 0..tokens - 1 inside the chunk.
-Temporal indices saturate at `max_temporal_index` so arbitrarily long
+Temporal indices saturate at MAX_TEMPORAL_INDEX so arbitrarily long
 streams keep a bounded index range: temporal_index caps a query chunk's
-index and, from its distance behind the query, a cached key's.
+index and, from its distance behind the query, a cached key's. Pair k of
+an axis turns at BASE_THETA ** (-k / pairs) radians per step. The cap and
+the base are constants: every stream rotates with the same two.
 
-position_tables is the one builder of rotation tables: per config and
+position_tables is the one builder of rotation tables: per head_dim and
 token count, the cos and sin of every pair's angle at every capped
 temporal index, built once and read-only. rotate applies such tables to a
 tensor through rotate_into, the one kernel, which takes its input as
@@ -22,38 +24,28 @@ several. apply_rope takes one int index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import ContractViolationError, ShapeError
-from .numerics import as_index, float_fields, integer_fields
+from .numerics import as_index
+
+MAX_TEMPORAL_INDEX = 21  # the cap on every temporal index
+BASE_THETA = 10000.0  # the rotation base of RoFormer (Su et al., 2021)
 
 
-@dataclass(frozen=True)
-class RoPEConfig:
-    head_dim: int
-    base_theta: float = 10000.0
-    max_temporal_index: int = 21
-
-    def __post_init__(self):
-        integer_fields(self, ("head_dim", "max_temporal_index"))
-        float_fields(self, ("base_theta",))
-        if self.head_dim < 4 or self.head_dim % 4:
-            raise ShapeError(f"head_dim must be a positive multiple of 4, got {self.head_dim}")
-        if self.max_temporal_index < 1:
-            raise ValueError("max_temporal_index must be >= 1")
-        if not 1.0 < self.base_theta < np.inf:  # also rejects nan
-            raise ValueError(f"base_theta must be finite and exceed 1, got {self.base_theta}")
-
-    @property
-    def pairs(self) -> int:
-        # rotation pairs per axis: channels [0 : 2 * pairs] are temporal, the rest spatial
-        return self.head_dim // 4
+def check_head_dim(head_dim) -> int:
+    """head_dim through numerics.as_index, so a float or a bool raises
+    TypeError. Raises ShapeError unless it is a positive multiple of 4:
+    the channels split into rotation pairs, half of them on each axis."""
+    head_dim = as_index(head_dim, "head_dim")
+    if head_dim < 4 or head_dim % 4:
+        raise ShapeError(f"head_dim must be a positive multiple of 4, got {head_dim}")
+    return head_dim
 
 
-def temporal_index(chunk_pos: int, config: RoPEConfig, distance=0):
+def temporal_index(chunk_pos: int, distance=0):
     """Capped temporal position of what lies `distance` chunks behind the
     chunk at chunk_pos: max(0, min(chunk_pos, cap) - distance). The querying
     chunk (distance 0) saturates at the cap, and the clamp at 0 pins a sink
@@ -68,28 +60,29 @@ def temporal_index(chunk_pos: int, config: RoPEConfig, distance=0):
                  for d in (distance if many else (distance,))]
     if chunk_pos < 0 or min(distances, default=0) < 0:
         raise ValueError(f"chunk_pos and distance must be >= 0, got {chunk_pos}, {distance}")
-    capped = min(chunk_pos, config.max_temporal_index)
+    capped = min(chunk_pos, MAX_TEMPORAL_INDEX)
     rel = [max(0, capped - d) for d in distances]
     return rel if many else rel[0]
 
 
-@lru_cache(maxsize=32)
-def position_tables(config: RoPEConfig, tokens: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of every rotation pair's angle, each [max_temporal_index
+# typed, so 16.0 or True misses 16's entry and check_head_dim refuses it
+@lru_cache(maxsize=32, typed=True)
+def position_tables(head_dim: int, tokens: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of every rotation pair's angle, each [MAX_TEMPORAL_INDEX
     + 1, tokens, head_dim]: row t holds the temporal pairs at index t and
     the spatial pairs at each token's place 0..tokens - 1. Channels 2j and
     2j + 1 hold pair j: cos on both, sin negated on 2j. Built once per
-    (config, tokens) and read-only, since every caller with that config and
-    token count shares them: a row (a view) rotates a chunk at one index, a
-    gather of rows rotates slices at several."""
-    # pair k of an axis rotates at angle index / base_theta ** (2k / axis_dim),
-    # axis_dim being the axis's channel count, 2 * pairs
-    freqs = config.base_theta ** (-2.0 * np.arange(config.pairs, dtype=np.float64)
-                                  / (2.0 * config.pairs))
-    t_ang = np.arange(config.max_temporal_index + 1, dtype=np.float64)[:, None] * freqs
+    (head_dim, tokens) and read-only, since every caller with that head_dim
+    and token count shares them: a row (a view) rotates a chunk at one
+    index, a gather of rows rotates slices at several. head_dim goes
+    through check_head_dim (TypeError, ShapeError)."""
+    p = check_head_dim(head_dim) // 4  # pairs per axis: channels [0 : 2p] are temporal
+    # pair k of an axis rotates at angle index / BASE_THETA ** (2k / axis_dim),
+    # axis_dim being the axis's channel count, 2p
+    freqs = BASE_THETA ** (-2.0 * np.arange(p, dtype=np.float64) / (2.0 * p))
+    t_ang = np.arange(MAX_TEMPORAL_INDEX + 1, dtype=np.float64)[:, None] * freqs
     s_ang = np.arange(tokens, dtype=np.float64)[:, None] * freqs
-    p = config.pairs
-    cos = np.empty((config.max_temporal_index + 1, tokens, 2 * p))
+    cos = np.empty((MAX_TEMPORAL_INDEX + 1, tokens, 2 * p))
     sin = np.empty_like(cos)
     cos[..., :p] = np.cos(t_ang)[:, None, :]
     sin[..., :p] = np.sin(t_ang)[:, None, :]
@@ -139,27 +132,27 @@ def rotate_into(x: np.ndarray, cos: np.ndarray, sin: np.ndarray,
     return out
 
 
-def apply_rope(x: np.ndarray, t_index: int, config: RoPEConfig) -> np.ndarray:
+def apply_rope(x: np.ndarray, t_index: int) -> np.ndarray:
     """Rotate each token's pairs: temporal pairs by the capped temporal
     index t_index, spatial pairs by the token's place 0..tokens - 1 in the
     chunk. The same as rotate(x, cos[t_index], sin[t_index]) with the
-    tables of position_tables(config, tokens).
+    tables of position_tables(head_dim, tokens).
 
-    x: [..., tokens, head_dim]; channels [0 : 2 * pairs] hold the temporal
-    pairs as (even, odd) lanes, the remainder the spatial pairs. Every slice
-    turns at the same index. t_index: an int in [0, max_temporal_index].
+    x: [..., tokens, head_dim], head_dim a positive multiple of 4 (else
+    ShapeError); channels [0 : head_dim // 2] hold the temporal pairs as
+    (even, odd) lanes, the remainder the spatial pairs. Every slice turns
+    at the same index. t_index: an int in [0, MAX_TEMPORAL_INDEX].
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim < 2 or x.shape[-1] != config.head_dim:
-        raise ShapeError(f"expected [..., tokens, {config.head_dim}], got {x.shape}")
+    if x.ndim < 2:
+        raise ShapeError(f"expected [..., tokens, head_dim], got {x.shape}")
     if isinstance(t_index, bool) or not isinstance(t_index, (int, np.integer)):
         raise ContractViolationError(
             f"temporal index must be an int, got {type(t_index).__name__}")
-    cap = config.max_temporal_index
-    if not 0 <= t_index <= cap:
+    if not 0 <= t_index <= MAX_TEMPORAL_INDEX:
         raise ContractViolationError(
-            f"temporal index {t_index} outside [0, {cap}]; "
+            f"temporal index {t_index} outside [0, {MAX_TEMPORAL_INDEX}]; "
             "callers must saturate with temporal_index() first"
         )
-    cos, sin = position_tables(config, x.shape[-2])
+    cos, sin = position_tables(x.shape[-1], x.shape[-2])
     return rotate(x, cos[t_index], sin[t_index])

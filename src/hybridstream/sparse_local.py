@@ -35,16 +35,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolationError, ShapeError
-from .numerics import as_index
+from .numerics import as_index, float_fields
 
 
 @dataclass(frozen=True)
 class BlockConfig:
     """What build_mask needs of a layout; the block sizes come from the
     shapes of the arrays passed to block_means and sparse_attention. The
-    derived fields are left out of comparison, hashing and repr. Each
-    forced block is taken through numerics.as_index, so a float or a bool
-    raises TypeError naming forced_blocks."""
+    derived fields are left out of comparison, hashing and repr. keep_ratio
+    is taken through numerics.float_fields and each forced block through
+    numerics.as_index, so a str or a bool keep ratio, or a float or a bool
+    forced block, raises TypeError naming its field."""
 
     keep_ratio: float
     forced_blocks: frozenset = field(default_factory=frozenset)  # key-block indices
@@ -55,6 +56,7 @@ class BlockConfig:
     choices: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # choice()
 
     def __post_init__(self):
+        float_fields(self, ("keep_ratio",))
         if not (0.0 < self.keep_ratio <= 1.0):
             raise ValueError(f"keep_ratio must be in (0, 1], got {self.keep_ratio}")
         index = np.array(sorted(as_index(b, "forced_blocks") for b in self.forced_blocks), np.intp)

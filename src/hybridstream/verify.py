@@ -33,7 +33,7 @@ from .engine import _NOISE_STREAM, _NORM_EPS, OpCounters, StreamConfig, ToyDenoi
     append_and_absorb, chunk_step, config_for_mode, hybrid_attention, rectified_flow, run_stream
 from .linear_history import EPS_DIV, LinearState, absorb_evicted, elu_plus_one, history_output
 from .numerics import SeededRng, read_tensor_from, softmax_rows, write_tensor
-from .rope import RoPEConfig, apply_rope, position_tables, temporal_index
+from .rope import BASE_THETA, MAX_TEMPORAL_INDEX, apply_rope, position_tables, temporal_index
 from .sparse_local import BlockConfig, BlockMask, build_mask, sparse_attention
 from .stream_cache import ChunkKV, RollingCache
 
@@ -113,34 +113,33 @@ def _suite_numerics() -> list[CheckResult]:
 
 def _suite_rope() -> list[CheckResult]:
     out = []
-    cfg = RoPEConfig(16, max_temporal_index=21)
-    capped = all(temporal_index(p, cfg) <= 21 for p in (0, 5, 21, 22, 10**6))
-    out.append(_check("rope.cap", capped and temporal_index(300, cfg) == 21,
+    capped = all(temporal_index(p) <= 21 for p in (0, 5, 21, 22, 10**6))
+    out.append(_check("rope.cap", capped and temporal_index(300) == 21,
                       "min(pos, 21) for all positions"))
 
     x = SeededRng(1).normal((8, 16))
-    rot = apply_rope(x, 13, cfg)
+    rot = apply_rope(x, 13)
     err = np.abs(np.linalg.norm(rot, axis=1) - np.linalg.norm(x, axis=1)).max()
     out.append(_check("rope.norm_preserved", err < 1e-10, f"max norm drift {err:.2e}"))
 
     q = SeededRng(2).normal((1, 16))
     k = SeededRng(3).normal((1, 16))
-    d1 = apply_rope(q, 9, cfg) @ apply_rope(k, 4, cfg).T
-    d2 = apply_rope(q, 14, cfg) @ apply_rope(k, 9, cfg).T
+    d1 = apply_rope(q, 9) @ apply_rope(k, 4).T
+    d2 = apply_rope(q, 14) @ apply_rope(k, 9).T
     drift = abs(float(d1[0, 0] - d2[0, 0]))
     out.append(_check("rope.relative_offsets", drift < 1e-9,
                       f"dot drift under shift {drift:.2e}"))
 
     # apply_rope against a scalar loop: pair j of a token, channels (2j, 2j + 1),
-    # turns by index * base_theta ** (-(j mod pairs) / pairs) with math.cos
+    # turns by index * BASE_THETA ** (-(j mod pairs) / pairs) with math.cos
     # and math.sin; the first `pairs` pairs take the slice's temporal index,
     # the rest the token's place n in the chunk
     xs, ts = SeededRng(5).normal((3, 8, 16)), (0, 7, 21)
-    got = np.stack([apply_rope(x, t, cfg) for x, t in zip(xs, ts)])
+    got = np.stack([apply_rope(x, t) for x, t in zip(xs, ts)])
     want = np.empty(xs.shape)
-    p = cfg.pairs
+    p = 16 // 4
     for i, n, j in np.ndindex(3, 8, 8):
-        angle = float(ts[i] if j < p else n) * cfg.base_theta ** (-(j % p) / p)
+        angle = float(ts[i] if j < p else n) * BASE_THETA ** (-(j % p) / p)
         c, sn = math.cos(angle), math.sin(angle)
         even, odd = xs[i, n, 2 * j], xs[i, n, 2 * j + 1]
         want[i, n, 2 * j] = even * c - odd * sn
@@ -161,12 +160,11 @@ def linear_state_checks(heads: int, head_dim: int, tokens: int, evictions,
     """Absorbed (L, H) against direct sums, one fresh state per count in
     `evictions`; equal footprints after the two counts in `memory_after`;
     positive readout denominators for large queries."""
-    rope_cfg = RoPEConfig(head_dim)
     rng = SeededRng(seed)
 
     def absorb_random(state):
         k, v = rng.normal((heads, tokens, head_dim)), rng.normal((heads, tokens, head_dim))
-        return absorb_evicted(state, k, v, rope_cfg), k, v
+        return absorb_evicted(state, k, v), k, v
 
     rel = 0.0
     for n in evictions:
@@ -177,7 +175,7 @@ def linear_state_checks(heads: int, head_dim: int, tokens: int, evictions,
             state, k, v = absorb_random(state)
             fk = elu_plus_one(k)
             for h in range(heads):
-                L[h] += apply_rope(fk[h], 0, rope_cfg).T @ v[h]
+                L[h] += apply_rope(fk[h], 0).T @ v[h]
                 H[h] += fk[h].mean(axis=0)
         rel = max(rel, np.abs(state.L - L).max() / np.abs(L).max(),
                   np.abs(state.H - H).max() / np.abs(H).max())
@@ -373,8 +371,7 @@ def _suite_cache() -> list[CheckResult]:
                       f"visible {visible_ids}, {len(evicted_ids)} evicted"))
     out.append(_check("cache.memory_bound", cache.total_cached_tokens == 4 * 4,
                       f"{cache.total_cached_tokens} cached tokens"))
-    rope_cfg = RoPEConfig(8, max_temporal_index=21)
-    rels = [temporal_index(39, rope_cfg, dist) for _, dist in cache.visible_kv(39)]
+    rels = [temporal_index(39, dist) for _, dist in cache.visible_kv(39)]
     out.append(_check("cache.relative_index_cap",
                       all(0 <= r <= 21 for r in rels) and rels == sorted(rels),
                       f"relative indices {rels}"))
@@ -409,7 +406,7 @@ def random_cache(cfg: StreamConfig, chunks: int, seed: int,
     shape = (cfg.layers, cfg.heads, cfg.chunk_tokens, cfg.head_dim)
     for i in range(chunks):
         kv = ChunkKV(i, rng.normal(shape), rng.normal(shape))
-        append_and_absorb(cache, kv, cfg)
+        append_and_absorb(cache, kv)
     return cache
 
 
@@ -424,22 +421,19 @@ def dense_oracle_attention(
 ) -> np.ndarray:
     """Exact softmax attention over an arbitrary retained history (plus the
     chunk itself) under the same rotation policy. Test-scale only."""
-    rope_cfg = cfg.rope_config
-    q_index = temporal_index(query_chunk_index, rope_cfg)
+    q_index = temporal_index(query_chunk_index)
     outs = []
     for h in range(cfg.heads):
         k_parts = [
             apply_rope(e.keys[layer, h],
-                       temporal_index(query_chunk_index, rope_cfg,
-                                      query_chunk_index - e.chunk_index),
-                       rope_cfg)
+                       temporal_index(query_chunk_index, query_chunk_index - e.chunk_index))
             for e in history
         ]
-        k_parts.append(apply_rope(k_self[h], q_index, rope_cfg))
+        k_parts.append(apply_rope(k_self[h], q_index))
         v_parts = [e.values[layer, h] for e in history] + [v_self[h]]
         k_full = np.concatenate(k_parts, axis=0)
         v_full = np.concatenate(v_parts, axis=0)
-        q_rot = apply_rope(q[h], q_index, rope_cfg)
+        q_rot = apply_rope(q[h], q_index)
         probs = softmax_rows((q_rot @ k_full.T) / math.sqrt(cfg.head_dim))
         outs.append(probs @ v_full)
     return np.concatenate(outs, axis=1)
@@ -482,8 +476,7 @@ def _suite_hybrid() -> list[CheckResult]:
     bare = RollingCache.restore(cache.snapshot())  # the same window, no history
     bare.linear_states.clear()
     local = hybrid_attention(qkv, bare, 0, _TOY, 8, proj)
-    rope_cfg = _TOY.rope_config
-    t, (cos, sin) = temporal_index(8, rope_cfg), position_tables(rope_cfg, _TOY.chunk_tokens)
+    t, (cos, sin) = temporal_index(8), position_tables(_TOY.head_dim, _TOY.chunk_tokens)
     hist = history_output(cache.linear_states[0], q, cos[t], sin[t], proj)
     err = np.abs(full - (local + hist)).max()
     out.append(_check("hybrid.additive_decomposition", err < 1e-9,
@@ -519,7 +512,7 @@ def workspace_reuse_check() -> CheckResult:
     makes top-k selection read the key block means, and the stream runs 4
     chunks past the RoPE cap."""
     cfg = replace(_TOY, keep_ratio=0.5, window_frames=12)
-    chunks = cfg.max_temporal_index + 4
+    chunks = MAX_TEMPORAL_INDEX + 4
     model = ToyDenoiser(cfg)
     kept, fresh = model.new_cache(), model.new_cache()
     rng, ts = SeededRng(7), cfg.denoise_timesteps
@@ -532,7 +525,7 @@ def workspace_reuse_check() -> CheckResult:
         if not np.array_equal(a, b):
             differ.append(i)
     return _check("engine.workspace_reuse_bit_identical", not differ,
-                  f"{chunks} chunks (RoPE cap {cfg.max_temporal_index}); "
+                  f"{chunks} chunks (RoPE cap {MAX_TEMPORAL_INDEX}); "
                   f"chunks that differ: {differ or 'none'}")
 
 
@@ -558,7 +551,7 @@ def reference_stream(cfg: StreamConfig, chunks: int) -> tuple[list, float]:
     break either way."""
     model = ToyDenoiser(cfg)
     rng = SeededRng(cfg.seed).derive(_NOISE_STREAM)
-    rope_cfg, ts = cfg.rope_config, cfg.denoise_timesteps
+    ts = cfg.denoise_timesteps
     hd, bt, bpc = cfg.head_dim, cfg.block_tokens, cfg.blocks_per_chunk
     kept = []  # per chunk, per layer: (keys, values)
     latents, margin = [], math.inf
@@ -572,11 +565,11 @@ def reference_stream(cfg: StreamConfig, chunks: int) -> tuple[list, float]:
 
     def local(i, sinks, entries, layer, cols, q, k, v):
         nonlocal margin
-        own_t = temporal_index(i, rope_cfg)
-        keys = np.concatenate([apply_rope(kept[j][layer][0][:, cols], temporal_index(
-            i, rope_cfg, i - j), rope_cfg) for j in entries] + [apply_rope(k, own_t, rope_cfg)])
+        own_t = temporal_index(i)
+        keys = np.concatenate([apply_rope(kept[j][layer][0][:, cols], temporal_index(i, i - j))
+                               for j in entries] + [apply_rope(k, own_t)])
         values = np.concatenate([kept[j][layer][1][:, cols] for j in entries] + [v])
-        q_rot = apply_rope(q, own_t, rope_cfg)
+        q_rot = apply_rope(q, own_t)
         scores = (q_rot.reshape(-1, bt, hd).mean(axis=1)
                   @ keys.reshape(-1, bt, hd).mean(axis=1).T)
         t_m, t_n = scores.shape
@@ -597,11 +590,10 @@ def reference_stream(cfg: StreamConfig, chunks: int) -> tuple[list, float]:
         for j in evicted:
             k, v = (a[:, cols] for a in kept[j][layer])
             fk = phi(k)
-            L += apply_rope(fk, 0, rope_cfg).T @ v
+            L += apply_rope(fk, 0).T @ v
             H += fk.mean(axis=0)  # H sums each chunk's mean of phi(k), as absorb_evicted does
         fq = phi(q)
-        return (apply_rope(fq, temporal_index(i, rope_cfg), rope_cfg) @ L) \
-            / (fq @ H + EPS_DIV)[:, None]
+        return (apply_rope(fq, temporal_index(i)) @ L) / (fq @ H + EPS_DIV)[:, None]
 
     def forward(i, x, t):
         sinks = min(i, cfg.sink_chunks)
@@ -643,11 +635,11 @@ def reference_stream(cfg: StreamConfig, chunks: int) -> tuple[list, float]:
 def reference_equivalence_check(configs: Sequence[StreamConfig], past_cap: int) -> CheckResult:
     """run_stream against reference_stream to 1e-12 relative (each chunk's
     largest latent difference over its largest latent magnitude), each
-    config streamed max_temporal_index + past_cap chunks. The detail gives
+    config streamed MAX_TEMPORAL_INDEX + past_cap chunks. The detail gives
     the smallest top-k margin, so a near-tie reads as one."""
     worst, margin = 0.0, math.inf
     for cfg in configs:
-        chunks = cfg.max_temporal_index + past_cap
+        chunks = MAX_TEMPORAL_INDEX + past_cap
         want, chosen_by = reference_stream(cfg, chunks)
         for got, ref in zip(run_stream(cfg, chunks).latents, want):
             worst = max(worst, np.abs(got - ref).max() / np.abs(ref).max())

@@ -200,10 +200,9 @@ class TestGenerateCommand:
         # flipping any single config field must change the manifest hash
         base = dict(tokens_per_frame=4, heads=2, head_dim=8,
                     layers=1, chunks=3, seed=11, keep_ratio=0.2,
-                    window_frames=9, sink_chunks=1, frames_per_chunk=3,
-                    max_temporal_index=21)
+                    window_frames=9, sink_chunks=1, frames_per_chunk=3)
         tweaks = dict(seed=12, chunks=4, keep_ratio=0.4, window_frames=18,
-                      sink_chunks=0, max_temporal_index=5, layers=2)
+                      sink_chunks=0, layers=2)
 
         def run(cfg_dict, tag):
             p = tmp_path / f"{tag}.cfg"
@@ -234,6 +233,10 @@ class TestGenerateCommand:
         ("frames_per_chunk = 0", "frames_per_chunk"),
         ("tokens_per_frame = 0", "tokens_per_frame"),
         ("layers = 0", "layers"),
+        # RoPE's cap and base are constants, not fields: a file setting either,
+        # even to its value, is refused as an unknown key
+        ("max_temporal_index = 21", "max_temporal_index"),
+        ("base_theta = 10000.0", "base_theta"),
         ("max_temporal_index = 0", "max_temporal_index"),
         ("base_theta = 1", "base_theta"),
         ("base_theta = nan", "base_theta"),

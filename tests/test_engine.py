@@ -29,7 +29,7 @@ from hybridstream.engine import (
 from hybridstream.errors import ContractViolationError, ShapeError
 from hybridstream.numerics import SeededRng, as_index
 from hybridstream.linear_history import elu_plus_one, history_output
-from hybridstream.rope import apply_rope, position_tables, temporal_index
+from hybridstream.rope import MAX_TEMPORAL_INDEX, apply_rope, position_tables, temporal_index
 from hybridstream.sparse_local import (BlockConfig, BlockMask, block_means, block_scores,
                                       build_mask, sparse_attention)
 from hybridstream.stream_cache import ChunkKV, RollingCache
@@ -64,11 +64,10 @@ def random_qkv(cfg, seed):
 def per_head_hybrid(qkv, cache, layer, cfg, qci, rope=apply_rope, phi=elu_plus_one, proj=None):
     """Unbatched hybrid attention: every visible key rotated per entry and
     head, the history read out head by head through proj (by default the
-    model's history_proj). rope(x, t, rope_cfg) and the feature map phi may
+    model's history_proj). rope(x, t) and the feature map phi may
     be swapped for other formulas of the same values."""
     q, k_self, v_self = qkv
-    rope_cfg = cfg.rope_config
-    q_index = temporal_index(qci, rope_cfg)
+    q_index = temporal_index(qci)
     visible = cache.visible_kv(qci)
     bpc = cfg.blocks_per_chunk
     forced = set(range(len(visible) * bpc, (len(visible) + 1) * bpc))
@@ -78,9 +77,9 @@ def per_head_hybrid(qkv, cache, layer, cfg, qci, rope=apply_rope, phi=elu_plus_o
     bcfg = BlockConfig(cfg.keep_ratio, frozenset(forced))
     heads = []
     for h in range(cfg.heads):
-        k_parts = [rope(e.keys[layer, h], temporal_index(qci, rope_cfg, dist), rope_cfg)
+        k_parts = [rope(e.keys[layer, h], temporal_index(qci, dist))
                    for e, dist in visible]
-        q_rot, k_rot = rope(np.stack((q[h], k_self[h])), q_index, rope_cfg)
+        q_rot, k_rot = rope(np.stack((q[h], k_self[h])), q_index)
         k_full = np.concatenate(k_parts + [k_rot])
         v_full = np.concatenate([e.values[layer, h] for e, _ in visible] + [v_self[h]])
         mask = build_mask(block_scores(block_means(q_rot, cfg.block_tokens),
@@ -93,7 +92,7 @@ def per_head_hybrid(qkv, cache, layer, cfg, qci, rope=apply_rope, phi=elu_plus_o
             fq = phi(q)
             hist = []
             for h in range(cfg.heads):
-                num = rope(fq[h], q_index, rope_cfg) @ state.L[h]
+                num = rope(fq[h], q_index) @ state.L[h]
                 den = fq[h] @ state.H[h] + 1e-6
                 hist.append(num / den[:, None])
             out = out + np.concatenate(hist, axis=1) @ (
@@ -101,10 +100,10 @@ def per_head_hybrid(qkv, cache, layer, cfg, qci, rope=apply_rope, phi=elu_plus_o
     return out
 
 
-def lane_rope(x, t, rope_cfg):
+def lane_rope(x, t):
     """Rotation as it was computed over interleaved half-width lanes: pair j
     sits in channels (2j, 2j + 1) and turns by the cos and sin of its angle."""
-    cos2, sin2 = position_tables(rope_cfg, x.shape[-2])
+    cos2, sin2 = position_tables(x.shape[-1], x.shape[-2])
     cos, sin = cos2[t, :, 0::2], sin2[t, :, 1::2]  # one value per pair
     even, odd = x[..., 0::2], x[..., 1::2]
     out = np.empty(x.shape)
@@ -282,7 +281,7 @@ def per_step_noise_chunk_step(model, cache, timesteps, rng):
             eps = rng.normal(shape)
             alpha, beta = rectified_flow(timesteps[j + 1])
             x = alpha * x0 + beta * eps
-    append_and_absorb(cache, model.compute_chunk_kv(x0, cache), cfg)
+    append_and_absorb(cache, model.compute_chunk_kv(x0, cache))
     return x0
 
 
@@ -377,12 +376,12 @@ class TestAbsorbAllOrNothing:
         cache = random_cache(cfg, 5, seed=140)
         cache.window_entries[-1].values[1] = 1e308
         for i in (5, 6):
-            append_and_absorb(cache, random_chunk_kv(cfg, i, seed=141 + i), cfg)
+            append_and_absorb(cache, random_chunk_kv(cfg, i, seed=141 + i))
         entries = cache.entries()
         states = [(s.L.copy(), s.H.copy(), s.evicted_tokens) for s in cache.linear_states]
         snapshot = cache.snapshot()
         with pytest.raises(ValueError, match="absorb rejected"):
-            append_and_absorb(cache, random_chunk_kv(cfg, 7, seed=148), cfg)
+            append_and_absorb(cache, random_chunk_kv(cfg, 7, seed=148))
         assert cache.next_index == 7
         assert [e.chunk_index for e in cache.entries()] == [0, 4, 5, 6]
         assert all(a is b for a, b in zip(cache.entries(), entries))
@@ -400,7 +399,7 @@ class TestAbsorbAllOrNothing:
         cache = random_cache(cfg, 5, seed=150)
         listed, states = cache.linear_states, list(cache.linear_states)
         before = [s.L.copy() for s in states]
-        evicted = append_and_absorb(cache, random_chunk_kv(cfg, 5, seed=151), cfg)
+        evicted = append_and_absorb(cache, random_chunk_kv(cfg, 5, seed=151))
         assert evicted.chunk_index == 2
         assert cache.linear_states is listed and len(listed) == len(states)
         for new, old, L in zip(listed, states, before):
@@ -455,7 +454,7 @@ class TestRotatedWindowMemo:
         assert np.array_equal(got, per_head_hybrid(qkv, restored, 0, cfg, 9))
         # the same query index after an append (which evicts here)
         hybrid_attention(qkv, cache, 0, cfg, 9, history_proj(cfg, 0))
-        assert append_and_absorb(cache, random_chunk_kv(cfg, 8, seed=52), cfg) is not None
+        assert append_and_absorb(cache, random_chunk_kv(cfg, 8, seed=52)) is not None
         for layer in range(cfg.layers):
             got = hybrid_attention(qkv, cache, layer, cfg, 9, history_proj(cfg, layer))
             assert np.array_equal(got, per_head_hybrid(qkv, cache, layer, cfg, 9))
@@ -476,7 +475,7 @@ class TestRotatedWindowMemo:
         assert _window(cache, cfg, 9)[1] is before  # reused within the query chunk
         before = before.copy()  # the next build rewrites the workspace in place
         # an append (which evicts here) drops the memo for the same query index
-        assert append_and_absorb(cache, random_chunk_kv(cfg, 8, seed=71), cfg) is not None
+        assert append_and_absorb(cache, random_chunk_kv(cfg, 8, seed=71)) is not None
         after = check(cache, 9)
         assert after.shape == before.shape
         assert not np.array_equal(after[:, :, :-1], before[:, :, :-1])
@@ -530,19 +529,6 @@ class TestWindowWorkspace:
             reused = [a is b for a, b in zip(seen[i], seen[i - 1])]
             assert reused == [i > 5] * 5, (i, reused)
 
-    @pytest.mark.parametrize("cache_cap, model_cap", [(40, 21), (21, 40)])
-    def test_cache_streams_under_another_rope_cap(self, cache_cap, model_cap):
-        # the cache holds unrotated keys and a state absorbed at index 0, so
-        # the model's cap alone sets every index: 30 chunks in, a cap-21
-        # model saturates and a cap-40 one does not
-        stream = random_cache(replace(TOY, max_temporal_index=cache_cap), 30, seed=83)
-        cache = RollingCache.restore(stream.snapshot())
-        cfg = replace(TOY, max_temporal_index=model_cap)
-        qkv = random_qkv(cfg, 84)
-        for layer in range(cfg.layers):
-            got = hybrid_attention(qkv, cache, layer, cfg, 30, history_proj(cfg, layer))
-            assert np.array_equal(got, per_head_hybrid(qkv, cache, layer, cfg, 30)), layer
-
     @pytest.mark.parametrize("size, value", [("layers", 3), ("heads", 3),
                                              ("tokens_per_frame", 2), ("head_dim", 12)])
     def test_cache_of_other_sizes_refused_before_any_change(self, size, value):
@@ -584,7 +570,7 @@ class TestWindowWorkspace:
             qkv2 = random_qkv(cfg, seed)
             for layer in range(cfg.layers):
                 hybrid_attention(qkv2, cache, layer, cfg, 8, history_proj(cfg, layer))
-            append_and_absorb(cache, random_chunk_kv(cfg, cache.next_index, seed), cfg)
+            append_and_absorb(cache, random_chunk_kv(cfg, cache.next_index, seed))
             hybrid_attention(qkv2, cache, 0, cfg, cache.next_index, history_proj(cfg, 0))
         assert np.array_equal(out, kept)
 
@@ -592,14 +578,14 @@ class TestWindowWorkspace:
         # the same cache from its first chunk until relative indices saturate
         cfg = self.CFG
         cache = ToyDenoiser(cfg).new_cache()
-        for i in range(cfg.max_temporal_index + 5):
+        for i in range(MAX_TEMPORAL_INDEX + 5):
             for seed in (1000 + i, 2000 + i):  # two passes per query chunk
                 qkv = random_qkv(cfg, seed)
                 for layer in range(cfg.layers):
                     got = hybrid_attention(qkv, cache, layer, cfg, i, history_proj(cfg, layer))
                     want = per_head_hybrid(qkv, cache, layer, cfg, i)
                     assert np.array_equal(got, want), (i, seed, layer)
-            append_and_absorb(cache, random_chunk_kv(cfg, i, seed=3000 + i), cfg)
+            append_and_absorb(cache, random_chunk_kv(cfg, i, seed=3000 + i))
 
     def test_steady_chunk_allocates_less_than_a_layer_of_window_keys(self, monkeypatch):
         # window 45 in steady state: 16 visible entries of 48 tokens
@@ -607,7 +593,7 @@ class TestWindowWorkspace:
         cache = random_cache(cfg, 17, seed=87)
         qkv = random_qkv(cfg, 88)
         hybrid_attention(qkv, cache, 0, cfg, 17, history_proj(cfg, 0))
-        append_and_absorb(cache, random_chunk_kv(cfg, 17, seed=89), cfg)
+        append_and_absorb(cache, random_chunk_kv(cfg, 17, seed=89))
         visible = len(cache.visible_kv(18))
         assert visible == 16
         layer_keys = cfg.heads * visible * cfg.chunk_tokens * cfg.head_dim * 8
@@ -646,9 +632,9 @@ class TestWindowFill:
         cache = random_cache(cfg, chunks, seed=130)
         keys, values, means = _window(cache, cfg, chunks)[:3]
         visible = cache.visible_kv(chunks)
-        rel = temporal_index(chunks, cfg.rope_config, [dist for _, dist in visible])
+        rel = temporal_index(chunks, [dist for _, dist in visible])
         for i, ((entry, _), t) in enumerate(zip(visible, rel)):
-            assert np.array_equal(keys[:, :, i], apply_rope(entry.keys, t, cfg.rope_config))
+            assert np.array_equal(keys[:, :, i], apply_rope(entry.keys, t))
             assert np.array_equal(values[:, :, i], entry.values)
         n = len(visible)
         window_keys = keys[:, :, :n].reshape(cfg.layers, cfg.heads, -1, cfg.head_dim)
@@ -685,7 +671,7 @@ class TestSharedTables:
     def test_shared_arrays_are_read_only(self):
         cache = random_cache(TOY, 8, seed=95)
         bcfg, q_cos, q_sin = _window(cache, TOY, 8)[5:]
-        cos, sin = position_tables(TOY.rope_config, TOY.chunk_tokens)
+        cos, sin = position_tables(TOY.head_dim, TOY.chunk_tokens)
         # sink 1 and own 3 of 15 blocks forced, quota 3: one mask for the layout
         rows = build_mask(np.zeros((TOY.heads * TOY.blocks_per_chunk, 15)), bcfg)
         packed = rows.block_diagonal(TOY.heads)
@@ -695,10 +681,10 @@ class TestSharedTables:
 
     def test_query_tables_are_the_capped_index_views(self):
         cache = random_cache(TOY, 8, seed=96)
-        cos, sin = position_tables(TOY.rope_config, TOY.chunk_tokens)
-        for qci in (8, TOY.max_temporal_index + 9):
+        cos, sin = position_tables(TOY.head_dim, TOY.chunk_tokens)
+        for qci in (8, MAX_TEMPORAL_INDEX + 9):
             q_cos, q_sin = _window(cache, TOY, qci)[6:]
-            t = temporal_index(qci, TOY.rope_config)
+            t = temporal_index(qci)
             assert q_cos.base is cos and q_sin.base is sin
             assert np.array_equal(q_cos, cos[t]) and np.array_equal(q_sin, sin[t])
 
@@ -789,8 +775,8 @@ class TestHistorySkip:
     def with_empty_readout(qkv, cache, layer, cfg, qci):
         # the per-head reference plus the empty state's (all-zero) readout,
         # if the cache has a state at all
-        cos, sin = position_tables(cfg.rope_config, cfg.chunk_tokens)
-        t = temporal_index(qci, cfg.rope_config)
+        cos, sin = position_tables(cfg.head_dim, cfg.chunk_tokens)
+        t = temporal_index(qci)
         out = per_head_hybrid(qkv, cache, layer, cfg, qci)
         for state in cache.linear_states[layer:layer + 1]:
             assert state.evicted_tokens == 0
@@ -854,9 +840,8 @@ class TestHybridAttention:
             e.values[:] = 0.0
         qkv = random_qkv(cfg, 77)
         qkv[2] = 0.0
-        rope_cfg = cfg.rope_config
-        cos, sin = position_tables(rope_cfg, cfg.chunk_tokens)
-        t = temporal_index(8, rope_cfg)
+        cos, sin = position_tables(cfg.head_dim, cfg.chunk_tokens)
+        t = temporal_index(8)
         for layer in range(cfg.layers):
             got = hybrid_attention(qkv, cache, layer, cfg, 8, history_proj(cfg, layer))
             hist = history_output(cache.linear_states[layer], qkv[0], cos[t], sin[t],
@@ -875,8 +860,7 @@ class TestHybridAttention:
         layer = 0
         got = hybrid_attention(qkv, cache, layer, cfg, 8, history_proj(cfg, layer))
 
-        rope_cfg = cfg.rope_config
-        q_index = temporal_index(8, rope_cfg)
+        q_index = temporal_index(8)
         visible = cache.visible_kv(8)
         bpc = cfg.blocks_per_chunk
         forced = set()
@@ -887,13 +871,13 @@ class TestHybridAttention:
         bcfg = BlockConfig(cfg.keep_ratio, frozenset(forced))
         local_heads = []
         for h in range(cfg.heads):
-            k_parts = [apply_rope(e.keys[layer, h], temporal_index(8, rope_cfg, dist), rope_cfg)
+            k_parts = [apply_rope(e.keys[layer, h], temporal_index(8, dist))
                        for e, dist in visible]
-            k_parts.append(apply_rope(k_self[h], q_index, rope_cfg))
+            k_parts.append(apply_rope(k_self[h], q_index))
             v_parts = [e.values[layer, h] for e, _ in visible] + [v_self[h]]
             k_full = np.concatenate(k_parts)
             v_full = np.concatenate(v_parts)
-            q_rot = apply_rope(q[h], q_index, rope_cfg)
+            q_rot = apply_rope(q[h], q_index)
             b = cfg.block_tokens
             mask = build_mask(block_scores(block_means(q_rot, b), block_means(k_full, b)), bcfg)
             rows = []
@@ -908,7 +892,7 @@ class TestHybridAttention:
         fq = elu_plus_one(q)  # elu1(0) = 1 everywhere
         per_head = []
         for h in range(cfg.heads):
-            num = apply_rope(fq[h], q_index, rope_cfg) @ state.L[h]
+            num = apply_rope(fq[h], q_index) @ state.L[h]
             den = fq[h] @ state.H[h] + 1e-6
             per_head.append(num / den[:, None])
         hist = np.concatenate(per_head, axis=1) @ history_proj(cfg, layer)
@@ -952,7 +936,7 @@ class TestHybridAttention:
         want = hybrid_attention(qkv, cache, 1, TOY, 7, proj)
         assert np.array_equal(hybrid_attention(qkv, cache, np.int64(1), TOY, 7, proj), want)
         assert taken == ["layer"]
-        assert temporal_index(np.int64(30), TOY.rope_config, [np.int64(3), 2]) == [18, 19]
+        assert temporal_index(np.int64(30), [np.int64(3), 2]) == [18, 19]
         assert taken[-2:] == ["chunk_pos", "distance"]
 
 
@@ -976,23 +960,22 @@ class TestDenseOracle:
         qci = 4
         got = dense_oracle_attention(q, k_self, v_self, history, 1, cfg, qci)
 
-        rope_cfg = cfg.rope_config
-        q_index = temporal_index(qci, rope_cfg)
+        q_index = temporal_index(qci)
         scale = 1.0 / math.sqrt(cfg.head_dim)
         outs = []
         for h in range(cfg.heads):
             keys, vals = [], []
             for e in history:
-                rel = temporal_index(qci, rope_cfg, qci - e.chunk_index)
-                rk = apply_rope(e.keys[1, h], rel, rope_cfg)
+                rel = temporal_index(qci, qci - e.chunk_index)
+                rk = apply_rope(e.keys[1, h], rel)
                 for tok in range(cfg.chunk_tokens):
                     keys.append(rk[tok])
                     vals.append(e.values[1, h, tok])
-            rk = apply_rope(k_self[h], q_index, rope_cfg)
+            rk = apply_rope(k_self[h], q_index)
             for tok in range(cfg.chunk_tokens):
                 keys.append(rk[tok])
                 vals.append(v_self[h, tok])
-            qr = apply_rope(q[h], q_index, rope_cfg)
+            qr = apply_rope(q[h], q_index)
             rows = []
             for tok in range(cfg.chunk_tokens):
                 logits = np.array([qr[tok] @ kk * scale for kk in keys])
@@ -1169,8 +1152,7 @@ class TestConfigValidation:
                 StreamConfig(seed=seed)
 
     @pytest.mark.parametrize("name", ["frames_per_chunk", "window_frames", "sink_chunks",
-                                      "tokens_per_frame", "heads", "head_dim", "layers",
-                                      "max_temporal_index"])
+                                      "tokens_per_frame", "heads", "head_dim", "layers"])
     def test_fractional_integer_field_rejected(self, name):
         # sink_chunks=0.5 streamed with one sink while its config said 0.5, and
         # heads=2.0 failed late, inside run_stream, with a bare TypeError
@@ -1186,7 +1168,7 @@ class TestConfigValidation:
         with pytest.raises(TypeError, match="heads must be an integer, got True"):
             StreamConfig(heads=True)
 
-    @pytest.mark.parametrize("name, whole", [("keep_ratio", 1), ("base_theta", 500)])
+    @pytest.mark.parametrize("name, whole", [("keep_ratio", 1)])
     def test_float_field_that_is_not_a_number_rejected(self, name, whole):
         # keep_ratio=True was held as 1.0, and keep_ratio="0.5" failed comparing
         # a float with a str, naming no field
@@ -1207,6 +1189,21 @@ class TestConfigValidation:
         assert cfg.denoise_timesteps == (1.0, 0.5)
         assert cfg == StreamConfig(denoise_timesteps=(1.0, 0.5))
         assert hash(cfg) == hash(StreamConfig(denoise_timesteps=(1.0, 0.5)))
+        held = StreamConfig(denoise_timesteps=(np.float32(0.5),)).denoise_timesteps
+        assert held == (0.5,) and type(held[0]) is float
+
+    @pytest.mark.parametrize("config, name, schedule", [
+        (StreamConfig, "denoise_timesteps", (True,)),
+        (StreamConfig, "denoise_timesteps", ("1.0",)),
+        (DistillConfig, "timesteps", "1"),
+        (StreamConfig, "denoise_timesteps", 0.5),
+        (DistillConfig, "timesteps", 0.5),
+    ])
+    def test_timestep_that_is_not_a_number_rejected(self, config, name, schedule):
+        # (True,) was held as given; "1.0" and "1" failed comparing a float
+        # with a str, and 0.5 failed iterating a float, both naming no field
+        with pytest.raises(TypeError, match=f"{name} must be a"):
+            config(**{name: schedule})
 
     @pytest.mark.parametrize("value", ["no", 2, 1, None])
     def test_non_bool_linear_history_rejected(self, value):

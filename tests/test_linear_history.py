@@ -14,11 +14,10 @@ from hybridstream.linear_history import (
     history_output,
 )
 from hybridstream.numerics import SeededRng
-from hybridstream.rope import RoPEConfig, apply_rope, position_tables
+from hybridstream.rope import apply_rope, position_tables
 
 HEADS, HEAD_DIM = 2, 8
 MODEL_DIM = HEADS * HEAD_DIM
-ROPE = RoPEConfig(HEAD_DIM, max_temporal_index=21)
 # the readout's output projection, a layer weight the caller passes in
 PROJ = SeededRng(0).normal((MODEL_DIM, MODEL_DIM)) / np.sqrt(MODEL_DIM)
 
@@ -27,10 +26,10 @@ def fresh_state():
     return LinearState.zeros(HEADS, HEAD_DIM)
 
 
-def tables(t_index, tokens, rope_cfg=ROPE):
+def tables(t_index, tokens, head_dim=HEAD_DIM):
     """The rotation tables of `tokens` queries at t_index (an int or an
     index per slice): its rows of rope.position_tables."""
-    cos, sin = position_tables(rope_cfg, tokens)
+    cos, sin = position_tables(head_dim, tokens)
     return cos[t_index], sin[t_index]
 
 
@@ -39,7 +38,7 @@ def random_chunk(seed, tokens=6):
     return rng.normal((HEADS, tokens, HEAD_DIM)), rng.normal((HEADS, tokens, HEAD_DIM))
 
 
-def batch_state_oracle(chunks, rope_cfg):
+def batch_state_oracle(chunks):
     """Direct batch sums over all evicted tokens: L = sum rotate(phi(k))^T v,
     H = sum over chunks of mean_tokens phi(k)."""
     L = np.zeros((HEADS, HEAD_DIM, HEAD_DIM))
@@ -47,7 +46,7 @@ def batch_state_oracle(chunks, rope_cfg):
     for keys, values in chunks:
         fk = elu_plus_one(keys)
         for h in range(HEADS):
-            rot = apply_rope(fk[h], 0, rope_cfg)
+            rot = apply_rope(fk[h], 0)
             for tok in range(keys.shape[1]):
                 L[h] += np.outer(rot[tok], values[h, tok])
             H[h] += fk[h].mean(axis=0)
@@ -59,14 +58,14 @@ class TestState:
         # no model weight: the readout's projection is passed to history_output
         assert [f.name for f in fields(LinearState)] == ["L", "H", "evicted_tokens"]
         state = fresh_state()
-        state = absorb_evicted(state, *random_chunk(1), ROPE)
+        state = absorb_evicted(state, *random_chunk(1))
         assert state.evicted_tokens == 6
         assert state.nbytes == state.L.nbytes + state.H.nbytes + 8 == 1160
 
     def test_absorb_returns_a_new_state_and_leaves_its_input(self):
-        state = absorb_evicted(fresh_state(), *random_chunk(1), ROPE)
+        state = absorb_evicted(fresh_state(), *random_chunk(1))
         arrays, L, H = (state.L, state.H), state.L.copy(), state.H.copy()
-        new = absorb_evicted(state, *random_chunk(2), ROPE)
+        new = absorb_evicted(state, *random_chunk(2))
         assert new is not state and (new.evicted_tokens, state.evicted_tokens) == (12, 6)
         assert state.L is arrays[0] and state.H is arrays[1]  # the same arrays, unwritten
         assert np.array_equal(state.L, L) and np.array_equal(state.H, H)
@@ -98,15 +97,15 @@ class TestAbsorb:
     def test_non_finite_absorb_raises_and_leaves_state_unchanged(self):
         state = fresh_state()
         for seed in range(3):
-            state = absorb_evicted(state, *random_chunk(seed), ROPE)
+            state = absorb_evicted(state, *random_chunk(seed))
         L, H, tokens = state.L.copy(), state.H.copy(), state.evicted_tokens
         keys, values = random_chunk(9)
         values[1, 2, 3] = np.inf
         with pytest.raises(ValueError):
-            absorb_evicted(state, keys, values, ROPE)
+            absorb_evicted(state, keys, values)
         keys[0, 0, 0] = np.nan  # poisons H as well
         with pytest.raises(ValueError):
-            absorb_evicted(state, keys, np.zeros_like(keys), ROPE)
+            absorb_evicted(state, keys, np.zeros_like(keys))
         assert np.array_equal(state.L, L)
         assert np.array_equal(state.H, H)
         assert state.evicted_tokens == tokens
@@ -114,7 +113,7 @@ class TestAbsorb:
     def test_zero_values_leave_L_unchanged(self):
         state = fresh_state()
         keys, _ = random_chunk(1)
-        state = absorb_evicted(state, keys, np.zeros_like(keys), ROPE)
+        state = absorb_evicted(state, keys, np.zeros_like(keys))
         assert np.array_equal(state.L, np.zeros_like(state.L))
         assert not np.array_equal(state.H, np.zeros_like(state.H))
         assert state.evicted_tokens == 6
@@ -126,7 +125,7 @@ class TestAbsorb:
         rng = SeededRng(2)
         k = np.abs(rng.normal((HEADS, 1, HEAD_DIM))) + 0.1
         v = rng.normal((HEADS, 1, HEAD_DIM))
-        state = absorb_evicted(state, k, v, ROPE)
+        state = absorb_evicted(state, k, v)
         for h in range(HEADS):
             assert np.abs(state.L[h] - np.outer(k[h, 0] + 1.0, v[h, 0])).max() < 1e-12
             assert np.abs(state.H[h] - (k[h, 0] + 1.0)).max() < 1e-12
@@ -138,9 +137,9 @@ class TestAbsorb:
         k2, v2 = random_chunk(4, tokens=4)
         sep, first, second = fresh_state(), fresh_state(), fresh_state()
         for k, v in [(k1, v1), (k2, v2)]:
-            sep = absorb_evicted(sep, k, v, ROPE)
-        first = absorb_evicted(first, k1, v1, ROPE)
-        second = absorb_evicted(second, k2, v2, ROPE)
+            sep = absorb_evicted(sep, k, v)
+        first = absorb_evicted(first, k1, v1)
+        second = absorb_evicted(second, k2, v2)
         # L is a plain token sum over chunks, each rotated at its own
         # positions 0..tokens - 1
         assert np.abs(sep.L - (first.L + second.L)).max() < 1e-12
@@ -148,7 +147,7 @@ class TestAbsorb:
         # 8-token mean of the same tokens
         cat = fresh_state()
         cat = absorb_evicted(cat, np.concatenate([k1, k2], axis=1),
-                             np.concatenate([v1, v2], axis=1), ROPE)
+                             np.concatenate([v1, v2], axis=1))
         assert np.abs(sep.H - 2.0 * cat.H).max() < 1e-12
         assert sep.evicted_tokens == cat.evicted_tokens == 8
 
@@ -157,9 +156,9 @@ class TestAbsorb:
         fwd = fresh_state()
         rev = fresh_state()
         for k, v in chunks:
-            fwd = absorb_evicted(fwd, k, v, ROPE)
+            fwd = absorb_evicted(fwd, k, v)
         for k, v in reversed(chunks):
-            rev = absorb_evicted(rev, k, v, ROPE)
+            rev = absorb_evicted(rev, k, v)
         assert np.abs(fwd.L - rev.L).max() < 1e-12
         assert np.abs(fwd.H - rev.H).max() < 1e-12
         assert fwd.evicted_tokens == rev.evicted_tokens == 20
@@ -168,8 +167,8 @@ class TestAbsorb:
         chunks = [random_chunk(s, tokens=6) for s in range(20, 28)]
         state = fresh_state()
         for k, v in chunks:
-            state = absorb_evicted(state, k, v, ROPE)
-        L, H = batch_state_oracle(chunks, ROPE)
+            state = absorb_evicted(state, k, v)
+        L, H = batch_state_oracle(chunks)
         assert np.abs(state.L - L).max() / (np.abs(L).max() + 1e-30) < 1e-9
         assert np.abs(state.H - H).max() / (np.abs(H).max() + 1e-30) < 1e-9
 
@@ -178,10 +177,10 @@ class TestAbsorb:
         # and to 1e-12 relative the per-token outer products it sums
         state = fresh_state()
         for seed in (30, 31):
-            state = absorb_evicted(state, *random_chunk(seed, tokens=48), ROPE)
+            state = absorb_evicted(state, *random_chunk(seed, tokens=48))
         keys, values = random_chunk(32, tokens=48)
-        got = absorb_evicted(state, keys, values, ROPE).L
-        rotated = apply_rope(elu_plus_one(keys), 0, ROPE)
+        got = absorb_evicted(state, keys, values).L
+        rotated = apply_rope(elu_plus_one(keys), 0)
         assert np.array_equal(got, state.L + rotated.transpose(0, 2, 1) @ values)
         want = state.L.copy()
         for h in range(HEADS):
@@ -193,14 +192,14 @@ class TestAbsorb:
         state = fresh_state()
         with pytest.raises(ShapeError):
             absorb_evicted(state, np.zeros((HEADS, 3, HEAD_DIM + 1)),
-                           np.zeros((HEADS, 3, HEAD_DIM + 1)), ROPE)
+                           np.zeros((HEADS, 3, HEAD_DIM + 1)))
 
 
 class TestHistoryOutput:
     def test_bit_equal_to_per_head_readout(self):
         state = fresh_state()
         for seed in range(4):
-            state = absorb_evicted(state, *random_chunk(seed), ROPE)
+            state = absorb_evicted(state, *random_chunk(seed))
         assert state.evicted_tokens == 24
         # a transposed view, as the engine passes its split heads
         q = SeededRng(32).normal((5, HEADS, HEAD_DIM)).transpose(1, 0, 2)
@@ -208,7 +207,7 @@ class TestHistoryOutput:
         fq = elu_plus_one(q)
         per_head = []
         for h in range(HEADS):
-            num = apply_rope(fq[h], 7, ROPE) @ state.L[h]
+            num = apply_rope(fq[h], 7) @ state.L[h]
             den = fq[h] @ state.H[h] + EPS_DIV
             per_head.append(num / den[:, None])
         want = np.concatenate(per_head, axis=1) @ PROJ
@@ -223,15 +222,14 @@ class TestHistoryOutput:
 
     def test_tables_that_do_not_fit_the_queries_rejected(self):
         empty, full = fresh_state(), fresh_state()
-        full = absorb_evicted(full, *random_chunk(3), ROPE)
+        full = absorb_evicted(full, *random_chunk(3))
         assert full.evicted_tokens == 6
         q = SeededRng(34).normal((HEADS, 4, HEAD_DIM))
         cos, sin = tables(5, 4)
-        wide = RoPEConfig(2 * HEAD_DIM)
         bad = [
             tables(5, 3),                                  # too few tokens
             tables(np.array([5, 5, 5]), 4),                # 3 slices over 2 heads
-            tables(5, 4, wide),                            # pairs of another head_dim
+            tables(5, 4, 2 * HEAD_DIM),                    # pairs of another head_dim
             (cos, sin[:, :-1]),                            # cos and sin disagree
             (cos[0], sin[0]),                              # no token axis
         ]
@@ -248,7 +246,7 @@ class TestHistoryOutput:
         # [1, tokens, d] tables over [heads, tokens, d] queries are refused,
         # whether or not the state has absorbed anything
         empty, full = fresh_state(), fresh_state()
-        full = absorb_evicted(full, *random_chunk(3), ROPE)
+        full = absorb_evicted(full, *random_chunk(3))
         assert full.evicted_tokens == 6
         q = SeededRng(36).normal((HEADS, 4, HEAD_DIM))
         cos, sin = tables(np.array([5]), 4)
@@ -258,7 +256,7 @@ class TestHistoryOutput:
 
     def test_projection_of_another_shape_rejected(self):
         empty, full = fresh_state(), fresh_state()
-        full = absorb_evicted(full, *random_chunk(3), ROPE)
+        full = absorb_evicted(full, *random_chunk(3))
         assert full.evicted_tokens == 6
         q = SeededRng(35).normal((HEADS, 4, HEAD_DIM))
         for state in (empty, full):
@@ -273,7 +271,7 @@ class TestHistoryOutput:
         rng = SeededRng(31)
         k = np.abs(rng.normal((HEADS, 1, HEAD_DIM))) + 0.1
         v = rng.normal((HEADS, 1, HEAD_DIM))
-        state = absorb_evicted(state, k, v, ROPE)
+        state = absorb_evicted(state, k, v)
         q = np.abs(rng.normal((HEADS, 1, HEAD_DIM))) + 0.1
         out = history_output(state, q, *tables(0, 1), PROJ)
         per_head = []
@@ -289,8 +287,8 @@ class TestHistoryOutput:
         k, v = random_chunk(32, tokens=5)
         base = fresh_state()
         scaled = fresh_state()
-        base = absorb_evicted(base, k, v, ROPE)
-        scaled = absorb_evicted(scaled, k, 3.0 * v, ROPE)
+        base = absorb_evicted(base, k, v)
+        scaled = absorb_evicted(scaled, k, 3.0 * v)
         q = SeededRng(33).normal((HEADS, 4, HEAD_DIM))
         out1 = history_output(base, q, *tables(7, 4), PROJ)
         out3 = history_output(scaled, q, *tables(7, 4), PROJ)
@@ -301,7 +299,7 @@ class TestHistoryOutput:
         state = fresh_state()
         for s in range(40, 44):
             k, v = random_chunk(s, tokens=6)
-            state = absorb_evicted(state, k, v, ROPE)
+            state = absorb_evicted(state, k, v)
         assert state.evicted_tokens == 24
         rng = SeededRng(50)
         for _ in range(50):
@@ -316,10 +314,10 @@ class TestHistoryOutput:
         many = fresh_state()
         for s in range(4):
             k, v = random_chunk(s, tokens=6)
-            few = absorb_evicted(few, k, v, ROPE)
+            few = absorb_evicted(few, k, v)
         for s in range(400):
             k, v = random_chunk(s, tokens=6)
-            many = absorb_evicted(many, k, v, ROPE)
+            many = absorb_evicted(many, k, v)
         assert few.nbytes == many.nbytes
         assert (few.evicted_tokens, many.evicted_tokens) == (24, 2400)
 

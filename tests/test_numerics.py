@@ -158,11 +158,12 @@ class TestSeededRng:
         assert r.normal((np.int64(2), 3)).shape == (2, 3)
 
     def test_fractional_seed_and_stream_rejected(self):
-        for seed in (1.5, 1.0):
-            with pytest.raises(TypeError):
+        # True was taken as seed (or stream) 1
+        for seed in (1.5, 1.0, True):
+            with pytest.raises(TypeError, match=f"seed must be an integer, got {seed!r}"):
                 SeededRng(seed)
-        for stream in (1.5, 1.0):
-            with pytest.raises(TypeError):
+        for stream in (1.5, 1.0, True):
+            with pytest.raises(TypeError, match=f"stream must be an integer, got {stream!r}"):
                 SeededRng(1).derive(stream)
         assert np.array_equal(SeededRng(np.uint64(1)).derive(np.int64(1)).integers(3),
                               SeededRng(1).derive(1).integers(3))

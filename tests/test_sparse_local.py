@@ -207,6 +207,15 @@ class TestBuildMask:
         with pytest.raises(TypeError, match="forced_blocks"):
             BlockConfig(0.5, frozenset(forced))
 
+    @pytest.mark.parametrize("ratio", [True, "0.5", None])
+    def test_keep_ratio_that_is_not_a_number_rejected(self, ratio):
+        # True was kept as a keep ratio of 1, and "0.5" failed comparing a
+        # float with a str, naming no field
+        with pytest.raises(TypeError, match=f"keep_ratio must be a real number, got {ratio!r}"):
+            BlockConfig(ratio)
+        held = BlockConfig(np.int64(1)).keep_ratio
+        assert held == 1.0 and type(held) is float
+
     def test_every_row_nonempty(self):
         scores = SeededRng(5).normal((8, 3))
         mask = build_mask(scores, BlockConfig(0.01))

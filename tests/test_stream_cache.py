@@ -16,11 +16,10 @@ from hybridstream.engine import StreamConfig, ToyDenoiser, append_and_absorb, ch
 from hybridstream.errors import ContractViolationError, FormatError, SequenceError, ShapeError
 from hybridstream.linear_history import LinearState
 from hybridstream.numerics import SeededRng, write_tensor
-from hybridstream.rope import RoPEConfig, temporal_index
+from hybridstream.rope import MAX_TEMPORAL_INDEX, temporal_index
 from hybridstream.stream_cache import ChunkKV, RollingCache
 
 LAYERS, HEADS, TOKENS, HEAD_DIM = 2, 2, 6, 8
-CAP = 21  # the model's RoPE cap; the cache holds none
 # a format-9 snapshot's header: magic, version, capacity_chunks, sink_chunks,
 # next_index, the number of linear states
 HEADER = struct.Struct("<4sIQQQI")
@@ -78,23 +77,22 @@ class TestAppendEviction:
         (3, HEADS, TOKENS, HEAD_DIM),          # layers
     ])
     def test_shape_mismatch_rejected_before_any_change(self, shape):
-        stream = TestSnapshot.STREAM
         cache = RollingCache(3, 1, make_states())
         for i in range(6):  # chunks 1 and 2 absorbed; the next append evicts
-            append_and_absorb(cache, make_kv(i), stream)
+            append_and_absorb(cache, make_kv(i))
         entries = cache.entries()
         states = [(s.L.copy(), s.H.copy(), s.evicted_tokens) for s in cache.linear_states]
         rng = SeededRng(9)
         bad = ChunkKV(6, rng.normal(shape), rng.normal(shape))
         with pytest.raises(ShapeError, match="unlike the entries'"):
-            append_and_absorb(cache, bad, stream)
+            append_and_absorb(cache, bad)
         assert cache.next_index == 6
         assert all(a is b for a, b in zip(cache.entries(), entries))
         assert len(cache.entries()) == len(entries)
         for s, (L, H, evicted) in zip(cache.linear_states, states):
             assert np.array_equal(s.L, L) and np.array_equal(s.H, H)
             assert s.evicted_tokens == evicted
-        assert append_and_absorb(cache, make_kv(6), stream).chunk_index == 3
+        assert append_and_absorb(cache, make_kv(6)).chunk_index == 3
 
     def test_first_chunk_checked_against_linear_states(self):
         # an empty cache has no entries to compare with: the states decide
@@ -160,9 +158,9 @@ class TestRelativeIndices:
         fill(cache, 1200)
         dists = [dist for _, dist in cache.visible_kv(1199)]
         assert dists == [1199, 2, 1, 0]  # sink 0, window 1197-1199
-        rels = [temporal_index(1199, RoPEConfig(HEAD_DIM, max_temporal_index=CAP), d)
-                for d in dists]
-        assert rels == [0, CAP - 2, CAP - 1, CAP]
+        rels = [temporal_index(1199, d) for d in dists]
+        cap = MAX_TEMPORAL_INDEX
+        assert rels == [0, cap - 2, cap - 1, cap]
 
     def test_entry_newer_than_query_rejected(self):
         cache = RollingCache(3, 1)
@@ -178,13 +176,12 @@ def make_states():
 
 class TestSnapshot:
     # the stream geometry matching the module constants: 6 tokens per chunk
-    STREAM = StreamConfig(tokens_per_frame=2, heads=HEADS, head_dim=HEAD_DIM, layers=LAYERS,
-                          max_temporal_index=CAP)
+    STREAM = StreamConfig(tokens_per_frame=2, heads=HEADS, head_dim=HEAD_DIM, layers=LAYERS)
 
     def build_cache(self, chunks, capacity=3, sinks=1):
         cache = RollingCache(capacity, sinks, make_states())
         for i in range(chunks):
-            append_and_absorb(cache, make_kv(i), self.STREAM)
+            append_and_absorb(cache, make_kv(i))
         return cache
 
     def format_8_blob(self, cache, version=8, **state_fields):
@@ -491,7 +488,7 @@ class TestSnapshot:
         for seed in (0, 1):
             cache = ToyDenoiser(replace(self.STREAM, seed=seed)).new_cache()
             for i in range(8):
-                append_and_absorb(cache, make_kv(i), self.STREAM)
+                append_and_absorb(cache, make_kv(i))
             assert all(s.evicted_tokens == 24 for s in cache.linear_states)
             blobs.append(cache.snapshot())
         assert blobs[0] == blobs[1]
